@@ -44,8 +44,7 @@ from .dynamics import (PHASE_CANONICAL, PHASE_EMBEDDED, PHASE_REDUCED,
                        integrate_embedded_oracle, integrate_reduced,
                        trajectory_csv_text)
 from .quadrature import reduced_ball_grid
-from .pathintegral import (CORRECTED_POLAR, NAIVE_POLAR, KernelWidthError,
-                           QuadratureConvergenceError, RadialGrid,
+from .pathintegral import (CORRECTED_POLAR, NAIVE_POLAR, RadialGrid,
                            default_probe_family, extract_effective_potential,
                            potential_csv_text, potential_json_dict)
 
@@ -724,17 +723,20 @@ def run_pathintegral(cfg):
         raise ConfigError("pathintegral: evaluation window must sit inside "
                           "[r_min, r_max]")
     p = ModelParams(D=2, R=1.0, hbar=cfg["hbar"])
-    grid = RadialGrid(cfg["r_min"], cfg["r_max"], cfg["nodes"])
-    family = default_probe_family(grid)
     r_samples = np.linspace(cfg["r_eval_min"], cfg["r_eval_max"],
                             cfg["r_eval_count"])
     prescription = {"naive": NAIVE_POLAR,
                     "corrected": CORRECTED_POLAR}[cfg["prescription"]]
+    # every ValueError here is a rejected input: too few grid nodes, slice
+    # steps that are not geometric or fewer than three, steps whose kernel
+    # width does not fit the grid (KernelWidthError), or probes reaching the
+    # grid edge (SupportError)
     try:
+        grid = RadialGrid(cfg["r_min"], cfg["r_max"], cfg["nodes"])
         table = extract_effective_potential(
-            family, r_samples, cfg["eps_list"], p,
+            default_probe_family(grid), r_samples, cfg["eps_list"], p,
             midpoint_rule=cfg["midpoint_rule"], prescription=prescription)
-    except KernelWidthError as err:
+    except ValueError as err:
         raise ConfigError(f"pathintegral: {err}") from None
 
     coeff = 1.0 + table.relative_error  # 8 r^2 dV / hbar^2
@@ -836,8 +838,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, StepConvergenceError,
-            QuadratureConvergenceError) as err:
+    except (NonConvergenceError, StepConvergenceError) as err:
         payload = json_text({"tool_version": __version__, "command": cmd,
                              "error": str(err),
                              "error_kind": "non_convergence", "pass": False})

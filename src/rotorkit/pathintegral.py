@@ -19,9 +19,8 @@ A finding worth stating up front: with the radius of the angular term taken
 as the *arithmetic* midpoint rbar = (r + r')/2, the measured coefficient is
 hbar^2/(4 r^2), twice the target.  The product (geometric-mean) form
 rbar = sqrt(r r') is the convention that reproduces the 1/8 coefficient, and
-it is the default here; "arithmetic", "prepoint" and "postpoint" remain
-selectable for comparison.  Both statements are pinned by tests rather than
-asserted.
+it is the default here; "arithmetic" remains selectable for comparison.
+Both statements are pinned by tests rather than asserted.
 
 Angular reduction used throughout: on a fixed angular mode m, the exact
 2D heat kernel collapses to
@@ -29,11 +28,18 @@ Angular reduction used throughout: on a fixed angular mode m, the exact
     K_m(r, r') = (1/(hbar eps)) exp(-(r-r')^2/(2 hbar eps)) * E_m(z),
     E_m(z) = exp(-z) I_m(z),  z = r r' / (hbar eps),
 
-with measure r' dr'.  E_m is evaluated two independent ways: scipy's scaled
-Bessel function, and an adaptive-doubling trapezoid of its defining angular
-integral (the doubling route is also how the derivation is unit-tested
-against full 2D quadrature).  The naive-polar angular factor is the
-corresponding truncated Gaussian integral with the same dual treatment.
+with measure r' dr'.  Kernels use scipy's scaled Bessel function for E_m
+and the closed Gaussian integral for the naive-polar angular factor; an
+adaptive-doubling trapezoid of each defining angular integral is kept as an
+independent oracle (it is also how the derivation is unit-tested against
+full 2D quadrature).
+
+Every kernel entry carries the Gaussian factor above, so kernels are built
+and applied as bands |i - j| <= b only: b is the smallest half-width for
+which every dropped entry's Gaussian factor is below 1e-40 (see
+``_BAND_GAUSSIAN_BOUND``).  A kernel then costs O(n b) memory and time
+instead of O(n^2); at the default grid and eps <= 1e-3, b is at most 111
+of 2048 nodes.
 """
 
 import csv
@@ -63,7 +69,7 @@ EXACT_CARTESIAN = "exact_cartesian"
 NAIVE_POLAR = "naive_polar"
 CORRECTED_POLAR = "corrected_polar"
 PRESCRIPTIONS = (EXACT_CARTESIAN, NAIVE_POLAR, CORRECTED_POLAR)
-MIDPOINT_RULES = ("geometric", "arithmetic", "prepoint", "postpoint")
+MIDPOINT_RULES = ("geometric", "arithmetic")
 
 
 class KernelWidthError(ValueError):
@@ -160,25 +166,19 @@ class RadialWavefunction:
 
 @dataclass(frozen=True)
 class SliceKernelSpec:
-    """One Euclidean slice: step, prescription, and kernel construction knobs."""
+    """One Euclidean slice: step, prescription and midpoint rule."""
 
     eps: float
     prescription: str
-    resolution: int = 256
     midpoint_rule: str = "geometric"
-    kernel_method: str = "closed_form"
 
     def __post_init__(self):
         if self.eps <= 0.0:
             raise ValueError("need eps > 0")
         if self.prescription not in PRESCRIPTIONS:
             raise ValueError(f"unknown prescription '{self.prescription}'")
-        if self.resolution < 64:
-            raise ValueError("angular quadrature resolution must be >= 64")
         if self.midpoint_rule not in MIDPOINT_RULES:
             raise ValueError(f"unknown midpoint rule '{self.midpoint_rule}'")
-        if self.kernel_method not in ("closed_form", "quadrature"):
-            raise ValueError("kernel_method must be 'closed_form' or 'quadrature'")
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +250,61 @@ def naive_angular_factor_quadrature(a, m, n0=256, tol=1e-10, nmax=1 << 16):
 # ---------------------------------------------------------------------------
 # slice kernels
 
-_KERNEL_CACHE = {}
+# At most this many kernels stay cached, least recently used evicted first.
+# One extraction with three slice steps needs 12 distinct kernels (two
+# prescriptions x modes 0 and 1 x three steps) and reuses 6 of them.
+_KERNEL_CACHE_SIZE = 16
+_KERNEL_CACHE = {}  # insertion order is recency order
 
 
 def clear_kernel_cache():
     _KERNEL_CACHE.clear()
+
+
+class BandedKernel:
+    """Slice kernel stored as its band: ``band[i, k] = K[i, i + k - b]``.
+
+    Entries with |i - j| > b are not stored (their Gaussian factor is below
+    ``_BAND_GAUSSIAN_BOUND``); band slots that fall off the grid hold zeros.
+    ``K @ v`` applies the band; ``toarray()`` rebuilds the dense matrix.
+    """
+
+    def __init__(self, band):
+        self.band = band
+        self.half_width = (band.shape[1] - 1) // 2
+
+    @property
+    def nbytes(self):
+        return self.band.nbytes
+
+    def __matmul__(self, v):
+        b = self.half_width
+        windows = np.lib.stride_tricks.sliding_window_view(np.pad(v, b), 2 * b + 1)
+        return np.einsum("ik,ik->i", self.band, windows)
+
+    def toarray(self):
+        n = self.band.shape[0]
+        cols, inside = _band_columns(n, self.half_width)
+        dense = np.zeros((n, n))
+        dense[np.nonzero(inside)[0], cols[inside]] = self.band[inside]
+        return dense
+
+
+def _band_columns(n, b):
+    """Column index j = i + k - b of each band slot, and whether it is on the grid."""
+    cols = np.arange(n)[:, None] + np.arange(-b, b + 1)
+    return cols, (cols >= 0) & (cols < n)
+
+
+# Kernels drop entry (i, j) only where its Gaussian factor
+# exp(-(r_i - r_j)^2 / (2 hbar eps)) is below this bound, exp(-92.1).
+# It sits far below double rounding on purpose.  The extraction divides
+# (psi - T psi)/eps by psi at samples down to psi_floor = 1e-6 of the peak
+# and Richardson extrapolation amplifies that further, so a truncation error
+# at rounding level (1e-16) would show in the reported Delta V.  At 1e-40
+# truncation is out of reach of every such amplification, and the band is
+# only sqrt(92.1 / 36.8) = 1.6x wider than a cut at 1e-16.
+_BAND_GAUSSIAN_BOUND = 1e-40
 
 
 def _validate_widths(spec, grid, p):
@@ -276,50 +326,53 @@ def _validate_widths(spec, grid, p):
                 f"decrease eps or increase r_min")
 
 
+def _band_half_width(spec, grid, p):
+    """Smallest b whose dropped entries, |i - j| >= b + 1, have Gaussian
+    factor below _BAND_GAUSSIAN_BOUND, capped at n - 1 (nothing dropped)."""
+    reach = math.sqrt(-2.0 * p.hbar * spec.eps * math.log(_BAND_GAUSSIAN_BOUND))
+    return min(int(reach / grid.spacing), grid.n - 1)
+
+
 def _midpoint_radius(r, rp, rule):
     if rule == "geometric":
         return np.sqrt(r * rp)
-    if rule == "arithmetic":
-        return 0.5 * (r + rp)
-    if rule == "prepoint":
-        return np.broadcast_to(rp, np.broadcast_shapes(np.shape(r), np.shape(rp)))
-    return np.broadcast_to(r, np.broadcast_shapes(np.shape(r), np.shape(rp)))
+    return 0.5 * (r + rp)
 
 
 def slice_kernel(m, spec, grid, p):
-    """Mode-m transfer matrix K with (T psi)_i = sum_j K_ij psi_j r_j w_j."""
+    """Mode-m transfer kernel K with (T psi)_i = sum_j K_ij psi_j r_j w_j.
+
+    Returned as a BandedKernel; a cache hit returns the same object.
+    """
     m = abs(int(m))
-    key = (spec.prescription, spec.midpoint_rule, spec.kernel_method,
-           spec.resolution, m, float(spec.eps).hex(), float(p.hbar).hex(),
-           grid.key())
-    hit = _KERNEL_CACHE.get(key)
+    key = (spec.prescription, spec.midpoint_rule, m, float(spec.eps).hex(),
+           float(p.hbar).hex(), grid.key())
+    hit = _KERNEL_CACHE.pop(key, None)
     if hit is not None:
+        _KERNEL_CACHE[key] = hit  # re-inserted as the most recently used
         return hit
     _validate_widths(spec, grid, p)
+    b = _band_half_width(spec, grid, p)
     he = p.hbar * spec.eps
-    r = grid.nodes[:, None]
-    rp = grid.nodes[None, :]
+    nodes = grid.nodes
+    cols, inside = _band_columns(grid.n, b)
+    r = nodes[:, None]
+    rp = nodes[np.clip(cols, 0, grid.n - 1)]
     gauss = np.exp(-((r - rp) ** 2) / (2.0 * he))
     if spec.prescription == EXACT_CARTESIAN:
-        z = r * rp / he
-        if spec.kernel_method == "closed_form":
-            fac = angular_factor_exact(z, m)
-        else:
-            fac = angular_factor_quadrature(z, m, n0=spec.resolution)
-        K = gauss * fac / he
+        K = gauss * angular_factor_exact(r * rp / he, m) / he
     else:
         rbar = _midpoint_radius(r, rp, spec.midpoint_rule)
         a = rbar ** 2 / (2.0 * he)
-        if spec.kernel_method == "closed_form":
-            fac = naive_angular_factor(a, m)
-        else:
-            fac = naive_angular_factor_quadrature(a, m, n0=spec.resolution)
-        K = gauss * fac / (2.0 * math.pi * he)
+        K = gauss * naive_angular_factor(a, m) / (2.0 * math.pi * he)
         if spec.prescription == CORRECTED_POLAR:
             # e^{-eps(H - hbar^2/(8r^2))/hbar} ~ e^{+eps hbar/(8 r^2)} e^{-eps H/hbar}
-            K = np.exp(spec.eps * p.hbar / (8.0 * grid.nodes ** 2))[:, None] * K
-    _KERNEL_CACHE[key] = K
-    return K
+            K = np.exp(spec.eps * p.hbar / (8.0 * nodes ** 2))[:, None] * K
+    kernel = BandedKernel(np.where(inside, K, 0.0))
+    _KERNEL_CACHE[key] = kernel
+    if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
+        del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
+    return kernel
 
 
 def slice_step(psi, spec, p):
@@ -340,7 +393,7 @@ def l2_norm(psi):
 def semigroup_defect(psi, spec, p):
     """sup |T_eps psi - T_{eps/2} T_{eps/2} psi| / sup |psi|.
 
-    Composed directly from the kernel matrices: heat evolution spreads any
+    Composed directly from the kernels: heat evolution spreads any
     compactly supported profile, so the intermediate slice would trip the
     support validation even though the composition itself is well defined.
     """
@@ -429,12 +482,13 @@ def _check_geometric(eps_list):
     ratios = [eps[i + 1] / eps[i] for i in range(len(eps) - 1)]
     if max(ratios) - min(ratios) > 1e-12:
         raise ValueError("slice steps must form a geometric sequence")
+    if ratios[0] == 1.0:  # Richardson weights 1/(1 - ratio^k) would divide by 0
+        raise ValueError("slice steps must be distinct")
     return eps, ratios[0]
 
 
 def effective_hamiltonian_action(psi, prescription, eps_list, p,
-                                 midpoint_rule="geometric",
-                                 kernel_method="closed_form", resolution=256):
+                                 midpoint_rule="geometric"):
     """H_eff psi = hbar (psi - T_eps psi)/eps, Richardson-extrapolated to eps -> 0.
 
     The per-eps quotient carries an expansion in integer powers of eps;
@@ -448,9 +502,7 @@ def effective_hamiltonian_action(psi, prescription, eps_list, p,
     raw = {}
     for eps in eps_desc:
         spec = SliceKernelSpec(eps=eps, prescription=prescription,
-                               resolution=resolution,
-                               midpoint_rule=midpoint_rule,
-                               kernel_method=kernel_method)
+                               midpoint_rule=midpoint_rule)
         out = slice_step(psi, spec, p)
         rows.append(p.hbar * (psi.samples - out.samples) / eps)
         raw[eps] = rows[-1]
@@ -485,7 +537,6 @@ class EffectivePotentialTable:
 
 def extract_effective_potential(psi_family, r_samples, eps_list, p,
                                 midpoint_rule="geometric", psi_floor=1e-6,
-                                kernel_method="closed_form", resolution=256,
                                 prescription=NAIVE_POLAR):
     """Delta V(r) = [(H_presc - H_exact) psi](r) / psi(r), family-averaged.
 
@@ -494,6 +545,9 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     peak are skipped and reported.  The predicted column hbar^2/(8 r^2) is
     the comparison target, not an input to the extraction; with the
     corrected prescription the table should instead sit near zero.
+    ``meta["richardson_flagged"]`` counts, over the family, the reported
+    samples whose Richardson sequence was flagged as not settling, for the
+    polar and the exact route.
     """
     if prescription == EXACT_CARTESIAN:
         raise ValueError("extraction compares a polar prescription against "
@@ -507,21 +561,22 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
             raise ValueError("family members must share one grid")
     nodes = grid.nodes
     idx = np.array([int(np.argmin(np.abs(nodes - float(rr)))) for rr in r_samples])
-    ratios = []
-    for psi in psi_family:
-        naive = effective_hamiltonian_action(
-            psi, prescription, eps_list, p, midpoint_rule=midpoint_rule,
-            kernel_method=kernel_method, resolution=resolution)
-        exact = effective_hamiltonian_action(
-            psi, EXACT_CARTESIAN, eps_list, p,
-            kernel_method=kernel_method, resolution=resolution)
-        ratios.append((naive.values - exact.values) / np.where(
-            psi.samples == 0.0, np.nan, psi.samples))
-    rows_r, rows_dv, rows_spread, skipped = [], [], [], []
     floor_ok = np.ones(len(idx), dtype=bool)
     for psi in psi_family:
         peak = float(np.max(np.abs(psi.samples)))
         floor_ok &= np.abs(psi.samples[idx]) >= psi_floor * peak
+    kept = idx[floor_ok]
+    ratios = []
+    flagged = {"polar": 0, "exact": 0}
+    for psi in psi_family:
+        naive = effective_hamiltonian_action(
+            psi, prescription, eps_list, p, midpoint_rule=midpoint_rule)
+        exact = effective_hamiltonian_action(psi, EXACT_CARTESIAN, eps_list, p)
+        ratios.append((naive.values - exact.values) / np.where(
+            psi.samples == 0.0, np.nan, psi.samples))
+        flagged["polar"] += int(np.count_nonzero(naive.flags[kept]))
+        flagged["exact"] += int(np.count_nonzero(exact.flags[kept]))
+    rows_r, rows_dv, rows_spread, skipped = [], [], [], []
     for k, i in enumerate(idx):
         if not floor_ok[k]:
             skipped.append(float(nodes[i]))
@@ -538,7 +593,7 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
         relative_error=(dv - predicted) / predicted, skipped=skipped,
         meta={"midpoint_rule": midpoint_rule, "eps_list": sorted(map(float, eps_list), reverse=True),
               "family_size": len(psi_family), "hbar": p.hbar,
-              "prescription": prescription})
+              "prescription": prescription, "richardson_flagged": flagged})
 
 
 def potential_csv_text(table):
@@ -566,4 +621,5 @@ def potential_json_dict(table):
                   "spread": float(table.spread[i])}
                  for i in range(len(table.r))],
         "skipped": [float(v) for v in table.skipped],
+        "richardson_flagged": dict(table.meta["richardson_flagged"]),
     }

@@ -100,6 +100,18 @@ def test_exit_2_on_config_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--nodes", "8"], "radial nodes"),
+    (["--eps-list", "1e-3,6e-4,2.5e-4"], "geometric"),
+    (["--eps-list", "1e-3,5e-4"], "at least 3"),
+    (["--eps-list", "1e-3,1e-3,1e-3"], "distinct"),
+])
+def test_exit_2_on_bad_pathintegral_config(flags, needle, capsys):
+    code, out, err = run(["pathintegral", *flags], capsys)
+    assert code == 2 and needle in err
+    assert out == "" and "Traceback" not in err
+
+
 def test_exit_2_on_unknown_config_file_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dims = 3\n")

@@ -13,12 +13,15 @@ import math
 import numpy as np
 import pytest
 
+from rotorkit import pathintegral
 from rotorkit.geometry import ModelParams
 from rotorkit.pathintegral import (
     CORRECTED_POLAR,
     EXACT_CARTESIAN,
     KernelWidthError,
+    MIDPOINT_RULES,
     NAIVE_POLAR,
+    PRESCRIPTIONS,
     RadialGrid,
     RadialWavefunction,
     SliceKernelSpec,
@@ -164,10 +167,73 @@ def test_angular_factor_closed_form_vs_quadrature(m):
 
 def test_slice_kernel_symmetric_and_cached():
     spec = SliceKernelSpec(eps=1e-3, prescription=EXACT_CARTESIAN)
-    K1 = slice_kernel(0, spec, GRID, P2)
+    K1 = slice_kernel(0, spec, GRID, P2).toarray()
     assert np.max(np.abs(K1 - K1.T)) < 1e-13 * np.max(np.abs(K1))
-    K2 = slice_kernel(0, spec, GRID, P2)
+    K2 = slice_kernel(0, spec, GRID, P2).toarray()
     assert np.array_equal(K1, K2)  # cache returns the identical table
+    assert slice_kernel(0, spec, GRID, P2) is slice_kernel(0, spec, GRID, P2)
+
+
+def _dense_kernel(m, spec, grid, p):
+    """Full n x n kernel from the closed forms, and its Gaussian factor."""
+    he = p.hbar * spec.eps
+    r = grid.nodes[:, None]
+    rp = grid.nodes[None, :]
+    gauss = np.exp(-((r - rp) ** 2) / (2.0 * he))
+    if spec.prescription == EXACT_CARTESIAN:
+        return gauss * angular_factor_exact(r * rp / he, m) / he, gauss
+    if spec.midpoint_rule == "geometric":
+        rbar = np.sqrt(r * rp)
+    else:
+        rbar = 0.5 * (r + rp)
+    K = gauss * naive_angular_factor(rbar ** 2 / (2.0 * he), m) / (2.0 * math.pi * he)
+    if spec.prescription == CORRECTED_POLAR:
+        K = np.exp(spec.eps * p.hbar / (8.0 * grid.nodes ** 2))[:, None] * K
+    return K, gauss
+
+
+@pytest.mark.parametrize("rule", MIDPOINT_RULES)
+@pytest.mark.parametrize("prescription", PRESCRIPTIONS)
+def test_banded_kernel_matches_dense_oracle(prescription, rule):
+    # small grid on which the band (half-width 68 of 200 nodes) drops entries
+    grid = RadialGrid(0.5, 3.0, 200)
+    spec = SliceKernelSpec(eps=4e-3, prescription=prescription,
+                           midpoint_rule=rule)
+    bound = pathintegral._BAND_GAUSSIAN_BOUND
+    m = 1
+    kernel = slice_kernel(m, spec, grid, P2)
+    dense, gauss = _dense_kernel(m, spec, grid, P2)
+    b = kernel.half_width
+    offset = np.abs(np.subtract.outer(np.arange(grid.n), np.arange(grid.n)))
+    band = offset <= b
+    assert 0 < b < grid.n - 1
+    got = kernel.toarray()
+    np.testing.assert_allclose(got[band], dense[band], rtol=1e-14, atol=0.0)
+    assert np.all(got[~band] == 0.0)
+    # b is the smallest half-width whose dropped Gaussian factors are all
+    # below the bound, and the dropped entries are negligible row by row
+    assert np.max(gauss[~band]) < bound <= np.max(gauss[offset == b])
+    peak = np.max(np.abs(dense), axis=1, keepdims=True)
+    assert np.all((np.abs(dense) < bound * peak)[~band])
+    psi = RadialWavefunction.from_callable(
+        mollifier_bump(1.75, 0.8, m=m, scale_power=m), m, grid)
+    out = slice_step(psi, spec, P2).samples
+    want = dense @ (psi.samples * grid.nodes * grid.trapezoid_weights)
+    assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_kernel_cache_is_bounded():
+    grid = RadialGrid(0.5, 3.0, 64)
+    spec = SliceKernelSpec(eps=0.05, prescription=EXACT_CARTESIAN)
+    size = pathintegral._KERNEL_CACHE_SIZE
+    pathintegral.clear_kernel_cache()
+    first = slice_kernel(0, spec, grid, P2)
+    for m in range(1, size + 5):
+        slice_kernel(m, spec, grid, P2)
+    assert len(pathintegral._KERNEL_CACHE) == size
+    assert slice_kernel(0, spec, grid, P2) is not first  # evicted, rebuilt
+    pathintegral.clear_kernel_cache()
+    assert not pathintegral._KERNEL_CACHE
 
 
 def test_extraction_coefficient_by_midpoint_rule():
@@ -187,6 +253,22 @@ def test_extraction_coefficient_by_midpoint_rule():
     corr = extract_effective_potential(family, radii, EPS_LIST, P2,
                                        prescription=CORRECTED_POLAR)
     assert np.max(np.abs(corr.delta_v / corr.predicted)) < 1e-3
+
+
+def test_extraction_counts_richardson_flags():
+    # radii chosen where some probe's Richardson sequence does not settle
+    family = default_probe_family(GRID)
+    radii = [0.8487, 2.0, 2.3384, 3.0910]
+    table = extract_effective_potential(family, radii, EPS_LIST, P2)
+    idx = [int(np.argmin(np.abs(GRID.nodes - r))) for r in table.r]
+    assert len(idx) == len(radii)
+    want = {"polar": 0, "exact": 0}
+    for psi in family:
+        for route, presc in (("polar", NAIVE_POLAR), ("exact", EXACT_CARTESIAN)):
+            act = effective_hamiltonian_action(psi, presc, EPS_LIST, P2)
+            want[route] += int(np.count_nonzero(act.flags[idx]))
+    assert want["polar"] > 0 and want["exact"] > 0
+    assert table.meta["richardson_flagged"] == want
 
 
 def test_extraction_guards():
