@@ -94,7 +94,8 @@ SCHEMAS = {
         "hbar": _f("float", 1.0, "Planck constant", positive=True),
         "lmax": _f("int", 9, "largest harmonic degree in the test family"),
         "samples": _f("int_or_auto", None,
-                      "evaluation points (brackets: phase-space samples)"),
+                      "evaluation points (brackets: phase-space samples)",
+                      positive=True),
         "res": _f("int", 64, "quadrature resolution for hermiticity",
                   positive=True),
         "tolerance": _f("float_or_auto", None, "pass threshold"),
@@ -248,6 +249,14 @@ def _report(cmd, cfg, results, max_deviations, passed):
     }
 
 
+def _model_params(cmd, **kwargs):
+    """ModelParams, with a rejected value reported as a configuration error."""
+    try:
+        return ModelParams(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{cmd}: {err}") from None
+
+
 def json_text(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -337,7 +346,8 @@ def run_spectrum(cfg):
         pattern_ok = (len(clusters) == len(ref_clusters)
                       and all(c[1] == rc[1]
                               for c, rc in zip(clusters, ref_clusters)))
-    value_dev = (max(abs(c[0] - rc[0]) for c, rc in zip(clusters, ref_clusters))
+    value_dev = (float(np.max([abs(c[0] - rc[0])
+                               for c, rc in zip(clusters, ref_clusters)]))
                  if pattern_ok else float("inf"))
     e0 = float(values[0])
     e0_tol = cfg["e0_tol"] * p.hbar ** 2 / p.R ** 2
@@ -403,7 +413,7 @@ def suite_chart_equivalence(p, lmax, samples, seed):
         a = apply_operator(cart, f_red, pts, p)
         b = apply_operator(curv, f_ang, angles, p)
         ref = max(float(np.max(np.abs(b))), scale)
-        worst = max(worst, float(np.max(np.abs(a - b))) / ref)
+        worst = float(np.maximum(worst, np.max(np.abs(a - b)) / ref))
     return {"family_size": len(family), "points": samples,
             "max_relative_deviation": worst}, worst
 
@@ -421,7 +431,7 @@ def suite_angular_momentum(p, lmax, samples, seed):
         a = apply_operator(l2, f, pts, p)
         b = apply_operator(cart, f, pts, p)
         ref = max(float(np.max(np.abs(b))), scale)
-        worst = max(worst, float(np.max(np.abs(a - b))) / ref)
+        worst = float(np.maximum(worst, np.max(np.abs(a - b)) / ref))
     return {"family_size": len(family), "points": samples,
             "max_relative_deviation": worst}, worst
 
@@ -517,7 +527,7 @@ def suite_hermiticity(p, res, seed):
             d = _reduced_sphere_defect(tag, harmonics[a], harmonics[b], p, spec)
             rows.append({"operator": name, "pair": f"l{a + 1},l{b + 1}",
                          "defect": float(d)})
-            worst = max(worst, float(d))
+            worst = float(np.maximum(worst, d))
     for i in range(1, p.D):
         tag = OperatorTag("pi_cart", i=i)
         for a, b in pairs:
@@ -525,13 +535,13 @@ def suite_hermiticity(p, res, seed):
             rows.append({"operator": f"pi_cart_{i}",
                          "pair": f"xD^2 l{a + 1},l{b + 1}",
                          "defect": float(d)})
-            worst = max(worst, float(d))
+            worst = float(np.maximum(worst, d))
     for name, tag in tags_angular:
         for a, b in pairs:
             d = _angular_sphere_defect(tag, harmonics[a], harmonics[b], p, res)
             rows.append({"operator": name, "pair": f"l{a + 1},l{b + 1}",
                          "defect": float(d)})
-            worst = max(worst, float(d))
+            worst = float(np.maximum(worst, d))
     # deliberately non-hermitian control, excluded from the max; the pair is
     # picked so no parity accident hides the defect
     displayed = OperatorTag("pi_curv", i=1, convention="displayed")
@@ -539,6 +549,8 @@ def suite_hermiticity(p, res, seed):
     deg2 = harmonic_polynomials(p.D, 2)
     control = _angular_sphere_defect(displayed, deg1[min(2, len(deg1) - 1)],
                                      deg2[min(1, len(deg2) - 1)], p, res)
+    if math.isnan(control):
+        worst = control  # a control that cannot be measured fails the suite
     return {"rows": rows, "max_defect": worst,
             "displayed_convention_defect": float(control)}, worst
 
@@ -608,7 +620,10 @@ def run_check(cfg):
     samples = cfg["samples"] if cfg["samples"] is not None else default_samples
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else default_tol
     cfg = dict(cfg, samples=samples, tolerance=tol)
-    p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
+    p = _model_params("check", D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
+    if suite == "dirac-brackets" and p.D != 3:
+        raise ConfigError("check: dirac-brackets is specialized to D=3, "
+                          f"got dim {p.D}")
 
     if suite == "chart-equivalence":
         results, worst = suite_chart_equivalence(p, cfg["lmax"], samples,
@@ -657,7 +672,7 @@ def _kv_csv_text(results, prefix=""):
 # classical
 
 def run_classical(cfg):
-    p = ModelParams(D=cfg["dim"], R=cfg["radius"])
+    p = _model_params("classical", D=cfg["dim"], R=cfg["radius"])
     try:
         s0 = PhaseState(chart=PHASE_REDUCED, q=np.array(cfg["q0"]),
                         p=np.array(cfg["p0"])).validate(p)
@@ -691,7 +706,7 @@ def run_classical(cfg):
         L = series["L"]
         drift_l = float(np.max(np.abs(L - L[0])))
         drift[name] = {"energy": drift_e, "angular_momentum": drift_l}
-    worst_drift = max(v for d in drift.values() for v in d.values())
+    worst_drift = float(np.max([v for d in drift.values() for v in d.values()]))
 
     radial = np.abs(np.sum(oracle.q * oracle.q, axis=1) - p.R ** 2)
     tangent = np.abs(np.sum(oracle.q * oracle.p, axis=1))

@@ -496,7 +496,7 @@ def bracket_check_report(p, samples=1000, seed=7):
         dev = float(np.max(np.abs(got - refs[kind])))
         report["families"][kind] = {"pair": kind, "samples": samples,
                                     "max_deviation": dev}
-        worst = max(worst, dev)
+        worst = float(np.maximum(worst, dev))  # NaN-aware, unlike max()
     report["max_deviation"] = worst
     return report
 

@@ -3,13 +3,21 @@
 Two independent numerical routes compute the spectrum of the curvilinear
 Hamiltonian, and a closed-form reference provides the oracle:
 
-* ``assemble`` builds the full tensor-product operator on a
-  (Gauss nodes in cos phi_k) x (uniform azimuth) grid.  Polar second
-  derivatives use the weak form K = Dn^T V Dn with the diagonal quadrature
-  mass matrix, which is an exact Galerkin restriction to polynomials (Gauss
-  quadrature is exact through degree 2n-1) and is symmetric under the
-  quadrature inner product by construction.  Azimuthal derivatives use the
-  exact Fourier differentiation matrix.
+* ``assemble`` discretizes on a (Gauss nodes in cos phi_k) x (uniform
+  azimuth) grid and keeps the operator in separable form,
+  A (x) I + diag(1/(1-u^2)) (x) T: a polar factor A with one row per
+  polar node, the coupling, and T, the operator of the sub-sphere one level
+  down (the Fourier factor for D=3), stored with its spectrum.  Polar
+  second derivatives use the weak form K = Dn^T V Dn with the diagonal
+  quadrature mass matrix, which is an exact Galerkin restriction to
+  polynomials (Gauss quadrature is exact through degree 2n-1) and is
+  symmetric under the quadrature inner product by construction.
+  Azimuthal derivatives use the exact Fourier differentiation matrix.
+  In T's eigenbasis the operator is block diagonal, one polar block per
+  eigenvalue of T (fast diagonalization, Lynch, Rice & Thomas 1964), so
+  the dense route diagonalizes only the few blocks that can hold the
+  lowest levels, and Lanczos applies the factors matrix-free; the n x n
+  matrix is never formed.
 * ``sector_spectrum`` peels off the leading angle's weight analytically:
   restricted to functions of the form sin^s(phi_1) v(cos phi_1) Y_s(rest),
   the operator becomes the polynomial-preserving tridiagonal-similar form
@@ -128,71 +136,141 @@ class SpectralGrid:
 
 @dataclass
 class GridOperator:
-    """Dense discretized operator plus its quadrature weights."""
+    """Separable discretized operator A (x) I + diag(c) (x) T.
+
+    ``A`` is the leading dense factor: the polar block on the first polar
+    axis, or for D=2 the Fourier factor itself.  ``inner`` is T, the
+    operator of the sub-sphere one level down (None for D=2), ``c`` the
+    coupling 1/(1-u^2) on the leading nodes and ``symbols`` T's ascending
+    spectrum.  ``w`` holds the leading axis's quadrature weights; the
+    operator is symmetric under the product weights, and ``apply`` and
+    ``lowest`` work on that symmetrized form.  No method builds the full
+    n x n matrix.
+    """
 
     A: np.ndarray
-    weights: np.ndarray
+    w: np.ndarray
     p: ModelParams
     meta: dict
-
-    def apply(self, v):
-        return self.A @ v
+    c: np.ndarray = None
+    inner: "GridOperator" = None
+    symbols: np.ndarray = None
+    _symmetric: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self):
-        return self.A.shape[0]
+        return self.A.shape[0] * (1 if self.inner is None else self.inner.size)
 
     def symmetric_matrix(self):
-        """Similarity-transform to the quadrature-symmetric form.
+        """The leading factor in quadrature-symmetric form, with its defect.
 
         Returns (S, defect): S = W^{1/2} A W^{-1/2} explicitly symmetrized,
         defect = max |S - S^T| before symmetrization (reported, must be tiny).
         """
-        sw = np.sqrt(self.weights)
+        sw = np.sqrt(self.w)
         S = (sw[:, None] * self.A) / sw[None, :]
         defect = float(np.max(np.abs(S - S.T)))
         return 0.5 * (S + S.T), defect
 
+    def _sym(self):
+        """symmetric_matrix(), computed once per operator."""
+        if self._symmetric is None:
+            self._symmetric = self.symmetric_matrix()
+        return self._symmetric
+
+    def symmetry_defect(self):
+        """Largest symmetrization defect over the factors of every level."""
+        defect = self._sym()[1]
+        if self.inner is None:
+            return defect
+        return max(defect, self.inner.symmetry_defect())
+
+    def apply(self, v):
+        """Symmetrized operator applied along the last axis of ``v``.
+
+        On the vector reshaped to (leading nodes, rest) this is
+        S @ X + c[:, None] * T(X), with T applied the same way one level
+        down; D=2 is the Fourier factor alone.
+        """
+        S = self._sym()[0]
+        if self.inner is None:
+            return v @ S
+        X = v.reshape(v.shape[:-1] + (S.shape[0], -1))
+        out = S @ X + self.c[:, None] * self.inner.apply(X)
+        return out.reshape(v.shape)
+
+    def lowest(self, k, residuals=False):
+        """The k lowest eigenvalues, ascending, from one block per symbol.
+
+        In T's eigenbasis the symmetrized operator is block diagonal with
+        blocks S + s diag(c), one per symbol s.  Blocks are visited in
+        ascending s; by Weyl, a block's smallest eigenvalue is at least
+        lambda_min(S) + min(s c), so the scan stops at the first block
+        whose bound exceeds the current k-th value.  With ``residuals``,
+        each value carries the residual norm of its block eigenpair.
+        Returns (values, residuals or None, blocks scanned).
+        """
+        S = self._sym()[0]
+        if self.inner is None:
+            vals, res = _block_eigs(S, k, residuals)
+            return vals, res, 1
+        c = self.c
+        floor = eigvalsh(S, subset_by_index=(0, 0))[0]
+        vals = np.empty(0)
+        res = np.empty(0)
+        scanned = 0
+        for s in self.symbols:
+            bound = floor + min(s * c.min(), s * c.max())
+            if len(vals) >= k and bound > vals[k - 1]:
+                break
+            bv, br = _block_eigs(S + np.diag(s * c), k, residuals)
+            vals = np.concatenate([vals, bv])
+            order = np.argsort(vals, kind="stable")[:k]
+            vals = vals[order]
+            if residuals:
+                res = np.concatenate([res, br])[order]
+            scanned += 1
+        return vals, (res if residuals else None), scanned
+
+
+def _block_eigs(B, k, residuals):
+    """Lowest min(k, order) eigenvalues of symmetric B, with residual norms."""
+    top = min(k, B.shape[0]) - 1
+    if not residuals:
+        return eigvalsh(B, subset_by_index=(0, top)), None
+    vals, vecs = eigh(B, subset_by_index=(0, top))
+    return vals, np.linalg.norm(B @ vecs - vecs * vals[None, :], axis=0)
+
+
+def _polar_block(u, w):
+    """Weak-form polar factor W^{-1} Dn^T diag(w (1-u^2)) Dn (collocation form)."""
+    Dm = diffmat(u)
+    K = Dm.T @ ((w * (1.0 - u * u))[:, None] * Dm)
+    K = 0.5 * (K + K.T)
+    return (1.0 / w)[:, None] * K
+
 
 def assemble(grid):
-    """Discretize the curvilinear Hamiltonian on ``grid`` for D in {2, 3, 4}."""
+    """Discretize the curvilinear Hamiltonian on ``grid`` for D in {2, 3, 4}.
+
+    Builds the factors level by level from the azimuth outwards: the
+    Fourier factor, then one polar factor per polar axis coupled to the
+    level below it.  Each level's symbols are the full spectrum of the
+    level below, from its blocks.
+    """
     p = grid.p
-    scale = 0.5 * p.hbar ** 2 / p.R ** 2
-    if p.D == 2:
-        m = grid.counts[0]
-        A = -scale * _fourier_d2(m)
-        return GridOperator(A=A, weights=grid.weights(), p=p,
-                            meta={"D": 2, "counts": grid.counts})
-    if p.D not in (3, 4):
+    if p.D not in (2, 3, 4):
         raise ValueError(f"unsupported dimension D={p.D} for grid assembly (D <= 4)")
-
-    def polar_block(u, w):
-        Dm = diffmat(u)
-        K = Dm.T @ ((w * (1.0 - u * u))[:, None] * Dm)
-        K = 0.5 * (K + K.T)
-        return (1.0 / w)[:, None] * K
-
-    if p.D == 3:
-        u, wu = grid.polar_u[0], grid.polar_w[0]
-        m = grid.counts[1]
-        Atheta = polar_block(u, wu)
-        D2f = _fourier_d2(m)
-        A = scale * (np.kron(Atheta, np.eye(m))
-                     + np.kron(np.diag(1.0 / (1.0 - u * u)), -D2f))
-        return GridOperator(A=A, weights=grid.weights(), p=p,
-                            meta={"D": 3, "counts": grid.counts})
-
-    u1, w1 = grid.polar_u[0], grid.polar_w[0]
-    u2, w2 = grid.polar_u[1], grid.polar_w[1]
-    m = grid.counts[2]
-    A1 = polar_block(u1, w1)
-    A2 = polar_block(u2, w2)
-    D2f = _fourier_d2(m)
-    inner = np.kron(A2, np.eye(m)) + np.kron(np.diag(1.0 / (1.0 - u2 * u2)), -D2f)
-    A = scale * (np.kron(A1, np.eye(len(u2) * m))
-                 + np.kron(np.diag(1.0 / (1.0 - u1 * u1)), inner))
-    return GridOperator(A=A, weights=grid.weights(), p=p,
-                        meta={"D": 4, "counts": grid.counts})
+    scale = 0.5 * p.hbar ** 2 / p.R ** 2
+    op = GridOperator(A=-scale * _fourier_d2(grid.counts[-1]), w=grid.azimuth_w,
+                      p=p, meta={"D": 2, "counts": grid.counts[-1:]})
+    for axis in reversed(range(p.D - 2)):
+        u, w = grid.polar_u[axis], grid.polar_w[axis]
+        op = GridOperator(A=scale * _polar_block(u, w), w=w, p=p,
+                          meta={"D": p.D - axis, "counts": grid.counts[axis:]},
+                          c=1.0 / (1.0 - u * u), inner=op,
+                          symbols=op.lowest(op.size)[0])
+    return op
 
 
 @dataclass
@@ -247,54 +325,57 @@ def compute_spectrum(op, k, method="dense", seed=0, tol=1e-10, maxiter=None,
                      cluster_tol=None, with_residuals=False):
     """k smallest eigenvalues of a GridOperator.
 
-    ``dense`` diagonalizes the symmetrized matrix; ``iterative`` runs
-    shift-free Lanczos with full reorthogonalization from a seeded random
+    ``dense`` diagonalizes the symmetrized operator block by block (see
+    ``GridOperator.lowest``); ``iterative`` runs shift-free Lanczos with
+    full reorthogonalization on the matrix-free apply from a seeded random
     start.  Note the iterative path reports each degenerate eigenvalue once
     (a single-vector Krylov space cannot split exact multiplicities), so its
     results are compared against the dense path on distinct values.
     """
     if k > op.size:
         raise ValueError(f"requested {k} eigenvalues from an operator of size {op.size}")
-    S, defect = op.symmetric_matrix()
     meta = dict(op.meta)
-    meta.update(method=method, symmetry_defect=defect, k=k,
+    meta.update(method=method, symmetry_defect=op.symmetry_defect(), k=k,
                 n=op.size, params=(op.p.D, op.p.R, op.p.hbar))
     if method == "dense":
-        if with_residuals:
-            vals, vecs = eigh(S, subset_by_index=(0, k - 1))
-            resid = np.linalg.norm(S @ vecs - vecs * vals[None, :], axis=0)
-            return _result(vals, op.p, meta, residuals=resid, cluster_tol=cluster_tol)
-        vals = eigvalsh(S)[:k]
-        return _result(vals, op.p, meta, cluster_tol=cluster_tol)
+        vals, resid, meta["blocks_scanned"] = op.lowest(k, residuals=with_residuals)
+        return _result(vals, op.p, meta, residuals=resid, cluster_tol=cluster_tol)
     if method == "iterative":
-        vals, resid = lanczos_lowest(S, k, seed=seed, tol=tol, maxiter=maxiter)
+        vals, resid = lanczos_lowest(op, k, seed=seed, tol=tol, maxiter=maxiter)
         meta["distinct_only"] = True
         return _result(vals, op.p, meta, residuals=resid, cluster_tol=cluster_tol)
     raise ValueError(f"unknown method '{method}'")
 
 
-def lanczos_lowest(S, k, seed=0, tol=1e-10, maxiter=None):
-    """k smallest distinct eigenvalues of symmetric S by shift-free Lanczos.
+# rows the Lanczos basis grows by; it is never reserved for maxiter up front
+_LANCZOS_BLOCK = 64
 
-    Full reorthogonalization against the whole basis at every step; fixed
-    seed makes runs bitwise reproducible.  Convergence is declared when the
-    standard residual bounds beta_j |s_{j,i}| for the k lowest Ritz pairs
-    drop below tol * spectral scale.  Raises NonConvergenceError with the
-    residual bounds if maxiter steps are not enough.
+
+def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
+    """k smallest distinct eigenvalues of a symmetric operator by Lanczos.
+
+    Shift-free Lanczos on ``op``, which needs ``size`` and ``apply(v)`` as a
+    GridOperator has them.  Full reorthogonalization against the whole
+    basis at every step; fixed seed makes runs bitwise reproducible.  The
+    basis grows in blocks of ``_LANCZOS_BLOCK`` rows.  Convergence is
+    declared when the standard residual bounds beta_j |s_{j,i}| for the k
+    lowest Ritz pairs drop below tol * spectral scale; only those k Ritz
+    vectors are computed.  Raises NonConvergenceError with the residual
+    bounds if maxiter steps are not enough.
     """
-    n = S.shape[0]
+    n = op.size
     maxiter = n if maxiter is None else min(maxiter, n)
     if maxiter < k:
         raise ValueError("maxiter must be at least the number of requested eigenvalues")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    V = np.empty((maxiter + 1, n))
+    V = np.empty((min(maxiter + 1, _LANCZOS_BLOCK), n))
     V[0] = v
     alphas, betas = [], []
     scale = None
     for j in range(maxiter):
-        w = S @ V[j]
+        w = op.apply(V[j])
         a = float(V[j] @ w)
         alphas.append(a)
         w -= a * V[j]
@@ -309,17 +390,20 @@ def lanczos_lowest(S, k, seed=0, tol=1e-10, maxiter=None):
         scale = max(scale, abs(a), b)
         if b <= 1e-14 * scale:
             # Krylov space exhausted: the tridiagonal matrix is exact
-            vals, svecs = eigh_tridiagonal(alphas, betas)
-            resid = np.zeros(min(k, len(vals)))
-            return vals[:k], resid
+            vals = eigh_tridiagonal(alphas, betas, eigvals_only=True)
+            return vals[:k], np.zeros(min(k, len(vals)))
         betas.append(b)
+        if j + 1 == V.shape[0]:
+            grow = min(_LANCZOS_BLOCK, maxiter + 1 - V.shape[0])
+            V = np.concatenate([V, np.empty((grow, n))])
         V[j + 1] = w / b
         if j + 1 >= k:
             # T after j+1 steps has off-diagonal betas[:-1]; betas[-1] bounds residuals
-            vals, svecs = eigh_tridiagonal(alphas, betas[:-1])
-            resid = b * np.abs(svecs[-1, :k])
+            vals, svecs = eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                           select_range=(0, k - 1))
+            resid = b * np.abs(svecs[-1])
             if np.all(resid <= tol * scale):
-                return vals[:k], resid
+                return vals, resid
     raise NonConvergenceError(
         f"Lanczos did not converge in {maxiter} iterations", residuals=resid)
 

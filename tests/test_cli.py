@@ -112,6 +112,43 @@ def test_exit_2_on_bad_pathintegral_config(flags, needle, capsys):
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["check", "dirac-brackets", "--dim", "4"], "specialized to D=3"),
+    (["check", "chart-equivalence", "--samples", "0"], "samples"),
+    (["check", "chart-equivalence", "--dim", "11"], "D must be an integer"),
+])
+def test_exit_2_on_bad_check_config(argv, needle, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and needle in err
+    assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("helper", ["_reduced_sphere_defect",
+                                    "_angular_sphere_defect"])
+def test_nan_defect_fails_the_check(helper, monkeypatch, capsys):
+    monkeypatch.setattr(cli, helper, lambda *args: float("nan"))
+    code, out, err = run(["check", "hermiticity", "--res", "16"], capsys)
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
+def test_nan_hermiticity_control_fails_the_check(capsys):
+    # at D=2 the displayed-convention control evaluates to NaN; a control
+    # that cannot be measured must not let the suite pass
+    code, out, err = run(["check", "hermiticity", "--dim", "2", "--res", "16"],
+                         capsys)
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
+def test_spectrum_dim_4_at_defaults(capsys):
+    code, out, err = run(["spectrum", "--dim", "4"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["route"] == "dense+extrapolation"
+    assert [m for _, m in report["results"]["clusters"]] == [1, 4, 9, 16]
+
+
 def test_exit_2_on_unknown_config_file_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dims = 3\n")

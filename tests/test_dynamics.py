@@ -195,6 +195,22 @@ def test_bracket_families_at_scale():
         assert report["families"][fam]["max_deviation"] < 1e-12
 
 
+def test_bracket_report_keeps_nan(monkeypatch):
+    # a NaN momentum poisons the pp family; the reported worst case must be
+    # NaN, not the largest finite deviation (max(0.0, nan) == 0.0)
+    sample = dynamics._random_canonical_points
+
+    def poisoned(p, samples, seed):
+        qs, ps = sample(p, samples, seed)
+        ps[0, 0] = np.nan
+        return qs, ps
+
+    monkeypatch.setattr(dynamics, "_random_canonical_points", poisoned)
+    report = bracket_check_report(P3, samples=20, seed=7)
+    assert np.isnan(report["families"]["pp"]["max_deviation"])
+    assert np.isnan(report["max_deviation"])
+
+
 def test_bracket_antisymmetry_is_bitwise():
     xn, pn = embedded_phase_vars(P3)
     obs = [Observable(ex.Var(xn[0]), PHASE_EMBEDDED),

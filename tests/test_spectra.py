@@ -2,12 +2,16 @@
 rotor spectrum l(l+D-2)/2 with multiplicities from the degeneracy formula.
 
 The dense, sector-decomposed, and Lanczos routes are compared with each
-other as well; they share the grid assembly but nothing downstream.
+other as well; they share the grid assembly but nothing downstream.  The
+separable operator is checked against an explicit Kronecker-product
+matrix, built here and only here, at small resolutions.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, eigvalsh
 
+from rotorkit import spectra
 from rotorkit.geometry import ModelParams
 from rotorkit.spectra import (
     NonConvergenceError,
@@ -25,6 +29,28 @@ from rotorkit.spectra import (
     spectrum_csv_text,
     spectrum_json_dict,
 )
+from rotorkit.spectra import _fourier_d2, _polar_block
+
+
+def kron_oracle(grid):
+    """The assembled operator as an explicit n x n matrix, symmetrized.
+
+    A = scale (A_1 (x) I + diag(1/(1-u_1^2)) (x) inner), recursively down to
+    the Fourier factor, then S = W^{1/2} A W^{-1/2} under the full product
+    weights, symmetrized.
+    """
+    p = grid.p
+    scale = 0.5 * p.hbar ** 2 / p.R ** 2
+    A = -scale * _fourier_d2(grid.counts[-1])
+    for u, w in zip(reversed(grid.polar_u), reversed(grid.polar_w)):
+        A = (scale * np.kron(_polar_block(u, w), np.eye(A.shape[0]))
+             + np.kron(np.diag(1.0 / (1.0 - u * u)), A))
+    sw = np.sqrt(grid.weights())
+    S = (sw[:, None] * A) / sw[None, :]
+    return 0.5 * (S + S.T)
+
+
+ORACLE_GRIDS = [(2, 16), (2, 15), (3, 12), (3, (9, 14)), (4, 8), (4, (6, 7, 10))]
 
 
 def test_diffmat_differentiates_polynomials_exactly():
@@ -96,16 +122,81 @@ def test_dense_converges_and_extrapolation_tightens():
     assert [m for _, m in cl] == [1, 3, 5, 7]
 
 
+@pytest.mark.parametrize("D,res", ORACLE_GRIDS)
+def test_apply_matches_kron_oracle(D, res):
+    p = ModelParams(D=D, R=1.3, hbar=0.7)
+    grid = SpectralGrid.build(p, res)
+    op = assemble(grid)
+    S = kron_oracle(grid)
+    assert op.size == S.shape[0]
+    V = np.random.default_rng(D).standard_normal((3, op.size))
+    want = V @ S
+    got = op.apply(V)  # a batch of rows, and each row on its own
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    for v, w in zip(V, want):
+        assert np.linalg.norm(op.apply(v) - w) <= 1e-13 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("D,res", ORACLE_GRIDS)
+def test_dense_route_matches_kron_oracle(D, res):
+    p = ModelParams(D=D, R=1.3, hbar=0.7)
+    grid = SpectralGrid.build(p, res)
+    op = assemble(grid)
+    S = kron_oracle(grid)
+    want = eigvalsh(S)
+    top = np.max(np.abs(want))
+    k = min(20, op.size)
+    r = compute_spectrum(op, k)
+    assert np.max(np.abs(r.eigenvalues - want[:k])) <= 1e-11 * top
+    full, _, scanned = op.lowest(op.size)
+    assert scanned == (1 if D == 2 else len(op.symbols))
+    assert np.max(np.abs(full - want)) <= 1e-11 * top
+    assert r.meta["symmetry_defect"] < 1e-12 * top
+
+
+@pytest.mark.parametrize("D,res", [g for g in ORACLE_GRIDS if g[0] > 2])
+def test_block_scan_stops_early_with_the_full_scan_values(D, res):
+    p = ModelParams(D=D, R=1.0, hbar=1.0)
+    op = assemble(SpectralGrid.build(p, res))
+    S = op.symmetric_matrix()[0]
+    for k in (1, 4, 9, 16):
+        top = min(k, S.shape[0]) - 1
+        every_block = np.concatenate([
+            eigvalsh(S + np.diag(s * op.c), subset_by_index=(0, top))
+            for s in op.symbols])
+        vals, _, scanned = op.lowest(k)
+        assert np.array_equal(vals, np.sort(every_block)[:k])
+        assert scanned < len(op.symbols)
+
+
+@pytest.mark.parametrize("D,res", ORACLE_GRIDS)
+def test_block_residuals_against_kron_oracle(D, res):
+    p = ModelParams(D=D, R=1.3, hbar=0.7)
+    grid = SpectralGrid.build(p, res)
+    op = assemble(grid)
+    S = kron_oracle(grid)
+    k = min(16, op.size)
+    r = compute_spectrum(op, k, with_residuals=True)
+    want, vecs = eigh(S, subset_by_index=(0, k - 1))
+    top = np.max(np.abs(eigvalsh(S)))
+    assert np.max(np.abs(r.eigenvalues - want)) <= 1e-11 * top
+    # the oracle's own residuals set the rounding level the blocks must meet
+    oracle = np.linalg.norm(S @ vecs - vecs * want[None, :], axis=0)
+    assert r.residual_norms.shape == (k,)
+    assert np.all(r.residual_norms <= 1e-13 * top)
+    assert np.all(oracle <= 1e-13 * top)
+
+
 def test_lanczos_matches_dense_on_distinct_values():
     # a single-vector Krylov space cannot split exact multiplicities, so the
     # iterative route reports each degenerate value once; compare distinct
     # cluster values, not multiplicities
     p = ModelParams(D=3, R=1.0, hbar=1.0)
     op = assemble(SpectralGrid.build(p, 16))
-    S, defect = op.symmetric_matrix()
+    _, defect = op.symmetric_matrix()
     assert defect < 1e-10
     k = 16
-    vals, resid = lanczos_lowest(S, k, seed=3)
+    vals, resid = lanczos_lowest(op, k, seed=3)
     assert np.max(resid) < 1e-7
     dense = compute_spectrum(op, k)
     dvals = [v for v, _ in cluster_eigenvalues(dense.eigenvalues, 1e-4)]
@@ -117,13 +208,34 @@ def test_lanczos_matches_dense_on_distinct_values():
 def test_lanczos_error_paths():
     p = ModelParams(D=3, R=1.0, hbar=1.0)
     op = assemble(SpectralGrid.build(p, 12))
-    S, _ = op.symmetric_matrix()
     with pytest.raises(ValueError):
-        lanczos_lowest(S, 6, maxiter=3)  # maxiter below k is a usage error
+        lanczos_lowest(op, 6, maxiter=3)  # maxiter below k is a usage error
     with pytest.raises(NonConvergenceError):
-        lanczos_lowest(S, 6, maxiter=8, tol=1e-12)
+        lanczos_lowest(op, 6, maxiter=8, tol=1e-12)
     with pytest.raises(ValueError):
         compute_spectrum(op, op.size + 1)
+
+
+def test_lanczos_basis_growth_keeps_results(monkeypatch):
+    p = ModelParams(D=3, R=1.0, hbar=1.0)
+    op = assemble(SpectralGrid.build(p, 12))
+    want = lanczos_lowest(op, 6, seed=1)
+    monkeypatch.setattr(spectra, "_LANCZOS_BLOCK", 5)  # grows many times
+    got = lanczos_lowest(op, 6, seed=1)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_lanczos_exhausted_krylov_space():
+    # on 16 Fourier nodes the Krylov space closes before maxiter (at the 9
+    # distinct values, or at all 16 once rounding splits the pairs) and the
+    # tridiagonal matrix is exact; tol=0 leaves that as the only way out
+    p = ModelParams(D=2, R=1.0, hbar=1.0)
+    op = assemble(SpectralGrid.build(p, 16))
+    vals, resid = lanczos_lowest(op, 5, seed=0, tol=0.0)
+    spectrum = eigvalsh(op.symmetric_matrix()[0])
+    assert len(vals) == 5 and np.all(np.diff(vals) >= 0)
+    assert np.max(np.min(np.abs(vals[:, None] - spectrum[None, :]), axis=1)) < 1e-12
+    assert np.all(resid == 0.0)
 
 
 def test_cluster_eigenvalues_grouping():
