@@ -18,7 +18,7 @@ command line front end in cli.
 
 __version__ = "0.1.0"
 
-from .geometry import (ChartDomainError, ChartPoint, ModelParams,
+from .geometry import (ChartDomainError, ModelParams,
                        PoleSingularityError, curvilinear_inverse_metric,
                        from_hyperspherical, inverse_metric, lift, metric,
                        metric_determinant, sphere_area, to_hyperspherical)
@@ -38,7 +38,7 @@ from .pathintegral import (KernelWidthError, RadialGrid, RadialWavefunction,
 
 __all__ = [
     "__version__",
-    "ModelParams", "ChartPoint", "ChartDomainError", "PoleSingularityError",
+    "ModelParams", "ChartDomainError", "PoleSingularityError",
     "metric", "inverse_metric", "metric_determinant", "lift",
     "to_hyperspherical", "from_hyperspherical", "curvilinear_inverse_metric",
     "sphere_area",

@@ -7,43 +7,44 @@ deterministic JSON (sorted keys) or a CSV table, never wall-clock state.
 The resolved config is embedded in the report, so re-running from it
 reproduces the report byte for byte.
 
+This module only parses, resolves configuration, dispatches and formats
+reports.  The check suites live with the operators they check:
+``operators.suite_chart_equivalence``, ``suite_angular_momentum`` and
+``suite_hermiticity``, and ``dynamics.suite_dirac_brackets``.
+
 Exit codes:
   0  all checks passed
   1  a tolerance was exceeded (report still written, pass: false)
-  2  configuration error (bad key, bad value, unsupported dimension,
-     kernel width preconditions)
+  2  configuration error, before any solver runs: bad key, bad value,
+     unsupported dimension (check hermiticity needs dim >= 3,
+     dirac-brackets dim 3), a spectrum resolution below the route's node
+     minimum (4 per grid axis, 2 for the D=3, 4 sector blocks), spectrum
+     levels above 21, check lmax below 1, hermiticity res below 2, and
+     pathintegral grid, slice-step and kernel-width preconditions
   3  an iterative scheme failed to converge
   4  classical trajectory left the chart margin (exit time in the report)
 """
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from . import expressions as ex
-from .geometry import (ChartDomainError, ModelParams, lift,
-                       to_hyperspherical)
-from .operators import (OperatorTag, QuadratureSpec, harmonic_polynomials,
-                        apply_operator, hyperspherical_var_names,
-                        operator_expr, pullback_to_hyperspherical,
-                        pullback_to_reduced, reduced_var_names)
+from .geometry import ChartDomainError, ModelParams
+from .operators import (suite_angular_momentum, suite_chart_equivalence,
+                        suite_hermiticity)
 from .spectra import (NonConvergenceError, SpectralGrid, SpectrumResult,
                       assemble, cluster_eigenvalues, compute_spectrum,
                       extrapolate, reference_eigenvalues, reference_spectrum,
                       sector_spectrum, spectrum_csv_text)
 from . import dynamics
-from .dynamics import (PHASE_CANONICAL, PHASE_EMBEDDED, PHASE_REDUCED,
-                       ChartMarginError, Observable, PhaseState,
-                       StepConvergenceError, bracket_check_report,
-                       conserved_series, dirac_bracket_expr,
-                       embedded_from_reduced, embedded_phase_vars,
-                       integrate_embedded_oracle, integrate_reduced,
+from .dynamics import (PHASE_EMBEDDED, PHASE_REDUCED, ChartMarginError,
+                       PhaseState, StepConvergenceError, conserved_series,
+                       embedded_from_reduced, integrate_embedded_oracle,
+                       integrate_reduced, suite_dirac_brackets,
                        trajectory_csv_text)
-from .quadrature import reduced_ball_grid
 from .pathintegral import (CORRECTED_POLAR, NAIVE_POLAR, RadialGrid,
                            default_probe_family, extract_effective_potential,
                            potential_csv_text, potential_json_dict)
@@ -92,7 +93,8 @@ SCHEMAS = {
         "dim": _f("int", 3, "embedding dimension"),
         "radius": _f("float", 1.0, "sphere radius R", positive=True),
         "hbar": _f("float", 1.0, "Planck constant", positive=True),
-        "lmax": _f("int", 9, "largest harmonic degree in the test family"),
+        "lmax": _f("int", 9, "largest harmonic degree in the test family",
+                   positive=True),
         "samples": _f("int_or_auto", None,
                       "evaluation points (brackets: phase-space samples)",
                       positive=True),
@@ -285,16 +287,25 @@ def run_spectrum(cfg):
         raise ConfigError(
             f"unsupported dimension {cfg['dim']}; the grid assembler covers "
             "D = 2, 3, 4")
-    p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
-    ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
-    ref_eigs = reference_eigenvalues(p.D, cfg["levels"] - 1, p)
-    k = len(ref_eigs)
+    if cfg["levels"] > 21:
+        raise ConfigError("spectrum: levels must be at most 21 (the reference "
+                          f"ladder stops at l = 20), got {cfg['levels']}")
     res_list = list(cfg["res"])
     if not res_list:
         raise ConfigError("spectrum: 'res' needs at least one resolution")
     method = cfg["method"]
     if method == "auto":
         method = "dense" if len(res_list) > 1 else "sector"
+    # a grid needs 4 nodes per axis; the D=3, 4 sector blocks need 2 polar
+    # nodes (D=2 sectors are solved on the grid)
+    min_res = 2 if method == "sector" and cfg["dim"] > 2 else 4
+    if min(res_list) < min_res:
+        raise ConfigError(f"spectrum: the {method} route needs every "
+                          f"resolution >= {min_res}, got {min(res_list)}")
+    p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
+    ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
+    ref_eigs = reference_eigenvalues(p.D, cfg["levels"] - 1, p)
+    k = len(ref_eigs)
     tol, cluster_tol = _spectrum_tolerances(method, len(res_list), p, cfg)
     cfg = dict(cfg, method=method, tolerance=tol, cluster_tol=cluster_tol)
 
@@ -377,230 +388,7 @@ def run_spectrum(cfg):
 
 
 # ---------------------------------------------------------------------------
-# check suites
-
-def _ball_samples(p, n, seed, shell=0.9):
-    """Reduced-chart points in the ball |x| <= shell R, plus their angles."""
-    rng = np.random.default_rng(seed)
-    d = p.D - 1
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = shell * p.R * rng.random(n) ** (1.0 / d)
-    pts = dirs * radii[:, None]
-    angles = np.array([to_hyperspherical(lift(x, p), p)[1] for x in pts])
-    return pts, angles
-
-
-def _harmonic_family(p, lmax):
-    out = []
-    for l in range(lmax + 1):
-        for h in harmonic_polynomials(p.D, l):
-            out.append((l, h))
-    return out
-
-
-def suite_chart_equivalence(p, lmax, samples, seed):
-    """H applied in the reduced and hyperspherical charts must agree."""
-    pts, angles = _ball_samples(p, samples, seed)
-    cart = OperatorTag("H_cart", route="laplace_beltrami")
-    curv = OperatorTag("H_curv")
-    scale = p.hbar ** 2 / p.R ** 2
-    worst = 0.0
-    family = _harmonic_family(p, lmax)
-    for l, h in family:
-        f_red = pullback_to_reduced(h, p)
-        f_ang = pullback_to_hyperspherical(h, p)
-        a = apply_operator(cart, f_red, pts, p)
-        b = apply_operator(curv, f_ang, angles, p)
-        ref = max(float(np.max(np.abs(b))), scale)
-        worst = float(np.maximum(worst, np.max(np.abs(a - b)) / ref))
-    return {"family_size": len(family), "points": samples,
-            "max_relative_deviation": worst}, worst
-
-
-def suite_angular_momentum(p, lmax, samples, seed):
-    """sum_{a<b} L_ab^2 / (2 R^2) must reproduce H on the reduced chart."""
-    pts, _ = _ball_samples(p, samples, seed)
-    l2 = OperatorTag("L2")
-    cart = OperatorTag("H_cart", route="laplace_beltrami")
-    scale = p.hbar ** 2 / p.R ** 2
-    worst = 0.0
-    family = _harmonic_family(p, lmax)
-    for l, h in family:
-        f = pullback_to_reduced(h, p)
-        a = apply_operator(l2, f, pts, p)
-        b = apply_operator(cart, f, pts, p)
-        ref = max(float(np.max(np.abs(b))), scale)
-        worst = float(np.maximum(worst, np.max(np.abs(a - b)) / ref))
-    return {"family_size": len(family), "points": samples,
-            "max_relative_deviation": worst}, worst
-
-
-def _midpoint_angular_grid(p, res):
-    """Tensor angular grid with midpoint polar nodes and uniform azimuth.
-
-    Every integrand the hermiticity suite meets is a trig polynomial once
-    the sin^{D-1-i} measure factors are folded into the weights, and the
-    midpoint offset keeps all nodes away from the removable pole
-    singularities of the momentum operators, so these sums are exact.
-    """
-    axes_nodes, axes_w = [], []
-    for i in range(1, p.D - 1):
-        nodes = (np.arange(res) + 0.5) * math.pi / res
-        axes_nodes.append(nodes)
-        axes_w.append((math.pi / res) * np.sin(nodes) ** (p.D - 1 - i))
-    axes_nodes.append(np.arange(res) * 2.0 * math.pi / res)
-    axes_w.append(np.full(res, 2.0 * math.pi / res))
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    w = np.ones(pts.shape[0]) * p.R ** (p.D - 1)
-    for wm in np.meshgrid(*axes_w, indexing="ij"):
-        w = w * wm.ravel()
-    return pts, w
-
-
-def _reduced_sphere_defect(tag, h1, h2, p, spec):
-    """Normalized hermiticity defect over the sphere via both hemisphere lifts.
-
-    The reduced chart covers half the sphere; equator boundary terms only
-    cancel in the sum of the two lifts, which is the honest statement of
-    hermiticity for this chart.
-    """
-    pts, w = reduced_ball_grid(p, spec.res)
-    env = {n: pts[:, i] for i, n in enumerate(reduced_var_names(p))}
-    n = len(w)
-    lhs = rhs = 0.0
-    nf = ng = 0.0
-    for hemi in (1, -1):
-        f = pullback_to_reduced(h1, p, hemisphere=hemi)
-        g = pullback_to_reduced(h2, p, hemisphere=hemi)
-        fv = np.broadcast_to(ex.evaluate(f.expr, env), n)
-        gv = np.broadcast_to(ex.evaluate(g.expr, env), n)
-        tf = np.broadcast_to(ex.evaluate(operator_expr(tag, f, p), env), n)
-        tg = np.broadcast_to(ex.evaluate(operator_expr(tag, g, p), env), n)
-        lhs = lhs + np.sum(w * np.conjugate(fv) * tg)
-        rhs = rhs + np.sum(w * np.conjugate(tf) * gv)
-        nf += float(np.sum(w * fv * fv))
-        ng += float(np.sum(w * gv * gv))
-    return abs(lhs - rhs) / math.sqrt(nf * ng)
-
-
-def _angular_sphere_defect(tag, h1, h2, p, res):
-    pts, w = _midpoint_angular_grid(p, res)
-    env = {n: pts[:, i] for i, n in enumerate(hyperspherical_var_names(p))}
-    n = len(w)
-    f = pullback_to_hyperspherical(h1, p)
-    g = pullback_to_hyperspherical(h2, p)
-    fv = np.broadcast_to(ex.evaluate(f.expr, env), n)
-    gv = np.broadcast_to(ex.evaluate(g.expr, env), n)
-    tf = np.broadcast_to(ex.evaluate(operator_expr(tag, f, p), env), n)
-    tg = np.broadcast_to(ex.evaluate(operator_expr(tag, g, p), env), n)
-    lhs = np.sum(w * np.conjugate(fv) * tg)
-    rhs = np.sum(w * np.conjugate(tf) * gv)
-    nf = float(np.sum(w * fv * fv))
-    ng = float(np.sum(w * gv * gv))
-    return abs(lhs - rhs) / math.sqrt(nf * ng)
-
-
-def suite_hermiticity(p, res, seed):
-    """<f, T h> = <T f, h> under the sphere measure for H and every pi.
-
-    The displayed-convention curvilinear momentum is reported but excluded
-    from the pass criterion; it is documented as non-hermitian.
-    """
-    spec = QuadratureSpec(res=res)
-    harmonics = [harmonic_polynomials(p.D, l)[0] for l in (1, 2, 3)]
-    # pi_cart is symmetric on functions vanishing at the chart edge (the
-    # equator); x_D^2 damping puts the test pair in that domain and keeps
-    # the rational (R^2-|x|^2)^{-1} factor of the operator polynomial
-    xd2 = ex.mul(ex.Var(f"x{p.D}"), ex.Var(f"x{p.D}"))
-    damped = [ex.mul(xd2, h) for h in harmonics]
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    tags_reduced = [("H_cart", OperatorTag("H_cart", route="laplace_beltrami"))]
-    tags_angular = [("H_curv", OperatorTag("H_curv"))]
-    tags_angular += [(f"pi_curv_{i}", OperatorTag("pi_curv", i=i))
-                     for i in range(1, p.D)]
-    rows = []
-    worst = 0.0
-    for name, tag in tags_reduced:
-        for a, b in pairs:
-            d = _reduced_sphere_defect(tag, harmonics[a], harmonics[b], p, spec)
-            rows.append({"operator": name, "pair": f"l{a + 1},l{b + 1}",
-                         "defect": float(d)})
-            worst = float(np.maximum(worst, d))
-    for i in range(1, p.D):
-        tag = OperatorTag("pi_cart", i=i)
-        for a, b in pairs:
-            d = _reduced_sphere_defect(tag, damped[a], damped[b], p, spec)
-            rows.append({"operator": f"pi_cart_{i}",
-                         "pair": f"xD^2 l{a + 1},l{b + 1}",
-                         "defect": float(d)})
-            worst = float(np.maximum(worst, d))
-    for name, tag in tags_angular:
-        for a, b in pairs:
-            d = _angular_sphere_defect(tag, harmonics[a], harmonics[b], p, res)
-            rows.append({"operator": name, "pair": f"l{a + 1},l{b + 1}",
-                         "defect": float(d)})
-            worst = float(np.maximum(worst, d))
-    # deliberately non-hermitian control, excluded from the max; the pair is
-    # picked so no parity accident hides the defect
-    displayed = OperatorTag("pi_curv", i=1, convention="displayed")
-    deg1 = harmonic_polynomials(p.D, 1)
-    deg2 = harmonic_polynomials(p.D, 2)
-    control = _angular_sphere_defect(displayed, deg1[min(2, len(deg1) - 1)],
-                                     deg2[min(1, len(deg2) - 1)], p, res)
-    if math.isnan(control):
-        worst = control  # a control that cannot be measured fails the suite
-    return {"rows": rows, "max_defect": worst,
-            "displayed_convention_defect": float(control)}, worst
-
-
-def _jacobi_deviation(p, samples, seed):
-    """Cyclic sum of nested brackets over a mixed observable triple."""
-    xnames, pnames = embedded_phase_vars(p)
-    A = Observable(ex.Var(xnames[0]), PHASE_EMBEDDED)
-    B = Observable(ex.Var(pnames[1]), PHASE_EMBEDDED)
-    C = Observable(ex.mul(ex.Var(xnames[2]), ex.Var(pnames[0])), PHASE_EMBEDDED)
-    def nest(f, g, h):
-        inner = Observable(dirac_bracket_expr(g, h, p), PHASE_CANONICAL)
-        return dirac_bracket_expr(f, inner, p)
-    total = ex.add(nest(A, B, C), nest(B, C, A), nest(C, A, B))
-    qs, ps = dynamics._random_canonical_points(p, samples, seed)
-    angles, moms = dynamics.canonical_phase_vars(p)
-    env = {n: qs[:, i] for i, n in enumerate(angles)}
-    env.update({n: ps[:, i] for i, n in enumerate(moms)})
-    vals = np.broadcast_to(ex.evaluate(total, env), samples)
-    return float(np.max(np.abs(vals)))
-
-
-def _antisymmetry_exact(p, samples, seed):
-    """{A,B} + {B,A} must vanish bitwise, not merely to rounding."""
-    xnames, pnames = embedded_phase_vars(p)
-    obs = [Observable(ex.Var(xnames[0]), PHASE_EMBEDDED),
-           Observable(ex.Var(pnames[2]), PHASE_EMBEDDED),
-           Observable(ex.mul(ex.Var(xnames[1]), ex.Var(pnames[1])),
-                      PHASE_EMBEDDED)]
-    qs, ps = dynamics._random_canonical_points(p, samples, seed)
-    angles, moms = dynamics.canonical_phase_vars(p)
-    env = {n: qs[:, i] for i, n in enumerate(angles)}
-    env.update({n: ps[:, i] for i, n in enumerate(moms)})
-    ok = True
-    for a in range(len(obs)):
-        for b in range(a + 1, len(obs)):
-            fwd = np.broadcast_to(
-                ex.evaluate(dirac_bracket_expr(obs[a], obs[b], p), env), samples)
-            rev = np.broadcast_to(
-                ex.evaluate(dirac_bracket_expr(obs[b], obs[a], p), env), samples)
-            ok = ok and bool(np.all(fwd == -rev))
-    return ok
-
-
-def suite_dirac_brackets(p, samples, seed):
-    report = bracket_check_report(p, samples=samples, seed=seed)
-    report["antisymmetry_exact"] = _antisymmetry_exact(p, samples, seed)
-    report["jacobi_max_deviation"] = _jacobi_deviation(p, samples, seed)
-    return report, float(report["max_deviation"])
-
+# check
 
 _SUITE_DEFAULTS = {
     # suite -> (default samples, default tolerance)
@@ -624,6 +412,13 @@ def run_check(cfg):
     if suite == "dirac-brackets" and p.D != 3:
         raise ConfigError("check: dirac-brackets is specialized to D=3, "
                           f"got dim {p.D}")
+    if suite == "hermiticity" and p.D < 3:
+        raise ConfigError("check: hermiticity needs dim >= 3; at D=2 there "
+                          "is no polar angle, so the displayed-convention "
+                          "control takes sin^(1/2) of the azimuth (NaN)")
+    if suite == "hermiticity" and cfg["res"] < 2:
+        raise ConfigError("check: hermiticity needs res >= 2 quadrature "
+                          f"nodes, got {cfg['res']}")
 
     if suite == "chart-equivalence":
         results, worst = suite_chart_equivalence(p, cfg["lmax"], samples,

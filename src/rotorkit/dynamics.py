@@ -29,6 +29,10 @@ expected closed forms,
     {p_a, p_b} = -(x_a p_b - x_b p_a) / R^2,
 
 live in ``fundamental_bracket_reference`` as the independent oracle.
+
+The ``rotorkit check dirac-brackets`` suite lives here too:
+``suite_dirac_brackets`` runs ``bracket_check_report`` and adds bitwise
+antisymmetry and the Jacobi identity over the same random shell points.
 """
 
 import csv
@@ -55,8 +59,8 @@ __all__ = [
     "canonical_phase_vars", "embedded_phase_vars", "canonical_chart_map",
     "pullback_observable", "poisson_bracket_expr", "dirac_bracket",
     "dirac_bracket_expr", "fundamental_bracket_reference",
-    "omega2_pullback_expr", "bracket_check_report",
-    "trajectory_csv_text", "trajectory_json_dict",
+    "omega2_pullback_expr", "bracket_check_report", "suite_dirac_brackets",
+    "trajectory_csv_text",
 ]
 
 PHASE_REDUCED = "reduced"
@@ -453,6 +457,15 @@ def _random_canonical_points(p, samples, seed, pole_margin=0.15):
     return qs, ps
 
 
+def _canonical_sample_env(p, samples, seed):
+    """Evaluation environment over the canonical variables at random points."""
+    qs, ps = _random_canonical_points(p, samples, seed)
+    angles, moms = canonical_phase_vars(p)
+    env = {n: qs[:, k] for k, n in enumerate(angles)}
+    env.update({n: ps[:, k] for k, n in enumerate(moms)})
+    return env
+
+
 def bracket_check_report(p, samples=1000, seed=7):
     """Verify the three bracket families against their closed forms.
 
@@ -466,15 +479,12 @@ def bracket_check_report(p, samples=1000, seed=7):
     xs = [Observable(ex.Var(n), PHASE_EMBEDDED) for n in xnames]
     pvars = [Observable(ex.Var(n), PHASE_EMBEDDED) for n in pnames]
     mapping = canonical_chart_map(p)
-    angles, moms = canonical_phase_vars(p)
     families = {
         "xx": [[dirac_bracket_expr(xs[a], xs[b], p) for b in range(3)] for a in range(3)],
         "xp": [[dirac_bracket_expr(xs[a], pvars[b], p) for b in range(3)] for a in range(3)],
         "pp": [[dirac_bracket_expr(pvars[a], pvars[b], p) for b in range(3)] for a in range(3)],
     }
-    qs, ps = _random_canonical_points(p, samples, seed)
-    env = {n: qs[:, k] for k, n in enumerate(angles)}
-    env.update({n: ps[:, k] for k, n in enumerate(moms)})
+    env = _canonical_sample_env(p, samples, seed)
     xval = np.stack([np.broadcast_to(ex.evaluate(mapping[n], env), samples)
                      for n in xnames])
     pval = np.stack([np.broadcast_to(ex.evaluate(mapping[n], env), samples)
@@ -499,6 +509,53 @@ def bracket_check_report(p, samples=1000, seed=7):
         worst = float(np.maximum(worst, dev))  # NaN-aware, unlike max()
     report["max_deviation"] = worst
     return report
+
+
+def _jacobi_deviation(p, samples, seed):
+    """Cyclic sum of nested brackets over a mixed observable triple."""
+    xnames, pnames = embedded_phase_vars(p)
+    A = Observable(ex.Var(xnames[0]), PHASE_EMBEDDED)
+    B = Observable(ex.Var(pnames[1]), PHASE_EMBEDDED)
+    C = Observable(ex.mul(ex.Var(xnames[2]), ex.Var(pnames[0])), PHASE_EMBEDDED)
+
+    def nest(f, g, h):
+        inner = Observable(dirac_bracket_expr(g, h, p), PHASE_CANONICAL)
+        return dirac_bracket_expr(f, inner, p)
+    total = ex.add(nest(A, B, C), nest(B, C, A), nest(C, A, B))
+    env = _canonical_sample_env(p, samples, seed)
+    vals = np.broadcast_to(ex.evaluate(total, env), samples)
+    return float(np.max(np.abs(vals)))
+
+
+def _antisymmetry_exact(p, samples, seed):
+    """{A,B} + {B,A} must vanish bitwise, not merely to rounding."""
+    xnames, pnames = embedded_phase_vars(p)
+    obs = [Observable(ex.Var(xnames[0]), PHASE_EMBEDDED),
+           Observable(ex.Var(pnames[2]), PHASE_EMBEDDED),
+           Observable(ex.mul(ex.Var(xnames[1]), ex.Var(pnames[1])),
+                      PHASE_EMBEDDED)]
+    env = _canonical_sample_env(p, samples, seed)
+    ok = True
+    for a in range(len(obs)):
+        for b in range(a + 1, len(obs)):
+            fwd = np.broadcast_to(
+                ex.evaluate(dirac_bracket_expr(obs[a], obs[b], p), env), samples)
+            rev = np.broadcast_to(
+                ex.evaluate(dirac_bracket_expr(obs[b], obs[a], p), env), samples)
+            ok = ok and bool(np.all(fwd == -rev))
+    return ok
+
+
+def suite_dirac_brackets(p, samples, seed):
+    """The three bracket families, exact antisymmetry and the Jacobi identity.
+
+    Returns (report, worst family deviation); each part draws the same
+    ``samples`` shell points from ``seed``.
+    """
+    report = bracket_check_report(p, samples=samples, seed=seed)
+    report["antisymmetry_exact"] = _antisymmetry_exact(p, samples, seed)
+    report["jacobi_max_deviation"] = _jacobi_deviation(p, samples, seed)
+    return report, float(report["max_deviation"])
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +591,3 @@ def trajectory_csv_text(traj, p):
                     + [repr(float(v)) for v in mom]
                     + [repr(H), repr(w1), repr(w2)])
     return buf.getvalue()
-
-
-def trajectory_json_dict(traj, p):
-    rows = list(_trajectory_rows(traj, p))
-    return {
-        "chart": traj.chart,
-        "params": {"D": p.D, "R": p.R, "hbar": p.hbar},
-        "t": [float(r[0]) for r in rows],
-        "q": [[float(v) for v in r[1]] for r in rows],
-        "p": [[float(v) for v in r[2]] for r in rows],
-        "H": [float(r[3]) for r in rows],
-        "constraints": [[float(r[4]), float(r[5])] for r in rows],
-    }

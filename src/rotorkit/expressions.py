@@ -326,10 +326,6 @@ def is_zero(e):
     return isinstance(e, Const) and e.value == 0
 
 
-def _is_one(e):
-    return isinstance(e, Const) and e.value == 1
-
-
 def add(*args):
     """Flattening sum; constants are collected into a single trailing term."""
     flat = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ModelParams", "ChartPoint", "ChartDomainError", "PoleSingularityError",
+    "ModelParams", "ChartDomainError", "PoleSingularityError",
     "CHART_EMBEDDED", "CHART_REDUCED", "CHART_HYPERSPHERICAL",
     "metric", "inverse_metric", "metric_determinant", "lift",
     "to_hyperspherical", "from_hyperspherical", "curvilinear_inverse_metric",
@@ -52,16 +52,11 @@ class PoleSingularityError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical constants: embedding dimension D, radius R, hbar.
-
-    tol_constraint is the acceptance tolerance for the embedded-chart
-    invariant |x|^2 = R^2 (integrator drift checks need the knob).
-    """
+    """Physical constants: embedding dimension D, radius R, hbar."""
 
     D: int
     R: float = 1.0
     hbar: float = 1.0
-    tol_constraint: float = 1e-10
 
     def __post_init__(self):
         if not (isinstance(self.D, (int, np.integer)) and 2 <= self.D <= 10):
@@ -70,36 +65,6 @@ class ModelParams:
             raise ValueError(f"R must be positive, got {self.R}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    chart: str
-    coords: tuple
-
-    def validate(self, p):
-        c = np.asarray(self.coords, dtype=float)
-        if self.chart == CHART_EMBEDDED:
-            if c.shape != (p.D,):
-                raise ChartDomainError(f"embedded point needs {p.D} coordinates")
-            if abs(c @ c - p.R ** 2) > p.tol_constraint:
-                raise ChartDomainError("embedded point violates |x|^2 = R^2")
-        elif self.chart == CHART_REDUCED:
-            if c.shape != (p.D - 1,):
-                raise ChartDomainError(f"reduced point needs {p.D - 1} coordinates")
-            if c @ c >= p.R ** 2:
-                raise ChartDomainError("reduced point must satisfy |x|^2 < R^2")
-        elif self.chart == CHART_HYPERSPHERICAL:
-            if c.shape != (p.D - 1,):
-                raise ChartDomainError(f"hyperspherical point needs {p.D - 1} angles")
-            for k in range(p.D - 2):
-                if not (0.0 < c[k] < math.pi):
-                    raise ChartDomainError(f"polar angle phi_{k + 1} must lie in (0, pi)")
-            if not (0.0 <= c[-1] < 2 * math.pi):
-                raise ChartDomainError("azimuth must lie in [0, 2pi)")
-        else:
-            raise ChartDomainError(f"unknown chart '{self.chart}'")
-        return self
 
 
 def _check_ball(x, p):

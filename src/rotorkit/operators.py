@@ -32,8 +32,15 @@ sphere measure and the one the Hamiltonian's weak form corresponds to), while
 ``displayed`` selects (D-i)/2, which is *not* hermitian under the sphere
 measure for i <= D-2.  The mismatch is deliberate and documented rather than
 hidden; see README "Conventions and findings".
+
+Three of the ``rotorkit check`` suites live here, next to the operators
+they test: ``suite_chart_equivalence`` (H in the reduced chart against H in
+the hyperspherical chart), ``suite_angular_momentum`` (sum_{a<b} L_ab^2/(2R^2)
+against H) and ``suite_hermiticity`` (<f, T h> = <T f, h> over the whole
+sphere for H and every momentum).  Each returns (results, worst deviation).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,21 +48,19 @@ from scipy.linalg import null_space
 
 from . import expressions as ex
 from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, ChartDomainError,
-                       ModelParams)
+                       lift, to_hyperspherical)
 from .quadrature import reduced_ball_grid, sphere_angular_grid
 
 __all__ = [
     "TestFunction", "OperatorTag", "QuadratureSpec",
-    "reduced_var_names", "hyperspherical_var_names", "embedded_var_names",
+    "reduced_var_names", "hyperspherical_var_names",
     "embedding_exprs_hyperspherical", "pullback_to_reduced",
     "pullback_to_hyperspherical", "harmonic_polynomials",
-    "momentum_cartesian_expr", "apply_momentum_cartesian",
-    "hamiltonian_cartesian_expr", "apply_hamiltonian_cartesian",
-    "hamiltonian_curvilinear_expr", "apply_hamiltonian_curvilinear",
-    "momentum_curvilinear_expr", "apply_momentum_curvilinear",
-    "angular_momentum_expr", "apply_angular_momentum",
-    "l2_hamiltonian_expr", "inner_product", "hermiticity_defect",
-    "apply_operator", "operator_expr",
+    "momentum_cartesian_expr", "hamiltonian_cartesian_expr",
+    "hamiltonian_curvilinear_expr", "momentum_curvilinear_expr",
+    "angular_momentum_expr", "l2_hamiltonian_expr", "inner_product",
+    "hermiticity_defect", "apply_operator", "operator_expr",
+    "suite_chart_equivalence", "suite_angular_momentum", "suite_hermiticity",
 ]
 
 
@@ -95,10 +100,6 @@ class QuadratureSpec:
 
 def reduced_var_names(p):
     return [f"x{i}" for i in range(1, p.D)]
-
-
-def embedded_var_names(p):
-    return [f"x{i}" for i in range(1, p.D + 1)]
 
 
 def hyperspherical_var_names(p):
@@ -229,12 +230,6 @@ def momentum_cartesian_expr(f, i, p):
     return ex.mul(ex.Const(-1j * p.hbar), g14_inv, inner)
 
 
-def apply_momentum_cartesian(f, x, i, p):
-    _check_reduced_domain(x, p)
-    expr = momentum_cartesian_expr(f, i, p)
-    return ex.evaluate(expr, _env_from_points(reduced_var_names(p), x))
-
-
 def _inverse_metric_entry(i, j, p):
     e = ex.mul(ex.Const(-1.0 / p.R ** 2), ex.Var(f"x{i}"), ex.Var(f"x{j}"))
     if i == j:
@@ -287,12 +282,6 @@ def hamiltonian_cartesian_expr(f, p, route="laplace_beltrami"):
     raise ValueError(f"unknown Hamiltonian route '{route}'")
 
 
-def apply_hamiltonian_cartesian(f, x, p, route="laplace_beltrami"):
-    _check_reduced_domain(x, p)
-    expr = hamiltonian_cartesian_expr(f, p, route=route)
-    return ex.evaluate(expr, _env_from_points(reduced_var_names(p), x))
-
-
 def angular_momentum_expr(f, a, b, p):
     """L_ab f on the reduced chart; a < b <= D."""
     _require_chart(f, CHART_REDUCED)
@@ -307,12 +296,6 @@ def angular_momentum_expr(f, a, b, p):
         )
     body = ex.Const(p.R ** 2) - _radius2_expr(p)
     return ex.mul(ex.Const(1j * p.hbar), ex.sqrt(body), f.expr.diff(f"x{a}"))
-
-
-def apply_angular_momentum(f, a, b, x, p):
-    _check_reduced_domain(x, p)
-    expr = angular_momentum_expr(f, a, b, p)
-    return ex.evaluate(expr, _env_from_points(reduced_var_names(p), x))
 
 
 def l2_hamiltonian_expr(f, p):
@@ -355,11 +338,6 @@ def hamiltonian_curvilinear_expr(f, p):
     return ex.mul(ex.Const(-0.5 * p.hbar ** 2 / p.R ** 2), ex.add(*terms))
 
 
-def apply_hamiltonian_curvilinear(f, angles, p):
-    expr = hamiltonian_curvilinear_expr(f, p)
-    return ex.evaluate(expr, _env_from_points(hyperspherical_var_names(p), angles))
-
-
 def _unsymmetrized_curvilinear_expr(f, p):
     # control operator: same 1/sin^2 chains but no sine weights inside the
     # derivatives; visibly non-hermitian under the sphere measure
@@ -398,11 +376,6 @@ def momentum_curvilinear_expr(f, i, p, convention="measure"):
     sa = ex.power(ex.sin(ex.Var(name)), a)
     inv = ex.power(ex.sin(ex.Var(name)), -a)
     return ex.mul(ex.Const(-1j * p.hbar), inv, ex.mul(sa, f.expr).diff(name))
-
-
-def apply_momentum_curvilinear(f, angles, i, p, convention="measure"):
-    expr = momentum_curvilinear_expr(f, i, p, convention=convention)
-    return ex.evaluate(expr, _env_from_points(hyperspherical_var_names(p), angles))
 
 
 # -- inner products and hermiticity ------------------------------------------
@@ -452,9 +425,30 @@ def operator_expr(tag, f, p):
 
 
 def apply_operator(tag, f, points, p):
-    names = (reduced_var_names(p) if f.chart == CHART_REDUCED
-             else hyperspherical_var_names(p))
+    """(tag f) evaluated at chart points (one per row, or a single point).
+
+    Reduced-chart points must lie in the open ball |x| < R; anything else
+    raises ChartDomainError instead of evaluating to NaN.
+    """
+    if f.chart == CHART_REDUCED:
+        _check_reduced_domain(points, p)
+        names = reduced_var_names(p)
+    else:
+        names = hyperspherical_var_names(p)
     return ex.evaluate(operator_expr(tag, f, p), _env_from_points(names, points))
+
+
+def _defect_terms(tag, f, h, p, pts, w, names):
+    """<f, T h>, <T f, h>, <f, f> and <h, h> as sums over one weighted grid."""
+    env = _env_from_points(names, pts)
+    fv = ex.evaluate(f.expr, env)
+    hv = ex.evaluate(h.expr, env)
+    tf = ex.evaluate(operator_expr(tag, f, p), env)
+    th = ex.evaluate(operator_expr(tag, h, p), env)
+    return (np.sum(w * np.conjugate(fv) * th),
+            np.sum(w * np.conjugate(tf) * hv),
+            np.sum(w * np.conjugate(fv) * fv).real,
+            np.sum(w * np.conjugate(hv) * hv).real)
 
 
 def hermiticity_defect(tag, f, h, p, spec=QuadratureSpec()):
@@ -462,11 +456,164 @@ def hermiticity_defect(tag, f, h, p, spec=QuadratureSpec()):
     if f.chart != h.chart:
         raise ChartDomainError("hermiticity check needs both functions on one chart")
     pts, w, names = _chart_grid(f.chart, p, spec)
-    env = _env_from_points(names, pts)
-    fv = ex.evaluate(f.expr, env)
-    hv = ex.evaluate(h.expr, env)
-    tf = ex.evaluate(operator_expr(tag, f, p), env)
-    th = ex.evaluate(operator_expr(tag, h, p), env)
-    lhs = np.sum(w * np.conjugate(fv) * th)
-    rhs = np.sum(w * np.conjugate(tf) * hv)
+    lhs, rhs, _, _ = _defect_terms(tag, f, h, p, pts, w, names)
     return abs(lhs - rhs)
+
+
+# -- check suites ------------------------------------------------------------
+
+def _ball_samples(p, n, seed, shell=0.9):
+    """Reduced-chart points in the ball |x| <= shell R, plus their angles."""
+    rng = np.random.default_rng(seed)
+    d = p.D - 1
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = shell * p.R * rng.random(n) ** (1.0 / d)
+    pts = dirs * radii[:, None]
+    angles = np.array([to_hyperspherical(lift(x, p), p)[1] for x in pts])
+    return pts, angles
+
+
+def _harmonic_family(p, lmax):
+    """Every basis harmonic of degree 0..lmax, in embedded coordinates."""
+    return [h for l in range(lmax + 1) for h in harmonic_polynomials(p.D, l)]
+
+
+def _route_gap(p, lmax, samples, routes):
+    """Worst relative gap between two routes over the harmonic family.
+
+    ``routes(h)`` applies both routes to the embedded harmonic h and returns
+    the two value arrays (a, b); the gap is |a - b| relative to max|b|,
+    floored at the energy scale hbar^2/R^2.
+    """
+    scale = p.hbar ** 2 / p.R ** 2
+    worst = 0.0
+    family = _harmonic_family(p, lmax)
+    for h in family:
+        a, b = routes(h)
+        ref = max(float(np.max(np.abs(b))), scale)
+        worst = float(np.maximum(worst, np.max(np.abs(a - b)) / ref))
+    return {"family_size": len(family), "points": samples,
+            "max_relative_deviation": worst}, worst
+
+
+def suite_chart_equivalence(p, lmax, samples, seed):
+    """H applied in the reduced and hyperspherical charts must agree."""
+    pts, angles = _ball_samples(p, samples, seed)
+    cart = OperatorTag("H_cart", route="laplace_beltrami")
+    curv = OperatorTag("H_curv")
+
+    def routes(h):
+        return (apply_operator(cart, pullback_to_reduced(h, p), pts, p),
+                apply_operator(curv, pullback_to_hyperspherical(h, p), angles, p))
+    return _route_gap(p, lmax, samples, routes)
+
+
+def suite_angular_momentum(p, lmax, samples, seed):
+    """sum_{a<b} L_ab^2 / (2 R^2) must reproduce H on the reduced chart."""
+    pts, _ = _ball_samples(p, samples, seed)
+    l2 = OperatorTag("L2")
+    cart = OperatorTag("H_cart", route="laplace_beltrami")
+
+    def routes(h):
+        f = pullback_to_reduced(h, p)
+        return apply_operator(l2, f, pts, p), apply_operator(cart, f, pts, p)
+    return _route_gap(p, lmax, samples, routes)
+
+
+def _midpoint_angular_grid(p, res):
+    """Tensor angular grid with midpoint polar nodes and uniform azimuth.
+
+    Every integrand the hermiticity suite meets is a trig polynomial once
+    the sin^{D-1-i} measure factors are folded into the weights, and the
+    midpoint offset keeps all nodes away from the removable pole
+    singularities of the momentum operators, so these sums are exact.
+    """
+    axes_nodes, axes_w = [], []
+    for i in range(1, p.D - 1):
+        nodes = (np.arange(res) + 0.5) * math.pi / res
+        axes_nodes.append(nodes)
+        axes_w.append((math.pi / res) * np.sin(nodes) ** (p.D - 1 - i))
+    axes_nodes.append(np.arange(res) * 2.0 * math.pi / res)
+    axes_w.append(np.full(res, 2.0 * math.pi / res))
+    mesh = np.meshgrid(*axes_nodes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    w = np.ones(pts.shape[0]) * p.R ** (p.D - 1)
+    for wm in np.meshgrid(*axes_w, indexing="ij"):
+        w = w * wm.ravel()
+    return pts, w
+
+
+def _sphere_defect(tag, h1, h2, p, res, chart):
+    """Hermiticity defect of T over the whole sphere, normalized by |h1| |h2|.
+
+    h1 and h2 are embedded-coordinate expressions, pulled back to ``chart``.
+    The reduced chart covers half the sphere; equator boundary terms only
+    cancel in the sum of the two hemisphere lifts, which is the honest
+    statement of hermiticity for that chart.  The hyperspherical chart
+    covers the sphere once, on the midpoint angular grid.
+    """
+    if chart == CHART_REDUCED:
+        pts, w, names = _chart_grid(chart, p, QuadratureSpec(res))
+        lifts = [(pullback_to_reduced(h1, p, hemisphere=s),
+                  pullback_to_reduced(h2, p, hemisphere=s)) for s in (1, -1)]
+    else:
+        pts, w = _midpoint_angular_grid(p, res)
+        names = hyperspherical_var_names(p)
+        lifts = [(pullback_to_hyperspherical(h1, p),
+                  pullback_to_hyperspherical(h2, p))]
+    lhs = rhs = 0.0
+    n1 = n2 = 0.0
+    for f, h in lifts:
+        fth, tfh, ff, hh = _defect_terms(tag, f, h, p, pts, w, names)
+        lhs = lhs + fth
+        rhs = rhs + tfh
+        n1 += float(ff)
+        n2 += float(hh)
+    return abs(lhs - rhs) / math.sqrt(n1 * n2)
+
+
+def suite_hermiticity(p, res, seed):
+    """<f, T h> = <T f, h> under the sphere measure for H and every pi.
+
+    The displayed-convention curvilinear momentum is reported but excluded
+    from the pass criterion; it is documented as non-hermitian.  At D=2
+    there is no polar angle, so it takes sin^{1/2} of the azimuth and
+    evaluates to NaN, which fails the suite.
+    """
+    harmonics = [harmonic_polynomials(p.D, l)[0] for l in (1, 2, 3)]
+    # pi_cart is symmetric on functions vanishing at the chart edge (the
+    # equator); x_D^2 damping puts the test pair in that domain and keeps
+    # the rational (R^2-|x|^2)^{-1} factor of the operator polynomial
+    xd2 = ex.mul(ex.Var(f"x{p.D}"), ex.Var(f"x{p.D}"))
+    damped = [ex.mul(xd2, h) for h in harmonics]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    # (row name, operator, chart, test pair family, pair label prefix)
+    checks = [("H_cart", OperatorTag("H_cart", route="laplace_beltrami"),
+               CHART_REDUCED, harmonics, "")]
+    checks += [(f"pi_cart_{i}", OperatorTag("pi_cart", i=i), CHART_REDUCED,
+                damped, "xD^2 ") for i in range(1, p.D)]
+    checks += [("H_curv", OperatorTag("H_curv"), CHART_HYPERSPHERICAL,
+                harmonics, "")]
+    checks += [(f"pi_curv_{i}", OperatorTag("pi_curv", i=i),
+                CHART_HYPERSPHERICAL, harmonics, "") for i in range(1, p.D)]
+    rows = []
+    worst = 0.0
+    for name, tag, chart, family, label in checks:
+        for a, b in pairs:
+            d = _sphere_defect(tag, family[a], family[b], p, res, chart)
+            rows.append({"operator": name, "pair": f"{label}l{a + 1},l{b + 1}",
+                         "defect": float(d)})
+            worst = float(np.maximum(worst, d))
+    # deliberately non-hermitian control, excluded from the max; the pair is
+    # picked so no parity accident hides the defect
+    displayed = OperatorTag("pi_curv", i=1, convention="displayed")
+    deg1 = harmonic_polynomials(p.D, 1)
+    deg2 = harmonic_polynomials(p.D, 2)
+    control = _sphere_defect(displayed, deg1[min(2, len(deg1) - 1)],
+                             deg2[min(1, len(deg2) - 1)], p, res,
+                             CHART_HYPERSPHERICAL)
+    if math.isnan(control):
+        worst = control  # a control that cannot be measured fails the suite
+    return {"rows": rows, "max_defect": worst,
+            "displayed_convention_defect": float(control)}, worst

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .geometry import from_hyperspherical, sphere_area
+from .geometry import from_hyperspherical
 
 __all__ = [
     "polar_nodes", "hemisphere_polar_nodes", "azimuth_nodes",
@@ -125,7 +125,3 @@ def reduced_ball_grid(p, res):
     emb = from_hyperspherical(p.R, angles, p)
     x = emb[:, : p.D - 1]
     return x, w
-
-
-def total_measure(p):
-    return sphere_area(p.D, p.R)

@@ -55,7 +55,7 @@ __all__ = [
     "SpectralGrid", "GridOperator", "SpectrumResult", "NonConvergenceError",
     "diffmat", "assemble", "compute_spectrum", "sector_spectrum",
     "reference_spectrum", "reference_eigenvalues", "cluster_eigenvalues",
-    "extrapolate", "lanczos_lowest", "spectrum_json_dict", "spectrum_csv_text",
+    "extrapolate", "lanczos_lowest", "spectrum_csv_text",
 ]
 
 
@@ -555,24 +555,6 @@ def extrapolate(results):
         out[i] = v3[i] - C * n3 ** -pw
         err[i] = abs(out[i] - v3[i])
     return out, err, flags
-
-
-def spectrum_json_dict(result):
-    d = {
-        "params": {"D": result.meta["params"][0],
-                   "R": result.meta["params"][1],
-                   "hbar": result.meta["params"][2]},
-        "resolution": result.meta.get("counts", result.meta.get("res")),
-        "method": result.meta.get("method"),
-        "eigenvalues": [float(v) for v in result.eigenvalues],
-        "clusters": [{"value": float(v), "multiplicity": int(m)}
-                     for v, m in result.clusters],
-        "residuals": (None if result.residual_norms is None
-                      else [float(r) for r in result.residual_norms]),
-    }
-    if "symmetry_defect" in result.meta:
-        d["symmetry_defect"] = float(result.meta["symmetry_defect"])
-    return d
 
 
 def spectrum_csv_text(result):

@@ -2,11 +2,12 @@
 and byte-level determinism of repeated runs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rotorkit import cli
+from rotorkit import cli, operators
 from rotorkit.cli import (
     ConfigError,
     SCHEMAS,
@@ -116,6 +117,11 @@ def test_exit_2_on_bad_pathintegral_config(flags, needle, capsys):
     (["check", "dirac-brackets", "--dim", "4"], "specialized to D=3"),
     (["check", "chart-equivalence", "--samples", "0"], "samples"),
     (["check", "chart-equivalence", "--dim", "11"], "D must be an integer"),
+    (["check", "hermiticity", "--res", "1"], "res >= 2"),
+    (["check", "chart-equivalence", "--lmax", "-1"], "'lmax' must be positive"),
+    (["check", "angular-momentum", "--lmax", "-1"], "'lmax' must be positive"),
+    (["check", "chart-equivalence", "--lmax", "0"], "'lmax' must be positive"),
+    (["check", "hermiticity", "--dim", "2"], "dim >= 3"),
 ])
 def test_exit_2_on_bad_check_config(argv, needle, capsys):
     code, out, err = run(argv, capsys)
@@ -123,22 +129,48 @@ def test_exit_2_on_bad_check_config(argv, needle, capsys):
     assert out == "" and "Traceback" not in err
 
 
-@pytest.mark.parametrize("helper", ["_reduced_sphere_defect",
-                                    "_angular_sphere_defect"])
-def test_nan_defect_fails_the_check(helper, monkeypatch, capsys):
-    monkeypatch.setattr(cli, helper, lambda *args: float("nan"))
+@pytest.mark.parametrize("flags, needle", [
+    (["--res", "3", "--method", "dense"], "resolution >= 4"),
+    (["--res", "3", "--method", "iterative"], "resolution >= 4"),
+    (["--res", "3,4,5"], "resolution >= 4"),
+    (["--res", "-3"], "resolution >= 2"),
+    (["--levels", "22"], "at most 21"),
+])
+def test_exit_2_on_bad_spectrum_config(flags, needle, capsys):
+    code, out, err = run(["spectrum", *flags], capsys)
+    assert code == 2 and needle in err
+    assert out == "" and "Traceback" not in err
+
+
+def _nan_sphere_defect(monkeypatch, hit):
+    """Make operators._sphere_defect return NaN where ``hit`` says so."""
+    real = operators._sphere_defect
+
+    def patched(tag, h1, h2, p, res, chart):
+        if hit(tag, chart):
+            return float("nan")
+        return real(tag, h1, h2, p, res, chart)
+    monkeypatch.setattr(operators, "_sphere_defect", patched)
+
+
+@pytest.mark.parametrize("chart", ["reduced", "hyperspherical"])
+def test_nan_defect_fails_the_check(chart, monkeypatch, capsys):
+    # NaN rows on one chart, with the displayed-convention control intact
+    _nan_sphere_defect(monkeypatch, lambda tag, c: (
+        c == chart and tag.convention != "displayed"))
     code, out, err = run(["check", "hermiticity", "--res", "16"], capsys)
     assert code == 1
     assert json.loads(out)["pass"] is False
 
 
-def test_nan_hermiticity_control_fails_the_check(capsys):
-    # at D=2 the displayed-convention control evaluates to NaN; a control
-    # that cannot be measured must not let the suite pass
-    code, out, err = run(["check", "hermiticity", "--dim", "2", "--res", "16"],
-                         capsys)
+def test_nan_hermiticity_control_fails_the_check(monkeypatch, capsys):
+    # a control that cannot be measured must not let the suite pass
+    _nan_sphere_defect(monkeypatch, lambda tag, c: tag.convention == "displayed")
+    code, out, err = run(["check", "hermiticity", "--res", "16"], capsys)
     assert code == 1
-    assert json.loads(out)["pass"] is False
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert math.isnan(report["results"]["displayed_convention_defect"])
 
 
 def test_spectrum_dim_4_at_defaults(capsys):

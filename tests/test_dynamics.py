@@ -38,7 +38,6 @@ from rotorkit.dynamics import (
     physical_hamiltonian,
     reduced_from_embedded,
     trajectory_csv_text,
-    trajectory_json_dict,
 )
 from rotorkit.geometry import ChartDomainError, ModelParams
 from sympy_bridge import to_sympy
@@ -267,6 +266,4 @@ def test_trajectory_serialization():
     lines = csv.strip().splitlines()
     assert lines[0] == "t,q1,q2,p1,p2,H,constraint_radial,constraint_tangent"
     assert len(lines) == 1 + len(traj)
-    d = trajectory_json_dict(traj, P3)
-    assert len(d["t"]) == len(traj)
     assert trajectory_csv_text(traj, P3) == csv

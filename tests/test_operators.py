@@ -13,13 +13,10 @@ import pytest
 import sympy as sp
 
 from rotorkit import expressions as ex
-from rotorkit.geometry import CHART_HYPERSPHERICAL, ModelParams
+from rotorkit.geometry import CHART_HYPERSPHERICAL, ChartDomainError, ModelParams
 from rotorkit.operators import (
     OperatorTag,
     QuadratureSpec,
-    apply_hamiltonian_cartesian,
-    apply_hamiltonian_curvilinear,
-    apply_momentum_cartesian,
     apply_operator,
     harmonic_polynomials,
     hermiticity_defect,
@@ -64,8 +61,8 @@ def test_hamiltonian_routes_agree(route):
     pts = _ball(3, 40, rng)
     for l in (1, 2, 3):
         f = pullback_to_reduced(harmonic_polynomials(3, l)[0], P3)
-        a = apply_hamiltonian_cartesian(f, pts, P3, route="laplace_beltrami")
-        b = apply_hamiltonian_cartesian(f, pts, P3, route=route)
+        a = apply_operator(OperatorTag("H_cart", route="laplace_beltrami"), f, pts, P3)
+        b = apply_operator(OperatorTag("H_cart", route=route), f, pts, P3)
         assert np.max(np.abs(a - b)) < 1e-13 * max(np.max(np.abs(a)), 1.0)
 
 
@@ -80,7 +77,7 @@ def test_harmonic_pullbacks_are_eigenfunctions(D, l):
     f_red = pullback_to_reduced(h, p)
     names = [f"x{i + 1}" for i in range(D - 1)]
     fvals = ex.evaluate(f_red.expr, dict(zip(names, pts.T)))
-    got = apply_hamiltonian_cartesian(f_red, pts, p)
+    got = apply_operator(OperatorTag("H_cart"), f_red, pts, p)
     scale = max(np.max(np.abs(eig * fvals)), eig)
     assert np.max(np.abs(got - eig * fvals)) < 1e-12 * scale
     # same statement in the angular chart
@@ -89,7 +86,7 @@ def test_harmonic_pullbacks_are_eigenfunctions(D, l):
                           rng.uniform(0, 2 * np.pi, size=(40, 1))], axis=1)
     anames = hyperspherical_var_names(p)
     avals = ex.evaluate(f_ang.expr, dict(zip(anames, ang.T)))
-    got_a = apply_hamiltonian_curvilinear(f_ang, ang, p)
+    got_a = apply_operator(OperatorTag("H_curv"), f_ang, ang, p)
     assert np.max(np.abs(got_a - eig * avals)) < 1e-12 * scale
 
 
@@ -110,7 +107,7 @@ def test_hamiltonian_matches_sympy_divergence_oracle():
             Hf += sp.diff(rho * gij * sp.diff(fs, xs[j]), xs[i])
     Hf = -Hf / (2 * rho)
     want = sp.lambdify((x1, x2), sp.simplify(Hf), "numpy")(pts[:, 0], pts[:, 1])
-    got = apply_hamiltonian_cartesian(f, pts, P3)
+    got = apply_operator(OperatorTag("H_cart"), f, pts, P3)
     assert np.max(np.abs(got - want)) < 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
@@ -125,7 +122,7 @@ def test_momentum_matches_sympy_symmetrization_oracle():
     for i, xi in ((1, x1), (2, x2)):
         pi = -sp.I * sp.diff(sp.sqrt(rho) * fs, xi) / sp.sqrt(rho)
         want = sp.lambdify((x1, x2), pi, "numpy")(pts[:, 0], pts[:, 1])
-        got = apply_momentum_cartesian(f, pts, i, P3)
+        got = apply_operator(OperatorTag("pi_cart", i=i), f, pts, P3)
         assert np.iscomplexobj(got)
         assert np.max(np.abs(got - want)) < 1e-13 * max(np.max(np.abs(want)), 1.0)
 
@@ -140,6 +137,19 @@ def test_angular_momentum_sum_reproduces_hamiltonian():
         a = apply_operator(OperatorTag("L2"), f, pts, p)
         b = apply_operator(OperatorTag("H_cart", route="laplace_beltrami"), f, pts, p)
         assert np.max(np.abs(a - b)) < 1e-12 * max(np.max(np.abs(b)), 1.0)
+
+
+def test_apply_operator_rejects_points_off_the_reduced_chart():
+    # the chart ball is open: |x| = R is the equator, where sqrt(R^2 - |x|^2)
+    # vanishes and the operators' (R^2 - |x|^2)^(-1/2) factors blow up
+    f = pullback_to_reduced(harmonic_polynomials(3, 2)[0], P3)
+    inside = np.array([[0.3, 0.4]])
+    for pts in (np.array([[0.0, 1.0]]), np.array([[0.3, 0.4], [1.2, 0.0]])):
+        for tag in (OperatorTag("H_cart"), OperatorTag("pi_cart", i=1),
+                    OperatorTag("L", i=1, j=3), OperatorTag("L2")):
+            assert np.all(np.isfinite(apply_operator(tag, f, inside, P3)))
+            with pytest.raises(ChartDomainError):
+                apply_operator(tag, f, pts, P3)
 
 
 def test_hemisphere_pullback_pair():

