@@ -30,10 +30,7 @@ traj = integrate_reduced(s0, T, dt, p)
 x0, v0 = embedded_from_reduced(s0, p)
 oracle = integrate_embedded_oracle(x0, v0, T, dt, p)
 
-lift_x = np.empty((len(traj), p.D))
-lift_v = np.empty((len(traj), p.D))
-for i, s in enumerate(traj):
-    lift_x[i], lift_v[i] = embedded_from_reduced(s, p)
+lift_x, lift_v = embedded_from_reduced(traj, p)  # every state at once
 
 print(f"integrated {len(traj)} steps over t in [0, {T:g}]")
 print(f"sup |lifted reduced - embedded oracle| = "

@@ -18,9 +18,11 @@ Exit codes:
   2  configuration error, before any solver runs: bad key, bad value,
      unsupported dimension (check hermiticity needs dim >= 3,
      dirac-brackets dim 3), a spectrum resolution below the route's node
-     minimum (4 per grid axis, 2 for the D=3, 4 sector blocks), spectrum
-     levels above 21, check lmax below 1, hermiticity res below 2, and
-     pathintegral grid, slice-step and kernel-width preconditions
+     minimum (4 per grid axis, 2 for the D=3, 4 sector blocks), dense
+     resolutions that are two or whose node counts do not strictly rise,
+     more levels than a grid route's grid holds, spectrum levels above 21,
+     check lmax below 1, hermiticity res below 2, and pathintegral grid,
+     slice-step and kernel-width preconditions
   3  an iterative scheme failed to converge
   4  classical trajectory left the chart margin (exit time in the report)
 """
@@ -77,7 +79,7 @@ SCHEMAS = {
         "levels": _f("int", 4, "exact levels l = 0..levels-1 to compare",
                      positive=True),
         "res": _f("ints", (48, 64, 96),
-                  "grid resolutions; two or more enable extrapolation"),
+                  "grid resolutions; three or more enable extrapolation"),
         "method": _f("str", "auto", "eigenvalue route",
                      choices=("auto", "sector", "dense", "iterative")),
         "tolerance": _f("float_or_auto", None,
@@ -273,7 +275,7 @@ def _spectrum_tolerances(method, n_res, p, cfg):
     if tol is None:
         if method == "sector":
             tol = 1e-8 * scale
-        elif n_res >= 2:
+        elif n_res >= 3:
             tol = 1e-4 * scale      # Richardson-extrapolated dense route
         else:
             tol = 5e-2 * scale      # raw single-resolution dense/iterative
@@ -303,15 +305,29 @@ def run_spectrum(cfg):
         raise ConfigError(f"spectrum: the {method} route needs every "
                           f"resolution >= {min_res}, got {min(res_list)}")
     p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
+    counts = [SpectralGrid.node_counts((r,) * (p.D - 1)) for r in res_list]
+    nodes = [max(c) for c in counts]  # what extrapolate compares per grid
+    if method == "dense" and (
+            len(res_list) == 2 or any(b <= a for a, b in zip(nodes, nodes[1:]))):
+        raise ConfigError(
+            "spectrum: the dense route takes one resolution, or three or more "
+            "whose largest node counts strictly rise; resolutions "
+            f"{', '.join(map(str, res_list))} give {', '.join(map(str, nodes))}")
     ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
     ref_eigs = reference_eigenvalues(p.D, cfg["levels"] - 1, p)
     k = len(ref_eigs)
+    # grid routes solve on every grid (dense) or on the largest one
+    sizes = [int(np.prod(c)) for c in counts]
+    size = min(sizes) if method == "dense" else max(sizes)
+    if (method != "sector" or p.D == 2) and k > size:
+        raise ConfigError(f"spectrum: levels {cfg['levels']} need {k} "
+                          f"eigenvalues, more than a grid of {size} nodes holds")
     tol, cluster_tol = _spectrum_tolerances(method, len(res_list), p, cfg)
     cfg = dict(cfg, method=method, tolerance=tol, cluster_tol=cluster_tol)
 
     per_res = []
     route = method
-    err_estimates = None
+    extrapolation = {}
     if method == "sector":
         result = sector_spectrum(p, max(res_list), k, cluster_tol=cluster_tol)
         values = result.eigenvalues
@@ -333,9 +349,11 @@ def run_spectrum(cfg):
                 "max_raw_deviation":
                     float(np.max(np.abs(raw.eigenvalues - ref_eigs))),
             })
-        if len(raws) >= 2:
+        if len(raws) >= 3:
             values, errs, flags = extrapolate(raws)
-            err_estimates = [float(e) for e in errs]
+            extrapolation = {
+                "extrapolation_error_estimates": [float(e) for e in errs],
+                "extrapolation_flagged": int(np.sum(flags))}
             route = "dense+extrapolation"
         else:
             values = raws[-1].eigenvalues
@@ -375,8 +393,7 @@ def run_spectrum(cfg):
     }
     if per_res:
         results["per_res"] = per_res
-    if err_estimates is not None:
-        results["extrapolation_error_estimates"] = err_estimates
+    results.update(extrapolation)
     max_dev = {
         "cluster_value": (None if value_dev == float("inf")
                           else float(value_dev)),
@@ -443,9 +460,9 @@ def run_check(cfg):
             _kv_csv_text(results))
 
 
-def _kv_csv_text(results, prefix=""):
+def _kv_csv_text(results):
     """Flatten numeric/boolean leaves of a results dict into metric,value rows."""
-    lines = ["metric,value"] if not prefix else []
+    lines = ["metric,value"]
     def walk(obj, path):
         if isinstance(obj, dict):
             for key in obj:
@@ -459,7 +476,7 @@ def _kv_csv_text(results, prefix=""):
             lines.append(f"{path},{repr(float(obj)) if isinstance(obj, float) else obj}")
         elif isinstance(obj, str):
             lines.append(f"{path},{obj}")
-    walk(results, prefix)
+    walk(results, "")
     return "\n".join(lines) + "\n"
 
 
@@ -485,10 +502,7 @@ def run_classical(cfg):
     x0, v0 = embedded_from_reduced(s0, p)
     oracle = integrate_embedded_oracle(x0, v0, T, dt, p)
 
-    lift_x = np.empty((len(traj), p.D))
-    lift_v = np.empty((len(traj), p.D))
-    for i, s in enumerate(traj):
-        lift_x[i], lift_v[i] = embedded_from_reduced(s, p)
+    lift_x, lift_v = embedded_from_reduced(traj, p)
     sup = float(np.max(np.abs(lift_x - oracle.q)))
 
     drift = {}

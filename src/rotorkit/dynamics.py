@@ -38,7 +38,7 @@ antisymmetry and the Jacobi identity over the same random shell points.
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +53,7 @@ __all__ = [
     "ChartMarginError", "StepConvergenceError",
     "hamiltonian_value", "physical_hamiltonian",
     "integrate_reduced", "integrate_embedded_oracle",
-    "embedded_from_reduced", "reduced_from_embedded",
-    "embedded_from_canonical", "constraint_residuals",
+    "embedded_from_reduced", "reduced_from_embedded", "constraint_residuals",
     "angular_momentum_pairs", "conserved_series",
     "canonical_phase_vars", "embedded_phase_vars", "canonical_chart_map",
     "pullback_observable", "poisson_bracket_expr", "dirac_bracket",
@@ -116,19 +115,9 @@ class Observable:
     expr: ex.Expr
     chart: str
 
-    def variables(self, p):
-        if self.chart == PHASE_EMBEDDED:
-            names = embedded_phase_vars(p)
-        elif self.chart == PHASE_CANONICAL:
-            names = canonical_phase_vars(p)
-        else:
-            raise ValueError(f"observables support charts "
-                             f"'{PHASE_EMBEDDED}' and '{PHASE_CANONICAL}'")
-        return names[0] + names[1]
-
 
 class Trajectory:
-    """Time series of phase states; indexable as a list of PhaseState."""
+    """Time series of phase states as arrays; ``traj[i]`` is a PhaseState."""
 
     def __init__(self, chart, times, q, p):
         self.chart = chart
@@ -140,23 +129,26 @@ class Trajectory:
         return len(self.times)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         return PhaseState(chart=self.chart, q=self.q[i], p=self.p[i],
                           t=float(self.times[i]))
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+
+def _reduced_arrays(s, p, caller):
+    """(q, p) of a reduced PhaseState (validated) or Trajectory (only the
+    chart; lift and inverse_metric check shape and ball)."""
+    if not isinstance(s, Trajectory):
+        s.validate(p)
+    if s.chart != PHASE_REDUCED:
+        raise ChartDomainError(f"{caller} expects the reduced chart")
+    return s.q, s.p
 
 
 def hamiltonian_value(s, p):
-    """Reduced-chart energy H = p_i g^{ij}(q) p_j / 2."""
-    s.validate(p)
-    if s.chart != PHASE_REDUCED:
-        raise ChartDomainError("hamiltonian_value expects the reduced chart")
-    G = inverse_metric(s.q, p)
-    return 0.5 * float(s.p @ G @ s.p)
+    """Reduced-chart energy H = p_i g^{ij}(q) p_j / 2 (per state of a Trajectory)."""
+    q, mom = _reduced_arrays(s, p, "hamiltonian_value")
+    G = inverse_metric(q, p)
+    H = 0.5 * ((mom[..., None, :] @ G) @ mom[..., :, None])[..., 0, 0]
+    return H if isinstance(s, Trajectory) else float(H)
 
 
 def _reduced_rhs(z, p):
@@ -214,7 +206,7 @@ def integrate_reduced(s0, T, dt, p, margin=0.05, tol=1e-13):
     return Trajectory(PHASE_REDUCED, times, qs, ps)
 
 
-def integrate_embedded_oracle(x0, v0, T, dt, p, tol=1e-13, project=True):
+def integrate_embedded_oracle(x0, v0, T, dt, p, tol=1e-13):
     """Ambient geodesic flow x'' = -(|x'|^2/R^2) x with per-step projection.
 
     The position is renormalized to the sphere and the velocity re-tangented
@@ -244,24 +236,24 @@ def integrate_embedded_oracle(x0, v0, T, dt, p, tol=1e-13, project=True):
     xs[0], vs[0] = x0, v0
     for i in range(1, nsteps + 1):
         z = _midpoint_step(rhs, z, dt, tol)
-        if project:
-            x = z[:D]
-            x *= p.R / math.sqrt(float(x @ x))
-            v = z[D:]
-            v -= x * (float(x @ v) / p.R ** 2)
-        xs[i], vs[i] = z[:D], z[D:]
+        x, v = z[:D], z[D:]  # views: the projection updates z in place
+        x *= p.R / math.sqrt(float(x @ x))
+        v -= x * (float(x @ v) / p.R ** 2)
+        xs[i], vs[i] = x, v
     times = dt * np.arange(nsteps + 1)
     return Trajectory(PHASE_EMBEDDED, times, xs, vs)
 
 
 def embedded_from_reduced(s, p):
-    """Lift a reduced phase state to ambient (x, v = xdot)."""
-    s.validate(p)
-    x = lift(s.q, p)
-    G = inverse_metric(s.q, p)
-    qdot = G @ s.p
-    vD = -float(s.q @ qdot) / x[-1]
-    return x, np.concatenate([qdot, [vD]])
+    """Lift a reduced PhaseState, or each state of a Trajectory, to (x, v = xdot).
+
+    Stacked ``@`` keeps every state bitwise equal to its single-state lift.
+    """
+    q, mom = _reduced_arrays(s, p, "embedded_from_reduced")
+    x = lift(q, p)
+    qdot = (inverse_metric(q, p) @ mom[..., None])[..., 0]
+    vD = -(q[..., None, :] @ qdot[..., :, None])[..., 0, 0] / x[..., -1]
+    return x, np.concatenate([qdot, vD[..., None]], axis=-1)
 
 
 def reduced_from_embedded(x, v, p):
@@ -330,7 +322,7 @@ def canonical_chart_map(p):
         terms = []
         for k in range(p.D - 1):
             dx = xs[a].diff(angles[k])
-            if dx.key() == ex.Const(0.0).key():
+            if ex.is_zero(dx):
                 continue
             # |dx/dphi_k|^2 = R^2 prod_{j<k} sin^2 phi_j
             norm2 = ex.mul(ex.Const(p.R ** 2),
@@ -416,20 +408,22 @@ def physical_hamiltonian(point, p):
 
 
 def fundamental_bracket_reference(kind, x, pvec, R):
-    """Closed-form constrained brackets on the shell, as a (D, D) table.
+    """Closed-form constrained brackets on the shell, as a (D, D, ...) table.
 
     kind: 'xx' -> zeros; 'xp' -> delta_ab - x_a x_b / R^2;
-    'pp' -> -(x_a p_b - x_b p_a) / R^2.
+    'pp' -> -(x_a p_b - x_b p_a) / R^2.  x and pvec have shape (D,) or
+    (D, samples); the table carries the same trailing axis.
     """
     x = np.asarray(x, dtype=float)
     pvec = np.asarray(pvec, dtype=float)
-    D = len(x)
+    D = x.shape[0]
     if kind == "xx":
-        return np.zeros((D, D))
+        return np.zeros((D,) + x.shape)
     if kind == "xp":
-        return np.eye(D) - np.outer(x, x) / R ** 2
+        delta = np.eye(D).reshape((D, D) + (1,) * (x.ndim - 1))
+        return delta - x[:, None] * x[None, :] / R ** 2
     if kind == "pp":
-        return -(np.outer(x, pvec) - np.outer(pvec, x)) / R ** 2
+        return -(x[:, None] * pvec[None, :] - pvec[:, None] * x[None, :]) / R ** 2
     raise ValueError(f"unknown bracket family '{kind}'")
 
 
@@ -489,12 +483,6 @@ def bracket_check_report(p, samples=1000, seed=7):
                      for n in xnames])
     pval = np.stack([np.broadcast_to(ex.evaluate(mapping[n], env), samples)
                      for n in pnames])
-    refs = {
-        "xx": np.zeros((3, 3, samples)),
-        "xp": np.eye(3)[:, :, None] - xval[:, None, :] * xval[None, :, :] / p.R ** 2,
-        "pp": -(xval[:, None, :] * pval[None, :, :]
-                - pval[:, None, :] * xval[None, :, :]) / p.R ** 2,
-    }
     report = {"chart": PHASE_CANONICAL, "samples": samples, "seed": seed,
               "families": {}}
     worst = 0.0
@@ -503,7 +491,8 @@ def bracket_check_report(p, samples=1000, seed=7):
             np.stack([np.broadcast_to(ex.evaluate(table[a][b], env), samples)
                       for b in range(3)])
             for a in range(3)])
-        dev = float(np.max(np.abs(got - refs[kind])))
+        want = fundamental_bracket_reference(kind, xval, pval, p.R)
+        dev = float(np.max(np.abs(got - want)))
         report["families"][kind] = {"pair": kind, "samples": samples,
                                     "max_deviation": dev}
         worst = float(np.maximum(worst, dev))  # NaN-aware, unlike max()
@@ -561,33 +550,23 @@ def suite_dirac_brackets(p, samples, seed):
 # ---------------------------------------------------------------------------
 # export
 
-def _trajectory_rows(traj, p):
+def trajectory_csv_text(traj, p):
+    """One row per state: t, q, p, the energy and both constraint residuals."""
     if traj.chart == PHASE_REDUCED:
-        for i in range(len(traj)):
-            s = traj[i]
-            H = hamiltonian_value(s, p)
-            x, v = embedded_from_reduced(s, p)
-            w1, w2 = constraint_residuals(x, v, p)
-            yield s.t, s.q, s.p, H, float(w1), float(w2)
+        x, v = embedded_from_reduced(traj, p)
+        H = hamiltonian_value(traj, p)
     elif traj.chart == PHASE_EMBEDDED:
-        for i in range(len(traj)):
-            s = traj[i]
-            H = 0.5 * float(s.p @ s.p)
-            w1, w2 = constraint_residuals(s.q, s.p, p)
-            yield s.t, s.q, s.p, H, float(w1), float(w2)
+        x, v = traj.q, traj.p
+        H = 0.5 * (v[:, None, :] @ v[:, :, None])[:, 0, 0]
     else:
         raise ChartDomainError(f"cannot export chart '{traj.chart}'")
-
-
-def trajectory_csv_text(traj, p):
+    w1, w2 = constraint_residuals(x, v, p)
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     dim = traj.q.shape[1]
     wr.writerow(["t"] + [f"q{i}" for i in range(1, dim + 1)]
                 + [f"p{i}" for i in range(1, dim + 1)]
                 + ["H", "constraint_radial", "constraint_tangent"])
-    for t, q, mom, H, w1, w2 in _trajectory_rows(traj, p):
-        wr.writerow([repr(float(t))] + [repr(float(v)) for v in q]
-                    + [repr(float(v)) for v in mom]
-                    + [repr(H), repr(w1), repr(w2)])
+    # the csv module writes each Python float as its repr
+    wr.writerows(np.column_stack([traj.times, traj.q, traj.p, H, w1, w2]).tolist())
     return buf.getvalue()

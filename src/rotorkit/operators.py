@@ -41,7 +41,7 @@ sphere for H and every momentum).  Each returns (results, worst deviation).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
@@ -76,9 +76,8 @@ class TestFunction:
 class OperatorTag:
     """Names one of the implemented operators plus its indices/options.
 
-    kinds: H_cart, H_curv, L2, pi_cart(i), pi_curv(i), L(i,j),
-    multiply (payload expression, symmetric control) and H_curv_unsym
-    (the deliberately unsymmetrized control).
+    kinds: H_cart, H_curv, L2, pi_cart(i), pi_curv(i), L(i,j) and
+    H_curv_unsym (the deliberately unsymmetrized control).
     """
 
     kind: str
@@ -86,7 +85,6 @@ class OperatorTag:
     j: int = 0
     convention: str = "measure"
     route: str = "laplace_beltrami"
-    payload: object = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -419,8 +417,6 @@ def operator_expr(tag, f, p):
         return momentum_curvilinear_expr(f, tag.i, p, convention=tag.convention)
     if tag.kind == "L":
         return angular_momentum_expr(f, tag.i, tag.j, p)
-    if tag.kind == "multiply":
-        return ex.mul(tag.payload, f.expr)
     raise ValueError(f"unknown operator kind '{tag.kind}'")
 
 

@@ -472,7 +472,6 @@ class EffectiveAction:
     prescription: str
     values: np.ndarray
     flags: np.ndarray = field(repr=False)
-    raw: dict = field(repr=False)
 
 
 def _check_geometric(eps_list):
@@ -499,13 +498,11 @@ def effective_hamiltonian_action(psi, prescription, eps_list, p,
     """
     eps_desc, rho = _check_geometric(eps_list)
     rows = []
-    raw = {}
     for eps in eps_desc:
         spec = SliceKernelSpec(eps=eps, prescription=prescription,
                                midpoint_rule=midpoint_rule)
         out = slice_step(psi, spec, p)
         rows.append(p.hbar * (psi.samples - out.samples) / eps)
-        raw[eps] = rows[-1]
     table = [np.array(r) for r in rows]
     L = len(table)
     for k in range(1, L):
@@ -519,7 +516,7 @@ def effective_hamiltonian_action(psi, prescription, eps_list, p,
     d_prev = np.abs(rows[-2] - rows[-3])
     flags = (d_last >= d_prev) & (d_last > 1e-12 * scale)
     return EffectiveAction(grid=psi.grid, m=psi.m, prescription=prescription,
-                           values=table[0], flags=flags, raw=raw)
+                           values=table[0], flags=flags)
 
 
 @dataclass

@@ -112,15 +112,20 @@ class SpectralGrid:
             u, w = polar_nodes(res[k - 1], polar_exponent(p.D, k))
             polar_u.append(u)
             polar_w.append(w)
-        m = res[-1] + (res[-1] % 2)  # azimuthal count must be even
-        phi, wphi = azimuth_nodes(m)
-        counts = tuple(res[:-1]) + (m,)
+        counts = cls.node_counts(res)
+        phi, wphi = azimuth_nodes(counts[-1])
         grid = cls(p=p, counts=counts, polar_u=tuple(polar_u),
                    polar_w=tuple(polar_w), azimuth=phi, azimuth_w=wphi)
         total = grid.weights().sum()
         if abs(total - sphere_area(p.D, p.R)) > 1e-10 * sphere_area(p.D, p.R):
             raise AssertionError("quadrature weights do not sum to the sphere area")
         return grid
+
+    @staticmethod
+    def node_counts(res):
+        """Nodes per axis for per-axis resolutions ``res``: the polar counts
+        are res itself, the azimuth count is rounded up to even."""
+        return tuple(res[:-1]) + (res[-1] + res[-1] % 2,)
 
     def weights(self):
         w = np.array([1.0])

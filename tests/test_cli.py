@@ -135,6 +135,14 @@ def test_exit_2_on_bad_check_config(argv, needle, capsys):
     (["--res", "3,4,5"], "resolution >= 4"),
     (["--res", "-3"], "resolution >= 2"),
     (["--levels", "22"], "at most 21"),
+    (["--res", "32,48"], "three or more"),
+    (["--res", "4,5,6"], "strictly rise"),
+    (["--res", "6,5,4"], "strictly rise"),
+    (["--dim", "2", "--res", "4"], "7 eigenvalues"),
+    (["--dim", "2", "--res", "4", "--method", "sector"], "7 eigenvalues"),
+    (["--dim", "2", "--res", "4", "--method", "dense"], "7 eigenvalues"),
+    (["--dim", "2", "--res", "4", "--method", "iterative"], "7 eigenvalues"),
+    (["--res", "4", "--levels", "21", "--method", "dense"], "441 eigenvalues"),
 ])
 def test_exit_2_on_bad_spectrum_config(flags, needle, capsys):
     code, out, err = run(["spectrum", *flags], capsys)
@@ -171,6 +179,18 @@ def test_nan_hermiticity_control_fails_the_check(monkeypatch, capsys):
     report = json.loads(out)
     assert report["pass"] is False
     assert math.isnan(report["results"]["displayed_convention_defect"])
+
+
+@pytest.mark.parametrize("flags, flagged", [
+    (["--res", "32,48,64"], 0),
+    ([], 4),
+])
+def test_spectrum_reports_extrapolation_flags(flags, flagged, capsys):
+    code, out, err = run(["spectrum", *flags], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["route"] == "dense+extrapolation"
+    assert results["extrapolation_flagged"] == flagged
 
 
 def test_spectrum_dim_4_at_defaults(capsys):

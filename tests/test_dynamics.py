@@ -77,6 +77,36 @@ def test_reduced_route_conserves_energy_and_angular_momentum():
     assert np.max(np.abs(cs["L"] - cs["L"][0:1, :])) < 1e-8
 
 
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_batched_lift_and_energy_equal_the_per_state_loop(D):
+    p = ModelParams(D=D, R=1.3, hbar=1.0)
+    rng = np.random.default_rng(D)
+    q = rng.uniform(-0.5, 0.5, (200, D - 1))
+    mom = rng.standard_normal((200, D - 1))
+    traj = dynamics.Trajectory(PHASE_REDUCED, np.arange(200) * 0.01, q, mom)
+    x, v = embedded_from_reduced(traj, p)
+    H = hamiltonian_value(traj, p)
+    # the per-state loop is the reference; the batch must match it bitwise
+    ref_x = np.empty((len(traj), D))
+    ref_v = np.empty((len(traj), D))
+    ref_H = np.empty(len(traj))
+    for i in range(len(traj)):
+        ref_x[i], ref_v[i] = embedded_from_reduced(traj[i], p)
+        ref_H[i] = hamiltonian_value(traj[i], p)
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(v, ref_v)
+    assert np.array_equal(H, ref_H)
+
+
+def test_batched_lift_rejects_other_charts():
+    emb = dynamics.Trajectory(PHASE_EMBEDDED, [0.0], [[0.0, 0.0, 1.0]],
+                              [[0.1, 0.0, 0.0]])
+    with pytest.raises(ChartDomainError):
+        embedded_from_reduced(emb, P3)
+    with pytest.raises(ChartDomainError):
+        hamiltonian_value(emb, P3)
+
+
 def test_multiplier_elimination_identity_along_oracle():
     # eliminating the Lagrange multiplier uses x . xdd = -|xd|^2; check it
     # on the integrated flow with a central-difference second derivative
@@ -187,6 +217,25 @@ def test_fundamental_brackets_match_closed_forms():
                 assert abs(got - want) < 1e-12
 
 
+def test_batched_bracket_reference_equals_per_sample_tables():
+    rng = np.random.default_rng(5)
+    xs = rng.standard_normal((3, 40))
+    ps = rng.standard_normal((3, 40))
+    per_sample = {
+        "xx": lambda x, p: np.zeros((3, 3)),
+        "xp": lambda x, p: np.eye(3) - np.outer(x, x) / 1.7 ** 2,
+        "pp": lambda x, p: -(np.outer(x, p) - np.outer(p, x)) / 1.7 ** 2,
+    }
+    for kind, closed_form in per_sample.items():
+        table = fundamental_bracket_reference(kind, xs, ps, 1.7)
+        assert table.shape == (3, 3, 40)
+        for j in range(40):
+            want = closed_form(xs[:, j], ps[:, j])
+            assert np.array_equal(table[:, :, j], want)
+            assert np.array_equal(
+                fundamental_bracket_reference(kind, xs[:, j], ps[:, j], 1.7), want)
+
+
 def test_bracket_families_at_scale():
     report = bracket_check_report(P3, samples=100, seed=7)
     assert report["max_deviation"] < 1e-12
@@ -267,3 +316,11 @@ def test_trajectory_serialization():
     assert lines[0] == "t,q1,q2,p1,p2,H,constraint_radial,constraint_tangent"
     assert len(lines) == 1 + len(traj)
     assert trajectory_csv_text(traj, P3) == csv
+    # an embedded trajectory exports its own energy and constraint residuals
+    x0, v0 = embedded_from_reduced(SLOW, P3)
+    oracle = integrate_embedded_oracle(x0, v0, 0.02, 1e-3, P3)
+    rows = np.array([[float(c) for c in line.split(",")] for line in
+                     trajectory_csv_text(oracle, P3).splitlines()[1:]])
+    assert rows.shape == (len(oracle), 10)
+    assert np.max(np.abs(rows[:, 7] - conserved_series(oracle, P3)["energy"])) < 1e-15
+    assert np.max(np.abs(rows[:, 8:])) < 1e-13
