@@ -401,7 +401,7 @@ def run_spectrum(cfg):
     }
     return ((0 if passed else 1),
             _report("spectrum", cfg, results, max_dev, passed),
-            spectrum_csv_text(result))
+            lambda: spectrum_csv_text(result))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ def run_check(cfg):
     max_dev = {"deviation": (None if worst == float("inf") else float(worst))}
     return ((0 if passed else 1),
             _report("check", cfg, results, max_dev, passed),
-            _kv_csv_text(results))
+            lambda: _kv_csv_text(results))
 
 
 def _kv_csv_text(results):
@@ -534,7 +534,7 @@ def run_classical(cfg):
     max_dev = {"sup_position": sup, "conservation": worst_drift}
     return ((0 if passed else 1),
             _report("classical", cfg, results, max_dev, passed),
-            trajectory_csv_text(traj, p))
+            lambda: trajectory_csv_text(traj, p))
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +582,14 @@ def run_pathintegral(cfg):
         max_dev = {"residual_relative": rel}
     return ((0 if passed else 1),
             _report("pathintegral", cfg, results, max_dev, passed),
-            potential_csv_text(table))
+            lambda: potential_csv_text(table))
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+# Each runner returns (exit code, report, csv): csv is None or a callable
+# that builds the CSV text, so only a requested format is ever built.
 _RUNNERS = {
     "spectrum": run_spectrum,
     "check": run_check,
@@ -674,7 +676,7 @@ def main(argv=None):
               f"{report['results']['chart_margin_exit_time']:.6g}")
         return 4
     payload = (json_text(report) if args.format == "json" or csv_payload is None
-               else csv_payload)
+               else csv_payload())
     status = "pass" if code == 0 else "tolerance exceeded"
     worst = report.get("max_deviations", {})
     if worst:

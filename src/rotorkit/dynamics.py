@@ -160,15 +160,21 @@ def _reduced_rhs(z, p):
 
 
 def _midpoint_step(rhs, z, dt, tol, maxit=100):
-    """One implicit-midpoint step by fixed-point iteration on the midpoint."""
-    scale = max(1.0, float(np.max(np.abs(z))))
+    """One implicit-midpoint step by fixed-point iteration on the midpoint.
+
+    The state has 2 to 2D components, so the residual test runs on Python
+    floats.  It asks every component to have settled, not the largest: a
+    NaN component fails ``<=`` and never converges, where Python's ``max``
+    could skip it.
+    """
+    bound = tol * max(1.0, *map(abs, z.tolist()))
     znew = z + dt * rhs(z)  # Euler predictor
     for _ in range(maxit):
         zmid = 0.5 * (z + znew)
         znext = z + dt * rhs(zmid)
-        delta = float(np.max(np.abs(znext - znew)))
+        settled = all(abs(d) <= bound for d in (znext - znew).tolist())
         znew = znext
-        if delta <= tol * scale:
+        if settled:
             return znew
     raise StepConvergenceError(
         f"midpoint iteration did not contract below {tol:g} in {maxit} "

@@ -14,6 +14,19 @@ collection) but deliberately do nothing clever beyond that: no reordering of
 non-constant factors, no same-base power merging.  Keeping the term order of
 the input expression is what makes mirrored constructions (e.g. a Poisson
 bracket and its transpose) evaluate to exact IEEE negations of each other.
+
+Derivatives are memoized on the node: ``e.diff(name)`` builds the
+derivative once, keeps it in the node's own ``{name: derivative}`` dict and
+returns that same object on every later call.  The product rule asks for
+the derivative of every factor once per term, and the operators
+differentiate the same test function several times, so without the memo
+the same subtrees are derived again and again.  The memo returns exactly
+the tree a fresh ``_diff`` would build, so values stay bit for bit the
+same.  It is per node rather than a global table because its lifetime is
+then the expression's: nothing outlives the trees that use it, and no
+cache size needs a bound.  Interning equal subtrees in one global table
+(hash-consing) was measured and did not pay: harmonics with different
+coefficients share few subtrees, so the lookups cost more than they saved.
 """
 
 import numpy as np
@@ -37,9 +50,22 @@ def _wrap(v):
 class Expr:
     """Base node.  Immutable; build through the module constructors."""
 
-    __slots__ = ()
+    # _dmemo: {variable name: derivative}, made on the first diff call
+    __slots__ = ("_dmemo",)
 
     def diff(self, name):
+        """d/d(name), built once per node and variable and then shared."""
+        try:
+            memo = self._dmemo
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_dmemo", memo)
+        d = memo.get(name)
+        if d is None:
+            d = memo[name] = self._diff(name)
+        return d
+
+    def _diff(self, name):
         raise NotImplementedError
 
     def subs(self, mapping):
@@ -110,6 +136,7 @@ class Const(Expr):
         raise AttributeError("expressions are immutable")
 
     def diff(self, name):
+        # leaves answer with a shared constant; a memo would only cost a dict
         return ZERO
 
     def subs(self, mapping):
@@ -173,7 +200,7 @@ class _Nary(Expr):
 class Add(_Nary):
     __slots__ = ()
 
-    def diff(self, name):
+    def _diff(self, name):
         return add(*[a.diff(name) for a in self.args])
 
     def subs(self, mapping):
@@ -196,7 +223,7 @@ class Add(_Nary):
 class Mul(_Nary):
     __slots__ = ()
 
-    def diff(self, name):
+    def _diff(self, name):
         # product rule, keeping factor positions stable
         terms = []
         for i, a in enumerate(self.args):
@@ -233,7 +260,7 @@ class Pow(Expr):
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    def diff(self, name):
+    def _diff(self, name):
         db = self.base.diff(name)
         if is_zero(db):
             return ZERO
@@ -287,7 +314,7 @@ class Sin(_Unary):
     _fn = staticmethod(np.sin)
     _tag = "sin"
 
-    def diff(self, name):
+    def _diff(self, name):
         da = self.arg.diff(name)
         if is_zero(da):
             return ZERO
@@ -299,7 +326,7 @@ class Cos(_Unary):
     _fn = staticmethod(np.cos)
     _tag = "cos"
 
-    def diff(self, name):
+    def _diff(self, name):
         da = self.arg.diff(name)
         if is_zero(da):
             return ZERO
@@ -311,7 +338,7 @@ class Exp(_Unary):
     _fn = staticmethod(np.exp)
     _tag = "exp"
 
-    def diff(self, name):
+    def _diff(self, name):
         da = self.arg.diff(name)
         if is_zero(da):
             return ZERO

@@ -265,6 +265,22 @@ def test_csv_formats(capsys):
     assert out.splitlines()[0] == "metric,value"
 
 
+@pytest.mark.parametrize("builder, argv", [
+    ("trajectory_csv_text", ["classical", "--duration", "0.02"]),
+    ("_kv_csv_text", ["check", "dirac-brackets", "--samples", "20"]),
+    ("spectrum_csv_text", ["spectrum", "--dim", "2", "--levels", "3",
+                           "--res", "16"]),
+    ("potential_csv_text", ["pathintegral"]),
+])
+def test_json_output_builds_no_csv(builder, argv, monkeypatch, capsys):
+    def boom(*args):
+        raise AssertionError(f"{builder} called for --format json")
+    monkeypatch.setattr(cli, builder, boom)
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_config_file_plus_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dim = 2\nlevels = 3\nres = 16\ntolerance = 1e-18\n")

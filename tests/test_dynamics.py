@@ -138,6 +138,36 @@ def test_step_convergence_error_on_absurd_step():
             integrate_reduced(bad, 10.0, 5.0, P3, margin=0.0)
 
 
+@pytest.mark.parametrize("where", [0, 1, 3])
+def test_nan_residual_never_converges(where):
+    # one NaN component among settled ones: a plain max over the residual
+    # could skip it and accept the step
+    def rhs(z):
+        out = np.zeros_like(z)
+        out[where] = np.nan
+        return out
+
+    with pytest.raises(StepConvergenceError):
+        dynamics._midpoint_step(rhs, np.array([0.2, 0.1, 0.0, 0.3]), 1e-3, 1e-13)
+
+
+def test_midpoint_step_matches_the_array_residual_test():
+    # the float residual test accepts exactly when max|znext - znew| does
+    rng = np.random.default_rng(4)
+    rhs = lambda zz: dynamics._reduced_rhs(zz, P3)
+    for _ in range(200):
+        z = np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.normal(size=2)])
+        scale = max(1.0, float(np.max(np.abs(z))))
+        znew = z + 1e-3 * rhs(z)
+        for _ in range(100):
+            znext = z + 1e-3 * rhs(0.5 * (z + znew))
+            done = float(np.max(np.abs(znext - znew))) <= 1e-13 * scale
+            znew = znext
+            if done:
+                break
+        assert np.array_equal(dynamics._midpoint_step(rhs, z, 1e-3, 1e-13), znew)
+
+
 def test_phase_state_validation():
     with pytest.raises(ChartDomainError):
         PhaseState(PHASE_REDUCED, q=np.array([1.2, 0.0]),

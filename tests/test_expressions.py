@@ -2,11 +2,16 @@
 arithmetic guarantees (bitwise commutation, IEEE negation) the bracket
 antisymmetry checks depend on."""
 
+import gc
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from rotorkit import expressions as ex
+from rotorkit.geometry import ModelParams
+from rotorkit.operators import (OperatorTag, harmonic_polynomials,
+                                operator_expr, pullback_to_reduced)
 from sympy_bridge import to_sympy
 
 
@@ -126,3 +131,44 @@ def test_diff_of_constant_and_unrelated_var():
     assert ex.Const(7).diff("x") == ex.ZERO
     assert x.diff("y") == ex.ZERO
     assert x.diff("x") == ex.ONE
+
+
+def test_diff_is_memoized_on_the_node():
+    e = _gnarly()
+    d = e.diff("x")
+    assert e.diff("x") is d
+    assert d.diff("y") is d.diff("y")
+    assert e.diff("y") is not d
+
+
+def test_memoized_derivative_equals_a_fresh_build_bitwise():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.2, 1.1, size=(50, 3))
+    env = {"x": pts[:, 0], "y": pts[:, 1], "z": pts[:, 2]}
+    e = _gnarly()
+    # fill the memo along the way, then take the second derivative from it
+    e.diff("x").diff("z")
+    e.diff("y")
+    memo_value = ex.evaluate(e.diff("x").diff("z"), env)
+    fresh = _gnarly().diff("x").diff("z")
+    assert fresh == e.diff("x").diff("z")
+    assert np.array_equal(memo_value, ex.evaluate(fresh, env))
+
+
+def _live_exprs():
+    return sum(isinstance(o, ex.Expr) for o in gc.get_objects())
+
+
+def test_diff_memo_lives_and_dies_with_its_node():
+    # the derivatives hang off the test function's nodes, so they go when
+    # the function and the operator result go: no table outlives them
+    p = ModelParams(D=3)
+    tag = OperatorTag("H_cart", route="composition")
+    gc.collect()
+    before = _live_exprs()
+    f = pullback_to_reduced(harmonic_polynomials(3, 4)[2], p)
+    h = operator_expr(tag, f, p)
+    assert _live_exprs() > before
+    del f, h
+    gc.collect()
+    assert _live_exprs() == before
