@@ -16,19 +16,21 @@ Exit codes:
   0  all checks passed
   1  a tolerance was exceeded (report still written, pass: false)
   2  configuration error, before any solver runs: bad key, bad value,
-     unsupported dimension (check hermiticity needs dim >= 3,
-     dirac-brackets dim 3), a spectrum resolution below the route's node
-     minimum (4 per grid axis, 2 for the D=3, 4 sector blocks), dense
-     resolutions that are two or whose node counts do not strictly rise,
-     more levels than a grid route's grid holds, spectrum levels above 21,
-     check lmax below 1, hermiticity res below 2, and pathintegral grid,
-     slice-step and kernel-width preconditions
+     a dim outside ModelParams' 2..10 (check hermiticity and dirac-brackets
+     need dim >= 3), a spectrum resolution below the route's node minimum
+     (4 per grid axis, 2 for sector blocks), dense resolutions that are two
+     or whose node counts do not strictly rise, spectrum levels above 21 or
+     past 100000 eigenvalues, more of them than a grid route's grid holds
+     or than a Lanczos basis of k + 1 grid rows in the 2 GiB LANCZOS_BUDGET
+     allows, check lmax below 1, hermiticity res below 2, and pathintegral
+     grid, slice-step and kernel-width preconditions
   3  an iterative scheme failed to converge
   4  classical trajectory left the chart margin (exit time in the report)
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,10 +39,10 @@ from . import __version__
 from .geometry import ChartDomainError, ModelParams
 from .operators import (suite_angular_momentum, suite_chart_equivalence,
                         suite_hermiticity)
-from .spectra import (NonConvergenceError, SpectralGrid, SpectrumResult,
-                      assemble, cluster_eigenvalues, compute_spectrum,
-                      extrapolate, reference_eigenvalues, reference_spectrum,
-                      sector_spectrum, spectrum_csv_text)
+from .spectra import (LANCZOS_BUDGET, NonConvergenceError, SpectralGrid,
+                      SpectrumResult, assemble, cluster_eigenvalues,
+                      compute_spectrum, extrapolate, reference_eigenvalues,
+                      reference_spectrum, sector_spectrum, spectrum_csv_text)
 from . import dynamics
 from .dynamics import (PHASE_EMBEDDED, PHASE_REDUCED, ChartMarginError,
                        PhaseState, StepConvergenceError, conserved_series,
@@ -73,7 +75,7 @@ CHECK_SUITES = ("chart-equivalence", "hermiticity", "angular-momentum",
 
 SCHEMAS = {
     "spectrum": {
-        "dim": _f("int", 3, "embedding dimension (2, 3 or 4)"),
+        "dim": _f("int", 3, "embedding dimension, 2 to 10"),
         "radius": _f("float", 1.0, "sphere radius R", positive=True),
         "hbar": _f("float", 1.0, "Planck constant", positive=True),
         "levels": _f("int", 4, "exact levels l = 0..levels-1 to compare",
@@ -284,11 +286,13 @@ def _spectrum_tolerances(method, n_res, p, cfg):
     return float(tol), float(ctol)
 
 
+# payloads list all k values and the sector route holds up to res * k; D=4
+# at levels 21 needs 3311, D=10 at levels 10 needs 72930
+_MAX_EIGENVALUES = 100_000
+
+
 def run_spectrum(cfg):
-    if cfg["dim"] not in (2, 3, 4):
-        raise ConfigError(
-            f"unsupported dimension {cfg['dim']}; the grid assembler covers "
-            "D = 2, 3, 4")
+    p = _model_params("spectrum", D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
     if cfg["levels"] > 21:
         raise ConfigError("spectrum: levels must be at most 21 (the reference "
                           f"ladder stops at l = 20), got {cfg['levels']}")
@@ -298,13 +302,12 @@ def run_spectrum(cfg):
     method = cfg["method"]
     if method == "auto":
         method = "dense" if len(res_list) > 1 else "sector"
-    # a grid needs 4 nodes per axis; the D=3, 4 sector blocks need 2 polar
-    # nodes (D=2 sectors are solved on the grid)
-    min_res = 2 if method == "sector" and cfg["dim"] > 2 else 4
+    # a grid needs 4 nodes per axis; a sector block needs 2 polar nodes
+    # (D=2 sectors are solved on the grid)
+    min_res = 2 if method == "sector" and p.D > 2 else 4
     if min(res_list) < min_res:
         raise ConfigError(f"spectrum: the {method} route needs every "
                           f"resolution >= {min_res}, got {min(res_list)}")
-    p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
     counts = [SpectralGrid.node_counts((r,) * (p.D - 1)) for r in res_list]
     nodes = [max(c) for c in counts]  # what extrapolate compares per grid
     if method == "dense" and (
@@ -314,14 +317,21 @@ def run_spectrum(cfg):
             "whose largest node counts strictly rise; resolutions "
             f"{', '.join(map(str, res_list))} give {', '.join(map(str, nodes))}")
     ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
+    k = sum(m for _, m in ref_clusters)
+    if k > _MAX_EIGENVALUES:
+        raise ConfigError(f"spectrum: levels {cfg['levels']} at dim {p.D} need {k} "
+                          f"eigenvalues; a run lists at most {_MAX_EIGENVALUES}")
     ref_eigs = reference_eigenvalues(p.D, cfg["levels"] - 1, p)
-    k = len(ref_eigs)
     # grid routes solve on every grid (dense) or on the largest one
-    sizes = [int(np.prod(c)) for c in counts]
+    sizes = [math.prod(c) for c in counts]
     size = min(sizes) if method == "dense" else max(sizes)
     if (method != "sector" or p.D == 2) and k > size:
         raise ConfigError(f"spectrum: levels {cfg['levels']} need {k} "
                           f"eigenvalues, more than a grid of {size} nodes holds")
+    if method == "iterative" and LANCZOS_BUDGET // (8 * size) < k + 1:
+        raise ConfigError(f"spectrum: a Lanczos basis of {k + 1} rows of {size} "
+                          f"nodes needs {8 * size * (k + 1)} bytes, over the "
+                          f"{LANCZOS_BUDGET} byte budget")
     tol, cluster_tol = _spectrum_tolerances(method, len(res_list), p, cfg)
     cfg = dict(cfg, method=method, tolerance=tol, cluster_tol=cluster_tol)
 
@@ -426,13 +436,10 @@ def run_check(cfg):
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else default_tol
     cfg = dict(cfg, samples=samples, tolerance=tol)
     p = _model_params("check", D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
-    if suite == "dirac-brackets" and p.D != 3:
-        raise ConfigError("check: dirac-brackets is specialized to D=3, "
-                          f"got dim {p.D}")
-    if suite == "hermiticity" and p.D < 3:
-        raise ConfigError("check: hermiticity needs dim >= 3; at D=2 there "
-                          "is no polar angle, so the displayed-convention "
-                          "control takes sin^(1/2) of the azimuth (NaN)")
+    # at D=2 the hermiticity control takes sin^(1/2) of the azimuth (NaN),
+    # and the bracket suite's Jacobi and antisymmetry triples use x3 and p3
+    if suite in ("hermiticity", "dirac-brackets") and p.D < 3:
+        raise ConfigError(f"check: {suite} needs dim >= 3, got dim {p.D}")
     if suite == "hermiticity" and cfg["res"] < 2:
         raise ConfigError("check: hermiticity needs res >= 2 quadrature "
                           f"nodes, got {cfg['res']}")

@@ -473,17 +473,13 @@ def bracket_check_report(p, samples=1000, seed=7):
     absolute deviation between the canonical-chart bracket and the oracle
     table over random shell points.
     """
-    if p.D != 3:
-        raise ValueError("bracket verification is specialized to D=3")
     xnames, pnames = embedded_phase_vars(p)
     xs = [Observable(ex.Var(n), PHASE_EMBEDDED) for n in xnames]
     pvars = [Observable(ex.Var(n), PHASE_EMBEDDED) for n in pnames]
     mapping = canonical_chart_map(p)
-    families = {
-        "xx": [[dirac_bracket_expr(xs[a], xs[b], p) for b in range(3)] for a in range(3)],
-        "xp": [[dirac_bracket_expr(xs[a], pvars[b], p) for b in range(3)] for a in range(3)],
-        "pp": [[dirac_bracket_expr(pvars[a], pvars[b], p) for b in range(3)] for a in range(3)],
-    }
+    pairs = {"xx": (xs, xs), "xp": (xs, pvars), "pp": (pvars, pvars)}
+    families = {kind: [[dirac_bracket_expr(fa, gb, p) for gb in g] for fa in f]
+                for kind, (f, g) in pairs.items()}
     env = _canonical_sample_env(p, samples, seed)
     xval = np.stack([np.broadcast_to(ex.evaluate(mapping[n], env), samples)
                      for n in xnames])
@@ -493,10 +489,8 @@ def bracket_check_report(p, samples=1000, seed=7):
               "families": {}}
     worst = 0.0
     for kind, table in families.items():
-        got = np.stack([
-            np.stack([np.broadcast_to(ex.evaluate(table[a][b], env), samples)
-                      for b in range(3)])
-            for a in range(3)])
+        got = np.array([[np.broadcast_to(ex.evaluate(e, env), samples) for e in row]
+                        for row in table])
         want = fundamental_bracket_reference(kind, xval, pval, p.R)
         dev = float(np.max(np.abs(got - want)))
         report["families"][kind] = {"pair": kind, "samples": samples,
@@ -545,8 +539,11 @@ def suite_dirac_brackets(p, samples, seed):
     """The three bracket families, exact antisymmetry and the Jacobi identity.
 
     Returns (report, worst family deviation); each part draws the same
-    ``samples`` shell points from ``seed``.
+    ``samples`` shell points from ``seed``.  The Jacobi and antisymmetry
+    triples use x3 and p3, so D must be at least 3.
     """
+    if p.D < 3:
+        raise ValueError(f"the bracket suite needs D >= 3, got D={p.D}")
     report = bracket_check_report(p, samples=samples, seed=seed)
     report["antisymmetry_exact"] = _antisymmetry_exact(p, samples, seed)
     report["jacobi_max_deviation"] = _jacobi_deviation(p, samples, seed)

@@ -7,7 +7,7 @@ Hamiltonian, and a closed-form reference provides the oracle:
   azimuth) grid and keeps the operator in separable form,
   A (x) I + diag(1/(1-u^2)) (x) T: a polar factor A with one row per
   polar node, the coupling, and T, the operator of the sub-sphere one level
-  down (the Fourier factor for D=3), stored with its spectrum.  Polar
+  down (the Fourier factor for D=3), for every D the model accepts.  Polar
   second derivatives use the weak form K = Dn^T V Dn with the diagonal
   quadrature mass matrix, which is an exact Galerkin restriction to
   polynomials (Gauss quadrature is exact through degree 2n-1) and is
@@ -16,8 +16,10 @@ Hamiltonian, and a closed-form reference provides the oracle:
   In T's eigenbasis the operator is block diagonal, one polar block per
   eigenvalue of T (fast diagonalization, Lynch, Rice & Thomas 1964), so
   the dense route diagonalizes only the few blocks that can hold the
-  lowest levels, and Lanczos applies the factors matrix-free; the n x n
-  matrix is never formed.
+  lowest levels, asking T for only as many eigenvalues as those blocks
+  need; its cost follows D, k and the resolution, not the node count.
+  Lanczos applies the factors matrix-free within a byte budget for its
+  basis; the n x n matrix is never formed.
 * ``sector_spectrum`` peels off the leading angle's weight analytically:
   restricted to functions of the form sin^s(phi_1) v(cos phi_1) Y_s(rest),
   the operator becomes the polynomial-preserving tridiagonal-similar form
@@ -55,7 +57,7 @@ __all__ = [
     "SpectralGrid", "GridOperator", "SpectrumResult", "NonConvergenceError",
     "diffmat", "assemble", "compute_spectrum", "sector_spectrum",
     "reference_spectrum", "reference_eigenvalues", "cluster_eigenvalues",
-    "extrapolate", "lanczos_lowest", "spectrum_csv_text",
+    "extrapolate", "lanczos_lowest", "spectrum_csv_text", "LANCZOS_BUDGET",
 ]
 
 
@@ -114,12 +116,12 @@ class SpectralGrid:
             polar_w.append(w)
         counts = cls.node_counts(res)
         phi, wphi = azimuth_nodes(counts[-1])
-        grid = cls(p=p, counts=counts, polar_u=tuple(polar_u),
-                   polar_w=tuple(polar_w), azimuth=phi, azimuth_w=wphi)
-        total = grid.weights().sum()
+        # the product weights sum to the product of the per-axis sums
+        total = math.prod(w.sum() for w in polar_w) * wphi.sum() * p.R ** (p.D - 1)
         if abs(total - sphere_area(p.D, p.R)) > 1e-10 * sphere_area(p.D, p.R):
             raise AssertionError("quadrature weights do not sum to the sphere area")
-        return grid
+        return cls(p=p, counts=counts, polar_u=tuple(polar_u),
+                   polar_w=tuple(polar_w), azimuth=phi, azimuth_w=wphi)
 
     @staticmethod
     def node_counts(res):
@@ -127,16 +129,9 @@ class SpectralGrid:
         are res itself, the azimuth count is rounded up to even."""
         return tuple(res[:-1]) + (res[-1] + res[-1] % 2,)
 
-    def weights(self):
-        w = np.array([1.0])
-        for wk in self.polar_w:
-            w = np.multiply.outer(w, wk)
-        w = np.multiply.outer(w, self.azimuth_w)
-        return w.reshape(-1) * self.p.R ** (self.p.D - 1)
-
     @property
     def size(self):
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
 
 @dataclass
@@ -145,12 +140,12 @@ class GridOperator:
 
     ``A`` is the leading dense factor: the polar block on the first polar
     axis, or for D=2 the Fourier factor itself.  ``inner`` is T, the
-    operator of the sub-sphere one level down (None for D=2), ``c`` the
-    coupling 1/(1-u^2) on the leading nodes and ``symbols`` T's ascending
-    spectrum.  ``w`` holds the leading axis's quadrature weights; the
-    operator is symmetric under the product weights, and ``apply`` and
-    ``lowest`` work on that symmetrized form.  No method builds the full
-    n x n matrix.
+    operator of the sub-sphere one level down (None for D=2) and ``c`` the
+    coupling 1/(1-u^2) on the leading nodes; T's spectrum is computed only
+    as far as ``lowest`` needs it.  ``w`` holds the leading axis's
+    quadrature weights; the operator is symmetric under the product
+    weights, and ``apply`` and ``lowest`` work on that symmetrized form.
+    No method builds the full n x n matrix.
     """
 
     A: np.ndarray
@@ -159,7 +154,6 @@ class GridOperator:
     meta: dict
     c: np.ndarray = None
     inner: "GridOperator" = None
-    symbols: np.ndarray = None
     _symmetric: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -211,20 +205,27 @@ class GridOperator:
         blocks S + s diag(c), one per symbol s.  Blocks are visited in
         ascending s; by Weyl, a block's smallest eigenvalue is at least
         lambda_min(S) + min(s c), so the scan stops at the first block
-        whose bound exceeds the current k-th value.  With ``residuals``,
-        each value carries the residual norm of its block eigenpair.
-        Returns (values, residuals or None, blocks scanned).
+        whose bound exceeds the current k-th value.  The symbols come from
+        T's own ``lowest``: first max(k, one block of T) of them, doubling
+        until the scan closes.  The first m symbols are the same numbers
+        whatever m is asked, so the scan goes on where it stopped.  With
+        ``residuals``, each value carries the residual norm of its block
+        eigenpair.  Returns (values, residuals or None, blocks scanned).
         """
         S = self._sym()[0]
         if self.inner is None:
             vals, res = _block_eigs(S, k, residuals)
             return vals, res, 1
-        c = self.c
+        c, T = self.c, self.inner
         floor = eigvalsh(S, subset_by_index=(0, 0))[0]
         vals = np.empty(0)
         res = np.empty(0)
         scanned = 0
-        for s in self.symbols:
+        symbols = T.lowest(min(max(k, T.A.shape[0]), T.size))[0]
+        while scanned < T.size:
+            if scanned == len(symbols):  # ask T for twice as many
+                symbols = T.lowest(min(2 * scanned, T.size))[0]
+            s = symbols[scanned]
             bound = floor + min(s * c.min(), s * c.max())
             if len(vals) >= k and bound > vals[k - 1]:
                 break
@@ -256,16 +257,13 @@ def _polar_block(u, w):
 
 
 def assemble(grid):
-    """Discretize the curvilinear Hamiltonian on ``grid`` for D in {2, 3, 4}.
+    """Discretize the curvilinear Hamiltonian on ``grid``, at any D.
 
     Builds the factors level by level from the azimuth outwards: the
     Fourier factor, then one polar factor per polar axis coupled to the
-    level below it.  Each level's symbols are the full spectrum of the
-    level below, from its blocks.
+    level below it.  No eigenvalue is computed here.
     """
     p = grid.p
-    if p.D not in (2, 3, 4):
-        raise ValueError(f"unsupported dimension D={p.D} for grid assembly (D <= 4)")
     scale = 0.5 * p.hbar ** 2 / p.R ** 2
     op = GridOperator(A=-scale * _fourier_d2(grid.counts[-1]), w=grid.azimuth_w,
                       p=p, meta={"D": 2, "counts": grid.counts[-1:]})
@@ -273,8 +271,7 @@ def assemble(grid):
         u, w = grid.polar_u[axis], grid.polar_w[axis]
         op = GridOperator(A=scale * _polar_block(u, w), w=w, p=p,
                           meta={"D": p.D - axis, "counts": grid.counts[axis:]},
-                          c=1.0 / (1.0 - u * u), inner=op,
-                          symbols=op.lowest(op.size)[0])
+                          c=1.0 / (1.0 - u * u), inner=op)
     return op
 
 
@@ -354,6 +351,8 @@ def compute_spectrum(op, k, method="dense", seed=0, tol=1e-10, maxiter=None,
 
 # rows the Lanczos basis grows by; it is never reserved for maxiter up front
 _LANCZOS_BLOCK = 64
+# bytes of basis rows (8 n each, one per step) Lanczos may take
+LANCZOS_BUDGET = 2 ** 31
 
 
 def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
@@ -362,14 +361,15 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
     Shift-free Lanczos on ``op``, which needs ``size`` and ``apply(v)`` as a
     GridOperator has them.  Full reorthogonalization against the whole
     basis at every step; fixed seed makes runs bitwise reproducible.  The
-    basis grows in blocks of ``_LANCZOS_BLOCK`` rows.  Convergence is
-    declared when the standard residual bounds beta_j |s_{j,i}| for the k
-    lowest Ritz pairs drop below tol * spectral scale; only those k Ritz
-    vectors are computed.  Raises NonConvergenceError with the residual
+    basis grows in blocks of ``_LANCZOS_BLOCK`` rows, and ``maxiter`` is
+    capped at LANCZOS_BUDGET // (8 n) steps, so that budget bounds the
+    basis whatever n is.  Convergence is declared when the standard
+    residual bounds beta_j |s_{j,i}| for the k lowest Ritz pairs drop below
+    tol * spectral scale; only those k Ritz vectors are computed.  Raises NonConvergenceError with the residual
     bounds if maxiter steps are not enough.
     """
     n = op.size
-    maxiter = n if maxiter is None else min(maxiter, n)
+    maxiter = min(n if maxiter is None else maxiter, n, LANCZOS_BUDGET // (8 * n))
     if maxiter < k:
         raise ValueError("maxiter must be at least the number of requested eigenvalues")
     rng = np.random.default_rng(seed)
@@ -425,12 +425,14 @@ def _sector_block(D, sector, n):
 
 
 def sector_spectrum(p, res, k, cluster_tol=None):
-    """k smallest eigenvalues via the sector decomposition (D in {2, 3, 4}).
+    """k smallest eigenvalues via the sector decomposition.
 
-    Sectors are indexed by the azimuthal mode |m| (D=3) or by the sub-sphere
-    level l_2 (D=4) and contribute multiplicity 2 (m > 0) or 2 l_2 + 1.
+    Sector s is the degree s of the sub-sphere harmonic Y_s (the azimuthal
+    mode |m| at D=3) and contributes each of its values with that level's
+    multiplicity on the (D-2)-sphere, harmonic_multiplicity(D - 1, s).
     Sector s's smallest eigenvalue grows with s, so scanning stops as soon as
-    the next sector can no longer land in the lowest k.
+    the next sector can no longer land in the lowest k.  D=2 has no polar
+    angle to peel and is solved on the grid.
     """
     scale = 0.5 * p.hbar ** 2 / p.R ** 2
     if p.D == 2:
@@ -438,10 +440,7 @@ def sector_spectrum(p, res, k, cluster_tol=None):
         out = compute_spectrum(op, k, method="dense", cluster_tol=cluster_tol)
         out.meta["method"] = "sector"
         return out
-    if p.D not in (3, 4):
-        raise ValueError(f"unsupported dimension D={p.D} for sector decomposition")
-    collected = []  # (value, residual)
-    residuals = []
+    collected = residuals = np.empty(0)
     sector = 0
     while True:
         B = _sector_block(p.D, sector, res)
@@ -452,21 +451,17 @@ def sector_spectrum(p, res, k, cluster_tol=None):
         vals = vals.real[order]
         res_norm = np.linalg.norm(B @ vecs[:, order] - vecs[:, order] * vals[None, :],
                                   axis=0) / np.linalg.norm(vecs[:, order], axis=0)
-        mult = 1 if (p.D == 3 and sector == 0) else (2 if p.D == 3 else 2 * sector + 1)
-        for v, r in zip(vals, res_norm):
-            for _ in range(mult):
-                collected.append(v * scale)
-                residuals.append(r * scale)
-        collected_arr = np.sort(collected)
+        mult = harmonic_multiplicity(p.D - 1, sector)
+        collected = np.concatenate([collected, np.repeat(vals * scale, mult)])
+        residuals = np.concatenate([residuals, np.repeat(res_norm * scale, mult)])
         sector += 1
         next_floor = sector * (sector + p.D - 2) * scale  # smallest value sector can hold
-        if len(collected_arr) >= k and collected_arr[k - 1] < next_floor:
+        if len(collected) >= k and np.sort(collected)[k - 1] < next_floor:
             break
         if sector > res + k:
             raise NonConvergenceError("sector scan failed to close", residuals=None)
-    order = np.argsort(collected)
-    vals = np.asarray(collected)[order][:k]
-    resid = np.asarray(residuals)[order][:k]
+    order = np.argsort(collected)[:k]
+    vals, resid = collected[order], residuals[order]
     meta = {"D": p.D, "method": "sector", "res": res,
             "sectors_scanned": sector, "params": (p.D, p.R, p.hbar)}
     return _result(vals, p, meta, residuals=resid, cluster_tol=cluster_tol)
@@ -487,12 +482,10 @@ def reference_spectrum(D, l_max, p=None):
     the tests (sector spectra and an explicit polynomial null-space count)
     rather than assumed.
     """
-    if not 2 <= D <= 10:
-        raise ValueError("reference spectrum supports 2 <= D <= 10")
     if not 0 <= l_max <= 20:
         raise ValueError("reference spectrum supports l_max <= 20")
     if p is None:
-        p = ModelParams(D=D)
+        p = ModelParams(D=D)  # rejects a D outside 2..10
     if p.D != D:
         raise ValueError("params dimension mismatch")
     out = []

@@ -41,8 +41,8 @@ def test_defaults_then_file_then_flags():
 def test_unknown_and_invalid_keys_are_config_errors():
     with pytest.raises(ConfigError):
         resolve_config("spectrum", {"dims": "3"}, {})
-    with pytest.raises(ConfigError):  # spectral assembly covers D in {2, 3, 4}
-        cli.run_spectrum(resolve_config("spectrum", {}, {"dim": "5"}))
+    with pytest.raises(ConfigError):  # the model accepts D in 2..10
+        cli.run_spectrum(resolve_config("spectrum", {}, {"dim": "11"}))
     with pytest.raises(ConfigError):
         resolve_config("classical", {}, {"dt": "-0.1"})
     with pytest.raises(ConfigError):
@@ -93,8 +93,8 @@ def test_exit_1_when_tolerance_unreachable(capsys):
 
 
 def test_exit_2_on_config_errors(capsys):
-    code, _, err = run(["spectrum", "--dim", "5"], capsys)
-    assert code == 2 and "dim" in err
+    code, _, err = run(["spectrum", "--dim", "11"], capsys)
+    assert code == 2 and "D must be an integer in [2, 10]" in err
     code, _, err = run(["check"], capsys)  # no suite selected
     assert code == 2 and "suite" in err
     code, _, err = run(["classical", "--dt", "-1"], capsys)
@@ -114,7 +114,7 @@ def test_exit_2_on_bad_pathintegral_config(flags, needle, capsys):
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (["check", "dirac-brackets", "--dim", "4"], "specialized to D=3"),
+    (["check", "dirac-brackets", "--dim", "2"], "dirac-brackets needs dim >= 3"),
     (["check", "chart-equivalence", "--samples", "0"], "samples"),
     (["check", "chart-equivalence", "--dim", "11"], "D must be an integer"),
     (["check", "hermiticity", "--res", "1"], "res >= 2"),
@@ -143,6 +143,8 @@ def test_exit_2_on_bad_check_config(argv, needle, capsys):
     (["--dim", "2", "--res", "4", "--method", "dense"], "7 eigenvalues"),
     (["--dim", "2", "--res", "4", "--method", "iterative"], "7 eigenvalues"),
     (["--res", "4", "--levels", "21", "--method", "dense"], "441 eigenvalues"),
+    (["--dim", "10", "--res", "6", "--method", "iterative"], "byte budget"),
+    (["--dim", "10", "--levels", "21"], "at most 100000"),
 ])
 def test_exit_2_on_bad_spectrum_config(flags, needle, capsys):
     code, out, err = run(["spectrum", *flags], capsys)
@@ -191,6 +193,25 @@ def test_spectrum_reports_extrapolation_flags(flags, flagged, capsys):
     results = json.loads(out)["results"]
     assert results["route"] == "dense+extrapolation"
     assert results["extrapolation_flagged"] == flagged
+
+
+@pytest.mark.parametrize("dim", range(2, 11))
+def test_spectrum_sector_route_at_every_dim(dim, capsys):
+    code, out, _ = run(["spectrum", "--dim", str(dim), "--method", "sector"],
+                       capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["pattern_matches"] is True
+    assert abs(results["ground_state"]) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [4, 7])
+def test_dirac_brackets_above_d3(dim, capsys):
+    code, out, _ = run(["check", "dirac-brackets", "--dim", str(dim)], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["antisymmetry_exact"] is True
+    assert len(results["families"]) == 3
 
 
 def test_spectrum_dim_4_at_defaults(capsys):

@@ -28,7 +28,7 @@ from rotorkit.spectra import (
     sector_spectrum,
     spectrum_csv_text,
 )
-from rotorkit.spectra import _fourier_d2, _polar_block
+from rotorkit.spectra import _fourier_d2, _polar_block, _sector_block
 
 
 def kron_oracle(grid):
@@ -41,15 +41,38 @@ def kron_oracle(grid):
     p = grid.p
     scale = 0.5 * p.hbar ** 2 / p.R ** 2
     A = -scale * _fourier_d2(grid.counts[-1])
+    W = grid.azimuth_w
     for u, w in zip(reversed(grid.polar_u), reversed(grid.polar_w)):
         A = (scale * np.kron(_polar_block(u, w), np.eye(A.shape[0]))
              + np.kron(np.diag(1.0 / (1.0 - u * u)), A))
-    sw = np.sqrt(grid.weights())
+        W = np.kron(w, W)
+    sw = np.sqrt(W * p.R ** (p.D - 1))
     S = (sw[:, None] * A) / sw[None, :]
     return 0.5 * (S + S.T)
 
 
-ORACLE_GRIDS = [(2, 16), (2, 15), (3, 12), (3, (9, 14)), (4, 8), (4, (6, 7, 10))]
+def eager_symbols(op):
+    """T's full ascending spectrum, every block of every level scanned."""
+    return op.inner.lowest(op.inner.size)[0]
+
+
+def eager_lowest(op, k):
+    """The k lowest values from a block scan over T's full spectrum."""
+    S = op.symmetric_matrix()[0]
+    floor = eigvalsh(S, subset_by_index=(0, 0))[0]
+    vals = np.empty(0)
+    for s in eager_symbols(op):
+        if len(vals) >= k and floor + min(s * op.c.min(), s * op.c.max()) > vals[k - 1]:
+            break
+        top = min(k, S.shape[0]) - 1
+        vals = np.concatenate([vals, eigvalsh(S + np.diag(s * op.c),
+                                              subset_by_index=(0, top))])
+        vals = vals[np.argsort(vals, kind="stable")[:k]]
+    return vals
+
+
+ORACLE_GRIDS = [(2, 16), (2, 15), (3, 12), (3, (9, 14)), (4, 8), (4, (6, 7, 10)),
+                (5, 4)]
 
 
 def test_diffmat_differentiates_polynomials_exactly():
@@ -148,7 +171,7 @@ def test_dense_route_matches_kron_oracle(D, res):
     r = compute_spectrum(op, k)
     assert np.max(np.abs(r.eigenvalues - want[:k])) <= 1e-11 * top
     full, _, scanned = op.lowest(op.size)
-    assert scanned == (1 if D == 2 else len(op.symbols))
+    assert scanned == (1 if D == 2 else op.inner.size)
     assert np.max(np.abs(full - want)) <= 1e-11 * top
     assert r.meta["symmetry_defect"] < 1e-12 * top
 
@@ -158,14 +181,79 @@ def test_block_scan_stops_early_with_the_full_scan_values(D, res):
     p = ModelParams(D=D, R=1.0, hbar=1.0)
     op = assemble(SpectralGrid.build(p, res))
     S = op.symmetric_matrix()[0]
+    symbols = eager_symbols(op)
     for k in (1, 4, 9, 16):
         top = min(k, S.shape[0]) - 1
         every_block = np.concatenate([
             eigvalsh(S + np.diag(s * op.c), subset_by_index=(0, top))
-            for s in op.symbols])
+            for s in symbols])
         vals, _, scanned = op.lowest(k)
         assert np.array_equal(vals, np.sort(every_block)[:k])
-        assert scanned < len(op.symbols)
+        assert scanned < len(symbols)
+
+
+@pytest.mark.parametrize("D,res", [g for g in ORACLE_GRIDS if g[0] > 2])
+def test_lazy_symbols_match_the_eager_scan_bitwise(D, res):
+    # lowest asks T for one block's worth of symbols and doubles from
+    # there; every value must equal the scan over T's full spectrum
+    op = assemble(SpectralGrid.build(ModelParams(D=D, R=1.3, hbar=0.7), res))
+    for k in (1, 4, 9, 16, 40, op.size):
+        k = min(k, op.size)
+        assert np.array_equal(op.lowest(k)[0], eager_lowest(op, k))
+
+
+@pytest.mark.parametrize("D", range(2, 11))
+def test_sector_multiplicities_match_the_reference(D):
+    p = ModelParams(D=D, R=1.0, hbar=1.0)
+    ref = reference_spectrum(D, 3, p)
+    r = sector_spectrum(p, 24, sum(m for _, m in ref))
+    assert [m for _, m in r.clusters] == [m for _, m in ref]
+    assert np.max(np.abs(r.eigenvalues - reference_eigenvalues(D, 3, p))) < 1e-8
+
+
+def loop_sector_scan(p, res, k):
+    """The sector scan with each value copied mult times in a Python loop."""
+    scale = 0.5 * p.hbar ** 2 / p.R ** 2
+    collected, residuals, sector = [], [], 0
+    while len(collected) < k or np.sort(collected)[k - 1] >= (
+            sector * (sector + p.D - 2) * scale):
+        B = _sector_block(p.D, sector, res)
+        vals, vecs = np.linalg.eig(B)
+        order = np.argsort(vals.real)
+        vals, vecs = vals.real[order], vecs[:, order]
+        norms = np.linalg.norm(B @ vecs - vecs * vals[None, :], axis=0) / np.linalg.norm(
+            vecs, axis=0)
+        for v, r in zip(vals, norms):
+            for _ in range(harmonic_multiplicity(p.D - 1, sector)):
+                collected.append(v * scale)
+                residuals.append(r * scale)
+        sector += 1
+    order = np.argsort(collected)[:k]
+    return np.asarray(collected)[order], np.asarray(residuals)[order]
+
+
+@pytest.mark.parametrize("D,res,levels", [(3, 48, 6), (4, 24, 5), (7, 12, 4)])
+def test_sector_route_matches_the_loop_scan_bitwise(D, res, levels):
+    p = ModelParams(D=D, R=1.3, hbar=0.7)
+    k = sum(m for _, m in reference_spectrum(D, levels - 1, p))
+    r = sector_spectrum(p, res, k)
+    vals, resid = loop_sector_scan(p, res, k)
+    assert np.array_equal(r.eigenvalues, vals)
+    assert np.array_equal(r.residual_norms, resid)
+
+
+def test_grid_size_is_exact_past_int64():
+    grid = SpectralGrid.build(ModelParams(D=10), 200)
+    assert grid.size == 200 ** 9 and isinstance(grid.size, int)
+
+
+def test_dense_route_at_d10_without_node_sized_arrays():
+    # D=10 at res 48 has 1.35e15 nodes; the area check and the dense
+    # route's lowest levels cost O(D res) memory, not O(n)
+    p = ModelParams(D=10)
+    op = assemble(SpectralGrid.build(p, 48))
+    vals = compute_spectrum(op, 11).eigenvalues
+    assert abs(vals[0]) < 1e-8 and np.max(np.abs(vals[1:] - 4.5)) < 1e-2
 
 
 @pytest.mark.parametrize("D,res", ORACLE_GRIDS)
