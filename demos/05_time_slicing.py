@@ -35,7 +35,7 @@ eps = (1e-3, 5e-4, 2.5e-4)
 # validation: the polar kernel is only trustworthy once
 # exp(-(pi r_min)^2 / (2 hbar eps)) is negligible.
 bump = RadialWavefunction.from_callable(
-    mollifier_bump(2.0, 1.2, m=1, scale_power=1), 1, grid)
+    mollifier_bump(2.0, 1.2, scale_power=1), 1, grid)
 for e in (1e-3, 5e-4):
     spec = SliceKernelSpec(eps=e, prescription=NAIVE_POLAR)
     d = semigroup_defect(bump, spec, p)

@@ -15,22 +15,24 @@ reports.  The check suites live with the operators they check:
 Exit codes:
   0  all checks passed
   1  a tolerance was exceeded (report still written, pass: false)
-  2  configuration error, before any solver runs: bad key, bad value,
-     a dim outside ModelParams' 2..10 (check hermiticity and dirac-brackets
-     need dim >= 3), a spectrum resolution below the route's node minimum
-     (4 per grid axis, 2 for sector blocks), dense resolutions that are two
-     or whose node counts do not strictly rise, spectrum levels above 21 or
-     past 100000 eigenvalues, more of them than a grid route's grid holds
-     or than a Lanczos basis of k + 1 grid rows in the 2 GiB LANCZOS_BUDGET
-     allows, check lmax below 1, hermiticity res below 2, and pathintegral
-     grid, slice-step and kernel-width preconditions
+  2  configuration error, before any solver runs: bad key, bad value
+     (tolerances must be positive), a dim outside ModelParams' 2..10 or a
+     radius or hbar outside its [1e-30, 1e30] (check hermiticity and
+     dirac-brackets need dim >= 3), spectrum levels above 21 or past 100000
+     eigenvalues, a rule of the spectrum route that spectra.route_spectrum
+     raises before its first eigensolve (a resolution below the route's
+     node minimum, 4 per grid axis and 2 for sector blocks; dense
+     resolutions that are two or whose node counts do not strictly rise;
+     more eigenvalues than a grid holds; a Lanczos basis of k + 1 grid rows
+     past the 2 GiB spectra.LANCZOS_BUDGET), check lmax below 1,
+     hermiticity res below 2, and pathintegral grid, slice-step and
+     kernel-width preconditions
   3  an iterative scheme failed to converge
   4  classical trajectory left the chart margin (exit time in the report)
 """
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -39,10 +41,8 @@ from . import __version__
 from .geometry import ChartDomainError, ModelParams
 from .operators import (suite_angular_momentum, suite_chart_equivalence,
                         suite_hermiticity)
-from .spectra import (LANCZOS_BUDGET, NonConvergenceError, SpectralGrid,
-                      SpectrumResult, assemble, cluster_eigenvalues,
-                      compute_spectrum, extrapolate, reference_eigenvalues,
-                      reference_spectrum, sector_spectrum, spectrum_csv_text)
+from .spectra import (NonConvergenceError, reference_eigenvalues,
+                      reference_spectrum, route_spectrum, spectrum_csv_text)
 from . import dynamics
 from .dynamics import (PHASE_EMBEDDED, PHASE_REDUCED, ChartMarginError,
                        PhaseState, StepConvergenceError, conserved_series,
@@ -81,13 +81,15 @@ SCHEMAS = {
         "levels": _f("int", 4, "exact levels l = 0..levels-1 to compare",
                      positive=True),
         "res": _f("ints", (48, 64, 96),
-                  "grid resolutions; three or more enable extrapolation"),
+                  "resolutions; sector and iterative solve at the largest "
+                  "only, dense takes one or three or more (extrapolated)"),
         "method": _f("str", "auto", "eigenvalue route",
                      choices=("auto", "sector", "dense", "iterative")),
         "tolerance": _f("float_or_auto", None,
-                        "max |cluster value - exact| accepted"),
+                        "max |cluster value - exact| accepted", positive=True),
         "cluster_tol": _f("float_or_auto", None,
-                          "gap below which eigenvalues share a cluster"),
+                          "gap below which eigenvalues share a cluster",
+                          positive=True),
         "e0_tol": _f("float", 1e-8, "ground state |E0| bound", positive=True),
         "seed": _f("int", 0, "start-vector seed for the iterative route"),
     },
@@ -104,7 +106,8 @@ SCHEMAS = {
                       positive=True),
         "res": _f("int", 64, "quadrature resolution for hermiticity",
                   positive=True),
-        "tolerance": _f("float_or_auto", None, "pass threshold"),
+        "tolerance": _f("float_or_auto", None, "pass threshold",
+                        positive=True),
         "seed": _f("int", 7, "sampling seed"),
     },
     "classical": {
@@ -270,22 +273,6 @@ def json_text(report):
 # ---------------------------------------------------------------------------
 # spectrum
 
-def _spectrum_tolerances(method, n_res, p, cfg):
-    scale = p.hbar ** 2 / p.R ** 2
-    tol = cfg["tolerance"]
-    ctol = cfg["cluster_tol"]
-    if tol is None:
-        if method == "sector":
-            tol = 1e-8 * scale
-        elif n_res >= 3:
-            tol = 1e-4 * scale      # Richardson-extrapolated dense route
-        else:
-            tol = 5e-2 * scale      # raw single-resolution dense/iterative
-    if ctol is None:
-        ctol = (1e-6 if method == "sector" else 1e-2) * scale
-    return float(tol), float(ctol)
-
-
 # payloads list all k values and the sector route holds up to res * k; D=4
 # at levels 21 needs 3311, D=10 at levels 10 needs 72930
 _MAX_EIGENVALUES = 100_000
@@ -293,91 +280,37 @@ _MAX_EIGENVALUES = 100_000
 
 def run_spectrum(cfg):
     p = _model_params("spectrum", D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
-    if cfg["levels"] > 21:
-        raise ConfigError("spectrum: levels must be at most 21 (the reference "
-                          f"ladder stops at l = 20), got {cfg['levels']}")
-    res_list = list(cfg["res"])
-    if not res_list:
-        raise ConfigError("spectrum: 'res' needs at least one resolution")
     method = cfg["method"]
     if method == "auto":
-        method = "dense" if len(res_list) > 1 else "sector"
-    # a grid needs 4 nodes per axis; a sector block needs 2 polar nodes
-    # (D=2 sectors are solved on the grid)
-    min_res = 2 if method == "sector" and p.D > 2 else 4
-    if min(res_list) < min_res:
-        raise ConfigError(f"spectrum: the {method} route needs every "
-                          f"resolution >= {min_res}, got {min(res_list)}")
-    counts = [SpectralGrid.node_counts((r,) * (p.D - 1)) for r in res_list]
-    nodes = [max(c) for c in counts]  # what extrapolate compares per grid
-    if method == "dense" and (
-            len(res_list) == 2 or any(b <= a for a, b in zip(nodes, nodes[1:]))):
-        raise ConfigError(
-            "spectrum: the dense route takes one resolution, or three or more "
-            "whose largest node counts strictly rise; resolutions "
-            f"{', '.join(map(str, res_list))} give {', '.join(map(str, nodes))}")
-    ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
-    k = sum(m for _, m in ref_clusters)
-    if k > _MAX_EIGENVALUES:
-        raise ConfigError(f"spectrum: levels {cfg['levels']} at dim {p.D} need {k} "
-                          f"eigenvalues; a run lists at most {_MAX_EIGENVALUES}")
-    ref_eigs = reference_eigenvalues(p.D, cfg["levels"] - 1, p)
-    # grid routes solve on every grid (dense) or on the largest one
-    sizes = [math.prod(c) for c in counts]
-    size = min(sizes) if method == "dense" else max(sizes)
-    if (method != "sector" or p.D == 2) and k > size:
-        raise ConfigError(f"spectrum: levels {cfg['levels']} need {k} "
-                          f"eigenvalues, more than a grid of {size} nodes holds")
-    if method == "iterative" and LANCZOS_BUDGET // (8 * size) < k + 1:
-        raise ConfigError(f"spectrum: a Lanczos basis of {k + 1} rows of {size} "
-                          f"nodes needs {8 * size * (k + 1)} bytes, over the "
-                          f"{LANCZOS_BUDGET} byte budget")
-    tol, cluster_tol = _spectrum_tolerances(method, len(res_list), p, cfg)
-    cfg = dict(cfg, method=method, tolerance=tol, cluster_tol=cluster_tol)
-
-    per_res = []
-    route = method
-    extrapolation = {}
-    if method == "sector":
-        result = sector_spectrum(p, max(res_list), k, cluster_tol=cluster_tol)
-        values = result.eigenvalues
-    elif method == "iterative":
-        # single-vector Krylov resolves degenerate copies only through
-        # rounding noise, so compare leading distinct values, not counts
-        op = assemble(SpectralGrid.build(p, max(res_list)))
-        result = compute_spectrum(op, k, method="iterative",
-                                  seed=cfg["seed"], cluster_tol=cluster_tol)
-        values = result.eigenvalues
-    else:
-        raws = []
-        for r in res_list:
-            op = assemble(SpectralGrid.build(p, r))
-            raw = compute_spectrum(op, k, method="dense")
-            raws.append(raw)
-            per_res.append({
-                "res": r,
-                "max_raw_deviation":
-                    float(np.max(np.abs(raw.eigenvalues - ref_eigs))),
-            })
-        if len(raws) >= 3:
-            values, errs, flags = extrapolate(raws)
-            extrapolation = {
-                "extrapolation_error_estimates": [float(e) for e in errs],
-                "extrapolation_flagged": int(np.sum(flags))}
-            route = "dense+extrapolation"
-        else:
-            values = raws[-1].eigenvalues
-        result = SpectrumResult(
-            eigenvalues=np.sort(values),
-            clusters=cluster_eigenvalues(values, cluster_tol),
-            meta={"route": route, "res": res_list, "D": p.D, "R": p.R,
-                  "hbar": p.hbar, "scale": p.hbar ** 2 / p.R ** 2,
-                  "cluster_tol": cluster_tol},
-        )
-        values = result.eigenvalues
+        method = "dense" if len(cfg["res"]) > 1 else "sector"
+    scale = p.hbar ** 2 / p.R ** 2
+    cluster_tol = cfg["cluster_tol"]
+    if cluster_tol is None:
+        cluster_tol = (1e-6 if method == "sector" else 1e-2) * scale
+    # every ValueError here is a rejected input, raised before any solver
+    # runs: levels past the reference ladder, or a rule of the route
+    try:
+        ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
+        k = sum(m for _, m in ref_clusters)
+        if k > _MAX_EIGENVALUES:
+            raise ValueError(f"levels {cfg['levels']} at dim {p.D} need {k} "
+                             f"eigenvalues; a run lists at most {_MAX_EIGENVALUES}")
+        result = route_spectrum(p, cfg["res"], k, method, seed=cfg["seed"],
+                                cluster_tol=cluster_tol)
+    except ValueError as err:
+        raise ConfigError(f"spectrum: {err}") from None
+    meta = result.meta
+    tol = cfg["tolerance"]
+    # sector values are exact; raw grid values keep the discretization
+    # error that extrapolation removes
+    if tol is None:
+        tol = (1e-8 if method == "sector" else
+               1e-4 if meta["route"] == "dense+extrapolation" else 5e-2) * scale
+    cfg = dict(cfg, method=method, tolerance=float(tol),
+               cluster_tol=float(cluster_tol))
 
     clusters = result.clusters
-    distinct_only = bool(result.meta.get("distinct_only", False))
+    distinct_only = bool(meta.get("distinct_only", False))
     if distinct_only:
         pattern_ok = len(clusters) >= len(ref_clusters)
         clusters = clusters[: len(ref_clusters)]
@@ -388,27 +321,27 @@ def run_spectrum(cfg):
     value_dev = (float(np.max([abs(c[0] - rc[0])
                                for c, rc in zip(clusters, ref_clusters)]))
                  if pattern_ok else float("inf"))
-    e0 = float(values[0])
+    e0 = float(result.eigenvalues[0])
     e0_tol = cfg["e0_tol"] * p.hbar ** 2 / p.R ** 2
     passed = pattern_ok and value_dev <= tol and abs(e0) <= e0_tol
 
     results = {
-        "route": route,
-        "eigenvalues": [float(v) for v in values],
+        "route": meta["route"],
+        "eigenvalues": [float(v) for v in result.eigenvalues],
         "clusters": [[float(v), int(m)] for v, m in clusters],
         "reference_clusters": [[float(v), int(m)] for v, m in ref_clusters],
         "pattern_matches": bool(pattern_ok),
         "distinct_only": distinct_only,
         "ground_state": e0,
     }
-    if per_res:
-        results["per_res"] = per_res
-    results.update(extrapolation)
-    max_dev = {
-        "cluster_value": (None if value_dev == float("inf")
-                          else float(value_dev)),
-        "ground_state": abs(e0),
-    }
+    if "raw" in meta:
+        ref_eigs = reference_eigenvalues(p.D, cfg["levels"] - 1, p)
+        results["per_res"] = [
+            {"res": r, "max_raw_deviation": float(np.max(np.abs(raw - ref_eigs)))}
+            for r, raw in zip(meta["res"], meta["raw"])]
+    results.update({key: meta[key] for key in meta if key.startswith("extrapolation")})
+    max_dev = {"cluster_value": None if value_dev == float("inf") else value_dev,
+               "ground_state": abs(e0)}
     return ((0 if passed else 1),
             _report("spectrum", cfg, results, max_dev, passed),
             lambda: spectrum_csv_text(result))
@@ -553,7 +486,7 @@ def run_pathintegral(cfg):
     if not (cfg["r_min"] <= cfg["r_eval_min"] < cfg["r_eval_max"] <= cfg["r_max"]):
         raise ConfigError("pathintegral: evaluation window must sit inside "
                           "[r_min, r_max]")
-    p = ModelParams(D=2, R=1.0, hbar=cfg["hbar"])
+    p = _model_params("pathintegral", D=2, R=1.0, hbar=cfg["hbar"])
     r_samples = np.linspace(cfg["r_eval_min"], cfg["r_eval_max"],
                             cfg["r_eval_count"])
     prescription = {"naive": NAIVE_POLAR,

@@ -52,7 +52,8 @@ class PoleSingularityError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical constants: embedding dimension D, radius R, hbar."""
+    """Physical constants: embedding dimension D in 2..10, radius R and hbar
+    in [1e-30, 1e30]."""
 
     D: int
     R: float = 1.0
@@ -61,10 +62,12 @@ class ModelParams:
     def __post_init__(self):
         if not (isinstance(self.D, (int, np.integer)) and 2 <= self.D <= 10):
             raise ValueError(f"D must be an integer in [2, 10], got {self.D}")
-        if not self.R > 0:
-            raise ValueError(f"R must be positive, got {self.R}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        # beyond this range hbar^2 / R^2 and the powers of R the routes form
+        # overflow or underflow (1e-200 reads as a failed spectrum, 1e200
+        # as an OverflowError)
+        for name, v in (("R", self.R), ("hbar", self.hbar)):
+            if not 1e-30 <= v <= 1e30:
+                raise ValueError(f"{name} must lie in [1e-30, 1e30], got {v}")
 
 
 def _check_ball(x, p):

@@ -407,7 +407,7 @@ def semigroup_defect(psi, spec, p):
     return float(np.max(np.abs(one - two)) / np.max(np.abs(psi.samples)))
 
 
-def mollifier_bump(center, width, m=0, scale_power=0):
+def mollifier_bump(center, width, scale_power=0):
     """Smooth compactly supported profile exp(-1/(1-u^2)) on |u| < 1.
 
     u = (r - center)/width; optional r^scale_power prefactor gives mode-m
@@ -608,7 +608,7 @@ def potential_csv_text(table):
 def potential_json_dict(table):
     return {
         "midpoint_rule": table.meta["midpoint_rule"],
-        "prescription": table.meta.get("prescription", NAIVE_POLAR),
+        "prescription": table.meta["prescription"],
         "eps_list": [float(e) for e in table.meta["eps_list"]],
         "family_size": table.meta["family_size"],
         "rows": [{"r": float(table.r[i]),

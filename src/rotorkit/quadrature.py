@@ -38,7 +38,7 @@ def polar_exponent(D, k):
 def polar_nodes(n, alpha):
     """Nodes/weights for integral of h(u) (1-u^2)^alpha du over (-1, 1)."""
     if n < 2:
-        raise ValueError("need at least 2 polar nodes")
+        raise ValueError(f"need resolution >= 2 polar nodes, got {n}")
     if alpha == 0:
         u, w = np.polynomial.legendre.leggauss(n)
     else:
@@ -54,7 +54,7 @@ def hemisphere_polar_nodes(n, alpha):
     endpoint singularity of the half-integer weight stays exact.
     """
     if n < 2:
-        raise ValueError("need at least 2 polar nodes")
+        raise ValueError(f"need resolution >= 2 polar nodes, got {n}")
     if alpha == 0:
         t, wt = np.polynomial.legendre.leggauss(n)
     else:

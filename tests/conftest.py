@@ -15,3 +15,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, so tier-1 stays deterministic
+    settings.register_profile("rotorkit", derandomize=True, database=None,
+                              deadline=None)
+    settings.load_profile("rotorkit")

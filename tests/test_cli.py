@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rotorkit import cli, operators
+from rotorkit import cli, operators, spectra
 from rotorkit.cli import (
     ConfigError,
     SCHEMAS,
@@ -106,6 +106,8 @@ def test_exit_2_on_config_errors(capsys):
     (["--eps-list", "1e-3,6e-4,2.5e-4"], "geometric"),
     (["--eps-list", "1e-3,5e-4"], "at least 3"),
     (["--eps-list", "1e-3,1e-3,1e-3"], "distinct"),
+    (["--hbar", "1e200"], "hbar must lie in [1e-30, 1e30]"),
+    (["--hbar", "1e-200"], "hbar must lie in [1e-30, 1e30]"),
 ])
 def test_exit_2_on_bad_pathintegral_config(flags, needle, capsys):
     code, out, err = run(["pathintegral", *flags], capsys)
@@ -122,6 +124,17 @@ def test_exit_2_on_bad_pathintegral_config(flags, needle, capsys):
     (["check", "angular-momentum", "--lmax", "-1"], "'lmax' must be positive"),
     (["check", "chart-equivalence", "--lmax", "0"], "'lmax' must be positive"),
     (["check", "hermiticity", "--dim", "2"], "dim >= 3"),
+    (["check", "chart-equivalence", "--radius", "1e200"], "R must lie in"),
+    (["check", "chart-equivalence", "--radius", "1e-200"], "R must lie in"),
+    (["check", "dirac-brackets", "--radius", "1e-200"], "R must lie in"),
+    (["check", "hermiticity", "--radius", "1e200"], "R must lie in"),
+    (["check", "angular-momentum", "--hbar", "inf"], "hbar must lie in"),
+    (["check", "chart-equivalence", "--tolerance", "nan"],
+     "'tolerance' must be positive"),
+    (["check", "dirac-brackets", "--tolerance", "-1"],
+     "'tolerance' must be positive"),
+    (["classical", "--radius", "1e200"], "R must lie in"),
+    (["classical", "--radius", "inf"], "R must lie in"),
 ])
 def test_exit_2_on_bad_check_config(argv, needle, capsys):
     code, out, err = run(argv, capsys)
@@ -145,11 +158,69 @@ def test_exit_2_on_bad_check_config(argv, needle, capsys):
     (["--res", "4", "--levels", "21", "--method", "dense"], "441 eigenvalues"),
     (["--dim", "10", "--res", "6", "--method", "iterative"], "byte budget"),
     (["--dim", "10", "--levels", "21"], "at most 100000"),
+    (["--res", "3,64", "--method", "iterative"], "resolution >= 4"),
+    (["--res", "1,32", "--method", "sector"], "resolution >= 2"),
+    (["--radius", "1e-200"], "R must lie in [1e-30, 1e30]"),
+    (["--radius", "1e-160"], "R must lie in"),
+    (["--radius", "1e200"], "R must lie in"),
+    (["--radius", "inf"], "R must lie in"),
+    (["--radius", "nan"], "'radius' must be positive"),
+    (["--hbar", "1e200"], "hbar must lie in [1e-30, 1e30]"),
+    (["--hbar", "1e-200"], "hbar must lie in"),
+    (["--hbar", "inf"], "hbar must lie in"),
+    (["--cluster-tol", "-1"], "'cluster_tol' must be positive"),
+    (["--tolerance", "nan"], "'tolerance' must be positive"),
+    (["--tolerance", "0"], "'tolerance' must be positive"),
 ])
-def test_exit_2_on_bad_spectrum_config(flags, needle, capsys):
+def test_exit_2_on_bad_spectrum_config(flags, needle, monkeypatch, capsys):
+    # every rule is checked before the first eigensolve or operator apply
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran on a rejected input")
+    for name in ("eigvalsh", "eigh", "eigh_tridiagonal"):
+        monkeypatch.setattr(spectra, name, solver)
+    monkeypatch.setattr(spectra.GridOperator, "apply", solver)
+    monkeypatch.setattr(np.linalg, "eig", solver)
     code, out, err = run(["spectrum", *flags], capsys)
     assert code == 2 and needle in err
     assert out == "" and "Traceback" not in err
+
+
+def test_iterative_route_solves_at_the_largest_resolution(capsys):
+    # held to the raw-grid tolerance, since nothing is extrapolated
+    code, listed, _ = run(["spectrum", "--res", "32,48,64", "--method",
+                           "iterative", "--seed", "0"], capsys)
+    assert code == 0
+    code, single, _ = run(["spectrum", "--res", "64", "--method", "iterative",
+                           "--seed", "0"], capsys)
+    assert code == 0
+    listed, single = json.loads(listed), json.loads(single)
+    assert listed["resolved_config"].pop("res") == [32, 48, 64]
+    assert single["resolved_config"].pop("res") == [64]
+    assert listed == single
+    assert listed["resolved_config"]["tolerance"] == 5e-2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--radius", "1e30", "--res", "32", "--method", "iterative"],
+    ["--hbar", "1e-30", "--res", "32,48,64"],
+])
+def test_spectrum_at_the_small_end_of_the_energy_scale(flags, capsys):
+    # hbar^2 / R^2 = 1e-60: the Lanczos and extrapolation convergence
+    # tests scale with the values, with no absolute floor above them
+    code, out, _ = run(["spectrum", *flags], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["pattern_matches"] is True
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+def test_sector_route_at_the_top_of_the_ladder(dim, capsys):
+    # the blocks' non-real eigenvalues sit far above the reported ones
+    code, out, _ = run(["spectrum", "--dim", str(dim), "--levels", "21",
+                        "--res", "96", "--method", "sector"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["pattern_matches"] is True
+    assert len(results["clusters"]) == 21
 
 
 def _nan_sphere_defect(monkeypatch, hit):

@@ -49,7 +49,7 @@ EPS_LIST = [1e-3, 5e-4, 2.5e-4]
 def _bump(m=0):
     power = m if m else 0
     return RadialWavefunction.from_callable(
-        mollifier_bump(2.0, 1.2, m=m, scale_power=power), m, GRID)
+        mollifier_bump(2.0, 1.2, scale_power=power), m, GRID)
 
 
 def test_exact_kernel_reproduces_gaussian_heat_flow():
@@ -216,7 +216,7 @@ def test_banded_kernel_matches_dense_oracle(prescription, rule):
     peak = np.max(np.abs(dense), axis=1, keepdims=True)
     assert np.all((np.abs(dense) < bound * peak)[~band])
     psi = RadialWavefunction.from_callable(
-        mollifier_bump(1.75, 0.8, m=m, scale_power=m), m, grid)
+        mollifier_bump(1.75, 0.8, scale_power=m), m, grid)
     out = slice_step(psi, spec, P2).samples
     want = dense @ (psi.samples * grid.nodes * grid.trapezoid_weights)
     assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
