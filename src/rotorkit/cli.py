@@ -15,30 +15,30 @@ reports.  The check suites live with the operators they check:
 Exit codes:
   0  all checks passed
   1  a tolerance was exceeded (report still written, pass: false)
-  2  configuration error, before any solver runs: bad key, bad value
-     (tolerances must be positive), a dim outside ModelParams' 2..10 or a
-     radius or hbar outside its [1e-30, 1e30] (check hermiticity and
-     dirac-brackets need dim >= 3), spectrum levels above 21 or past 100000
-     eigenvalues, a rule of the spectrum route that spectra.route_spectrum
-     raises before its first eigensolve (a resolution below the route's
-     node minimum, 4 per grid axis and 2 for sector blocks; dense
-     resolutions that are two or whose node counts do not strictly rise;
-     more eigenvalues than a grid holds; a Lanczos basis of k + 1 grid rows
-     past the 2 GiB spectra.LANCZOS_BUDGET), check lmax below 1,
-     hermiticity res below 2, and pathintegral grid, slice-step and
-     kernel-width preconditions
+  2  rejected input, before any solver runs.  This module rejects bad
+     keys and values (positive keys must also be finite) and holds the
+     rules of keys only it has: a check suite must be selected, the
+     pathintegral evaluation window must sit inside [r_min, r_max], and a
+     spectrum lists at most 100000 eigenvalues.  Every other rule lives
+     once, in the layer that owns it, and the layer checks it at entry,
+     before its first solve: geometry.ModelParams (dim, radius, hbar),
+     spectra.route_spectrum, the check suites in operators and dynamics,
+     dynamics.integrate_reduced with PhaseState.validate, and
+     pathintegral.extract_effective_potential with RadialGrid.  ``main``
+     maps every ValueError to exit 2, so exit 2 never follows a solver call
   3  an iterative scheme failed to converge
   4  classical trajectory left the chart margin (exit time in the report)
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .geometry import ChartDomainError, ModelParams
+from .geometry import ModelParams
 from .operators import (suite_angular_momentum, suite_chart_equivalence,
                         suite_hermiticity)
 from .spectra import (NonConvergenceError, reference_eigenvalues,
@@ -65,6 +65,7 @@ class ConfigError(ValueError):
 # configuration schema and parsing
 
 # field spec: type, default, help, optional choices, optional positivity
+# (positive and finite); ModelParams alone bounds radius and hbar
 def _f(typ, default, help_, choices=None, positive=False):
     return {"type": typ, "default": default, "help": help_,
             "choices": choices, "positive": positive}
@@ -76,8 +77,8 @@ CHECK_SUITES = ("chart-equivalence", "hermiticity", "angular-momentum",
 SCHEMAS = {
     "spectrum": {
         "dim": _f("int", 3, "embedding dimension, 2 to 10"),
-        "radius": _f("float", 1.0, "sphere radius R", positive=True),
-        "hbar": _f("float", 1.0, "Planck constant", positive=True),
+        "radius": _f("float", 1.0, "sphere radius R"),
+        "hbar": _f("float", 1.0, "Planck constant"),
         "levels": _f("int", 4, "exact levels l = 0..levels-1 to compare",
                      positive=True),
         "res": _f("ints", (48, 64, 96),
@@ -97,8 +98,8 @@ SCHEMAS = {
         "suite": _f("str", None, "which invariant family to verify",
                     choices=CHECK_SUITES),
         "dim": _f("int", 3, "embedding dimension"),
-        "radius": _f("float", 1.0, "sphere radius R", positive=True),
-        "hbar": _f("float", 1.0, "Planck constant", positive=True),
+        "radius": _f("float", 1.0, "sphere radius R"),
+        "hbar": _f("float", 1.0, "Planck constant"),
         "lmax": _f("int", 9, "largest harmonic degree in the test family",
                    positive=True),
         "samples": _f("int_or_auto", None,
@@ -112,7 +113,7 @@ SCHEMAS = {
     },
     "classical": {
         "dim": _f("int", 3, "embedding dimension"),
-        "radius": _f("float", 1.0, "sphere radius R", positive=True),
+        "radius": _f("float", 1.0, "sphere radius R"),
         "q0": _f("floats", (0.2, 0.0), "initial reduced position"),
         "p0": _f("floats", (0.0, 0.08), "initial reduced momentum"),
         "duration": _f("float", 10.0, "integration time", positive=True),
@@ -126,7 +127,7 @@ SCHEMAS = {
         "seed": _f("int", 0, "unused; recorded for config uniformity"),
     },
     "pathintegral": {
-        "hbar": _f("float", 1.0, "Planck constant", positive=True),
+        "hbar": _f("float", 1.0, "Planck constant"),
         "eps_list": _f("floats", (1e-3, 5e-4, 2.5e-4),
                        "descending Euclidean slice widths"),
         "r_min": _f("float", 0.1, "inner radial cutoff", positive=True),
@@ -154,7 +155,7 @@ SCHEMAS = {
 }
 
 
-def _coerce(cmd, key, raw, spec):
+def _coerce(key, raw, spec):
     """Turn a string (or already-typed default) into the schema's type."""
     typ = spec["type"]
     try:
@@ -177,16 +178,16 @@ def _coerce(cmd, key, raw, spec):
         else:  # pragma: no cover - schema bug
             raise AssertionError(f"unhandled schema type {typ}")
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"{cmd}: key '{key}' expects {typ}, got {raw!r}") from None
+        raise ConfigError(f"key '{key}' expects {typ}, got {raw!r}") from None
     if spec["choices"] is not None and val not in spec["choices"]:
         raise ConfigError(
-            f"{cmd}: key '{key}' must be one of {', '.join(spec['choices'])}; "
+            f"key '{key}' must be one of {', '.join(spec['choices'])}; "
             f"got {val!r}")
     if spec["positive"]:
         seq = val if isinstance(val, tuple) else (val,)
-        if any(not (v > 0) for v in seq):
-            raise ConfigError(f"{cmd}: key '{key}' must be positive, got {val!r}")
+        if any(not (0 < v < math.inf) for v in seq):
+            raise ConfigError(
+                f"key '{key}' must be positive and finite, got {val!r}")
     return val
 
 
@@ -232,12 +233,12 @@ def resolve_config(cmd, file_entries, flag_entries):
     cfg = {k: spec["default"] for k, spec in schema.items()}
     for key, raw in file_entries.items():
         if key not in schema:
-            raise ConfigError(f"{cmd}: unknown config key '{key}'")
-        cfg[key] = _coerce(cmd, key, raw, schema[key])
+            raise ConfigError(f"unknown config key '{key}'")
+        cfg[key] = _coerce(key, raw, schema[key])
     for key, raw in flag_entries.items():
         if raw is None:
             continue
-        cfg[key] = _coerce(cmd, key, raw, schema[key])
+        cfg[key] = _coerce(key, raw, schema[key])
     return cfg
 
 
@@ -258,14 +259,6 @@ def _report(cmd, cfg, results, max_deviations, passed):
     }
 
 
-def _model_params(cmd, **kwargs):
-    """ModelParams, with a rejected value reported as a configuration error."""
-    try:
-        return ModelParams(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{cmd}: {err}") from None
-
-
 def json_text(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -279,7 +272,7 @@ _MAX_EIGENVALUES = 100_000
 
 
 def run_spectrum(cfg):
-    p = _model_params("spectrum", D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
+    p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
     method = cfg["method"]
     if method == "auto":
         method = "dense" if len(cfg["res"]) > 1 else "sector"
@@ -287,18 +280,13 @@ def run_spectrum(cfg):
     cluster_tol = cfg["cluster_tol"]
     if cluster_tol is None:
         cluster_tol = (1e-6 if method == "sector" else 1e-2) * scale
-    # every ValueError here is a rejected input, raised before any solver
-    # runs: levels past the reference ladder, or a rule of the route
-    try:
-        ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
-        k = sum(m for _, m in ref_clusters)
-        if k > _MAX_EIGENVALUES:
-            raise ValueError(f"levels {cfg['levels']} at dim {p.D} need {k} "
-                             f"eigenvalues; a run lists at most {_MAX_EIGENVALUES}")
-        result = route_spectrum(p, cfg["res"], k, method, seed=cfg["seed"],
-                                cluster_tol=cluster_tol)
-    except ValueError as err:
-        raise ConfigError(f"spectrum: {err}") from None
+    ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
+    k = sum(m for _, m in ref_clusters)
+    if k > _MAX_EIGENVALUES:
+        raise ConfigError(f"levels {cfg['levels']} at dim {p.D} need {k} "
+                          f"eigenvalues; a run lists at most {_MAX_EIGENVALUES}")
+    result = route_spectrum(p, cfg["res"], k, method, seed=cfg["seed"],
+                            cluster_tol=cluster_tol)
     meta = result.meta
     tol = cfg["tolerance"]
     # sector values are exact; raw grid values keep the discretization
@@ -362,21 +350,13 @@ _SUITE_DEFAULTS = {
 def run_check(cfg):
     suite = cfg["suite"]
     if suite is None:
-        raise ConfigError("check: no suite selected (positional argument "
-                          f"or 'suite' config key; one of {', '.join(CHECK_SUITES)})")
+        raise ConfigError("no suite selected (positional argument or 'suite' "
+                          f"config key; one of {', '.join(CHECK_SUITES)})")
     default_samples, default_tol = _SUITE_DEFAULTS[suite]
     samples = cfg["samples"] if cfg["samples"] is not None else default_samples
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else default_tol
     cfg = dict(cfg, samples=samples, tolerance=tol)
-    p = _model_params("check", D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
-    # at D=2 the hermiticity control takes sin^(1/2) of the azimuth (NaN),
-    # and the bracket suite's Jacobi and antisymmetry triples use x3 and p3
-    if suite in ("hermiticity", "dirac-brackets") and p.D < 3:
-        raise ConfigError(f"check: {suite} needs dim >= 3, got dim {p.D}")
-    if suite == "hermiticity" and cfg["res"] < 2:
-        raise ConfigError("check: hermiticity needs res >= 2 quadrature "
-                          f"nodes, got {cfg['res']}")
-
+    p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
     if suite == "chart-equivalence":
         results, worst = suite_chart_equivalence(p, cfg["lmax"], samples,
                                                  cfg["seed"])
@@ -424,12 +404,9 @@ def _kv_csv_text(results):
 # classical
 
 def run_classical(cfg):
-    p = _model_params("classical", D=cfg["dim"], R=cfg["radius"])
-    try:
-        s0 = PhaseState(chart=PHASE_REDUCED, q=np.array(cfg["q0"]),
-                        p=np.array(cfg["p0"])).validate(p)
-    except (ChartDomainError, ValueError) as err:
-        raise ConfigError(f"classical: bad initial state: {err}") from None
+    p = ModelParams(D=cfg["dim"], R=cfg["radius"])
+    s0 = PhaseState(chart=PHASE_REDUCED, q=np.array(cfg["q0"]),
+                    p=np.array(cfg["p0"]))
     T, dt = cfg["duration"], cfg["dt"]
     try:
         traj = integrate_reduced(s0, T, dt, p, margin=cfg["margin"])
@@ -481,27 +458,17 @@ def run_classical(cfg):
 # pathintegral
 
 def run_pathintegral(cfg):
-    if cfg["r_min"] >= cfg["r_max"]:
-        raise ConfigError("pathintegral: need r_min < r_max")
-    if not (cfg["r_min"] <= cfg["r_eval_min"] < cfg["r_eval_max"] <= cfg["r_max"]):
-        raise ConfigError("pathintegral: evaluation window must sit inside "
-                          "[r_min, r_max]")
-    p = _model_params("pathintegral", D=2, R=1.0, hbar=cfg["hbar"])
+    p = ModelParams(D=2, R=1.0, hbar=cfg["hbar"])
+    grid = RadialGrid(cfg["r_min"], cfg["r_max"], cfg["nodes"])
+    if not (grid.r_min <= cfg["r_eval_min"] < cfg["r_eval_max"] <= grid.r_max):
+        raise ConfigError("evaluation window must sit inside [r_min, r_max]")
     r_samples = np.linspace(cfg["r_eval_min"], cfg["r_eval_max"],
                             cfg["r_eval_count"])
     prescription = {"naive": NAIVE_POLAR,
                     "corrected": CORRECTED_POLAR}[cfg["prescription"]]
-    # every ValueError here is a rejected input: too few grid nodes, slice
-    # steps that are not geometric or fewer than three, steps whose kernel
-    # width does not fit the grid (KernelWidthError), or probes reaching the
-    # grid edge (SupportError)
-    try:
-        grid = RadialGrid(cfg["r_min"], cfg["r_max"], cfg["nodes"])
-        table = extract_effective_potential(
-            default_probe_family(grid), r_samples, cfg["eps_list"], p,
-            midpoint_rule=cfg["midpoint_rule"], prescription=prescription)
-    except ValueError as err:
-        raise ConfigError(f"pathintegral: {err}") from None
+    table = extract_effective_potential(
+        default_probe_family(grid), r_samples, cfg["eps_list"], p,
+        midpoint_rule=cfg["midpoint_rule"], prescription=prescription)
 
     coeff = 1.0 + table.relative_error  # 8 r^2 dV / hbar^2
     results = potential_json_dict(table)
@@ -601,8 +568,8 @@ def main(argv=None):
             flag_entries["suite"] = args.suite_pos
         cfg = resolve_config(cmd, file_entries, flag_entries)
         code, report, csv_payload = _RUNNERS[cmd](cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except ValueError as err:  # ConfigError included: a rejected input
+        print(f"error: {cmd}: {err}", file=sys.stderr)
         return 2
     except (NonConvergenceError, StepConvergenceError) as err:
         payload = json_text({"tool_version": __version__, "command": cmd,

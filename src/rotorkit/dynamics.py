@@ -46,6 +46,7 @@ from . import expressions as ex
 from .geometry import (ChartDomainError, ModelParams, PoleSingularityError,
                        curvilinear_inverse_metric, inverse_metric, lift)
 from .operators import embedding_exprs_hyperspherical, hyperspherical_var_names
+from .spectra import LANCZOS_BUDGET
 
 __all__ = [
     "PHASE_REDUCED", "PHASE_EMBEDDED", "PHASE_CANONICAL",
@@ -103,6 +104,8 @@ class PhaseState:
             raise ValueError(f"unknown phase chart '{self.chart}'")
         if self.q.shape != (dim,):
             raise ChartDomainError(f"chart '{self.chart}' expects {dim} coordinates")
+        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
+            raise ValueError("phase state q and p must be finite")
         if self.chart == PHASE_REDUCED and np.dot(self.q, self.q) >= p.R ** 2:
             raise ChartDomainError("reduced position outside the chart ball")
         return self
@@ -187,17 +190,25 @@ def integrate_reduced(s0, T, dt, p, margin=0.05, tol=1e-13):
     Raises ChartMarginError (with the exit time) the moment the position
     radius exceeds (1 - margin) R; the chart itself only fails at |q| = R,
     but the metric conditioning degrades as 1/(R^2 - |q|^2), so the margin
-    error tells the caller to re-chart well before that.
+    error tells the caller to re-chart well before that.  Every input rule
+    is checked before the first step: margin in [0, 1), finite dt > 0 and
+    T >= 0, and the position and momentum arrays within LANCZOS_BUDGET.
     """
     s0 = s0.validate(p)
     if s0.chart != PHASE_REDUCED:
         raise ChartDomainError("integrate_reduced expects the reduced chart")
-    if dt <= 0 or T < 0:
-        raise ValueError("need dt > 0 and T >= 0")
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must lie in [0, 1), got {margin}")
+    if not (0.0 < dt < math.inf and 0.0 <= T < math.inf):
+        raise ValueError(f"need finite dt > 0 and T >= 0, got dt={dt}, T={T}")
+    n = p.D - 1
+    nbytes = 2 * 8 * n * (T / dt + 1)  # float: T / dt may overflow
+    if nbytes > LANCZOS_BUDGET:
+        raise ValueError(f"{T / dt:.3g} steps need {nbytes:.3g} bytes of "
+                         f"trajectory, over the {LANCZOS_BUDGET} byte budget")
     nsteps = int(round(T / dt))
     limit = (1.0 - margin) * p.R
     z = np.concatenate([s0.q, s0.p])
-    n = p.D - 1
     qs = np.empty((nsteps + 1, n))
     ps = np.empty((nsteps + 1, n))
     qs[0], ps[0] = z[:n], z[n:]
@@ -446,12 +457,12 @@ def omega2_pullback_expr(p):
                     for xn, pn in zip(xnames, pnames)])
 
 
-def _random_canonical_points(p, samples, seed, pole_margin=0.15):
+def _random_canonical_points(p, samples, seed):
     rng = np.random.default_rng(seed)
     n = p.D - 1
     qs = np.empty((samples, n))
-    for k in range(p.D - 2):  # polar angles, kept away from both poles
-        qs[:, k] = rng.uniform(pole_margin, math.pi - pole_margin, samples)
+    for k in range(p.D - 2):  # polar angles, kept 0.15 away from both poles
+        qs[:, k] = rng.uniform(0.15, math.pi - 0.15, samples)
     qs[:, n - 1] = rng.uniform(0.0, 2.0 * math.pi, samples)
     ps = rng.standard_normal((samples, n))
     return qs, ps
@@ -473,6 +484,7 @@ def bracket_check_report(p, samples=1000, seed=7):
     absolute deviation between the canonical-chart bracket and the oracle
     table over random shell points.
     """
+    env = _canonical_sample_env(p, samples, seed)  # rejects a bad seed first
     xnames, pnames = embedded_phase_vars(p)
     xs = [Observable(ex.Var(n), PHASE_EMBEDDED) for n in xnames]
     pvars = [Observable(ex.Var(n), PHASE_EMBEDDED) for n in pnames]
@@ -480,7 +492,6 @@ def bracket_check_report(p, samples=1000, seed=7):
     pairs = {"xx": (xs, xs), "xp": (xs, pvars), "pp": (pvars, pvars)}
     families = {kind: [[dirac_bracket_expr(fa, gb, p) for gb in g] for fa in f]
                 for kind, (f, g) in pairs.items()}
-    env = _canonical_sample_env(p, samples, seed)
     xval = np.stack([np.broadcast_to(ex.evaluate(mapping[n], env), samples)
                      for n in xnames])
     pval = np.stack([np.broadcast_to(ex.evaluate(mapping[n], env), samples)
@@ -543,7 +554,7 @@ def suite_dirac_brackets(p, samples, seed):
     triples use x3 and p3, so D must be at least 3.
     """
     if p.D < 3:
-        raise ValueError(f"the bracket suite needs D >= 3, got D={p.D}")
+        raise ValueError(f"dirac-brackets needs dim >= 3, got dim {p.D}")
     report = bracket_check_report(p, samples=samples, seed=seed)
     report["antisymmetry_exact"] = _antisymmetry_exact(p, samples, seed)
     report["jacobi_max_deviation"] = _jacobi_deviation(p, samples, seed)

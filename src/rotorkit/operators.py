@@ -93,7 +93,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.res < 2:
-            raise ValueError("quadrature resolution must be at least 2 nodes")
+            raise ValueError(f"quadrature needs res >= 2 nodes, got {self.res}")
 
 
 def reduced_var_names(p):
@@ -458,13 +458,13 @@ def hermiticity_defect(tag, f, h, p, spec=QuadratureSpec()):
 
 # -- check suites ------------------------------------------------------------
 
-def _ball_samples(p, n, seed, shell=0.9):
-    """Reduced-chart points in the ball |x| <= shell R, plus their angles."""
+def _ball_samples(p, n, seed):
+    """Reduced-chart points in the ball |x| <= 0.9 R, plus their angles."""
     rng = np.random.default_rng(seed)
     d = p.D - 1
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = shell * p.R * rng.random(n) ** (1.0 / d)
+    radii = 0.9 * p.R * rng.random(n) ** (1.0 / d)
     pts = dirs * radii[:, None]
     angles = np.array([to_hyperspherical(lift(x, p), p)[1] for x in pts])
     return pts, angles
@@ -540,7 +540,7 @@ def _midpoint_angular_grid(p, res):
     return pts, w
 
 
-def _sphere_defect(tag, h1, h2, p, res, chart):
+def _sphere_defect(tag, h1, h2, p, spec, chart):
     """Hermiticity defect of T over the whole sphere, normalized by |h1| |h2|.
 
     h1 and h2 are embedded-coordinate expressions, pulled back to ``chart``.
@@ -550,11 +550,11 @@ def _sphere_defect(tag, h1, h2, p, res, chart):
     covers the sphere once, on the midpoint angular grid.
     """
     if chart == CHART_REDUCED:
-        pts, w, names = _chart_grid(chart, p, QuadratureSpec(res))
+        pts, w, names = _chart_grid(chart, p, spec)
         lifts = [(pullback_to_reduced(h1, p, hemisphere=s),
                   pullback_to_reduced(h2, p, hemisphere=s)) for s in (1, -1)]
     else:
-        pts, w = _midpoint_angular_grid(p, res)
+        pts, w = _midpoint_angular_grid(p, spec.res)
         names = hyperspherical_var_names(p)
         lifts = [(pullback_to_hyperspherical(h1, p),
                   pullback_to_hyperspherical(h2, p))]
@@ -573,10 +573,14 @@ def suite_hermiticity(p, res, seed):
     """<f, T h> = <T f, h> under the sphere measure for H and every pi.
 
     The displayed-convention curvilinear momentum is reported but excluded
-    from the pass criterion; it is documented as non-hermitian.  At D=2
-    there is no polar angle, so it takes sin^{1/2} of the azimuth and
-    evaluates to NaN, which fails the suite.
+    from the pass criterion; it is documented as non-hermitian.  D must be
+    at least 3, since at D=2 there is no polar angle for that control to
+    act on, and res at least 2; both are checked before any harmonic is
+    built.
     """
+    if p.D < 3:
+        raise ValueError(f"hermiticity needs dim >= 3, got dim {p.D}")
+    spec = QuadratureSpec(res)
     harmonics = [harmonic_polynomials(p.D, l)[0] for l in (1, 2, 3)]
     # pi_cart is symmetric on functions vanishing at the chart edge (the
     # equator); x_D^2 damping puts the test pair in that domain and keeps
@@ -597,17 +601,15 @@ def suite_hermiticity(p, res, seed):
     worst = 0.0
     for name, tag, chart, family, label in checks:
         for a, b in pairs:
-            d = _sphere_defect(tag, family[a], family[b], p, res, chart)
+            d = _sphere_defect(tag, family[a], family[b], p, spec, chart)
             rows.append({"operator": name, "pair": f"{label}l{a + 1},l{b + 1}",
                          "defect": float(d)})
             worst = float(np.maximum(worst, d))
     # deliberately non-hermitian control, excluded from the max; the pair is
     # picked so no parity accident hides the defect
     displayed = OperatorTag("pi_curv", i=1, convention="displayed")
-    deg1 = harmonic_polynomials(p.D, 1)
-    deg2 = harmonic_polynomials(p.D, 2)
-    control = _sphere_defect(displayed, deg1[min(2, len(deg1) - 1)],
-                             deg2[min(1, len(deg2) - 1)], p, res,
+    control = _sphere_defect(displayed, harmonic_polynomials(p.D, 1)[2],
+                             harmonic_polynomials(p.D, 2)[1], p, spec,
                              CHART_HYPERSPHERICAL)
     if math.isnan(control):
         worst = control  # a control that cannot be measured fails the suite

@@ -173,8 +173,8 @@ class SliceKernelSpec:
     midpoint_rule: str = "geometric"
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("need eps > 0")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"need a finite eps > 0, got {self.eps}")
         if self.prescription not in PRESCRIPTIONS:
             raise ValueError(f"unknown prescription '{self.prescription}'")
         if self.midpoint_rule not in MIDPOINT_RULES:
@@ -189,7 +189,7 @@ def angular_factor_exact(z, m):
     return ive(abs(int(m)), np.asarray(z, dtype=float))
 
 
-def _doubling_trapezoid(sample_fn, n0, tol, nmax):
+def _doubling_trapezoid(sample_fn):
     """Integrate over theta in (-pi, pi] by uniform sums, doubling until stable.
 
     sample_fn(theta_array) -> integrand values with shape (..., ntheta);
@@ -198,7 +198,7 @@ def _doubling_trapezoid(sample_fn, n0, tol, nmax):
     doubling converges geometrically; failure to stabilize indicates a
     parameter regime the kernel preconditions should have rejected.
     """
-    n = int(n0)
+    n, tol, nmax = 256, 1e-10, 1 << 16
     prev = None
     while n <= nmax:
         theta = -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
@@ -214,7 +214,7 @@ def _doubling_trapezoid(sample_fn, n0, tol, nmax):
         f"angular integral not stable to {tol:g} within {nmax} nodes")
 
 
-def angular_factor_quadrature(z, m, n0=256, tol=1e-10, nmax=1 << 16):
+def angular_factor_quadrature(z, m):
     """E_m(z) by quadrature of (1/2pi) int exp(z(cos t - 1)) cos(m t) dt."""
     z = np.asarray(z, dtype=float)
     m = abs(int(m))
@@ -223,7 +223,7 @@ def angular_factor_quadrature(z, m, n0=256, tol=1e-10, nmax=1 << 16):
         return (np.exp(z[..., None] * (np.cos(theta) - 1.0))
                 * np.cos(m * theta))
 
-    return _doubling_trapezoid(fn, n0, tol, nmax) / (2.0 * math.pi)
+    return _doubling_trapezoid(fn) / (2.0 * math.pi)
 
 
 def naive_angular_factor(a, m):
@@ -236,7 +236,7 @@ def naive_angular_factor(a, m):
     return np.sqrt(math.pi / a) * np.exp(-m * m / (4.0 * a))
 
 
-def naive_angular_factor_quadrature(a, m, n0=256, tol=1e-10, nmax=1 << 16):
+def naive_angular_factor_quadrature(a, m):
     """The same integral restricted to (-pi, pi], by doubling quadrature."""
     a = np.asarray(a, dtype=float)
     m = abs(int(m))
@@ -244,7 +244,7 @@ def naive_angular_factor_quadrature(a, m, n0=256, tol=1e-10, nmax=1 << 16):
     def fn(theta):
         return np.exp(-a[..., None] * theta ** 2) * np.cos(m * theta)
 
-    return _doubling_trapezoid(fn, n0, tol, nmax)
+    return _doubling_trapezoid(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +545,11 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     ``meta["richardson_flagged"]`` counts, over the family, the reported
     samples whose Richardson sequence was flagged as not settling, for the
     polar and the exact route.
+
+    Every rule the slice steps would raise is checked before the first
+    kernel is built: geometric steps, each step's kernel width under both
+    prescriptions, each probe's support, and at least one radius where
+    every probe clears psi_floor.
     """
     if prescription == EXACT_CARTESIAN:
         raise ValueError("extraction compares a polar prescription against "
@@ -556,12 +561,20 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     for psi in psi_family:
         if psi.grid != grid:
             raise ValueError("family members must share one grid")
+    for eps in _check_geometric(eps_list)[0]:
+        for presc in (prescription, EXACT_CARTESIAN):
+            _validate_widths(SliceKernelSpec(eps, presc, midpoint_rule), grid, p)
+    for psi in psi_family:
+        psi.validate()
     nodes = grid.nodes
     idx = np.array([int(np.argmin(np.abs(nodes - float(rr)))) for rr in r_samples])
     floor_ok = np.ones(len(idx), dtype=bool)
     for psi in psi_family:
         peak = float(np.max(np.abs(psi.samples)))
         floor_ok &= np.abs(psi.samples[idx]) >= psi_floor * peak
+    if not floor_ok.any():
+        raise ValueError(f"no extraction radius where every probe exceeds "
+                         f"{psi_floor:g} of its peak")
     kept = idx[floor_ok]
     ratios = []
     flagged = {"polar": 0, "exact": 0}

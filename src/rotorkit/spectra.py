@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
-from scipy.optimize import brentq
 
 from .geometry import ModelParams, sphere_area
 from .quadrature import azimuth_nodes, polar_exponent, polar_nodes
@@ -516,9 +515,17 @@ def _fit_order(v1, v2, v3, n1, n2, n3):
         return ((n1 ** -pw - n2 ** -pw) / (n2 ** -pw - n3 ** -pw)
                 - (v1 - v2) / (v2 - v3))
     lo, hi = 0.25, 16.0
-    if gap(lo) * gap(hi) > 0:
+    g_lo = gap(lo)
+    if g_lo * gap(hi) > 0:
         return None
-    return brentq(gap, lo, hi, xtol=1e-12)
+    while hi - lo > 1e-12:  # bisection keeps the sign change inside [lo, hi]
+        mid = 0.5 * (lo + hi)
+        g_mid = gap(mid)
+        if g_lo * g_mid > 0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _rising_node_counts(counts):

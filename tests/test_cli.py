@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rotorkit import cli, operators, spectra
+from rotorkit import cli, dynamics, expressions, operators, pathintegral, spectra
 from rotorkit.cli import (
     ConfigError,
     SCHEMAS,
@@ -41,7 +41,8 @@ def test_defaults_then_file_then_flags():
 def test_unknown_and_invalid_keys_are_config_errors():
     with pytest.raises(ConfigError):
         resolve_config("spectrum", {"dims": "3"}, {})
-    with pytest.raises(ConfigError):  # the model accepts D in 2..10
+    # the model accepts D in 2..10
+    with pytest.raises(ValueError, match="D must be an integer"):
         cli.run_spectrum(resolve_config("spectrum", {}, {"dim": "11"}))
     with pytest.raises(ConfigError):
         resolve_config("classical", {}, {"dt": "-0.1"})
@@ -108,8 +109,19 @@ def test_exit_2_on_config_errors(capsys):
     (["--eps-list", "1e-3,1e-3,1e-3"], "distinct"),
     (["--hbar", "1e200"], "hbar must lie in [1e-30, 1e30]"),
     (["--hbar", "1e-200"], "hbar must lie in [1e-30, 1e30]"),
+    (["--nodes", "1500"], "under-resolved"),
+    (["--eps-list", "nan,nan,nan"], "finite eps > 0"),
+    (["--r-min", "5", "--r-max", "4"], "r_min < r_max"),
+    (["--r-max", "4"], "outer tail"),
+    (["--r-eval-min", "6", "--r-eval-max", "7.5"], "no extraction radius"),
+    (["--fit-tol", "inf"], "'fit_tol' must be positive and finite"),
 ])
-def test_exit_2_on_bad_pathintegral_config(flags, needle, capsys):
+def test_exit_2_on_bad_pathintegral_config(flags, needle, monkeypatch, capsys):
+    # every rule is checked before the first kernel is built
+    def build(*args, **kwargs):
+        raise AssertionError("a kernel was built for a rejected input")
+    monkeypatch.setattr(pathintegral, "BandedKernel", build)
+    monkeypatch.setattr(pathintegral, "_KERNEL_CACHE", {})
     code, out, err = run(["pathintegral", *flags], capsys)
     assert code == 2 and needle in err
     assert out == "" and "Traceback" not in err
@@ -135,8 +147,23 @@ def test_exit_2_on_bad_pathintegral_config(flags, needle, capsys):
      "'tolerance' must be positive"),
     (["classical", "--radius", "1e200"], "R must lie in"),
     (["classical", "--radius", "inf"], "R must lie in"),
+    (["classical", "--margin", "nan"], "margin must lie in [0, 1)"),
+    (["classical", "--margin", "-1", "--p0", "0,0.9"], "margin must lie in"),
+    (["classical", "--q0", "nan,0"], "must be finite"),
+    (["classical", "--p0", "inf,0"], "must be finite"),
+    (["classical", "--duration", "inf"], "'duration' must be positive"),
+    (["classical", "--dt", "1e-300"], "byte budget"),
+    (["classical", "--duration", "1e300"], "byte budget"),
+    (["check", "dirac-brackets", "--seed", "-1"], "non-negative"),
+    (["check", "chart-equivalence", "--seed", "-1"], "non-negative"),
 ])
-def test_exit_2_on_bad_check_config(argv, needle, capsys):
+def test_exit_2_on_bad_check_config(argv, needle, monkeypatch, capsys):
+    # every rule is checked before the first evaluation or integrator step
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran on a rejected input")
+    monkeypatch.setattr(operators, "harmonic_polynomials", solver)
+    monkeypatch.setattr(expressions, "evaluate", solver)
+    monkeypatch.setattr(dynamics, "_midpoint_step", solver)
     code, out, err = run(argv, capsys)
     assert code == 2 and needle in err
     assert out == "" and "Traceback" not in err
@@ -164,7 +191,7 @@ def test_exit_2_on_bad_check_config(argv, needle, capsys):
     (["--radius", "1e-160"], "R must lie in"),
     (["--radius", "1e200"], "R must lie in"),
     (["--radius", "inf"], "R must lie in"),
-    (["--radius", "nan"], "'radius' must be positive"),
+    (["--radius", "nan"], "R must lie in"),
     (["--hbar", "1e200"], "hbar must lie in [1e-30, 1e30]"),
     (["--hbar", "1e-200"], "hbar must lie in"),
     (["--hbar", "inf"], "hbar must lie in"),
