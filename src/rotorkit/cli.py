@@ -8,7 +8,10 @@ The resolved config is embedded in the report, so re-running from it
 reproduces the report byte for byte.
 
 This module only parses, resolves configuration, dispatches and formats
-reports.  The check suites live with the operators they check:
+reports.  The layers return data and this module alone formats it:
+``json_text`` writes the JSON payload and ``csv_text``, the one CSV
+writer, turns the rows each runner builds from that data into the CSV
+table.  The check suites live with the operators they check:
 ``operators.suite_chart_equivalence``, ``suite_angular_momentum`` and
 ``suite_hermiticity``, and ``dynamics.suite_dirac_brackets``.
 
@@ -31,6 +34,8 @@ Exit codes:
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -42,16 +47,15 @@ from .geometry import ModelParams
 from .operators import (suite_angular_momentum, suite_chart_equivalence,
                         suite_hermiticity)
 from .spectra import (NonConvergenceError, reference_eigenvalues,
-                      reference_spectrum, route_spectrum, spectrum_csv_text)
+                      reference_spectrum, route_spectrum)
 from . import dynamics
 from .dynamics import (PHASE_EMBEDDED, PHASE_REDUCED, ChartMarginError,
                        PhaseState, StepConvergenceError, conserved_series,
-                       embedded_from_reduced, integrate_embedded_oracle,
-                       integrate_reduced, suite_dirac_brackets,
-                       trajectory_csv_text)
+                       constraint_residuals, embedded_from_reduced,
+                       hamiltonian_value, integrate_embedded_oracle,
+                       integrate_reduced, suite_dirac_brackets)
 from .pathintegral import (CORRECTED_POLAR, NAIVE_POLAR, RadialGrid,
-                           default_probe_family, extract_effective_potential,
-                           potential_csv_text, potential_json_dict)
+                           default_probe_family, extract_effective_potential)
 
 __all__ = ["main", "build_parser", "resolve_config", "config_text",
            "ConfigError", "SCHEMAS", "CHECK_SUITES"]
@@ -109,7 +113,7 @@ SCHEMAS = {
                   positive=True),
         "tolerance": _f("float_or_auto", None, "pass threshold",
                         positive=True),
-        "seed": _f("int", 7, "sampling seed"),
+        "seed": _f("int", 7, "sampling seed; hermiticity ignores it"),
     },
     "classical": {
         "dim": _f("int", 3, "embedding dimension"),
@@ -263,6 +267,19 @@ def json_text(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def csv_text(header, rows):
+    """The one CSV writer: a header row, then one line per row.
+
+    Python floats are written as their repr; text fields holding a comma
+    or a quote are quoted.
+    """
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(header)
+    wr.writerows(rows)
+    return buf.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -330,9 +347,12 @@ def run_spectrum(cfg):
     results.update({key: meta[key] for key in meta if key.startswith("extrapolation")})
     max_dev = {"cluster_value": None if value_dev == float("inf") else value_dev,
                "ground_state": abs(e0)}
+    resid = result.residual_norms  # None where a route computes none
     return ((0 if passed else 1),
             _report("spectrum", cfg, results, max_dev, passed),
-            lambda: spectrum_csv_text(result))
+            lambda: csv_text(("index", "eigenvalue", "residual"), (
+                (i, float(v), "" if resid is None else float(resid[i]))
+                for i, v in enumerate(result.eigenvalues))))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +384,7 @@ def run_check(cfg):
         results, worst = suite_angular_momentum(p, cfg["lmax"], samples,
                                                 cfg["seed"])
     elif suite == "hermiticity":
-        results, worst = suite_hermiticity(p, cfg["res"], cfg["seed"])
+        results, worst = suite_hermiticity(p, cfg["res"])
     else:
         results, worst = suite_dirac_brackets(p, samples, cfg["seed"])
         if not results["antisymmetry_exact"]:
@@ -377,27 +397,22 @@ def run_check(cfg):
     max_dev = {"deviation": (None if worst == float("inf") else float(worst))}
     return ((0 if passed else 1),
             _report("check", cfg, results, max_dev, passed),
-            lambda: _kv_csv_text(results))
+            lambda: csv_text(("metric", "value"), _scalar_leaves(results)))
 
 
-def _kv_csv_text(results):
-    """Flatten numeric/boolean leaves of a results dict into metric,value rows."""
-    lines = ["metric,value"]
-    def walk(obj, path):
-        if isinstance(obj, dict):
-            for key in obj:
-                walk(obj[key], f"{path}.{key}" if path else str(key))
-        elif isinstance(obj, (list, tuple)):
-            for i, item in enumerate(obj):
-                walk(item, f"{path}[{i}]")
-        elif isinstance(obj, bool):
-            lines.append(f"{path},{obj}")
-        elif isinstance(obj, (int, float)):
-            lines.append(f"{path},{repr(float(obj)) if isinstance(obj, float) else obj}")
-        elif isinstance(obj, str):
-            lines.append(f"{path},{obj}")
-    walk(results, "")
-    return "\n".join(lines) + "\n"
+def _scalar_leaves(obj, path=""):
+    """(path, value) for each bool, number and string leaf of a results dict."""
+    if isinstance(obj, dict):
+        for key in obj:
+            yield from _scalar_leaves(obj[key],
+                                      f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from _scalar_leaves(item, f"{path}[{i}]")
+    elif isinstance(obj, float):
+        yield path, float(obj)  # numpy floats are written as plain floats
+    elif isinstance(obj, (int, str)):
+        yield path, obj
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +464,15 @@ def run_classical(cfg):
                         "p": [float(v) for v in traj.p[-1]]},
     }
     max_dev = {"sup_position": sup, "conservation": worst_drift}
+    n = p.D - 1
+    header = (["t"] + [f"q{i}" for i in range(1, n + 1)]
+              + [f"p{i}" for i in range(1, n + 1)]
+              + ["H", "constraint_radial", "constraint_tangent"])
     return ((0 if passed else 1),
             _report("classical", cfg, results, max_dev, passed),
-            lambda: trajectory_csv_text(traj, p))
+            lambda: csv_text(header, np.column_stack([
+                traj.times, traj.q, traj.p, hamiltonian_value(traj, p),
+                *constraint_residuals(lift_x, lift_v, p)]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +492,19 @@ def run_pathintegral(cfg):
         midpoint_rule=cfg["midpoint_rule"], prescription=prescription)
 
     coeff = 1.0 + table.relative_error  # 8 r^2 dV / hbar^2
-    results = potential_json_dict(table)
+    columns = ("r", "delta_v", "predicted", "relative_error", "spread")
+    rows = np.column_stack([table.r, table.delta_v, table.predicted,
+                            table.relative_error, table.spread]).tolist()
+    meta = table.meta
+    results = {
+        "midpoint_rule": meta["midpoint_rule"],
+        "prescription": meta["prescription"],
+        "eps_list": meta["eps_list"],
+        "family_size": meta["family_size"],
+        "rows": [dict(zip(columns, row)) for row in rows],
+        "skipped": table.skipped,
+        "richardson_flagged": dict(meta["richardson_flagged"]),
+    }
     if prescription == NAIVE_POLAR:
         dev = float(np.max(np.abs(coeff - 1.0)))
         results["coefficient_fit"] = {
@@ -489,7 +522,7 @@ def run_pathintegral(cfg):
         max_dev = {"residual_relative": rel}
     return ((0 if passed else 1),
             _report("pathintegral", cfg, results, max_dev, passed),
-            lambda: potential_csv_text(table))
+            lambda: csv_text(columns, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,10 @@ class Expr:
     # _dmemo: {variable name: derivative}, made on the first diff call
     __slots__ = ("_dmemo",)
 
+    def __setattr__(self, *a):
+        # constructors and the diff memo write through object.__setattr__
+        raise AttributeError("expressions are immutable")
+
     def diff(self, name):
         """d/d(name), built once per node and variable and then shared."""
         try:
@@ -132,9 +136,6 @@ class Const(Expr):
             value = value.real
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
     def diff(self, name):
         # leaves answer with a shared constant; a memo would only cost a dict
         return ZERO
@@ -157,9 +158,6 @@ class Var(Expr):
 
     def __init__(self, name):
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
     def diff(self, name):
         return ONE if name == self.name else ZERO
@@ -188,9 +186,6 @@ class _Nary(Expr):
 
     def __init__(self, args):
         object.__setattr__(self, "args", tuple(args))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
     def _collect_vars(self, out):
         for a in self.args:
@@ -257,9 +252,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "expo", expo)
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
     def _diff(self, name):
         db = self.base.diff(name)
         if is_zero(db):
@@ -289,9 +281,6 @@ class _Unary(Expr):
 
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
     def subs(self, mapping):
         return type(self)(self.arg.subs(mapping))

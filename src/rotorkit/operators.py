@@ -569,7 +569,7 @@ def _sphere_defect(tag, h1, h2, p, spec, chart):
     return abs(lhs - rhs) / math.sqrt(n1 * n2)
 
 
-def suite_hermiticity(p, res, seed):
+def suite_hermiticity(p, res):
     """<f, T h> = <T f, h> under the sphere measure for H and every pi.
 
     The displayed-convention curvilinear momentum is reported but excluded

@@ -42,8 +42,6 @@ instead of O(n^2); at the default grid and eps <= 1e-3, b is at most 111
 of 2048 nodes.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -62,7 +60,7 @@ __all__ = [
     "semigroup_defect", "mollifier_bump", "gaussian_profile",
     "default_probe_family", "EffectiveAction",
     "effective_hamiltonian_action", "EffectivePotentialTable",
-    "extract_effective_potential", "potential_csv_text", "potential_json_dict",
+    "extract_effective_potential",
 ]
 
 EXACT_CARTESIAN = "exact_cartesian"
@@ -140,7 +138,8 @@ class RadialWavefunction:
         if int(self.m) != self.m:
             raise ValueError("angular mode must be an integer")
 
-    def validate(self, tail_tol=1e-12):
+    def validate(self):
+        """Finite samples whose tails stay below 1e-12 of the peak."""
         if not np.all(np.isfinite(self.samples)):
             raise SupportError("non-finite samples")
         scale = float(np.max(np.abs(self.samples)))
@@ -148,14 +147,14 @@ class RadialWavefunction:
             return self
         edge = max(2, self.grid.n // 256)
         outer = float(np.max(np.abs(self.samples[-edge:])))
-        if outer > tail_tol * scale:
+        if outer > 1e-12 * scale:
             raise SupportError(
-                f"outer tail {outer / scale:.2e} exceeds {tail_tol:g} of the peak")
+                f"outer tail {outer / scale:.2e} exceeds 1e-12 of the peak")
         if not self.open_inner:
             inner = float(np.max(np.abs(self.samples[:edge])))
-            if inner > tail_tol * scale:
+            if inner > 1e-12 * scale:
                 raise SupportError(
-                    f"inner tail {inner / scale:.2e} exceeds {tail_tol:g} of the peak")
+                    f"inner tail {inner / scale:.2e} exceeds 1e-12 of the peak")
         return self
 
     @classmethod
@@ -299,7 +298,7 @@ def _band_columns(n, b):
 # Kernels drop entry (i, j) only where its Gaussian factor
 # exp(-(r_i - r_j)^2 / (2 hbar eps)) is below this bound, exp(-92.1).
 # It sits far below double rounding on purpose.  The extraction divides
-# (psi - T psi)/eps by psi at samples down to psi_floor = 1e-6 of the peak
+# (psi - T psi)/eps by psi at samples down to 1e-6 of the peak
 # and Richardson extrapolation amplifies that further, so a truncation error
 # at rounding level (1e-16) would show in the reported Delta V.  At 1e-40
 # truncation is out of reach of every such amplification, and the band is
@@ -533,12 +532,12 @@ class EffectivePotentialTable:
 
 
 def extract_effective_potential(psi_family, r_samples, eps_list, p,
-                                midpoint_rule="geometric", psi_floor=1e-6,
+                                midpoint_rule="geometric",
                                 prescription=NAIVE_POLAR):
     """Delta V(r) = [(H_presc - H_exact) psi](r) / psi(r), family-averaged.
 
     Radii are snapped to the nearest grid node (the action samples live
-    there).  Samples where some family member falls below psi_floor of its
+    there).  Samples where some family member falls below 1e-6 of its
     peak are skipped and reported.  The predicted column hbar^2/(8 r^2) is
     the comparison target, not an input to the extraction; with the
     corrected prescription the table should instead sit near zero.
@@ -549,7 +548,7 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     Every rule the slice steps would raise is checked before the first
     kernel is built: geometric steps, each step's kernel width under both
     prescriptions, each probe's support, and at least one radius where
-    every probe clears psi_floor.
+    every probe clears 1e-6 of its peak.
     """
     if prescription == EXACT_CARTESIAN:
         raise ValueError("extraction compares a polar prescription against "
@@ -571,10 +570,10 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     floor_ok = np.ones(len(idx), dtype=bool)
     for psi in psi_family:
         peak = float(np.max(np.abs(psi.samples)))
-        floor_ok &= np.abs(psi.samples[idx]) >= psi_floor * peak
+        floor_ok &= np.abs(psi.samples[idx]) >= 1e-6 * peak
     if not floor_ok.any():
-        raise ValueError(f"no extraction radius where every probe exceeds "
-                         f"{psi_floor:g} of its peak")
+        raise ValueError("no extraction radius where every probe exceeds "
+                         "1e-6 of its peak")
     kept = idx[floor_ok]
     ratios = []
     flagged = {"polar": 0, "exact": 0}
@@ -604,32 +603,3 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
         meta={"midpoint_rule": midpoint_rule, "eps_list": sorted(map(float, eps_list), reverse=True),
               "family_size": len(psi_family), "hbar": p.hbar,
               "prescription": prescription, "richardson_flagged": flagged})
-
-
-def potential_csv_text(table):
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["r", "delta_v", "predicted", "relative_error", "spread"])
-    for i in range(len(table.r)):
-        wr.writerow([repr(float(table.r[i])), repr(float(table.delta_v[i])),
-                     repr(float(table.predicted[i])),
-                     repr(float(table.relative_error[i])),
-                     repr(float(table.spread[i]))])
-    return buf.getvalue()
-
-
-def potential_json_dict(table):
-    return {
-        "midpoint_rule": table.meta["midpoint_rule"],
-        "prescription": table.meta["prescription"],
-        "eps_list": [float(e) for e in table.meta["eps_list"]],
-        "family_size": table.meta["family_size"],
-        "rows": [{"r": float(table.r[i]),
-                  "delta_v": float(table.delta_v[i]),
-                  "predicted": float(table.predicted[i]),
-                  "relative_error": float(table.relative_error[i]),
-                  "spread": float(table.spread[i])}
-                 for i in range(len(table.r))],
-        "skipped": [float(v) for v in table.skipped],
-        "richardson_flagged": dict(table.meta["richardson_flagged"]),
-    }

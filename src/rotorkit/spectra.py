@@ -41,8 +41,6 @@ constrained quantization produces the bare Laplace-Beltrami spectrum
 hbar^2 l(l+D-2) / (2 R^2).
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -56,8 +54,7 @@ __all__ = [
     "SpectralGrid", "GridOperator", "SpectrumResult", "NonConvergenceError",
     "diffmat", "assemble", "compute_spectrum", "sector_spectrum",
     "reference_spectrum", "reference_eigenvalues", "cluster_eigenvalues",
-    "extrapolate", "lanczos_lowest", "route_spectrum", "spectrum_csv_text",
-    "LANCZOS_BUDGET",
+    "extrapolate", "lanczos_lowest", "route_spectrum", "LANCZOS_BUDGET",
 ]
 
 
@@ -620,13 +617,3 @@ def route_spectrum(p, res, k, method, seed=0, cluster_tol=None):
         out = _result(values, p, meta, cluster_tol=cluster_tol)
     out.meta["route"] = method
     return out
-
-
-def spectrum_csv_text(result):
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["index", "eigenvalue", "residual"])
-    for i, v in enumerate(result.eigenvalues):
-        r = "" if result.residual_norms is None else repr(float(result.residual_norms[i]))
-        wr.writerow([i, repr(float(v)), r])
-    return buf.getvalue()

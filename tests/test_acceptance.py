@@ -169,7 +169,7 @@ def test_criterion_5_hermiticity():
     # <f, T h> = <T f, h> under the sqrt(g) measure at resolution 64 for H
     # in both charts and every momentum component
     t0 = perf_counter()
-    report, worst = cli.suite_hermiticity(P0, res=64, seed=0)
+    report, worst = cli.suite_hermiticity(P0, res=64)
     dt = perf_counter() - t0
     # the known-bad ordering is reported alongside as a control; it has to
     # stay loud or the defect metric itself is broken

@@ -1,6 +1,7 @@
 """Command-line surface: config resolution, exit codes, payload formats,
 and byte-level determinism of repeated runs."""
 
+import csv
 import json
 import math
 
@@ -16,6 +17,7 @@ from rotorkit.cli import (
     parse_config_text,
     resolve_config,
 )
+from rotorkit.geometry import ModelParams
 from rotorkit.spectra import NonConvergenceError
 
 
@@ -384,20 +386,71 @@ def test_csv_formats(capsys):
     assert out.splitlines()[0] == "metric,value"
 
 
-@pytest.mark.parametrize("builder, argv", [
-    ("trajectory_csv_text", ["classical", "--duration", "0.02"]),
-    ("_kv_csv_text", ["check", "dirac-brackets", "--samples", "20"]),
-    ("spectrum_csv_text", ["spectrum", "--dim", "2", "--levels", "3",
-                           "--res", "16"]),
-    ("potential_csv_text", ["pathintegral"]),
-])
-def test_json_output_builds_no_csv(builder, argv, monkeypatch, capsys):
+def _csv_rows(text):
+    return list(csv.reader(text.splitlines()))
+
+
+def test_spectrum_csv_lists_every_eigenvalue(capsys):
+    argv = ["spectrum", "--dim", "3", "--levels", "3", "--res", "32",
+            "--method", "sector"]
+    _, out, _ = run(argv, capsys)
+    eigenvalues = json.loads(out)["results"]["eigenvalues"]
+    text = _payload(argv + ["--format", "csv"], capsys)
+    rows = _csv_rows(text)
+    assert rows[0] == ["index", "eigenvalue", "residual"]
+    assert len(rows) == 1 + len(eigenvalues)
+    assert [float(r[1]) for r in rows[1:]] == eigenvalues
+    assert _payload(argv + ["--format", "csv"], capsys) == text
+
+
+def test_classical_csv_rows_carry_the_reduced_energy(capsys):
+    text = _payload(["classical", "--duration", "0.02", "--format", "csv"],
+                    capsys)
+    rows = _csv_rows(text)
+    assert rows[0] == ["t", "q1", "q2", "p1", "p2", "H",
+                       "constraint_radial", "constraint_tangent"]
+    table = np.array(rows[1:], dtype=float)
+    p = ModelParams(D=3, R=1.0)
+    traj = dynamics.integrate_reduced(
+        dynamics.PhaseState(chart=dynamics.PHASE_REDUCED,
+                            q=np.array([0.2, 0.0]), p=np.array([0.0, 0.08])),
+        0.02, 1e-3, p)
+    assert table.shape == (len(traj), 8)
+    assert np.array_equal(table[:, 5], dynamics.hamiltonian_value(traj, p))
+    assert np.max(np.abs(table[:, 6:])) < 1e-13
+
+
+def test_hermiticity_csv_rows_have_two_fields(capsys):
+    text = _payload(["check", "hermiticity", "--res", "16", "--format", "csv"],
+                    capsys)
+    rows = _csv_rows(text)
+    assert all(len(row) == 2 for row in rows)
+    assert ["rows[0].pair", "l1,l2"] in rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical", "--duration", "0.02"],
+    ["check", "dirac-brackets", "--samples", "20"],
+    ["spectrum", "--dim", "2", "--levels", "3", "--res", "16"],
+    ["pathintegral"],
+], ids=["classical", "check", "spectrum", "pathintegral"])
+def test_json_output_builds_no_csv(argv, monkeypatch, capsys):
     def boom(*args):
-        raise AssertionError(f"{builder} called for --format json")
-    monkeypatch.setattr(cli, builder, boom)
+        raise AssertionError("csv_text called for --format json")
+    monkeypatch.setattr(cli, "csv_text", boom)
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_classical_step_exits_3_without_warnings(capsys):
+    # the midpoint iteration overflows to inf and NaN before it gives up
+    code, out, err = run(["classical", "--p0", "0,1e10", "--duration", "0.01"],
+                         capsys)
+    assert code == 3
+    assert json.loads(out)["error_kind"] == "non_convergence"
+    assert "Warning" not in err
 
 
 def test_config_file_plus_flag_override(tmp_path, capsys):

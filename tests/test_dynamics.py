@@ -37,7 +37,6 @@ from rotorkit.dynamics import (
     omega2_pullback_expr,
     physical_hamiltonian,
     reduced_from_embedded,
-    trajectory_csv_text,
 )
 from rotorkit.geometry import ChartDomainError, ModelParams
 from sympy_bridge import to_sympy
@@ -337,20 +336,3 @@ def test_symplectic_two_form_pullback_vanishes():
     assert np.max(np.abs(vals)) < 1e-12
     # and symbolically: the pullback is identically zero, not just small
     assert sp.simplify(to_sympy(w2)) == 0
-
-
-def test_trajectory_serialization():
-    traj = integrate_reduced(SLOW, 0.02, 1e-3, P3)
-    csv = trajectory_csv_text(traj, P3)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "t,q1,q2,p1,p2,H,constraint_radial,constraint_tangent"
-    assert len(lines) == 1 + len(traj)
-    assert trajectory_csv_text(traj, P3) == csv
-    # an embedded trajectory exports its own energy and constraint residuals
-    x0, v0 = embedded_from_reduced(SLOW, P3)
-    oracle = integrate_embedded_oracle(x0, v0, 0.02, 1e-3, P3)
-    rows = np.array([[float(c) for c in line.split(",")] for line in
-                     trajectory_csv_text(oracle, P3).splitlines()[1:]])
-    assert rows.shape == (len(oracle), 10)
-    assert np.max(np.abs(rows[:, 7] - conserved_series(oracle, P3)["energy"])) < 1e-15
-    assert np.max(np.abs(rows[:, 8:])) < 1e-13

@@ -126,6 +126,21 @@ def test_power_rejects_bad_exponents():
         ex.power(x, 1j)
 
 
+def test_every_node_type_is_immutable():
+    x, y = ex.Var("x"), ex.Var("y")
+    nodes = [ex.Const(2.0), x, ex.Add((x, y)), ex.Mul((x, y)),
+             ex.Pow(x, 3), ex.Sin(x), ex.Cos(x), ex.Exp(x)]
+    for node in nodes:
+        slots = [s for cls in type(node).__mro__
+                 for s in getattr(cls, "__slots__", ())]
+        assert len(slots) >= 2  # the node's own fields and _dmemo
+        for attr in (*slots, "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, attr, None)
+    # the guard leaves the diff memo working
+    assert nodes[4].diff("x") == ex.mul(ex.Const(3), ex.power(x, 2))
+
+
 def test_diff_of_constant_and_unrelated_var():
     x = ex.Var("x")
     assert ex.Const(7).diff("x") == ex.ZERO

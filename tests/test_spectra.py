@@ -26,7 +26,6 @@ from rotorkit.spectra import (
     reference_eigenvalues,
     reference_spectrum,
     sector_spectrum,
-    spectrum_csv_text,
 )
 from rotorkit.spectra import _fourier_d2, _polar_block, _sector_block
 
@@ -332,14 +331,3 @@ def test_cluster_eigenvalues_grouping():
                                                (pytest.approx(3.0), 1)]
     tight = cluster_eigenvalues(vals, 1e-9)
     assert [m for _, m in tight] == [1, 1, 1, 1, 1]
-
-
-def test_result_serialization_round_trip():
-    p = ModelParams(D=3, R=1.0, hbar=1.0)
-    r = sector_spectrum(p, 32, 9)
-    csv = spectrum_csv_text(r)
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("index,eigenvalue")
-    assert len(lines) == 1 + len(r.eigenvalues)
-    # emitters are deterministic
-    assert spectrum_csv_text(r) == csv
