@@ -9,14 +9,13 @@ deliberately broken operator orderings kept around as controls.
 import numpy as np
 
 from rotorkit import expressions as ex
-from rotorkit.geometry import ModelParams
+from rotorkit.geometry import ModelParams, hyperspherical_var_names
 from rotorkit.operators import (
     OperatorTag,
     TestFunction,
     apply_operator,
     harmonic_polynomials,
     hermiticity_defect,
-    hyperspherical_var_names,
     pullback_to_hyperspherical,
     pullback_to_reduced,
     reduced_var_names,

@@ -21,11 +21,13 @@ Exit codes:
   2  rejected input, before any solver runs.  This module rejects bad
      keys and values (positive keys must also be finite) and holds the
      rules of keys only it has: a check suite must be selected, the
-     pathintegral evaluation window must sit inside [r_min, r_max], and a
-     spectrum lists at most 100000 eigenvalues.  Every other rule lives
-     once, in the layer that owns it, and the layer checks it at entry,
-     before its first solve: geometry.ModelParams (dim, radius, hbar),
-     spectra.route_spectrum, the check suites in operators and dynamics,
+     pathintegral evaluation window must sit inside [r_min, r_max], a
+     spectrum lists at most 100000 eigenvalues, and ``--out`` names a
+     writable file: not a directory, in a directory that exists and is
+     writable.  Every other rule lives once, in the layer that owns it,
+     and the layer checks it at entry, before its first solve:
+     geometry.ModelParams (dim, radius, hbar), spectra.route_spectrum,
+     the check suites in operators and dynamics,
      dynamics.integrate_reduced with PhaseState.validate, and
      pathintegral.extract_effective_potential with RadialGrid.  ``main``
      maps every ValueError to exit 2, so exit 2 never follows a solver call
@@ -38,6 +40,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -57,8 +60,8 @@ from .dynamics import (PHASE_EMBEDDED, PHASE_REDUCED, ChartMarginError,
 from .pathintegral import (CORRECTED_POLAR, NAIVE_POLAR, RadialGrid,
                            default_probe_family, extract_effective_potential)
 
-__all__ = ["main", "build_parser", "resolve_config", "config_text",
-           "ConfigError", "SCHEMAS", "CHECK_SUITES"]
+__all__ = ["main", "build_parser", "resolve_config", "ConfigError", "SCHEMAS",
+           "CHECK_SUITES"]
 
 
 class ConfigError(ValueError):
@@ -207,28 +210,6 @@ def parse_config_text(text):
         key, _, value = body.partition("=")
         out[key.strip()] = value.strip()
     return out
-
-
-def config_text(cfg):
-    """Inverse of parse_config_text for a resolved config (round-trip).
-
-    Keys resolved to None mean "derive at run time"; they have no written
-    form, so they are omitted and resolution restores them as defaults.
-    """
-    lines = []
-    for key in sorted(cfg):
-        val = cfg[key]
-        if val is None:
-            continue
-        if isinstance(val, (tuple, list)):
-            text = ",".join(repr(v) if isinstance(v, float) else str(v)
-                            for v in val)
-        elif isinstance(val, float):
-            text = repr(val)
-        else:
-            text = str(val)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
 
 
 def resolve_config(cmd, file_entries, flag_entries):
@@ -572,6 +553,17 @@ def build_parser():
     return parser
 
 
+def _check_out_path(path):
+    """``--out`` must name a writable file, checked before any solve."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: directory {parent} does not exist")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ConfigError(f"--out {path} is not writable")
+
+
 def _emit(payload, out_path, quiet, status):
     if out_path is not None:
         with open(out_path, "w") as fh:
@@ -587,6 +579,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     cmd = args.command
     try:
+        if args.out is not None:
+            _check_out_path(args.out)
         file_entries = {}
         if args.config is not None:
             try:

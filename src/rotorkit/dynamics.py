@@ -28,7 +28,10 @@ expected closed forms,
     {x_a, p_b} = delta_ab - x_a x_b / R^2
     {p_a, p_b} = -(x_a p_b - x_b p_a) / R^2,
 
-live in ``fundamental_bracket_reference`` as the independent oracle.
+live in ``fundamental_bracket_reference`` as the independent oracle.  The
+chart map's tangency x.p = 0 (pulled back, identically zero) and the
+projection of an ambient state back to the reduced chart are oracles that
+only tests use, so they live in ``tests/test_dynamics.py``.
 
 The ``rotorkit check dirac-brackets`` suite lives here too:
 ``suite_dirac_brackets`` runs ``bracket_check_report`` and adds bitwise
@@ -41,23 +44,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .geometry import (ChartDomainError, ModelParams, PoleSingularityError,
-                       curvilinear_inverse_metric, inverse_metric, lift)
-from .operators import embedding_exprs_hyperspherical, hyperspherical_var_names
-from .spectra import LANCZOS_BUDGET
+from .geometry import (MEMORY_BUDGET, ChartDomainError,
+                       embedding_exprs_hyperspherical, hyperspherical_var_names,
+                       inverse_metric, lift)
 
 __all__ = [
     "PHASE_REDUCED", "PHASE_EMBEDDED", "PHASE_CANONICAL",
     "PhaseState", "Observable", "Trajectory",
     "ChartMarginError", "StepConvergenceError",
-    "hamiltonian_value", "physical_hamiltonian",
-    "integrate_reduced", "integrate_embedded_oracle",
-    "embedded_from_reduced", "reduced_from_embedded", "constraint_residuals",
+    "hamiltonian_value", "integrate_reduced", "integrate_embedded_oracle",
+    "embedded_from_reduced", "constraint_residuals",
     "angular_momentum_pairs", "conserved_series",
     "canonical_phase_vars", "embedded_phase_vars", "canonical_chart_map",
-    "pullback_observable", "poisson_bracket_expr", "dirac_bracket",
-    "dirac_bracket_expr", "fundamental_bracket_reference",
-    "omega2_pullback_expr", "bracket_check_report", "suite_dirac_brackets",
+    "pullback_observable", "poisson_bracket_expr", "dirac_bracket_expr",
+    "fundamental_bracket_reference", "bracket_check_report",
+    "suite_dirac_brackets",
 ]
 
 PHASE_REDUCED = "reduced"
@@ -191,7 +192,7 @@ def integrate_reduced(s0, T, dt, p, margin=0.05):
     but the metric conditioning degrades as 1/(R^2 - |q|^2), so the margin
     error tells the caller to re-chart well before that.  Every input rule
     is checked before the first step: margin in [0, 1), finite dt > 0 and
-    T >= 0, and the position and momentum arrays within LANCZOS_BUDGET.
+    T >= 0, and the position and momentum arrays within MEMORY_BUDGET.
     """
     s0 = s0.validate(p)
     if s0.chart != PHASE_REDUCED:
@@ -202,9 +203,9 @@ def integrate_reduced(s0, T, dt, p, margin=0.05):
         raise ValueError(f"need finite dt > 0 and T >= 0, got dt={dt}, T={T}")
     n = p.D - 1
     nbytes = 2 * 8 * n * (T / dt + 1)  # float: T / dt may overflow
-    if nbytes > LANCZOS_BUDGET:
+    if nbytes > MEMORY_BUDGET:
         raise ValueError(f"{T / dt:.3g} steps need {nbytes:.3g} bytes of "
-                         f"trajectory, over the {LANCZOS_BUDGET} byte budget")
+                         f"trajectory, over the {MEMORY_BUDGET} byte budget")
     nsteps = int(round(T / dt))
     limit = (1.0 - margin) * p.R
     z = np.concatenate([s0.q, s0.p])
@@ -274,17 +275,6 @@ def embedded_from_reduced(s, p):
     return x, np.concatenate([qdot, vD[..., None]], axis=-1)
 
 
-def reduced_from_embedded(x, v, p):
-    """Project an ambient tangent state to the reduced chart (q, p = g qdot)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x[-1] == 0.0:
-        raise ChartDomainError("point on the chart equator x_D = 0")
-    q = x[:-1]
-    mom = v[:-1] - q * (v[-1] / x[-1])
-    return PhaseState(chart=PHASE_REDUCED, q=q, p=mom)
-
-
 def constraint_residuals(x, p_momenta, params):
     """(x.x - R^2, x.p): the constraint pair the bracket algebra is built on."""
     x = np.asarray(x, dtype=float)
@@ -328,8 +318,8 @@ def canonical_chart_map(p):
     spherical embedding; momenta expand on the coordinate basis with inverse
     squared norms, p = sum_k (dx/dphi_k) pi_k / |dx/dphi_k|^2, which for D=3
     reads p_3 = -(sin phi1) pi_1 / R and so on.  Tangency x.p = 0 holds
-    identically in the angles (verified numerically: the expression engine
-    does not simplify trig identities).
+    identically in the angles (the tests verify it numerically and through
+    sympy: the expression engine does not simplify trig identities).
     """
     if p.D < 2:
         raise ValueError("need D >= 2")
@@ -391,40 +381,6 @@ def dirac_bracket_expr(A, B, p):
     return poisson_bracket_expr(f, g, list(zip(angles, moms)))
 
 
-def dirac_bracket(A, B, point, p):
-    """Constrained bracket evaluated at a canonical-chart phase point.
-
-    Equivalent to the constraint-matrix construction, by the canonical
-    transformation that isolates the constraint pair (r - R, pi_r): once
-    those are struck out, the plain bracket over the surviving pairs is the
-    constrained bracket.
-    """
-    point.validate(p)
-    if point.chart != PHASE_CANONICAL:
-        raise ChartDomainError("dirac_bracket expects the canonical chart")
-    for k in range(p.D - 2):
-        if math.sin(point.q[k]) == 0.0:
-            raise PoleSingularityError(k + 1)
-    expr = dirac_bracket_expr(A, B, p)
-    angles, moms = canonical_phase_vars(p)
-    env = {n: float(v) for n, v in zip(angles, point.q)}
-    env.update({n: float(v) for n, v in zip(moms, point.p)})
-    return ex.evaluate(expr, env)
-
-
-def physical_hamiltonian(point, p):
-    """Shell energy (1/2R^2)(pi_1^2 + pi_2^2/sin^2 phi_1 + ...).
-
-    Agrees with hamiltonian_value of the chart-mapped reduced state; the
-    radial kinetic term is absent because the constraint pair is frozen.
-    """
-    point.validate(p)
-    if point.chart != PHASE_CANONICAL:
-        raise ChartDomainError("physical_hamiltonian expects the canonical chart")
-    G = curvilinear_inverse_metric(point.q, p)
-    return 0.5 * float(point.p @ G @ point.p)
-
-
 def fundamental_bracket_reference(kind, x, pvec, R):
     """Closed-form constrained brackets on the shell, as a (D, D, ...) table.
 
@@ -443,19 +399,6 @@ def fundamental_bracket_reference(kind, x, pvec, R):
     if kind == "pp":
         return -(x[:, None] * pvec[None, :] - pvec[:, None] * x[None, :]) / R ** 2
     raise ValueError(f"unknown bracket family '{kind}'")
-
-
-def omega2_pullback_expr(p):
-    """The tangency constraint x.p pulled back to the canonical chart.
-
-    Identically zero as a function of the angles and momenta; the expression
-    engine keeps the un-simplified trig form, so tests verify the zero both
-    numerically (random points, rounding-level bound) and symbolically.
-    """
-    mapping = canonical_chart_map(p)
-    xnames, pnames = embedded_phase_vars(p)
-    return ex.add(*[ex.mul(mapping[xn], mapping[pn])
-                    for xn, pn in zip(xnames, pnames)])
 
 
 def _random_canonical_points(p, samples, seed):

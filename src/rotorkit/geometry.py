@@ -15,7 +15,12 @@ The induced metric in the reduced chart is
 g_ij = delta_ij + x_i x_j / (R^2 - |x|^2), with inverse
 g^ij = delta_ij - x_i x_j / R^2 and determinant R^2 / (R^2 - |x|^2).
 All matrix functions accept a single point of shape (D-1,) or a batch of
-shape (n, D-1) and are pure.
+shape (n, D-1) and are pure.  The hyperspherical map also exists in
+symbolic form (``embedding_exprs_hyperspherical``), for the operator and
+bracket layers that differentiate it.
+
+``MEMORY_BUDGET`` is the one byte budget of the package: the Lanczos basis
+in spectra and the classical trajectory arrays in dynamics stay within it.
 """
 
 import math
@@ -23,17 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expressions as ex
+
 __all__ = [
     "ModelParams", "ChartDomainError", "PoleSingularityError",
-    "CHART_EMBEDDED", "CHART_REDUCED", "CHART_HYPERSPHERICAL",
+    "CHART_REDUCED", "CHART_HYPERSPHERICAL", "MEMORY_BUDGET",
     "metric", "inverse_metric", "metric_determinant", "lift",
-    "to_hyperspherical", "from_hyperspherical", "curvilinear_inverse_metric",
-    "sphere_area",
+    "to_hyperspherical", "from_hyperspherical", "hyperspherical_var_names",
+    "embedding_exprs_hyperspherical", "sphere_area",
 ]
 
-CHART_EMBEDDED = "embedded"
 CHART_REDUCED = "reduced"
 CHART_HYPERSPHERICAL = "hyperspherical"
+
+# byte budget of any array a layer sizes from its inputs
+MEMORY_BUDGET = 2 ** 31
 
 _ANGLE_CLAMP_TOL = 1e-13  # slack allowed when clamping arccos arguments
 
@@ -158,24 +167,22 @@ def to_hyperspherical(x, p):
     return r, angles
 
 
-def curvilinear_inverse_metric(angles, p):
-    """Inverse metric on the sphere in hyperspherical angles.
+def hyperspherical_var_names(p):
+    return [f"phi{i}" for i in range(1, p.D)]
 
-    diag(1, 1/sin^2 phi_1, 1/(sin^2 phi_1 sin^2 phi_2), ...) / R^2.
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (p.D - 1,):
-        raise ChartDomainError(f"expected {p.D - 1} angles")
-    diag = np.empty(p.D - 1)
-    chain = 1.0
-    for k in range(p.D - 1):
-        diag[k] = chain
-        if k < p.D - 2:
-            sk = math.sin(angles[k])
-            if sk == 0.0:
-                raise PoleSingularityError(k + 1)
-            chain = chain / sk ** 2
-    return np.diag(diag / p.R ** 2)
+
+def embedding_exprs_hyperspherical(p):
+    """x_1..x_D on the sphere r = R as expressions in the angles: the
+    symbolic form of ``from_hyperspherical(p.R, angles, p)``."""
+    names = hyperspherical_var_names(p)
+    out = [None] * p.D
+    chain = ex.Const(p.R)
+    for k in range(p.D - 2):
+        out[p.D - 1 - k] = ex.mul(chain, ex.cos(ex.Var(names[k])))
+        chain = ex.mul(chain, ex.sin(ex.Var(names[k])))
+    out[1] = ex.mul(chain, ex.cos(ex.Var(names[p.D - 2])))
+    out[0] = ex.mul(chain, ex.sin(ex.Var(names[p.D - 2])))
+    return out
 
 
 def sphere_area(D, R):

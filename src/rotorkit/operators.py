@@ -48,18 +48,18 @@ from scipy.linalg import null_space
 
 from . import expressions as ex
 from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, ChartDomainError,
+                       embedding_exprs_hyperspherical, hyperspherical_var_names,
                        lift, to_hyperspherical)
 from .quadrature import reduced_ball_grid, sphere_angular_grid
 
 __all__ = [
     "TestFunction", "OperatorTag", "QuadratureSpec",
-    "reduced_var_names", "hyperspherical_var_names",
-    "embedding_exprs_hyperspherical", "pullback_to_reduced",
+    "reduced_var_names", "pullback_to_reduced",
     "pullback_to_hyperspherical", "harmonic_polynomials",
     "momentum_cartesian_expr", "hamiltonian_cartesian_expr",
     "hamiltonian_curvilinear_expr", "momentum_curvilinear_expr",
-    "angular_momentum_expr", "l2_hamiltonian_expr", "inner_product",
-    "hermiticity_defect", "apply_operator", "operator_expr",
+    "angular_momentum_expr", "l2_hamiltonian_expr", "hermiticity_defect",
+    "apply_operator", "operator_expr",
     "suite_chart_equivalence", "suite_angular_momentum", "suite_hermiticity",
 ]
 
@@ -100,26 +100,9 @@ def reduced_var_names(p):
     return [f"x{i}" for i in range(1, p.D)]
 
 
-def hyperspherical_var_names(p):
-    return [f"phi{i}" for i in range(1, p.D)]
-
-
 def _radius2_expr(p):
     """|x|^2 over the reduced chart variables."""
     return ex.add(*[ex.power(ex.Var(n), 2) for n in reduced_var_names(p)])
-
-
-def embedding_exprs_hyperspherical(p):
-    """x_1..x_D on the sphere r = R as expressions in the angles."""
-    names = hyperspherical_var_names(p)
-    out = [None] * p.D
-    chain = ex.Const(p.R)
-    for k in range(p.D - 2):
-        out[p.D - 1 - k] = ex.mul(chain, ex.cos(ex.Var(names[k])))
-        chain = ex.mul(chain, ex.sin(ex.Var(names[k])))
-    out[1] = ex.mul(chain, ex.cos(ex.Var(names[p.D - 2])))
-    out[0] = ex.mul(chain, ex.sin(ex.Var(names[p.D - 2])))
-    return out
 
 
 def pullback_to_reduced(expr, p, hemisphere=1):
@@ -376,7 +359,7 @@ def momentum_curvilinear_expr(f, i, p, convention="measure"):
     return ex.mul(ex.Const(-1j * p.hbar), inv, ex.mul(sa, f.expr).diff(name))
 
 
-# -- inner products and hermiticity ------------------------------------------
+# -- hermiticity -------------------------------------------------------------
 
 def _chart_grid(chart, p, spec):
     if chart == CHART_REDUCED:
@@ -388,17 +371,6 @@ def _chart_grid(chart, p, spec):
     else:
         raise ChartDomainError(f"no quadrature for chart '{chart}'")
     return pts, w, names
-
-
-def inner_product(f, h, p, spec=QuadratureSpec()):
-    """<f, h> = integral of conj(f) h over the chart, sphere measure."""
-    if f.chart != h.chart:
-        raise ChartDomainError("inner product needs both functions on one chart")
-    pts, w, names = _chart_grid(f.chart, p, spec)
-    env = _env_from_points(names, pts)
-    fv = ex.evaluate(f.expr, env)
-    hv = ex.evaluate(h.expr, env)
-    return np.sum(w * np.conjugate(fv) * hv)
 
 
 def operator_expr(tag, f, p):

@@ -29,10 +29,9 @@ Angular reduction used throughout: on a fixed angular mode m, the exact
     E_m(z) = exp(-z) I_m(z),  z = r r' / (hbar eps),
 
 with measure r' dr'.  Kernels use scipy's scaled Bessel function for E_m
-and the closed Gaussian integral for the naive-polar angular factor; an
-adaptive-doubling trapezoid of each defining angular integral is kept as an
-independent oracle (it is also how the derivation is unit-tested against
-full 2D quadrature).
+and the closed Gaussian integral for the naive-polar angular factor.  The
+independent oracle for both, an adaptive-doubling trapezoid of each
+defining angular integral, lives in ``tests/test_pathintegral.py``.
 
 Every kernel entry carries the Gaussian factor above, so kernels are built
 and applied as bands |i - j| <= b only: b is the smallest half-width for
@@ -48,16 +47,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ive
 
-from .geometry import ModelParams
-
 __all__ = [
     "EXACT_CARTESIAN", "NAIVE_POLAR", "CORRECTED_POLAR", "PRESCRIPTIONS",
     "MIDPOINT_RULES", "RadialGrid", "RadialWavefunction", "SliceKernelSpec",
-    "KernelWidthError", "QuadratureConvergenceError", "SupportError",
-    "angular_factor_exact", "angular_factor_quadrature",
-    "naive_angular_factor", "naive_angular_factor_quadrature",
-    "slice_kernel", "slice_step", "clear_kernel_cache", "l2_norm",
-    "semigroup_defect", "mollifier_bump", "gaussian_profile",
+    "KernelWidthError", "SupportError", "angular_factor_exact",
+    "naive_angular_factor", "slice_kernel", "slice_step", "semigroup_defect",
+    "mollifier_bump", "gaussian_profile",
     "default_probe_family", "EffectiveAction",
     "effective_hamiltonian_action", "EffectivePotentialTable",
     "extract_effective_potential",
@@ -72,10 +67,6 @@ MIDPOINT_RULES = ("geometric", "arithmetic")
 
 class KernelWidthError(ValueError):
     """Time step incompatible with the radial grid or the mode reduction."""
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Adaptive doubling failed to stabilize the angular integral."""
 
 
 class SupportError(ValueError):
@@ -181,48 +172,11 @@ class SliceKernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# angular factors, each with a closed form and a doubling-quadrature route
+# angular factors in closed form
 
 def angular_factor_exact(z, m):
     """E_m(z) = exp(-z) I_m(z): exact-kernel angular factor (scaled Bessel)."""
     return ive(abs(int(m)), np.asarray(z, dtype=float))
-
-
-def _doubling_trapezoid(sample_fn):
-    """Integrate over theta in (-pi, pi] by uniform sums, doubling until stable.
-
-    sample_fn(theta_array) -> integrand values with shape (..., ntheta);
-    returns the integral along the last axis.  The integrands here are
-    analytic and either periodic or exponentially small at the endpoints, so
-    doubling converges geometrically; failure to stabilize indicates a
-    parameter regime the kernel preconditions should have rejected.
-    """
-    n, tol, nmax = 256, 1e-10, 1 << 16
-    prev = None
-    while n <= nmax:
-        theta = -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        vals = sample_fn(theta)
-        cur = vals.sum(axis=-1) * (2.0 * math.pi / n)
-        if prev is not None:
-            scale = float(np.max(np.abs(cur))) or 1.0
-            if float(np.max(np.abs(cur - prev))) <= tol * scale:
-                return cur
-        prev = cur
-        n *= 2
-    raise QuadratureConvergenceError(
-        f"angular integral not stable to {tol:g} within {nmax} nodes")
-
-
-def angular_factor_quadrature(z, m):
-    """E_m(z) by quadrature of (1/2pi) int exp(z(cos t - 1)) cos(m t) dt."""
-    z = np.asarray(z, dtype=float)
-    m = abs(int(m))
-
-    def fn(theta):
-        return (np.exp(z[..., None] * (np.cos(theta) - 1.0))
-                * np.cos(m * theta))
-
-    return _doubling_trapezoid(fn) / (2.0 * math.pi)
 
 
 def naive_angular_factor(a, m):
@@ -235,17 +189,6 @@ def naive_angular_factor(a, m):
     return np.sqrt(math.pi / a) * np.exp(-m * m / (4.0 * a))
 
 
-def naive_angular_factor_quadrature(a, m):
-    """The same integral restricted to (-pi, pi], by doubling quadrature."""
-    a = np.asarray(a, dtype=float)
-    m = abs(int(m))
-
-    def fn(theta):
-        return np.exp(-a[..., None] * theta ** 2) * np.cos(m * theta)
-
-    return _doubling_trapezoid(fn)
-
-
 # ---------------------------------------------------------------------------
 # slice kernels
 
@@ -254,10 +197,6 @@ def naive_angular_factor_quadrature(a, m):
 # prescriptions x modes 0 and 1 x three steps) and reuses 6 of them.
 _KERNEL_CACHE_SIZE = 16
 _KERNEL_CACHE = {}  # insertion order is recency order
-
-
-def clear_kernel_cache():
-    _KERNEL_CACHE.clear()
 
 
 class BandedKernel:
@@ -381,12 +320,6 @@ def slice_step(psi, spec, p):
     rw = psi.grid.nodes * psi.grid.trapezoid_weights
     out = K @ (psi.samples * rw)
     return replace(psi, samples=out)
-
-
-def l2_norm(psi):
-    """2D L2 norm of psi(r) e^{i m phi}: sqrt(2 pi int |psi|^2 r dr)."""
-    rw = psi.grid.nodes * psi.grid.trapezoid_weights
-    return math.sqrt(2.0 * math.pi * float(np.sum(psi.samples ** 2 * rw)))
 
 
 def semigroup_defect(psi, spec, p):

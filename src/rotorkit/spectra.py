@@ -47,14 +47,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
-from .geometry import ModelParams, sphere_area
+from .geometry import MEMORY_BUDGET, ModelParams, sphere_area
 from .quadrature import azimuth_nodes, polar_exponent, polar_nodes
 
 __all__ = [
     "SpectralGrid", "GridOperator", "SpectrumResult", "NonConvergenceError",
     "diffmat", "assemble", "compute_spectrum", "sector_spectrum",
     "reference_spectrum", "reference_eigenvalues", "cluster_eigenvalues",
-    "extrapolate", "lanczos_lowest", "route_spectrum", "LANCZOS_BUDGET",
+    "extrapolate", "lanczos_lowest", "route_spectrum",
 ]
 
 
@@ -344,8 +344,6 @@ def compute_spectrum(op, k, method="dense", seed=0, cluster_tol=None,
 
 # rows the Lanczos basis grows by; it is never reserved for maxiter up front
 _LANCZOS_BLOCK = 64
-# bytes of basis rows (8 n each, one per step) Lanczos may take
-LANCZOS_BUDGET = 2 ** 31
 
 
 def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
@@ -355,19 +353,19 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
     GridOperator has them.  Full reorthogonalization against the whole
     basis at every step; fixed seed makes runs bitwise reproducible.  The
     basis grows in blocks of ``_LANCZOS_BLOCK`` rows and holds one row more
-    than the steps taken, so LANCZOS_BUDGET bounds it at any n: a budget
+    than the steps taken, so MEMORY_BUDGET bounds it at any n: a budget
     below k + 1 rows of 8 n bytes is a ValueError, and ``maxiter`` is
-    capped at LANCZOS_BUDGET // (8 n) - 1 steps.  Convergence is declared
+    capped at MEMORY_BUDGET // (8 n) - 1 steps.  Convergence is declared
     when the standard residual bounds beta_j |s_{j,i}| for the k lowest
     Ritz pairs drop below tol * spectral scale; only those k Ritz vectors
     are computed.  Raises NonConvergenceError with the residual bounds if
     maxiter steps are not enough.
     """
     n = op.size
-    steps = LANCZOS_BUDGET // (8 * n) - 1
+    steps = MEMORY_BUDGET // (8 * n) - 1
     if steps < k:
         raise ValueError(f"a Lanczos basis of {k + 1} rows of {n} nodes needs "
-                         f"{8 * n * (k + 1)} bytes, over the {LANCZOS_BUDGET} "
+                         f"{8 * n * (k + 1)} bytes, over the {MEMORY_BUDGET} "
                          "byte budget")
     maxiter = min(n if maxiter is None else maxiter, n, steps)
     if maxiter < k:

@@ -12,7 +12,6 @@ from rotorkit import cli, dynamics, expressions, operators, pathintegral, spectr
 from rotorkit.cli import (
     ConfigError,
     SCHEMAS,
-    config_text,
     main,
     parse_config_text,
     resolve_config,
@@ -25,6 +24,28 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def config_text(cfg):
+    """Inverse of parse_config_text for a resolved config (round-trip).
+
+    Keys resolved to None mean "derive at run time"; they have no written
+    form, so they are omitted and resolution restores them as defaults.
+    """
+    lines = []
+    for key in sorted(cfg):
+        val = cfg[key]
+        if val is None:
+            continue
+        if isinstance(val, (tuple, list)):
+            text = ",".join(repr(v) if isinstance(v, float) else str(v)
+                            for v in val)
+        elif isinstance(val, float):
+            text = repr(val)
+        else:
+            text = str(val)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 # -- config layer -------------------------------------------------------------
@@ -167,6 +188,24 @@ def test_exit_2_on_bad_check_config(argv, needle, monkeypatch, capsys):
     monkeypatch.setattr(expressions, "evaluate", solver)
     monkeypatch.setattr(dynamics, "_midpoint_step", solver)
     code, out, err = run(argv, capsys)
+    assert code == 2 and needle in err
+    assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, needle", [
+    ("missing/x.json", "does not exist"),
+    (".", "is a directory"),
+])
+def test_exit_2_on_unwritable_out(target, needle, tmp_path, monkeypatch,
+                                  capsys):
+    # --out is checked before the suite runs, not when the payload is written
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran on a rejected input")
+    monkeypatch.setattr(operators, "harmonic_polynomials", solver)
+    monkeypatch.setattr(expressions, "evaluate", solver)
+    code, out, err = run(["check", "chart-equivalence", "--lmax", "1",
+                          "--samples", "3", "--out", str(tmp_path / target)],
+                         capsys)
     assert code == 2 and needle in err
     assert out == "" and "Traceback" not in err
 

@@ -71,7 +71,7 @@ def test_spectrum_exit_code_contract(argv):
     with pytest.MonkeyPatch.context() as mp:
         # a full 2 GiB Lanczos basis takes minutes to fill; 1 MiB keeps
         # every drawn run short and still draws both sides of the rule
-        mp.setattr(spectra, "LANCZOS_BUDGET", 2 ** 20)
+        mp.setattr(spectra, "MEMORY_BUDGET", 2 ** 20)
         code, out, err, entered = _run(argv, mp, [
             (spectra, "eigvalsh"), (spectra, "eigh"),
             (spectra, "eigh_tridiagonal"), (spectra.GridOperator, "apply"),

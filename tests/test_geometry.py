@@ -1,8 +1,8 @@
 """Metric algebra of the reduced chart and the hyperspherical chart maps.
 
 Oracles: dense linear algebra (matrix inverse, LU determinant), the Gamma
-function closed form for sphere areas, and the explicit product formula
-for the curvilinear inverse metric.
+function closed form for sphere areas, and the round trip through the
+hyperspherical chart.
 """
 
 import math
@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from rotorkit import expressions as ex
 from rotorkit.geometry import (
     ChartDomainError,
     ModelParams,
     PoleSingularityError,
-    curvilinear_inverse_metric,
+    embedding_exprs_hyperspherical,
     from_hyperspherical,
+    hyperspherical_var_names,
     inverse_metric,
     lift,
     metric,
@@ -88,22 +90,17 @@ def test_hyperspherical_round_trip(D):
         assert np.max(np.abs(x1 - x0)) < 1e-12 * p.R
 
 
-@pytest.mark.parametrize("D", (3, 4, 5))
-def test_curvilinear_inverse_metric_product_formula(D):
-    # g^{kk} = 1 / (R^2 prod_{i<k} sin^2 phi_i), zero off the diagonal
+@pytest.mark.parametrize("D", (2, 3, 5, 10))
+def test_symbolic_embedding_matches_numeric_map(D):
+    # the same products in the same order, so the values agree bit for bit
     p = ModelParams(D=D, R=1.7, hbar=1.0)
     rng = np.random.default_rng(40 + D)
-    for _ in range(20):
-        ang = np.concatenate([rng.uniform(0.3, np.pi - 0.3, D - 2),
-                              rng.uniform(0, 2 * np.pi, 1)])
-        G = curvilinear_inverse_metric(ang, p)
-        ref = np.zeros((D - 1, D - 1))
-        for k in range(D - 1):
-            val = 1.0 / p.R ** 2
-            for i in range(k):
-                val /= math.sin(ang[i]) ** 2
-            ref[k, k] = val
-        assert np.max(np.abs(G - ref)) < 1e-13 * np.max(ref)
+    ang = np.concatenate([rng.uniform(0.0, np.pi, (50, D - 2)),
+                          rng.uniform(0.0, 2 * np.pi, (50, 1))], axis=1)
+    env = dict(zip(hyperspherical_var_names(p), ang.T))
+    got = np.stack([np.broadcast_to(ex.evaluate(e, env), 50)
+                    for e in embedding_exprs_hyperspherical(p)], axis=1)
+    assert np.array_equal(got, from_hyperspherical(p.R, ang, p))
 
 
 @pytest.mark.parametrize("D", DIMS)
@@ -122,9 +119,11 @@ def test_chart_domain_guard():
 
 
 def test_pole_singularity_guard():
+    # at the north pole sin phi_1 = 0 leaves the azimuth phi_2 undetermined
     p = ModelParams(D=3, R=1.0, hbar=1.0)
-    with pytest.raises(PoleSingularityError):
-        curvilinear_inverse_metric(np.array([0.0, 1.0]), p)
+    with pytest.raises(PoleSingularityError) as err:
+        to_hyperspherical(np.array([0.0, 0.0, 1.0]), p)
+    assert err.value.angle_index == 2
 
 
 def test_model_params_validation():

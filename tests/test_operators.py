@@ -13,23 +13,31 @@ import pytest
 import sympy as sp
 
 from rotorkit import expressions as ex
-from rotorkit.geometry import CHART_HYPERSPHERICAL, ChartDomainError, ModelParams
+from rotorkit.geometry import (CHART_HYPERSPHERICAL, ChartDomainError,
+                               ModelParams, hyperspherical_var_names)
 from rotorkit.operators import (
     OperatorTag,
     QuadratureSpec,
     apply_operator,
     harmonic_polynomials,
     hermiticity_defect,
-    hyperspherical_var_names,
-    inner_product,
     pullback_to_hyperspherical,
     pullback_to_reduced,
 )
 from rotorkit.operators import TestFunction as Probe
+from rotorkit.quadrature import sphere_angular_grid
 from rotorkit.spectra import harmonic_multiplicity
 from sympy_bridge import to_sympy
 
 P3 = ModelParams(D=3, R=1.0, hbar=1.0)
+
+
+def inner_product(f, h, p, spec):
+    """<f, h> over the sphere for two hyperspherical-chart probes."""
+    pts, w = sphere_angular_grid(p, spec.res)
+    env = dict(zip(hyperspherical_var_names(p), pts.T))
+    return np.sum(w * np.conjugate(ex.evaluate(f.expr, env))
+                  * ex.evaluate(h.expr, env))
 
 
 def _ball(D, n, rng, shell=0.85):
@@ -206,11 +214,3 @@ def test_momentum_conventions_on_parity_matched_pair():
         OperatorTag("pi_curv", i=1, convention="measure"), f, g, P3, spec) < 1e-12 * norm
     assert hermiticity_defect(
         OperatorTag("pi_curv", i=1, convention="displayed"), f, g, P3, spec) > 0.1 * norm
-
-
-def test_inner_product_normalization():
-    # <1, 1> over the full sphere is the sphere area
-    one = Probe(ex.ONE, CHART_HYPERSPHERICAL)
-    from rotorkit.geometry import sphere_area
-    got = inner_product(one, one, P3, QuadratureSpec(res=16))
-    assert abs(got - sphere_area(3, 1.0)) < 1e-10

@@ -27,15 +27,12 @@ from rotorkit.pathintegral import (
     SliceKernelSpec,
     SupportError,
     angular_factor_exact,
-    angular_factor_quadrature,
     default_probe_family,
     effective_hamiltonian_action,
     extract_effective_potential,
     gaussian_profile,
-    l2_norm,
     mollifier_bump,
     naive_angular_factor,
-    naive_angular_factor_quadrature,
     semigroup_defect,
     slice_kernel,
     slice_step,
@@ -44,6 +41,59 @@ from rotorkit.pathintegral import (
 P2 = ModelParams(D=2, R=1.0, hbar=1.0)
 GRID = RadialGrid()  # [0.1, 8.0] with 2048 nodes
 EPS_LIST = [1e-3, 5e-4, 2.5e-4]
+
+
+class QuadratureConvergenceError(RuntimeError):
+    """Adaptive doubling failed to stabilize the angular integral."""
+
+
+def _doubling_trapezoid(sample_fn):
+    """Integrate over theta in (-pi, pi] by uniform sums, doubling until stable.
+
+    sample_fn(theta_array) -> integrand values with shape (..., ntheta);
+    returns the integral along the last axis.  The integrands here are
+    analytic and either periodic or exponentially small at the endpoints, so
+    doubling converges geometrically.
+    """
+    n, tol, nmax = 256, 1e-10, 1 << 16
+    prev = None
+    while n <= nmax:
+        theta = -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
+        cur = sample_fn(theta).sum(axis=-1) * (2.0 * math.pi / n)
+        if prev is not None:
+            scale = float(np.max(np.abs(cur))) or 1.0
+            if float(np.max(np.abs(cur - prev))) <= tol * scale:
+                return cur
+        prev = cur
+        n *= 2
+    raise QuadratureConvergenceError(
+        f"angular integral not stable to {tol:g} within {nmax} nodes")
+
+
+def angular_factor_quadrature(z, m):
+    """Oracle for E_m(z): (1/2pi) int exp(z(cos t - 1)) cos(m t) dt."""
+    z = np.asarray(z, dtype=float)
+
+    def fn(theta):
+        return np.exp(z[..., None] * (np.cos(theta) - 1.0)) * np.cos(m * theta)
+
+    return _doubling_trapezoid(fn) / (2.0 * math.pi)
+
+
+def naive_angular_factor_quadrature(a, m):
+    """Oracle for the naive factor: int exp(-a t^2) cos(m t) dt over (-pi, pi]."""
+    a = np.asarray(a, dtype=float)
+
+    def fn(theta):
+        return np.exp(-a[..., None] * theta ** 2) * np.cos(m * theta)
+
+    return _doubling_trapezoid(fn)
+
+
+def l2_norm(psi):
+    """2D L2 norm of psi(r) e^{i m phi}: sqrt(2 pi int |psi|^2 r dr)."""
+    rw = psi.grid.nodes * psi.grid.trapezoid_weights
+    return math.sqrt(2.0 * math.pi * float(np.sum(psi.samples ** 2 * rw)))
 
 
 def _bump(m=0):
@@ -226,14 +276,13 @@ def test_kernel_cache_is_bounded():
     grid = RadialGrid(0.5, 3.0, 64)
     spec = SliceKernelSpec(eps=0.05, prescription=EXACT_CARTESIAN)
     size = pathintegral._KERNEL_CACHE_SIZE
-    pathintegral.clear_kernel_cache()
+    pathintegral._KERNEL_CACHE.clear()
     first = slice_kernel(0, spec, grid, P2)
     for m in range(1, size + 5):
         slice_kernel(m, spec, grid, P2)
     assert len(pathintegral._KERNEL_CACHE) == size
     assert slice_kernel(0, spec, grid, P2) is not first  # evicted, rebuilt
-    pathintegral.clear_kernel_cache()
-    assert not pathintegral._KERNEL_CACHE
+    pathintegral._KERNEL_CACHE.clear()
 
 
 def test_extraction_coefficient_by_midpoint_rule():
