@@ -321,8 +321,6 @@ def canonical_chart_map(p):
     identically in the angles (the tests verify it numerically and through
     sympy: the expression engine does not simplify trig identities).
     """
-    if p.D < 2:
-        raise ValueError("need D >= 2")
     angles, moms = canonical_phase_vars(p)
     xs = embedding_exprs_hyperspherical(p)
     ps = []

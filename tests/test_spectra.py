@@ -9,10 +9,10 @@ matrix, built here and only here, at small resolutions.
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
 from rotorkit import spectra
-from rotorkit.geometry import ModelParams
+from rotorkit.geometry import MEMORY_BUDGET, ModelParams
 from rotorkit.spectra import (
     NonConvergenceError,
     SpectralGrid,
@@ -282,7 +282,7 @@ def test_lanczos_matches_dense_on_distinct_values():
     _, defect = op.symmetric_matrix()
     assert defect < 1e-10
     k = 16
-    vals, resid = lanczos_lowest(op, k, seed=3)
+    vals, resid, _, _ = lanczos_lowest(op, k, seed=3)
     assert np.max(resid) < 1e-7
     dense = compute_spectrum(op, k)
     dvals = [v for v, _ in cluster_eigenvalues(dense.eigenvalues, 1e-4)]
@@ -309,6 +309,7 @@ def test_lanczos_basis_growth_keeps_results(monkeypatch):
     monkeypatch.setattr(spectra, "_LANCZOS_BLOCK", 5)  # grows many times
     got = lanczos_lowest(op, 6, seed=1)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
 
 
 def test_lanczos_exhausted_krylov_space():
@@ -317,11 +318,105 @@ def test_lanczos_exhausted_krylov_space():
     # tridiagonal matrix is exact; tol=0 leaves that as the only way out
     p = ModelParams(D=2, R=1.0, hbar=1.0)
     op = assemble(SpectralGrid.build(p, 16))
-    vals, resid = lanczos_lowest(op, 5, seed=0, tol=0.0)
+    vals, resid, _, _ = lanczos_lowest(op, 5, seed=0, tol=0.0)
     spectrum = eigvalsh(op.symmetric_matrix()[0])
     assert len(vals) == 5 and np.all(np.diff(vals) >= 0)
     assert np.max(np.min(np.abs(vals[:, None] - spectrum[None, :]), axis=1)) < 1e-12
     assert np.all(resid == 0.0)
+
+
+def every_step_lanczos(op, k, seed=0, tol=1e-10, maxiter=None):
+    """lanczos_lowest with the Ritz test at every step, as it ran before
+    the sparse cadence: (values, residual bounds, steps)."""
+    n = op.size
+    maxiter = min(n if maxiter is None else maxiter, n,
+                  MEMORY_BUDGET // (8 * n) - 1)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    V = np.empty((min(maxiter + 1, spectra._LANCZOS_BLOCK), n))
+    V[0] = v
+    alphas, betas = [], []
+    scale = None
+    for j in range(maxiter):
+        w = op.apply(V[j])
+        a = float(V[j] @ w)
+        alphas.append(a)
+        w -= a * V[j]
+        if j > 0:
+            w -= betas[-1] * V[j - 1]
+        for _ in range(2):
+            w -= V[: j + 1].T @ (V[: j + 1] @ w)
+        b = float(np.linalg.norm(w))
+        if scale is None:
+            scale = max(abs(a), b, np.finfo(float).tiny)
+        scale = max(scale, abs(a), b)
+        if b <= 1e-14 * scale:
+            vals = eigh_tridiagonal(alphas, betas, eigvals_only=True)
+            return vals[:k], np.zeros(min(k, len(vals))), j + 1
+        betas.append(b)
+        if j + 1 == V.shape[0]:
+            grow = min(spectra._LANCZOS_BLOCK, maxiter + 1 - V.shape[0])
+            V = np.concatenate([V, np.empty((grow, n))])
+        V[j + 1] = w / b
+        if j + 1 >= k:
+            vals, svecs = eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                           select_range=(0, k - 1))
+            resid = b * np.abs(svecs[-1])
+            if np.all(resid <= tol * scale):
+                return vals, resid, j + 1
+    raise NonConvergenceError("no convergence", residuals=resid)
+
+
+@pytest.mark.parametrize("D,res,k,seed,kwargs", [
+    *[(3, 12, 16, s, {}) for s in range(6)],
+    *[(3, 16, 16, s, {}) for s in range(6)],
+    (2, 64, 7, 0, {}),  # the bound drops about 2 decades per step
+    (3, 24, 36, 4, {}),  # a passing run one step long
+    (2, 16, 5, 0, {"tol": 0.0}),  # only the exhausted Krylov space returns
+    (3, 12, 6, 0, {"maxiter": 8, "tol": 1e-12}),
+    (3, 16, 16, 0, {"maxiter": 100}),  # sparse tests, then maxiter
+])
+def test_sparse_ritz_tests_stop_where_every_step_tests_stop(D, res, k, seed, kwargs):
+    op = assemble(SpectralGrid.build(ModelParams(D=D), res))
+    try:
+        want = every_step_lanczos(op, k, seed, **kwargs)
+    except NonConvergenceError as exc:
+        with pytest.raises(NonConvergenceError) as got:
+            lanczos_lowest(op, k, seed, **kwargs)
+        assert np.array_equal(got.value.residuals, exc.residuals)
+        return
+    vals, resid, steps, _ = lanczos_lowest(op, k, seed, **kwargs)
+    assert np.array_equal(vals, want[0]) and np.array_equal(resid, want[1])
+    assert steps == want[2]
+
+
+def counting_tridiagonal_solves(monkeypatch):
+    """Wrap spectra.eigh_tridiagonal; the list grows by one per call."""
+    calls = []
+    solve = spectra.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", counted)
+    return calls
+
+
+def test_ritz_tests_run_at_most_every_third_step(monkeypatch):
+    op = assemble(SpectralGrid.build(ModelParams(D=3), 16))
+    calls = counting_tridiagonal_solves(monkeypatch)
+    _, _, steps, solves = lanczos_lowest(op, 16)
+    assert solves == len(calls)
+    assert 3 * solves <= steps
+
+
+def test_iterative_meta_carries_steps_and_ritz_tests(monkeypatch):
+    op = assemble(SpectralGrid.build(ModelParams(D=3), 16))
+    calls = counting_tridiagonal_solves(monkeypatch)
+    meta = compute_spectrum(op, 16, method="iterative", seed=3).meta
+    assert meta["lanczos_steps"] == every_step_lanczos(op, 16, seed=3)[2]
+    assert meta["ritz_tests"] == len(calls)
 
 
 def test_cluster_eigenvalues_grouping():
