@@ -12,13 +12,10 @@ import numpy as np
 
 from rotorkit.geometry import ModelParams
 from rotorkit.spectra import (
-    SpectralGrid,
-    assemble,
     cluster_eigenvalues,
-    compute_spectrum,
     extrapolate,
     reference_spectrum,
-    sector_spectrum,
+    route_spectrum,
 )
 
 p = ModelParams(D=3, R=1.0, hbar=1.0)
@@ -27,13 +24,12 @@ k = 16  # l = 0..3 inclusive: 1 + 3 + 5 + 7 eigenvalues
 results = []
 print("dense route, raw worst-case eigenvalue error:")
 for res in (12, 16, 24):
-    op = assemble(SpectralGrid.build(p, res))
-    r = compute_spectrum(op, k, method="dense", cluster_tol=1e-2)
-    results.append(r)
-    ref = np.concatenate([[v] * m for v, m in reference_spectrum(p.D, 3, p)])
+    r = route_spectrum(p, [res], k, "dense")
+    results.append(r.eigenvalues)
+    ref = np.concatenate([[v] * m for v, m in reference_spectrum(p, 3)])
     print(f"  res {res:3d}: {np.max(np.abs(r.eigenvalues - ref)):.3e}")
 
-values, err, flags = extrapolate(results)
+values, err, flags = extrapolate(results, [12, 16, 24])
 print("\nafter Richardson extrapolation over the three resolutions:")
 print(f"  worst error {np.max(np.abs(values - ref)):.3e}"
       f"   (estimated {np.max(err):.1e}, flagged: {int(np.sum(flags))})")
@@ -47,22 +43,22 @@ print(f"\n|E0| = {abs(values[0]):.2e}  (a curvature term would make this O(1))")
 
 # sector decomposition peels the symmetry off analytically, so each level
 # is spectrally exact even at modest resolution
-sec = sector_spectrum(p, 48, k)
+sec = route_spectrum(p, [48], k, "sector")
 print(f"\nsector route, worst error: "
       f"{np.max(np.abs(sec.eigenvalues - ref)):.3e}")
 
 # Lanczos reports each degenerate value once; compare distinct levels.
 # Any residual gap is the within-cluster discretization split: the dense
 # column is a cluster mean, Lanczos converges to one copy of the cluster.
-op = assemble(SpectralGrid.build(p, 32))
-it = compute_spectrum(op, 8, method="iterative", seed=3, cluster_tol=1e-2)
-dense = compute_spectrum(op, k, method="dense", cluster_tol=1e-2)
+it = route_spectrum(p, [32], 8, "iterative", seed=3)
+dense = route_spectrum(p, [32], k, "dense")
 spread = [float(np.max(g) - np.min(g))
           for g in np.split(dense.eigenvalues, np.cumsum([1, 3, 5])[:3])]
 print("Lanczos vs dense on distinct levels (same grid, res 32):")
 print("  lanczos          dense mean       diff      cluster spread")
-for i, (a, b) in enumerate(zip([v for v, _ in it.clusters][:3],
-                               [v for v, _ in dense.clusters][:3])):
+for i, (a, b) in enumerate(zip(
+        [v for v, _ in cluster_eigenvalues(it.eigenvalues, 1e-2)][:3],
+        [v for v, _ in cluster_eigenvalues(dense.eigenvalues, 1e-2)][:3])):
     print(f"  {a:14.10f}   {b:14.10f}   {abs(a - b):.1e}   {spread[i]:.1e}")
 
 # the same closed form at every D the model accepts: on the sector route
@@ -72,7 +68,8 @@ print("\nsector route at every D, levels l = 0..3 (res 24):")
 print("   D   |E0|       multiplicities    exact")
 for D in range(2, 11):
     pD = ModelParams(D=D, R=1.0, hbar=1.0)
-    ref = reference_spectrum(D, 3, pD)
-    sec = sector_spectrum(pD, 24, sum(m for _, m in ref))
+    ref = reference_spectrum(pD, 3)
+    sec = route_spectrum(pD, [24], sum(m for _, m in ref), "sector")
+    mults = [m for _, m in cluster_eigenvalues(sec.eigenvalues, 1e-6)]
     print(f"  {D:2d}   {abs(sec.eigenvalues[0]):.1e}   "
-          f"{str([m for _, m in sec.clusters]):16s}  {[m for _, m in ref]}")
+          f"{str(mults):16s}  {[m for _, m in ref]}")

@@ -16,7 +16,7 @@ expression trees in expressions; quadrature rules in quadrature; the
 command line front end in cli.
 
 The package root exports only ``__version__``.  Import the library by
-submodule (``from rotorkit.spectra import compute_spectrum``), so a
+submodule (``from rotorkit.spectra import route_spectrum``), so a
 program loads only the layers it runs: ``rotorkit.geometry`` needs numpy
 alone, and ``rotorkit.dynamics`` adds only the expression engine.
 """

@@ -49,8 +49,8 @@ from . import __version__
 from .geometry import ModelParams
 from .operators import (suite_angular_momentum, suite_chart_equivalence,
                         suite_hermiticity)
-from .spectra import (NonConvergenceError, reference_eigenvalues,
-                      reference_spectrum, route_spectrum)
+from .spectra import (NonConvergenceError, cluster_eigenvalues,
+                      reference_eigenvalues, reference_spectrum, route_spectrum)
 from . import dynamics
 from .dynamics import (PHASE_EMBEDDED, PHASE_REDUCED, ChartMarginError,
                        PhaseState, StepConvergenceError, conserved_series,
@@ -278,13 +278,12 @@ def run_spectrum(cfg):
     cluster_tol = cfg["cluster_tol"]
     if cluster_tol is None:
         cluster_tol = (1e-6 if method == "sector" else 1e-2) * scale
-    ref_clusters = reference_spectrum(p.D, cfg["levels"] - 1, p)
+    ref_clusters = reference_spectrum(p, cfg["levels"] - 1)
     k = sum(m for _, m in ref_clusters)
     if k > _MAX_EIGENVALUES:
         raise ConfigError(f"levels {cfg['levels']} at dim {p.D} need {k} "
                           f"eigenvalues; a run lists at most {_MAX_EIGENVALUES}")
-    result = route_spectrum(p, cfg["res"], k, method, seed=cfg["seed"],
-                            cluster_tol=cluster_tol)
+    result = route_spectrum(p, cfg["res"], k, method, seed=cfg["seed"])
     meta = result.meta
     tol = cfg["tolerance"]
     # sector values are exact; raw grid values keep the discretization
@@ -295,18 +294,27 @@ def run_spectrum(cfg):
     cfg = dict(cfg, method=method, tolerance=float(tol),
                cluster_tol=float(cluster_tol))
 
-    clusters = result.clusters
+    clusters = cluster_eigenvalues(result.eigenvalues, cluster_tol)
     distinct_only = bool(meta.get("distinct_only", False))
     if distinct_only:
+        # a level the grid splits into two clusters must not shift the
+        # levels above it: each cluster up to the top level plus tol is held
+        # to its nearest level, and each level to its nearest cluster
         pattern_ok = len(clusters) >= len(ref_clusters)
+        found = np.array([v for v, _ in clusters])
+        levels = np.array([v for v, _ in ref_clusters])
+        gaps = np.abs(found[:, None] - levels[None, :])
+        near = gaps.min(axis=1)[found <= levels[-1] + tol]
+        value_dev = float(np.max([gaps.min(axis=0).max(), near.max(initial=0.0)]))
         clusters = clusters[: len(ref_clusters)]
     else:
         pattern_ok = (len(clusters) == len(ref_clusters)
                       and all(c[1] == rc[1]
                               for c, rc in zip(clusters, ref_clusters)))
-    value_dev = (float(np.max([abs(c[0] - rc[0])
-                               for c, rc in zip(clusters, ref_clusters)]))
-                 if pattern_ok else float("inf"))
+        value_dev = float(np.max([abs(c[0] - rc[0])
+                                  for c, rc in zip(clusters, ref_clusters)]))
+    if not pattern_ok:
+        value_dev = float("inf")
     e0 = float(result.eigenvalues[0])
     e0_tol = cfg["e0_tol"] * p.hbar ** 2 / p.R ** 2
     passed = pattern_ok and value_dev <= tol and abs(e0) <= e0_tol
@@ -321,7 +329,7 @@ def run_spectrum(cfg):
         "ground_state": e0,
     }
     if "raw" in meta:
-        ref_eigs = reference_eigenvalues(p.D, cfg["levels"] - 1, p)
+        ref_eigs = reference_eigenvalues(p, cfg["levels"] - 1)
         results["per_res"] = [
             {"res": r, "max_raw_deviation": float(np.max(np.abs(raw - ref_eigs)))}
             for r, raw in zip(meta["res"], meta["raw"])]

@@ -53,7 +53,7 @@ from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, ChartDomainError,
 from .quadrature import reduced_ball_grid, sphere_angular_grid
 
 __all__ = [
-    "TestFunction", "OperatorTag", "QuadratureSpec",
+    "TestFunction", "OperatorTag",
     "reduced_var_names", "pullback_to_reduced",
     "pullback_to_hyperspherical", "harmonic_polynomials",
     "momentum_cartesian_expr", "hamiltonian_cartesian_expr",
@@ -85,15 +85,6 @@ class OperatorTag:
     j: int = 0
     convention: str = "measure"
     route: str = "laplace_beltrami"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    res: int = 64
-
-    def __post_init__(self):
-        if self.res < 2:
-            raise ValueError(f"quadrature needs res >= 2 nodes, got {self.res}")
 
 
 def reduced_var_names(p):
@@ -361,12 +352,12 @@ def momentum_curvilinear_expr(f, i, p, convention="measure"):
 
 # -- hermiticity -------------------------------------------------------------
 
-def _chart_grid(chart, p, spec):
+def _chart_grid(chart, p, res):
     if chart == CHART_REDUCED:
-        pts, w = reduced_ball_grid(p, spec.res)
+        pts, w = reduced_ball_grid(p, res)
         names = reduced_var_names(p)
     elif chart == CHART_HYPERSPHERICAL:
-        pts, w = sphere_angular_grid(p, spec.res)
+        pts, w = sphere_angular_grid(p, res)
         names = hyperspherical_var_names(p)
     else:
         raise ChartDomainError(f"no quadrature for chart '{chart}'")
@@ -419,11 +410,11 @@ def _defect_terms(tag, f, h, p, pts, w, names):
             np.sum(w * np.conjugate(hv) * hv).real)
 
 
-def hermiticity_defect(tag, f, h, p, spec=QuadratureSpec()):
+def hermiticity_defect(tag, f, h, p, res=64):
     """|<f, T h> - <T f, h>| under the sphere (sqrt(g)) measure."""
     if f.chart != h.chart:
         raise ChartDomainError("hermiticity check needs both functions on one chart")
-    pts, w, names = _chart_grid(f.chart, p, spec)
+    pts, w, names = _chart_grid(f.chart, p, res)
     lhs, rhs, _, _ = _defect_terms(tag, f, h, p, pts, w, names)
     return abs(lhs - rhs)
 
@@ -512,22 +503,21 @@ def _midpoint_angular_grid(p, res):
     return pts, w
 
 
-def _sphere_defect(tag, h1, h2, p, spec, chart):
+def _sphere_defect(tag, h1, h2, p, grids, chart):
     """Hermiticity defect of T over the whole sphere, normalized by |h1| |h2|.
 
-    h1 and h2 are embedded-coordinate expressions, pulled back to ``chart``.
+    h1 and h2 are embedded-coordinate expressions, pulled back to ``chart``;
+    ``grids`` maps each chart to its (points, weights, variable names).
     The reduced chart covers half the sphere; equator boundary terms only
     cancel in the sum of the two hemisphere lifts, which is the honest
     statement of hermiticity for that chart.  The hyperspherical chart
     covers the sphere once, on the midpoint angular grid.
     """
+    pts, w, names = grids[chart]
     if chart == CHART_REDUCED:
-        pts, w, names = _chart_grid(chart, p, spec)
         lifts = [(pullback_to_reduced(h1, p, hemisphere=s),
                   pullback_to_reduced(h2, p, hemisphere=s)) for s in (1, -1)]
     else:
-        pts, w = _midpoint_angular_grid(p, spec.res)
-        names = hyperspherical_var_names(p)
         lifts = [(pullback_to_hyperspherical(h1, p),
                   pullback_to_hyperspherical(h2, p))]
     lhs = rhs = 0.0
@@ -547,12 +537,16 @@ def suite_hermiticity(p, res):
     The displayed-convention curvilinear momentum is reported but excluded
     from the pass criterion; it is documented as non-hermitian.  D must be
     at least 3, since at D=2 there is no polar angle for that control to
-    act on, and res at least 2; both are checked before any harmonic is
-    built.
+    act on, and res at least 2 (the reduced chart's polar nodes reject
+    less); both are checked before any harmonic is built.  The suite's two
+    grids, the reduced chart's Gauss grid and the hyperspherical midpoint
+    grid, are built once, here.
     """
     if p.D < 3:
         raise ValueError(f"hermiticity needs dim >= 3, got dim {p.D}")
-    spec = QuadratureSpec(res)
+    grids = {CHART_REDUCED: _chart_grid(CHART_REDUCED, p, res),
+             CHART_HYPERSPHERICAL: (*_midpoint_angular_grid(p, res),
+                                    hyperspherical_var_names(p))}
     harmonics = [harmonic_polynomials(p.D, l)[0] for l in (1, 2, 3)]
     # pi_cart is symmetric on functions vanishing at the chart edge (the
     # equator); x_D^2 damping puts the test pair in that domain and keeps
@@ -573,7 +567,7 @@ def suite_hermiticity(p, res):
     worst = 0.0
     for name, tag, chart, family, label in checks:
         for a, b in pairs:
-            d = _sphere_defect(tag, family[a], family[b], p, spec, chart)
+            d = _sphere_defect(tag, family[a], family[b], p, grids, chart)
             rows.append({"operator": name, "pair": f"{label}l{a + 1},l{b + 1}",
                          "defect": float(d)})
             worst = float(np.maximum(worst, d))
@@ -581,7 +575,7 @@ def suite_hermiticity(p, res):
     # picked so no parity accident hides the defect
     displayed = OperatorTag("pi_curv", i=1, convention="displayed")
     control = _sphere_defect(displayed, harmonic_polynomials(p.D, 1)[2],
-                             harmonic_polynomials(p.D, 2)[1], p, spec,
+                             harmonic_polynomials(p.D, 2)[1], p, grids,
                              CHART_HYPERSPHERICAL)
     if math.isnan(control):
         worst = control  # a control that cannot be measured fails the suite

@@ -1,10 +1,12 @@
 """Discretized rotor Hamiltonians and their low spectra.
 
-Two independent numerical routes compute the spectrum of the curvilinear
-Hamiltonian, and a closed-form reference provides the oracle:
+``route_spectrum(p, res, k, method)`` is the one call from model
+parameters to eigenvalues.  It checks every input rule before the first
+eigensolve and then runs one of three routes; a closed-form reference
+provides the oracle:
 
-* ``assemble`` discretizes on a (Gauss nodes in cos phi_k) x (uniform
-  azimuth) grid and keeps the operator in separable form,
+* ``dense``: ``assemble`` discretizes on a (Gauss nodes in cos phi_k) x
+  (uniform azimuth) grid and keeps the operator in separable form,
   A (x) I + diag(1/(1-u^2)) (x) T: a polar factor A with one row per
   polar node, the coupling, and T, the operator of the sub-sphere one level
   down (the Fourier factor for D=3), for every D the model accepts.  Polar
@@ -18,15 +20,22 @@ Hamiltonian, and a closed-form reference provides the oracle:
   the dense route diagonalizes only the few blocks that can hold the
   lowest levels, asking T for only as many eigenvalues as those blocks
   need; its cost follows D, k and the resolution, not the node count.
-  Lanczos applies the factors matrix-free within a byte budget for its
-  basis; the n x n matrix is never formed.
-* ``sector_spectrum`` peels off the leading angle's weight analytically:
-  restricted to functions of the form sin^s(phi_1) v(cos phi_1) Y_s(rest),
-  the operator becomes the polynomial-preserving tridiagonal-similar form
+  Three or more resolutions are Richardson-extrapolated (``extrapolate``).
+* ``iterative``: Lanczos applies the same factors matrix-free within a
+  byte budget for its basis; the n x n matrix is never formed.
+* ``sector``: ``sector_spectrum`` peels off the leading angle's weight
+  analytically: restricted to functions of the form
+  sin^s(phi_1) v(cos phi_1) Y_s(rest), the operator becomes the
+  polynomial-preserving tridiagonal-similar form
       B v = -(1-u^2) v'' + (2s+d) u v' + s(s+d-1) v,   d = D-1,
   whose collocation matrix on any n distinct nodes carries the *exact*
   eigenvalues L(L+d-1), L = s..s+n-1 (B is triangular in the monomial
   basis).  This route resolves eigenvalue clusters to machine precision.
+  At D=2 the sector route is the dense solve on the largest grid, where
+  the Fourier factor is exact.
+
+The routes return values; grouping them into clusters is the caller's
+choice of gap (``cluster_eigenvalues``).
 
 The full tensor route converges spectrally for even azimuthal modes but only
 algebraically (observed order ~2 in the node count) for odd ones, whose
@@ -52,7 +61,7 @@ from .quadrature import azimuth_nodes, polar_exponent, polar_nodes
 
 __all__ = [
     "SpectralGrid", "GridOperator", "SpectrumResult", "NonConvergenceError",
-    "diffmat", "assemble", "compute_spectrum", "sector_spectrum",
+    "diffmat", "assemble", "sector_spectrum",
     "reference_spectrum", "reference_eigenvalues", "cluster_eigenvalues",
     "extrapolate", "lanczos_lowest", "route_spectrum",
 ]
@@ -99,21 +108,18 @@ class SpectralGrid:
 
     @classmethod
     def build(cls, p, res):
-        if np.ndim(res) == 0:
-            res = (int(res),) * (p.D - 1)
-        res = tuple(int(r) for r in res)
-        if len(res) != p.D - 1:
-            raise ValueError(f"need {p.D - 1} node counts for D={p.D}")
-        if min(res) < 4:
+        """res Gauss nodes on every polar axis, res rounded up to even on
+        the azimuth."""
+        res = int(res)
+        if res < 4:
             raise ValueError("a grid needs every resolution >= 4 nodes per "
-                             f"axis, got {min(res)}")
+                             f"axis, got {res}")
         polar_u, polar_w = [], []
         for k in range(1, p.D - 1):
-            u, w = polar_nodes(res[k - 1], polar_exponent(p.D, k))
+            u, w = polar_nodes(res, polar_exponent(p.D, k))
             polar_u.append(u)
             polar_w.append(w)
-        # the polar counts are res itself, the azimuth count rounds up to even
-        counts = res[:-1] + (res[-1] + res[-1] % 2,)
+        counts = (res,) * (p.D - 2) + (res + res % 2,)
         phi, wphi = azimuth_nodes(counts[-1])
         # the product weights sum to the product of the per-axis sums
         total = math.prod(w.sum() for w in polar_w) * wphi.sum() * p.R ** (p.D - 1)
@@ -143,8 +149,6 @@ class GridOperator:
 
     A: np.ndarray
     w: np.ndarray
-    p: ModelParams
-    meta: dict
     c: np.ndarray = None
     inner: "GridOperator" = None
     _symmetric: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -258,22 +262,19 @@ def assemble(grid):
     """
     p = grid.p
     scale = 0.5 * p.hbar ** 2 / p.R ** 2
-    op = GridOperator(A=-scale * _fourier_d2(grid.counts[-1]), w=grid.azimuth_w,
-                      p=p, meta={"D": 2, "counts": grid.counts[-1:]})
+    op = GridOperator(A=-scale * _fourier_d2(grid.counts[-1]), w=grid.azimuth_w)
     for axis in reversed(range(p.D - 2)):
         u, w = grid.polar_u[axis], grid.polar_w[axis]
-        op = GridOperator(A=scale * _polar_block(u, w), w=w, p=p,
-                          meta={"D": p.D - axis, "counts": grid.counts[axis:]},
+        op = GridOperator(A=scale * _polar_block(u, w), w=w,
                           c=1.0 / (1.0 - u * u), inner=op)
     return op
 
 
 @dataclass
 class SpectrumResult:
-    """Ascending eigenvalues with cluster structure and provenance."""
+    """Ascending eigenvalues with their provenance."""
 
     eigenvalues: np.ndarray
-    clusters: list
     meta: dict
     residual_norms: np.ndarray = None
 
@@ -284,14 +285,7 @@ class SpectrumResult:
             raise AssertionError("eigenvalues must be ascending")
         if np.any(ev < -1e-8 * max(1.0, scale)):
             raise AssertionError("operator should be positive semidefinite")
-        if sum(c for _, c in self.clusters) != len(ev):
-            raise AssertionError("cluster multiplicities must sum to the eigenvalue count")
         self.eigenvalues = ev
-
-
-def default_cluster_tol(p):
-    # 1e-6 absolute at hbar = R = 1, scaled with the natural energy unit
-    return 1e-6 * p.hbar ** 2 / p.R ** 2
 
 
 def cluster_eigenvalues(vals, tol):
@@ -306,43 +300,10 @@ def cluster_eigenvalues(vals, tol):
     return clusters
 
 
-def _result(vals, p, meta, residuals=None, cluster_tol=None):
-    tol = default_cluster_tol(p) if cluster_tol is None else cluster_tol
-    meta = dict(meta)
-    meta["scale"] = p.hbar ** 2 / p.R ** 2
-    meta["cluster_tol"] = tol
-    return SpectrumResult(eigenvalues=np.sort(vals), meta=meta,
-                          clusters=cluster_eigenvalues(vals, tol),
+def _result(vals, p, meta, residuals=None):
+    return SpectrumResult(eigenvalues=np.sort(vals),
+                          meta=dict(meta, scale=p.hbar ** 2 / p.R ** 2),
                           residual_norms=residuals)
-
-
-def compute_spectrum(op, k, method="dense", seed=0, cluster_tol=None,
-                     with_residuals=False):
-    """k smallest eigenvalues of a GridOperator.
-
-    ``dense`` diagonalizes the symmetrized operator block by block (see
-    ``GridOperator.lowest``); ``iterative`` runs shift-free Lanczos with
-    full reorthogonalization on the matrix-free apply from a seeded random
-    start.  Note the iterative path reports each degenerate eigenvalue once
-    (a single-vector Krylov space cannot split exact multiplicities), so its
-    results are compared against the dense path on distinct values.  The
-    iterative meta adds ``lanczos_steps`` and ``ritz_tests``, the returned
-    step and the tridiagonal solves of ``lanczos_lowest``.
-    """
-    if k > op.size:
-        raise ValueError(f"requested {k} eigenvalues from an operator of size {op.size}")
-    meta = dict(op.meta)
-    meta.update(method=method, symmetry_defect=op.symmetry_defect(), k=k,
-                n=op.size, params=(op.p.D, op.p.R, op.p.hbar))
-    if method == "dense":
-        vals, resid, meta["blocks_scanned"] = op.lowest(k, residuals=with_residuals)
-        return _result(vals, op.p, meta, residuals=resid, cluster_tol=cluster_tol)
-    if method == "iterative":
-        vals, resid, meta["lanczos_steps"], meta["ritz_tests"] = lanczos_lowest(
-            op, k, seed=seed)
-        meta["distinct_only"] = True
-        return _result(vals, op.p, meta, residuals=resid, cluster_tol=cluster_tol)
-    raise ValueError(f"unknown method '{method}'")
 
 
 # rows the Lanczos basis grows by; it is never reserved for maxiter up front
@@ -492,22 +453,18 @@ def _sector_block(D, sector, n):
     return B
 
 
-def sector_spectrum(p, res, k, cluster_tol=None):
+def sector_spectrum(p, res, k):
     """k smallest eigenvalues via the sector decomposition.
 
     Sector s is the degree s of the sub-sphere harmonic Y_s (the azimuthal
     mode |m| at D=3) and contributes each of its values with that level's
     multiplicity on the (D-2)-sphere, harmonic_multiplicity(D - 1, s).
     Sector s's smallest eigenvalue grows with s, so scanning stops as soon as
-    the next sector can no longer land in the lowest k.  D=2 has no polar
-    angle to peel and is solved on the grid.
+    the next sector can no longer land in the lowest k.  At D=2
+    ``route_spectrum`` takes the sector route on its largest grid instead,
+    where the Fourier factor is exact.
     """
     scale = 0.5 * p.hbar ** 2 / p.R ** 2
-    if p.D == 2:
-        op = assemble(SpectralGrid.build(p, res))
-        out = compute_spectrum(op, k, method="dense", cluster_tol=cluster_tol)
-        out.meta["method"] = "sector"
-        return out
     collected = residuals = np.empty(0)
     sector = 0
     while True:
@@ -532,10 +489,7 @@ def sector_spectrum(p, res, k, cluster_tol=None):
     vals, resid = collected[order], residuals[order]
     if np.max(np.abs(vals.imag)) > 1e-6 * max(scale, np.max(np.abs(vals))):
         raise AssertionError("sector block produced non-real eigenvalues")
-    vals = vals.real
-    meta = {"D": p.D, "method": "sector", "res": res,
-            "sectors_scanned": sector, "params": (p.D, p.R, p.hbar)}
-    return _result(vals, p, meta, residuals=resid, cluster_tol=cluster_tol)
+    return _result(vals.real, p, {"sectors_scanned": sector}, residuals=resid)
 
 
 def harmonic_multiplicity(D, l):
@@ -544,7 +498,7 @@ def harmonic_multiplicity(D, l):
     return math.comb(D + l - 1, l) - math.comb(D + l - 3, l - 2)
 
 
-def reference_spectrum(D, l_max, p=None):
+def reference_spectrum(p, l_max):
     """Closed-form rotor levels [(hbar^2 l(l+D-2)/(2R^2), multiplicity)].
 
     The eigenvalue follows from H = L^2/(2R^2) plus the standard harmonic
@@ -556,21 +510,14 @@ def reference_spectrum(D, l_max, p=None):
     if not 0 <= l_max <= 20:
         raise ValueError("the reference ladder stops at l = 20, so levels must "
                          f"be at most 21, got l_max = {l_max}")
-    if p is None:
-        p = ModelParams(D=D)  # rejects a D outside 2..10
-    if p.D != D:
-        raise ValueError("params dimension mismatch")
-    out = []
-    for l in range(l_max + 1):
-        out.append((p.hbar ** 2 * l * (l + D - 2) / (2.0 * p.R ** 2),
-                    harmonic_multiplicity(D, l)))
-    return out
+    return [(p.hbar ** 2 * l * (l + p.D - 2) / (2.0 * p.R ** 2),
+             harmonic_multiplicity(p.D, l)) for l in range(l_max + 1)]
 
 
-def reference_eigenvalues(D, l_max, p=None):
+def reference_eigenvalues(p, l_max):
     """reference_spectrum flattened to a sorted array with multiplicities."""
     vals = []
-    for v, m in reference_spectrum(D, l_max, p):
+    for v, m in reference_spectrum(p, l_max):
         vals.extend([v] * m)
     return np.array(vals)
 
@@ -593,32 +540,31 @@ def _fit_order(v1, v2, v3, n1, n2, n3):
     return 0.5 * (lo + hi)
 
 
-def _rising_node_counts(counts):
-    """Largest node count per grid, the n that extrapolation fits against;
-    there must be three or more and they must strictly rise."""
-    ns = [max(c) for c in counts]
+def _check_rising(ns):
+    """Extrapolation fits against three or more strictly rising node counts."""
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(
             "extrapolation takes three or more resolutions whose largest node "
             "counts strictly rise (the dense route also takes one); got node "
             f"counts {', '.join(map(str, ns))}")
-    return ns
 
 
-def extrapolate(results):
+def extrapolate(values, counts):
     """Richardson extrapolation over >= 3 rising resolutions.
 
+    ``values`` holds each resolution's ascending eigenvalues and ``counts``
+    its grid's largest node count, the n the error is fitted against.
     The convergence order is fitted per eigenvalue from the last three
     resolutions (no fixed ratio assumed), then the leading error term is
     removed.  Machine-converged sequences pass through unchanged, and
     non-monotone sequences are flagged and returned at the finest raw value.
     Returns (values, error_estimates, flags).
     """
-    ns = _rising_node_counts([r.meta["counts"] for r in results])
-    k = min(len(r.eigenvalues) for r in results)
-    seq = np.stack([r.eigenvalues[:k] for r in results])
+    _check_rising(counts)
+    k = min(len(v) for v in values)
+    seq = np.stack([v[:k] for v in values])
     v1, v2, v3 = seq[-3], seq[-2], seq[-1]
-    n1, n2, n3 = ns[-3], ns[-2], ns[-1]
+    n1, n2, n3 = counts[-3], counts[-2], counts[-1]
     scale = max(np.max(np.abs(seq)), np.finfo(float).tiny)
     out = np.array(v3)
     err = np.zeros(k)
@@ -643,16 +589,21 @@ def extrapolate(results):
     return out, err, flags
 
 
-def route_spectrum(p, res, k, method, seed=0, cluster_tol=None):
+def route_spectrum(p, res, k, method, seed=0):
     """k lowest eigenvalues on the ``sector``, ``dense`` or ``iterative`` route.
 
-    Sector and iterative solve at the largest of the resolutions ``res``;
-    dense solves at each and extrapolates three or more.  Every resolution
-    is built (grid or sector nodes) and every rule checked before the first
-    eigensolve, so a rejected input raises ValueError having solved
-    nothing; the smallest dense grid is solved first, so compute_spectrum's
-    size rule fires there.  meta names the ``route``; the dense route adds
-    the ``raw`` values per resolution and any ``extrapolation_*`` results.
+    The one call from parameters to eigenvalues, and the one place that
+    branches on the route.  Sector and iterative solve at the largest of
+    the resolutions ``res``; dense solves at each and extrapolates three or
+    more.  Every resolution is built (grid or sector nodes) and every rule
+    checked before the first eigensolve, k within the size of every grid
+    that is solved included, so a rejected input raises ValueError having
+    solved nothing.  meta names the ``route``.  The grid routes add
+    ``blocks_scanned`` (dense, one count per grid solved) or
+    ``symmetry_defect``, ``lanczos_steps``, ``ritz_tests`` and
+    ``distinct_only`` (iterative); the dense route also adds its ``res``,
+    the ``raw`` values per resolution and any ``extrapolation_*`` results;
+    the sector route adds ``sectors_scanned`` for D >= 3.
     """
     if method not in ("sector", "dense", "iterative"):
         raise ValueError(f"unknown method '{method}'")
@@ -660,28 +611,40 @@ def route_spectrum(p, res, k, method, seed=0, cluster_tol=None):
     if method == "sector" and p.D > 2:
         for r in res:
             polar_nodes(r, 0)  # every resolution must give a sector block
-    else:  # D=2 sectors are solved on the grid
-        grids = [SpectralGrid.build(p, r) for r in res]
+        out = sector_spectrum(p, max(res), k)
+        out.meta["route"] = method
+        return out
+    grids = [SpectralGrid.build(p, r) for r in res]
+    counts = [max(g.counts) for g in grids]
     if method == "dense" and len(grids) > 1:
-        _rising_node_counts([g.counts for g in grids])
-    if method == "sector":
-        out = sector_spectrum(p, max(res), k, cluster_tol=cluster_tol)
-    elif method == "iterative":
+        _check_rising(counts)
+    else:  # the iterative route, and the sector route at D=2
+        grids = [grids[res.index(max(res))]]
+    for g in grids:
+        if k > g.size:
+            raise ValueError(f"requested {k} eigenvalues from an operator of "
+                             f"size {g.size}")
+    if method == "iterative":
         # single-vector Krylov resolves degenerate copies only through
         # rounding noise, so it reports distinct values (distinct_only)
-        op = assemble(grids[res.index(max(res))])
-        out = compute_spectrum(op, k, method="iterative", seed=seed,
-                               cluster_tol=cluster_tol)
-    else:
-        raws = [compute_spectrum(assemble(g), k) for g in grids]
-        meta = {"res": res, "D": p.D, "R": p.R, "hbar": p.hbar,
-                "raw": [r.eigenvalues for r in raws]}
-        values = raws[-1].eigenvalues
+        op = assemble(grids[0])
+        meta = {"route": method, "symmetry_defect": op.symmetry_defect(),
+                "distinct_only": True}
+        vals, resid, meta["lanczos_steps"], meta["ritz_tests"] = lanczos_lowest(
+            op, k, seed=seed)
+        return _result(vals, p, meta, residuals=resid)
+    raws, blocks = [], []
+    for g in grids:
+        vals, _, scanned = assemble(g).lowest(k)
+        raws.append(_result(vals, p, {}).eigenvalues)  # checked per grid
+        blocks.append(scanned)
+    meta = {"route": method, "blocks_scanned": blocks}
+    if method == "dense":
+        meta.update(res=res, raw=raws)
         if len(raws) >= 3:
-            values, errs, flags = extrapolate(raws)
-            method = "dense+extrapolation"
-            meta.update(extrapolation_error_estimates=[float(e) for e in errs],
+            values, errs, flags = extrapolate(raws, counts)
+            meta.update(route="dense+extrapolation",
+                        extrapolation_error_estimates=[float(e) for e in errs],
                         extrapolation_flagged=int(np.sum(flags)))
-        out = _result(values, p, meta, cluster_tol=cluster_tol)
-    out.meta["route"] = method
-    return out
+            return _result(values, p, meta)
+    return _result(raws[-1], p, meta)

@@ -35,13 +35,9 @@ from rotorkit.pathintegral import (
     extract_effective_potential,
 )
 from rotorkit.spectra import (
-    SpectralGrid,
-    assemble,
     cluster_eigenvalues,
-    compute_spectrum,
-    extrapolate,
     reference_spectrum,
-    sector_spectrum,
+    route_spectrum,
 )
 
 P0 = ModelParams(D=3, R=1.0, hbar=1.0)
@@ -122,10 +118,7 @@ def test_criterion_4_spectrum_no_curvature_term():
     # clusters (0,1), (1,3), (3,5), (6,7); the ground state is the sharp
     # probe, since any curvature term in H would shift it by O(1)
     t0 = perf_counter()
-    raws = [compute_spectrum(assemble(SpectralGrid.build(P0, r)), 16,
-                             method="dense", cluster_tol=1e-2)
-            for r in (48, 64, 96)]
-    values, _, _ = extrapolate(raws)
+    values = route_spectrum(P0, (48, 64, 96), 16, "dense").eigenvalues
     dt_dense = perf_counter() - t0
 
     clusters = cluster_eigenvalues(values, 1e-2)
@@ -142,10 +135,11 @@ def test_criterion_4_spectrum_no_curvature_term():
     sec_mults_ok = True
     for D in (2, 4):
         p = ModelParams(D=D, R=1.0, hbar=1.0)
-        ref = reference_spectrum(D, 2, p)
+        ref = reference_spectrum(p, 2)
         k = sum(m for _, m in ref)
-        res = sector_spectrum(p, 64, k)
-        for (val, mult), (rval, rmult) in zip(res.clusters, ref):
+        res = route_spectrum(p, (64,), k, "sector")
+        for (val, mult), (rval, rmult) in zip(
+                cluster_eigenvalues(res.eigenvalues, 1e-6), ref):
             sec_dev = max(sec_dev, abs(val - rval))
             sec_mults_ok = sec_mults_ok and mult == rmult
     dt_sector = perf_counter() - t1

@@ -154,7 +154,7 @@ def test_exit_2_on_bad_pathintegral_config(flags, needle, monkeypatch, capsys):
     (["check", "dirac-brackets", "--dim", "2"], "dirac-brackets needs dim >= 3"),
     (["check", "chart-equivalence", "--samples", "0"], "samples"),
     (["check", "chart-equivalence", "--dim", "11"], "D must be an integer"),
-    (["check", "hermiticity", "--res", "1"], "res >= 2"),
+    (["check", "hermiticity", "--res", "1"], "resolution >= 2"),
     (["check", "chart-equivalence", "--lmax", "-1"], "'lmax' must be positive"),
     (["check", "angular-momentum", "--lmax", "-1"], "'lmax' must be positive"),
     (["check", "chart-equivalence", "--lmax", "0"], "'lmax' must be positive"),
@@ -268,6 +268,36 @@ def test_iterative_route_solves_at_the_largest_resolution(capsys):
     assert listed["resolved_config"]["tolerance"] == 5e-2
 
 
+def test_iterative_verdict_holds_each_value_to_its_nearest_level(capsys):
+    # at res 16 the grid splits l=2 into 2.9715 and 3.0, further apart than
+    # the 1e-2 cluster gap; the worst deviation is the l=3 value 5.9176,
+    # not 3.0 paired by index with the level 6.0
+    code, out, _ = run(["spectrum", "--res", "16", "--method", "iterative",
+                        "--seed", "0"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["results"]["pattern_matches"] is True
+    assert report["max_deviations"]["cluster_value"] == pytest.approx(
+        0.0824, abs=1e-4)
+
+
+def test_iterative_verdict_fails_on_a_value_between_levels(monkeypatch,
+                                                           capsys):
+    # a spurious distinct value halfway between the levels 1 and 3 lies a
+    # whole unit from both, and the run that passes without it fails
+    lanczos = spectra.lanczos_lowest
+
+    def planted(op, k, seed=0):
+        vals, resid, steps, tests = lanczos(op, k, seed=seed)
+        return np.append(vals, 2.0), np.append(resid, 0.0), steps, tests
+    monkeypatch.setattr(spectra, "lanczos_lowest", planted)
+    code, out, _ = run(["spectrum", "--res", "32", "--method", "iterative"],
+                       capsys)
+    report = json.loads(out)
+    assert code == 1 and report["results"]["pattern_matches"] is True
+    assert report["max_deviations"]["cluster_value"] == pytest.approx(
+        1.0, abs=1e-3)
+
+
 @pytest.mark.parametrize("flags", [
     ["--radius", "1e30", "--res", "32", "--method", "iterative"],
     ["--hbar", "1e-30", "--res", "32,48,64"],
@@ -295,10 +325,10 @@ def _nan_sphere_defect(monkeypatch, hit):
     """Make operators._sphere_defect return NaN where ``hit`` says so."""
     real = operators._sphere_defect
 
-    def patched(tag, h1, h2, p, res, chart):
+    def patched(tag, h1, h2, p, grids, chart):
         if hit(tag, chart):
             return float("nan")
-        return real(tag, h1, h2, p, res, chart)
+        return real(tag, h1, h2, p, grids, chart)
     monkeypatch.setattr(operators, "_sphere_defect", patched)
 
 

@@ -17,7 +17,6 @@ from rotorkit.geometry import (CHART_HYPERSPHERICAL, ChartDomainError,
                                ModelParams, hyperspherical_var_names)
 from rotorkit.operators import (
     OperatorTag,
-    QuadratureSpec,
     apply_operator,
     harmonic_polynomials,
     hermiticity_defect,
@@ -32,9 +31,9 @@ from sympy_bridge import to_sympy
 P3 = ModelParams(D=3, R=1.0, hbar=1.0)
 
 
-def inner_product(f, h, p, spec):
+def inner_product(f, h, p, res):
     """<f, h> over the sphere for two hyperspherical-chart probes."""
-    pts, w = sphere_angular_grid(p, spec.res)
+    pts, w = sphere_angular_grid(p, res)
     env = dict(zip(hyperspherical_var_names(p), pts.T))
     return np.sum(w * np.conjugate(ex.evaluate(f.expr, env))
                   * ex.evaluate(h.expr, env))
@@ -178,10 +177,10 @@ def test_hemisphere_pullback_pair():
 def test_hermiticity_on_full_sphere_grid():
     h1 = pullback_to_hyperspherical(harmonic_polynomials(3, 1)[0], P3)
     h2 = pullback_to_hyperspherical(harmonic_polynomials(3, 2)[1], P3)
-    spec = QuadratureSpec(res=32)
-    assert hermiticity_defect(OperatorTag("H_curv"), h1, h2, P3, spec) < 1e-12
+    res = 32
+    assert hermiticity_defect(OperatorTag("H_curv"), h1, h2, P3, res) < 1e-12
     # polar momentum: integer sine powers for D = 3, so the Gauss grid is exact
-    assert hermiticity_defect(OperatorTag("pi_curv", i=1), h1, h2, P3, spec) < 1e-12
+    assert hermiticity_defect(OperatorTag("pi_curv", i=1), h1, h2, P3, res) < 1e-12
 
 
 def test_broken_orderings_show_large_defects():
@@ -190,12 +189,12 @@ def test_broken_orderings_show_large_defects():
     th = ex.Var(hyperspherical_var_names(P3)[0])
     f = Probe(ex.mul(ex.cos(th), ex.cos(th)), CHART_HYPERSPHERICAL)
     g = Probe(ex.exp(ex.mul(ex.Const(0.5), ex.cos(th))), CHART_HYPERSPHERICAL)
-    spec = QuadratureSpec(res=32)
-    norm = (inner_product(f, f, P3, spec) * inner_product(g, g, P3, spec)) ** 0.5
-    assert hermiticity_defect(OperatorTag("H_curv"), f, g, P3, spec) < 1e-12 * norm
-    assert hermiticity_defect(OperatorTag("H_curv_unsym"), f, g, P3, spec) > 0.1 * norm
+    res = 32
+    norm = (inner_product(f, f, P3, res) * inner_product(g, g, P3, res)) ** 0.5
+    assert hermiticity_defect(OperatorTag("H_curv"), f, g, P3, res) < 1e-12 * norm
+    assert hermiticity_defect(OperatorTag("H_curv_unsym"), f, g, P3, res) > 0.1 * norm
     assert hermiticity_defect(
-        OperatorTag("pi_curv", i=1, convention="displayed"), f, g, P3, spec) > 0.1 * norm
+        OperatorTag("pi_curv", i=1, convention="displayed"), f, g, P3, res) > 0.1 * norm
 
 
 def test_momentum_conventions_on_parity_matched_pair():
@@ -208,9 +207,9 @@ def test_momentum_conventions_on_parity_matched_pair():
     f = Probe(ex.mul(ex.sin(th), ex.cos(th)), CHART_HYPERSPHERICAL)
     g = Probe(ex.mul(ex.sin(th), ex.sin(th),
                      ex.exp(ex.mul(ex.Const(0.5), ex.cos(th)))), CHART_HYPERSPHERICAL)
-    spec = QuadratureSpec(res=32)
-    norm = (inner_product(f, f, P3, spec) * inner_product(g, g, P3, spec)) ** 0.5
+    res = 32
+    norm = (inner_product(f, f, P3, res) * inner_product(g, g, P3, res)) ** 0.5
     assert hermiticity_defect(
-        OperatorTag("pi_curv", i=1, convention="measure"), f, g, P3, spec) < 1e-12 * norm
+        OperatorTag("pi_curv", i=1, convention="measure"), f, g, P3, res) < 1e-12 * norm
     assert hermiticity_defect(
-        OperatorTag("pi_curv", i=1, convention="displayed"), f, g, P3, spec) > 0.1 * norm
+        OperatorTag("pi_curv", i=1, convention="displayed"), f, g, P3, res) > 0.1 * norm

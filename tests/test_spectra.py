@@ -13,21 +13,41 @@ from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
 from rotorkit import spectra
 from rotorkit.geometry import MEMORY_BUDGET, ModelParams
+from rotorkit.quadrature import azimuth_nodes, polar_exponent, polar_nodes
 from rotorkit.spectra import (
     NonConvergenceError,
     SpectralGrid,
     assemble,
     cluster_eigenvalues,
-    compute_spectrum,
     diffmat,
     extrapolate,
     harmonic_multiplicity,
     lanczos_lowest,
     reference_eigenvalues,
     reference_spectrum,
+    route_spectrum,
     sector_spectrum,
 )
 from rotorkit.spectra import _fourier_d2, _polar_block, _sector_block
+
+# the sector route's default cluster gap in the CLI, hbar^2/R^2 = 1
+SECTOR_GAP = 1e-6
+
+
+def grid_of(p, res):
+    """SpectralGrid.build for an int res.  A tuple gives each axis its own
+    node count (polar axes, then the azimuth), so the oracle tests also
+    cover factors of unequal order, which equal counts would not tell
+    apart."""
+    if np.ndim(res) == 0:
+        return SpectralGrid.build(p, res)
+    polar = [polar_nodes(n, polar_exponent(p.D, k))
+             for k, n in enumerate(res[:-1], start=1)]
+    phi, wphi = azimuth_nodes(res[-1])
+    return SpectralGrid(p=p, counts=tuple(res),
+                        polar_u=tuple(u for u, _ in polar),
+                        polar_w=tuple(w for _, w in polar),
+                        azimuth=phi, azimuth_w=wphi)
 
 
 def kron_oracle(grid):
@@ -86,12 +106,12 @@ def test_diffmat_differentiates_polynomials_exactly():
 
 def test_reference_spectrum_closed_form():
     p = ModelParams(D=4, R=2.0, hbar=0.5)
-    ref = reference_spectrum(4, 3, p)
+    ref = reference_spectrum(p, 3)
     scale = p.hbar ** 2 / p.R ** 2
     for l, (val, mult) in enumerate(ref):
         assert abs(val - scale * l * (l + 2) / 2.0) < 1e-15 * max(val, scale)
         assert mult == harmonic_multiplicity(4, l) == (l + 1) ** 2
-    flat = reference_eigenvalues(4, 3, p)
+    flat = reference_eigenvalues(p, 3)
     assert len(flat) == sum(m for _, m in ref)
     assert np.all(np.diff(flat) >= 0)
 
@@ -109,31 +129,31 @@ def test_degeneracy_formulas(D, l_formula):
 @pytest.mark.parametrize("D", (2, 3, 4))
 def test_sector_route_machine_precision(D):
     p = ModelParams(D=D, R=1.0, hbar=1.0)
-    ref = reference_spectrum(D, 3, p)
+    ref = reference_spectrum(p, 3)
     k = sum(m for _, m in ref)
-    r = sector_spectrum(p, 48, k)
-    assert np.max(np.abs(r.eigenvalues - reference_eigenvalues(D, 3, p))) < 1e-8
-    assert [m for _, m in r.clusters] == [m for _, m in ref]
+    r = route_spectrum(p, [48], k, "sector")
+    assert np.max(np.abs(r.eigenvalues - reference_eigenvalues(p, 3))) < 1e-8
+    assert [m for _, m in cluster_eigenvalues(r.eigenvalues, SECTOR_GAP)] == [
+        m for _, m in ref]
 
 
 def test_dense_d2_fourier_is_exact():
     p = ModelParams(D=2, R=1.0, hbar=1.0)
-    r = compute_spectrum(assemble(SpectralGrid.build(p, 16)), 5)
+    r = route_spectrum(p, [16], 5, "dense")
     want = np.array([0.0, 0.5, 0.5, 2.0, 2.0])
     assert np.max(np.abs(r.eigenvalues - want)) < 1e-10
 
 
 def test_dense_converges_and_extrapolation_tightens():
     p = ModelParams(D=3, R=1.0, hbar=1.0)
-    refe = reference_eigenvalues(3, 3, p)
+    refe = reference_eigenvalues(p, 3)
     k = len(refe)
     results = []
     for res in (12, 16, 24):
-        results.append(compute_spectrum(
-            assemble(SpectralGrid.build(p, res)), k, cluster_tol=1e-2))
-    raw_err = np.max(np.abs(results[-1].eigenvalues - refe))
+        results.append(route_spectrum(p, [res], k, "dense").eigenvalues)
+    raw_err = np.max(np.abs(results[-1] - refe))
     assert raw_err < 0.08  # res 24 raw accuracy on the l <= 3 block
-    vals, err_est, flags = extrapolate(results)
+    vals, err_est, flags = extrapolate(results, [12, 16, 24])
     ex_err = np.max(np.abs(vals - refe))
     assert ex_err < 5e-3
     assert ex_err < raw_err / 5.0  # extrapolation must actually help
@@ -146,7 +166,7 @@ def test_dense_converges_and_extrapolation_tightens():
 @pytest.mark.parametrize("D,res", ORACLE_GRIDS)
 def test_apply_matches_kron_oracle(D, res):
     p = ModelParams(D=D, R=1.3, hbar=0.7)
-    grid = SpectralGrid.build(p, res)
+    grid = grid_of(p, res)
     op = assemble(grid)
     S = kron_oracle(grid)
     assert op.size == S.shape[0]
@@ -161,24 +181,24 @@ def test_apply_matches_kron_oracle(D, res):
 @pytest.mark.parametrize("D,res", ORACLE_GRIDS)
 def test_dense_route_matches_kron_oracle(D, res):
     p = ModelParams(D=D, R=1.3, hbar=0.7)
-    grid = SpectralGrid.build(p, res)
+    grid = grid_of(p, res)
     op = assemble(grid)
     S = kron_oracle(grid)
     want = eigvalsh(S)
     top = np.max(np.abs(want))
     k = min(20, op.size)
-    r = compute_spectrum(op, k)
-    assert np.max(np.abs(r.eigenvalues - want[:k])) <= 1e-11 * top
+    vals = op.lowest(k)[0]
+    assert np.max(np.abs(vals - want[:k])) <= 1e-11 * top
     full, _, scanned = op.lowest(op.size)
     assert scanned == (1 if D == 2 else op.inner.size)
     assert np.max(np.abs(full - want)) <= 1e-11 * top
-    assert r.meta["symmetry_defect"] < 1e-12 * top
+    assert op.symmetry_defect() < 1e-12 * top
 
 
 @pytest.mark.parametrize("D,res", [g for g in ORACLE_GRIDS if g[0] > 2])
 def test_block_scan_stops_early_with_the_full_scan_values(D, res):
     p = ModelParams(D=D, R=1.0, hbar=1.0)
-    op = assemble(SpectralGrid.build(p, res))
+    op = assemble(grid_of(p, res))
     S = op.symmetric_matrix()[0]
     symbols = eager_symbols(op)
     for k in (1, 4, 9, 16):
@@ -195,7 +215,7 @@ def test_block_scan_stops_early_with_the_full_scan_values(D, res):
 def test_lazy_symbols_match_the_eager_scan_bitwise(D, res):
     # lowest asks T for one block's worth of symbols and doubles from
     # there; every value must equal the scan over T's full spectrum
-    op = assemble(SpectralGrid.build(ModelParams(D=D, R=1.3, hbar=0.7), res))
+    op = assemble(grid_of(ModelParams(D=D, R=1.3, hbar=0.7), res))
     for k in (1, 4, 9, 16, 40, op.size):
         k = min(k, op.size)
         assert np.array_equal(op.lowest(k)[0], eager_lowest(op, k))
@@ -204,10 +224,11 @@ def test_lazy_symbols_match_the_eager_scan_bitwise(D, res):
 @pytest.mark.parametrize("D", range(2, 11))
 def test_sector_multiplicities_match_the_reference(D):
     p = ModelParams(D=D, R=1.0, hbar=1.0)
-    ref = reference_spectrum(D, 3, p)
-    r = sector_spectrum(p, 24, sum(m for _, m in ref))
-    assert [m for _, m in r.clusters] == [m for _, m in ref]
-    assert np.max(np.abs(r.eigenvalues - reference_eigenvalues(D, 3, p))) < 1e-8
+    ref = reference_spectrum(p, 3)
+    r = route_spectrum(p, [24], sum(m for _, m in ref), "sector")
+    assert [m for _, m in cluster_eigenvalues(r.eigenvalues, SECTOR_GAP)] == [
+        m for _, m in ref]
+    assert np.max(np.abs(r.eigenvalues - reference_eigenvalues(p, 3))) < 1e-8
 
 
 def loop_sector_scan(p, res, k):
@@ -234,11 +255,30 @@ def loop_sector_scan(p, res, k):
 @pytest.mark.parametrize("D,res,levels", [(3, 48, 6), (4, 24, 5), (7, 12, 4)])
 def test_sector_route_matches_the_loop_scan_bitwise(D, res, levels):
     p = ModelParams(D=D, R=1.3, hbar=0.7)
-    k = sum(m for _, m in reference_spectrum(D, levels - 1, p))
+    k = sum(m for _, m in reference_spectrum(p, levels - 1))
     r = sector_spectrum(p, res, k)
     vals, resid = loop_sector_scan(p, res, k)
     assert np.array_equal(r.eigenvalues, vals)
     assert np.array_equal(r.residual_norms, resid)
+
+
+def test_d2_sector_route_solves_the_largest_grid_it_built(monkeypatch):
+    # D=2 has no polar angle to peel: the sector route is the dense solve
+    # on the largest grid, built once
+    p = ModelParams(D=2)
+    k = sum(m for _, m in reference_spectrum(p, 3))
+    want = np.sort(assemble(SpectralGrid.build(p, 32)).lowest(k)[0])
+    built = []
+    build = SpectralGrid.build.__func__
+
+    def counted(cls, p, res):
+        built.append(res)
+        return build(cls, p, res)
+    monkeypatch.setattr(SpectralGrid, "build", classmethod(counted))
+    r = route_spectrum(p, [16, 32], k, "sector")
+    assert built == [16, 32]
+    assert np.array_equal(r.eigenvalues, want)
+    assert r.meta["route"] == "sector"
 
 
 def test_grid_size_is_exact_past_int64():
@@ -250,26 +290,25 @@ def test_dense_route_at_d10_without_node_sized_arrays():
     # D=10 at res 48 has 1.35e15 nodes; the area check and the dense
     # route's lowest levels cost O(D res) memory, not O(n)
     p = ModelParams(D=10)
-    op = assemble(SpectralGrid.build(p, 48))
-    vals = compute_spectrum(op, 11).eigenvalues
+    vals = route_spectrum(p, [48], 11, "dense").eigenvalues
     assert abs(vals[0]) < 1e-8 and np.max(np.abs(vals[1:] - 4.5)) < 1e-2
 
 
 @pytest.mark.parametrize("D,res", ORACLE_GRIDS)
 def test_block_residuals_against_kron_oracle(D, res):
     p = ModelParams(D=D, R=1.3, hbar=0.7)
-    grid = SpectralGrid.build(p, res)
+    grid = grid_of(p, res)
     op = assemble(grid)
     S = kron_oracle(grid)
     k = min(16, op.size)
-    r = compute_spectrum(op, k, with_residuals=True)
+    vals, resid, _ = op.lowest(k, residuals=True)
     want, vecs = eigh(S, subset_by_index=(0, k - 1))
     top = np.max(np.abs(eigvalsh(S)))
-    assert np.max(np.abs(r.eigenvalues - want)) <= 1e-11 * top
+    assert np.max(np.abs(vals - want)) <= 1e-11 * top
     # the oracle's own residuals set the rounding level the blocks must meet
     oracle = np.linalg.norm(S @ vecs - vecs * want[None, :], axis=0)
-    assert r.residual_norms.shape == (k,)
-    assert np.all(r.residual_norms <= 1e-13 * top)
+    assert resid.shape == (k,)
+    assert np.all(resid <= 1e-13 * top)
     assert np.all(oracle <= 1e-13 * top)
 
 
@@ -284,7 +323,7 @@ def test_lanczos_matches_dense_on_distinct_values():
     k = 16
     vals, resid, _, _ = lanczos_lowest(op, k, seed=3)
     assert np.max(resid) < 1e-7
-    dense = compute_spectrum(op, k)
+    dense = route_spectrum(p, [16], k, "dense")
     dvals = [v for v, _ in cluster_eigenvalues(dense.eigenvalues, 1e-4)]
     lvals = [v for v, _ in cluster_eigenvalues(np.sort(vals), 1e-4)]
     assert len(lvals) >= len(dvals)
@@ -299,7 +338,7 @@ def test_lanczos_error_paths():
     with pytest.raises(NonConvergenceError):
         lanczos_lowest(op, 6, maxiter=8, tol=1e-12)
     with pytest.raises(ValueError):
-        compute_spectrum(op, op.size + 1)
+        route_spectrum(p, [12], op.size + 1, "dense")
 
 
 def test_lanczos_basis_growth_keeps_results(monkeypatch):
@@ -412,9 +451,10 @@ def test_ritz_tests_run_at_most_every_third_step(monkeypatch):
 
 
 def test_iterative_meta_carries_steps_and_ritz_tests(monkeypatch):
-    op = assemble(SpectralGrid.build(ModelParams(D=3), 16))
+    p = ModelParams(D=3)
+    op = assemble(SpectralGrid.build(p, 16))
     calls = counting_tridiagonal_solves(monkeypatch)
-    meta = compute_spectrum(op, 16, method="iterative", seed=3).meta
+    meta = route_spectrum(p, [16], 16, "iterative", seed=3).meta
     assert meta["lanczos_steps"] == every_step_lanczos(op, 16, seed=3)[2]
     assert meta["ritz_tests"] == len(calls)
 
