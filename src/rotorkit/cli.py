@@ -29,8 +29,10 @@ Exit codes:
      geometry.ModelParams (dim, radius, hbar), spectra.route_spectrum,
      the check suites in operators and dynamics,
      dynamics.integrate_reduced with PhaseState.validate, and
-     pathintegral.extract_effective_potential with RadialGrid.  ``main``
-     maps every ValueError to exit 2, so exit 2 never follows a solver call
+     pathintegral.extract_effective_potential with RadialGrid, whose
+     size rules, check_extraction_sizes (memory included), also run before
+     the probes and radii are sized.  ``main`` maps every ValueError to
+     exit 2, so exit 2 never follows a solver call
   3  an iterative scheme failed to converge
   4  classical trajectory left the chart margin (exit time in the report)
 """
@@ -58,7 +60,8 @@ from .dynamics import (PHASE_EMBEDDED, PHASE_REDUCED, ChartMarginError,
                        hamiltonian_value, integrate_embedded_oracle,
                        integrate_reduced, suite_dirac_brackets)
 from .pathintegral import (CORRECTED_POLAR, NAIVE_POLAR, RadialGrid,
-                           default_probe_family, extract_effective_potential)
+                           check_extraction_sizes, default_probe_family,
+                           extract_effective_potential)
 
 __all__ = ["main", "build_parser", "resolve_config", "ConfigError", "SCHEMAS",
            "CHECK_SUITES"]
@@ -472,10 +475,14 @@ def run_pathintegral(cfg):
     grid = RadialGrid(cfg["r_min"], cfg["r_max"], cfg["nodes"])
     if not (grid.r_min <= cfg["r_eval_min"] < cfg["r_eval_max"] <= grid.r_max):
         raise ConfigError("evaluation window must sit inside [r_min, r_max]")
-    r_samples = np.linspace(cfg["r_eval_min"], cfg["r_eval_max"],
-                            cfg["r_eval_count"])
     prescription = {"naive": NAIVE_POLAR,
                     "corrected": CORRECTED_POLAR}[cfg["prescription"]]
+    # the extraction runs these rules at entry too, but only once its probes
+    # and radii exist; here they run before those are sized from the input
+    check_extraction_sizes(grid, cfg["eps_list"], p, cfg["r_eval_count"],
+                           prescription, cfg["midpoint_rule"])
+    r_samples = np.linspace(cfg["r_eval_min"], cfg["r_eval_max"],
+                            cfg["r_eval_count"])
     table = extract_effective_potential(
         default_probe_family(grid), r_samples, cfg["eps_list"], p,
         midpoint_rule=cfg["midpoint_rule"], prescription=prescription)

@@ -458,9 +458,14 @@ def sqrt(a):
 def evaluate(expr, env):
     """Evaluate ``expr`` with variables bound from ``env`` (scalars or arrays).
 
-    Shared subtrees (ubiquitous after differentiation) are computed once per
-    call via an id-keyed memo, which is what keeps repeated-operator
-    applications affordable on large point batches.
+    ``expr`` is one expression, or a list or tuple of them; a sequence
+    returns the list of their values.  Shared subtrees (ubiquitous after
+    differentiation) are computed once per call via an id-keyed memo, which
+    is what keeps repeated-operator applications affordable on large point
+    batches.  The memo spans every root of the call, so operators built on
+    the same memoized derivatives share that work too.  A node's value does
+    not depend on which root reached it, so each root evaluates to the same
+    bits as on its own.
     """
     cache = {}
 
@@ -472,4 +477,6 @@ def evaluate(expr, env):
             cache[h] = v
         return v
 
+    if isinstance(expr, (list, tuple)):
+        return [rec(e) for e in expr]
     return rec(expr)

@@ -471,12 +471,16 @@ def suite_chart_equivalence(p, lmax, samples, seed):
 def suite_angular_momentum(p, lmax, samples, seed):
     """sum_{a<b} L_ab^2 / (2 R^2) must reproduce H on the reduced chart."""
     pts, _ = _ball_samples(p, samples, seed)
+    env = _env_from_points(reduced_var_names(p), pts)
     l2 = OperatorTag("L2")
     cart = OperatorTag("H_cart", route="laplace_beltrami")
 
     def routes(h):
+        # one evaluation of both routes: they differentiate the same f, so
+        # its memoized derivative subtrees are evaluated once, not twice
         f = pullback_to_reduced(h, p)
-        return apply_operator(l2, f, pts, p), apply_operator(cart, f, pts, p)
+        return ex.evaluate([operator_expr(l2, f, p), operator_expr(cart, f, p)],
+                           env)
     return _route_gap(p, lmax, samples, routes)
 
 

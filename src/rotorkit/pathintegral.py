@@ -38,7 +38,9 @@ and applied as bands |i - j| <= b only: b is the smallest half-width for
 which every dropped entry's Gaussian factor is below 1e-40 (see
 ``_BAND_GAUSSIAN_BOUND``).  A kernel then costs O(n b) memory and time
 instead of O(n^2); at the default grid and eps <= 1e-3, b is at most 111
-of 2048 nodes.
+of 2048 nodes.  Each band is built from its upper half and mirrored (see
+``slice_kernel``), and ``extraction_peak_bytes`` sizes an extraction's
+kernels before any is built.
 """
 
 import math
@@ -46,6 +48,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ive
+
+from .geometry import MEMORY_BUDGET
 
 __all__ = [
     "EXACT_CARTESIAN", "NAIVE_POLAR", "CORRECTED_POLAR", "PRESCRIPTIONS",
@@ -55,6 +59,7 @@ __all__ = [
     "mollifier_bump", "gaussian_profile",
     "default_probe_family", "EffectiveAction",
     "effective_hamiltonian_action", "EffectivePotentialTable",
+    "extraction_peak_bytes", "check_extraction_sizes",
     "extract_effective_potential",
 ]
 
@@ -204,7 +209,7 @@ class BandedKernel:
 
     Entries with |i - j| > b are not stored (their Gaussian factor is below
     ``_BAND_GAUSSIAN_BOUND``); band slots that fall off the grid hold zeros.
-    ``K @ v`` applies the band; ``toarray()`` rebuilds the dense matrix.
+    ``K @ v`` applies the band.
     """
 
     def __init__(self, band):
@@ -219,19 +224,6 @@ class BandedKernel:
         b = self.half_width
         windows = np.lib.stride_tricks.sliding_window_view(np.pad(v, b), 2 * b + 1)
         return np.einsum("ik,ik->i", self.band, windows)
-
-    def toarray(self):
-        n = self.band.shape[0]
-        cols, inside = _band_columns(n, self.half_width)
-        dense = np.zeros((n, n))
-        dense[np.nonzero(inside)[0], cols[inside]] = self.band[inside]
-        return dense
-
-
-def _band_columns(n, b):
-    """Column index j = i + k - b of each band slot, and whether it is on the grid."""
-    cols = np.arange(n)[:, None] + np.arange(-b, b + 1)
-    return cols, (cols >= 0) & (cols < n)
 
 
 # Kernels drop entry (i, j) only where its Gaussian factor
@@ -264,10 +256,10 @@ def _validate_widths(spec, grid, p):
                 f"decrease eps or increase r_min")
 
 
-def _band_half_width(spec, grid, p):
+def _band_half_width(eps, grid, p):
     """Smallest b whose dropped entries, |i - j| >= b + 1, have Gaussian
     factor below _BAND_GAUSSIAN_BOUND, capped at n - 1 (nothing dropped)."""
-    reach = math.sqrt(-2.0 * p.hbar * spec.eps * math.log(_BAND_GAUSSIAN_BOUND))
+    reach = math.sqrt(-2.0 * p.hbar * eps * math.log(_BAND_GAUSSIAN_BOUND))
     return min(int(reach / grid.spacing), grid.n - 1)
 
 
@@ -281,6 +273,18 @@ def slice_kernel(m, spec, grid, p):
     """Mode-m transfer kernel K with (T psi)_i = sum_j K_ij psi_j r_j w_j.
 
     Returned as a BandedKernel; a cache hit returns the same object.
+
+    The band is built from its upper half, pairs j = i + d with 0 <= d <= b
+    on the grid, and mirrored: each value goes to both K[i, j] and K[j, i].
+    The mirror is exact, not approximate.  Before the corrected row factor,
+    every term depends on the pair only through r r', (r - r')^2,
+    sqrt(r r') or (r + r')/2, and IEEE multiplication and addition commute
+    exactly, so evaluating (r', r) would round to the same bits as (r, r').
+    The Gaussian, the angular factor and the 1/(hbar eps) scaling are
+    therefore evaluated once per unordered pair, and never on a band slot
+    that falls off the grid.  The corrected prescription's factor
+    exp(eps hbar / (8 r_i^2)) depends on the row alone, so it breaks the
+    symmetry; it is applied last, to the mirrored band.
     """
     m = abs(int(m))
     key = (spec.prescription, spec.midpoint_rule, m, float(spec.eps).hex(),
@@ -290,23 +294,29 @@ def slice_kernel(m, spec, grid, p):
         _KERNEL_CACHE[key] = hit  # re-inserted as the most recently used
         return hit
     _validate_widths(spec, grid, p)
-    b = _band_half_width(spec, grid, p)
+    n = grid.n
+    b = _band_half_width(spec.eps, grid, p)
     he = p.hbar * spec.eps
     nodes = grid.nodes
-    cols, inside = _band_columns(grid.n, b)
-    r = nodes[:, None]
-    rp = nodes[np.clip(cols, 0, grid.n - 1)]
+    # row i and offset d = j - i of every on-grid pair with 0 <= d <= b
+    i, d = np.nonzero(np.arange(n)[:, None] + np.arange(b + 1) < n)
+    j = i + d
+    r = nodes[i]
+    rp = nodes[j]
     gauss = np.exp(-((r - rp) ** 2) / (2.0 * he))
     if spec.prescription == EXACT_CARTESIAN:
-        K = gauss * angular_factor_exact(r * rp / he, m) / he
+        upper = gauss * angular_factor_exact(r * rp / he, m) / he
     else:
         rbar = _midpoint_radius(r, rp, spec.midpoint_rule)
         a = rbar ** 2 / (2.0 * he)
-        K = gauss * naive_angular_factor(a, m) / (2.0 * math.pi * he)
-        if spec.prescription == CORRECTED_POLAR:
-            # e^{-eps(H - hbar^2/(8r^2))/hbar} ~ e^{+eps hbar/(8 r^2)} e^{-eps H/hbar}
-            K = np.exp(spec.eps * p.hbar / (8.0 * nodes ** 2))[:, None] * K
-    kernel = BandedKernel(np.where(inside, K, 0.0))
+        upper = gauss * naive_angular_factor(a, m) / (2.0 * math.pi * he)
+    band = np.zeros((n, 2 * b + 1))
+    band[i, b + d] = upper
+    band[j, b - d] = upper
+    if spec.prescription == CORRECTED_POLAR:
+        # e^{-eps(H - hbar^2/(8r^2))/hbar} ~ e^{+eps hbar/(8 r^2)} e^{-eps H/hbar}
+        band *= np.exp(spec.eps * p.hbar / (8.0 * nodes ** 2))[:, None]
+    kernel = BandedKernel(band)
     _KERNEL_CACHE[key] = kernel
     if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
         del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
@@ -464,6 +474,55 @@ class EffectivePotentialTable:
     meta: dict
 
 
+# Per-unit costs of an extraction, measured with tracemalloc on the default
+# grid and on 8000 nodes, and by peak RSS of ``rotorkit pathintegral`` at
+# 26, 1e5 and 2e5 radii: one kernel build holds about 10 temporary doubles
+# per upper-half band slot beside the band it returns, and each extraction
+# radius costs about 1.9 kB through the snapped index, the table row and
+# the payload row written for it.  Vectors of n doubles (grid, probes,
+# Richardson rows) are left out: a kernel that passes the width rules is
+# at least 109 such vectors wide.
+_BUILD_TEMPORARIES = 10
+_BYTES_PER_RADIUS = 2048
+
+
+def extraction_peak_bytes(grid, eps_list, p, n_radii, n_modes):
+    """Peak bytes of one extraction, estimated from its sizes alone.
+
+    The largest band (that of the largest step) times the kernels the
+    extraction holds: one per step, angular mode and prescription (the
+    polar one and the exact one), at most the cache size plus the one being
+    built.  Added to that, one build's temporaries and the radius samples.
+    Pure: no array is allocated.
+    """
+    n = grid.n
+    b = _band_half_width(max(eps_list), grid, p)
+    kernels = min(2 * n_modes * len(eps_list), _KERNEL_CACHE_SIZE + 1)
+    slots = (b + 1) * n - b * (b + 1) // 2
+    return (8 * n * (2 * b + 1) * kernels + 8 * _BUILD_TEMPORARIES * slots
+            + _BYTES_PER_RADIUS * n_radii)
+
+
+def check_extraction_sizes(grid, eps_list, p, n_radii, prescription,
+                           midpoint_rule, n_modes=2):
+    """The extraction's entry rules that need its sizes but not its probes.
+
+    Geometric steps, each step's kernel width under the polar and the exact
+    prescription, and extraction_peak_bytes within MEMORY_BUDGET.  Nothing
+    is allocated, so a caller can run these before it sizes the probes and
+    radii from the same inputs.  The default ``n_modes`` counts the modes
+    of default_probe_family.
+    """
+    for eps in _check_geometric(eps_list)[0]:
+        for presc in (prescription, EXACT_CARTESIAN):
+            _validate_widths(SliceKernelSpec(eps, presc, midpoint_rule), grid, p)
+    need = extraction_peak_bytes(grid, eps_list, p, n_radii, n_modes)
+    if need > MEMORY_BUDGET:
+        raise ValueError(
+            f"extraction on {grid.n} nodes at {n_radii} radii needs an "
+            f"estimated {need} bytes, over the {MEMORY_BUDGET} byte budget")
+
+
 def extract_effective_potential(psi_family, r_samples, eps_list, p,
                                 midpoint_rule="geometric",
                                 prescription=NAIVE_POLAR):
@@ -479,9 +538,10 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     polar and the exact route.
 
     Every rule the slice steps would raise is checked before the first
-    kernel is built: geometric steps, each step's kernel width under both
-    prescriptions, each probe's support, and at least one radius where
-    every probe clears 1e-6 of its peak.
+    kernel is built: those of check_extraction_sizes (geometric steps,
+    each step's kernel width under both prescriptions, the memory
+    estimate), each probe's support, and at least one radius where every
+    probe clears 1e-6 of its peak.
     """
     if prescription == EXACT_CARTESIAN:
         raise ValueError("extraction compares a polar prescription against "
@@ -493,9 +553,9 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     for psi in psi_family:
         if psi.grid != grid:
             raise ValueError("family members must share one grid")
-    for eps in _check_geometric(eps_list)[0]:
-        for presc in (prescription, EXACT_CARTESIAN):
-            _validate_widths(SliceKernelSpec(eps, presc, midpoint_rule), grid, p)
+    check_extraction_sizes(grid, eps_list, p, len(r_samples), prescription,
+                           midpoint_rule,
+                           len({abs(int(psi.m)) for psi in psi_family}))
     for psi in psi_family:
         psi.validate()
     nodes = grid.nodes

@@ -150,6 +150,35 @@ def test_exit_2_on_bad_pathintegral_config(flags, needle, monkeypatch, capsys):
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, nodes, radii", [
+    (["--nodes", "2100"], 2100, 26),
+    (["--r-eval-count", "1000"], 2048, 1000),
+])
+def test_exit_2_on_pathintegral_over_memory_budget(flags, nodes, radii,
+                                                   monkeypatch, capsys):
+    # the budget is set to the defaults' own estimate, so the defaults sit
+    # exactly at it and a little more of either size is over; a missing
+    # guard then costs megabytes, not the gigabytes --nodes 1000000000 asks
+    p = ModelParams(D=2)
+    eps = SCHEMAS["pathintegral"]["eps_list"]["default"]
+    budget = pathintegral.extraction_peak_bytes(
+        pathintegral.RadialGrid(), eps, p, 26, 2)
+    need = pathintegral.extraction_peak_bytes(
+        pathintegral.RadialGrid(n=nodes), eps, p, radii, 2)
+    assert need > budget
+    monkeypatch.setattr(pathintegral, "MEMORY_BUDGET", budget)
+
+    def build(*args, **kwargs):
+        raise AssertionError("probes or kernels were sized over the budget")
+    monkeypatch.setattr(cli, "default_probe_family", build)
+    monkeypatch.setattr(pathintegral, "BandedKernel", build)
+    monkeypatch.setattr(pathintegral, "_KERNEL_CACHE", {})
+    code, out, err = run(["pathintegral", *flags], capsys)
+    assert code == 2 and f"estimated {need} bytes" in err
+    assert f"over the {budget} byte budget" in err
+    assert out == "" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["check", "dirac-brackets", "--dim", "2"], "dirac-brackets needs dim >= 3"),
     (["check", "chart-equivalence", "--samples", "0"], "samples"),

@@ -187,3 +187,31 @@ def test_diff_memo_lives_and_dies_with_its_node():
     del f, h
     gc.collect()
     assert _live_exprs() == before
+
+
+def test_evaluate_several_roots_shares_one_memo_bitwise(monkeypatch):
+    # the L2 and H_cart routes of one harmonic share its memoized derivative
+    # subtrees; evaluated together they must give each route's own bits
+    p = ModelParams(D=3)
+    f = pullback_to_reduced(harmonic_polynomials(3, 3)[1], p)
+    roots = [operator_expr(OperatorTag("L2"), f, p),
+             operator_expr(OperatorTag("H_cart", route="laplace_beltrami"), f, p)]
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-0.5, 0.5, size=(30, 2))
+    env = {"x1": pts[:, 0], "x2": pts[:, 1]}
+    alone = [ex.evaluate(r, env) for r in roots]
+    calls = []
+    pow_ev = ex.Pow._ev
+
+    def counted(self, rec, env):
+        calls.append(id(self))
+        return pow_ev(self, rec, env)
+    monkeypatch.setattr(ex.Pow, "_ev", counted)
+    together = ex.evaluate(roots, env)
+    shared = len(calls)
+    assert len(set(calls)) == shared  # each power node evaluated once
+    for r in roots:
+        ex.evaluate(r, env)
+    assert len(calls) - shared > shared  # apart, shared powers run twice
+    assert all(np.array_equal(a, b) for a, b in zip(together, alone))
+    assert ex.evaluate((roots[0],), env)[0].tobytes() == alone[0].tobytes()

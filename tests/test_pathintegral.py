@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from rotorkit import pathintegral
 from rotorkit.geometry import ModelParams
@@ -215,11 +217,33 @@ def test_angular_factor_closed_form_vs_quadrature(m):
         assert abs(c - d) < 1e-10 * max(abs(c), 1e-300)
 
 
+def _band_columns(n, b):
+    """Column index j = i + k - b of each band slot, and whether it is on the grid."""
+    cols = np.arange(n)[:, None] + np.arange(-b, b + 1)
+    return cols, (cols >= 0) & (cols < n)
+
+
+def _dense_from_band(kernel):
+    """The n x n matrix a BandedKernel stores; zeros outside the band."""
+    n = kernel.band.shape[0]
+    cols, inside = _band_columns(n, kernel.half_width)
+    dense = np.zeros((n, n))
+    dense[np.nonzero(inside)[0], cols[inside]] = kernel.band[inside]
+    return dense
+
+
 def test_slice_kernel_symmetric_and_cached():
+    # the exact and naive kernels are symmetric bit for bit; the corrected
+    # kernel's row factor breaks the symmetry on purpose
+    for prescription in (EXACT_CARTESIAN, NAIVE_POLAR):
+        for rule in MIDPOINT_RULES:
+            spec = SliceKernelSpec(eps=1e-3, prescription=prescription,
+                                   midpoint_rule=rule)
+            K = _dense_from_band(slice_kernel(0, spec, GRID, P2))
+            assert np.array_equal(K, K.T)
     spec = SliceKernelSpec(eps=1e-3, prescription=EXACT_CARTESIAN)
-    K1 = slice_kernel(0, spec, GRID, P2).toarray()
-    assert np.max(np.abs(K1 - K1.T)) < 1e-13 * np.max(np.abs(K1))
-    K2 = slice_kernel(0, spec, GRID, P2).toarray()
+    K1 = _dense_from_band(slice_kernel(0, spec, GRID, P2))
+    K2 = _dense_from_band(slice_kernel(0, spec, GRID, P2))
     assert np.array_equal(K1, K2)  # cache returns the identical table
     assert slice_kernel(0, spec, GRID, P2) is slice_kernel(0, spec, GRID, P2)
 
@@ -242,6 +266,17 @@ def _dense_kernel(m, spec, grid, p):
     return K, gauss
 
 
+def _assert_band_is_dense_oracle(kernel, dense):
+    """Every on-grid band slot equals the dense kernel bit for bit, and every
+    off-grid slot holds zero."""
+    n = dense.shape[0]
+    b = kernel.half_width
+    cols, inside = _band_columns(n, b)
+    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    assert np.array_equal(kernel.band[inside], dense[rows[inside], cols[inside]])
+    assert np.all(kernel.band[~inside] == 0.0)
+
+
 @pytest.mark.parametrize("rule", MIDPOINT_RULES)
 @pytest.mark.parametrize("prescription", PRESCRIPTIONS)
 def test_banded_kernel_matches_dense_oracle(prescription, rule):
@@ -257,9 +292,7 @@ def test_banded_kernel_matches_dense_oracle(prescription, rule):
     offset = np.abs(np.subtract.outer(np.arange(grid.n), np.arange(grid.n)))
     band = offset <= b
     assert 0 < b < grid.n - 1
-    got = kernel.toarray()
-    np.testing.assert_allclose(got[band], dense[band], rtol=1e-14, atol=0.0)
-    assert np.all(got[~band] == 0.0)
+    _assert_band_is_dense_oracle(kernel, dense)
     # b is the smallest half-width whose dropped Gaussian factors are all
     # below the bound, and the dropped entries are negligible row by row
     assert np.max(gauss[~band]) < bound <= np.max(gauss[offset == b])
@@ -270,6 +303,32 @@ def test_banded_kernel_matches_dense_oracle(prescription, rule):
     out = slice_step(psi, spec, P2).samples
     want = dense @ (psi.samples * grid.nodes * grid.trapezoid_weights)
     assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@settings(max_examples=120, deadline=None)
+@given(prescription=st.sampled_from(PRESCRIPTIONS),
+       rule=st.sampled_from(MIDPOINT_RULES),
+       m=st.integers(0, 5),
+       n=st.integers(16, 400),
+       r_min=st.floats(0.1, 2.0),
+       span=st.floats(1.0, 8.0),
+       hbar=st.floats(0.25, 4.0),
+       width_frac=st.floats(0.0, 1.0))
+def test_band_equals_dense_oracle_bitwise(prescription, rule, m, n, r_min,
+                                          span, hbar, width_frac):
+    # the kernel width sqrt(hbar eps) is drawn between the grid's bounds,
+    # 4 spacings and span/8, so most draws pass the width rules
+    grid = RadialGrid(r_min, r_min + span, n)
+    low, high = 4.0 * grid.spacing, span / 8.0
+    eps = (low + width_frac * (high - low)) ** 2 / hbar
+    spec = SliceKernelSpec(eps=eps, prescription=prescription,
+                           midpoint_rule=rule)
+    p = ModelParams(D=2, R=1.0, hbar=hbar)
+    try:
+        kernel = slice_kernel(m, spec, grid, p)
+    except KernelWidthError:
+        reject()
+    _assert_band_is_dense_oracle(kernel, _dense_kernel(m, spec, grid, p)[0])
 
 
 def test_kernel_cache_is_bounded():
@@ -283,6 +342,47 @@ def test_kernel_cache_is_bounded():
     assert len(pathintegral._KERNEL_CACHE) == size
     assert slice_kernel(0, spec, grid, P2) is not first  # evicted, rebuilt
     pathintegral._KERNEL_CACHE.clear()
+
+
+def test_extraction_memory_estimate_bounds_the_kernels_held():
+    # the estimate is pure arithmetic on sizes, and it covers the bands one
+    # extraction actually leaves in the cache: 3 steps x 2 modes x 2
+    # prescriptions, each at most as large as the largest step's band
+    family = default_probe_family(GRID)
+    need = pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 3, 2)
+    pathintegral._KERNEL_CACHE.clear()
+    extract_effective_potential(family, [1.5, 2.0, 2.5], EPS_LIST, P2)
+    held = list(pathintegral._KERNEL_CACHE.values())
+    pathintegral._KERNEL_CACHE.clear()
+    assert len(held) == 12
+    largest = max(K.nbytes for K in held)
+    assert largest == 8 * GRID.n * (2 * 111 + 1)  # b = 111 at eps = 1e-3
+    assert sum(K.nbytes for K in held) <= 12 * largest < need
+    # an extraction radius and a node both add to the estimate
+    assert pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 4, 2) > need
+    wider = RadialGrid(GRID.r_min, GRID.r_max, GRID.n + 1)
+    assert pathintegral.extraction_peak_bytes(wider, EPS_LIST, P2, 3, 2) > need
+
+
+def test_extraction_over_memory_budget_rejected_before_any_kernel(monkeypatch):
+    # a budget just under the estimate stands in for the 2 GiB one, so a
+    # missing guard costs megabytes here rather than gigabytes
+    family = default_probe_family(GRID)
+    radii = [1.5, 2.0, 2.5]
+    need = pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, len(radii), 2)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a kernel was built over the memory budget")
+    monkeypatch.setattr(pathintegral, "BandedKernel", build)
+    monkeypatch.setattr(pathintegral, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(pathintegral, "MEMORY_BUDGET", need - 1)
+    with pytest.raises(ValueError, match=f"estimated {need} bytes"):
+        extract_effective_potential(family, radii, EPS_LIST, P2)
+    # the estimate at exactly the budget passes the rule; the next one
+    # that fails is the kernel build itself
+    monkeypatch.setattr(pathintegral, "MEMORY_BUDGET", need)
+    with pytest.raises(AssertionError, match="a kernel was built"):
+        extract_effective_potential(family, radii, EPS_LIST, P2)
 
 
 def test_extraction_coefficient_by_midpoint_rule():
