@@ -152,30 +152,44 @@ def hamiltonian_value(s, p):
     return H if isinstance(s, Trajectory) else float(H)
 
 
+def _dot(a, b):
+    """a . b of two float lists, rounded as numpy's ``@`` rounds it.
+
+    numpy hands the product to BLAS, whose kernel may fuse each multiply
+    and add (OpenBLAS on x86-64 does); a plain float loop then differs in
+    the last bit from two components on.  So this one product stays on
+    numpy, and the trajectories stay bitwise what the array form gave.
+    """
+    return float(np.array(a).dot(np.array(b)))
+
+
 def _reduced_rhs(z, p):
-    # z = (q, p) stacked; qdot = G p = p - q (q.p)/R^2, pdot = (q.p) p / R^2
-    n = z.size // 2
+    # z = q + p as one float list; qdot = G p = p - q (q.p)/R^2,
+    # pdot = (q.p) p / R^2
+    n = len(z) // 2
     q, mom = z[:n], z[n:]
-    qp = float(q @ mom) / p.R ** 2
-    return np.concatenate([mom - q * qp, mom * qp])
+    qp = _dot(q, mom) / p.R ** 2
+    return [m - x * qp for x, m in zip(q, mom)] + [m * qp for m in mom]
 
 
 def _midpoint_step(rhs, z, dt, tol):
     """One implicit-midpoint step by fixed-point iteration on the midpoint.
 
-    The state has 2 to 2D components, so the residual test runs on Python
-    floats.  It asks every component to have settled, not the largest: a
-    NaN component fails ``<=`` and never converges, where Python's ``max``
-    could skip it.  A diverging state overflows to inf and NaN on the way;
-    the integrators silence numpy's warnings for that around their step
-    loops, and the NaN then ends here in StepConvergenceError.
+    The state is a list of 2 to 2D floats, and the step runs on Python
+    floats: on so few components each numpy call costs more than the
+    arithmetic.  Elementwise, both round the same, so the step is bitwise
+    the array form's.  The residual test asks every component to have
+    settled, not the largest: a NaN component fails ``<=`` and never
+    converges, where Python's ``max`` could skip it.  A diverging state
+    overflows to inf and NaN on the way, and the NaN then ends here in
+    StepConvergenceError.
     """
-    bound = tol * max(1.0, *map(abs, z.tolist()))
-    znew = z + dt * rhs(z)  # Euler predictor
+    bound = tol * max(1.0, *map(abs, z))
+    znew = [a + dt * b for a, b in zip(z, rhs(z))]  # Euler predictor
     for _ in range(100):
-        zmid = 0.5 * (z + znew)
-        znext = z + dt * rhs(zmid)
-        settled = all(abs(d) <= bound for d in (znext - znew).tolist())
+        zmid = [0.5 * (a + b) for a, b in zip(z, znew)]
+        znext = [a + dt * b for a, b in zip(z, rhs(zmid))]
+        settled = all(abs(b - a) <= bound for a, b in zip(znew, znext))
         znew = znext
         if settled:
             return znew
@@ -208,7 +222,7 @@ def integrate_reduced(s0, T, dt, p, margin=0.05):
                          f"trajectory, over the {MEMORY_BUDGET} byte budget")
     nsteps = int(round(T / dt))
     limit = (1.0 - margin) * p.R
-    z = np.concatenate([s0.q, s0.p])
+    z = s0.q.tolist() + s0.p.tolist()
     qs = np.empty((nsteps + 1, n))
     ps = np.empty((nsteps + 1, n))
     qs[0], ps[0] = z[:n], z[n:]
@@ -216,7 +230,7 @@ def integrate_reduced(s0, T, dt, p, margin=0.05):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, nsteps + 1):
             z = _midpoint_step(rhs, z, dt, 1e-13)
-            r = math.sqrt(float(z[:n] @ z[:n]))
+            r = math.sqrt(_dot(z[:n], z[:n]))
             if r > limit:
                 raise ChartMarginError(time=i * dt, radius=r, limit=limit)
             qs[i], ps[i] = z[:n], z[n:]
@@ -246,18 +260,22 @@ def integrate_embedded_oracle(x0, v0, T, dt, p):
 
     def rhs(z):
         x, v = z[:D], z[D:]
-        return np.concatenate([v, -(float(v @ v) / p.R ** 2) * x])
+        c = -(_dot(v, v) / p.R ** 2)
+        return v + [c * a for a in x]
 
-    z = np.concatenate([x0, v0])
+    z = x0.tolist() + v0.tolist()
     xs = np.empty((nsteps + 1, D))
     vs = np.empty((nsteps + 1, D))
     xs[0], vs[0] = x0, v0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, nsteps + 1):
             z = _midpoint_step(rhs, z, dt, 1e-13)
-            x, v = z[:D], z[D:]  # views: the projection updates z in place
-            x *= p.R / math.sqrt(float(x @ x))
-            v -= x * (float(x @ v) / p.R ** 2)
+            x, v = z[:D], z[D:]
+            scale = p.R / math.sqrt(_dot(x, x))
+            x = [a * scale for a in x]
+            c = _dot(x, v) / p.R ** 2
+            v = [b - a * c for a, b in zip(x, v)]
+            z = x + v
             xs[i], vs[i] = x, v
     times = dt * np.arange(nsteps + 1)
     return Trajectory(PHASE_EMBEDDED, times, xs, vs)

@@ -27,6 +27,19 @@ then the expression's: nothing outlives the trees that use it, and no
 cache size needs a bound.  Interning equal subtrees in one global table
 (hash-consing) was measured and did not pay: harmonics with different
 coefficients share few subtrees, so the lookups cost more than they saved.
+
+A ``Const`` may hold a coefficient column, an array of shape (rows, 1),
+so that one tree stands for ``rows`` expressions that differ only in their
+constants: a value then has shape (rows, samples), and each row is bit for
+bit the value of the tree built with that row's scalars.  This holds
+because only ``+`` and ``*`` ever see the coefficient axis.  Elementwise
+sums and products round the same whatever the array shape or SIMD path,
+while powers and transcendentals are only ever taken of coefficient-free
+subtrees (``power``, ``sin``, ``cos`` and ``exp`` of a column raise).  The
+tree must also have the per-row trees' structure, so a fold that tests a
+constant (is it 0, is it 1, is its imaginary part 0) folds a column only
+when every row gives the same answer.  When rows disagree it raises
+``_MixedRows``, and the caller builds those rows one at a time.
 """
 
 import numpy as np
@@ -45,6 +58,30 @@ def _wrap(v):
     if isinstance(v, (int, float, complex, np.integer, np.floating)):
         return Const(v)
     raise TypeError(f"cannot use {type(v).__name__} in an expression")
+
+
+class _MixedRows(Exception):
+    """A column constant's rows would take different branches of a fold.
+
+    Raised instead of folding so that a batched tree never differs in
+    structure from the per-row trees; the caller builds rows one by one.
+    """
+
+
+def _rows_agree(test):
+    """A fold's branch test: a bool, or a bool column whose rows must agree."""
+    if not isinstance(test, np.ndarray):
+        return test
+    hits = np.count_nonzero(test)
+    if hits and hits < test.size:
+        raise _MixedRows
+    return bool(hits)
+
+
+def _scalar(value, op):
+    if isinstance(value, np.ndarray):
+        raise TypeError(f"{op} of a coefficient column is not supported")
+    return value
 
 
 class Expr:
@@ -89,36 +126,8 @@ class Expr:
     def key(self):
         raise NotImplementedError
 
-    # arithmetic sugar
-    def __add__(self, o):
-        return add(self, _wrap(o))
-
-    def __radd__(self, o):
-        return add(_wrap(o), self)
-
     def __sub__(self, o):
         return add(self, mul(Const(-1), _wrap(o)))
-
-    def __rsub__(self, o):
-        return add(_wrap(o), mul(Const(-1), self))
-
-    def __mul__(self, o):
-        return mul(self, _wrap(o))
-
-    def __rmul__(self, o):
-        return mul(_wrap(o), self)
-
-    def __truediv__(self, o):
-        return mul(self, power(_wrap(o), -1))
-
-    def __rtruediv__(self, o):
-        return mul(_wrap(o), power(self, -1))
-
-    def __pow__(self, k):
-        return power(self, k)
-
-    def __neg__(self):
-        return mul(Const(-1), self)
 
     def __eq__(self, other):
         return isinstance(other, Expr) and self.key() == other.key()
@@ -128,11 +137,16 @@ class Expr:
 
 
 class Const(Expr):
+    """A number, or a coefficient column: one value per row, shape (rows, 1)."""
+
     __slots__ = ("value",)
 
     def __init__(self, value):
         # keep real constants real so real expressions evaluate real
-        if isinstance(value, complex) and value.imag == 0:
+        if isinstance(value, np.ndarray):
+            if value.dtype.kind == "c" and _rows_agree(value.imag == 0):
+                value = value.real
+        elif isinstance(value, complex) and value.imag == 0:
             value = value.real
         object.__setattr__(self, "value", value)
 
@@ -339,7 +353,7 @@ ONE = Const(1)
 
 
 def is_zero(e):
-    return isinstance(e, Const) and e.value == 0
+    return isinstance(e, Const) and _rows_agree(e.value == 0)
 
 
 def add(*args):
@@ -358,7 +372,7 @@ def add(*args):
             const = const + a.value
         else:
             terms.append(a)
-    if const != 0 or not terms:
+    if not _rows_agree(const == 0) or not terms:
         terms.append(Const(const))
     if len(terms) == 1:
         return terms[0]
@@ -381,9 +395,9 @@ def mul(*args):
             const = const * a.value
         else:
             factors.append(a)
-    if const == 0:
+    if _rows_agree(const == 0):
         return ZERO
-    if const != 1 or not factors:
+    if not _rows_agree(const == 1) or not factors:
         factors.insert(0, Const(const))
     if len(factors) == 1:
         return factors[0]
@@ -426,28 +440,28 @@ def power(base, expo):
     if expo == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value ** expo)
+        return Const(_scalar(base.value, "power") ** expo)
     return Pow(base, expo)
 
 
 def sin(a):
     a = _wrap(a)
     if isinstance(a, Const):
-        return Const(np.sin(a.value))
+        return Const(np.sin(_scalar(a.value, "sin")))
     return Sin(a)
 
 
 def cos(a):
     a = _wrap(a)
     if isinstance(a, Const):
-        return Const(np.cos(a.value))
+        return Const(np.cos(_scalar(a.value, "cos")))
     return Cos(a)
 
 
 def exp(a):
     a = _wrap(a)
     if isinstance(a, Const):
-        return Const(np.exp(a.value))
+        return Const(np.exp(_scalar(a.value, "exp")))
     return Exp(a)
 
 
@@ -480,3 +494,21 @@ def evaluate(expr, env):
     if isinstance(expr, (list, tuple)):
         return [rec(e) for e in expr]
     return rec(expr)
+
+
+def _memo_size(exprs):
+    """Distinct nodes reachable from ``exprs``: the values evaluate holds."""
+    seen = set()
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if isinstance(e, _Nary):
+            stack.extend(e.args)
+        elif isinstance(e, Pow):
+            stack.append(e.base)
+        elif isinstance(e, _Unary):
+            stack.append(e.arg)
+    return len(seen)

@@ -47,9 +47,9 @@ import numpy as np
 from scipy.linalg import null_space
 
 from . import expressions as ex
-from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, ChartDomainError,
-                       embedding_exprs_hyperspherical, hyperspherical_var_names,
-                       lift, to_hyperspherical)
+from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, MEMORY_BUDGET,
+                       ChartDomainError, embedding_exprs_hyperspherical,
+                       hyperspherical_var_names, lift, to_hyperspherical)
 from .quadrature import reduced_ball_grid, sphere_angular_grid
 
 __all__ = [
@@ -128,6 +128,43 @@ def _monomials(D, degree):
     return out
 
 
+def _harmonic_basis(D, degree):
+    """(monomial exponents, null-space basis with one harmonic per column)."""
+    high = _monomials(D, degree)
+    low = _monomials(D, degree - 2)
+    low_index = {m: k for k, m in enumerate(low)}
+    L = np.zeros((len(low), len(high)))
+    for c, mono in enumerate(high):
+        for i in range(D):
+            if mono[i] >= 2:
+                tgt = mono[:i] + (mono[i] - 2,) + mono[i + 1:]
+                L[low_index[tgt], c] += mono[i] * (mono[i] - 1)
+    return high, null_space(L)
+
+
+def _polynomial(high, coeffs):
+    """sum_k coeffs[k] x^high[k] over the nonzero coefficients.
+
+    ``coeffs`` holds one harmonic's coefficients, or a (rows, monomials)
+    block of harmonics that share one zero pattern; from two rows on, each
+    monomial's constant is then the block's column, shape (rows, 1).
+    """
+    if coeffs.ndim == 2 and len(coeffs) == 1:
+        coeffs = coeffs[0]  # one row: scalars, as harmonic_polynomials has
+    block = coeffs.ndim == 2
+    terms = []
+    for k, mono in enumerate(high):
+        c = coeffs[:, k:k + 1] if block else coeffs[k]
+        if not c.any():
+            continue
+        factors = [ex.Const(c)]
+        for i, e in enumerate(mono):
+            if e:
+                factors.append(ex.power(ex.Var(f"x{i + 1}"), e))
+        terms.append(ex.mul(*factors))
+    return ex.add(*terms)
+
+
 def harmonic_polynomials(D, degree):
     """A basis of degree-``degree`` harmonic polynomials in D variables.
 
@@ -139,29 +176,22 @@ def harmonic_polynomials(D, degree):
         return [ex.ONE]
     if degree == 1:
         return [ex.Var(f"x{i}") for i in range(1, D + 1)]
-    high = _monomials(D, degree)
-    low = _monomials(D, degree - 2)
-    low_index = {m: k for k, m in enumerate(low)}
-    L = np.zeros((len(low), len(high)))
-    for c, mono in enumerate(high):
-        for i in range(D):
-            if mono[i] >= 2:
-                tgt = mono[:i] + (mono[i] - 2,) + mono[i + 1:]
-                L[low_index[tgt], c] += mono[i] * (mono[i] - 1)
-    basis = null_space(L)
-    polys = []
+    high, basis = _harmonic_basis(D, degree)
+    return [_polynomial(high, col) for col in basis.T]
+
+
+def _harmonic_blocks(D, degree):
+    """The degree's harmonics as coefficient blocks, one per zero pattern.
+
+    Returns (monomial exponents, blocks); each block stacks the basis
+    columns of one zero pattern as its rows, so ``_polynomial`` builds one
+    expression for all of them.
+    """
+    high, basis = _harmonic_basis(D, degree)
+    groups = {}
     for col in basis.T:
-        terms = []
-        for c, mono in zip(col, high):
-            if c == 0.0:
-                continue
-            factors = [ex.Const(c)]
-            for i, e in enumerate(mono):
-                if e:
-                    factors.append(ex.power(ex.Var(f"x{i + 1}"), e))
-            terms.append(ex.mul(*factors))
-        polys.append(ex.add(*terms))
-    return polys
+        groups.setdefault(tuple(col != 0.0), []).append(col)
+    return high, [np.array(rows) for rows in groups.values()]
 
 
 def _env_from_points(names, points):
@@ -433,38 +463,73 @@ def _ball_samples(p, n, seed):
     return pts, angles
 
 
-def _harmonic_family(p, lmax):
-    """Every basis harmonic of degree 0..lmax, in embedded coordinates."""
-    return [h for l in range(lmax + 1) for h in harmonic_polynomials(p.D, l)]
-
-
 def _route_gap(p, lmax, samples, routes):
     """Worst relative gap between two routes over the harmonic family.
 
-    ``routes(h)`` applies both routes to the embedded harmonic h and returns
-    the two value arrays (a, b); the gap is |a - b| relative to max|b|,
-    floored at the energy scale hbar^2/R^2.
+    ``routes(h)`` builds both routes for the embedded harmonic h and returns
+    them as ``[(expressions, env), ...]``, one entry per ``evaluate`` call,
+    whose values in order are the two routes' (a, b).  Each harmonic's gap
+    is max|a - b| over the samples relative to its own max|b|, floored at
+    the energy scale hbar^2/R^2; ``family_size`` counts harmonics.
+
+    Degrees 0 and 1 are built one harmonic at a time.  From degree 2 on,
+    the basis columns that share a zero pattern are built as one
+    expression whose constants are coefficient columns (see
+    ``expressions``), so each value holds one row per harmonic, bit for bit
+    the values of that harmonic built alone.  A group whose rows would fold
+    differently is built one harmonic at a time instead.  A group is cut
+    into row chunks, each of at least one row, where rows x samples x DAG
+    nodes x 16 bytes (the evaluation memo's worst case, complex values)
+    would exceed MEMORY_BUDGET.
     """
     scale = p.hbar ** 2 / p.R ** 2
     worst = 0.0
-    family = _harmonic_family(p, lmax)
-    for h in family:
-        a, b = routes(h)
-        ref = max(float(np.max(np.abs(b))), scale)
-        worst = float(np.maximum(worst, np.max(np.abs(a - b)) / ref))
-    return {"family_size": len(family), "points": samples,
+    size = 0
+
+    def measure(calls, rows):
+        nonlocal worst, size
+        values = [v for exprs, env in calls for v in ex.evaluate(exprs, env)]
+        a, b = (np.broadcast_to(v, (rows, samples)) for v in values)
+        for ar, br in zip(a, b):
+            ref = max(float(np.max(np.abs(br))), scale)
+            worst = float(np.maximum(worst, np.max(np.abs(ar - br)) / ref))
+        size += rows
+
+    for h in harmonic_polynomials(p.D, 0) + harmonic_polynomials(p.D, 1):
+        measure(routes(h), 1)
+    for degree in range(2, lmax + 1):
+        high, blocks = _harmonic_blocks(p.D, degree)
+        for block in blocks:
+            try:
+                calls = routes(_polynomial(high, block))
+            except ex._MixedRows:
+                step = 1
+            else:
+                nodes = max(ex._memo_size(exprs) for exprs, _ in calls)
+                step = max(1, MEMORY_BUDGET // (samples * nodes * 16))
+                if step >= len(block):
+                    measure(calls, len(block))
+                    continue
+                del calls  # its trees are rebuilt per chunk
+            for i in range(0, len(block), step):
+                chunk = block[i:i + step]
+                measure(routes(_polynomial(high, chunk)), len(chunk))
+    return {"family_size": size, "points": samples,
             "max_relative_deviation": worst}, worst
 
 
 def suite_chart_equivalence(p, lmax, samples, seed):
     """H applied in the reduced and hyperspherical charts must agree."""
     pts, angles = _ball_samples(p, samples, seed)
+    cart_env = _env_from_points(reduced_var_names(p), pts)
+    curv_env = _env_from_points(hyperspherical_var_names(p), angles)
     cart = OperatorTag("H_cart", route="laplace_beltrami")
     curv = OperatorTag("H_curv")
 
     def routes(h):
-        return (apply_operator(cart, pullback_to_reduced(h, p), pts, p),
-                apply_operator(curv, pullback_to_hyperspherical(h, p), angles, p))
+        return [([operator_expr(cart, pullback_to_reduced(h, p), p)], cart_env),
+                ([operator_expr(curv, pullback_to_hyperspherical(h, p), p)],
+                 curv_env)]
     return _route_gap(p, lmax, samples, routes)
 
 
@@ -479,8 +544,7 @@ def suite_angular_momentum(p, lmax, samples, seed):
         # one evaluation of both routes: they differentiate the same f, so
         # its memoized derivative subtrees are evaluated once, not twice
         f = pullback_to_reduced(h, p)
-        return ex.evaluate([operator_expr(l2, f, p), operator_expr(cart, f, p)],
-                           env)
+        return [([operator_expr(l2, f, p), operator_expr(cart, f, p)], env)]
     return _route_gap(p, lmax, samples, routes)
 
 

@@ -523,6 +523,29 @@ def check_extraction_sizes(grid, eps_list, p, n_radii, prescription,
             f"estimated {need} bytes, over the {MEMORY_BUDGET} byte budget")
 
 
+def _nearest_nodes(nodes, r):
+    """Index of the node nearest each radius, as ``np.argmin`` picks it.
+
+    ``nodes`` ascends.  Left of the first node at or above r, the distance
+    r - node falls as the node rises, and right of it node - r rises, so
+    the nearest node is one of those two, the lower one on a tie, which is
+    argmin's first-index choice.  Where rounding could tie the lower one
+    with its own left neighbour (|r| far beyond the grid), or r is NaN,
+    argmin itself decides.
+    """
+    r = np.asarray(r, dtype=float).ravel()
+    last = len(nodes) - 1
+    j = np.searchsorted(nodes, r)
+    lo = np.maximum(j - 1, 0)
+    hi = np.minimum(j, last)
+    d_lo = np.abs(nodes[lo] - r)
+    idx = np.where(d_lo <= np.abs(nodes[hi] - r), lo, hi)
+    flat = (idx == lo) & (lo > 0) & ~(np.abs(nodes[lo - 1] - r) > d_lo)
+    for k in np.flatnonzero(flat):
+        idx[k] = np.argmin(np.abs(nodes - r[k]))
+    return idx
+
+
 def extract_effective_potential(psi_family, r_samples, eps_list, p,
                                 midpoint_rule="geometric",
                                 prescription=NAIVE_POLAR):
@@ -559,7 +582,7 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     for psi in psi_family:
         psi.validate()
     nodes = grid.nodes
-    idx = np.array([int(np.argmin(np.abs(nodes - float(rr)))) for rr in r_samples])
+    idx = _nearest_nodes(nodes, r_samples)
     floor_ok = np.ones(len(idx), dtype=bool)
     for psi in psi_family:
         peak = float(np.max(np.abs(psi.samples)))
@@ -578,21 +601,16 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
             psi.samples == 0.0, np.nan, psi.samples))
         flagged["polar"] += int(np.count_nonzero(naive.flags[kept]))
         flagged["exact"] += int(np.count_nonzero(exact.flags[kept]))
-    rows_r, rows_dv, rows_spread, skipped = [], [], [], []
-    for k, i in enumerate(idx):
-        if not floor_ok[k]:
-            skipped.append(float(nodes[i]))
-            continue
-        vals = np.array([ratio[i] for ratio in ratios])
-        rows_r.append(float(nodes[i]))
-        rows_dv.append(float(np.mean(vals)))
-        rows_spread.append(float(np.max(vals) - np.min(vals)))
-    r = np.array(rows_r)
-    dv = np.array(rows_dv)
+    # one row of family values per kept radius; a row reduces in the same
+    # order as the 1-D array of its values, so each entry is unchanged
+    vals = np.stack(ratios, axis=1)[kept]
+    r = nodes[kept]
+    dv = np.mean(vals, axis=1)
     predicted = p.hbar ** 2 / (8.0 * r ** 2)
     return EffectivePotentialTable(
-        r=r, delta_v=dv, spread=np.array(rows_spread), predicted=predicted,
-        relative_error=(dv - predicted) / predicted, skipped=skipped,
+        r=r, delta_v=dv, spread=np.max(vals, axis=1) - np.min(vals, axis=1),
+        predicted=predicted, relative_error=(dv - predicted) / predicted,
+        skipped=nodes[idx[~floor_ok]].tolist(),
         meta={"midpoint_rule": midpoint_rule, "eps_list": sorted(map(float, eps_list), reverse=True),
               "family_size": len(psi_family), "hbar": p.hbar,
               "prescription": prescription, "richardson_flagged": flagged})

@@ -163,20 +163,35 @@ def test_nan_residual_never_converges(where):
 
 
 def test_midpoint_step_matches_the_array_residual_test():
-    # the float residual test accepts exactly when max|znext - znew| does
+    # the float step is bitwise the array step with numpy's dot, and it
+    # accepts exactly when max|znext - znew| does
     rng = np.random.default_rng(4)
-    rhs = lambda zz: dynamics._reduced_rhs(zz, P3)
+    for D in (2, 3, 5, 10):
+        _check_float_step_against_arrays(ModelParams(D=D), rng)
+
+
+def _check_float_step_against_arrays(p, rng):
+    n = p.D - 1
+
+    def array_rhs(z):
+        q, mom = z[:n], z[n:]
+        qp = float(q @ mom) / p.R ** 2
+        return np.concatenate([mom - q * qp, mom * qp])
+
+    rhs = lambda zz: dynamics._reduced_rhs(zz, p)
     for _ in range(200):
-        z = np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.normal(size=2)])
+        z = np.concatenate([rng.uniform(-0.5, 0.5, n) / n ** 0.5,
+                            rng.normal(size=n)])
         scale = max(1.0, float(np.max(np.abs(z))))
-        znew = z + 1e-3 * rhs(z)
+        znew = z + 1e-3 * array_rhs(z)
         for _ in range(100):
-            znext = z + 1e-3 * rhs(0.5 * (z + znew))
+            znext = z + 1e-3 * array_rhs(0.5 * (z + znew))
             done = float(np.max(np.abs(znext - znew))) <= 1e-13 * scale
             znew = znext
             if done:
                 break
-        assert np.array_equal(dynamics._midpoint_step(rhs, z, 1e-3, 1e-13), znew)
+        got = dynamics._midpoint_step(rhs, z.tolist(), 1e-3, 1e-13)
+        assert np.array(got).tobytes() == znew.tobytes()
 
 
 def test_phase_state_validation():

@@ -8,11 +8,15 @@ Deliberately broken orderings must show O(1) hermiticity defects, or the
 defect checks would have no teeth.
 """
 
+import collections
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from rotorkit import expressions as ex
+from rotorkit import operators
 from rotorkit.geometry import (CHART_HYPERSPHERICAL, ChartDomainError,
                                ModelParams, hyperspherical_var_names)
 from rotorkit.operators import (
@@ -213,3 +217,180 @@ def test_momentum_conventions_on_parity_matched_pair():
         OperatorTag("pi_curv", i=1, convention="measure"), f, g, P3, res) < 1e-12 * norm
     assert hermiticity_defect(
         OperatorTag("pi_curv", i=1, convention="displayed"), f, g, P3, res) > 0.1 * norm
+
+
+# -- batched harmonic degrees ------------------------------------------------
+#
+# The chart-equivalence and angular-momentum suites evaluate each degree's
+# harmonics as one expression with coefficient columns.  Every value row
+# they measure must be bitwise the row of that harmonic built alone.
+
+SUITES = {"chart-equivalence": operators.suite_chart_equivalence,
+          "angular-momentum": operators.suite_angular_momentum}
+SWEEP_LMAX = {2: 5, 3: 4, 4: 3, 5: 2}
+SCALES = (1e-30, 1.0, 1e30)
+
+
+def _rows(values, samples):
+    """The (a, b) value rows of one route pair, each as bytes."""
+    a, b = values
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), (samples,))
+    a, b = (np.broadcast_to(v, shape).reshape(-1, samples) for v in (a, b))
+    return [(ar.tobytes(), br.tobytes()) for ar, br in zip(a, b)]
+
+
+def _old_gap(pairs, p):
+    """The suite's deviation, reduced one harmonic at a time."""
+    scale = p.hbar ** 2 / p.R ** 2
+    worst = 0.0
+    for a, b in pairs:
+        ref = max(float(np.max(np.abs(b))), scale)
+        worst = float(np.maximum(worst, np.max(np.abs(a - b)) / ref))
+    return worst
+
+
+def _run_recorded(suite, p, lmax, samples, seed, monkeypatch):
+    """The suite's results, the value rows it measured, and its routes."""
+    evaluate = ex.evaluate
+    values, captured = [], {}
+
+    def recording(exprs, env):
+        out = evaluate(exprs, env)
+        values.extend(out)
+        return out
+
+    route_gap = operators._route_gap
+
+    def capture(p_, lmax_, samples_, routes):
+        captured["routes"] = routes
+        return route_gap(p_, lmax_, samples_, routes)
+
+    monkeypatch.setattr(ex, "evaluate", recording)
+    monkeypatch.setattr(operators, "_route_gap", capture)
+    results, worst = SUITES[suite](p, lmax, samples, seed)
+    monkeypatch.undo()
+    assert results["max_relative_deviation"] == worst or np.isnan(worst)
+    rows = collections.Counter(
+        row for k in range(0, len(values), 2)
+        for row in _rows(values[k:k + 2], samples))
+    return results, rows, captured["routes"]
+
+
+def _solo(routes, h):
+    return [v for exprs, env in routes(h) for v in ex.evaluate(exprs, env)]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("D", sorted(SWEEP_LMAX))
+def test_batched_rows_equal_each_harmonic_alone(suite, D, monkeypatch):
+    lmax, samples = SWEEP_LMAX[D], 5
+    # each (R, hbar) pair once, the two seeds alternating over the pairs
+    for k, (R, hbar) in enumerate(itertools.product(SCALES, SCALES)):
+        seed = k % 2
+        p = ModelParams(D=D, R=R, hbar=hbar)
+        results, rows, routes = _run_recorded(suite, p, lmax, samples, seed,
+                                              monkeypatch)
+        solo = [_solo(routes, h) for l in range(lmax + 1)
+                for h in harmonic_polynomials(D, l)]
+        assert rows == collections.Counter(
+            row for v in solo for row in _rows(v, samples))
+        assert results["family_size"] == len(solo)
+        want = _old_gap(solo, p)
+        assert np.array(results["max_relative_deviation"]).tobytes() == \
+            np.array(want).tobytes()
+
+
+def _rows_of(coeffs):
+    return 1 if coeffs.ndim == 1 else len(coeffs)
+
+
+def _patched_rows(suite, monkeypatch, blocks_of, D=3, lmax=5, samples=7):
+    """Run a suite on the blocks ``blocks_of(block)`` makes of each block.
+
+    Returns the rows the suite measured, the rows of each block row built
+    alone, and the blocks and coefficient arrays the suite built from.
+    """
+    harmonic_blocks = operators._harmonic_blocks
+    polynomial = operators._polynomial
+    blocks, calls = [], []
+
+    def patched_blocks(D_, degree):
+        high, found = harmonic_blocks(D_, degree)
+        return high, [b for block in found for b in blocks_of(block)]
+
+    def recording_blocks(D_, degree):
+        high, made = patched_blocks(D_, degree)
+        blocks.extend(made)
+        return high, made
+
+    def spy(high, coeffs):
+        calls.append(coeffs)
+        return polynomial(high, coeffs)
+
+    p = ModelParams(D=D)
+    monkeypatch.setattr(operators, "_harmonic_blocks", recording_blocks)
+    monkeypatch.setattr(operators, "_polynomial", spy)
+    _, rows, routes = _run_recorded(suite, p, lmax, samples, 0, monkeypatch)
+    solo = [_solo(routes, h) for l in (0, 1) for h in harmonic_polynomials(D, l)]
+    for degree in range(2, lmax + 1):
+        high, made = patched_blocks(D, degree)
+        solo += [_solo(routes, polynomial(high, row))
+                 for block in made for row in block]
+    return rows, collections.Counter(
+        row for v in solo for row in _rows(v, samples)), blocks, calls
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_mixed_zero_column_is_built_row_by_row(suite, monkeypatch):
+    # every basis column of a degree in one block: some monomials then have
+    # a zero coefficient in some rows only, which a fold cannot batch
+    def whole_degree(D, degree):
+        high, basis = operators._harmonic_basis(D, degree)
+        return high, [basis.T.copy()]
+
+    monkeypatch.setattr(operators, "_harmonic_blocks", whole_degree)
+    rows, solo, blocks, calls = _patched_rows(suite, monkeypatch,
+                                              lambda block: [block])
+    assert rows == solo
+    mixed = [b for b in blocks
+             if np.any(np.any(b == 0.0, axis=0) != np.all(b == 0.0, axis=0))]
+    assert mixed
+    assert sum(_rows_of(c) == 1 for c in calls) >= sum(len(b) for b in mixed)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_mixed_real_cast_column_is_built_row_by_row(suite, monkeypatch):
+    # imaginary coefficients batch as one complex column; a column whose
+    # first row alone is real would cast that row only, so it splits
+    def imaginary_and_mixed(block):
+        if len(block) < 2:
+            return [block]
+        mixed = 1j * block
+        mixed[0] = block[0]
+        return [1j * block, mixed]
+
+    rows, solo, _, calls = _patched_rows(suite, monkeypatch,
+                                         imaginary_and_mixed)
+    assert rows == solo
+    assert any(_rows_of(c) > 1 and np.all(c.real == 0.0) for c in calls)
+    assert any(_rows_of(c) == 1 and c.dtype.kind == "c" and c.imag.any()
+               for c in calls)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("budget", (1, 400_000))
+def test_row_chunks_under_a_small_memory_budget(suite, budget, monkeypatch):
+    # with samples=5 a row costs 40-70 kB at degrees 4-5 of D=3, so the
+    # larger budget cuts the biggest blocks into chunks of a few rows
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
+    rows, solo, blocks, calls = _patched_rows(
+        suite, monkeypatch, lambda block: [block], samples=5)
+    assert rows == solo
+    sizes = {len(b) for b in blocks}
+    chunks = [_rows_of(c) for c in calls if _rows_of(c) not in sizes]
+    if budget == 1:
+        assert chunks == []
+        assert sum(_rows_of(c) == 1 for c in calls) >= sum(
+            len(b) for b in blocks if len(b) > 1)
+    else:
+        assert chunks and max(chunks) < max(sizes)

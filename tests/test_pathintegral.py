@@ -404,6 +404,17 @@ def test_extraction_coefficient_by_midpoint_rule():
     assert np.max(np.abs(corr.delta_v / corr.predicted)) < 1e-3
 
 
+def test_extraction_skips_radii_below_the_probe_floor():
+    # 5.5 lies where every probe is below 1e-6 of its peak: it is reported
+    # as skipped, and the kept rows are those of an extraction without it
+    family = default_probe_family(GRID)
+    table = extract_effective_potential(family, [2.0, 5.5, 2.5], EPS_LIST, P2)
+    kept = extract_effective_potential(family, [2.0, 2.5], EPS_LIST, P2)
+    assert table.skipped == [float(GRID.nodes[np.argmin(np.abs(GRID.nodes - 5.5))])]
+    for name in ("r", "delta_v", "spread", "predicted", "relative_error"):
+        assert getattr(table, name).tobytes() == getattr(kept, name).tobytes()
+
+
 def test_extraction_counts_richardson_flags():
     # radii chosen where some probe's Richardson sequence does not settle
     family = default_probe_family(GRID)
@@ -471,3 +482,22 @@ def test_grid_and_wavefunction_guards():
         SliceKernelSpec(eps=1e-3, prescription="something")
     with pytest.raises(ValueError):
         SliceKernelSpec(eps=1e-3, prescription=NAIVE_POLAR, midpoint_rule="odd")
+
+
+def test_nearest_nodes_pick_as_argmin_does():
+    # the closed-form snap must reproduce argmin, first index on ties
+    rng = np.random.default_rng(11)
+    for grid in (GRID, RadialGrid(r_min=0.5, r_max=4.25, n=16)):
+        nodes = grid.nodes
+        mids = 0.5 * (nodes[:-1] + nodes[1:])  # planted ties
+        radii = np.concatenate([
+            rng.uniform(grid.r_min - 1.0, grid.r_max + 1.0, 2000),
+            mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+            nodes, [-1e300, 1e300, 3e15, -np.inf, np.inf, np.nan, 0.0]])
+        want = [int(np.argmin(np.abs(nodes - r))) for r in radii]
+        assert pathintegral._nearest_nodes(nodes, radii).tolist() == want
+    # on the 16-node grid the midpoints are exact, so each is a true tie
+    nodes = RadialGrid(r_min=0.5, r_max=4.25, n=16).nodes
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    assert np.array_equal(mids - nodes[:-1], nodes[1:] - mids)
+    assert pathintegral._nearest_nodes(nodes, mids).tolist() == list(range(15))
