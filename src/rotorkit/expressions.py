@@ -5,9 +5,11 @@ forms, bracket algebra, hermiticity) target tolerances of 1e-10 or better,
 which finite-difference derivatives cannot reach.  The operators are always
 applied to *known* closed-form test functions, so the cheapest exact route is
 a tiny expression language: constants, variables, sums, products, powers with
-numeric exponents, and the transcendental atoms the charts need (sin, cos,
-exp; sqrt is a half power).  Differentiation and substitution are structural;
-evaluation is vectorized over numpy arrays and memoized on shared subtrees.
+numeric exponents (sqrt is a half power), the transcendental atoms the charts
+need (sin, cos), and exp, which builds smooth test functions that are not
+polynomials in the chart variables.  Differentiation and substitution are
+structural; evaluation is vectorized over numpy arrays and memoized on shared
+subtrees.
 
 The constructors fold the obvious identities (0 and 1 absorption, constant
 collection) but deliberately do nothing clever beyond that: no reordering of
@@ -112,14 +114,6 @@ class Expr:
     def subs(self, mapping):
         raise NotImplementedError
 
-    def free_vars(self):
-        out = set()
-        self._collect_vars(out)
-        return frozenset(out)
-
-    def _collect_vars(self, out):
-        pass
-
     def _ev(self, rec, env):
         raise NotImplementedError
 
@@ -163,9 +157,6 @@ class Const(Expr):
     def key(self):
         return ("c", self.value)
 
-    def __repr__(self):
-        return repr(self.value)
-
 
 class Var(Expr):
     __slots__ = ("name",)
@@ -179,9 +170,6 @@ class Var(Expr):
     def subs(self, mapping):
         return mapping.get(self.name, self)
 
-    def _collect_vars(self, out):
-        out.add(self.name)
-
     def _ev(self, rec, env):
         try:
             return env[self.name]
@@ -191,19 +179,12 @@ class Var(Expr):
     def key(self):
         return ("v", self.name)
 
-    def __repr__(self):
-        return self.name
-
 
 class _Nary(Expr):
     __slots__ = ("args",)
 
     def __init__(self, args):
         object.__setattr__(self, "args", tuple(args))
-
-    def _collect_vars(self, out):
-        for a in self.args:
-            a._collect_vars(out)
 
 
 class Add(_Nary):
@@ -224,9 +205,6 @@ class Add(_Nary):
 
     def key(self):
         return ("+",) + tuple(a.key() for a in self.args)
-
-    def __repr__(self):
-        return "(" + " + ".join(map(repr, self.args)) + ")"
 
 
 class Mul(_Nary):
@@ -255,9 +233,6 @@ class Mul(_Nary):
     def key(self):
         return ("*",) + tuple(a.key() for a in self.args)
 
-    def __repr__(self):
-        return "(" + " * ".join(map(repr, self.args)) + ")"
-
 
 class Pow(Expr):
     __slots__ = ("base", "expo")
@@ -275,17 +250,11 @@ class Pow(Expr):
     def subs(self, mapping):
         return power(self.base.subs(mapping), self.expo)
 
-    def _collect_vars(self, out):
-        self.base._collect_vars(out)
-
     def _ev(self, rec, env):
         return rec(self.base) ** self.expo
 
     def key(self):
         return ("^", self.base.key(), self.expo)
-
-    def __repr__(self):
-        return f"{self.base!r}**{self.expo}"
 
 
 class _Unary(Expr):
@@ -299,17 +268,11 @@ class _Unary(Expr):
     def subs(self, mapping):
         return type(self)(self.arg.subs(mapping))
 
-    def _collect_vars(self, out):
-        self.arg._collect_vars(out)
-
     def _ev(self, rec, env):
         return type(self)._fn(rec(self.arg))
 
     def key(self):
         return (type(self)._tag, self.arg.key())
-
-    def __repr__(self):
-        return f"{type(self)._tag}({self.arg!r})"
 
 
 class Sin(_Unary):

@@ -38,9 +38,16 @@ and applied as bands |i - j| <= b only: b is the smallest half-width for
 which every dropped entry's Gaussian factor is below 1e-40 (see
 ``_BAND_GAUSSIAN_BOUND``).  A kernel then costs O(n b) memory and time
 instead of O(n^2); at the default grid and eps <= 1e-3, b is at most 111
-of 2048 nodes.  Each band is built from its upper half and mirrored (see
-``slice_kernel``), and ``extraction_peak_bytes`` sizes an extraction's
-kernels before any is built.
+of 2048 nodes.  Each band is built from its upper half, an n x (b + 1)
+rectangle, and mirrored (see ``slice_kernel``): 2048 x 112 = 229,376
+Bessel values per default exact kernel.
+
+Kernels are owned by their caller: ``slice_kernel`` keeps nothing and
+builds a new kernel on every call.  The extraction builds each kernel
+once per slice step and angular mode, applies it to every probe of that
+mode and frees it before it builds the next one (see
+``effective_hamiltonian_action``), so it holds one band at a time, and
+``extraction_peak_bytes`` sizes that peak before any kernel is built.
 """
 
 import math
@@ -106,9 +113,6 @@ class RadialGrid:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
-
-    def key(self):
-        return (self.r_min.hex(), self.r_max.hex(), self.n)
 
 
 @dataclass(frozen=True)
@@ -197,13 +201,6 @@ def naive_angular_factor(a, m):
 # ---------------------------------------------------------------------------
 # slice kernels
 
-# At most this many kernels stay cached, least recently used evicted first.
-# One extraction with three slice steps needs 12 distinct kernels (two
-# prescriptions x modes 0 and 1 x three steps) and reuses 6 of them.
-_KERNEL_CACHE_SIZE = 16
-_KERNEL_CACHE = {}  # insertion order is recency order
-
-
 class BandedKernel:
     """Slice kernel stored as its band: ``band[i, k] = K[i, i + k - b]``.
 
@@ -272,64 +269,57 @@ def _midpoint_radius(r, rp, rule):
 def slice_kernel(m, spec, grid, p):
     """Mode-m transfer kernel K with (T psi)_i = sum_j K_ij psi_j r_j w_j.
 
-    Returned as a BandedKernel; a cache hit returns the same object.
+    Returned as a new BandedKernel on every call; the caller owns it.
 
-    The band is built from its upper half, pairs j = i + d with 0 <= d <= b
-    on the grid, and mirrored: each value goes to both K[i, j] and K[j, i].
-    The mirror is exact, not approximate.  Before the corrected row factor,
-    every term depends on the pair only through r r', (r - r')^2,
-    sqrt(r r') or (r + r')/2, and IEEE multiplication and addition commute
-    exactly, so evaluating (r', r) would round to the same bits as (r, r').
-    The Gaussian, the angular factor and the 1/(hbar eps) scaling are
-    therefore evaluated once per unordered pair, and never on a band slot
-    that falls off the grid.  The corrected prescription's factor
-    exp(eps hbar / (8 r_i^2)) depends on the row alone, so it breaks the
-    symmetry; it is applied last, to the mirrored band.
+    The band is built from its upper half, pairs j = i + d with 0 <= d <= b,
+    and mirrored: each value goes to both K[i, j] and K[j, i].  The mirror
+    is exact, not approximate.  Before the corrected row factor, every term
+    depends on the pair only through r r', (r - r')^2, sqrt(r r') or
+    (r + r')/2, and IEEE multiplication and addition commute exactly, so
+    evaluating (r', r) would round to the same bits as (r, r').  The
+    Gaussian, the angular factor and the 1/(hbar eps) scaling are therefore
+    evaluated once per unordered pair, on the n x (b + 1) rectangle of rows
+    i and offsets d; the b (b + 1) / 2 slots with j past the last node read
+    the last node's radius and are zeroed before the mirror.  The corrected
+    prescription's factor exp(eps hbar / (8 r_i^2)) depends on the row
+    alone, so it breaks the symmetry; it is applied last, to the mirrored
+    band.
     """
     m = abs(int(m))
-    key = (spec.prescription, spec.midpoint_rule, m, float(spec.eps).hex(),
-           float(p.hbar).hex(), grid.key())
-    hit = _KERNEL_CACHE.pop(key, None)
-    if hit is not None:
-        _KERNEL_CACHE[key] = hit  # re-inserted as the most recently used
-        return hit
     _validate_widths(spec, grid, p)
     n = grid.n
     b = _band_half_width(spec.eps, grid, p)
     he = p.hbar * spec.eps
     nodes = grid.nodes
-    # row i and offset d = j - i of every on-grid pair with 0 <= d <= b
-    i, d = np.nonzero(np.arange(n)[:, None] + np.arange(b + 1) < n)
-    j = i + d
-    r = nodes[i]
-    rp = nodes[j]
+    r = nodes[:, None]
+    # rp[i, d] is the radius of node i + d, the last node's past the grid
+    rp = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([nodes, np.full(b, nodes[-1])]), b + 1)
     gauss = np.exp(-((r - rp) ** 2) / (2.0 * he))
+    band = np.empty((n, 2 * b + 1))
+    upper = band[:, b:]
     if spec.prescription == EXACT_CARTESIAN:
-        upper = gauss * angular_factor_exact(r * rp / he, m) / he
+        upper[:] = gauss * angular_factor_exact(r * rp / he, m) / he
     else:
         rbar = _midpoint_radius(r, rp, spec.midpoint_rule)
         a = rbar ** 2 / (2.0 * he)
-        upper = gauss * naive_angular_factor(a, m) / (2.0 * math.pi * he)
-    band = np.zeros((n, 2 * b + 1))
-    band[i, b + d] = upper
-    band[j, b - d] = upper
+        upper[:] = gauss * naive_angular_factor(a, m) / (2.0 * math.pi * he)
+    for d in range(1, b + 1):
+        band[n - d:, b + d] = 0.0  # j = i + d is past the last node
+        band[d:, b - d] = band[:n - d, b + d]
+        band[:d, b - d] = 0.0  # j = i - d is before the first node
     if spec.prescription == CORRECTED_POLAR:
         # e^{-eps(H - hbar^2/(8r^2))/hbar} ~ e^{+eps hbar/(8 r^2)} e^{-eps H/hbar}
         band *= np.exp(spec.eps * p.hbar / (8.0 * nodes ** 2))[:, None]
-    kernel = BandedKernel(band)
-    _KERNEL_CACHE[key] = kernel
-    if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
-        del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
-    return kernel
+    return BandedKernel(band)
 
 
-def slice_step(psi, spec, p):
-    """Propagate one Euclidean slice; returns a new RadialWavefunction."""
+def slice_step(psi, kernel):
+    """Propagate one Euclidean slice with a kernel that slice_kernel built
+    for psi's mode and grid; returns a new RadialWavefunction."""
     psi.validate()
-    K = slice_kernel(psi.m, spec, psi.grid, p)
     rw = psi.grid.nodes * psi.grid.trapezoid_weights
-    out = K @ (psi.samples * rw)
-    return replace(psi, samples=out)
+    return replace(psi, samples=kernel @ (psi.samples * rw))
 
 
 def semigroup_defect(psi, spec, p):
@@ -428,9 +418,23 @@ def _check_geometric(eps_list):
     return eps, ratios[0]
 
 
-def effective_hamiltonian_action(psi, prescription, eps_list, p,
+def _shared_grid(psi_family):
+    if not psi_family:
+        raise ValueError("need at least one profile")
+    grid = psi_family[0].grid
+    if any(psi.grid != grid for psi in psi_family):
+        raise ValueError("family members must share one grid")
+    return grid
+
+
+def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
                                  midpoint_rule="geometric"):
     """H_eff psi = hbar (psi - T_eps psi)/eps, Richardson-extrapolated to eps -> 0.
+
+    Returns one EffectiveAction per member of ``psi_family`` (profiles on
+    one grid), in family order.  Each step's kernel for each angular mode
+    |m| is built once, applied to every member of that mode and released
+    before the next kernel is built, so one band is held at a time.
 
     The per-eps quotient carries an expansion in integer powers of eps;
     successive Neville stages remove eps^1 .. eps^{L-1}.  Samples whose raw
@@ -439,13 +443,29 @@ def effective_hamiltonian_action(psi, prescription, eps_list, p,
     with the flag.
     """
     eps_desc, rho = _check_geometric(eps_list)
-    rows = []
+    psi_family = list(psi_family)
+    grid = _shared_grid(psi_family)
+    modes = {}  # |m| -> indices of the members of that mode
+    for k, psi in enumerate(psi_family):
+        modes.setdefault(abs(int(psi.m)), []).append(k)
+    rows = [[] for _ in psi_family]
     for eps in eps_desc:
         spec = SliceKernelSpec(eps=eps, prescription=prescription,
                                midpoint_rule=midpoint_rule)
-        out = slice_step(psi, spec, p)
-        rows.append(p.hbar * (psi.samples - out.samples) / eps)
-    table = [np.array(r) for r in rows]
+        for m, members in modes.items():
+            kernel = slice_kernel(m, spec, grid, p)
+            for k in members:
+                psi = psi_family[k]
+                out = slice_step(psi, kernel)
+                rows[k].append(p.hbar * (psi.samples - out.samples) / eps)
+            del kernel
+    return [_extrapolate(psi, prescription, psi_rows, rho)
+            for psi, psi_rows in zip(psi_family, rows)]
+
+
+def _extrapolate(psi, prescription, rows, rho):
+    """Neville-Richardson limit of one member's per-eps rows, with flags."""
+    table = rows
     L = len(table)
     for k in range(1, L):
         nxt = []
@@ -476,47 +496,45 @@ class EffectivePotentialTable:
 
 # Per-unit costs of an extraction, measured with tracemalloc on the default
 # grid and on 8000 nodes, and by peak RSS of ``rotorkit pathintegral`` at
-# 26, 1e5 and 2e5 radii: one kernel build holds about 10 temporary doubles
-# per upper-half band slot beside the band it returns, and each extraction
-# radius costs about 1.9 kB through the snapped index, the table row and
-# the payload row written for it.  Vectors of n doubles (grid, probes,
-# Richardson rows) are left out: a kernel that passes the width rules is
-# at least 109 such vectors wide.
-_BUILD_TEMPORARIES = 10
+# 26, 1e5 and 2e5 radii.  One kernel build holds at most 6 temporary
+# doubles per slot of its n x (b + 1) rectangle beside the band it fills
+# (the polar prescriptions; the exact one holds 3), counted here as 7 so
+# that the vectors of n doubles an extraction also holds (grid, probes,
+# Richardson rows, about 20 of them) fit in the spare slot per row: a band
+# that passes the width rules has b >= 54.  Each extraction radius costs
+# about 1.9 kB through the snapped index, the table row and the payload
+# row written for it.
+_BUILD_TEMPORARIES = 7
 _BYTES_PER_RADIUS = 2048
 
 
-def extraction_peak_bytes(grid, eps_list, p, n_radii, n_modes):
+def extraction_peak_bytes(grid, eps_list, p, n_radii):
     """Peak bytes of one extraction, estimated from its sizes alone.
 
-    The largest band (that of the largest step) times the kernels the
-    extraction holds: one per step, angular mode and prescription (the
-    polar one and the exact one), at most the cache size plus the one being
-    built.  Added to that, one build's temporaries and the radius samples.
-    Pure: no array is allocated.
+    The extraction holds one kernel at a time (see
+    effective_hamiltonian_action), so its peak is one build: the largest
+    band (that of the largest step) and the temporaries that fill it.
+    Added to that, the radius samples.  Pure: no array is allocated.
     """
     n = grid.n
     b = _band_half_width(max(eps_list), grid, p)
-    kernels = min(2 * n_modes * len(eps_list), _KERNEL_CACHE_SIZE + 1)
-    slots = (b + 1) * n - b * (b + 1) // 2
-    return (8 * n * (2 * b + 1) * kernels + 8 * _BUILD_TEMPORARIES * slots
+    return (8 * n * (2 * b + 1) + 8 * _BUILD_TEMPORARIES * n * (b + 1)
             + _BYTES_PER_RADIUS * n_radii)
 
 
 def check_extraction_sizes(grid, eps_list, p, n_radii, prescription,
-                           midpoint_rule, n_modes=2):
+                           midpoint_rule):
     """The extraction's entry rules that need its sizes but not its probes.
 
     Geometric steps, each step's kernel width under the polar and the exact
     prescription, and extraction_peak_bytes within MEMORY_BUDGET.  Nothing
     is allocated, so a caller can run these before it sizes the probes and
-    radii from the same inputs.  The default ``n_modes`` counts the modes
-    of default_probe_family.
+    radii from the same inputs.
     """
     for eps in _check_geometric(eps_list)[0]:
         for presc in (prescription, EXACT_CARTESIAN):
             _validate_widths(SliceKernelSpec(eps, presc, midpoint_rule), grid, p)
-    need = extraction_peak_bytes(grid, eps_list, p, n_radii, n_modes)
+    need = extraction_peak_bytes(grid, eps_list, p, n_radii)
     if need > MEMORY_BUDGET:
         raise ValueError(
             f"extraction on {grid.n} nodes at {n_radii} radii needs an "
@@ -572,13 +590,9 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     psi_family = list(psi_family)
     if len(psi_family) < 3:
         raise ValueError("need a family of at least 3 test profiles")
-    grid = psi_family[0].grid
-    for psi in psi_family:
-        if psi.grid != grid:
-            raise ValueError("family members must share one grid")
+    grid = _shared_grid(psi_family)
     check_extraction_sizes(grid, eps_list, p, len(r_samples), prescription,
-                           midpoint_rule,
-                           len({abs(int(psi.m)) for psi in psi_family}))
+                           midpoint_rule)
     for psi in psi_family:
         psi.validate()
     nodes = grid.nodes
@@ -591,16 +605,14 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
         raise ValueError("no extraction radius where every probe exceeds "
                          "1e-6 of its peak")
     kept = idx[floor_ok]
-    ratios = []
-    flagged = {"polar": 0, "exact": 0}
-    for psi in psi_family:
-        naive = effective_hamiltonian_action(
-            psi, prescription, eps_list, p, midpoint_rule=midpoint_rule)
-        exact = effective_hamiltonian_action(psi, EXACT_CARTESIAN, eps_list, p)
-        ratios.append((naive.values - exact.values) / np.where(
-            psi.samples == 0.0, np.nan, psi.samples))
-        flagged["polar"] += int(np.count_nonzero(naive.flags[kept]))
-        flagged["exact"] += int(np.count_nonzero(exact.flags[kept]))
+    polar = effective_hamiltonian_action(
+        psi_family, prescription, eps_list, p, midpoint_rule=midpoint_rule)
+    exact = effective_hamiltonian_action(psi_family, EXACT_CARTESIAN, eps_list, p)
+    ratios = [(naive.values - ex.values) / np.where(
+        psi.samples == 0.0, np.nan, psi.samples)
+        for psi, naive, ex in zip(psi_family, polar, exact)]
+    flagged = {"polar": sum(int(np.count_nonzero(a.flags[kept])) for a in polar),
+               "exact": sum(int(np.count_nonzero(a.flags[kept])) for a in exact)}
     # one row of family values per kept radius; a row reduces in the same
     # order as the 1-D array of its values, so each entry is unchanged
     vals = np.stack(ratios, axis=1)[kept]

@@ -144,7 +144,6 @@ def test_exit_2_on_bad_pathintegral_config(flags, needle, monkeypatch, capsys):
     def build(*args, **kwargs):
         raise AssertionError("a kernel was built for a rejected input")
     monkeypatch.setattr(pathintegral, "BandedKernel", build)
-    monkeypatch.setattr(pathintegral, "_KERNEL_CACHE", {})
     code, out, err = run(["pathintegral", *flags], capsys)
     assert code == 2 and needle in err
     assert out == "" and "Traceback" not in err
@@ -162,9 +161,9 @@ def test_exit_2_on_pathintegral_over_memory_budget(flags, nodes, radii,
     p = ModelParams(D=2)
     eps = SCHEMAS["pathintegral"]["eps_list"]["default"]
     budget = pathintegral.extraction_peak_bytes(
-        pathintegral.RadialGrid(), eps, p, 26, 2)
+        pathintegral.RadialGrid(), eps, p, 26)
     need = pathintegral.extraction_peak_bytes(
-        pathintegral.RadialGrid(n=nodes), eps, p, radii, 2)
+        pathintegral.RadialGrid(n=nodes), eps, p, radii)
     assert need > budget
     monkeypatch.setattr(pathintegral, "MEMORY_BUDGET", budget)
 
@@ -172,7 +171,6 @@ def test_exit_2_on_pathintegral_over_memory_budget(flags, nodes, radii,
         raise AssertionError("probes or kernels were sized over the budget")
     monkeypatch.setattr(cli, "default_probe_family", build)
     monkeypatch.setattr(pathintegral, "BandedKernel", build)
-    monkeypatch.setattr(pathintegral, "_KERNEL_CACHE", {})
     code, out, err = run(["pathintegral", *flags], capsys)
     assert code == 2 and f"estimated {need} bytes" in err
     assert f"over the {budget} byte budget" in err

@@ -171,7 +171,6 @@ def _finite_numbers(value):
 
 def _check_contract(argv):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pathintegral, "_KERNEL_CACHE", {})  # count every build
         code, out, err, entered = _run(argv, mp, SOLVERS)
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err

@@ -111,13 +111,6 @@ def test_evaluate_arrays_and_complex():
     assert not isinstance(ex.Const(complex(2.0, 0.0)).value, complex)
 
 
-def test_free_vars():
-    x, y = ex.Var("x"), ex.Var("y")
-    e = ex.add(ex.mul(x, ex.sin(y)), ex.Const(4))
-    assert e.free_vars() == frozenset({"x", "y"})
-    assert ex.Const(3).free_vars() == frozenset()
-
-
 def test_power_rejects_bad_exponents():
     x = ex.Var("x")
     with pytest.raises(TypeError):

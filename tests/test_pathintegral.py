@@ -9,6 +9,8 @@ measurable, eps^2-scaling rate.
 """
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -98,6 +100,11 @@ def l2_norm(psi):
     return math.sqrt(2.0 * math.pi * float(np.sum(psi.samples ** 2 * rw)))
 
 
+def _step(psi, spec, p=P2):
+    """One slice of psi with a kernel built for its mode and grid."""
+    return slice_step(psi, slice_kernel(psi.m, spec, psi.grid, p))
+
+
 def _bump(m=0):
     power = m if m else 0
     return RadialWavefunction.from_callable(
@@ -114,7 +121,7 @@ def test_exact_kernel_reproduces_gaussian_heat_flow():
     for m, sig in ((0, 0.8), (1, 0.7)):
         prof = gaussian_profile(0.0, sig, power=m)
         psi = RadialWavefunction.from_callable(prof, m, GRID, open_inner=True)
-        out = slice_step(psi, SliceKernelSpec(eps=eps, prescription=EXACT_CARTESIAN), P2)
+        out = _step(psi, SliceKernelSpec(eps=eps, prescription=EXACT_CARTESIAN))
         s2 = sig ** 2
         shrink = s2 / (s2 + t)
         want = shrink ** (m + 1) * r ** m * np.exp(-r ** 2 / (2.0 * (s2 + t)))
@@ -126,7 +133,7 @@ def test_slice_operator_approaches_identity():
     psi = _bump()
     devs = {}
     for eps in (2e-3, 1e-3):
-        out = slice_step(psi, SliceKernelSpec(eps=eps, prescription=EXACT_CARTESIAN), P2)
+        out = _step(psi, SliceKernelSpec(eps=eps, prescription=EXACT_CARTESIAN))
         devs[eps] = float(np.max(np.abs(out.samples - psi.samples)))
     assert devs[2e-3] < 1e-2
     assert devs[1e-3] < devs[2e-3]
@@ -140,7 +147,7 @@ def test_effective_action_matches_analytic_hamiltonian():
     for m, c, s, pw in ((0, 2.0, 0.45, 0), (1, 1.8, 0.5, 1)):
         psi = RadialWavefunction.from_callable(
             gaussian_profile(c, s, power=pw), m, GRID, open_inner=True)
-        act = effective_hamiltonian_action(psi, EXACT_CARTESIAN, EPS_LIST, P2)
+        act, = effective_hamiltonian_action([psi], EXACT_CARTESIAN, EPS_LIST, P2)
         g = np.exp(-((r - c) ** 2) / (2.0 * s ** 2))
         dg = -(r - c) / s ** 2 * g
         d2g = ((r - c) ** 2 / s ** 4 - 1.0 / s ** 2) * g
@@ -154,13 +161,12 @@ def test_effective_action_matches_analytic_hamiltonian():
 
 
 def test_kernel_width_preconditions():
-    psi = _bump()
     with pytest.raises(KernelWidthError):  # width below 4 grid spacings
-        slice_step(psi, SliceKernelSpec(eps=1e-5, prescription=EXACT_CARTESIAN), P2)
+        slice_kernel(0, SliceKernelSpec(eps=1e-5, prescription=EXACT_CARTESIAN), GRID, P2)
     with pytest.raises(KernelWidthError):  # width comparable to the domain
-        slice_step(psi, SliceKernelSpec(eps=2.0, prescription=EXACT_CARTESIAN), P2)
+        slice_kernel(0, SliceKernelSpec(eps=2.0, prescription=EXACT_CARTESIAN), GRID, P2)
     with pytest.raises(KernelWidthError):  # angular tail too heavy at r_min
-        slice_step(psi, SliceKernelSpec(eps=2e-3, prescription=NAIVE_POLAR), P2)
+        slice_kernel(0, SliceKernelSpec(eps=2e-3, prescription=NAIVE_POLAR), GRID, P2)
 
 
 def test_semigroup_exact_kernel():
@@ -192,9 +198,9 @@ def test_semigroup_naive_m1_defect_scales_like_eps_squared():
 def test_norm_consistency_and_monotonicity():
     psi = _bump(1)
     spec = SliceKernelSpec(eps=1e-3, prescription=EXACT_CARTESIAN)
-    out = slice_step(psi, spec, P2)
+    out = _step(psi, spec)
     # <T psi, T psi> = <psi, T_2eps psi> for the exact self-adjoint kernel
-    out2 = slice_step(psi, SliceKernelSpec(eps=2e-3, prescription=EXACT_CARTESIAN), P2)
+    out2 = _step(psi, SliceKernelSpec(eps=2e-3, prescription=EXACT_CARTESIAN))
     rw = GRID.nodes * GRID.trapezoid_weights
     lhs = 2.0 * math.pi * float(np.sum(out.samples ** 2 * rw))
     rhs = 2.0 * math.pi * float(np.sum(psi.samples * out2.samples * rw))
@@ -232,7 +238,7 @@ def _dense_from_band(kernel):
     return dense
 
 
-def test_slice_kernel_symmetric_and_cached():
+def test_slice_kernel_symmetric_and_deterministic():
     # the exact and naive kernels are symmetric bit for bit; the corrected
     # kernel's row factor breaks the symmetry on purpose
     for prescription in (EXACT_CARTESIAN, NAIVE_POLAR):
@@ -242,10 +248,10 @@ def test_slice_kernel_symmetric_and_cached():
             K = _dense_from_band(slice_kernel(0, spec, GRID, P2))
             assert np.array_equal(K, K.T)
     spec = SliceKernelSpec(eps=1e-3, prescription=EXACT_CARTESIAN)
-    K1 = _dense_from_band(slice_kernel(0, spec, GRID, P2))
-    K2 = _dense_from_band(slice_kernel(0, spec, GRID, P2))
-    assert np.array_equal(K1, K2)  # cache returns the identical table
-    assert slice_kernel(0, spec, GRID, P2) is slice_kernel(0, spec, GRID, P2)
+    K1 = slice_kernel(0, spec, GRID, P2)
+    K2 = slice_kernel(0, spec, GRID, P2)
+    assert K1 is not K2 and K1.band is not K2.band  # each call builds anew
+    assert np.array_equal(K1.band, K2.band)  # to the same bits
 
 
 def _dense_kernel(m, spec, grid, p):
@@ -300,7 +306,7 @@ def test_banded_kernel_matches_dense_oracle(prescription, rule):
     assert np.all((np.abs(dense) < bound * peak)[~band])
     psi = RadialWavefunction.from_callable(
         mollifier_bump(1.75, 0.8, scale_power=m), m, grid)
-    out = slice_step(psi, spec, P2).samples
+    out = slice_step(psi, kernel).samples
     want = dense @ (psi.samples * grid.nodes * grid.trapezoid_weights)
     assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -331,37 +337,50 @@ def test_band_equals_dense_oracle_bitwise(prescription, rule, m, n, r_min,
     _assert_band_is_dense_oracle(kernel, _dense_kernel(m, spec, grid, p)[0])
 
 
-def test_kernel_cache_is_bounded():
-    grid = RadialGrid(0.5, 3.0, 64)
-    spec = SliceKernelSpec(eps=0.05, prescription=EXACT_CARTESIAN)
-    size = pathintegral._KERNEL_CACHE_SIZE
-    pathintegral._KERNEL_CACHE.clear()
-    first = slice_kernel(0, spec, grid, P2)
-    for m in range(1, size + 5):
-        slice_kernel(m, spec, grid, P2)
-    assert len(pathintegral._KERNEL_CACHE) == size
-    assert slice_kernel(0, spec, grid, P2) is not first  # evicted, rebuilt
-    pathintegral._KERNEL_CACHE.clear()
+def test_extraction_builds_each_kernel_once_and_holds_one(monkeypatch):
+    # a default extraction builds one kernel per (prescription, mode, step),
+    # 2 x 2 x 3 = 12, and releases each before it builds the next
+    built, bands = [], []
+    alive_at_build = []
+    real_kernel, real_build = pathintegral.BandedKernel, pathintegral.slice_kernel
+
+    def build(m, spec, grid, p):
+        built.append((spec.prescription, abs(int(m)), spec.eps))
+        return real_build(m, spec, grid, p)
+
+    def kernel(band):
+        bands.append(weakref.ref(band))
+        alive_at_build.append(sum(ref() is not None for ref in bands))
+        return real_kernel(band)
+
+    monkeypatch.setattr(pathintegral, "slice_kernel", build)
+    monkeypatch.setattr(pathintegral, "BandedKernel", kernel)
+    extract_effective_potential(default_probe_family(GRID), [1.5, 2.0, 2.5],
+                                EPS_LIST, P2)
+    assert len(bands) == len(built) == len(set(built)) == 12
+    assert {key[:2] for key in built} == {
+        (presc, m) for presc in (NAIVE_POLAR, EXACT_CARTESIAN) for m in (0, 1)}
+    assert max(alive_at_build) == 1  # the previous band is already freed
+    assert all(ref() is None for ref in bands)
 
 
-def test_extraction_memory_estimate_bounds_the_kernels_held():
-    # the estimate is pure arithmetic on sizes, and it covers the bands one
-    # extraction actually leaves in the cache: 3 steps x 2 modes x 2
-    # prescriptions, each at most as large as the largest step's band
+def test_extraction_peak_stays_under_its_estimate():
+    # the estimate is pure arithmetic on sizes, and it covers what one
+    # extraction allocates at its peak: one band and one build's temporaries
     family = default_probe_family(GRID)
-    need = pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 3, 2)
-    pathintegral._KERNEL_CACHE.clear()
-    extract_effective_potential(family, [1.5, 2.0, 2.5], EPS_LIST, P2)
-    held = list(pathintegral._KERNEL_CACHE.values())
-    pathintegral._KERNEL_CACHE.clear()
-    assert len(held) == 12
-    largest = max(K.nbytes for K in held)
-    assert largest == 8 * GRID.n * (2 * 111 + 1)  # b = 111 at eps = 1e-3
-    assert sum(K.nbytes for K in held) <= 12 * largest < need
+    need = pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 3)
+    tracemalloc.start()
+    try:
+        extract_effective_potential(family, [1.5, 2.0, 2.5], EPS_LIST, P2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band = 8 * GRID.n * (2 * 111 + 1)  # b = 111 at eps = 1e-3
+    assert band < peak < need
     # an extraction radius and a node both add to the estimate
-    assert pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 4, 2) > need
+    assert pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 4) > need
     wider = RadialGrid(GRID.r_min, GRID.r_max, GRID.n + 1)
-    assert pathintegral.extraction_peak_bytes(wider, EPS_LIST, P2, 3, 2) > need
+    assert pathintegral.extraction_peak_bytes(wider, EPS_LIST, P2, 3) > need
 
 
 def test_extraction_over_memory_budget_rejected_before_any_kernel(monkeypatch):
@@ -369,12 +388,11 @@ def test_extraction_over_memory_budget_rejected_before_any_kernel(monkeypatch):
     # missing guard costs megabytes here rather than gigabytes
     family = default_probe_family(GRID)
     radii = [1.5, 2.0, 2.5]
-    need = pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, len(radii), 2)
+    need = pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, len(radii))
 
     def build(*args, **kwargs):
         raise AssertionError("a kernel was built over the memory budget")
     monkeypatch.setattr(pathintegral, "BandedKernel", build)
-    monkeypatch.setattr(pathintegral, "_KERNEL_CACHE", {})
     monkeypatch.setattr(pathintegral, "MEMORY_BUDGET", need - 1)
     with pytest.raises(ValueError, match=f"estimated {need} bytes"):
         extract_effective_potential(family, radii, EPS_LIST, P2)
@@ -423,9 +441,8 @@ def test_extraction_counts_richardson_flags():
     idx = [int(np.argmin(np.abs(GRID.nodes - r))) for r in table.r]
     assert len(idx) == len(radii)
     want = {"polar": 0, "exact": 0}
-    for psi in family:
-        for route, presc in (("polar", NAIVE_POLAR), ("exact", EXACT_CARTESIAN)):
-            act = effective_hamiltonian_action(psi, presc, EPS_LIST, P2)
+    for route, presc in (("polar", NAIVE_POLAR), ("exact", EXACT_CARTESIAN)):
+        for act in effective_hamiltonian_action(family, presc, EPS_LIST, P2):
             want[route] += int(np.count_nonzero(act.flags[idx]))
     assert want["polar"] > 0 and want["exact"] > 0
     assert table.meta["richardson_flagged"] == want
@@ -439,10 +456,16 @@ def test_extraction_guards():
     with pytest.raises(ValueError):
         extract_effective_potential(family[:2], [2.0], EPS_LIST, P2)
     with pytest.raises(ValueError):  # slice steps must be geometric
-        effective_hamiltonian_action(family[0], NAIVE_POLAR,
+        effective_hamiltonian_action(family, NAIVE_POLAR,
                                      [1e-3, 6e-4, 2.5e-4], P2)
     with pytest.raises(ValueError):  # and at least three of them
-        effective_hamiltonian_action(family[0], NAIVE_POLAR, [1e-3, 5e-4], P2)
+        effective_hamiltonian_action(family, NAIVE_POLAR, [1e-3, 5e-4], P2)
+    with pytest.raises(ValueError, match="at least one profile"):
+        effective_hamiltonian_action([], NAIVE_POLAR, EPS_LIST, P2)
+    coarse = default_probe_family(RadialGrid(GRID.r_min, GRID.r_max, 1024))
+    with pytest.raises(ValueError, match="share one grid"):
+        effective_hamiltonian_action([family[0], coarse[1]], NAIVE_POLAR,
+                                     EPS_LIST, P2)
 
 
 def test_support_validation():
