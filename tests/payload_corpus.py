@@ -1,0 +1,94 @@
+"""The payload corpus: what each recorded CLI command prints, and its exit code.
+
+``tests/payloads.json`` maps each command line to its exit code, the
+SHA-256 of its stdout and the parsed payload, and records the environment
+the hashes were taken in (Python, numpy, scipy and BLAS versions).
+``tests/test_payloads.py`` reruns every command in-process and compares.
+
+The commands are the benchmark's workloads at ``--seed 0``, read from
+``bench/workloads.py``, plus two chart-equivalence runs at an extreme
+scale, where rounding is most likely to move.
+
+Rewrite the corpus after a change that moves a payload on purpose, and
+name each moved value in CHANGES.md:
+
+    PYTHONPATH=src python tests/payload_corpus.py
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import platform
+import shlex
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from rotorkit import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = Path(__file__).resolve().parent / "payloads.json"
+
+_EXTREME = ["check", "chart-equivalence", "--radius", "1e30", "--lmax", "4",
+            "--samples", "5"]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def commands():
+    """Every corpus command line, as argv lists."""
+    workloads = _workloads()
+    argvs = [argv for name in workloads.WORKLOADS
+             for argv in workloads.commands(name, 0)]
+    return argvs + [_EXTREME, _EXTREME + ["--hbar", "1e-30"]]
+
+
+def fingerprint():
+    """The versions that decide whether payload bytes can be compared."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas.get('version', '?')}"}
+
+
+def run(argv):
+    """(exit code, stdout) of one command, run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def record(argv):
+    code, text = run(argv)
+    return {"exit": code, "sha256": digest(text), "payload": json.loads(text)}
+
+
+def load():
+    return json.loads(CORPUS.read_text())
+
+
+def main():
+    corpus = {"fingerprint": fingerprint(),
+              "commands": {shlex.join(argv): record(argv)
+                           for argv in commands()}}
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(corpus['commands'])} commands to {CORPUS}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,77 @@
+"""Every corpus command still prints the payload it printed when recorded.
+
+The corpus (``tests/payloads.json``, rewritten by ``tests/payload_corpus.py``)
+holds each command's exit code, the SHA-256 of its stdout and the parsed
+payload.  In the environment the corpus was recorded in, the stdout bytes
+must hash the same.  Elsewhere a different BLAS or numpy may round
+differently, so exit codes, keys, strings, integers and flags must match
+exactly and floats to 1e-12 relative.  Each command is compared one way or
+the other; none passes unchecked.
+"""
+
+import copy
+import json
+import math
+import shlex
+
+import pytest
+
+import payload_corpus as corpus
+
+RECORDED = corpus.load()
+SAME_ENVIRONMENT = RECORDED["fingerprint"] == corpus.fingerprint()
+RTOL = 1e-12
+
+
+def _assert_close(got, want, path="payload"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{k}]")
+    elif isinstance(want, float) and isinstance(got, float):
+        if math.isnan(want):
+            assert math.isnan(got), f"{path}: {got!r} != nan"
+        else:
+            assert got == want or abs(got - want) <= RTOL * max(
+                abs(got), abs(want)), f"{path}: {got!r} != {want!r}"
+    else:  # flags, strings, integers and nulls
+        assert type(got) is type(want) and got == want, (
+            f"{path}: {got!r} != {want!r}")
+
+
+def test_corpus_lists_every_command():
+    assert sorted(RECORDED["commands"]) == sorted(
+        shlex.join(argv) for argv in corpus.commands())
+
+
+@pytest.mark.parametrize("line", sorted(RECORDED["commands"]))
+def test_payload_matches_the_corpus(line):
+    want = RECORDED["commands"][line]
+    code, text = corpus.run(shlex.split(line))
+    assert code == want["exit"]
+    if SAME_ENVIRONMENT:
+        assert corpus.digest(text) == want["sha256"]
+    else:
+        _assert_close(json.loads(text), want["payload"])
+
+
+def test_the_fallback_comparison_catches_a_moved_value():
+    # the comparison used away from the recorded environment: it accepts
+    # each recorded payload and rejects it with one float moved past RTOL
+    payloads = [entry["payload"] for entry in RECORDED["commands"].values()]
+    for payload in payloads:
+        _assert_close(copy.deepcopy(payload), payload)
+    moved = copy.deepcopy(payloads[0])
+    results = moved["results"]
+    key = next(k for k, v in sorted(results.items()) if isinstance(v, float))
+    results[key] *= 1 + 10 * RTOL
+    with pytest.raises(AssertionError, match=key):
+        _assert_close(moved, payloads[0])
+    moved = copy.deepcopy(payloads[0])
+    moved["pass"] = not moved["pass"]
+    with pytest.raises(AssertionError, match="pass"):
+        _assert_close(moved, payloads[0])
