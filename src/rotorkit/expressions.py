@@ -30,18 +30,15 @@ cache size needs a bound.  Interning equal subtrees in one global table
 (hash-consing) was measured and did not pay: harmonics with different
 coefficients share few subtrees, so the lookups cost more than they saved.
 
-A ``Const`` may hold a coefficient column, an array of shape (rows, 1),
-so that one tree stands for ``rows`` expressions that differ only in their
-constants: a value then has shape (rows, samples), and each row is bit for
-bit the value of the tree built with that row's scalars.  This holds
-because only ``+`` and ``*`` ever see the coefficient axis.  Elementwise
-sums and products round the same whatever the array shape or SIMD path,
-while powers and transcendentals are only ever taken of coefficient-free
-subtrees (``power``, ``sin``, ``cos`` and ``exp`` of a column raise).  The
-tree must also have the per-row trees' structure, so a fold that tests a
-constant (is it 0, is it 1, is its imaginary part 0) folds a column only
-when every row gives the same answer.  When rows disagree it raises
-``_MixedRows``, and the caller builds those rows one at a time.
+A ``Const`` holds one number.  Expressions that differ only in their
+coefficients share one tree when the coefficients are variables:
+``evaluate`` binds each variable to a scalar or to any array that
+broadcasts, so coefficients bound to (rows, 1) columns give values of
+shape (rows, samples), one row per expression.  Where the coefficients
+enter only sums and products, which round alike whatever the array shape,
+each row is bit for bit the value with that row's coefficients bound as
+scalars.  ``operators._harmonic_blocks`` builds its blocks of harmonics
+this way, and ``operators._route_gap`` binds their coefficients.
 """
 
 import numpy as np
@@ -60,30 +57,6 @@ def _wrap(v):
     if isinstance(v, (int, float, complex, np.integer, np.floating)):
         return Const(v)
     raise TypeError(f"cannot use {type(v).__name__} in an expression")
-
-
-class _MixedRows(Exception):
-    """A column constant's rows would take different branches of a fold.
-
-    Raised instead of folding so that a batched tree never differs in
-    structure from the per-row trees; the caller builds rows one by one.
-    """
-
-
-def _rows_agree(test):
-    """A fold's branch test: a bool, or a bool column whose rows must agree."""
-    if not isinstance(test, np.ndarray):
-        return test
-    hits = np.count_nonzero(test)
-    if hits and hits < test.size:
-        raise _MixedRows
-    return bool(hits)
-
-
-def _scalar(value, op):
-    if isinstance(value, np.ndarray):
-        raise TypeError(f"{op} of a coefficient column is not supported")
-    return value
 
 
 class Expr:
@@ -131,16 +104,11 @@ class Expr:
 
 
 class Const(Expr):
-    """A number, or a coefficient column: one value per row, shape (rows, 1)."""
-
     __slots__ = ("value",)
 
     def __init__(self, value):
         # keep real constants real so real expressions evaluate real
-        if isinstance(value, np.ndarray):
-            if value.dtype.kind == "c" and _rows_agree(value.imag == 0):
-                value = value.real
-        elif isinstance(value, complex) and value.imag == 0:
+        if isinstance(value, complex) and value.imag == 0:
             value = value.real
         object.__setattr__(self, "value", value)
 
@@ -316,7 +284,7 @@ ONE = Const(1)
 
 
 def is_zero(e):
-    return isinstance(e, Const) and _rows_agree(e.value == 0)
+    return isinstance(e, Const) and e.value == 0
 
 
 def add(*args):
@@ -335,7 +303,7 @@ def add(*args):
             const = const + a.value
         else:
             terms.append(a)
-    if not _rows_agree(const == 0) or not terms:
+    if const != 0 or not terms:
         terms.append(Const(const))
     if len(terms) == 1:
         return terms[0]
@@ -358,9 +326,9 @@ def mul(*args):
             const = const * a.value
         else:
             factors.append(a)
-    if _rows_agree(const == 0):
+    if const == 0:
         return ZERO
-    if not _rows_agree(const == 1) or not factors:
+    if const != 1 or not factors:
         factors.insert(0, Const(const))
     if len(factors) == 1:
         return factors[0]
@@ -392,39 +360,35 @@ def negated(a):
 
 def power(base, expo):
     base = _wrap(base)
-    if isinstance(expo, Expr):
-        if not isinstance(expo, Const):
-            raise TypeError("only numeric exponents are supported")
-        expo = expo.value
-    if isinstance(expo, complex):
-        raise TypeError("only real exponents are supported")
+    if not isinstance(expo, (int, float, np.integer, np.floating)):
+        raise TypeError("only real number exponents are supported")
     if expo == 0:
         return ONE
     if expo == 1:
         return base
     if isinstance(base, Const):
-        return Const(_scalar(base.value, "power") ** expo)
+        return Const(base.value ** expo)
     return Pow(base, expo)
 
 
 def sin(a):
     a = _wrap(a)
     if isinstance(a, Const):
-        return Const(np.sin(_scalar(a.value, "sin")))
+        return Const(np.sin(a.value))
     return Sin(a)
 
 
 def cos(a):
     a = _wrap(a)
     if isinstance(a, Const):
-        return Const(np.cos(_scalar(a.value, "cos")))
+        return Const(np.cos(a.value))
     return Cos(a)
 
 
 def exp(a):
     a = _wrap(a)
     if isinstance(a, Const):
-        return Const(np.exp(_scalar(a.value, "exp")))
+        return Const(np.exp(a.value))
     return Exp(a)
 
 

@@ -83,8 +83,10 @@ def _check_ball(x, p):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != p.D - 1:
         raise ChartDomainError(f"expected {p.D - 1} reduced coordinates, got {x.shape[-1]}")
-    s = np.sum(x * x, axis=-1)
-    if np.any(s >= p.R ** 2):
+    # the array methods run the same reductions as np.sum and np.any,
+    # without their dispatch cost on the single points most callers pass
+    s = (x * x).sum(axis=-1)
+    if (s >= p.R ** 2).any():
         raise ChartDomainError("point outside the open chart ball |x|^2 < R^2")
     return x, s
 

@@ -129,8 +129,14 @@ def _monomials(D, degree):
 
 
 def _harmonic_basis(D, degree):
-    """(monomial exponents, null-space basis with one harmonic per column)."""
+    """(monomial exponents, null-space basis with one harmonic per column).
+
+    Below degree 2 the Laplacian sends every polynomial to 0, so the basis
+    is the monomials themselves, ordered 1 and then x1, ..., xD.
+    """
     high = _monomials(D, degree)
+    if degree < 2:
+        return high, np.eye(len(high))[:, ::-1]
     low = _monomials(D, degree - 2)
     low_index = {m: k for k, m in enumerate(low)}
     L = np.zeros((len(low), len(high)))
@@ -142,27 +148,31 @@ def _harmonic_basis(D, degree):
     return high, null_space(L)
 
 
-def _polynomial(high, coeffs):
-    """sum_k coeffs[k] x^high[k] over the nonzero coefficients.
+def _harmonic_blocks(D, degree):
+    """The degree's harmonics in blocks, one block per zero pattern.
 
-    ``coeffs`` holds one harmonic's coefficients, or a (rows, monomials)
-    block of harmonics that share one zero pattern; from two rows on, each
-    monomial's constant is then the block's column, shape (rows, 1).
+    Each block is (tree, coefficients, harmonics).  The tree is
+    sum_k c[k] x^m_k over the monomials m_k that the block's harmonics
+    use, with each coefficient c[k] a variable; ``coefficients`` maps
+    each c[k] to its column of shape (rows, 1), one row per harmonic, and
+    ``harmonics`` lists their indices in the basis.  The brackets keep the
+    names apart from every chart and phase variable.  Grouping by zero
+    pattern keeps each tree as sparse as its harmonics.
     """
-    if coeffs.ndim == 2 and len(coeffs) == 1:
-        coeffs = coeffs[0]  # one row: scalars, as harmonic_polynomials has
-    block = coeffs.ndim == 2
-    terms = []
-    for k, mono in enumerate(high):
-        c = coeffs[:, k:k + 1] if block else coeffs[k]
-        if not c.any():
-            continue
-        factors = [ex.Const(c)]
-        for i, e in enumerate(mono):
-            if e:
-                factors.append(ex.power(ex.Var(f"x{i + 1}"), e))
-        terms.append(ex.mul(*factors))
-    return ex.add(*terms)
+    high, basis = _harmonic_basis(D, degree)
+    groups = {}
+    for j, col in enumerate(basis.T):
+        groups.setdefault(tuple(col != 0.0), []).append(j)
+    blocks = []
+    for pattern, harmonics in groups.items():
+        terms, coefficients = [], {}
+        for k in np.flatnonzero(pattern):
+            name = f"c[{k}]"
+            coefficients[name] = basis[k, harmonics][:, None]
+            terms.append(ex.mul(ex.Var(name), *[
+                ex.power(ex.Var(f"x{i + 1}"), e) for i, e in enumerate(high[k])]))
+        blocks.append((ex.add(*terms), coefficients, harmonics))
+    return blocks
 
 
 def harmonic_polynomials(D, degree):
@@ -170,28 +180,17 @@ def harmonic_polynomials(D, degree):
 
     Built from scratch as the null space of the Laplacian on the monomial
     coefficient space, so it serves as an oracle independent of any spectral
-    machinery.  The count matches C(D+l-1,l) - C(D+l-3,l-2).
+    machinery.  The count matches C(D+l-1,l) - C(D+l-3,l-2).  Each harmonic
+    is its block's tree (``_harmonic_blocks``) with its own coefficients
+    substituted as constants, so degree 0 is the constant 1 and degree 1
+    the coordinates x1, ..., xD.
     """
-    if degree == 0:
-        return [ex.ONE]
-    if degree == 1:
-        return [ex.Var(f"x{i}") for i in range(1, D + 1)]
-    high, basis = _harmonic_basis(D, degree)
-    return [_polynomial(high, col) for col in basis.T]
-
-
-def _harmonic_blocks(D, degree):
-    """The degree's harmonics as coefficient blocks, one per zero pattern.
-
-    Returns (monomial exponents, blocks); each block stacks the basis
-    columns of one zero pattern as its rows, so ``_polynomial`` builds one
-    expression for all of them.
-    """
-    high, basis = _harmonic_basis(D, degree)
-    groups = {}
-    for col in basis.T:
-        groups.setdefault(tuple(col != 0.0), []).append(col)
-    return high, [np.array(rows) for rows in groups.values()]
+    out = {}
+    for tree, coefficients, harmonics in _harmonic_blocks(D, degree):
+        for row, j in enumerate(harmonics):
+            out[j] = tree.subs({name: ex.Const(column[row, 0])
+                                for name, column in coefficients.items()})
+    return [out[j] for j in sorted(out)]
 
 
 def _env_from_points(names, points):
@@ -472,48 +471,34 @@ def _route_gap(p, lmax, samples, routes):
     is max|a - b| over the samples relative to its own max|b|, floored at
     the energy scale hbar^2/R^2; ``family_size`` counts harmonics.
 
-    Degrees 0 and 1 are built one harmonic at a time.  From degree 2 on,
-    the basis columns that share a zero pattern are built as one
-    expression whose constants are coefficient columns (see
-    ``expressions``), so each value holds one row per harmonic, bit for bit
-    the values of that harmonic built alone.  A group whose rows would fold
-    differently is built one harmonic at a time instead.  A group is cut
-    into row chunks, each of at least one row, where rows x samples x DAG
-    nodes x 16 bytes (the evaluation memo's worst case, complex values)
-    would exceed MEMORY_BUDGET.
+    Every degree, 0 and 1 included, goes by blocks (``_harmonic_blocks``):
+    the routes are built once for the block's tree, and each ``evaluate``
+    env also binds the tree's coefficient variables to their (rows, 1)
+    columns, so each value holds one row per harmonic.  Where rows x
+    samples x DAG nodes x 16 bytes (the evaluation memo's worst case,
+    complex values) would exceed MEMORY_BUDGET, the same trees are
+    evaluated on row slices of the columns, each of at least one row.
     """
     scale = p.hbar ** 2 / p.R ** 2
     worst = 0.0
     size = 0
-
-    def measure(calls, rows):
-        nonlocal worst, size
-        values = [v for exprs, env in calls for v in ex.evaluate(exprs, env)]
-        a, b = (np.broadcast_to(v, (rows, samples)) for v in values)
-        for ar, br in zip(a, b):
-            ref = max(float(np.max(np.abs(br))), scale)
-            worst = float(np.maximum(worst, np.max(np.abs(ar - br)) / ref))
-        size += rows
-
-    for h in harmonic_polynomials(p.D, 0) + harmonic_polynomials(p.D, 1):
-        measure(routes(h), 1)
-    for degree in range(2, lmax + 1):
-        high, blocks = _harmonic_blocks(p.D, degree)
-        for block in blocks:
-            try:
-                calls = routes(_polynomial(high, block))
-            except ex._MixedRows:
-                step = 1
-            else:
-                nodes = max(ex._memo_size(exprs) for exprs, _ in calls)
-                step = max(1, MEMORY_BUDGET // (samples * nodes * 16))
-                if step >= len(block):
-                    measure(calls, len(block))
-                    continue
-                del calls  # its trees are rebuilt per chunk
-            for i in range(0, len(block), step):
-                chunk = block[i:i + step]
-                measure(routes(_polynomial(high, chunk)), len(chunk))
+    for degree in range(lmax + 1):
+        for tree, coefficients, harmonics in _harmonic_blocks(p.D, degree):
+            calls = routes(tree)
+            nodes = max(ex._memo_size(exprs) for exprs, _ in calls)
+            step = max(1, MEMORY_BUDGET // (samples * nodes * 16))
+            for lo in range(0, len(harmonics), step):
+                rows = len(harmonics[lo:lo + step])
+                bound = {name: column[lo:lo + step]
+                         for name, column in coefficients.items()}
+                values = [v for exprs, env in calls
+                          for v in ex.evaluate(exprs, {**env, **bound})]
+                a, b = (np.broadcast_to(v, (rows, samples)) for v in values)
+                for ar, br in zip(a, b):
+                    ref = max(float(np.max(np.abs(br))), scale)
+                    worst = float(np.maximum(worst,
+                                             np.max(np.abs(ar - br)) / ref))
+            size += len(harmonics)
     return {"family_size": size, "points": samples,
             "max_relative_deviation": worst}, worst
 

@@ -116,6 +116,29 @@ def test_exit_1_when_tolerance_unreachable(capsys):
     assert "tolerance exceeded" in err
 
 
+def test_dirac_brackets_fail_without_exact_antisymmetry(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "_antisymmetry_exact", lambda *args: False)
+    code, out, err = run(["check", "dirac-brackets"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["results"]["antisymmetry_exact"] is False
+    assert report["max_deviations"]["deviation"] is None
+    assert err.startswith("tolerance exceeded")
+
+
+@pytest.mark.parametrize("flags, code", [([], 0),
+                                         (["--corrected-tol", "1e-12"], 1)])
+def test_corrected_pathintegral_verdict(flags, code, capsys):
+    # the counterterm-corrected kernel leaves a residual of about 3e-7 of
+    # the hbar^2/(8 r^2) scale: inside the default 1e-3, outside 1e-12
+    got, out, err = run(["pathintegral", "--prescription", "corrected"]
+                        + flags, capsys)
+    report = json.loads(out)
+    assert got == code and report["pass"] is (code == 0)
+    assert err.startswith("pass" if code == 0 else "tolerance exceeded")
+    assert "residual_relative=" in err
+
+
 def test_exit_2_on_config_errors(capsys):
     code, _, err = run(["spectrum", "--dim", "11"], capsys)
     assert code == 2 and "D must be an integer in [2, 10]" in err

@@ -117,6 +117,10 @@ def test_power_rejects_bad_exponents():
         ex.power(x, x)
     with pytest.raises(TypeError):
         ex.power(x, 1j)
+    with pytest.raises(TypeError):
+        ex.power(x, ex.Const(2))  # exponents are numbers, not expressions
+    assert ex.power(x, np.int64(2)) == ex.power(x, 2)
+    assert ex.power(x, np.float64(0.5)) == ex.sqrt(x)
 
 
 def test_every_node_type_is_immutable():
@@ -210,71 +214,24 @@ def test_evaluate_several_roots_shares_one_memo_bitwise(monkeypatch):
     assert ex.evaluate((roots[0],), env)[0].tobytes() == alone[0].tobytes()
 
 
-# -- coefficient columns -----------------------------------------------------
+# -- coefficients bound at evaluation ---------------------------------------
 
-def _column(*values):
-    return np.array(values, dtype=float)[:, None]
-
-
-def test_column_constants_fold_like_each_row():
-    x = ex.Var("x")
-    col = _column(0.5, -3.0, 7.25)
-    m = ex.mul(ex.Const(col), ex.Const(3.0), x)
-    assert isinstance(m, ex.Mul) and np.array_equal(m.args[0].value, col * 3.0)
-    s = ex.add(x, ex.Const(col), ex.Const(col))
-    assert np.array_equal(s.args[-1].value, col + col)
-    # rows that all fold to 0 or 1 fold away, as a scalar would
-    assert ex.mul(ex.Const(_column(0.0, -0.0)), x) == ex.ZERO
-    assert ex.mul(ex.Const(_column(1.0, 1.0)), x) is x
-    assert ex.add(ex.Const(_column(0.0, 0.0)), x) is x
-    assert ex.is_zero(ex.Const(_column(0.0, 0.0)))
-    assert not ex.is_zero(ex.Const(col))
-
-
-@pytest.mark.parametrize("build", [
-    lambda x, c: ex.mul(ex.Const(c), x),
-    lambda x, c: ex.add(ex.Const(c), x),
-    lambda x, c: ex.is_zero(ex.Const(c)),
-])
-def test_rows_that_would_fold_differently_signal(build):
-    x = ex.Var("x")
-    with pytest.raises(ex._MixedRows):
-        build(x, _column(0.0, 2.0))
-    with pytest.raises(ex._MixedRows):
-        ex.mul(ex.Const(_column(1.0, 2.0)), x)
-
-
-def test_column_real_cast_only_when_every_row_is_real():
-    assert ex.Const(_column(1.0, 2.0) + 0j).value.dtype.kind == "f"
-    assert ex.Const(1j * _column(1.0, 2.0)).value.dtype.kind == "c"
-    with pytest.raises(ex._MixedRows):
-        ex.Const(np.array([[1.0 + 0j], [1.0 + 1j]]))
-
-
-@pytest.mark.parametrize("fn", [
-    lambda c: ex.power(c, 2), ex.sin, ex.cos, ex.exp])
-def test_transcendentals_of_a_column_raise(fn):
-    with pytest.raises(TypeError, match="coefficient column"):
-        fn(ex.Const(_column(0.5, 1.5)))
-
-
-def test_column_rows_evaluate_bitwise_as_each_row_alone():
+def test_column_bound_variable_rows_equal_each_scalar_binding():
+    # a coefficient variable bound to a (rows, 1) column: each value row is
+    # bitwise the value with that row's coefficient bound as a scalar
     x, y = ex.Var("x"), ex.Var("y")
+    c = [ex.Var(f"c[{i}]") for i in range(3)]
+    e = ex.add(ex.mul(c[0], ex.power(x, 2), y), ex.mul(c[1], ex.sin(y)), c[2])
+    e = ex.mul(ex.Const(-1j), ex.add(e.diff("y"), e.diff("x")))
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(4, 3))
-
-    def poly(c):
-        # c is one row of three coefficients, or a block of such rows
-        k = [ex.Const(c[:, i:i + 1] if c.ndim == 2 else c[i]) for i in range(3)]
-        e = ex.add(ex.mul(k[0], ex.power(x, 2), y), ex.mul(k[1], ex.sin(y)),
-                   k[2])
-        return ex.mul(ex.Const(-1j), ex.add(e.diff("y"), e.diff("x")))
-
     env = {"x": rng.normal(size=9), "y": rng.normal(size=9)}
-    batched = ex.evaluate(poly(rows), env)
+    batched = ex.evaluate(e, {**env, **{f"c[{i}]": rows[:, i:i + 1]
+                                        for i in range(3)}})
     assert batched.shape == (4, 9)
     for row, got in zip(rows, batched):
-        assert got.tobytes() == ex.evaluate(poly(row), env).tobytes()
+        alone = ex.evaluate(e, {**env, **{f"c[{i}]": row[i] for i in range(3)}})
+        assert got.tobytes() == alone.tobytes()
 
 
 def test_memo_size_counts_distinct_nodes():

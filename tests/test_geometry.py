@@ -55,6 +55,19 @@ def test_determinant_closed_form_vs_lu(D):
         assert abs(dense - closed) < 1e-12 * abs(closed)
 
 
+@pytest.mark.parametrize("D", range(2, 11))
+def test_ball_check_reduces_bitwise_as_np_sum(D):
+    # _check_ball sums with the array method; pin it to the np.sum form
+    p = ModelParams(D=D, R=1.3, hbar=1.0)
+    pts = _ball_points(D, p.R, 64, np.random.default_rng(30 + D))
+    for x in (pts, pts[0], pts.reshape(8, 8, D - 1)):
+        s = np.sum(x * x, axis=-1)
+        assert np.asarray(metric_determinant(x, p)).tobytes() == \
+            np.asarray(p.R ** 2 / (p.R ** 2 - s)).tobytes()
+        assert lift(x, p)[..., -1].tobytes() == \
+            np.asarray(np.sqrt(p.R ** 2 - s)).tobytes()
+
+
 def test_inverse_metric_closed_form_vs_solve():
     p = ModelParams(D=4, R=0.8, hbar=1.0)
     rng = np.random.default_rng(3)

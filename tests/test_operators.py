@@ -219,11 +219,13 @@ def test_momentum_conventions_on_parity_matched_pair():
         OperatorTag("pi_curv", i=1, convention="displayed"), f, g, P3, res) > 0.1 * norm
 
 
-# -- batched harmonic degrees ------------------------------------------------
+# -- batched harmonic blocks ------------------------------------------------
 #
-# The chart-equivalence and angular-momentum suites evaluate each degree's
-# harmonics as one expression with coefficient columns.  Every value row
-# they measure must be bitwise the row of that harmonic built alone.
+# The chart-equivalence and angular-momentum suites evaluate each block of
+# harmonics as one tree whose coefficients are variables bound to (rows, 1)
+# columns.  Every value row they measure must be bitwise the tree's value
+# with that row's coefficients alone, and must agree with the harmonic that
+# harmonic_polynomials builds with constant coefficients.
 
 SUITES = {"chart-equivalence": operators.suite_chart_equivalence,
           "angular-momentum": operators.suite_angular_momentum}
@@ -231,12 +233,34 @@ SWEEP_LMAX = {2: 5, 3: 4, 4: 3, 5: 2}
 SCALES = (1e-30, 1.0, 1e30)
 
 
-def _rows(values, samples):
-    """The (a, b) value rows of one route pair, each as bytes."""
-    a, b = values
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b), (samples,))
-    a, b = (np.broadcast_to(v, shape).reshape(-1, samples) for v in (a, b))
-    return [(ar.tobytes(), br.tobytes()) for ar, br in zip(a, b)]
+def _sweep(D):
+    """Each (R, hbar) pair once, the two seeds alternating over the pairs."""
+    for k, (R, hbar) in enumerate(itertools.product(SCALES, SCALES)):
+        yield ModelParams(D=D, R=R, hbar=hbar), k % 2
+
+
+def _coefficients(env):
+    return {name: v for name, v in env.items() if name.startswith("c[")}
+
+
+def _record(suite, p, lmax, samples, seed, monkeypatch):
+    """The suite's results and its evaluate calls as (exprs, env, values),
+    each value broadcast to (rows, samples), one row per harmonic."""
+    evaluate = ex.evaluate
+    calls = []
+
+    def recording(exprs, env):
+        out = evaluate(exprs, env)
+        rows = len(next(iter(_coefficients(env).values())))
+        calls.append((exprs, env, [np.broadcast_to(v, (rows, samples))
+                                   for v in out]))
+        return out
+
+    monkeypatch.setattr(ex, "evaluate", recording)
+    results, worst = SUITES[suite](p, lmax, samples, seed)
+    monkeypatch.undo()
+    assert results["max_relative_deviation"] == worst or np.isnan(worst)
+    return results, calls
 
 
 def _old_gap(pairs, p):
@@ -249,148 +273,114 @@ def _old_gap(pairs, p):
     return worst
 
 
-def _run_recorded(suite, p, lmax, samples, seed, monkeypatch):
-    """The suite's results, the value rows it measured, and its routes."""
-    evaluate = ex.evaluate
-    values, captured = [], {}
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("D", sorted(SWEEP_LMAX))
+def test_batched_rows_equal_each_harmonic_alone(suite, D, monkeypatch):
+    # "alone": the block's tree with one row's coefficients bound as scalars
+    lmax, samples = SWEEP_LMAX[D], 5
+    for p, seed in _sweep(D):
+        results, calls = _record(suite, p, lmax, samples, seed, monkeypatch)
+        for exprs, env, batched in calls:
+            for r in range(len(batched[0])):
+                alone = ex.evaluate(exprs, {**env, **{
+                    name: c[r, 0] for name, c in _coefficients(env).items()}})
+                for got, want in zip(batched, alone):
+                    assert got[r].tobytes() == np.broadcast_to(
+                        want, (samples,)).tobytes()
+        # the rows are the blocks' harmonics: each block's columns are
+        # bound once (shared by both routes' calls), in block order
+        bound = {id(next(iter(_coefficients(env).values()))):
+                 _coefficients(env) for _, env, _ in calls}
+        blocks = [columns for l in range(lmax + 1)
+                  for _, columns, _ in operators._harmonic_blocks(D, l)]
+        assert len(bound) == len(blocks)
+        for got, want in zip(bound.values(), blocks):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+        values = [v for _, _, batched in calls for v in batched]
+        pairs = [pair for a, b in zip(values[::2], values[1::2])
+                 for pair in zip(a, b)]
+        assert results["family_size"] == len(pairs) == sum(
+            harmonic_multiplicity(D, l) for l in range(lmax + 1))
+        assert np.array(results["max_relative_deviation"]).tobytes() == \
+            np.array(_old_gap(pairs, p)).tobytes()
 
-    def recording(exprs, env):
-        out = evaluate(exprs, env)
-        values.extend(out)
-        return out
 
-    route_gap = operators._route_gap
+def _routes(suite, p, samples, seed, monkeypatch):
+    """The ``routes`` callable the suite hands to ``_route_gap``."""
+    captured = []
 
     def capture(p_, lmax_, samples_, routes):
-        captured["routes"] = routes
-        return route_gap(p_, lmax_, samples_, routes)
+        captured.append(routes)
+        return {}, 0.0
 
-    monkeypatch.setattr(ex, "evaluate", recording)
     monkeypatch.setattr(operators, "_route_gap", capture)
-    results, worst = SUITES[suite](p, lmax, samples, seed)
+    SUITES[suite](p, 0, samples, seed)
     monkeypatch.undo()
-    assert results["max_relative_deviation"] == worst or np.isnan(worst)
-    rows = collections.Counter(
-        row for k in range(0, len(values), 2)
-        for row in _rows(values[k:k + 2], samples))
-    return results, rows, captured["routes"]
+    return captured[0]
 
 
-def _solo(routes, h):
-    return [v for exprs, env in routes(h) for v in ex.evaluate(exprs, env)]
+def _evaluated(calls, bound=None):
+    return [v for exprs, env in calls
+            for v in ex.evaluate(exprs, {**env, **(bound or {})})]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("D", sorted(SWEEP_LMAX))
-def test_batched_rows_equal_each_harmonic_alone(suite, D, monkeypatch):
+def test_batched_rows_match_harmonic_polynomials(suite, D, monkeypatch):
+    # a coefficient variable and a constant fold into different products,
+    # so the rows agree with the constant-coefficient harmonics to rounding
     lmax, samples = SWEEP_LMAX[D], 5
-    # each (R, hbar) pair once, the two seeds alternating over the pairs
-    for k, (R, hbar) in enumerate(itertools.product(SCALES, SCALES)):
-        seed = k % 2
-        p = ModelParams(D=D, R=R, hbar=hbar)
-        results, rows, routes = _run_recorded(suite, p, lmax, samples, seed,
-                                              monkeypatch)
-        solo = [_solo(routes, h) for l in range(lmax + 1)
-                for h in harmonic_polynomials(D, l)]
-        assert rows == collections.Counter(
-            row for v in solo for row in _rows(v, samples))
-        assert results["family_size"] == len(solo)
-        want = _old_gap(solo, p)
-        assert np.array(results["max_relative_deviation"]).tobytes() == \
-            np.array(want).tobytes()
-
-
-def _rows_of(coeffs):
-    return 1 if coeffs.ndim == 1 else len(coeffs)
-
-
-def _patched_rows(suite, monkeypatch, blocks_of, D=3, lmax=5, samples=7):
-    """Run a suite on the blocks ``blocks_of(block)`` makes of each block.
-
-    Returns the rows the suite measured, the rows of each block row built
-    alone, and the blocks and coefficient arrays the suite built from.
-    """
-    harmonic_blocks = operators._harmonic_blocks
-    polynomial = operators._polynomial
-    blocks, calls = [], []
-
-    def patched_blocks(D_, degree):
-        high, found = harmonic_blocks(D_, degree)
-        return high, [b for block in found for b in blocks_of(block)]
-
-    def recording_blocks(D_, degree):
-        high, made = patched_blocks(D_, degree)
-        blocks.extend(made)
-        return high, made
-
-    def spy(high, coeffs):
-        calls.append(coeffs)
-        return polynomial(high, coeffs)
-
-    p = ModelParams(D=D)
-    monkeypatch.setattr(operators, "_harmonic_blocks", recording_blocks)
-    monkeypatch.setattr(operators, "_polynomial", spy)
-    _, rows, routes = _run_recorded(suite, p, lmax, samples, 0, monkeypatch)
-    solo = [_solo(routes, h) for l in (0, 1) for h in harmonic_polynomials(D, l)]
-    for degree in range(2, lmax + 1):
-        high, made = patched_blocks(D, degree)
-        solo += [_solo(routes, polynomial(high, row))
-                 for block in made for row in block]
-    return rows, collections.Counter(
-        row for v in solo for row in _rows(v, samples)), blocks, calls
-
-
-@pytest.mark.parametrize("suite", sorted(SUITES))
-def test_mixed_zero_column_is_built_row_by_row(suite, monkeypatch):
-    # every basis column of a degree in one block: some monomials then have
-    # a zero coefficient in some rows only, which a fold cannot batch
-    def whole_degree(D, degree):
-        high, basis = operators._harmonic_basis(D, degree)
-        return high, [basis.T.copy()]
-
-    monkeypatch.setattr(operators, "_harmonic_blocks", whole_degree)
-    rows, solo, blocks, calls = _patched_rows(suite, monkeypatch,
-                                              lambda block: [block])
-    assert rows == solo
-    mixed = [b for b in blocks
-             if np.any(np.any(b == 0.0, axis=0) != np.all(b == 0.0, axis=0))]
-    assert mixed
-    assert sum(_rows_of(c) == 1 for c in calls) >= sum(len(b) for b in mixed)
-
-
-@pytest.mark.parametrize("suite", sorted(SUITES))
-def test_mixed_real_cast_column_is_built_row_by_row(suite, monkeypatch):
-    # imaginary coefficients batch as one complex column; a column whose
-    # first row alone is real would cast that row only, so it splits
-    def imaginary_and_mixed(block):
-        if len(block) < 2:
-            return [block]
-        mixed = 1j * block
-        mixed[0] = block[0]
-        return [1j * block, mixed]
-
-    rows, solo, _, calls = _patched_rows(suite, monkeypatch,
-                                         imaginary_and_mixed)
-    assert rows == solo
-    assert any(_rows_of(c) > 1 and np.all(c.real == 0.0) for c in calls)
-    assert any(_rows_of(c) == 1 and c.dtype.kind == "c" and c.imag.any()
-               for c in calls)
+    for p, seed in _sweep(D):
+        routes = _routes(suite, p, samples, seed, monkeypatch)
+        scale = p.hbar ** 2 / p.R ** 2
+        for l in range(lmax + 1):
+            scalar = harmonic_polynomials(D, l)
+            for tree, coefficients, harmonics in operators._harmonic_blocks(
+                    D, l):
+                batched = [np.broadcast_to(v, (len(harmonics), samples))
+                           for v in _evaluated(routes(tree), coefficients)]
+                for r, j in enumerate(harmonics):
+                    alone = _evaluated(routes(scalar[j]))
+                    for got, want in zip(batched, alone):
+                        ref = max(float(np.max(np.abs(got[r]))), scale)
+                        assert np.max(np.abs(got[r] - want)) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("budget", (1, 400_000))
 def test_row_chunks_under_a_small_memory_budget(suite, budget, monkeypatch):
     # with samples=5 a row costs 40-70 kB at degrees 4-5 of D=3, so the
-    # larger budget cuts the biggest blocks into chunks of a few rows
+    # larger budget cuts the biggest blocks into chunks of a few rows; the
+    # chunks evaluate the block's one tree on row slices of its columns
+    p, lmax, samples = ModelParams(D=3), 5, 5
+    whole, whole_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
     monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
-    rows, solo, blocks, calls = _patched_rows(
-        suite, monkeypatch, lambda block: [block], samples=5)
-    assert rows == solo
-    sizes = {len(b) for b in blocks}
-    chunks = [_rows_of(c) for c in calls if _rows_of(c) not in sizes]
+    cut, cut_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
+    assert cut == whole
+
+    def by_tree(calls):
+        # exprs lists stay alive in ``calls``, so their ids are unique
+        groups = {}
+        for exprs, env, values in calls:
+            groups.setdefault(id(exprs), []).append((env, values))
+        return list(groups.values())
+
+    whole_trees, cut_trees = by_tree(whole_calls), by_tree(cut_calls)
+    assert len(cut_trees) == len(whole_trees)
+    sizes, chunks = [], []
+    for [(env, values)], pieces in zip(whole_trees, cut_trees):
+        sizes.append(len(values[0]))
+        chunks += [len(vs[0]) for _, vs in pieces]
+        for name, column in _coefficients(env).items():
+            parts = [_coefficients(e)[name] for e, _ in pieces]
+            assert all(part.base is not None for part in parts)  # views
+            assert np.concatenate(parts).tobytes() == column.tobytes()
+        for k, v in enumerate(values):
+            got = np.concatenate([vs[k] for _, vs in pieces])
+            assert got.tobytes() == v.tobytes()
     if budget == 1:
-        assert chunks == []
-        assert sum(_rows_of(c) == 1 for c in calls) >= sum(
-            len(b) for b in blocks if len(b) > 1)
+        assert set(chunks) == {1}
     else:
-        assert chunks and max(chunks) < max(sizes)
+        assert max(chunks) > 1 and len(chunks) > len(sizes)
+        assert max(chunks) < max(sizes)

@@ -163,6 +163,21 @@ def test_dense_converges_and_extrapolation_tightens():
     assert [m for _, m in cl] == [1, 3, 5, 7]
 
 
+def test_extrapolation_flags_a_sequence_no_order_fits():
+    # monotone and contracting, but the ratio d12/d23 = 5e6 lies above
+    # 2^16, beyond every order in [0.25, 16] at counts 10, 20, 40; the
+    # second value converges as n^-2 and is extrapolated as usual
+    values = [np.array([1.0, 1.01]), np.array([0.5, 1.0025]),
+              np.array([0.5 - 1e-7, 1.000625])]
+    counts = [10, 20, 40]
+    assert spectra._fit_order(1.0, 0.5, 0.5 - 1e-7, *counts) is None
+    out, err, flags = extrapolate(values, counts)
+    assert flags.tolist() == [True, False]
+    assert out[0] == values[2][0]  # the finest raw value
+    assert err[0] == abs(values[1][0] - values[2][0])
+    assert abs(out[1] - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("D,res", ORACLE_GRIDS)
 def test_apply_matches_kron_oracle(D, res):
     p = ModelParams(D=D, R=1.3, hbar=0.7)
