@@ -7,7 +7,10 @@ the hashes were taken in (Python, numpy, scipy and BLAS versions).
 
 The commands are the benchmark's workloads at ``--seed 0``, read from
 ``bench/workloads.py``, plus two chart-equivalence runs at an extreme
-scale, where rounding is most likely to move.
+scale, where rounding is most likely to move, and two pathintegral runs
+off the defaults: extraction radii that reach both ends of the grid, and
+the corrected prescription with the arithmetic midpoint as CSV.  A CSV
+payload is kept as its rows, each cell parsed as a float where it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
 name each moved value in CHANGES.md:
@@ -16,6 +19,7 @@ name each moved value in CHANGES.md:
 """
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -34,6 +38,12 @@ CORPUS = Path(__file__).resolve().parent / "payloads.json"
 
 _EXTREME = ["check", "chart-equivalence", "--radius", "1e30", "--lmax", "4",
             "--samples", "5"]
+_PATHINTEGRAL = [
+    ["pathintegral", "--r-eval-count", "300", "--r-eval-min", "0.1",
+     "--r-eval-max", "8"],
+    ["pathintegral", "--prescription", "corrected", "--midpoint-rule",
+     "arithmetic", "--format", "csv"],
+]
 
 
 def _workloads():
@@ -49,7 +59,7 @@ def commands():
     workloads = _workloads()
     argvs = [argv for name in workloads.WORKLOADS
              for argv in workloads.commands(name, 0)]
-    return argvs + [_EXTREME, _EXTREME + ["--hbar", "1e-30"]]
+    return argvs + [_EXTREME, _EXTREME + ["--hbar", "1e-30"]] + _PATHINTEGRAL
 
 
 def fingerprint():
@@ -73,9 +83,23 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def parse(argv, text):
+    """The payload a command printed: JSON, or CSV rows under ``--format csv``."""
+    if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+    return json.loads(text)
+
+
 def record(argv):
     code, text = run(argv)
-    return {"exit": code, "sha256": digest(text), "payload": json.loads(text)}
+    return {"exit": code, "sha256": digest(text), "payload": parse(argv, text)}
 
 
 def load():
