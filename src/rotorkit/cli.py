@@ -357,6 +357,9 @@ _SUITE_DEFAULTS = {
     "hermiticity": (None, 1e-8),
     "dirac-brackets": (1000, 1e-10),
 }
+# dirac-brackets also needs exact antisymmetry and a Jacobi deviation
+# within this bound; neither is part of its max_deviations
+_JACOBI_TOL = 1e-9
 
 
 def run_check(cfg):
@@ -384,12 +387,23 @@ def run_check(cfg):
 
     passed = worst <= tol
     if suite == "dirac-brackets":
-        passed = passed and results["jacobi_max_deviation"] <= 1e-9
+        passed = passed and results["jacobi_max_deviation"] <= _JACOBI_TOL
     results["suite"] = suite
     max_dev = {"deviation": (None if worst == float("inf") else float(worst))}
     return ((0 if passed else 1),
             _report("check", cfg, results, max_dev, passed),
             lambda: csv_text(("metric", "value"), _scalar_leaves(results)))
+
+
+def _failed_criteria(results):
+    """The dirac-brackets criteria outside ``max_deviations`` that failed,
+    as name=value texts for the stderr status line."""
+    failed = []
+    if results.get("antisymmetry_exact") is False:
+        failed.append("antisymmetry_exact=false")
+    if results.get("jacobi_max_deviation", 0.0) > _JACOBI_TOL:
+        failed.append(f"jacobi={results['jacobi_max_deviation']:.3g}")
+    return failed
 
 
 def _scalar_leaves(obj, path=""):
@@ -627,11 +641,12 @@ def main(argv=None):
     payload = (json_text(report) if args.format == "json" or csv_payload is None
                else csv_payload())
     status = "pass" if code == 0 else "tolerance exceeded"
-    worst = report.get("max_deviations", {})
-    if worst:
-        shown = {k: v for k, v in worst.items() if v is not None}
-        if shown:
-            status += " (" + ", ".join(f"{k}={v:.3g}" for k, v in shown.items()) + ")"
+    shown = [f"{k}={v:.3g}" for k, v in report["max_deviations"].items()
+             if v is not None]
+    if cmd == "check":
+        shown += _failed_criteria(report["results"])
+    if shown:
+        status += " (" + ", ".join(shown) + ")"
     _emit(payload, args.out, args.quiet, status)
     return code
 

@@ -38,16 +38,23 @@ and applied as bands |i - j| <= b only: b is the smallest half-width for
 which every dropped entry's Gaussian factor is below 1e-40 (see
 ``_BAND_GAUSSIAN_BOUND``).  A kernel then costs O(n b) memory and time
 instead of O(n^2); at the default grid and eps <= 1e-3, b is at most 111
-of 2048 nodes.  Each band is built from its upper half, an n x (b + 1)
-rectangle, and mirrored (see ``slice_kernel``): 2048 x 112 = 229,376
-Bessel values per default exact kernel.
+of 2048 nodes.  A whole band is built from its upper half, an n x (b + 1)
+rectangle, and mirrored; a few rows are built directly, 2 b + 1 entries
+each (see ``slice_kernel``).
+
+The extraction reads the action only at the nodes nearest its radii, so
+it builds only those kernel rows, except at the smallest slice step, whose
+kernels it builds whole (see ``effective_hamiltonian_action``).  At the
+defaults, 26 rows of 2048, an exact kernel costs 26 x 223 = 5,798 Bessel
+values at eps = 1e-3, 26 x 157 = 4,082 at 5e-4 and 2048 x 56 = 114,688
+whole at 2.5e-4.
 
 Kernels are owned by their caller: ``slice_kernel`` keeps nothing and
 builds a new kernel on every call.  The extraction builds each kernel
 once per slice step and angular mode, applies it to every probe of that
-mode and frees it before it builds the next one (see
-``effective_hamiltonian_action``), so it holds one band at a time, and
-``extraction_peak_bytes`` sizes that peak before any kernel is built.
+mode and frees it before it builds the next one, so it holds one band at
+a time, and ``extraction_peak_bytes`` sizes that peak before any kernel
+is built.
 """
 
 import math
@@ -202,15 +209,17 @@ def naive_angular_factor(a, m):
 # slice kernels
 
 class BandedKernel:
-    """Slice kernel stored as its band: ``band[i, k] = K[i, i + k - b]``.
+    """Slice kernel stored as band rows: ``band[k, c] = K[i, i + c - b]`` for
+    grid row ``i = rows[k]``, or for every row ``i = k`` when ``rows`` is None.
 
     Entries with |i - j| > b are not stored (their Gaussian factor is below
     ``_BAND_GAUSSIAN_BOUND``); band slots that fall off the grid hold zeros.
-    ``K @ v`` applies the band.
+    ``K @ v`` returns (K v) at the kernel's rows.
     """
 
-    def __init__(self, band):
+    def __init__(self, band, rows=None):
         self.band = band
+        self.rows = rows
         self.half_width = (band.shape[1] - 1) // 2
 
     @property
@@ -220,6 +229,8 @@ class BandedKernel:
     def __matmul__(self, v):
         b = self.half_width
         windows = np.lib.stride_tricks.sliding_window_view(np.pad(v, b), 2 * b + 1)
+        if self.rows is not None:
+            windows = windows[self.rows]
         return np.einsum("ik,ik->i", self.band, windows)
 
 
@@ -266,24 +277,49 @@ def _midpoint_radius(r, rp, rule):
     return 0.5 * (r + rp)
 
 
-def slice_kernel(m, spec, grid, p):
+def _builds_whole(n, b, n_rows):
+    """Whether slice_kernel builds n_rows rows of an n-node, half-width-b
+    band as the whole mirrored band: it evaluates n (b + 1) entries, the
+    rows alone n_rows (2 b + 1)."""
+    return n_rows * (2 * b + 1) >= n * (b + 1)
+
+
+def _entries(m, spec, he, r, rp):
+    """Kernel entries at radii pairs (r, r'), before the corrected row factor."""
+    gauss = np.exp(-((r - rp) ** 2) / (2.0 * he))
+    if spec.prescription == EXACT_CARTESIAN:
+        return gauss * angular_factor_exact(r * rp / he, m) / he
+    a = _midpoint_radius(r, rp, spec.midpoint_rule) ** 2 / (2.0 * he)
+    return gauss * naive_angular_factor(a, m) / (2.0 * math.pi * he)
+
+
+def slice_kernel(m, spec, grid, p, rows=None):
     """Mode-m transfer kernel K with (T psi)_i = sum_j K_ij psi_j r_j w_j.
 
-    Returned as a new BandedKernel on every call; the caller owns it.
+    ``rows`` are the grid indices i whose kernel rows are built, in the
+    order given (None: every row).  Returned as a new BandedKernel on every
+    call; the caller owns it.
 
-    The band is built from its upper half, pairs j = i + d with 0 <= d <= b,
-    and mirrored: each value goes to both K[i, j] and K[j, i].  The mirror
-    is exact, not approximate.  Before the corrected row factor, every term
-    depends on the pair only through r r', (r - r')^2, sqrt(r r') or
-    (r + r')/2, and IEEE multiplication and addition commute exactly, so
-    evaluating (r', r) would round to the same bits as (r, r').  The
-    Gaussian, the angular factor and the 1/(hbar eps) scaling are therefore
-    evaluated once per unordered pair, on the n x (b + 1) rectangle of rows
-    i and offsets d; the b (b + 1) / 2 slots with j past the last node read
-    the last node's radius and are zeroed before the mirror.  The corrected
-    prescription's factor exp(eps hbar / (8 r_i^2)) depends on the row
-    alone, so it breaks the symmetry; it is applied last, to the mirrored
-    band.
+    Before the corrected row factor, every term depends on a pair of radii
+    only through (r - r')^2, r r', sqrt(r r') or (r + r')/2.  IEEE
+    multiplication and addition commute exactly and r - r' = -(r' - r), so
+    (r', r) rounds to the same bits as (r, r'): K[i, j] is bitwise K[j, i].
+    The band is built in one of two ways that give the same bits:
+
+    - Whole: from its upper half, pairs j = i + d with 0 <= d <= b on the
+      n x (b + 1) rectangle of rows i and offsets d, mirrored to K[j, i].
+      The b (b + 1) / 2 slots with j past the last node read the last
+      node's radius and are zeroed before the mirror.  With ``rows``, the
+      asked rows are then taken from it.
+    - By rows: each asked row i directly at offsets -b..b, the lower half
+      as (r_i, r_{i-d}) instead of the mirror's (r_{i-d}, r_i); slots off
+      the grid read the nearest end node's radius and are zeroed.
+
+    The rows are built directly when they evaluate fewer entries than the
+    whole upper half (see _builds_whole), so no row set costs more than
+    the whole band.  The corrected prescription's factor
+    exp(eps hbar / (8 r_i^2)) depends on the row alone, so it breaks the
+    symmetry; it is applied last, to each built row.
     """
     m = abs(int(m))
     _validate_widths(spec, grid, p)
@@ -291,35 +327,42 @@ def slice_kernel(m, spec, grid, p):
     b = _band_half_width(spec.eps, grid, p)
     he = p.hbar * spec.eps
     nodes = grid.nodes
-    r = nodes[:, None]
-    # rp[i, d] is the radius of node i + d, the last node's past the grid
-    rp = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([nodes, np.full(b, nodes[-1])]), b + 1)
-    gauss = np.exp(-((r - rp) ** 2) / (2.0 * he))
-    band = np.empty((n, 2 * b + 1))
-    upper = band[:, b:]
-    if spec.prescription == EXACT_CARTESIAN:
-        upper[:] = gauss * angular_factor_exact(r * rp / he, m) / he
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < n):
+            raise ValueError(f"rows must be a 1-D array of indices into {n} nodes")
+    if rows is None or _builds_whole(n, b, len(rows)):
+        # rp[i, d] is the radius of node i + d, the last node's past the grid
+        rp = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([nodes, np.full(b, nodes[-1])]), b + 1)
+        band = np.empty((n, 2 * b + 1))
+        band[:, b:] = _entries(m, spec, he, nodes[:, None], rp)
+        for d in range(1, b + 1):
+            band[n - d:, b + d] = 0.0  # j = i + d is past the last node
+            band[d:, b - d] = band[:n - d, b + d]
+            band[:d, b - d] = 0.0  # j = i - d is before the first node
+        if rows is not None:
+            band = band[rows]
     else:
-        rbar = _midpoint_radius(r, rp, spec.midpoint_rule)
-        a = rbar ** 2 / (2.0 * he)
-        upper[:] = gauss * naive_angular_factor(a, m) / (2.0 * math.pi * he)
-    for d in range(1, b + 1):
-        band[n - d:, b + d] = 0.0  # j = i + d is past the last node
-        band[d:, b - d] = band[:n - d, b + d]
-        band[:d, b - d] = 0.0  # j = i - d is before the first node
+        cols = rows[:, None] + np.arange(-b, b + 1)
+        off = (cols < 0) | (cols >= n)
+        rp = nodes[np.clip(cols, 0, n - 1, out=cols)]
+        del cols
+        band = _entries(m, spec, he, nodes[rows][:, None], rp)
+        band[off] = 0.0
     if spec.prescription == CORRECTED_POLAR:
         # e^{-eps(H - hbar^2/(8r^2))/hbar} ~ e^{+eps hbar/(8 r^2)} e^{-eps H/hbar}
-        band *= np.exp(spec.eps * p.hbar / (8.0 * nodes ** 2))[:, None]
-    return BandedKernel(band)
+        factor = np.exp(spec.eps * p.hbar / (8.0 * nodes ** 2))
+        band *= (factor if rows is None else factor[rows])[:, None]
+    return BandedKernel(band, rows)
 
 
 def slice_step(psi, kernel):
     """Propagate one Euclidean slice with a kernel that slice_kernel built
-    for psi's mode and grid; returns a new RadialWavefunction."""
+    for psi's mode and grid; returns (T psi) at the kernel's rows."""
     psi.validate()
     rw = psi.grid.nodes * psi.grid.trapezoid_weights
-    return replace(psi, samples=kernel @ (psi.samples * rw))
+    return kernel @ (psi.samples * rw)
 
 
 def semigroup_defect(psi, spec, p):
@@ -397,11 +440,13 @@ def default_probe_family(grid):
 
 @dataclass
 class EffectiveAction:
-    """Extrapolated (H_eff psi)(r) samples with per-sample quality flags."""
+    """Extrapolated (H_eff psi)(r) samples with per-sample quality flags,
+    at the grid indices ``rows``."""
 
     grid: RadialGrid
     m: int
     prescription: str
+    rows: np.ndarray
     values: np.ndarray
     flags: np.ndarray = field(repr=False)
 
@@ -428,13 +473,18 @@ def _shared_grid(psi_family):
 
 
 def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
-                                 midpoint_rule="geometric"):
+                                 midpoint_rule="geometric", rows=None):
     """H_eff psi = hbar (psi - T_eps psi)/eps, Richardson-extrapolated to eps -> 0.
 
     Returns one EffectiveAction per member of ``psi_family`` (profiles on
-    one grid), in family order.  Each step's kernel for each angular mode
-    |m| is built once, applied to every member of that mode and released
-    before the next kernel is built, so one band is held at a time.
+    one grid), in family order, at the grid indices ``rows`` (None: every
+    node).  Each step's kernel for each angular mode |m| is built once,
+    applied to every member of that mode and released before the next
+    kernel is built, so one band is held at a time.  Every step but the
+    smallest builds only the kernel rows in ``rows``; the smallest is built
+    whole, because the flags' scale reads its quotient at every node (see
+    _extrapolate).  So the values and flags at ``rows`` are bitwise those
+    of the action on the whole grid.
 
     The per-eps quotient carries an expansion in integer powers of eps;
     successive Neville stages remove eps^1 .. eps^{L-1}.  Samples whose raw
@@ -445,27 +495,41 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
     eps_desc, rho = _check_geometric(eps_list)
     psi_family = list(psi_family)
     grid = _shared_grid(psi_family)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
     modes = {}  # |m| -> indices of the members of that mode
     for k, psi in enumerate(psi_family):
         modes.setdefault(abs(int(psi.m)), []).append(k)
-    rows = [[] for _ in psi_family]
-    for eps in eps_desc:
+    quotients = [[] for _ in psi_family]
+    for step, eps in enumerate(eps_desc):
         spec = SliceKernelSpec(eps=eps, prescription=prescription,
                                midpoint_rule=midpoint_rule)
+        step_rows = None if step == len(eps_desc) - 1 else rows
         for m, members in modes.items():
-            kernel = slice_kernel(m, spec, grid, p)
+            kernel = slice_kernel(m, spec, grid, p, rows=step_rows)
             for k in members:
                 psi = psi_family[k]
-                out = slice_step(psi, kernel)
-                rows[k].append(p.hbar * (psi.samples - out.samples) / eps)
+                at = psi.samples if step_rows is None else psi.samples[step_rows]
+                quotients[k].append(p.hbar * (at - slice_step(psi, kernel)) / eps)
             del kernel
-    return [_extrapolate(psi, prescription, psi_rows, rho)
-            for psi, psi_rows in zip(psi_family, rows)]
+    return [_extrapolate(psi, prescription, psi_quotients, rho, rows)
+            for psi, psi_quotients in zip(psi_family, quotients)]
 
 
-def _extrapolate(psi, prescription, rows, rho):
-    """Neville-Richardson limit of one member's per-eps rows, with flags."""
-    table = rows
+def _extrapolate(psi, prescription, quotients, rho, rows):
+    """Neville-Richardson limit of one member's per-eps quotients, with flags.
+
+    The last (smallest-step) quotient covers every node; the others cover
+    ``rows``, or every node when ``rows`` is None.  The flag scale is the
+    largest smallest-step quotient over every node, so it does not depend
+    on ``rows``.
+    """
+    scale = float(np.max(np.abs(quotients[-1]))) or 1.0
+    if rows is None:
+        rows = np.arange(psi.grid.n)
+    else:
+        quotients = quotients[:-1] + [quotients[-1][rows]]
+    table = quotients
     L = len(table)
     for k in range(1, L):
         nxt = []
@@ -473,12 +537,11 @@ def _extrapolate(psi, prescription, rows, rho):
             w = rho ** k
             nxt.append((table[j + 1] - w * table[j]) / (1.0 - w))
         table = nxt
-    scale = float(np.max(np.abs(rows[-1]))) or 1.0
-    d_last = np.abs(rows[-1] - rows[-2])
-    d_prev = np.abs(rows[-2] - rows[-3])
+    d_last = np.abs(quotients[-1] - quotients[-2])
+    d_prev = np.abs(quotients[-2] - quotients[-3])
     flags = (d_last >= d_prev) & (d_last > 1e-12 * scale)
     return EffectiveAction(grid=psi.grid, m=psi.m, prescription=prescription,
-                           values=table[0], flags=flags)
+                           rows=rows, values=table[0], flags=flags)
 
 
 @dataclass
@@ -496,30 +559,49 @@ class EffectivePotentialTable:
 
 # Per-unit costs of an extraction, measured with tracemalloc on the default
 # grid and on 8000 nodes, and by peak RSS of ``rotorkit pathintegral`` at
-# 26, 1e5 and 2e5 radii.  One kernel build holds at most 6 temporary
+# 26, 1e5 and 2e5 radii.  A whole kernel build holds at most 6 temporary
 # doubles per slot of its n x (b + 1) rectangle beside the band it fills
 # (the polar prescriptions; the exact one holds 3), counted here as 7 so
 # that the vectors of n doubles an extraction also holds (grid, probes,
-# Richardson rows, about 20 of them) fit in the spare slot per row: a band
-# that passes the width rules has b >= 54.  Each extraction radius costs
-# about 1.9 kB through the snapped index, the table row and the payload
-# row written for it.
+# Richardson quotients, about 20 of them) fit in the spare slot per row: a
+# band that passes the width rules has b >= 54.  A build by rows holds at
+# most 5.2 temporary doubles per slot of its rows x (2 b + 1) band beside
+# the band; band and temporaries are counted as 7 doubles per slot, and
+# the extraction's vectors on their own, since a few rows leave no spare
+# slot for them.  Each extraction radius costs about 1.9 kB through the
+# snapped index, the table row and the payload row written for it.
 _BUILD_TEMPORARIES = 7
+_HELD_VECTORS = 20
 _BYTES_PER_RADIUS = 2048
+
+
+def _build_bytes(n, b, n_rows):
+    """Peak bytes of one slice_kernel call with half-width b on n nodes,
+    for n_rows rows, together with the extraction's vectors."""
+    if _builds_whole(n, b, n_rows):
+        return 8 * n * (2 * b + 1) + 8 * _BUILD_TEMPORARIES * n * (b + 1)
+    return 8 * _BUILD_TEMPORARIES * n_rows * (2 * b + 1) + 8 * _HELD_VECTORS * n
 
 
 def extraction_peak_bytes(grid, eps_list, p, n_radii):
     """Peak bytes of one extraction, estimated from its sizes alone.
 
     The extraction holds one kernel at a time (see
-    effective_hamiltonian_action), so its peak is one build: the largest
-    band (that of the largest step) and the temporaries that fill it.
-    Added to that, the radius samples.  Pure: no array is allocated.
+    effective_hamiltonian_action), so its peak is one build.  The smallest
+    step's kernels are built whole.  Every other step's are built for the
+    extraction's rows, at most one per radius: by rows, or whole where the
+    rows cover most of the band (see slice_kernel).  The peak is the
+    largest of these builds, never more than the largest step's whole
+    build.  Added to that, the radius samples.  Pure: no array is
+    allocated.
     """
     n = grid.n
-    b = _band_half_width(max(eps_list), grid, p)
-    return (8 * n * (2 * b + 1) + 8 * _BUILD_TEMPORARIES * n * (b + 1)
-            + _BYTES_PER_RADIUS * n_radii)
+    eps = sorted(eps_list)
+    n_rows = min(n, n_radii)
+    builds = [_build_bytes(n, _band_half_width(eps[0], grid, p), n)]
+    builds += [_build_bytes(n, _band_half_width(e, grid, p), n_rows)
+               for e in eps[1:]]
+    return max(builds) + _BYTES_PER_RADIUS * n_radii
 
 
 def check_extraction_sizes(grid, eps_list, p, n_radii, prescription,
@@ -605,17 +687,21 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
         raise ValueError("no extraction radius where every probe exceeds "
                          "1e-6 of its peak")
     kept = idx[floor_ok]
+    # the action is wanted at each kept node once; at[k] locates kept[k]
+    rows, at = np.unique(kept, return_inverse=True)
     polar = effective_hamiltonian_action(
-        psi_family, prescription, eps_list, p, midpoint_rule=midpoint_rule)
-    exact = effective_hamiltonian_action(psi_family, EXACT_CARTESIAN, eps_list, p)
+        psi_family, prescription, eps_list, p, midpoint_rule=midpoint_rule,
+        rows=rows)
+    exact = effective_hamiltonian_action(psi_family, EXACT_CARTESIAN, eps_list,
+                                         p, rows=rows)
     ratios = [(naive.values - ex.values) / np.where(
-        psi.samples == 0.0, np.nan, psi.samples)
+        psi.samples[rows] == 0.0, np.nan, psi.samples[rows])
         for psi, naive, ex in zip(psi_family, polar, exact)]
-    flagged = {"polar": sum(int(np.count_nonzero(a.flags[kept])) for a in polar),
-               "exact": sum(int(np.count_nonzero(a.flags[kept])) for a in exact)}
+    flagged = {"polar": sum(int(np.count_nonzero(a.flags[at])) for a in polar),
+               "exact": sum(int(np.count_nonzero(a.flags[at])) for a in exact)}
     # one row of family values per kept radius; a row reduces in the same
     # order as the 1-D array of its values, so each entry is unchanged
-    vals = np.stack(ratios, axis=1)[kept]
+    vals = np.stack(ratios, axis=1)[at]
     r = nodes[kept]
     dv = np.mean(vals, axis=1)
     predicted = p.hbar ** 2 / (8.0 * r ** 2)

@@ -123,7 +123,21 @@ def test_dirac_brackets_fail_without_exact_antisymmetry(monkeypatch, capsys):
     assert code == 1 and report["pass"] is False
     assert report["results"]["antisymmetry_exact"] is False
     assert report["max_deviations"]["deviation"] is None
-    assert err.startswith("tolerance exceeded")
+    assert err == "tolerance exceeded (antisymmetry_exact=false)\n"
+
+
+def test_dirac_brackets_fail_on_the_jacobi_bound(monkeypatch, capsys):
+    # the Jacobi deviation is not in max_deviations, so stderr names it;
+    # stdout is the payload of the same failure without the stderr detail
+    monkeypatch.setattr(dynamics, "_jacobi_deviation", lambda *args: 2.5e-9)
+    code, out, err = run(["check", "dirac-brackets"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["results"]["antisymmetry_exact"] is True
+    assert report["results"]["jacobi_max_deviation"] == 2.5e-9
+    deviation = report["max_deviations"]["deviation"]
+    assert deviation < 1e-10
+    assert err == f"tolerance exceeded (deviation={deviation:.3g}, jacobi=2.5e-09)\n"
 
 
 @pytest.mark.parametrize("flags, code", [([], 0),

@@ -11,6 +11,7 @@ measurable, eps^2-scaling rate.
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,8 +102,8 @@ def l2_norm(psi):
 
 
 def _step(psi, spec, p=P2):
-    """One slice of psi with a kernel built for its mode and grid."""
-    return slice_step(psi, slice_kernel(psi.m, spec, psi.grid, p))
+    """One slice of psi with a kernel built for its mode and grid, as a profile."""
+    return replace(psi, samples=slice_step(psi, slice_kernel(psi.m, spec, psi.grid, p)))
 
 
 def _bump(m=0):
@@ -306,7 +307,7 @@ def test_banded_kernel_matches_dense_oracle(prescription, rule):
     assert np.all((np.abs(dense) < bound * peak)[~band])
     psi = RadialWavefunction.from_callable(
         mollifier_bump(1.75, 0.8, scale_power=m), m, grid)
-    out = slice_step(psi, kernel).samples
+    out = slice_step(psi, kernel)
     want = dense @ (psi.samples * grid.nodes * grid.trapezoid_weights)
     assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -337,21 +338,88 @@ def test_band_equals_dense_oracle_bitwise(prescription, rule, m, n, r_min,
     _assert_band_is_dense_oracle(kernel, _dense_kernel(m, spec, grid, p)[0])
 
 
+@settings(max_examples=120, deadline=None)
+@given(prescription=st.sampled_from(PRESCRIPTIONS),
+       rule=st.sampled_from(MIDPOINT_RULES),
+       m=st.integers(0, 5),
+       n=st.integers(16, 400),
+       hbar=st.floats(0.25, 4.0),
+       width_frac=st.floats(0.0, 1.0),
+       data=st.data())
+def test_row_kernel_equals_whole_kernel_rows_bitwise(prescription, rule, m, n,
+                                                     hbar, width_frac, data):
+    # any row set, in any order and with repeats, built directly or taken
+    # from the whole band, holds the whole band's rows to the bit, and
+    # applies to the same bits
+    grid = RadialGrid(1.0, 5.0, n)
+    low, high = 4.0 * grid.spacing, 0.5
+    eps = (low + width_frac * (high - low)) ** 2 / hbar
+    spec = SliceKernelSpec(eps=eps, prescription=prescription,
+                           midpoint_rule=rule)
+    p = ModelParams(D=2, R=1.0, hbar=hbar)
+    try:
+        whole = slice_kernel(m, spec, grid, p)
+    except KernelWidthError:
+        reject()
+    # up to 2 n rows, so both sides of the whole-band rule are drawn
+    count = data.draw(st.integers(0, 2 * n))
+    picked = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.concatenate([[0], picked.integers(0, n, count), [n - 1]])
+    kernel = slice_kernel(m, spec, grid, p, rows=rows)
+    assert np.array_equal(kernel.rows, rows)
+    assert kernel.band.tobytes() == whole.band[rows].tobytes()
+    v = np.random.default_rng(n).standard_normal(n)
+    assert (kernel @ v).tobytes() == (whole @ v)[rows].tobytes()
+
+
+def test_row_kernel_takes_only_grid_rows():
+    spec = SliceKernelSpec(eps=1e-3, prescription=EXACT_CARTESIAN)
+    for rows in ([GRID.n], [-1], [[0, 1]]):
+        with pytest.raises(ValueError, match="indices into 2048 nodes"):
+            slice_kernel(0, spec, GRID, P2, rows=rows)
+
+
+@pytest.mark.parametrize("prescription, rule", [
+    (EXACT_CARTESIAN, "geometric"), (NAIVE_POLAR, "geometric"),
+    (CORRECTED_POLAR, "arithmetic")])
+def test_action_at_rows_equals_the_whole_grid_action_bitwise(prescription,
+                                                             rule):
+    family = default_probe_family(GRID)
+    full = effective_hamiltonian_action(family, prescription, EPS_LIST, P2,
+                                        midpoint_rule=rule)
+    for rows in ([0, 5, 700, 701, 1024, 2047],
+                 [2047, 700, 0, 700],       # any order, with repeats
+                 np.arange(1900, 2048),     # the tails: flags still scale
+                                            # by the quotient at every node
+                 np.arange(0, 2048, 2),     # built by rows, just under the band
+                 np.arange(2048)):          # taken from the whole band
+        rows = np.asarray(rows)
+        at = effective_hamiltonian_action(family, prescription, EPS_LIST, P2,
+                                          midpoint_rule=rule, rows=rows)
+        for a, f in zip(at, full):
+            assert np.array_equal(a.rows, rows)
+            assert np.array_equal(f.rows, np.arange(GRID.n))
+            assert a.values.tobytes() == f.values[rows].tobytes()
+            assert a.flags.tobytes() == f.flags[rows].tobytes()
+
+
 def test_extraction_builds_each_kernel_once_and_holds_one(monkeypatch):
     # a default extraction builds one kernel per (prescription, mode, step),
-    # 2 x 2 x 3 = 12, and releases each before it builds the next
-    built, bands = [], []
+    # 2 x 2 x 3 = 12, and releases each before it builds the next; only the
+    # smallest step's kernels are whole, the others hold the three kept rows
+    built, bands, shapes = [], [], []
     alive_at_build = []
     real_kernel, real_build = pathintegral.BandedKernel, pathintegral.slice_kernel
 
-    def build(m, spec, grid, p):
+    def build(m, spec, grid, p, rows=None):
         built.append((spec.prescription, abs(int(m)), spec.eps))
-        return real_build(m, spec, grid, p)
+        return real_build(m, spec, grid, p, rows=rows)
 
-    def kernel(band):
+    def kernel(band, rows=None):
         bands.append(weakref.ref(band))
         alive_at_build.append(sum(ref() is not None for ref in bands))
-        return real_kernel(band)
+        shapes.append((built[-1][2], rows is None, band.shape[0]))
+        return real_kernel(band, rows)
 
     monkeypatch.setattr(pathintegral, "slice_kernel", build)
     monkeypatch.setattr(pathintegral, "BandedKernel", kernel)
@@ -362,6 +430,11 @@ def test_extraction_builds_each_kernel_once_and_holds_one(monkeypatch):
         (presc, m) for presc in (NAIVE_POLAR, EXACT_CARTESIAN) for m in (0, 1)}
     assert max(alive_at_build) == 1  # the previous band is already freed
     assert all(ref() is None for ref in bands)
+    smallest = min(EPS_LIST)
+    assert sorted(set(shapes)) == sorted({(smallest, True, GRID.n),
+                                          *((eps, False, 3) for eps in EPS_LIST
+                                            if eps != smallest)})
+    assert sum(whole for _, whole, _ in shapes) == 4
 
 
 def test_extraction_peak_stays_under_its_estimate():
@@ -375,7 +448,9 @@ def test_extraction_peak_stays_under_its_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    band = 8 * GRID.n * (2 * 111 + 1)  # b = 111 at eps = 1e-3
+    # the largest band built is the smallest step's whole one, b = 55 at
+    # eps = 2.5e-4; the larger steps build three rows each
+    band = 8 * GRID.n * (2 * 55 + 1)
     assert band < peak < need
     # an extraction radius and a node both add to the estimate
     assert pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 4) > need
