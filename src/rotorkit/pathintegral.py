@@ -43,11 +43,10 @@ rectangle, and mirrored; a few rows are built directly, 2 b + 1 entries
 each (see ``slice_kernel``).
 
 The extraction reads the action only at the nodes nearest its radii, so
-it builds only those kernel rows, except at the smallest slice step, whose
-kernels it builds whole (see ``effective_hamiltonian_action``).  At the
-defaults, 26 rows of 2048, an exact kernel costs 26 x 223 = 5,798 Bessel
-values at eps = 1e-3, 26 x 157 = 4,082 at 5e-4 and 2048 x 56 = 114,688
-whole at 2.5e-4.
+at every slice step it builds only those kernel rows (see
+``effective_hamiltonian_action``).  At the defaults, 26 rows of 2048, an
+exact kernel set costs 26 x (223 + 157 + 111) = 12,766 Bessel values over
+eps = 1e-3, 5e-4 and 2.5e-4.
 
 Kernels are owned by their caller: ``slice_kernel`` keeps nothing and
 builds a new kernel on every call.  The extraction builds each kernel
@@ -480,11 +479,10 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
     one grid), in family order, at the grid indices ``rows`` (None: every
     node).  Each step's kernel for each angular mode |m| is built once,
     applied to every member of that mode and released before the next
-    kernel is built, so one band is held at a time.  Every step but the
-    smallest builds only the kernel rows in ``rows``; the smallest is built
-    whole, because the flags' scale reads its quotient at every node (see
-    _extrapolate).  So the values and flags at ``rows`` are bitwise those
-    of the action on the whole grid.
+    kernel is built, so one band is held at a time.  Every step builds only
+    the kernel rows in ``rows``, and the flags' scale reads no quotient
+    (see _extrapolate), so the values and flags at ``rows`` are bitwise
+    those of the action on the whole grid.
 
     The per-eps quotient carries an expansion in integer powers of eps;
     successive Neville stages remove eps^1 .. eps^{L-1}.  Samples whose raw
@@ -501,34 +499,35 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
     for k, psi in enumerate(psi_family):
         modes.setdefault(abs(int(psi.m)), []).append(k)
     quotients = [[] for _ in psi_family]
-    for step, eps in enumerate(eps_desc):
+    for eps in eps_desc:
         spec = SliceKernelSpec(eps=eps, prescription=prescription,
                                midpoint_rule=midpoint_rule)
-        step_rows = None if step == len(eps_desc) - 1 else rows
         for m, members in modes.items():
-            kernel = slice_kernel(m, spec, grid, p, rows=step_rows)
+            kernel = slice_kernel(m, spec, grid, p, rows=rows)
             for k in members:
                 psi = psi_family[k]
-                at = psi.samples if step_rows is None else psi.samples[step_rows]
+                at = psi.samples if rows is None else psi.samples[rows]
                 quotients[k].append(p.hbar * (at - slice_step(psi, kernel)) / eps)
             del kernel
-    return [_extrapolate(psi, prescription, psi_quotients, rho, rows)
+    if rows is None:
+        rows = np.arange(grid.n)
+    return [_extrapolate(psi, prescription, psi_quotients, rho, rows,
+                         p.hbar, eps_desc[-1])
             for psi, psi_quotients in zip(psi_family, quotients)]
 
 
-def _extrapolate(psi, prescription, quotients, rho, rows):
-    """Neville-Richardson limit of one member's per-eps quotients, with flags.
+def _extrapolate(psi, prescription, quotients, rho, rows, hbar, eps_min):
+    """Neville-Richardson limit of one member's per-eps quotients at
+    ``rows``, with flags.
 
-    The last (smallest-step) quotient covers every node; the others cover
-    ``rows``, or every node when ``rows`` is None.  The flag scale is the
-    largest smallest-step quotient over every node, so it does not depend
-    on ``rows``.
+    A flag needs the last difference to be no smaller than the previous
+    one and above 1e-12 of hbar max|psi| / eps_min.  That scale is the
+    size of each of the two terms that the smallest step's quotient
+    hbar (psi - T psi) / eps subtracts, so the floor sits at that
+    cancellation's rounding level; it reads the probe alone, not any
+    quotient or row.
     """
-    scale = float(np.max(np.abs(quotients[-1]))) or 1.0
-    if rows is None:
-        rows = np.arange(psi.grid.n)
-    else:
-        quotients = quotients[:-1] + [quotients[-1][rows]]
+    scale = hbar * float(np.max(np.abs(psi.samples))) / eps_min
     table = quotients
     L = len(table)
     for k in range(1, L):
@@ -557,19 +556,21 @@ class EffectivePotentialTable:
     meta: dict
 
 
-# Per-unit costs of an extraction, measured with tracemalloc on the default
-# grid and on 8000 nodes, and by peak RSS of ``rotorkit pathintegral`` at
-# 26, 1e5 and 2e5 radii.  A whole kernel build holds at most 6 temporary
-# doubles per slot of its n x (b + 1) rectangle beside the band it fills
-# (the polar prescriptions; the exact one holds 3), counted here as 7 so
-# that the vectors of n doubles an extraction also holds (grid, probes,
-# Richardson quotients, about 20 of them) fit in the spare slot per row: a
-# band that passes the width rules has b >= 54.  A build by rows holds at
-# most 5.2 temporary doubles per slot of its rows x (2 b + 1) band beside
-# the band; band and temporaries are counted as 7 doubles per slot, and
-# the extraction's vectors on their own, since a few rows leave no spare
-# slot for them.  Each extraction radius costs about 1.9 kB through the
-# snapped index, the table row and the payload row written for it.
+# Per-unit costs of an extraction, measured with tracemalloc at 2048, 8000
+# and 1,000,000 nodes, and by peak RSS of ``rotorkit pathintegral`` at 26,
+# 5e4 and 1e5 radii.  A build by rows holds at most 6 doubles per slot of
+# its rows x (2 b + 1) band, the band and the windows that apply it
+# included (5.5 to 6.0 measured); counted as 7.  Beside it the extraction
+# holds vectors of n doubles (grid nodes, probes, one slice step's weights
+# and padded input): 7.3 to 7.7 of them measured, counted as 20, and at a
+# large grid with few radii they are most of the estimate.  A whole build,
+# which runs only where the rows cover most of the band, holds at most 6
+# temporary doubles per slot of its n x (b + 1) rectangle beside the band
+# it fills (the polar prescriptions; the exact one holds 3), counted as 7
+# so that those vectors fit in the spare slot per row: a band that passes
+# the width rules has b >= 54.  Each extraction radius costs about 1.9 kB
+# through the snapped index, the table row and the payload row written
+# for it.
 _BUILD_TEMPORARIES = 7
 _HELD_VECTORS = 20
 _BYTES_PER_RADIUS = 2048
@@ -587,21 +588,16 @@ def extraction_peak_bytes(grid, eps_list, p, n_radii):
     """Peak bytes of one extraction, estimated from its sizes alone.
 
     The extraction holds one kernel at a time (see
-    effective_hamiltonian_action), so its peak is one build.  The smallest
-    step's kernels are built whole.  Every other step's are built for the
-    extraction's rows, at most one per radius: by rows, or whole where the
-    rows cover most of the band (see slice_kernel).  The peak is the
-    largest of these builds, never more than the largest step's whole
-    build.  Added to that, the radius samples.  Pure: no array is
-    allocated.
+    effective_hamiltonian_action), so its peak is one build.  Every step's
+    kernels are built for the extraction's rows, at most one per radius:
+    by rows, or whole where the rows cover most of the band (see
+    slice_kernel).  Either build grows with the half-width b, which grows
+    with eps, so the peak is the largest step's build.  Added to that, the
+    radius samples.  Pure: no array is allocated.
     """
-    n = grid.n
-    eps = sorted(eps_list)
-    n_rows = min(n, n_radii)
-    builds = [_build_bytes(n, _band_half_width(eps[0], grid, p), n)]
-    builds += [_build_bytes(n, _band_half_width(e, grid, p), n_rows)
-               for e in eps[1:]]
-    return max(builds) + _BYTES_PER_RADIUS * n_radii
+    b = _band_half_width(max(eps_list), grid, p)
+    return (_build_bytes(grid.n, b, min(grid.n, n_radii))
+            + _BYTES_PER_RADIUS * n_radii)
 
 
 def check_extraction_sizes(grid, eps_list, p, n_radii, prescription,

@@ -214,6 +214,32 @@ def test_exit_2_on_pathintegral_over_memory_budget(flags, nodes, radii,
     assert out == "" and "Traceback" not in err
 
 
+def test_pathintegral_on_40000_nodes_fits_its_budget(capsys):
+    # every step builds only the extraction rows, so a large grid costs its
+    # held vectors and 26 row bands, an estimated 12.8 MB
+    code, out, err = run(["pathintegral", "--nodes", "40000"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["max_deviations"]["coefficient"] <= SCHEMAS["pathintegral"][
+        "fit_tol"]["default"]
+
+
+def test_default_pathintegral_bessel_count(monkeypatch, capsys):
+    # a default naive and a default corrected run each build the exact
+    # kernels of modes 0 and 1 at 26 rows: 2 x 2 x 26 x (223 + 157 + 111)
+    # Bessel values; a whole kernel, 2048 rows, would raise the count
+    count, real = [], pathintegral.ive
+
+    def ive(m, z):
+        count.append(np.size(z))
+        return real(m, z)
+    monkeypatch.setattr(pathintegral, "ive", ive)
+    for flags in ([], ["--prescription", "corrected"]):
+        code, _, _ = run(["pathintegral", *flags], capsys)
+        assert code == 0
+    assert sum(count) == 51064
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["check", "dirac-brackets", "--dim", "2"], "dirac-brackets needs dim >= 3"),
     (["check", "chart-equivalence", "--samples", "0"], "samples"),

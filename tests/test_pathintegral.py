@@ -389,8 +389,8 @@ def test_action_at_rows_equals_the_whole_grid_action_bitwise(prescription,
                                         midpoint_rule=rule)
     for rows in ([0, 5, 700, 701, 1024, 2047],
                  [2047, 700, 0, 700],       # any order, with repeats
-                 np.arange(1900, 2048),     # the tails: flags still scale
-                                            # by the quotient at every node
+                 np.arange(1900, 2048),     # the tails: the flag scale
+                                            # reads the probe, not the rows
                  np.arange(0, 2048, 2),     # built by rows, just under the band
                  np.arange(2048)):          # taken from the whole band
         rows = np.asarray(rows)
@@ -403,10 +403,52 @@ def test_action_at_rows_equals_the_whole_grid_action_bitwise(prescription,
             assert a.flags.tobytes() == f.flags[rows].tobytes()
 
 
+@pytest.mark.parametrize("hbar, eps_min", [(1.0, 2.5e-4), (0.5, 1e-3)])
+def test_flags_scale_by_the_probe_peak_over_the_smallest_step(hbar, eps_min):
+    # a planted sequence that does not settle (last difference above the
+    # previous one) is flagged only once its last difference clears
+    # 1e-12 hbar max|psi| / eps_min, whatever the quotients' own size
+    psi = RadialWavefunction.from_callable(
+        gaussian_profile(2.0, 0.45), 0, GRID, open_inner=True)
+    floor = 1e-12 * hbar * float(np.max(np.abs(psi.samples))) / eps_min
+    d_last = floor * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+    d_prev = 0.5 * d_last
+    quotients = [np.zeros(2), d_prev, d_prev + d_last]
+    rows = np.array([10, 11])
+    act = pathintegral._extrapolate(psi, NAIVE_POLAR, quotients, 0.5, rows,
+                                    hbar, eps_min)
+    assert act.flags.tolist() == [False, True]
+    assert np.array_equal(act.rows, rows)
+
+
+def test_whole_grid_flags_match_the_rule_of_the_smallest_step_quotient():
+    # before the flag scale read the probe, it was max|q| of the smallest
+    # step's quotient over every node, which only a whole kernel gives; on
+    # the default family the two scales flag the same nodes
+    family = default_probe_family(GRID)
+    for presc in PRESCRIPTIONS:
+        acts = effective_hamiltonian_action(family, presc, EPS_LIST, P2)
+        kernels = {}
+        for psi, act in zip(family, acts):
+            q = []
+            for eps in EPS_LIST:
+                key = (abs(psi.m), eps)
+                if key not in kernels:
+                    kernels[key] = slice_kernel(
+                        psi.m, SliceKernelSpec(eps, presc), GRID, P2)
+                q.append(P2.hbar * (psi.samples
+                                    - slice_step(psi, kernels[key])) / eps)
+            scale = float(np.max(np.abs(q[-1])))
+            d_last = np.abs(q[-1] - q[-2])
+            old = (d_last >= np.abs(q[-2] - q[-3])) & (d_last > 1e-12 * scale)
+            assert np.count_nonzero(old) > 0
+            assert act.flags.tobytes() == old.tobytes()
+
+
 def test_extraction_builds_each_kernel_once_and_holds_one(monkeypatch):
     # a default extraction builds one kernel per (prescription, mode, step),
-    # 2 x 2 x 3 = 12, and releases each before it builds the next; only the
-    # smallest step's kernels are whole, the others hold the three kept rows
+    # 2 x 2 x 3 = 12, and releases each before it builds the next; every
+    # one holds the three kept rows, and none is whole
     built, bands, shapes = [], [], []
     alive_at_build = []
     real_kernel, real_build = pathintegral.BandedKernel, pathintegral.slice_kernel
@@ -430,11 +472,8 @@ def test_extraction_builds_each_kernel_once_and_holds_one(monkeypatch):
         (presc, m) for presc in (NAIVE_POLAR, EXACT_CARTESIAN) for m in (0, 1)}
     assert max(alive_at_build) == 1  # the previous band is already freed
     assert all(ref() is None for ref in bands)
-    smallest = min(EPS_LIST)
-    assert sorted(set(shapes)) == sorted({(smallest, True, GRID.n),
-                                          *((eps, False, 3) for eps in EPS_LIST
-                                            if eps != smallest)})
-    assert sum(whole for _, whole, _ in shapes) == 4
+    assert sorted(set(shapes)) == sorted((eps, False, 3) for eps in EPS_LIST)
+    assert sum(whole for _, whole, _ in shapes) == 0
 
 
 def test_extraction_peak_stays_under_its_estimate():
@@ -448,9 +487,9 @@ def test_extraction_peak_stays_under_its_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the largest band built is the smallest step's whole one, b = 55 at
-    # eps = 2.5e-4; the larger steps build three rows each
-    band = 8 * GRID.n * (2 * 55 + 1)
+    # every step builds the three kept rows; the largest of these bands is
+    # the largest step's, b = 111 at eps = 1e-3
+    band = 8 * 3 * (2 * 111 + 1)
     assert band < peak < need
     # an extraction radius and a node both add to the estimate
     assert pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 4) > need
