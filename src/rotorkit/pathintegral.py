@@ -38,9 +38,10 @@ and applied as bands |i - j| <= b only: b is the smallest half-width for
 which every dropped entry's Gaussian factor is below 1e-40 (see
 ``_BAND_GAUSSIAN_BOUND``).  A kernel then costs O(n b) memory and time
 instead of O(n^2); at the default grid and eps <= 1e-3, b is at most 111
-of 2048 nodes.  A whole band is built from its upper half, an n x (b + 1)
-rectangle, and mirrored; a few rows are built directly, 2 b + 1 entries
-each (see ``slice_kernel``).
+of 2048 nodes.  Every kernel is built one way: the rows its caller asks
+for (every row by default), 2 b + 1 entries each, evaluated in blocks of
+``_BLOCK_ROWS`` rows, so a build holds its band and one block's
+temporaries (see ``slice_kernel``).
 
 The extraction reads the action only at the nodes nearest its radii, so
 at every slice step it builds only those kernel rows (see
@@ -209,14 +210,14 @@ def naive_angular_factor(a, m):
 
 class BandedKernel:
     """Slice kernel stored as band rows: ``band[k, c] = K[i, i + c - b]`` for
-    grid row ``i = rows[k]``, or for every row ``i = k`` when ``rows`` is None.
+    grid row ``i = rows[k]``.
 
     Entries with |i - j| > b are not stored (their Gaussian factor is below
     ``_BAND_GAUSSIAN_BOUND``); band slots that fall off the grid hold zeros.
     ``K @ v`` returns (K v) at the kernel's rows.
     """
 
-    def __init__(self, band, rows=None):
+    def __init__(self, band, rows):
         self.band = band
         self.rows = rows
         self.half_width = (band.shape[1] - 1) // 2
@@ -228,9 +229,7 @@ class BandedKernel:
     def __matmul__(self, v):
         b = self.half_width
         windows = np.lib.stride_tricks.sliding_window_view(np.pad(v, b), 2 * b + 1)
-        if self.rows is not None:
-            windows = windows[self.rows]
-        return np.einsum("ik,ik->i", self.band, windows)
+        return np.einsum("ik,ik->i", self.band, windows[self.rows])
 
 
 # Kernels drop entry (i, j) only where its Gaussian factor
@@ -276,83 +275,73 @@ def _midpoint_radius(r, rp, rule):
     return 0.5 * (r + rp)
 
 
-def _builds_whole(n, b, n_rows):
-    """Whether slice_kernel builds n_rows rows of an n-node, half-width-b
-    band as the whole mirrored band: it evaluates n (b + 1) entries, the
-    rows alone n_rows (2 b + 1)."""
-    return n_rows * (2 * b + 1) >= n * (b + 1)
-
-
-def _entries(m, spec, he, r, rp):
-    """Kernel entries at radii pairs (r, r'), before the corrected row factor."""
-    gauss = np.exp(-((r - rp) ** 2) / (2.0 * he))
+def _entries(m, spec, he, r, rp, out):
+    """Kernel entries at radii pairs (r, r'), before the corrected row
+    factor, written to ``out``.  The angular factor is evaluated first and
+    its argument freed before the Gaussian is multiplied into it, so a
+    block holds at most about 5 temporary doubles per entry (see
+    _build_bytes)."""
     if spec.prescription == EXACT_CARTESIAN:
-        return gauss * angular_factor_exact(r * rp / he, m) / he
-    a = _midpoint_radius(r, rp, spec.midpoint_rule) ** 2 / (2.0 * he)
-    return gauss * naive_angular_factor(a, m) / (2.0 * math.pi * he)
+        entries = angular_factor_exact(r * rp / he, m)
+        norm = he
+    else:
+        a = _midpoint_radius(r, rp, spec.midpoint_rule) ** 2 / (2.0 * he)
+        entries = naive_angular_factor(a, m)
+        del a
+        norm = 2.0 * math.pi * he
+    entries *= np.exp(-((r - rp) ** 2) / (2.0 * he))
+    np.divide(entries, norm, out=out)
+
+
+# Rows of a kernel evaluated at once: a build holds its band and one
+# block's temporaries (see _build_bytes).
+_BLOCK_ROWS = 256
 
 
 def slice_kernel(m, spec, grid, p, rows=None):
     """Mode-m transfer kernel K with (T psi)_i = sum_j K_ij psi_j r_j w_j.
 
     ``rows`` are the grid indices i whose kernel rows are built, in the
-    order given (None: every row).  Returned as a new BandedKernel on every
-    call; the caller owns it.
+    order given, repeats allowed (None: every row).  Returned as a new
+    BandedKernel on every call; the caller owns it.
+
+    Each row i is evaluated at offsets -b..b, the pair (r_i, r_j) for
+    j = i + d; slots off the grid read the nearest end node's radius and
+    are zeroed.  Rows are evaluated ``_BLOCK_ROWS`` at a time into the
+    band, so a build holds the band and one block's temporaries.  An entry
+    depends on its own pair of radii alone, so its bits do not depend on
+    which rows are built or how they are blocked.
 
     Before the corrected row factor, every term depends on a pair of radii
     only through (r - r')^2, r r', sqrt(r r') or (r + r')/2.  IEEE
     multiplication and addition commute exactly and r - r' = -(r' - r), so
     (r', r) rounds to the same bits as (r, r'): K[i, j] is bitwise K[j, i].
-    The band is built in one of two ways that give the same bits:
-
-    - Whole: from its upper half, pairs j = i + d with 0 <= d <= b on the
-      n x (b + 1) rectangle of rows i and offsets d, mirrored to K[j, i].
-      The b (b + 1) / 2 slots with j past the last node read the last
-      node's radius and are zeroed before the mirror.  With ``rows``, the
-      asked rows are then taken from it.
-    - By rows: each asked row i directly at offsets -b..b, the lower half
-      as (r_i, r_{i-d}) instead of the mirror's (r_{i-d}, r_i); slots off
-      the grid read the nearest end node's radius and are zeroed.
-
-    The rows are built directly when they evaluate fewer entries than the
-    whole upper half (see _builds_whole), so no row set costs more than
-    the whole band.  The corrected prescription's factor
-    exp(eps hbar / (8 r_i^2)) depends on the row alone, so it breaks the
-    symmetry; it is applied last, to each built row.
+    The corrected prescription's factor exp(eps hbar / (8 r_i^2)) depends
+    on the row alone, so it breaks the symmetry; it is applied last, to
+    each built row.
     """
     m = abs(int(m))
     _validate_widths(spec, grid, p)
     n = grid.n
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < n):
+        raise ValueError(f"rows must be a 1-D array of indices into {n} nodes")
     b = _band_half_width(spec.eps, grid, p)
     he = p.hbar * spec.eps
     nodes = grid.nodes
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < n):
-            raise ValueError(f"rows must be a 1-D array of indices into {n} nodes")
-    if rows is None or _builds_whole(n, b, len(rows)):
-        # rp[i, d] is the radius of node i + d, the last node's past the grid
-        rp = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([nodes, np.full(b, nodes[-1])]), b + 1)
-        band = np.empty((n, 2 * b + 1))
-        band[:, b:] = _entries(m, spec, he, nodes[:, None], rp)
-        for d in range(1, b + 1):
-            band[n - d:, b + d] = 0.0  # j = i + d is past the last node
-            band[d:, b - d] = band[:n - d, b + d]
-            band[:d, b - d] = 0.0  # j = i - d is before the first node
-        if rows is not None:
-            band = band[rows]
-    else:
-        cols = rows[:, None] + np.arange(-b, b + 1)
+    band = np.empty((len(rows), 2 * b + 1))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        cols = block[:, None] + np.arange(-b, b + 1)
         off = (cols < 0) | (cols >= n)
         rp = nodes[np.clip(cols, 0, n - 1, out=cols)]
         del cols
-        band = _entries(m, spec, he, nodes[rows][:, None], rp)
-        band[off] = 0.0
+        out = band[start:start + _BLOCK_ROWS]
+        _entries(m, spec, he, nodes[block][:, None], rp, out)
+        out[off] = 0.0
     if spec.prescription == CORRECTED_POLAR:
         # e^{-eps(H - hbar^2/(8r^2))/hbar} ~ e^{+eps hbar/(8 r^2)} e^{-eps H/hbar}
-        factor = np.exp(spec.eps * p.hbar / (8.0 * nodes ** 2))
-        band *= (factor if rows is None else factor[rows])[:, None]
+        band *= np.exp(spec.eps * p.hbar / (8.0 * nodes[rows] ** 2))[:, None]
     return BandedKernel(band, rows)
 
 
@@ -477,12 +466,13 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
 
     Returns one EffectiveAction per member of ``psi_family`` (profiles on
     one grid), in family order, at the grid indices ``rows`` (None: every
-    node).  Each step's kernel for each angular mode |m| is built once,
-    applied to every member of that mode and released before the next
-    kernel is built, so one band is held at a time.  Every step builds only
-    the kernel rows in ``rows``, and the flags' scale reads no quotient
-    (see _extrapolate), so the values and flags at ``rows`` are bitwise
-    those of the action on the whole grid.
+    node).  Every member's support is checked once, before the first
+    kernel is built.  Each step's kernel for each angular mode |m| is
+    built once, applied to every member of that mode and released before
+    the next kernel is built, so one band is held at a time.  Every step
+    builds only the kernel rows in ``rows``, and the flags' scale reads no
+    quotient (see _extrapolate), so the values and flags at ``rows`` are
+    bitwise those of the action on the whole grid.
 
     The per-eps quotient carries an expansion in integer powers of eps;
     successive Neville stages remove eps^1 .. eps^{L-1}.  Samples whose raw
@@ -493,8 +483,9 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
     eps_desc, rho = _check_geometric(eps_list)
     psi_family = list(psi_family)
     grid = _shared_grid(psi_family)
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
+    for psi in psi_family:
+        psi.validate()
+    rows = np.arange(grid.n) if rows is None else np.asarray(rows, dtype=np.intp)
     modes = {}  # |m| -> indices of the members of that mode
     for k, psi in enumerate(psi_family):
         modes.setdefault(abs(int(psi.m)), []).append(k)
@@ -506,11 +497,9 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
             kernel = slice_kernel(m, spec, grid, p, rows=rows)
             for k in members:
                 psi = psi_family[k]
-                at = psi.samples if rows is None else psi.samples[rows]
-                quotients[k].append(p.hbar * (at - slice_step(psi, kernel)) / eps)
+                quotients[k].append(
+                    p.hbar * (psi.samples[rows] - slice_step(psi, kernel)) / eps)
             del kernel
-    if rows is None:
-        rows = np.arange(grid.n)
     return [_extrapolate(psi, prescription, psi_quotients, rho, rows,
                          p.hbar, eps_desc[-1])
             for psi, psi_quotients in zip(psi_family, quotients)]
@@ -558,30 +547,31 @@ class EffectivePotentialTable:
 
 # Per-unit costs of an extraction, measured with tracemalloc at 2048, 8000
 # and 1,000,000 nodes, and by peak RSS of ``rotorkit pathintegral`` at 26,
-# 5e4 and 1e5 radii.  A build by rows holds at most 6 doubles per slot of
-# its rows x (2 b + 1) band, the band and the windows that apply it
-# included (5.5 to 6.0 measured); counted as 7.  Beside it the extraction
-# holds vectors of n doubles (grid nodes, probes, one slice step's weights
-# and padded input): 7.3 to 7.7 of them measured, counted as 20, and at a
-# large grid with few radii they are most of the estimate.  A whole build,
-# which runs only where the rows cover most of the band, holds at most 6
-# temporary doubles per slot of its n x (b + 1) rectangle beside the band
-# it fills (the polar prescriptions; the exact one holds 3), counted as 7
-# so that those vectors fit in the spare slot per row: a band that passes
-# the width rules has b >= 54.  Each extraction radius costs about 1.9 kB
-# through the snapped index, the table row and the payload row written
-# for it.
-_BUILD_TEMPORARIES = 7
+# 5e4 and 1e5 radii.  A kernel of n_rows rows holds its band, n_rows x
+# (2 b + 1) doubles; its build holds beside the band one block's
+# temporaries, 4.2 to 4.6 (exact) and 5.2 to 5.5 (polar) doubles per slot
+# of a block of min(n_rows, _BLOCK_ROWS) rows at 2048 and 8000 nodes, and
+# its application a second band-sized array, the windows that
+# BandedKernel.__matmul__ gathers.  The build and the application are not
+# held at once, and a band has at least a block's rows, so the band, the
+# windows and 5 doubles per block slot bound both; up to one block that
+# is 7 doubles per band slot.  Beside it the
+# extraction holds vectors of n doubles (grid nodes, probes, one slice
+# step's weights and padded input): 7.3 to 7.7 of them measured, counted
+# as 20, and at a large grid with few radii they are most of the estimate.
+# Each extraction radius costs about 1.9 kB through the snapped index, the
+# table row and the payload row written for it.
+_BUILD_TEMPORARIES = 5
 _HELD_VECTORS = 20
 _BYTES_PER_RADIUS = 2048
 
 
 def _build_bytes(n, b, n_rows):
     """Peak bytes of one slice_kernel call with half-width b on n nodes,
-    for n_rows rows, together with the extraction's vectors."""
-    if _builds_whole(n, b, n_rows):
-        return 8 * n * (2 * b + 1) + 8 * _BUILD_TEMPORARIES * n * (b + 1)
-    return 8 * _BUILD_TEMPORARIES * n_rows * (2 * b + 1) + 8 * _HELD_VECTORS * n
+    for n_rows rows, and of its application, together with the
+    extraction's vectors."""
+    held_rows = 2 * n_rows + _BUILD_TEMPORARIES * min(n_rows, _BLOCK_ROWS)
+    return 8 * held_rows * (2 * b + 1) + 8 * _HELD_VECTORS * n
 
 
 def extraction_peak_bytes(grid, eps_list, p, n_radii):
@@ -589,9 +579,8 @@ def extraction_peak_bytes(grid, eps_list, p, n_radii):
 
     The extraction holds one kernel at a time (see
     effective_hamiltonian_action), so its peak is one build.  Every step's
-    kernels are built for the extraction's rows, at most one per radius:
-    by rows, or whole where the rows cover most of the band (see
-    slice_kernel).  Either build grows with the half-width b, which grows
+    kernels are built for the extraction's rows, at most one per radius
+    (see slice_kernel).  A build grows with the half-width b, which grows
     with eps, so the peak is the largest step's build.  Added to that, the
     radius samples.  Pure: no array is allocated.
     """

@@ -7,10 +7,12 @@ the hashes were taken in (Python, numpy, scipy and BLAS versions).
 
 The commands are the benchmark's workloads at ``--seed 0``, read from
 ``bench/workloads.py``, plus two chart-equivalence runs at an extreme
-scale, where rounding is most likely to move, and two pathintegral runs
-off the defaults: extraction radii that reach both ends of the grid, and
-the corrected prescription with the arithmetic midpoint as CSV.  A CSV
-payload is kept as its rows, each cell parsed as a float where it is one.
+scale, where rounding is most likely to move, and three pathintegral runs
+off the defaults: extraction radii that reach both ends of the grid, at
+300 radii and at 2048 (1092 kept rows, several row blocks of the kernel
+build), and the corrected prescription with the arithmetic midpoint as
+CSV.  A CSV payload is kept as its rows, each cell parsed as a float where
+it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
 name each moved value in CHANGES.md:
@@ -40,6 +42,8 @@ _EXTREME = ["check", "chart-equivalence", "--radius", "1e30", "--lmax", "4",
             "--samples", "5"]
 _PATHINTEGRAL = [
     ["pathintegral", "--r-eval-count", "300", "--r-eval-min", "0.1",
+     "--r-eval-max", "8"],
+    ["pathintegral", "--r-eval-count", "2048", "--r-eval-min", "0.1",
      "--r-eval-max", "8"],
     ["pathintegral", "--prescription", "corrected", "--midpoint-rule",
      "arithmetic", "--format", "csv"],

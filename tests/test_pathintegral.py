@@ -224,16 +224,18 @@ def test_angular_factor_closed_form_vs_quadrature(m):
         assert abs(c - d) < 1e-10 * max(abs(c), 1e-300)
 
 
-def _band_columns(n, b):
-    """Column index j = i + k - b of each band slot, and whether it is on the grid."""
-    cols = np.arange(n)[:, None] + np.arange(-b, b + 1)
+def _band_columns(rows, n, b):
+    """Column index j = i + k - b of each band slot of grid rows i, and
+    whether it is on the grid of n nodes."""
+    cols = np.asarray(rows)[:, None] + np.arange(-b, b + 1)
     return cols, (cols >= 0) & (cols < n)
 
 
 def _dense_from_band(kernel):
-    """The n x n matrix a BandedKernel stores; zeros outside the band."""
+    """The n x n matrix a BandedKernel of every row stores; zeros outside
+    the band."""
     n = kernel.band.shape[0]
-    cols, inside = _band_columns(n, kernel.half_width)
+    cols, inside = _band_columns(np.arange(n), n, kernel.half_width)
     dense = np.zeros((n, n))
     dense[np.nonzero(inside)[0], cols[inside]] = kernel.band[inside]
     return dense
@@ -274,12 +276,10 @@ def _dense_kernel(m, spec, grid, p):
 
 
 def _assert_band_is_dense_oracle(kernel, dense):
-    """Every on-grid band slot equals the dense kernel bit for bit, and every
-    off-grid slot holds zero."""
-    n = dense.shape[0]
-    b = kernel.half_width
-    cols, inside = _band_columns(n, b)
-    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    """Every on-grid band slot equals the dense kernel at the kernel's rows
+    bit for bit, and every off-grid slot holds zero."""
+    cols, inside = _band_columns(kernel.rows, dense.shape[0], kernel.half_width)
+    rows = np.broadcast_to(kernel.rows[:, None], cols.shape)
     assert np.array_equal(kernel.band[inside], dense[rows[inside], cols[inside]])
     assert np.all(kernel.band[~inside] == 0.0)
 
@@ -348,9 +348,9 @@ def test_band_equals_dense_oracle_bitwise(prescription, rule, m, n, r_min,
        data=st.data())
 def test_row_kernel_equals_whole_kernel_rows_bitwise(prescription, rule, m, n,
                                                      hbar, width_frac, data):
-    # any row set, in any order and with repeats, built directly or taken
-    # from the whole band, holds the whole band's rows to the bit, and
-    # applies to the same bits
+    # any row set, in any order and with repeats, holds the dense oracle's
+    # rows to the bit, and applies to the bits that the kernel of every
+    # row gives at those rows
     grid = RadialGrid(1.0, 5.0, n)
     low, high = 4.0 * grid.spacing, 0.5
     eps = (low + width_frac * (high - low)) ** 2 / hbar
@@ -361,13 +361,13 @@ def test_row_kernel_equals_whole_kernel_rows_bitwise(prescription, rule, m, n,
         whole = slice_kernel(m, spec, grid, p)
     except KernelWidthError:
         reject()
-    # up to 2 n rows, so both sides of the whole-band rule are drawn
+    # up to 2 n rows, so a draw spans up to four blocks of the build
     count = data.draw(st.integers(0, 2 * n))
     picked = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     rows = np.concatenate([[0], picked.integers(0, n, count), [n - 1]])
     kernel = slice_kernel(m, spec, grid, p, rows=rows)
     assert np.array_equal(kernel.rows, rows)
-    assert kernel.band.tobytes() == whole.band[rows].tobytes()
+    _assert_band_is_dense_oracle(kernel, _dense_kernel(m, spec, grid, p)[0])
     v = np.random.default_rng(n).standard_normal(n)
     assert (kernel @ v).tobytes() == (whole @ v)[rows].tobytes()
 
@@ -391,8 +391,8 @@ def test_action_at_rows_equals_the_whole_grid_action_bitwise(prescription,
                  [2047, 700, 0, 700],       # any order, with repeats
                  np.arange(1900, 2048),     # the tails: the flag scale
                                             # reads the probe, not the rows
-                 np.arange(0, 2048, 2),     # built by rows, just under the band
-                 np.arange(2048)):          # taken from the whole band
+                 np.arange(0, 2048, 2),     # four blocks of the build
+                 np.arange(2048)):          # every row, eight blocks
         rows = np.asarray(rows)
         at = effective_hamiltonian_action(family, prescription, EPS_LIST, P2,
                                           midpoint_rule=rule, rows=rows)
@@ -448,7 +448,7 @@ def test_whole_grid_flags_match_the_rule_of_the_smallest_step_quotient():
 def test_extraction_builds_each_kernel_once_and_holds_one(monkeypatch):
     # a default extraction builds one kernel per (prescription, mode, step),
     # 2 x 2 x 3 = 12, and releases each before it builds the next; every
-    # one holds the three kept rows, and none is whole
+    # one holds the three kept rows
     built, bands, shapes = [], [], []
     alive_at_build = []
     real_kernel, real_build = pathintegral.BandedKernel, pathintegral.slice_kernel
@@ -457,10 +457,10 @@ def test_extraction_builds_each_kernel_once_and_holds_one(monkeypatch):
         built.append((spec.prescription, abs(int(m)), spec.eps))
         return real_build(m, spec, grid, p, rows=rows)
 
-    def kernel(band, rows=None):
+    def kernel(band, rows):
         bands.append(weakref.ref(band))
         alive_at_build.append(sum(ref() is not None for ref in bands))
-        shapes.append((built[-1][2], rows is None, band.shape[0]))
+        shapes.append((built[-1][2], band.shape[0]))
         return real_kernel(band, rows)
 
     monkeypatch.setattr(pathintegral, "slice_kernel", build)
@@ -472,8 +472,7 @@ def test_extraction_builds_each_kernel_once_and_holds_one(monkeypatch):
         (presc, m) for presc in (NAIVE_POLAR, EXACT_CARTESIAN) for m in (0, 1)}
     assert max(alive_at_build) == 1  # the previous band is already freed
     assert all(ref() is None for ref in bands)
-    assert sorted(set(shapes)) == sorted((eps, False, 3) for eps in EPS_LIST)
-    assert sum(whole for _, whole, _ in shapes) == 0
+    assert sorted(set(shapes)) == sorted((eps, 3) for eps in EPS_LIST)
 
 
 def test_extraction_peak_stays_under_its_estimate():
@@ -495,6 +494,51 @@ def test_extraction_peak_stays_under_its_estimate():
     assert pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, 4) > need
     wider = RadialGrid(GRID.r_min, GRID.r_max, GRID.n + 1)
     assert pathintegral.extraction_peak_bytes(wider, EPS_LIST, P2, 3) > need
+
+
+def test_extraction_at_every_node_stays_under_its_estimate():
+    # radii at every node keep 1092 rows, several blocks of the build, so
+    # the band and the windows that apply it outgrow one block's temporaries
+    family = default_probe_family(GRID)
+    radii = GRID.nodes
+    need = pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, len(radii))
+    tracemalloc.start()
+    try:
+        table = extract_effective_potential(family, radii, EPS_LIST, P2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = len(table.r)
+    assert kept == 1092 and kept > 4 * pathintegral._BLOCK_ROWS
+    # the largest band and its windows, b = 111 at eps = 1e-3
+    assert 2 * 8 * kept * (2 * 111 + 1) < peak < need
+
+
+def test_blocked_build_fits_22000_nodes_at_every_node(monkeypatch):
+    # a build holds one block's temporaries, not every row's, so 22000
+    # radii on 22000 nodes fit the budget; a build of all rows at once
+    # would need an estimated 3.0 GB
+    grid = RadialGrid(n=22000)
+    args = (grid, EPS_LIST, P2, 22000, NAIVE_POLAR, "geometric")
+    pathintegral.check_extraction_sizes(*args)
+    assert pathintegral.extraction_peak_bytes(*args[:4]) < 1e9
+    monkeypatch.setattr(pathintegral, "_BLOCK_ROWS", 22000)
+    budget = pathintegral.MEMORY_BUDGET
+    with pytest.raises(ValueError, match=f"over the {budget} byte budget"):
+        pathintegral.check_extraction_sizes(*args)
+
+
+def test_action_checks_support_before_any_kernel(monkeypatch):
+    # a member whose outer tail shows is refused at entry, not by the slice
+    # step of its mode after earlier kernels were built
+    family = default_probe_family(GRID) + [RadialWavefunction.from_callable(
+        gaussian_profile(7.0, 1.0), 0, GRID, open_inner=True)]
+
+    def build(*args, **kwargs):
+        raise AssertionError("a kernel was built for an unsupported profile")
+    monkeypatch.setattr(pathintegral, "BandedKernel", build)
+    with pytest.raises(SupportError, match="outer tail"):
+        effective_hamiltonian_action(family, NAIVE_POLAR, EPS_LIST, P2)
 
 
 def test_extraction_over_memory_budget_rejected_before_any_kernel(monkeypatch):
