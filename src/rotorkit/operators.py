@@ -195,10 +195,6 @@ def harmonic_polynomials(D, degree):
 
 def _env_from_points(names, points):
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        if pts.shape[0] != len(names):
-            raise ChartDomainError(f"expected {len(names)} coordinates")
-        return {n: pts[k] for k, n in enumerate(names)}
     if pts.shape[-1] != len(names):
         raise ChartDomainError(f"expected {len(names)} coordinates")
     return {n: pts[..., k] for k, n in enumerate(names)}

@@ -39,9 +39,9 @@ which every dropped entry's Gaussian factor is below 1e-40 (see
 ``_BAND_GAUSSIAN_BOUND``).  A kernel then costs O(n b) memory and time
 instead of O(n^2); at the default grid and eps <= 1e-3, b is at most 111
 of 2048 nodes.  Every kernel is built one way: the rows its caller asks
-for (every row by default), 2 b + 1 entries each, evaluated in blocks of
-``_BLOCK_ROWS`` rows, so a build holds its band and one block's
-temporaries (see ``slice_kernel``).
+for (every row by default), 2 b + 1 entries each, evaluated and applied in
+blocks of ``_BLOCK_ROWS`` rows, so a build or an application holds its
+band and one block's temporaries (see ``slice_kernel``).
 
 The extraction reads the action only at the nodes nearest its radii, so
 at every slice step it builds only those kernel rows (see
@@ -55,10 +55,15 @@ once per slice step and angular mode, applies it to every probe of that
 mode and frees it before it builds the next one, so it holds one band at
 a time, and ``extraction_peak_bytes`` sizes that peak before any kernel
 is built.
+
+A probe's support is checked once, when its RadialWavefunction is built,
+and a RadialGrid keeps its nodes and trapezoid measure r w, so no slice
+step or extraction recomputes either.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ive
@@ -92,9 +97,15 @@ class SupportError(ValueError):
     """Wavefunction support reaches the grid boundary."""
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial nodes with trapezoid weights on [r_min, r_max]."""
+    """Uniform radial nodes and their trapezoid measure on [r_min, r_max],
+    each computed on first use and kept read-only."""
 
     r_min: float = 0.1
     r_max: float = 8.0
@@ -106,25 +117,30 @@ class RadialGrid:
         if self.n < 16:
             raise ValueError("need at least 16 radial nodes")
 
-    @property
+    @cached_property
     def nodes(self):
-        return np.linspace(self.r_min, self.r_max, self.n)
+        return _read_only(np.linspace(self.r_min, self.r_max, self.n))
 
     @property
     def spacing(self):
         return (self.r_max - self.r_min) / (self.n - 1)
 
-    @property
-    def trapezoid_weights(self):
+    @cached_property
+    def measure(self):
+        """r w at each node: the radial measure r dr under the trapezoid rule."""
         w = np.full(self.n, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
-        return w
+        w *= self.nodes
+        return _read_only(w)
 
 
 @dataclass(frozen=True)
 class RadialWavefunction:
     """Samples of a fixed-angular-mode radial profile psi(r) e^{i m phi}.
+
+    Checked once, when built: finite samples whose tails stay below 1e-12
+    of their ``peak`` max|psi| (else SupportError), kept as a read-only copy.
 
     ``open_inner`` declares profiles that extend smoothly through r = 0
     (e.g. centered Gaussians with m = 0): the inner-boundary support check
@@ -136,33 +152,29 @@ class RadialWavefunction:
     grid: RadialGrid
     samples: np.ndarray
     open_inner: bool = False
+    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples",
-                           np.asarray(self.samples, dtype=float))
-        if self.samples.shape != (self.grid.n,):
+        samples = _read_only(np.array(self.samples, dtype=float))
+        object.__setattr__(self, "samples", samples)
+        if samples.shape != (self.grid.n,):
             raise ValueError("sample count must match the grid")
         if int(self.m) != self.m:
             raise ValueError("angular mode must be an integer")
-
-    def validate(self):
-        """Finite samples whose tails stay below 1e-12 of the peak."""
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(samples)):
             raise SupportError("non-finite samples")
-        scale = float(np.max(np.abs(self.samples)))
-        if scale == 0.0:
-            return self
+        peak = float(np.max(np.abs(samples)))
+        object.__setattr__(self, "peak", peak)
         edge = max(2, self.grid.n // 256)
-        outer = float(np.max(np.abs(self.samples[-edge:])))
-        if outer > 1e-12 * scale:
+        outer = float(np.max(np.abs(samples[-edge:])))
+        if outer > 1e-12 * peak:
             raise SupportError(
-                f"outer tail {outer / scale:.2e} exceeds 1e-12 of the peak")
+                f"outer tail {outer / peak:.2e} exceeds 1e-12 of the peak")
         if not self.open_inner:
-            inner = float(np.max(np.abs(self.samples[:edge])))
-            if inner > 1e-12 * scale:
+            inner = float(np.max(np.abs(samples[:edge])))
+            if inner > 1e-12 * peak:
                 raise SupportError(
-                    f"inner tail {inner / scale:.2e} exceeds 1e-12 of the peak")
-        return self
+                    f"inner tail {inner / peak:.2e} exceeds 1e-12 of the peak")
 
     @classmethod
     def from_callable(cls, fn, m, grid, open_inner=False):
@@ -214,7 +226,7 @@ class BandedKernel:
 
     Entries with |i - j| > b are not stored (their Gaussian factor is below
     ``_BAND_GAUSSIAN_BOUND``); band slots that fall off the grid hold zeros.
-    ``K @ v`` returns (K v) at the kernel's rows.
+    ``K @ v`` returns (K v) at the kernel's rows, ``_BLOCK_ROWS`` at a time.
     """
 
     def __init__(self, band, rows):
@@ -229,7 +241,12 @@ class BandedKernel:
     def __matmul__(self, v):
         b = self.half_width
         windows = np.lib.stride_tricks.sliding_window_view(np.pad(v, b), 2 * b + 1)
-        return np.einsum("ik,ik->i", self.band, windows[self.rows])
+        out = np.empty(len(self.rows))
+        for start in range(0, len(self.rows), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            np.einsum("ik,ik->i", self.band[block], windows[self.rows[block]],
+                      out=out[block])
+        return out
 
 
 # Kernels drop entry (i, j) only where its Gaussian factor
@@ -293,8 +310,7 @@ def _entries(m, spec, he, r, rp, out):
     np.divide(entries, norm, out=out)
 
 
-# Rows of a kernel evaluated at once: a build holds its band and one
-# block's temporaries (see _build_bytes).
+# Rows of a kernel evaluated or applied at once (see _build_bytes).
 _BLOCK_ROWS = 256
 
 
@@ -348,26 +364,23 @@ def slice_kernel(m, spec, grid, p, rows=None):
 def slice_step(psi, kernel):
     """Propagate one Euclidean slice with a kernel that slice_kernel built
     for psi's mode and grid; returns (T psi) at the kernel's rows."""
-    psi.validate()
-    rw = psi.grid.nodes * psi.grid.trapezoid_weights
-    return kernel @ (psi.samples * rw)
+    return kernel @ (psi.samples * psi.grid.measure)
 
 
 def semigroup_defect(psi, spec, p):
     """sup |T_eps psi - T_{eps/2} T_{eps/2} psi| / sup |psi|.
 
     Composed directly from the kernels: heat evolution spreads any
-    compactly supported profile, so the intermediate slice would trip the
-    support validation even though the composition itself is well defined.
+    compactly supported profile, so the intermediate slice could fail
+    RadialWavefunction's support rule even though the composition itself
+    is well defined.
     """
-    psi.validate()
     half = replace(spec, eps=0.5 * spec.eps)
     K1 = slice_kernel(psi.m, spec, psi.grid, p)
     Kh = slice_kernel(psi.m, half, psi.grid, p)
-    rw = psi.grid.nodes * psi.grid.trapezoid_weights
-    one = K1 @ (psi.samples * rw)
-    two = Kh @ ((Kh @ (psi.samples * rw)) * rw)
-    return float(np.max(np.abs(one - two)) / np.max(np.abs(psi.samples)))
+    one = slice_step(psi, K1)
+    two = Kh @ (slice_step(psi, Kh) * psi.grid.measure)
+    return float(np.max(np.abs(one - two)) / psi.peak)
 
 
 def mollifier_bump(center, width, scale_power=0):
@@ -431,9 +444,6 @@ class EffectiveAction:
     """Extrapolated (H_eff psi)(r) samples with per-sample quality flags,
     at the grid indices ``rows``."""
 
-    grid: RadialGrid
-    m: int
-    prescription: str
     rows: np.ndarray
     values: np.ndarray
     flags: np.ndarray = field(repr=False)
@@ -466,8 +476,8 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
 
     Returns one EffectiveAction per member of ``psi_family`` (profiles on
     one grid), in family order, at the grid indices ``rows`` (None: every
-    node).  Every member's support is checked once, before the first
-    kernel is built.  Each step's kernel for each angular mode |m| is
+    node).  Every member's support was checked when it was built (see
+    RadialWavefunction).  Each step's kernel for each angular mode |m| is
     built once, applied to every member of that mode and released before
     the next kernel is built, so one band is held at a time.  Every step
     builds only the kernel rows in ``rows``, and the flags' scale reads no
@@ -483,8 +493,6 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
     eps_desc, rho = _check_geometric(eps_list)
     psi_family = list(psi_family)
     grid = _shared_grid(psi_family)
-    for psi in psi_family:
-        psi.validate()
     rows = np.arange(grid.n) if rows is None else np.asarray(rows, dtype=np.intp)
     modes = {}  # |m| -> indices of the members of that mode
     for k, psi in enumerate(psi_family):
@@ -500,23 +508,23 @@ def effective_hamiltonian_action(psi_family, prescription, eps_list, p,
                 quotients[k].append(
                     p.hbar * (psi.samples[rows] - slice_step(psi, kernel)) / eps)
             del kernel
-    return [_extrapolate(psi, prescription, psi_quotients, rho, rows,
-                         p.hbar, eps_desc[-1])
+    return [_extrapolate(psi.peak, psi_quotients, rho, rows, p.hbar,
+                         eps_desc[-1])
             for psi, psi_quotients in zip(psi_family, quotients)]
 
 
-def _extrapolate(psi, prescription, quotients, rho, rows, hbar, eps_min):
+def _extrapolate(peak, quotients, rho, rows, hbar, eps_min):
     """Neville-Richardson limit of one member's per-eps quotients at
     ``rows``, with flags.
 
     A flag needs the last difference to be no smaller than the previous
-    one and above 1e-12 of hbar max|psi| / eps_min.  That scale is the
-    size of each of the two terms that the smallest step's quotient
+    one and above 1e-12 of hbar peak / eps_min (peak: max|psi|).  That scale
+    is the size of each of the two terms that the smallest step's quotient
     hbar (psi - T psi) / eps subtracts, so the floor sits at that
     cancellation's rounding level; it reads the probe alone, not any
     quotient or row.
     """
-    scale = hbar * float(np.max(np.abs(psi.samples))) / eps_min
+    scale = hbar * peak / eps_min
     table = quotients
     L = len(table)
     for k in range(1, L):
@@ -528,8 +536,7 @@ def _extrapolate(psi, prescription, quotients, rho, rows, hbar, eps_min):
     d_last = np.abs(quotients[-1] - quotients[-2])
     d_prev = np.abs(quotients[-2] - quotients[-3])
     flags = (d_last >= d_prev) & (d_last > 1e-12 * scale)
-    return EffectiveAction(grid=psi.grid, m=psi.m, prescription=prescription,
-                           rows=rows, values=table[0], flags=flags)
+    return EffectiveAction(rows=rows, values=table[0], flags=flags)
 
 
 @dataclass
@@ -545,32 +552,29 @@ class EffectivePotentialTable:
     meta: dict
 
 
-# Per-unit costs of an extraction, measured with tracemalloc at 2048, 8000
-# and 1,000,000 nodes, and by peak RSS of ``rotorkit pathintegral`` at 26,
-# 5e4 and 1e5 radii.  A kernel of n_rows rows holds its band, n_rows x
-# (2 b + 1) doubles; its build holds beside the band one block's
-# temporaries, 4.2 to 4.6 (exact) and 5.2 to 5.5 (polar) doubles per slot
-# of a block of min(n_rows, _BLOCK_ROWS) rows at 2048 and 8000 nodes, and
-# its application a second band-sized array, the windows that
-# BandedKernel.__matmul__ gathers.  The build and the application are not
-# held at once, and a band has at least a block's rows, so the band, the
-# windows and 5 doubles per block slot bound both; up to one block that
-# is 7 doubles per band slot.  Beside it the
-# extraction holds vectors of n doubles (grid nodes, probes, one slice
-# step's weights and padded input): 7.3 to 7.7 of them measured, counted
-# as 20, and at a large grid with few radii they are most of the estimate.
-# Each extraction radius costs about 1.9 kB through the snapped index, the
+# Per-unit costs of an extraction, measured with tracemalloc (probe
+# construction included) at 2048 to 1,000,000 nodes and 1 to 2048 radii,
+# and by peak RSS of ``rotorkit pathintegral`` at 26, 5e4 and 1e5 radii.
+# A kernel of n_rows rows holds its band, n_rows x (2 b + 1) doubles.  A
+# build and an application each hold beside the band one block's
+# temporaries, for a block of min(n_rows, _BLOCK_ROWS) rows: the build
+# 4.2 to 4.6 (exact) and 5.2 to 5.5 (polar) doubles per block slot, the
+# application one block's windows; counted as 6.  Beside the kernel the
+# extraction holds vectors of n doubles (grid nodes and measure, probes
+# and the temporaries of building one, one slice step's weighted and
+# padded input): 7.3 to 7.7 of them measured, counted as 10.  Each
+# extraction radius costs about 1.9 kB through the snapped index, the
 # table row and the payload row written for it.
-_BUILD_TEMPORARIES = 5
-_HELD_VECTORS = 20
+_BUILD_TEMPORARIES = 6
+_HELD_VECTORS = 10
 _BYTES_PER_RADIUS = 2048
 
 
 def _build_bytes(n, b, n_rows):
     """Peak bytes of one slice_kernel call with half-width b on n nodes,
-    for n_rows rows, and of its application, together with the
+    for n_rows rows, or of its application, together with the
     extraction's vectors."""
-    held_rows = 2 * n_rows + _BUILD_TEMPORARIES * min(n_rows, _BLOCK_ROWS)
+    held_rows = n_rows + _BUILD_TEMPORARIES * min(n_rows, _BLOCK_ROWS)
     return 8 * held_rows * (2 * b + 1) + 8 * _HELD_VECTORS * n
 
 
@@ -648,8 +652,9 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     Every rule the slice steps would raise is checked before the first
     kernel is built: those of check_extraction_sizes (geometric steps,
     each step's kernel width under both prescriptions, the memory
-    estimate), each probe's support, and at least one radius where every
-    probe clears 1e-6 of its peak.
+    estimate) and at least one radius where every probe clears 1e-6 of
+    its peak.  Each probe's support was checked when it was built (see
+    RadialWavefunction).
     """
     if prescription == EXACT_CARTESIAN:
         raise ValueError("extraction compares a polar prescription against "
@@ -660,14 +665,11 @@ def extract_effective_potential(psi_family, r_samples, eps_list, p,
     grid = _shared_grid(psi_family)
     check_extraction_sizes(grid, eps_list, p, len(r_samples), prescription,
                            midpoint_rule)
-    for psi in psi_family:
-        psi.validate()
     nodes = grid.nodes
     idx = _nearest_nodes(nodes, r_samples)
     floor_ok = np.ones(len(idx), dtype=bool)
     for psi in psi_family:
-        peak = float(np.max(np.abs(psi.samples)))
-        floor_ok &= np.abs(psi.samples[idx]) >= 1e-6 * peak
+        floor_ok &= np.abs(psi.samples[idx]) >= 1e-6 * psi.peak
     if not floor_ok.any():
         raise ValueError("no extraction radius where every probe exceeds "
                          "1e-6 of its peak")

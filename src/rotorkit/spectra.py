@@ -103,7 +103,6 @@ class SpectralGrid:
     counts: tuple
     polar_u: tuple = field(repr=False)
     polar_w: tuple = field(repr=False)
-    azimuth: np.ndarray = field(repr=False)
     azimuth_w: np.ndarray = field(repr=False)
 
     @classmethod
@@ -120,13 +119,13 @@ class SpectralGrid:
             polar_u.append(u)
             polar_w.append(w)
         counts = (res,) * (p.D - 2) + (res + res % 2,)
-        phi, wphi = azimuth_nodes(counts[-1])
+        _, wphi = azimuth_nodes(counts[-1])
         # the product weights sum to the product of the per-axis sums
         total = math.prod(w.sum() for w in polar_w) * wphi.sum() * p.R ** (p.D - 1)
         if abs(total - sphere_area(p.D, p.R)) > 1e-10 * sphere_area(p.D, p.R):
             raise AssertionError("quadrature weights do not sum to the sphere area")
         return cls(p=p, counts=counts, polar_u=tuple(polar_u),
-                   polar_w=tuple(polar_w), azimuth=phi, azimuth_w=wphi)
+                   polar_w=tuple(polar_w), azimuth_w=wphi)
 
     @property
     def size(self):

@@ -216,7 +216,7 @@ def test_exit_2_on_pathintegral_over_memory_budget(flags, nodes, radii,
 
 def test_pathintegral_on_40000_nodes_fits_its_budget(capsys):
     # every step builds only the extraction rows, so a large grid costs its
-    # held vectors and 26 row bands, an estimated 12.8 MB
+    # held vectors and 26 row bands, an estimated 9.6 MB
     code, out, err = run(["pathintegral", "--nodes", "40000"], capsys)
     report = json.loads(out)
     assert code == 0 and report["pass"] is True

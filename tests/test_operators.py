@@ -163,6 +163,25 @@ def test_apply_operator_rejects_points_off_the_reduced_chart():
                 apply_operator(tag, f, pts, P3)
 
 
+def test_apply_operator_on_one_point_is_the_one_row_batch():
+    # a single point binds each coordinate as pts[..., k], as a batch does
+    h = harmonic_polynomials(3, 2)[1]
+    f_red = pullback_to_reduced(h, P3)
+    f_ang = pullback_to_hyperspherical(h, P3)
+    for f, point, tags in (
+            (f_red, np.array([0.3, -0.4]),
+             (OperatorTag("H_cart"), OperatorTag("pi_cart", i=1),
+              OperatorTag("L2"))),
+            (f_ang, np.array([1.1, 4.0]), (OperatorTag("H_curv"),))):
+        for tag in tags:
+            one = apply_operator(tag, f, point, P3)
+            batch = apply_operator(tag, f, point[None, :], P3)
+            assert np.shape(one) == () and batch.shape == (1,)
+            assert np.asarray(one).tobytes() == batch[0].tobytes()
+        with pytest.raises(ChartDomainError, match="expected 2 coordinates"):
+            apply_operator(tags[0], f, point[:1], P3)
+
+
 def test_hemisphere_pullback_pair():
     # the lower lift evaluates the polynomial at x_D -> -sqrt(R^2 - |x|^2)
     h = harmonic_polynomials(3, 2)[0]

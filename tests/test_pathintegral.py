@@ -97,8 +97,8 @@ def naive_angular_factor_quadrature(a, m):
 
 def l2_norm(psi):
     """2D L2 norm of psi(r) e^{i m phi}: sqrt(2 pi int |psi|^2 r dr)."""
-    rw = psi.grid.nodes * psi.grid.trapezoid_weights
-    return math.sqrt(2.0 * math.pi * float(np.sum(psi.samples ** 2 * rw)))
+    return math.sqrt(2.0 * math.pi * float(np.sum(psi.samples ** 2
+                                                  * psi.grid.measure)))
 
 
 def _step(psi, spec, p=P2):
@@ -202,7 +202,7 @@ def test_norm_consistency_and_monotonicity():
     out = _step(psi, spec)
     # <T psi, T psi> = <psi, T_2eps psi> for the exact self-adjoint kernel
     out2 = _step(psi, SliceKernelSpec(eps=2e-3, prescription=EXACT_CARTESIAN))
-    rw = GRID.nodes * GRID.trapezoid_weights
+    rw = GRID.measure
     lhs = 2.0 * math.pi * float(np.sum(out.samples ** 2 * rw))
     rhs = 2.0 * math.pi * float(np.sum(psi.samples * out2.samples * rw))
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
@@ -308,7 +308,7 @@ def test_banded_kernel_matches_dense_oracle(prescription, rule):
     psi = RadialWavefunction.from_callable(
         mollifier_bump(1.75, 0.8, scale_power=m), m, grid)
     out = slice_step(psi, kernel)
-    want = dense @ (psi.samples * grid.nodes * grid.trapezoid_weights)
+    want = dense @ (psi.samples * grid.measure)
     assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -415,8 +415,9 @@ def test_flags_scale_by_the_probe_peak_over_the_smallest_step(hbar, eps_min):
     d_prev = 0.5 * d_last
     quotients = [np.zeros(2), d_prev, d_prev + d_last]
     rows = np.array([10, 11])
-    act = pathintegral._extrapolate(psi, NAIVE_POLAR, quotients, 0.5, rows,
-                                    hbar, eps_min)
+    assert psi.peak == float(np.max(np.abs(psi.samples)))
+    act = pathintegral._extrapolate(psi.peak, quotients, 0.5, rows, hbar,
+                                    eps_min)
     assert act.flags.tolist() == [False, True]
     assert np.array_equal(act.rows, rows)
 
@@ -498,7 +499,7 @@ def test_extraction_peak_stays_under_its_estimate():
 
 def test_extraction_at_every_node_stays_under_its_estimate():
     # radii at every node keep 1092 rows, several blocks of the build, so
-    # the band and the windows that apply it outgrow one block's temporaries
+    # the band outgrows one block's temporaries
     family = default_probe_family(GRID)
     radii = GRID.nodes
     need = pathintegral.extraction_peak_bytes(GRID, EPS_LIST, P2, len(radii))
@@ -510,8 +511,28 @@ def test_extraction_at_every_node_stays_under_its_estimate():
         tracemalloc.stop()
     kept = len(table.r)
     assert kept == 1092 and kept > 4 * pathintegral._BLOCK_ROWS
-    # the largest band and its windows, b = 111 at eps = 1e-3
-    assert 2 * 8 * kept * (2 * 111 + 1) < peak < need
+    # the largest band and one block's build temporaries, at least 4
+    # doubles per slot, b = 111 at eps = 1e-3
+    rows = kept + 4 * pathintegral._BLOCK_ROWS
+    assert 8 * rows * (2 * 111 + 1) < peak < need
+
+
+def test_extraction_applies_kernels_in_build_blocks(monkeypatch):
+    # K @ v gathers one block's windows at a time, as the build evaluates
+    # one block's entries, so with small blocks an extraction at every
+    # node holds little beside its largest band; gathering every row's
+    # windows at once would hold a second band
+    monkeypatch.setattr(pathintegral, "_BLOCK_ROWS", 16)
+    tracemalloc.start()
+    try:
+        family = default_probe_family(GRID)
+        table = extract_effective_potential(family, GRID.nodes, EPS_LIST, P2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.r) == 1092
+    band = 8 * len(table.r) * (2 * 111 + 1)  # b = 111 at eps = 1e-3
+    assert peak < 1.5 * band
 
 
 def test_blocked_build_fits_22000_nodes_at_every_node(monkeypatch):
@@ -526,19 +547,6 @@ def test_blocked_build_fits_22000_nodes_at_every_node(monkeypatch):
     budget = pathintegral.MEMORY_BUDGET
     with pytest.raises(ValueError, match=f"over the {budget} byte budget"):
         pathintegral.check_extraction_sizes(*args)
-
-
-def test_action_checks_support_before_any_kernel(monkeypatch):
-    # a member whose outer tail shows is refused at entry, not by the slice
-    # step of its mode after earlier kernels were built
-    family = default_probe_family(GRID) + [RadialWavefunction.from_callable(
-        gaussian_profile(7.0, 1.0), 0, GRID, open_inner=True)]
-
-    def build(*args, **kwargs):
-        raise AssertionError("a kernel was built for an unsupported profile")
-    monkeypatch.setattr(pathintegral, "BandedKernel", build)
-    with pytest.raises(SupportError, match="outer tail"):
-        effective_hamiltonian_action(family, NAIVE_POLAR, EPS_LIST, P2)
 
 
 def test_extraction_over_memory_budget_rejected_before_any_kernel(monkeypatch):
@@ -627,16 +635,42 @@ def test_extraction_guards():
 
 
 def test_support_validation():
-    wide = RadialWavefunction.from_callable(
-        gaussian_profile(7.0, 1.0), 0, GRID, open_inner=True)
-    with pytest.raises(SupportError):  # visible tail at r_max
-        wide.validate()
-    inner = RadialWavefunction.from_callable(
-        gaussian_profile(0.0, 0.8), 0, GRID)  # open_inner not declared
-    with pytest.raises(SupportError):
-        inner.validate()
-    for psi in default_probe_family(GRID):
-        psi.validate()  # the shipped family is clean by construction
+    # the support rule runs when a profile is built, so a family with an
+    # unsupported member cannot be built, let alone reach a kernel
+    with pytest.raises(SupportError, match="outer tail"):  # visible at r_max
+        default_probe_family(GRID) + [RadialWavefunction.from_callable(
+            gaussian_profile(7.0, 1.0), 0, GRID, open_inner=True)]
+    with pytest.raises(SupportError, match="inner tail"):
+        RadialWavefunction.from_callable(
+            gaussian_profile(0.0, 0.8), 0, GRID)  # open_inner not declared
+    with pytest.raises(SupportError, match="non-finite"):
+        RadialWavefunction(m=0, grid=GRID, samples=np.full(GRID.n, np.nan))
+    assert RadialWavefunction(m=0, grid=GRID, samples=np.zeros(GRID.n)).peak == 0.0
+    for psi in default_probe_family(GRID):  # clean by construction
+        assert psi.peak == float(np.max(np.abs(psi.samples)))
+
+
+def test_probe_and_grid_vectors_are_read_only():
+    # the support check holds for a profile's whole life only if its
+    # samples cannot change after it; every probe reads the grid's vectors
+    grid = RadialGrid(n=64)
+    raw = gaussian_profile(2.0, 0.45)(grid.nodes)
+    psi = RadialWavefunction(m=0, grid=grid, samples=raw, open_inner=True)
+    raw[-1] = 1.0  # the profile keeps a copy, not the caller's array
+    assert psi.samples[-1] < 1e-12
+    for vec in (psi.samples, grid.nodes, grid.measure):
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 1.0
+    assert grid.nodes is grid.nodes and grid.measure is grid.measure
+    w = np.full(grid.n, grid.spacing)
+    w[[0, -1]] *= 0.5
+    assert grid.measure.tobytes() == (grid.nodes * w).tobytes()
+    # both are computed on first use, so sizing a grid allocates nothing
+    huge = RadialGrid(n=10 ** 10)
+    with pytest.raises(ValueError, match="byte budget"):
+        pathintegral.check_extraction_sizes(huge, EPS_LIST, P2, 26,
+                                            NAIVE_POLAR, "geometric")
+    assert not {"nodes", "measure"} & set(vars(huge))
 
 
 def test_mollifier_bump_compact_support():

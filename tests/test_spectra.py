@@ -43,11 +43,11 @@ def grid_of(p, res):
         return SpectralGrid.build(p, res)
     polar = [polar_nodes(n, polar_exponent(p.D, k))
              for k, n in enumerate(res[:-1], start=1)]
-    phi, wphi = azimuth_nodes(res[-1])
+    _, wphi = azimuth_nodes(res[-1])
     return SpectralGrid(p=p, counts=tuple(res),
                         polar_u=tuple(u for u, _ in polar),
                         polar_w=tuple(w for _, w in polar),
-                        azimuth=phi, azimuth_w=wphi)
+                        azimuth_w=wphi)
 
 
 def kron_oracle(grid):
