@@ -549,6 +549,20 @@ def test_blocked_build_fits_22000_nodes_at_every_node(monkeypatch):
         pathintegral.check_extraction_sizes(*args)
 
 
+def test_action_checks_support_before_any_kernel(monkeypatch):
+    # a member whose outer tail shows is refused when it is built, so the
+    # action never reaches the slice step of its mode after earlier
+    # kernels were built
+    def build(*args, **kwargs):
+        raise AssertionError("a kernel was built for an unsupported profile")
+    monkeypatch.setattr(pathintegral, "BandedKernel", build)
+    with pytest.raises(SupportError, match="outer tail"):
+        family = default_probe_family(GRID) + [
+            RadialWavefunction.from_callable(
+                gaussian_profile(7.0, 1.0), 0, GRID, open_inner=True)]
+        effective_hamiltonian_action(family, NAIVE_POLAR, EPS_LIST, P2)
+
+
 def test_extraction_over_memory_budget_rejected_before_any_kernel(monkeypatch):
     # a budget just under the estimate stands in for the 2 GiB one, so a
     # missing guard costs megabytes here rather than gigabytes
