@@ -8,8 +8,16 @@ a tiny expression language: constants, variables, sums, products, powers with
 numeric exponents (sqrt is a half power), the transcendental atoms the charts
 need (sin, cos), and exp, which builds smooth test functions that are not
 polynomials in the chart variables.  Differentiation and substitution are
-structural; evaluation is vectorized over numpy arrays and memoized on shared
-subtrees.
+structural; evaluation is vectorized over numpy arrays and computes each
+shared subtree once per call.
+
+``evaluate`` walks the DAG once, without recursion, for a children-first
+schedule and a count of each node's consumers, then runs the schedule in
+a loop and drops a value once its last consumer has run.  A call holds
+only the values still awaiting a consumer, so its memory follows the
+DAG's width rather than its node count, and a chain of any depth
+evaluates.  ``_peak_values`` replays the same schedule to count the
+values a call holds at once.
 
 The constructors fold the obvious identities (0 and 1 absorption, constant
 collection) but deliberately do nothing clever beyond that: no reordering of
@@ -90,6 +98,10 @@ class Expr:
     def _ev(self, rec, env):
         raise NotImplementedError
 
+    def _children(self):
+        # the argument nodes _ev reads, in order, repeats included
+        return ()
+
     def key(self):
         raise NotImplementedError
 
@@ -153,6 +165,9 @@ class _Nary(Expr):
 
     def __init__(self, args):
         object.__setattr__(self, "args", tuple(args))
+
+    def _children(self):
+        return self.args
 
 
 class Add(_Nary):
@@ -221,6 +236,9 @@ class Pow(Expr):
     def _ev(self, rec, env):
         return rec(self.base) ** self.expo
 
+    def _children(self):
+        return (self.base,)
+
     def key(self):
         return ("^", self.base.key(), self.expo)
 
@@ -238,6 +256,9 @@ class _Unary(Expr):
 
     def _ev(self, rec, env):
         return type(self)._fn(rec(self.arg))
+
+    def _children(self):
+        return (self.arg,)
 
     def key(self):
         return (type(self)._tag, self.arg.key())
@@ -400,42 +421,87 @@ def evaluate(expr, env):
     """Evaluate ``expr`` with variables bound from ``env`` (scalars or arrays).
 
     ``expr`` is one expression, or a list or tuple of them; a sequence
-    returns the list of their values.  Shared subtrees (ubiquitous after
-    differentiation) are computed once per call via an id-keyed memo, which
-    is what keeps repeated-operator applications affordable on large point
-    batches.  The memo spans every root of the call, so operators built on
-    the same memoized derivatives share that work too.  A node's value does
-    not depend on which root reached it, so each root evaluates to the same
-    bits as on its own.
+    returns the list of their values.  Each node reachable from the roots
+    is computed once per call, however many consumers share it (shared
+    subtrees are everywhere after differentiation), so operators built on
+    the same memoized derivatives share that work too.  The nodes run in
+    ``_schedule``'s order, children first, and a node's value is dropped
+    as soon as its last consumer has run; the roots' values are kept to
+    the end.  So a call holds a few values along a chain rather than one
+    per node.  A node's value does not depend on which root reached it or
+    on when its children's values are dropped, so each root evaluates to
+    the same bits as on its own.
     """
-    cache = {}
+    roots = expr if isinstance(expr, (list, tuple)) else (expr,)
+    order, uses = _schedule(roots)
+    values = {}
 
     def rec(e):
-        h = id(e)
-        v = cache.get(h)
-        if v is None:
-            v = e._ev(rec, env)
-            cache[h] = v
-        return v
+        return values[id(e)]
 
-    if isinstance(expr, (list, tuple)):
-        return [rec(e) for e in expr]
-    return rec(expr)
+    for node in order:
+        values[id(node)] = node._ev(rec, env)
+        for kid in node._children():
+            key = id(kid)
+            uses[key] -= 1
+            if not uses[key]:
+                del values[key]
+    out = [values[id(e)] for e in roots]
+    return out if isinstance(expr, (list, tuple)) else out[0]
 
 
-def _memo_size(exprs):
-    """Distinct nodes reachable from ``exprs``: the values evaluate holds."""
-    seen = set()
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        if id(e) in seen:
+def _schedule(roots):
+    """The order ``evaluate`` runs the nodes in, and each node's use count.
+
+    One walk over the DAG reachable from ``roots``, without recursion, so
+    chains of any depth evaluate.  ``order`` lists each node once, after
+    its children and in the left-to-right order a recursive evaluation
+    first reaches it.  ``uses`` maps ``id(node)`` to the node's argument
+    occurrences (``mul(x, x)`` uses x twice) plus one per appearance among
+    the roots: the call itself holds the roots, so their counts never run
+    out.
+    """
+    order = []
+    uses = {}
+    for root in roots:
+        key = id(root)
+        if key in uses:
+            uses[key] += 1
             continue
-        seen.add(id(e))
-        if isinstance(e, _Nary):
-            stack.extend(e.args)
-        elif isinstance(e, Pow):
-            stack.append(e.base)
-        elif isinstance(e, _Unary):
-            stack.append(e.arg)
-    return len(seen)
+        uses[key] = 1
+        stack = [(root, iter(root._children()))]
+        while stack:
+            node, kids = stack[-1]
+            for kid in kids:
+                key = id(kid)
+                if key in uses:
+                    uses[key] += 1
+                else:
+                    uses[key] = 1
+                    stack.append((kid, iter(kid._children())))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order, uses
+
+
+def _peak_values(roots):
+    """Most values ``evaluate(roots, env)`` holds at once.
+
+    Replays ``evaluate``'s schedule: while a node runs, the values still
+    awaiting a consumer, the node's own result and, for a sum or product,
+    one partial result are live.  Every node counts as one value, so this
+    bounds the arrays of rows x samples that a call allocates.
+    """
+    order, uses = _schedule(roots)
+    live = peak = 0
+    for node in order:
+        live += 1
+        peak = max(peak, live + isinstance(node, _Nary))
+        for kid in node._children():
+            key = id(kid)
+            uses[key] -= 1
+            if not uses[key]:
+                live -= 1
+    return peak

@@ -424,11 +424,10 @@ def apply_operator(tag, f, points, p):
 
 def _defect_terms(tag, f, h, p, pts, w, names):
     """<f, T h>, <T f, h>, <f, f> and <h, h> as sums over one weighted grid."""
-    env = _env_from_points(names, pts)
-    fv = ex.evaluate(f.expr, env)
-    hv = ex.evaluate(h.expr, env)
-    tf = ex.evaluate(operator_expr(tag, f, p), env)
-    th = ex.evaluate(operator_expr(tag, h, p), env)
+    # one call, so the subtrees f, h, T f and T h share are computed once
+    fv, hv, tf, th = ex.evaluate(
+        [f.expr, h.expr, operator_expr(tag, f, p), operator_expr(tag, h, p)],
+        _env_from_points(names, pts))
     return (np.sum(w * np.conjugate(fv) * th),
             np.sum(w * np.conjugate(tf) * hv),
             np.sum(w * np.conjugate(fv) * fv).real,
@@ -471,9 +470,10 @@ def _route_gap(p, lmax, samples, routes):
     the routes are built once for the block's tree, and each ``evaluate``
     env also binds the tree's coefficient variables to their (rows, 1)
     columns, so each value holds one row per harmonic.  Where rows x
-    samples x DAG nodes x 16 bytes (the evaluation memo's worst case,
-    complex values) would exceed MEMORY_BUDGET, the same trees are
-    evaluated on row slices of the columns, each of at least one row.
+    samples x 16 bytes (complex values) times the most values one
+    ``evaluate`` call holds at once (``_peak_values``) would exceed
+    MEMORY_BUDGET, the same trees are evaluated on row slices of the
+    columns, each of at least one row.
     """
     scale = p.hbar ** 2 / p.R ** 2
     worst = 0.0
@@ -481,8 +481,8 @@ def _route_gap(p, lmax, samples, routes):
     for degree in range(lmax + 1):
         for tree, coefficients, harmonics in _harmonic_blocks(p.D, degree):
             calls = routes(tree)
-            nodes = max(ex._memo_size(exprs) for exprs, _ in calls)
-            step = max(1, MEMORY_BUDGET // (samples * nodes * 16))
+            held = max(ex._peak_values(exprs) for exprs, _ in calls)
+            step = max(1, MEMORY_BUDGET // (samples * held * 16))
             for lo in range(0, len(harmonics), step):
                 rows = len(harmonics[lo:lo + step])
                 bound = {name: column[lo:lo + step]

@@ -3,10 +3,13 @@ arithmetic guarantees (bitwise commutation, IEEE negation) the bracket
 antisymmetry checks depend on."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from rotorkit import expressions as ex
 from rotorkit.geometry import ModelParams
@@ -234,8 +237,160 @@ def test_column_bound_variable_rows_equal_each_scalar_binding():
         assert got.tobytes() == alone.tobytes()
 
 
-def test_memo_size_counts_distinct_nodes():
+def test_peak_values_replays_the_schedule():
     x = ex.Var("x")
     sq = ex.power(x, 2)
-    assert ex._memo_size([ex.mul(sq, ex.sin(sq))]) == 4
-    assert ex._memo_size([sq, ex.add(sq, ex.ONE)]) == 4
+    # x, sq, sin(sq), then the product with its partial result: sq is held
+    # for both consumers, x is dropped once sq has run
+    assert ex._peak_values([ex.mul(sq, ex.sin(sq))]) == 4
+    # a root is held to the end even after its other consumer has run
+    assert ex._peak_values([sq, ex.add(sq, ex.ONE)]) == 4
+    # a chain holds two values whatever its length: the schedule still
+    # visits every node, as _memo_size counted them
+    chain = x
+    for _ in range(50):
+        chain = ex.sin(chain)
+    assert ex._peak_values([chain]) == 2
+    assert len(ex._schedule([chain])[0]) == 51
+
+
+def test_schedule_runs_children_first_left_to_right():
+    x, y = ex.Var("x"), ex.Var("y")
+    xx = ex.Mul((x, x))
+    top = ex.Add((xx, ex.Sin(y), x))
+    order, uses = ex._schedule([top, xx, top])
+    # the order a recursive evaluation first reaches each node in
+    assert [id(e) for e in order] == [id(e) for e in (x, xx, y, top.args[1], top)]
+    # every argument occurrence and every root occurrence counts
+    assert uses[id(x)] == 3
+    assert uses[id(xx)] == 2
+    assert uses[id(top)] == 2
+
+
+# -- the freeing schedule against the recursive memo it replaced ------------
+
+def recursive_evaluate(expr, env):
+    """evaluate as it ran before the freeing schedule: a recursive memo that
+    keeps every node's value until the call returns."""
+    cache = {}
+
+    def rec(e):
+        h = id(e)
+        v = cache.get(h)
+        if v is None:
+            v = e._ev(rec, env)
+            cache[h] = v
+        return v
+
+    if isinstance(expr, (list, tuple)):
+        return [rec(e) for e in expr]
+    return rec(expr)
+
+
+@st.composite
+def dags(draw):
+    """(roots, env): a random DAG over x and y, with shared subtrees.
+
+    Each new node takes its arguments from the nodes before it, so a node
+    can feed several consumers.  A top node adds s * s (a repeated
+    argument), sin(s) (a second consumer of s) and the last node drawn.
+    The roots are the top node, its s * s child and a few drawn nodes, in
+    a drawn order.  Constants are numpy scalars, so a constant-only
+    subtree overflows or divides by zero as arrays do, without raising.
+    """
+    x, y = ex.Var("x"), ex.Var("y")
+    consts = st.sampled_from([np.float64(-1.5), np.float64(0.5),
+                              np.float64(2.0), np.complex128(-1j)])
+    pool = [x, y, ex.Const(draw(consts))]
+    for _ in range(draw(st.integers(0, 20))):
+        pick = st.sampled_from(pool)
+        kind = draw(st.sampled_from("+*^kSCE"))
+        if kind in "+*":
+            args = draw(st.lists(pick, min_size=2, max_size=4))
+            node = (ex.Add if kind == "+" else ex.Mul)(args)
+        elif kind == "^":
+            node = ex.Pow(draw(pick), draw(st.sampled_from([-1, 0.5, 2, 3])))
+        elif kind == "k":
+            node = ex.Const(draw(consts))
+        else:
+            node = {"S": ex.Sin, "C": ex.Cos, "E": ex.Exp}[kind](draw(pick))
+        pool.append(node)
+    s = draw(st.sampled_from(pool))
+    top = ex.Add((ex.Mul((s, s)), ex.Cos(s), pool[-1]))
+    roots = [top, top.args[0]] + draw(st.lists(st.sampled_from(pool),
+                                               max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(1, 6))
+    env = {"x": rng.uniform(-3, 3, size), "y": rng.uniform(-3, 3, size)}
+    return draw(st.permutations(roots)), env
+
+
+def _assert_matches_oracle(roots, env):
+    with np.errstate(all="ignore"):
+        got = ex.evaluate(roots, env)
+        want = recursive_evaluate(roots, env)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@given(dags())
+@settings(max_examples=200)
+def test_evaluate_matches_the_recursive_memo_bitwise(dag):
+    _assert_matches_oracle(*dag)
+
+
+def test_the_oracle_test_catches_a_value_freed_one_use_early(monkeypatch):
+    # the mutant lowers the first shared node's count by one, so its value
+    # is dropped before its last consumer runs
+    schedule = ex._schedule
+
+    def one_use_short(roots):
+        order, uses = schedule(roots)
+        uses[next(k for k, n in uses.items() if n > 1)] -= 1
+        return order, uses
+    monkeypatch.setattr(ex, "_schedule", one_use_short)
+
+    def caught(dag):
+        try:
+            _assert_matches_oracle(*dag)
+        except (AssertionError, KeyError):
+            return True
+        return False
+    assert caught(find(dags(), caught))
+
+
+def _chain(depth):
+    # each link consumes the one before it, as add(mul(e, 0.5), y)
+    e, y = ex.Var("x"), ex.Var("y")
+    for _ in range(depth):
+        e = ex.add(ex.mul(e, 0.5), y)
+    return e
+
+
+def test_a_deep_chain_evaluates_without_recursion():
+    # 6000 nodes deep: the recursive memo raises RecursionError here
+    e = _chain(3000)
+    with pytest.raises(RecursionError):
+        recursive_evaluate(e, {"x": 1.0, "y": 0.25})
+    want = np.float64(1.0)
+    for _ in range(3000):
+        want = 0.5 * want + 0.25
+    assert ex.evaluate(e, {"x": np.float64(1.0), "y": 0.25}) == want
+
+
+def test_a_chain_holds_a_few_arrays_at_once():
+    # 1 MB arrays: the recursive memo held one per node, 200 MB here
+    n = 2 ** 17
+    env = {"x": np.linspace(0.0, 1.0, n), "y": np.full(n, 0.25)}
+    e = _chain(100)
+    tracemalloc.start()
+    try:
+        value = ex.evaluate(e, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.nbytes == 2 ** 20
+    assert peak < 4 * 2 ** 20

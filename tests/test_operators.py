@@ -10,6 +10,7 @@ defect checks would have no teeth.
 
 import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,32 @@ def test_momentum_conventions_on_parity_matched_pair():
         OperatorTag("pi_curv", i=1, convention="displayed"), f, g, P3, res) > 0.1 * norm
 
 
+def test_hermiticity_suite_evaluates_each_lift_in_one_call(monkeypatch):
+    # f, h, T f and T h of a lift share subtrees; one call computes them once
+    evaluate = ex.evaluate
+    roots = []
+
+    def counted(exprs, env):
+        roots.append(len(exprs))
+        return evaluate(exprs, env)
+    monkeypatch.setattr(ex, "evaluate", counted)
+    operators.suite_hermiticity(P3, 8)
+    # 9 reduced-chart defects of two hemisphere lifts, 10 hyperspherical
+    assert roots == [4] * 28
+
+
+def test_hermiticity_suite_peak_stays_small():
+    # a value is dropped after its last consumer: the memo that kept every
+    # node's value to the end of the call peaked above 50 MB here
+    tracemalloc.start()
+    try:
+        operators.suite_hermiticity(ModelParams(D=3), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 # -- batched harmonic blocks ------------------------------------------------
 #
 # The chart-equivalence and angular-momentum suites evaluate each block of
@@ -369,10 +396,11 @@ def test_batched_rows_match_harmonic_polynomials(suite, D, monkeypatch):
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("budget", (1, 400_000))
 def test_row_chunks_under_a_small_memory_budget(suite, budget, monkeypatch):
-    # with samples=5 a row costs 40-70 kB at degrees 4-5 of D=3, so the
-    # larger budget cuts the biggest blocks into chunks of a few rows; the
-    # chunks evaluate the block's one tree on row slices of its columns
-    p, lmax, samples = ModelParams(D=3), 5, 5
+    # with samples=25 a row costs 44-77 kB at degrees 4-5 of D=3 (16 bytes
+    # for each value evaluate holds at once), so the larger budget cuts
+    # the biggest blocks into chunks of a few rows; the chunks evaluate
+    # the block's one tree on row slices of its columns
+    p, lmax, samples = ModelParams(D=3), 5, 25
     whole, whole_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
     monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
     cut, cut_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
