@@ -13,11 +13,11 @@ from rotorkit.dynamics import (
     PHASE_EMBEDDED,
     PHASE_REDUCED,
     PhaseState,
-    bracket_check_report,
     conserved_series,
     embedded_from_reduced,
     integrate_embedded_oracle,
     integrate_reduced,
+    suite_dirac_brackets,
 )
 from rotorkit.geometry import ModelParams
 
@@ -52,10 +52,13 @@ print(f"\nconstraint residuals on the oracle: |x|^2 - R^2 <= {rad:.2e}, "
       f"x.v <= {tan:.2e}")
 
 # the bracket algebra behind this flow, sampled at random shell points:
-# {x,x} = 0, {x,p} = projector, {p,p} = rotation generator
-report = bracket_check_report(p, samples=500, seed=5)
+# {x,x} = 0, {x,p} = projector, {p,p} = rotation generator; the suite
+# also checks bitwise antisymmetry and the Jacobi identity
+report, _ = suite_dirac_brackets(p, samples=500, seed=5)
 print("\nDirac bracket families at 500 random shell points:")
 for key in ("xx", "xp", "pp"):
     dev = report["families"][key]["max_deviation"]
     print(f"  {{{key[0]},{key[1]}}} deviation {dev:.3e}")
 print(f"  overall max {report['max_deviation']:.3e}")
+print(f"  antisymmetry exact: {report['antisymmetry_exact']}, "
+      f"Jacobi sum {report['jacobi_max_deviation']:.1e}")

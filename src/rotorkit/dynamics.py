@@ -21,8 +21,10 @@ variables are expressed in spherical canonical pairs with the radial pair
 frozen on the shell (r = R, pi_r = 0), and the plain canonical Poisson
 bracket of the pulled-back observables *is* the constrained bracket.  This
 is cheaper and better conditioned than assembling the constraint-matrix
-formula, and it keeps antisymmetry exact at the expression level.  The
-expected closed forms,
+formula, and it keeps antisymmetry exact at the expression level.  An
+ambient observable is pulled back by one substitution,
+``expr.subs(canonical_chart_map(p))``, and ``dirac_bracket_expr`` takes
+the pulled-back expressions.  The expected closed forms,
 
     {x_a, x_b} = 0
     {x_a, p_b} = delta_ab - x_a x_b / R^2
@@ -34,8 +36,9 @@ projection of an ambient state back to the reduced chart are oracles that
 only tests use, so they live in ``tests/test_dynamics.py``.
 
 The ``rotorkit check dirac-brackets`` suite lives here too:
-``suite_dirac_brackets`` runs ``bracket_check_report`` and adds bitwise
-antisymmetry and the Jacobi identity over the same random shell points.
+``suite_dirac_brackets`` checks the three bracket families against their
+closed forms, bitwise antisymmetry and the Jacobi identity over one draw
+of random shell points, in one ``evaluate`` call.
 """
 
 import math
@@ -49,21 +52,18 @@ from .geometry import (MEMORY_BUDGET, ChartDomainError,
                        inverse_metric, lift)
 
 __all__ = [
-    "PHASE_REDUCED", "PHASE_EMBEDDED", "PHASE_CANONICAL",
-    "PhaseState", "Observable", "Trajectory",
+    "PHASE_REDUCED", "PHASE_EMBEDDED", "PhaseState", "Trajectory",
     "ChartMarginError", "StepConvergenceError",
     "hamiltonian_value", "integrate_reduced", "integrate_embedded_oracle",
     "embedded_from_reduced", "constraint_residuals",
     "angular_momentum_pairs", "conserved_series",
     "canonical_phase_vars", "embedded_phase_vars", "canonical_chart_map",
-    "pullback_observable", "poisson_bracket_expr", "dirac_bracket_expr",
-    "fundamental_bracket_reference", "bracket_check_report",
-    "suite_dirac_brackets",
+    "poisson_bracket_expr", "dirac_bracket_expr",
+    "fundamental_bracket_reference", "suite_dirac_brackets",
 ]
 
 PHASE_REDUCED = "reduced"
 PHASE_EMBEDDED = "embedded"
-PHASE_CANONICAL = "curvilinear_canonical"
 
 
 class ChartMarginError(RuntimeError):
@@ -96,8 +96,7 @@ class PhaseState:
             raise ValueError("q and p must have matching shapes")
 
     def validate(self, p):
-        dim = {PHASE_REDUCED: p.D - 1, PHASE_EMBEDDED: p.D,
-               PHASE_CANONICAL: p.D - 1}.get(self.chart)
+        dim = {PHASE_REDUCED: p.D - 1, PHASE_EMBEDDED: p.D}.get(self.chart)
         if dim is None:
             raise ValueError(f"unknown phase chart '{self.chart}'")
         if self.q.shape != (dim,):
@@ -107,14 +106,6 @@ class PhaseState:
         if self.chart == PHASE_REDUCED and np.dot(self.q, self.q) >= p.R ** 2:
             raise ChartDomainError("reduced position outside the chart ball")
         return self
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Differentiable phase-space function over a named chart's variables."""
-
-    expr: ex.Expr
-    chart: str
 
 
 class Trajectory:
@@ -198,6 +189,26 @@ def _midpoint_step(rhs, z, dt, tol):
         f"iterations; reduce dt={dt:g}")
 
 
+def _step_count(T, dt):
+    """The number of dt steps that make up the duration T.
+
+    Needs finite dt > 0 and T >= 0, and T / dt a whole number to within
+    1e-9 relative.  Rounding T / dt instead would integrate to another
+    time: T = 10 at dt = 6 would run to t = 12, and at dt = 100 would take
+    no step, so no deviation could fail.  Raises ValueError otherwise.
+    """
+    if not (0.0 < dt < math.inf and 0.0 <= T < math.inf):
+        raise ValueError(f"need finite dt > 0 and T >= 0, got dt={dt}, T={T}")
+    ratio = T / dt
+    if ratio == math.inf:
+        raise ValueError(f"T / dt overflows at dt={dt}, T={T}")
+    steps = round(ratio)
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"duration {T:g} is not a whole number of dt={dt:g} "
+                         f"steps (T / dt = {ratio:.10g})")
+    return steps
+
+
 def integrate_reduced(s0, T, dt, p, margin=0.05):
     """Implicit-midpoint evolution of the reduced chart system.
 
@@ -205,22 +216,21 @@ def integrate_reduced(s0, T, dt, p, margin=0.05):
     radius exceeds (1 - margin) R; the chart itself only fails at |q| = R,
     but the metric conditioning degrades as 1/(R^2 - |q|^2), so the margin
     error tells the caller to re-chart well before that.  Every input rule
-    is checked before the first step: margin in [0, 1), finite dt > 0 and
-    T >= 0, and the position and momentum arrays within MEMORY_BUDGET.
+    is checked before the first step: margin in [0, 1), the step count
+    (``_step_count``) and the position and momentum arrays within
+    MEMORY_BUDGET.
     """
     s0 = s0.validate(p)
     if s0.chart != PHASE_REDUCED:
         raise ChartDomainError("integrate_reduced expects the reduced chart")
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must lie in [0, 1), got {margin}")
-    if not (0.0 < dt < math.inf and 0.0 <= T < math.inf):
-        raise ValueError(f"need finite dt > 0 and T >= 0, got dt={dt}, T={T}")
+    nsteps = _step_count(T, dt)
     n = p.D - 1
-    nbytes = 2 * 8 * n * (T / dt + 1)  # float: T / dt may overflow
+    nbytes = 2 * 8 * n * (nsteps + 1)
     if nbytes > MEMORY_BUDGET:
-        raise ValueError(f"{T / dt:.3g} steps need {nbytes:.3g} bytes of "
+        raise ValueError(f"{nsteps:.3g} steps need {nbytes:.3g} bytes of "
                          f"trajectory, over the {MEMORY_BUDGET} byte budget")
-    nsteps = int(round(T / dt))
     limit = (1.0 - margin) * p.R
     z = s0.q.tolist() + s0.p.tolist()
     qs = np.empty((nsteps + 1, n))
@@ -253,9 +263,7 @@ def integrate_embedded_oracle(x0, v0, T, dt, p):
         raise ChartDomainError("initial position is not on the sphere")
     if abs(float(x0 @ v0)) > 1e-12 * p.R * max(1.0, float(np.linalg.norm(v0))):
         raise ChartDomainError("initial velocity is not tangent")
-    if dt <= 0 or T < 0:
-        raise ValueError("need dt > 0 and T >= 0")
-    nsteps = int(round(T / dt))
+    nsteps = _step_count(T, dt)
     D = p.D
 
     def rhs(z):
@@ -362,15 +370,6 @@ def canonical_chart_map(p):
     return mapping
 
 
-def pullback_observable(obs, p):
-    """Express an observable over the canonical chart variables."""
-    if obs.chart == PHASE_CANONICAL:
-        return obs.expr
-    if obs.chart == PHASE_EMBEDDED:
-        return obs.expr.subs(canonical_chart_map(p))
-    raise ValueError(f"cannot pull back chart '{obs.chart}'")
-
-
 def poisson_bracket_expr(f, g, pairs):
     """Canonical bracket sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k).
 
@@ -389,11 +388,14 @@ def poisson_bracket_expr(f, g, pairs):
     return terms[0] if len(terms) == 1 else ex.Add(tuple(terms))
 
 
-def dirac_bracket_expr(A, B, p):
-    """Constrained bracket of two observables as a canonical-chart expression."""
+def dirac_bracket_expr(f, g, p):
+    """Constrained bracket of two canonical-chart expressions.
+
+    An ambient observable is pulled back first, with
+    ``.subs(canonical_chart_map(p))``; a bracket is already canonical, so
+    brackets nest.
+    """
     angles, moms = canonical_phase_vars(p)
-    f = pullback_observable(A, p)
-    g = pullback_observable(B, p)
     return poisson_bracket_expr(f, g, list(zip(angles, moms)))
 
 
@@ -428,94 +430,57 @@ def _random_canonical_points(p, samples, seed):
     return qs, ps
 
 
-def _canonical_sample_env(p, samples, seed):
-    """Evaluation environment over the canonical variables at random points."""
-    qs, ps = _random_canonical_points(p, samples, seed)
+def suite_dirac_brackets(p, samples, seed):
+    """The three bracket families, exact antisymmetry and the Jacobi identity.
+
+    Every check reads the same ``samples`` shell points drawn from
+    ``seed``, and one ``evaluate`` call computes x, p, the 3 D^2 family
+    brackets, the antisymmetry pairs and the Jacobi sum.  Each family
+    reports the max absolute deviation of its brackets from the oracle
+    table (``fundamental_bracket_reference``); antisymmetry asks
+    {A,B} = -{B,A} bitwise, not merely to rounding.  Returns (report,
+    worst family deviation).  The Jacobi and antisymmetry triples use x3
+    and p3, so D must be at least 3.
+    """
+    if p.D < 3:
+        raise ValueError(f"dirac-brackets needs dim >= 3, got dim {p.D}")
+    qs, ps = _random_canonical_points(p, samples, seed)  # rejects a bad seed
     angles, moms = canonical_phase_vars(p)
     env = {n: qs[:, k] for k, n in enumerate(angles)}
     env.update({n: ps[:, k] for k, n in enumerate(moms)})
-    return env
-
-
-def bracket_check_report(p, samples=1000, seed=7):
-    """Verify the three bracket families against their closed forms.
-
-    Returns a JSON-ready report: per family the sample count and the max
-    absolute deviation between the canonical-chart bracket and the oracle
-    table over random shell points.
-    """
-    env = _canonical_sample_env(p, samples, seed)  # rejects a bad seed first
-    xnames, pnames = embedded_phase_vars(p)
-    xs = [Observable(ex.Var(n), PHASE_EMBEDDED) for n in xnames]
-    pvars = [Observable(ex.Var(n), PHASE_EMBEDDED) for n in pnames]
     mapping = canonical_chart_map(p)
-    pairs = {"xx": (xs, xs), "xp": (xs, pvars), "pp": (pvars, pvars)}
-    families = {kind: [[dirac_bracket_expr(fa, gb, p) for gb in g] for fa in f]
-                for kind, (f, g) in pairs.items()}
-    xval = np.stack([np.broadcast_to(ex.evaluate(mapping[n], env), samples)
-                     for n in xnames])
-    pval = np.stack([np.broadcast_to(ex.evaluate(mapping[n], env), samples)
-                     for n in pnames])
-    report = {"chart": PHASE_CANONICAL, "samples": samples, "seed": seed,
-              "families": {}}
+    xnames, pnames = embedded_phase_vars(p)
+    x = [mapping[n] for n in xnames]
+    mom = [mapping[n] for n in pnames]
+    families = {"xx": (x, x), "xp": (x, mom), "pp": (mom, mom)}
+    brackets = [dirac_bracket_expr(f, g, p) for fs, gs in families.values()
+                for f in fs for g in gs]
+    triple = [x[0], mom[2], ex.mul(x[1], mom[1])]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    fwd = [dirac_bracket_expr(triple[a], triple[b], p) for a, b in pairs]
+    rev = [dirac_bracket_expr(triple[b], triple[a], p) for a, b in pairs]
+    A, B, C = x[0], mom[1], ex.mul(x[2], mom[0])
+
+    def nest(f, g, h):
+        return dirac_bracket_expr(f, dirac_bracket_expr(g, h, p), p)
+    jacobi = ex.add(nest(A, B, C), nest(B, C, A), nest(C, A, B))
+
+    values = [np.broadcast_to(v, samples) for v in ex.evaluate(
+        x + mom + brackets + fwd + rev + [jacobi], env)]
+    D = p.D
+    xval, pval = np.stack(values[:D]), np.stack(values[D:2 * D])
+    got = np.reshape(values[2 * D:-7], (3, D, D, samples))
+    report = {"chart": "curvilinear_canonical", "samples": samples,
+              "seed": seed, "families": {}}
     worst = 0.0
-    for kind, table in families.items():
-        got = np.array([[np.broadcast_to(ex.evaluate(e, env), samples) for e in row]
-                        for row in table])
+    for kind, table in zip(families, got):
         want = fundamental_bracket_reference(kind, xval, pval, p.R)
-        dev = float(np.max(np.abs(got - want)))
+        dev = float(np.max(np.abs(table - want)))
         report["families"][kind] = {"pair": kind, "samples": samples,
                                     "max_deviation": dev}
         worst = float(np.maximum(worst, dev))  # NaN-aware, unlike max()
     report["max_deviation"] = worst
-    return report
-
-
-def _jacobi_deviation(p, samples, seed):
-    """Cyclic sum of nested brackets over a mixed observable triple."""
-    xnames, pnames = embedded_phase_vars(p)
-    A = Observable(ex.Var(xnames[0]), PHASE_EMBEDDED)
-    B = Observable(ex.Var(pnames[1]), PHASE_EMBEDDED)
-    C = Observable(ex.mul(ex.Var(xnames[2]), ex.Var(pnames[0])), PHASE_EMBEDDED)
-
-    def nest(f, g, h):
-        inner = Observable(dirac_bracket_expr(g, h, p), PHASE_CANONICAL)
-        return dirac_bracket_expr(f, inner, p)
-    total = ex.add(nest(A, B, C), nest(B, C, A), nest(C, A, B))
-    env = _canonical_sample_env(p, samples, seed)
-    vals = np.broadcast_to(ex.evaluate(total, env), samples)
-    return float(np.max(np.abs(vals)))
-
-
-def _antisymmetry_exact(p, samples, seed):
-    """{A,B} + {B,A} must vanish bitwise, not merely to rounding."""
-    xnames, pnames = embedded_phase_vars(p)
-    obs = [Observable(ex.Var(xnames[0]), PHASE_EMBEDDED),
-           Observable(ex.Var(pnames[2]), PHASE_EMBEDDED),
-           Observable(ex.mul(ex.Var(xnames[1]), ex.Var(pnames[1])),
-                      PHASE_EMBEDDED)]
-    env = _canonical_sample_env(p, samples, seed)
-    ok = True
-    for a in range(len(obs)):
-        for b in range(a + 1, len(obs)):
-            fwd = np.broadcast_to(
-                ex.evaluate(dirac_bracket_expr(obs[a], obs[b], p), env), samples)
-            rev = np.broadcast_to(
-                ex.evaluate(dirac_bracket_expr(obs[b], obs[a], p), env), samples)
-            ok = ok and bool(np.all(fwd == -rev))
-    return ok
-
-
-def suite_dirac_brackets(p, samples, seed):
-    """The three bracket families, exact antisymmetry and the Jacobi identity.
-
-    Returns (report, worst family deviation); each part draws the same
-    ``samples`` shell points from ``seed``.  The Jacobi and antisymmetry
-    triples use x3 and p3, so D must be at least 3.
-    """
-    if p.D < 3:
-        raise ValueError(f"dirac-brackets needs dim >= 3, got dim {p.D}")
-    report = bracket_check_report(p, samples=samples, seed=seed)
-    report["antisymmetry_exact"] = _antisymmetry_exact(p, samples, seed)
-    report["jacobi_max_deviation"] = _jacobi_deviation(p, samples, seed)
-    return report, float(report["max_deviation"])
+    report["antisymmetry_exact"] = all(
+        bool(np.all(f == -r)) for f, r in zip(values[-7:-4], values[-4:-1]))
+    report["jacobi_max_deviation"] = float(np.max(np.abs(values[-1])))
+    return report, worst

@@ -457,39 +457,38 @@ def _ball_samples(p, n, seed):
     return pts, angles
 
 
-def _route_gap(p, lmax, samples, routes):
+def _route_gap(p, lmax, samples, routes, env):
     """Worst relative gap between two routes over the harmonic family.
 
-    ``routes(h)`` builds both routes for the embedded harmonic h and returns
-    them as ``[(expressions, env), ...]``, one entry per ``evaluate`` call,
-    whose values in order are the two routes' (a, b).  Each harmonic's gap
-    is max|a - b| over the samples relative to its own max|b|, floored at
-    the energy scale hbar^2/R^2; ``family_size`` counts harmonics.
+    ``routes(h)`` builds both routes for the embedded harmonic h and
+    returns them as the pair (a, b); one ``evaluate`` call computes the
+    pair over ``env``, which binds every chart variable either route
+    reads.  Each harmonic's gap is max|a - b| over the samples relative to
+    its own max|b|, floored at the energy scale hbar^2/R^2;
+    ``family_size`` counts harmonics.
 
     Every degree, 0 and 1 included, goes by blocks (``_harmonic_blocks``):
-    the routes are built once for the block's tree, and each ``evaluate``
-    env also binds the tree's coefficient variables to their (rows, 1)
-    columns, so each value holds one row per harmonic.  Where rows x
-    samples x 16 bytes (complex values) times the most values one
-    ``evaluate`` call holds at once (``_peak_values``) would exceed
-    MEMORY_BUDGET, the same trees are evaluated on row slices of the
-    columns, each of at least one row.
+    the routes are built once for the block's tree, and the call also
+    binds the tree's coefficient variables to their (rows, 1) columns, so
+    each value holds one row per harmonic.  Where rows x samples x 16
+    bytes (complex values) times the most values the call holds at once
+    (``_peak_values``) would exceed MEMORY_BUDGET, the same pair is
+    evaluated on row slices of the columns, each of at least one row.
     """
     scale = p.hbar ** 2 / p.R ** 2
     worst = 0.0
     size = 0
     for degree in range(lmax + 1):
         for tree, coefficients, harmonics in _harmonic_blocks(p.D, degree):
-            calls = routes(tree)
-            held = max(ex._peak_values(exprs) for exprs, _ in calls)
+            pair = routes(tree)
+            held = ex._peak_values(pair)
             step = max(1, MEMORY_BUDGET // (samples * held * 16))
             for lo in range(0, len(harmonics), step):
                 rows = len(harmonics[lo:lo + step])
                 bound = {name: column[lo:lo + step]
                          for name, column in coefficients.items()}
-                values = [v for exprs, env in calls
-                          for v in ex.evaluate(exprs, {**env, **bound})]
-                a, b = (np.broadcast_to(v, (rows, samples)) for v in values)
+                a, b = (np.broadcast_to(v, (rows, samples))
+                        for v in ex.evaluate(pair, {**env, **bound}))
                 for ar, br in zip(a, b):
                     ref = max(float(np.max(np.abs(br))), scale)
                     worst = float(np.maximum(worst,
@@ -500,18 +499,21 @@ def _route_gap(p, lmax, samples, routes):
 
 
 def suite_chart_equivalence(p, lmax, samples, seed):
-    """H applied in the reduced and hyperspherical charts must agree."""
+    """H applied in the reduced and hyperspherical charts must agree.
+
+    The two charts' variables (x1.. and phi1..) have disjoint names, so
+    one env binds both and each block's two routes evaluate in one call.
+    """
     pts, angles = _ball_samples(p, samples, seed)
-    cart_env = _env_from_points(reduced_var_names(p), pts)
-    curv_env = _env_from_points(hyperspherical_var_names(p), angles)
+    env = {**_env_from_points(reduced_var_names(p), pts),
+           **_env_from_points(hyperspherical_var_names(p), angles)}
     cart = OperatorTag("H_cart", route="laplace_beltrami")
     curv = OperatorTag("H_curv")
 
     def routes(h):
-        return [([operator_expr(cart, pullback_to_reduced(h, p), p)], cart_env),
-                ([operator_expr(curv, pullback_to_hyperspherical(h, p), p)],
-                 curv_env)]
-    return _route_gap(p, lmax, samples, routes)
+        return (operator_expr(cart, pullback_to_reduced(h, p), p),
+                operator_expr(curv, pullback_to_hyperspherical(h, p), p))
+    return _route_gap(p, lmax, samples, routes, env)
 
 
 def suite_angular_momentum(p, lmax, samples, seed):
@@ -522,11 +524,9 @@ def suite_angular_momentum(p, lmax, samples, seed):
     cart = OperatorTag("H_cart", route="laplace_beltrami")
 
     def routes(h):
-        # one evaluation of both routes: they differentiate the same f, so
-        # its memoized derivative subtrees are evaluated once, not twice
         f = pullback_to_reduced(h, p)
-        return [([operator_expr(l2, f, p), operator_expr(cart, f, p)], env)]
-    return _route_gap(p, lmax, samples, routes)
+        return operator_expr(l2, f, p), operator_expr(cart, f, p)
+    return _route_gap(p, lmax, samples, routes, env)
 
 
 def _midpoint_angular_grid(p, res):

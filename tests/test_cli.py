@@ -116,8 +116,18 @@ def test_exit_1_when_tolerance_unreachable(capsys):
     assert "tolerance exceeded" in err
 
 
+def plant_bracket_result(monkeypatch, key, value):
+    """Run the real dirac-brackets suite, then overwrite one result."""
+    suite = cli.suite_dirac_brackets
+
+    def planted(*args):
+        report, worst = suite(*args)
+        return {**report, key: value}, worst
+    monkeypatch.setattr(cli, "suite_dirac_brackets", planted)
+
+
 def test_dirac_brackets_fail_without_exact_antisymmetry(monkeypatch, capsys):
-    monkeypatch.setattr(dynamics, "_antisymmetry_exact", lambda *args: False)
+    plant_bracket_result(monkeypatch, "antisymmetry_exact", False)
     code, out, err = run(["check", "dirac-brackets"], capsys)
     report = json.loads(out)
     assert code == 1 and report["pass"] is False
@@ -129,7 +139,7 @@ def test_dirac_brackets_fail_without_exact_antisymmetry(monkeypatch, capsys):
 def test_dirac_brackets_fail_on_the_jacobi_bound(monkeypatch, capsys):
     # the Jacobi deviation is not in max_deviations, so stderr names it;
     # stdout is the payload of the same failure without the stderr detail
-    monkeypatch.setattr(dynamics, "_jacobi_deviation", lambda *args: 2.5e-9)
+    plant_bracket_result(monkeypatch, "jacobi_max_deviation", 2.5e-9)
     code, out, err = run(["check", "dirac-brackets"], capsys)
     report = json.loads(out)
     assert code == 1 and report["pass"] is False
@@ -160,6 +170,17 @@ def test_exit_2_on_config_errors(capsys):
     assert code == 2 and "suite" in err
     code, _, err = run(["classical", "--dt", "-1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("dt", ["6", "100"])
+def test_exit_2_when_the_duration_is_not_whole_steps(dt, monkeypatch, capsys):
+    # rounding 10 / dt would run to t = 12 at dt = 6 and take no step at 100
+    def solver(*args, **kwargs):
+        raise AssertionError("an integrator step ran on a rejected input")
+    monkeypatch.setattr(dynamics, "_midpoint_step", solver)
+    code, out, err = run(["classical", "--dt", dt], capsys)
+    assert code == 2 and out == ""
+    assert "not a whole number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, needle", [
@@ -489,6 +510,18 @@ def test_exit_2_on_unknown_config_file_key(tmp_path, capsys):
     code, _, err = run(["spectrum", "--config", str(tmp_path / "missing.cfg")],
                        capsys)
     assert code == 2 and "cannot read config file" in err
+
+
+def test_auto_resolves_to_the_suite_defaults(tmp_path, capsys):
+    # "auto" for samples and tolerance, from flags or from a config file,
+    # gives the payload of a run that leaves both keys unset
+    want = run(["check", "dirac-brackets"], capsys)
+    got = run(["check", "dirac-brackets", "--samples", "auto",
+               "--tolerance", "auto"], capsys)
+    cfg = tmp_path / "auto.cfg"
+    cfg.write_text("samples = auto\ntolerance = auto\n")
+    filed = run(["check", "dirac-brackets", "--config", str(cfg)], capsys)
+    assert want[0] == 0 and got == want and filed == want
 
 
 def test_exit_3_on_non_convergence(monkeypatch, capsys):

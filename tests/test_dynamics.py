@@ -15,13 +15,10 @@ from rotorkit import dynamics
 from rotorkit import expressions as ex
 from rotorkit.dynamics import (
     ChartMarginError,
-    Observable,
-    PHASE_CANONICAL,
     PHASE_EMBEDDED,
     PHASE_REDUCED,
     PhaseState,
     StepConvergenceError,
-    bracket_check_report,
     canonical_chart_map,
     canonical_phase_vars,
     conserved_series,
@@ -33,6 +30,7 @@ from rotorkit.dynamics import (
     hamiltonian_value,
     integrate_embedded_oracle,
     integrate_reduced,
+    suite_dirac_brackets,
 )
 from rotorkit.geometry import ChartDomainError, ModelParams
 from sympy_bridge import to_sympy
@@ -212,6 +210,29 @@ def test_oracle_rejects_off_shell_starts():
                                   np.array([0.5, 0, 0]), 1.0, 1e-2, P3)
 
 
+@pytest.mark.parametrize("dt", [6.0, 100.0])
+def test_a_duration_of_part_steps_is_rejected_before_any_step(dt, monkeypatch):
+    # rounding T / dt would run T = 10 to t = 12 at dt = 6 and take no step
+    # at dt = 100; both integrators refuse before their first step
+    def solver(*args):
+        raise AssertionError("an integrator step ran")
+    monkeypatch.setattr(dynamics, "_midpoint_step", solver)
+    x0, v0 = embedded_from_reduced(SLOW, P3)
+    with pytest.raises(ValueError, match="not a whole number"):
+        integrate_reduced(SLOW, 10.0, dt, P3)
+    with pytest.raises(ValueError, match="not a whole number"):
+        integrate_embedded_oracle(x0, v0, 10.0, dt, P3)
+
+
+def test_step_count_accepts_whole_steps_up_to_rounding():
+    assert dynamics._step_count(10.0, 1e-3) == 10_000  # 10 / 1e-3 is inexact
+    assert dynamics._step_count(0.02, 1e-3) == 20
+    assert dynamics._step_count(0.0, 0.5) == 0
+    for T, dt in ((1.0, 0.0), (1.0, -1e-3), (1e300, 1e-310)):  # T / dt = inf
+        with pytest.raises(ValueError):
+            dynamics._step_count(T, dt)
+
+
 def test_chart_round_trip_and_energy_agreement():
     x0, v0 = embedded_from_reduced(SLOW, P3)
     back = reduced_from_embedded(x0, v0, P3)
@@ -254,11 +275,9 @@ def test_fundamental_brackets_match_closed_forms():
     qv, pv = canonical_phase_vars(P3)
     cmap = canonical_chart_map(P3)
     xn, pn = embedded_phase_vars(P3)
-    pt = PhaseState(PHASE_CANONICAL,
-                    q=np.array([rng.uniform(0.4, np.pi - 0.4),
-                                rng.uniform(0.0, 2 * np.pi)]),
-                    p=rng.normal(size=2))
-    env = {qv[0]: pt.q[0], qv[1]: pt.q[1], pv[0]: pt.p[0], pv[1]: pt.p[1]}
+    q = [rng.uniform(0.4, np.pi - 0.4), rng.uniform(0.0, 2 * np.pi)]
+    mom = rng.normal(size=2)
+    env = {qv[0]: q[0], qv[1]: q[1], pv[0]: mom[0], pv[1]: mom[1]}
     xs = np.array([ex.evaluate(cmap[f"x{i + 1}"], env) for i in range(3)])
     ps = np.array([ex.evaluate(cmap[f"p{i + 1}"], env) for i in range(3)])
     for a in range(3):
@@ -267,8 +286,7 @@ def test_fundamental_brackets_match_closed_forms():
                                ("xp", ex.Var(xn[a]), ex.Var(pn[b])),
                                ("pp", ex.Var(pn[a]), ex.Var(pn[b]))):
                 got = ex.evaluate(dirac_bracket_expr(
-                    Observable(A, PHASE_EMBEDDED),
-                    Observable(B, PHASE_EMBEDDED), P3), env)
+                    A.subs(cmap), B.subs(cmap), P3), env)
                 want = fundamental_bracket_reference(kind, xs, ps, P3.R)[a, b]
                 assert abs(got - want) < 1e-12
 
@@ -293,10 +311,24 @@ def test_batched_bracket_reference_equals_per_sample_tables():
 
 
 def test_bracket_families_at_scale():
-    report = bracket_check_report(P3, samples=100, seed=7)
-    assert report["max_deviation"] < 1e-12
+    report, worst = suite_dirac_brackets(P3, 100, 7)
+    assert report["max_deviation"] == worst < 1e-12
     for fam in ("xx", "xp", "pp"):
         assert report["families"][fam]["max_deviation"] < 1e-12
+
+
+def test_bracket_suite_evaluates_once(monkeypatch):
+    # x, p, every family bracket, the antisymmetry pairs and the Jacobi sum
+    # share the chart map's subtrees; one call computes each of them once
+    evaluate = ex.evaluate
+    roots = []
+
+    def counted(exprs, env):
+        roots.append(len(exprs))
+        return evaluate(exprs, env)
+    monkeypatch.setattr(ex, "evaluate", counted)
+    suite_dirac_brackets(P3, 50, 7)
+    assert roots == [2 * 3 + 3 * 3 * 3 + 6 + 1]
 
 
 def test_bracket_report_keeps_nan(monkeypatch):
@@ -310,16 +342,16 @@ def test_bracket_report_keeps_nan(monkeypatch):
         return qs, ps
 
     monkeypatch.setattr(dynamics, "_random_canonical_points", poisoned)
-    report = bracket_check_report(P3, samples=20, seed=7)
+    report, worst = suite_dirac_brackets(P3, 20, 7)
     assert np.isnan(report["families"]["pp"]["max_deviation"])
-    assert np.isnan(report["max_deviation"])
+    assert np.isnan(report["max_deviation"]) and np.isnan(worst)
 
 
 def test_bracket_antisymmetry_is_bitwise():
     xn, pn = embedded_phase_vars(P3)
-    obs = [Observable(ex.Var(xn[0]), PHASE_EMBEDDED),
-           Observable(ex.Var(pn[2]), PHASE_EMBEDDED),
-           Observable(ex.mul(ex.Var(xn[1]), ex.Var(pn[1])), PHASE_EMBEDDED)]
+    cmap = canonical_chart_map(P3)
+    obs = [e.subs(cmap) for e in (ex.Var(xn[0]), ex.Var(pn[2]),
+                                  ex.mul(ex.Var(xn[1]), ex.Var(pn[1])))]
     qs, ps = dynamics._random_canonical_points(P3, 200, seed=1)
     angles, moms = canonical_phase_vars(P3)
     env = {n: qs[:, i] for i, n in enumerate(angles)}
@@ -335,13 +367,12 @@ def test_bracket_antisymmetry_is_bitwise():
 
 def test_jacobi_identity():
     xn, pn = embedded_phase_vars(P3)
-    A = Observable(ex.Var(xn[0]), PHASE_EMBEDDED)
-    B = Observable(ex.Var(pn[1]), PHASE_EMBEDDED)
-    C = Observable(ex.mul(ex.Var(xn[2]), ex.Var(pn[0])), PHASE_EMBEDDED)
+    cmap = canonical_chart_map(P3)
+    A, B, C = (e.subs(cmap) for e in (ex.Var(xn[0]), ex.Var(pn[1]),
+                                      ex.mul(ex.Var(xn[2]), ex.Var(pn[0]))))
 
     def nest(f, g, h):
-        inner = Observable(dirac_bracket_expr(g, h, P3), PHASE_CANONICAL)
-        return dirac_bracket_expr(f, inner, P3)
+        return dirac_bracket_expr(f, dirac_bracket_expr(g, h, P3), P3)
 
     total = ex.add(nest(A, B, C), nest(B, C, A), nest(C, A, B))
     qs, ps = dynamics._random_canonical_points(P3, 50, seed=2)

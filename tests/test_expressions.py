@@ -66,6 +66,16 @@ def test_constant_folding_and_flattening():
     assert m.args[0] == ex.Const(6)
 
 
+@pytest.mark.parametrize("fold, node", [(ex.sin, ex.Sin), (ex.cos, ex.Cos),
+                                        (ex.exp, ex.Exp)])
+def test_transcendental_of_a_constant_folds_to_its_value(fold, node):
+    folded = fold(ex.Const(0.7))
+    assert isinstance(folded, ex.Const)
+    # bit for bit the value the unfolded node evaluates to
+    unfolded = ex.evaluate(node(ex.Const(0.7)), {})
+    assert np.float64(folded.value).tobytes() == np.float64(unfolded).tobytes()
+
+
 def test_structural_equality_is_order_insensitive_for_constants():
     x = ex.Var("x")
     assert ex.mul(2, x) == ex.mul(x, 2)

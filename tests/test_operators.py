@@ -334,7 +334,7 @@ def test_batched_rows_equal_each_harmonic_alone(suite, D, monkeypatch):
                     assert got[r].tobytes() == np.broadcast_to(
                         want, (samples,)).tobytes()
         # the rows are the blocks' harmonics: each block's columns are
-        # bound once (shared by both routes' calls), in block order
+        # bound once, in block order
         bound = {id(next(iter(_coefficients(env).values()))):
                  _coefficients(env) for _, env, _ in calls}
         blocks = [columns for l in range(lmax + 1)
@@ -353,11 +353,11 @@ def test_batched_rows_equal_each_harmonic_alone(suite, D, monkeypatch):
 
 
 def _routes(suite, p, samples, seed, monkeypatch):
-    """The ``routes`` callable the suite hands to ``_route_gap``."""
+    """The ``routes`` callable and the env the suite hands to ``_route_gap``."""
     captured = []
 
-    def capture(p_, lmax_, samples_, routes):
-        captured.append(routes)
+    def capture(p_, lmax_, samples_, routes, env):
+        captured.append((routes, env))
         return {}, 0.0
 
     monkeypatch.setattr(operators, "_route_gap", capture)
@@ -366,9 +366,19 @@ def _routes(suite, p, samples, seed, monkeypatch):
     return captured[0]
 
 
-def _evaluated(calls, bound=None):
-    return [v for exprs, env in calls
-            for v in ex.evaluate(exprs, {**env, **(bound or {})})]
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_one_evaluate_call_per_harmonic_block(suite, monkeypatch):
+    # both routes of a block evaluate in one call over one env
+    evaluate = ex.evaluate
+    roots = []
+
+    def counted(exprs, env):
+        roots.append(len(exprs))
+        return evaluate(exprs, env)
+    monkeypatch.setattr(ex, "evaluate", counted)
+    SUITES[suite](ModelParams(D=3), 9, 100, 7)  # the CLI defaults
+    blocks = sum(len(operators._harmonic_blocks(3, l)) for l in range(10))
+    assert blocks == 20 and roots == [2] * blocks
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -378,16 +388,17 @@ def test_batched_rows_match_harmonic_polynomials(suite, D, monkeypatch):
     # so the rows agree with the constant-coefficient harmonics to rounding
     lmax, samples = SWEEP_LMAX[D], 5
     for p, seed in _sweep(D):
-        routes = _routes(suite, p, samples, seed, monkeypatch)
+        routes, env = _routes(suite, p, samples, seed, monkeypatch)
         scale = p.hbar ** 2 / p.R ** 2
         for l in range(lmax + 1):
             scalar = harmonic_polynomials(D, l)
             for tree, coefficients, harmonics in operators._harmonic_blocks(
                     D, l):
                 batched = [np.broadcast_to(v, (len(harmonics), samples))
-                           for v in _evaluated(routes(tree), coefficients)]
+                           for v in ex.evaluate(routes(tree),
+                                                {**env, **coefficients})]
                 for r, j in enumerate(harmonics):
-                    alone = _evaluated(routes(scalar[j]))
+                    alone = ex.evaluate(routes(scalar[j]), env)
                     for got, want in zip(batched, alone):
                         ref = max(float(np.max(np.abs(got[r]))), scale)
                         assert np.max(np.abs(got[r] - want)) <= 1e-14 * ref
