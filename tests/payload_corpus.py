@@ -11,7 +11,9 @@ scale, where rounding is most likely to move, and three pathintegral runs
 off the defaults: extraction radii that reach both ends of the grid, at
 300 radii and at 2048 (1092 kept rows, several row blocks of the kernel
 build), and the corrected prescription with the arithmetic midpoint as
-CSV.  A CSV payload is kept as its rows, each cell parsed as a float where
+CSV.  Two classical runs join them: one time unit as CSV, which carries
+every state and its energy, and a start that leaves the chart margin
+(exit 4).  A CSV payload is kept as its rows, each cell parsed as a float where
 it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
@@ -48,6 +50,10 @@ _PATHINTEGRAL = [
     ["pathintegral", "--prescription", "corrected", "--midpoint-rule",
      "arithmetic", "--format", "csv"],
 ]
+_CLASSICAL = [
+    ["classical", "--duration", "1", "--format", "csv", "--seed", "0"],
+    ["classical", "--q0", "0.9,0", "--p0", "0,2", "--seed", "0"],
+]
 
 
 def _workloads():
@@ -63,7 +69,8 @@ def commands():
     workloads = _workloads()
     argvs = [argv for name in workloads.WORKLOADS
              for argv in workloads.commands(name, 0)]
-    return argvs + [_EXTREME, _EXTREME + ["--hbar", "1e-30"]] + _PATHINTEGRAL
+    return (argvs + [_EXTREME, _EXTREME + ["--hbar", "1e-30"]] + _PATHINTEGRAL
+            + _CLASSICAL)
 
 
 def fingerprint():
