@@ -8,11 +8,7 @@ same flow on the phase-space shell.
 
 import numpy as np
 
-from rotorkit import dynamics
 from rotorkit.dynamics import (
-    PHASE_EMBEDDED,
-    PHASE_REDUCED,
-    PhaseState,
     conserved_series,
     embedded_from_reduced,
     integrate_embedded_oracle,
@@ -22,25 +18,23 @@ from rotorkit.dynamics import (
 from rotorkit.geometry import ModelParams
 
 p = ModelParams(D=3, R=1.0)
-s0 = PhaseState(chart=PHASE_REDUCED, q=np.array([0.2, 0.0]),
-                p=np.array([0.0, 0.08])).validate(p)
+q0, p0 = np.array([0.2, 0.0]), np.array([0.0, 0.08])  # reduced chart
 
 T, dt = 10.0, 1e-3
-traj = integrate_reduced(s0, T, dt, p)
-x0, v0 = embedded_from_reduced(s0, p)
+traj = integrate_reduced(q0, p0, T, dt, p)
+x0, v0 = embedded_from_reduced(q0, p0, p)
 oracle = integrate_embedded_oracle(x0, v0, T, dt, p)
 
-lift_x, lift_v = embedded_from_reduced(traj, p)  # every state at once
+lift_x, lift_v = embedded_from_reduced(traj.q, traj.p, p)  # every state at once
 
 print(f"integrated {len(traj)} steps over t in [0, {T:g}]")
 print(f"sup |lifted reduced - embedded oracle| = "
       f"{np.max(np.abs(lift_x - oracle.q)):.3e}")
 
 print("\nconservation along both routes (max drift from t=0):")
-for name, q, v in (("lifted reduced ", lift_x, lift_v),
+for name, x, v in (("lifted reduced ", lift_x, lift_v),
                    ("embedded oracle", oracle.q, oracle.p)):
-    series = conserved_series(
-        dynamics.Trajectory(PHASE_EMBEDDED, traj.times, q, v), p)
+    series = conserved_series(x, v, p)
     e = series["energy"]
     L = series["L"]
     print(f"  {name}: energy {np.max(np.abs(e - e[0])):.2e}, "

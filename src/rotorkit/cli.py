@@ -28,7 +28,7 @@ Exit codes:
      and the layer checks it at entry, before its first solve:
      geometry.ModelParams (dim, radius, hbar), spectra.route_spectrum,
      the check suites in operators and dynamics,
-     dynamics.integrate_reduced with PhaseState.validate, and
+     dynamics.integrate_reduced (its start state included), and
      pathintegral.extract_effective_potential with RadialGrid, whose
      size rules, check_extraction_sizes (memory included), also run before
      the probes and radii are sized.  ``main`` maps every ValueError to
@@ -53,12 +53,11 @@ from .operators import (suite_angular_momentum, suite_chart_equivalence,
                         suite_hermiticity)
 from .spectra import (NonConvergenceError, cluster_eigenvalues,
                       reference_eigenvalues, reference_spectrum, route_spectrum)
-from . import dynamics
-from .dynamics import (PHASE_EMBEDDED, PHASE_REDUCED, ChartMarginError,
-                       PhaseState, StepConvergenceError, conserved_series,
-                       constraint_residuals, embedded_from_reduced,
-                       hamiltonian_value, integrate_embedded_oracle,
-                       integrate_reduced, suite_dirac_brackets)
+from .dynamics import (ChartMarginError, StepConvergenceError,
+                       conserved_series, constraint_residuals,
+                       embedded_from_reduced, hamiltonian_value,
+                       integrate_embedded_oracle, integrate_reduced,
+                       suite_dirac_brackets)
 from .pathintegral import (CORRECTED_POLAR, NAIVE_POLAR, RadialGrid,
                            check_extraction_sizes, default_probe_family,
                            extract_effective_potential)
@@ -426,28 +425,26 @@ def _scalar_leaves(obj, path=""):
 
 def run_classical(cfg):
     p = ModelParams(D=cfg["dim"], R=cfg["radius"])
-    s0 = PhaseState(chart=PHASE_REDUCED, q=np.array(cfg["q0"]),
-                    p=np.array(cfg["p0"]))
+    q0, p0 = np.array(cfg["q0"]), np.array(cfg["p0"])
     T, dt = cfg["duration"], cfg["dt"]
     try:
-        traj = integrate_reduced(s0, T, dt, p, margin=cfg["margin"])
+        traj = integrate_reduced(q0, p0, T, dt, p, margin=cfg["margin"])
     except ChartMarginError as err:
         results = {"chart_margin_exit_time": float(err.time),
                    "margin": cfg["margin"]}
         return (4, _report("classical", cfg, results,
                            {"deviation": None}, False), None)
 
-    x0, v0 = embedded_from_reduced(s0, p)
+    x0, v0 = embedded_from_reduced(q0, p0, p)
     oracle = integrate_embedded_oracle(x0, v0, T, dt, p)
 
-    lift_x, lift_v = embedded_from_reduced(traj, p)
+    lift_x, lift_v = embedded_from_reduced(traj.q, traj.p, p)
     sup = float(np.max(np.abs(lift_x - oracle.q)))
 
     drift = {}
-    for name, tr_q, tr_v in (("reduced_lifted", lift_x, lift_v),
-                             ("embedded_oracle", oracle.q, oracle.p)):
-        series = conserved_series(
-            dynamics.Trajectory(PHASE_EMBEDDED, traj.times, tr_q, tr_v), p)
+    for name, x, v in (("reduced_lifted", lift_x, lift_v),
+                       ("embedded_oracle", oracle.q, oracle.p)):
+        series = conserved_series(x, v, p)
         e = series["energy"]
         drift_e = float(np.max(np.abs(e - e[0])))
         L = series["L"]
@@ -477,7 +474,8 @@ def run_classical(cfg):
     return ((0 if passed else 1),
             _report("classical", cfg, results, max_dev, passed),
             lambda: csv_text(header, np.column_stack([
-                traj.times, traj.q, traj.p, hamiltonian_value(traj, p),
+                traj.times, traj.q, traj.p,
+                hamiltonian_value(traj.q, traj.p, p),
                 *constraint_residuals(lift_x, lift_v, p)]).tolist()))
 
 

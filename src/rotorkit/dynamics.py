@@ -2,19 +2,24 @@
 
 Two independent integrations of the same physics:
 
-* ``integrate_reduced`` evolves the unconstrained chart system
-  (q, p) with H = p_i g^{ij}(q) p_j / 2, where the position-dependent
-  inverse mass matrix makes the Hamiltonian non-separable; implicit
-  midpoint keeps it symplectic.
-* ``integrate_embedded_oracle`` evolves the ambient system with the
-  multiplier eliminated analytically: x'' = -(|x'|^2/R^2) x.  The
-  elimination follows from differentiating the tangency condition,
+* ``integrate_reduced(q0, p0, ...)`` evolves the unconstrained chart
+  system (q, p) with H = p_i g^{ij}(q) p_j / 2, where the
+  position-dependent inverse mass matrix makes the Hamiltonian
+  non-separable; implicit midpoint keeps it symplectic.
+* ``integrate_embedded_oracle(x0, v0, ...)`` evolves the ambient system
+  with the multiplier eliminated analytically: x'' = -(|x'|^2/R^2) x.
+  The elimination follows from differentiating the tangency condition,
   x.x'' + |x'|^2 = 0, which pins lambda = |x'|^2/(2 R^2) in
   x'' = -2 lambda x; the tests re-verify that identity numerically
   instead of trusting the algebra.
 
-Matched initial data must produce the same curve; the acceptance suite
-compares the lifted reduced trajectory against the ambient one in sup norm.
+States are plain arrays, and the function names the chart:
+``hamiltonian_value`` and ``embedded_from_reduced`` take reduced
+(q, mom), one state or one per row, and ``conserved_series`` takes
+ambient (x, v) rows.  Both integrators return a ``Trajectory`` of rows
+at ``times``, starting at t = 0.  Matched initial data must produce the
+same curve; the acceptance suite compares the lifted reduced trajectory
+against the ambient one in sup norm.
 
 Bracket verification goes through the canonical chart route: the ambient
 variables are expressed in spherical canonical pairs with the radial pair
@@ -42,7 +47,6 @@ of random shell points, in one ``evaluate`` call.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +56,7 @@ from .geometry import (MEMORY_BUDGET, ChartDomainError,
                        inverse_metric, lift)
 
 __all__ = [
-    "PHASE_REDUCED", "PHASE_EMBEDDED", "PhaseState", "Trajectory",
-    "ChartMarginError", "StepConvergenceError",
+    "Trajectory", "ChartMarginError", "StepConvergenceError",
     "hamiltonian_value", "integrate_reduced", "integrate_embedded_oracle",
     "embedded_from_reduced", "constraint_residuals",
     "angular_momentum_pairs", "conserved_series",
@@ -61,9 +64,6 @@ __all__ = [
     "poisson_bracket_expr", "dirac_bracket_expr",
     "fundamental_bracket_reference", "suite_dirac_brackets",
 ]
-
-PHASE_REDUCED = "reduced"
-PHASE_EMBEDDED = "embedded"
 
 
 class ChartMarginError(RuntimeError):
@@ -80,67 +80,23 @@ class StepConvergenceError(RuntimeError):
     """Implicit midpoint fixed-point iteration stalled; reduce dt."""
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Phase-space point in a named chart (unit mass throughout)."""
-
-    chart: str
-    q: np.ndarray
-    p: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if self.q.shape != self.p.shape:
-            raise ValueError("q and p must have matching shapes")
-
-    def validate(self, p):
-        dim = {PHASE_REDUCED: p.D - 1, PHASE_EMBEDDED: p.D}.get(self.chart)
-        if dim is None:
-            raise ValueError(f"unknown phase chart '{self.chart}'")
-        if self.q.shape != (dim,):
-            raise ChartDomainError(f"chart '{self.chart}' expects {dim} coordinates")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
-            raise ValueError("phase state q and p must be finite")
-        if self.chart == PHASE_REDUCED and np.dot(self.q, self.q) >= p.R ** 2:
-            raise ChartDomainError("reduced position outside the chart ball")
-        return self
-
-
 class Trajectory:
-    """Time series of phase states as arrays; ``traj[i]`` is a PhaseState."""
+    """Phase-space rows ``q[i]`` and ``p[i]`` at ``times[i]`` (unit mass)."""
 
-    def __init__(self, chart, times, q, p):
-        self.chart = chart
-        self.times = np.asarray(times, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.p = np.asarray(p, dtype=float)
+    def __init__(self, times, q, p):
+        self.times = times
+        self.q = q
+        self.p = p
 
     def __len__(self):
         return len(self.times)
 
-    def __getitem__(self, i):
-        return PhaseState(chart=self.chart, q=self.q[i], p=self.p[i],
-                          t=float(self.times[i]))
 
-
-def _reduced_arrays(s, p, caller):
-    """(q, p) of a reduced PhaseState (validated) or Trajectory (only the
-    chart; lift and inverse_metric check shape and ball)."""
-    if not isinstance(s, Trajectory):
-        s.validate(p)
-    if s.chart != PHASE_REDUCED:
-        raise ChartDomainError(f"{caller} expects the reduced chart")
-    return s.q, s.p
-
-
-def hamiltonian_value(s, p):
-    """Reduced-chart energy H = p_i g^{ij}(q) p_j / 2 (per state of a Trajectory)."""
-    q, mom = _reduced_arrays(s, p, "hamiltonian_value")
+def hamiltonian_value(q, mom, p):
+    """Reduced-chart energy H = p_i g^{ij}(q) p_j / 2, one value per row
+    (0-d for one state)."""
     G = inverse_metric(q, p)
-    H = 0.5 * ((mom[..., None, :] @ G) @ mom[..., :, None])[..., 0, 0]
-    return H if isinstance(s, Trajectory) else float(H)
+    return 0.5 * ((mom[..., None, :] @ G) @ mom[..., :, None])[..., 0, 0]
 
 
 def _dot(a, b):
@@ -209,20 +165,28 @@ def _step_count(T, dt):
     return steps
 
 
-def integrate_reduced(s0, T, dt, p, margin=0.05):
-    """Implicit-midpoint evolution of the reduced chart system.
+def integrate_reduced(q0, p0, T, dt, p, margin=0.05):
+    """Implicit-midpoint evolution of the reduced chart system from (q0, p0).
 
     Raises ChartMarginError (with the exit time) the moment the position
     radius exceeds (1 - margin) R; the chart itself only fails at |q| = R,
     but the metric conditioning degrades as 1/(R^2 - |q|^2), so the margin
     error tells the caller to re-chart well before that.  Every input rule
-    is checked before the first step: margin in [0, 1), the step count
-    (``_step_count``) and the position and momentum arrays within
+    is checked before the first step: q0 and p0 of one shape, D-1 finite
+    coordinates each, q0 inside the chart ball, margin in [0, 1), the step
+    count (``_step_count``) and the position and momentum arrays within
     MEMORY_BUDGET.
     """
-    s0 = s0.validate(p)
-    if s0.chart != PHASE_REDUCED:
-        raise ChartDomainError("integrate_reduced expects the reduced chart")
+    q0 = np.asarray(q0, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    if q0.shape != p0.shape:
+        raise ValueError("q and p must have matching shapes")
+    if q0.shape != (p.D - 1,):
+        raise ChartDomainError(f"chart 'reduced' expects {p.D - 1} coordinates")
+    if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(p0))):
+        raise ValueError("phase state q and p must be finite")
+    if np.dot(q0, q0) >= p.R ** 2:
+        raise ChartDomainError("reduced position outside the chart ball")
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must lie in [0, 1), got {margin}")
     nsteps = _step_count(T, dt)
@@ -232,7 +196,7 @@ def integrate_reduced(s0, T, dt, p, margin=0.05):
         raise ValueError(f"{nsteps:.3g} steps need {nbytes:.3g} bytes of "
                          f"trajectory, over the {MEMORY_BUDGET} byte budget")
     limit = (1.0 - margin) * p.R
-    z = s0.q.tolist() + s0.p.tolist()
+    z = q0.tolist() + p0.tolist()
     qs = np.empty((nsteps + 1, n))
     ps = np.empty((nsteps + 1, n))
     qs[0], ps[0] = z[:n], z[n:]
@@ -244,8 +208,7 @@ def integrate_reduced(s0, T, dt, p, margin=0.05):
             if r > limit:
                 raise ChartMarginError(time=i * dt, radius=r, limit=limit)
             qs[i], ps[i] = z[:n], z[n:]
-    times = s0.t + dt * np.arange(nsteps + 1)
-    return Trajectory(PHASE_REDUCED, times, qs, ps)
+    return Trajectory(dt * np.arange(nsteps + 1), qs, ps)
 
 
 def integrate_embedded_oracle(x0, v0, T, dt, p):
@@ -285,16 +248,14 @@ def integrate_embedded_oracle(x0, v0, T, dt, p):
             v = [b - a * c for a, b in zip(x, v)]
             z = x + v
             xs[i], vs[i] = x, v
-    times = dt * np.arange(nsteps + 1)
-    return Trajectory(PHASE_EMBEDDED, times, xs, vs)
+    return Trajectory(dt * np.arange(nsteps + 1), xs, vs)
 
 
-def embedded_from_reduced(s, p):
-    """Lift a reduced PhaseState, or each state of a Trajectory, to (x, v = xdot).
+def embedded_from_reduced(q, mom, p):
+    """Lift reduced states (q, mom), one or one per row, to (x, v = xdot).
 
-    Stacked ``@`` keeps every state bitwise equal to its single-state lift.
+    Stacked ``@`` keeps every row bitwise equal to its single-state lift.
     """
-    q, mom = _reduced_arrays(s, p, "embedded_from_reduced")
     x = lift(q, p)
     qdot = (inverse_metric(q, p) @ mom[..., None])[..., 0]
     vD = -(q[..., None, :] @ qdot[..., :, None])[..., 0, 0] / x[..., -1]
@@ -313,11 +274,8 @@ def angular_momentum_pairs(D):
     return [(a, b) for a in range(D) for b in range(a + 1, D)]
 
 
-def conserved_series(traj, p):
-    """Energy and all L_ab = x_a v_b - x_b v_a along an ambient trajectory."""
-    if traj.chart != PHASE_EMBEDDED:
-        raise ChartDomainError("conserved_series expects an embedded trajectory")
-    x, v = traj.q, traj.p
+def conserved_series(x, v, p):
+    """Energy and all L_ab = x_a v_b - x_b v_a along ambient rows (x, v)."""
     energy = 0.5 * np.sum(v * v, axis=-1)
     pairs = angular_momentum_pairs(p.D)
     L = np.stack([x[:, a] * v[:, b] - x[:, b] * v[:, a] for a, b in pairs], axis=1)
@@ -399,24 +357,21 @@ def dirac_bracket_expr(f, g, p):
     return poisson_bracket_expr(f, g, list(zip(angles, moms)))
 
 
-def fundamental_bracket_reference(kind, x, pvec, R):
-    """Closed-form constrained brackets on the shell, as a (D, D, ...) table.
+def fundamental_bracket_reference(x, pvec, R):
+    """Closed-form constrained brackets on the shell, as (D, D, ...) tables.
 
-    kind: 'xx' -> zeros; 'xp' -> delta_ab - x_a x_b / R^2;
-    'pp' -> -(x_a p_b - x_b p_a) / R^2.  x and pvec have shape (D,) or
-    (D, samples); the table carries the same trailing axis.
+    Returns {'xx': zeros, 'xp': delta_ab - x_a x_b / R^2,
+    'pp': -(x_a p_b - x_b p_a) / R^2}.  x and pvec have shape (D,) or
+    (D, samples); each table carries the same trailing axis.
     """
     x = np.asarray(x, dtype=float)
     pvec = np.asarray(pvec, dtype=float)
     D = x.shape[0]
-    if kind == "xx":
-        return np.zeros((D,) + x.shape)
-    if kind == "xp":
-        delta = np.eye(D).reshape((D, D) + (1,) * (x.ndim - 1))
-        return delta - x[:, None] * x[None, :] / R ** 2
-    if kind == "pp":
-        return -(x[:, None] * pvec[None, :] - pvec[:, None] * x[None, :]) / R ** 2
-    raise ValueError(f"unknown bracket family '{kind}'")
+    delta = np.eye(D).reshape((D, D) + (1,) * (x.ndim - 1))
+    return {"xx": np.zeros((D,) + x.shape),
+            "xp": delta - x[:, None] * x[None, :] / R ** 2,
+            "pp": -(x[:, None] * pvec[None, :]
+                    - pvec[:, None] * x[None, :]) / R ** 2}
 
 
 def _random_canonical_points(p, samples, seed):
@@ -472,10 +427,10 @@ def suite_dirac_brackets(p, samples, seed):
     got = np.reshape(values[2 * D:-7], (3, D, D, samples))
     report = {"chart": "curvilinear_canonical", "samples": samples,
               "seed": seed, "families": {}}
+    reference = fundamental_bracket_reference(xval, pval, p.R)
     worst = 0.0
     for kind, table in zip(families, got):
-        want = fundamental_bracket_reference(kind, xval, pval, p.R)
-        dev = float(np.max(np.abs(table - want)))
+        dev = float(np.max(np.abs(table - reference[kind])))
         report["families"][kind] = {"pair": kind, "samples": samples,
                                     "max_deviation": dev}
         worst = float(np.maximum(worst, dev))  # NaN-aware, unlike max()

@@ -271,8 +271,6 @@ class SpectrumResult:
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
         scale = self.meta.get("scale", 1.0)
-        if np.any(np.diff(ev) < -1e-12 * max(1.0, scale)):
-            raise AssertionError("eigenvalues must be ascending")
         if np.any(ev < -1e-8 * max(1.0, scale)):
             raise AssertionError("operator should be positive semidefinite")
         self.eigenvalues = ev

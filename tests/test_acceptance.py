@@ -16,11 +16,8 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES
 
-from rotorkit import cli, dynamics
+from rotorkit import cli
 from rotorkit.dynamics import (
-    PHASE_EMBEDDED,
-    PHASE_REDUCED,
-    PhaseState,
     conserved_series,
     embedded_from_reduced,
     integrate_embedded_oracle,
@@ -180,22 +177,17 @@ def test_criterion_5_hermiticity():
 def test_criterion_6_classical_equivalence():
     # reduced-chart integration lifted to the embedding vs a projected
     # geodesic oracle; both conserve energy and every angular momentum
-    s0 = PhaseState(chart=PHASE_REDUCED, q=np.array([0.2, 0.0]),
-                    p=np.array([0.0, 0.08])).validate(P0)
+    q0, p0 = np.array([0.2, 0.0]), np.array([0.0, 0.08])
     T, step = 10.0, 1e-3
     t0 = perf_counter()
-    traj = integrate_reduced(s0, T, step, P0)
-    x0, v0 = embedded_from_reduced(s0, P0)
+    traj = integrate_reduced(q0, p0, T, step, P0)
+    x0, v0 = embedded_from_reduced(q0, p0, P0)
     oracle = integrate_embedded_oracle(x0, v0, T, step, P0)
-    lift_x = np.empty((len(traj), P0.D))
-    lift_v = np.empty((len(traj), P0.D))
-    for i, s in enumerate(traj):
-        lift_x[i], lift_v[i] = embedded_from_reduced(s, P0)
+    lift_x, lift_v = embedded_from_reduced(traj.q, traj.p, P0)
     sup = float(np.max(np.abs(lift_x - oracle.q)))
     drift = 0.0
-    for q, v in ((lift_x, lift_v), (oracle.q, oracle.p)):
-        series = conserved_series(
-            dynamics.Trajectory(PHASE_EMBEDDED, traj.times, q, v), P0)
+    for x, v in ((lift_x, lift_v), (oracle.q, oracle.p)):
+        series = conserved_series(x, v, P0)
         drift = max(drift,
                     float(np.max(np.abs(series["energy"]
                                         - series["energy"][0]))),

@@ -172,6 +172,15 @@ def test_exit_2_on_config_errors(capsys):
     assert code == 2
 
 
+def test_exit_2_on_a_dim_that_is_not_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "dim.cfg"
+    cfg.write_text("dim = x\n")
+    for argv in (["spectrum", "--dim", "x"], ["spectrum", "--config", str(cfg)]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert "key 'dim' expects int, got 'x'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("dt", ["6", "100"])
 def test_exit_2_when_the_duration_is_not_whole_steps(dt, monkeypatch, capsys):
     # rounding 10 / dt would run to t = 12 at dt = 6 and take no step at 100
@@ -319,6 +328,29 @@ def test_exit_2_on_unwritable_out(target, needle, tmp_path, monkeypatch,
                          capsys)
     assert code == 2 and needle in err
     assert out == "" and "Traceback" not in err
+
+
+def test_exit_2_on_an_existing_out_file_that_is_not_writable(
+        tmp_path, monkeypatch, capsys):
+    # file modes deny root no write, so the refusal is planted in os.access
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran on a rejected input")
+    monkeypatch.setattr(operators, "harmonic_polynomials", solver)
+    monkeypatch.setattr(expressions, "evaluate", solver)
+    target = tmp_path / "report.json"
+    target.write_text("kept\n")
+    asked = []
+
+    def access(path, mode):
+        asked.append((path, mode))
+        return False
+    monkeypatch.setattr(cli.os, "access", access)
+    code, out, err = run(["check", "chart-equivalence", "--lmax", "1",
+                          "--samples", "3", "--out", str(target)], capsys)
+    assert code == 2 and "is not writable" in err
+    assert out == "" and "Traceback" not in err
+    assert asked == [(str(target), cli.os.W_OK)]
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("flags, needle", [
@@ -603,12 +635,11 @@ def test_classical_csv_rows_carry_the_reduced_energy(capsys):
                        "constraint_radial", "constraint_tangent"]
     table = np.array(rows[1:], dtype=float)
     p = ModelParams(D=3, R=1.0)
-    traj = dynamics.integrate_reduced(
-        dynamics.PhaseState(chart=dynamics.PHASE_REDUCED,
-                            q=np.array([0.2, 0.0]), p=np.array([0.0, 0.08])),
-        0.02, 1e-3, p)
+    traj = dynamics.integrate_reduced(np.array([0.2, 0.0]),
+                                      np.array([0.0, 0.08]), 0.02, 1e-3, p)
     assert table.shape == (len(traj), 8)
-    assert np.array_equal(table[:, 5], dynamics.hamiltonian_value(traj, p))
+    assert np.array_equal(table[:, 5],
+                          dynamics.hamiltonian_value(traj.q, traj.p, p))
     assert np.max(np.abs(table[:, 6:])) < 1e-13
 
 

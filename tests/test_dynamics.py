@@ -15,9 +15,6 @@ from rotorkit import dynamics
 from rotorkit import expressions as ex
 from rotorkit.dynamics import (
     ChartMarginError,
-    PHASE_EMBEDDED,
-    PHASE_REDUCED,
-    PhaseState,
     StepConvergenceError,
     canonical_chart_map,
     canonical_phase_vars,
@@ -36,14 +33,14 @@ from rotorkit.geometry import ChartDomainError, ModelParams
 from sympy_bridge import to_sympy
 
 P3 = ModelParams(D=3, R=1.0, hbar=1.0)
-SLOW = PhaseState(PHASE_REDUCED, q=np.array([0.2, 0.0]), p=np.array([0.0, 0.08]))
+SLOW = (np.array([0.2, 0.0]), np.array([0.0, 0.08]))  # reduced (q0, p0)
 
 
 def reduced_from_embedded(x, v, p):
     """Oracle: project an ambient tangent state off the chart equator to the
     reduced chart, q = x[:-1] and p = g qdot = v[:-1] - q v_D / x_D."""
     q = x[:-1]
-    return PhaseState(PHASE_REDUCED, q=q, p=v[:-1] - q * (v[-1] / x[-1]))
+    return q, v[:-1] - q * (v[-1] / x[-1])
 
 
 def omega2_pullback_expr(p):
@@ -56,32 +53,29 @@ def omega2_pullback_expr(p):
 
 
 def test_reduced_route_matches_embedded_oracle():
-    traj = integrate_reduced(SLOW, 5.0, 1e-3, P3)
-    x0, v0 = embedded_from_reduced(SLOW, P3)
+    traj = integrate_reduced(*SLOW, 5.0, 1e-3, P3)
+    x0, v0 = embedded_from_reduced(*SLOW, P3)
     oracle = integrate_embedded_oracle(x0, v0, 5.0, 1e-3, P3)
-    lifted = np.array([embedded_from_reduced(s, P3)[0] for s in traj])
+    lifted = np.array([embedded_from_reduced(q, m, P3)[0]
+                       for q, m in zip(traj.q, traj.p)])
     assert np.max(np.abs(lifted - oracle.q)) < 1e-7
 
 
 def test_oracle_pins_constraints_and_invariants():
-    x0, v0 = embedded_from_reduced(SLOW, P3)
+    x0, v0 = embedded_from_reduced(*SLOW, P3)
     oracle = integrate_embedded_oracle(x0, v0, 5.0, 1e-3, P3)
     c_rad, c_tan = constraint_residuals(oracle.q, oracle.p, P3)
     assert np.max(np.abs(c_rad)) < 1e-13
     assert np.max(np.abs(c_tan)) < 1e-13
-    cs = conserved_series(oracle, P3)
+    cs = conserved_series(oracle.q, oracle.p, P3)
     assert np.max(np.abs(cs["energy"] - cs["energy"][0])) < 1e-12
     assert np.max(np.abs(cs["L"] - cs["L"][0:1, :])) < 1e-12
     assert cs["pairs"] == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_reduced_route_conserves_energy_and_angular_momentum():
-    traj = integrate_reduced(SLOW, 5.0, 1e-3, P3)
-    states = [embedded_from_reduced(s, P3) for s in traj]
-    lifted = dynamics.Trajectory(PHASE_EMBEDDED, traj.times,
-                                 np.array([x for x, _ in states]),
-                                 np.array([v for _, v in states]))
-    cs = conserved_series(lifted, P3)
+    traj = integrate_reduced(*SLOW, 5.0, 1e-3, P3)
+    cs = conserved_series(*embedded_from_reduced(traj.q, traj.p, P3), P3)
     assert np.max(np.abs(cs["energy"] - cs["energy"][0])) < 1e-8
     assert np.max(np.abs(cs["L"] - cs["L"][0:1, :])) < 1e-8
 
@@ -92,34 +86,33 @@ def test_batched_lift_and_energy_equal_the_per_state_loop(D):
     rng = np.random.default_rng(D)
     q = rng.uniform(-0.5, 0.5, (200, D - 1))
     mom = rng.standard_normal((200, D - 1))
-    traj = dynamics.Trajectory(PHASE_REDUCED, np.arange(200) * 0.01, q, mom)
-    x, v = embedded_from_reduced(traj, p)
-    H = hamiltonian_value(traj, p)
+    x, v = embedded_from_reduced(q, mom, p)
+    H = hamiltonian_value(q, mom, p)
     # the per-state loop is the reference; the batch must match it bitwise
-    ref_x = np.empty((len(traj), D))
-    ref_v = np.empty((len(traj), D))
-    ref_H = np.empty(len(traj))
-    for i in range(len(traj)):
-        ref_x[i], ref_v[i] = embedded_from_reduced(traj[i], p)
-        ref_H[i] = hamiltonian_value(traj[i], p)
+    ref_x = np.empty((len(q), D))
+    ref_v = np.empty((len(q), D))
+    ref_H = np.empty(len(q))
+    for i in range(len(q)):
+        ref_x[i], ref_v[i] = embedded_from_reduced(q[i], mom[i], p)
+        ref_H[i] = hamiltonian_value(q[i], mom[i], p)
     assert np.array_equal(x, ref_x)
     assert np.array_equal(v, ref_v)
     assert np.array_equal(H, ref_H)
 
 
 def test_batched_lift_rejects_other_charts():
-    emb = dynamics.Trajectory(PHASE_EMBEDDED, [0.0], [[0.0, 0.0, 1.0]],
-                              [[0.1, 0.0, 0.0]])
+    # ambient rows (x, v) carry D components where the reduced chart has D-1
+    x, v = np.array([[0.0, 0.0, 1.0]]), np.array([[0.1, 0.0, 0.0]])
     with pytest.raises(ChartDomainError):
-        embedded_from_reduced(emb, P3)
+        embedded_from_reduced(x, v, P3)
     with pytest.raises(ChartDomainError):
-        hamiltonian_value(emb, P3)
+        hamiltonian_value(x, v, P3)
 
 
 def test_multiplier_elimination_identity_along_oracle():
     # eliminating the Lagrange multiplier uses x . xdd = -|xd|^2; check it
     # on the integrated flow with a central-difference second derivative
-    x0, v0 = embedded_from_reduced(SLOW, P3)
+    x0, v0 = embedded_from_reduced(*SLOW, P3)
     oracle = integrate_embedded_oracle(x0, v0, 2.0, 1e-3, P3)
     dt = 1e-3
     x, v = oracle.q, oracle.p
@@ -133,18 +126,18 @@ def test_multiplier_elimination_identity_along_oracle():
 def test_chart_margin_error_carries_exit_time():
     # every geodesic crosses the chart equator eventually; a faster start
     # reaches the margin inside the window
-    fast = PhaseState(PHASE_REDUCED, q=np.array([0.2, 0.0]), p=np.array([0.0, 0.3]))
     with pytest.raises(ChartMarginError) as err:
-        integrate_reduced(fast, 10.0, 1e-3, P3)
+        integrate_reduced(np.array([0.2, 0.0]), np.array([0.0, 0.3]), 10.0,
+                          1e-3, P3)
     assert abs(err.value.time - 4.155) < 1e-6
     assert "margin limit" in str(err.value)
 
 
 def test_step_convergence_error_on_absurd_step():
-    bad = PhaseState(PHASE_REDUCED, q=np.array([0.9, 0.0]), p=np.array([0.0, 2.0]))
     with np.errstate(all="ignore"):  # the diverging iteration overflows first
         with pytest.raises(StepConvergenceError):
-            integrate_reduced(bad, 10.0, 5.0, P3, margin=0.0)
+            integrate_reduced(np.array([0.9, 0.0]), np.array([0.0, 2.0]), 10.0,
+                              5.0, P3, margin=0.0)
 
 
 @pytest.mark.parametrize("where", [0, 1, 3])
@@ -192,17 +185,24 @@ def _check_float_step_against_arrays(p, rng):
         assert np.array(got).tobytes() == znew.tobytes()
 
 
-def test_phase_state_validation():
-    with pytest.raises(ChartDomainError):
-        PhaseState(PHASE_REDUCED, q=np.array([1.2, 0.0]),
-                   p=np.zeros(2)).validate(P3)
-    with pytest.raises(ChartDomainError):
-        PhaseState(PHASE_REDUCED, q=np.zeros(3), p=np.zeros(3)).validate(P3)
-    with pytest.raises(ValueError):
-        PhaseState(PHASE_REDUCED, q=np.zeros(2), p=np.zeros(3))
+def test_phase_state_validation(monkeypatch):
+    # integrate_reduced checks its start before the first step
+    def solver(*args):
+        raise AssertionError("an integrator step ran")
+    monkeypatch.setattr(dynamics, "_midpoint_step", solver)
+    with pytest.raises(ChartDomainError, match="outside the chart ball"):
+        integrate_reduced(np.array([1.2, 0.0]), np.zeros(2), 1.0, 1e-3, P3)
+    with pytest.raises(ChartDomainError, match="expects 2 coordinates"):
+        integrate_reduced(np.zeros(3), np.zeros(3), 1.0, 1e-3, P3)
+    with pytest.raises(ValueError, match="matching shapes"):
+        integrate_reduced(np.zeros(2), np.zeros(3), 1.0, 1e-3, P3)
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_reduced(np.zeros(2), np.array([0.0, np.nan]), 1.0, 1e-3, P3)
 
 
 def test_oracle_rejects_off_shell_starts():
+    with pytest.raises(ChartDomainError, match="need 3 components"):
+        integrate_embedded_oracle(np.array([0.0, 1.0]), np.zeros(2), 1.0, 1e-2, P3)
     with pytest.raises(ChartDomainError):
         integrate_embedded_oracle(np.array([1.1, 0, 0]), np.zeros(3), 1.0, 1e-2, P3)
     with pytest.raises(ChartDomainError):
@@ -217,9 +217,9 @@ def test_a_duration_of_part_steps_is_rejected_before_any_step(dt, monkeypatch):
     def solver(*args):
         raise AssertionError("an integrator step ran")
     monkeypatch.setattr(dynamics, "_midpoint_step", solver)
-    x0, v0 = embedded_from_reduced(SLOW, P3)
+    x0, v0 = embedded_from_reduced(*SLOW, P3)
     with pytest.raises(ValueError, match="not a whole number"):
-        integrate_reduced(SLOW, 10.0, dt, P3)
+        integrate_reduced(*SLOW, 10.0, dt, P3)
     with pytest.raises(ValueError, match="not a whole number"):
         integrate_embedded_oracle(x0, v0, 10.0, dt, P3)
 
@@ -234,11 +234,11 @@ def test_step_count_accepts_whole_steps_up_to_rounding():
 
 
 def test_chart_round_trip_and_energy_agreement():
-    x0, v0 = embedded_from_reduced(SLOW, P3)
-    back = reduced_from_embedded(x0, v0, P3)
-    assert np.max(np.abs(back.q - SLOW.q)) < 1e-14
-    assert np.max(np.abs(back.p - SLOW.p)) < 1e-14
-    assert abs(hamiltonian_value(back, P3) - 0.5 * float(v0 @ v0)) < 1e-14
+    x0, v0 = embedded_from_reduced(*SLOW, P3)
+    q, mom = reduced_from_embedded(x0, v0, P3)
+    assert np.max(np.abs(q - SLOW[0])) < 1e-14
+    assert np.max(np.abs(mom - SLOW[1])) < 1e-14
+    assert abs(hamiltonian_value(q, mom, P3) - 0.5 * float(v0 @ v0)) < 1e-14
 
 
 def test_canonical_chart_lands_on_constraint_shell():
@@ -287,7 +287,7 @@ def test_fundamental_brackets_match_closed_forms():
                                ("pp", ex.Var(pn[a]), ex.Var(pn[b]))):
                 got = ex.evaluate(dirac_bracket_expr(
                     A.subs(cmap), B.subs(cmap), P3), env)
-                want = fundamental_bracket_reference(kind, xs, ps, P3.R)[a, b]
+                want = fundamental_bracket_reference(xs, ps, P3.R)[kind][a, b]
                 assert abs(got - want) < 1e-12
 
 
@@ -300,14 +300,15 @@ def test_batched_bracket_reference_equals_per_sample_tables():
         "xp": lambda x, p: np.eye(3) - np.outer(x, x) / 1.7 ** 2,
         "pp": lambda x, p: -(np.outer(x, p) - np.outer(p, x)) / 1.7 ** 2,
     }
-    for kind, closed_form in per_sample.items():
-        table = fundamental_bracket_reference(kind, xs, ps, 1.7)
-        assert table.shape == (3, 3, 40)
-        for j in range(40):
+    tables = fundamental_bracket_reference(xs, ps, 1.7)
+    assert sorted(tables) == sorted(per_sample)
+    for j in range(40):
+        single = fundamental_bracket_reference(xs[:, j], ps[:, j], 1.7)
+        for kind, closed_form in per_sample.items():
+            assert tables[kind].shape == (3, 3, 40)
             want = closed_form(xs[:, j], ps[:, j])
-            assert np.array_equal(table[:, :, j], want)
-            assert np.array_equal(
-                fundamental_bracket_reference(kind, xs[:, j], ps[:, j], 1.7), want)
+            assert np.array_equal(tables[kind][:, :, j], want)
+            assert np.array_equal(single[kind], want)
 
 
 def test_bracket_families_at_scale():

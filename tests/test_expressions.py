@@ -136,6 +136,13 @@ def test_power_rejects_bad_exponents():
     assert ex.power(x, np.float64(0.5)) == ex.sqrt(x)
 
 
+def test_a_non_number_operand_and_an_unbound_variable_are_refused():
+    with pytest.raises(TypeError, match="cannot use str in an expression"):
+        ex.add("x")
+    with pytest.raises(KeyError, match="no value bound for variable 'y'"):
+        ex.evaluate(ex.Var("y"), {})
+
+
 def test_every_node_type_is_immutable():
     x, y = ex.Var("x"), ex.Var("y")
     nodes = [ex.Const(2.0), x, ex.Add((x, y)), ex.Mul((x, y)),

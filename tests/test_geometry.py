@@ -129,6 +129,13 @@ def test_chart_domain_guard():
         metric(np.array([0.8, 0.7]), p)  # |x| > R
     with pytest.raises(ChartDomainError):
         lift(np.array([1.0, 0.0]), p)  # |x| = R exactly is outside the open chart
+    # a wrong coordinate count
+    with pytest.raises(ChartDomainError, match="expected 2 reduced coordinates, got 3"):
+        inverse_metric(np.zeros(3), p)
+    with pytest.raises(ChartDomainError, match="expected 2 angles, got 3"):
+        from_hyperspherical(1.0, np.zeros(3), p)
+    with pytest.raises(ChartDomainError, match="expected 3 embedded coordinates"):
+        to_hyperspherical(np.zeros(2), p)
 
 
 def test_pole_singularity_guard():
@@ -137,6 +144,8 @@ def test_pole_singularity_guard():
     with pytest.raises(PoleSingularityError) as err:
         to_hyperspherical(np.array([0.0, 0.0, 1.0]), p)
     assert err.value.angle_index == 2
+    with pytest.raises(PoleSingularityError, match="origin has no angular coordinates"):
+        to_hyperspherical(np.zeros(3), p)
 
 
 def test_model_params_validation():

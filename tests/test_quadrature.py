@@ -51,6 +51,11 @@ def test_azimuth_trig_orthogonality():
         assert abs(float(w @ np.cos(m * phi) ** 2) - math.pi) < 1e-12
 
 
+def test_azimuth_rule_needs_two_nodes():
+    with pytest.raises(ValueError, match="at least 2 azimuthal nodes"):
+        azimuth_nodes(1)
+
+
 def test_polar_exponent_measure_convention():
     # sin^{D-1-k} theta_k d theta in u = cos theta variables is
     # (1-u^2)^{(D-2-k)/2} du: the Jacobian eats one sin power
