@@ -13,8 +13,8 @@ off the defaults: extraction radii that reach both ends of the grid, at
 build), and the corrected prescription with the arithmetic midpoint as
 CSV.  Two classical runs join them: one time unit as CSV, which carries
 every state and its energy, and a start that leaves the chart margin
-(exit 4).  A CSV payload is kept as its rows, each cell parsed as a float where
-it is one.
+(exit 4).  A CSV payload is kept as its rows, each cell parsed as a float
+where it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
 name each moved value in CHANGES.md:

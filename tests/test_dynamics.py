@@ -302,10 +302,10 @@ def test_batched_bracket_reference_equals_per_sample_tables():
     }
     tables = fundamental_bracket_reference(xs, ps, 1.7)
     assert sorted(tables) == sorted(per_sample)
+    assert all(table.shape == (3, 3, 40) for table in tables.values())
     for j in range(40):
         single = fundamental_bracket_reference(xs[:, j], ps[:, j], 1.7)
         for kind, closed_form in per_sample.items():
-            assert tables[kind].shape == (3, 3, 40)
             want = closed_form(xs[:, j], ps[:, j])
             assert np.array_equal(tables[kind][:, :, j], want)
             assert np.array_equal(single[kind], want)
