@@ -13,8 +13,9 @@ off the defaults: extraction radii that reach both ends of the grid, at
 build), and the corrected prescription with the arithmetic midpoint as
 CSV.  Two classical runs join them: one time unit as CSV, which carries
 every state and its energy, and a start that leaves the chart margin
-(exit 4).  A CSV payload is kept as its rows, each cell parsed as a float
-where it is one.
+(exit 4).  Four checks run off their defaults at D = 4 and 5, where the
+symbolic blocks are widest.  A CSV payload is kept as its rows, each cell
+parsed as a float where it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
 name each moved value in CHANGES.md:
@@ -54,6 +55,13 @@ _CLASSICAL = [
     ["classical", "--duration", "1", "--format", "csv", "--seed", "0"],
     ["classical", "--q0", "0.9,0", "--p0", "0,2", "--seed", "0"],
 ]
+_CHECKS = [
+    ["check", "chart-equivalence", "--dim", "5", "--lmax", "4", "--seed", "0"],
+    ["check", "angular-momentum", "--dim", "4", "--lmax", "5", "--samples",
+     "37", "--seed", "0"],
+    ["check", "hermiticity", "--dim", "5", "--res", "12", "--seed", "0"],
+    ["check", "dirac-brackets", "--dim", "5", "--seed", "0"],
+]
 
 
 def _workloads():
@@ -70,7 +78,7 @@ def commands():
     argvs = [argv for name in workloads.WORKLOADS
              for argv in workloads.commands(name, 0)]
     return (argvs + [_EXTREME, _EXTREME + ["--hbar", "1e-30"]] + _PATHINTEGRAL
-            + _CLASSICAL)
+            + _CLASSICAL + _CHECKS)
 
 
 def fingerprint():
