@@ -12,12 +12,16 @@ structural; evaluation is vectorized over numpy arrays and computes each
 shared subtree once per call.
 
 ``evaluate`` walks the DAG once, without recursion, for a children-first
-schedule and a count of each node's consumers, then runs the schedule in
-a loop and drops a value once its last consumer has run.  A call holds
-only the values still awaiting a consumer, so its memory follows the
-DAG's width rather than its node count, and a chain of any depth
-evaluates.  ``_peak_values`` replays the same schedule to count the
-values a call holds at once.
+plan of steps and a count of each node's consumers, then runs the plan
+in a loop and drops a value once its last consumer has run.  A sum or
+product does not wait for all of its arguments: it starts from its first
+and folds in each later one, in order, as soon as that argument's value
+exists, so a wide sum holds one partial result rather than one value per
+term.  Constant arguments are read in place.  A call holds only the
+values still awaiting a consumer and one partial result per open sum or
+product, so its memory follows the DAG's width rather than its node
+count, and a chain of any depth evaluates.  ``_peak_values`` replays the
+same plan to count the values a call holds at once.
 
 The constructors fold the obvious identities (0 and 1 absorption, constant
 collection) but deliberately do nothing clever beyond that: no reordering of
@@ -48,6 +52,9 @@ each row is bit for bit the value with that row's coefficients bound as
 scalars.  ``operators._harmonic_blocks`` builds its blocks of harmonics
 this way, and ``operators._route_gap`` binds their coefficients.
 """
+
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -99,7 +106,7 @@ class Expr:
         raise NotImplementedError
 
     def _children(self):
-        # the argument nodes _ev reads, in order, repeats included
+        # the argument nodes the value reads, in order, repeats included
         return ()
 
     def key(self):
@@ -131,9 +138,6 @@ class Const(Expr):
     def subs(self, mapping):
         return self
 
-    def _ev(self, rec, env):
-        return self.value
-
     def key(self):
         return ("c", self.value)
 
@@ -161,6 +165,8 @@ class Var(Expr):
 
 
 class _Nary(Expr):
+    # no _ev: evaluate folds the arguments with _op, left to right, as
+    # their values arrive
     __slots__ = ("args",)
 
     def __init__(self, args):
@@ -172,6 +178,7 @@ class _Nary(Expr):
 
 class Add(_Nary):
     __slots__ = ()
+    _op = staticmethod(operator.add)
 
     def _diff(self, name):
         return add(*[a.diff(name) for a in self.args])
@@ -179,19 +186,13 @@ class Add(_Nary):
     def subs(self, mapping):
         return add(*[a.subs(mapping) for a in self.args])
 
-    def _ev(self, rec, env):
-        vals = [rec(a) for a in self.args]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out + v
-        return out
-
     def key(self):
         return ("+",) + tuple(a.key() for a in self.args)
 
 
 class Mul(_Nary):
     __slots__ = ()
+    _op = staticmethod(operator.mul)
 
     def _diff(self, name):
         # product rule, keeping factor positions stable
@@ -205,13 +206,6 @@ class Mul(_Nary):
 
     def subs(self, mapping):
         return mul(*[a.subs(mapping) for a in self.args])
-
-    def _ev(self, rec, env):
-        vals = [rec(a) for a in self.args]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out * v
-        return out
 
     def key(self):
         return ("*",) + tuple(a.key() for a in self.args)
@@ -424,84 +418,121 @@ def evaluate(expr, env):
     returns the list of their values.  Each node reachable from the roots
     is computed once per call, however many consumers share it (shared
     subtrees are everywhere after differentiation), so operators built on
-    the same memoized derivatives share that work too.  The nodes run in
-    ``_schedule``'s order, children first, and a node's value is dropped
-    as soon as its last consumer has run; the roots' values are kept to
-    the end.  So a call holds a few values along a chain rather than one
-    per node.  A node's value does not depend on which root reached it or
-    on when its children's values are dropped, so each root evaluates to
-    the same bits as on its own.
+    the same memoized derivatives share that work too.  The steps run in
+    ``_schedule``'s order, children first.  A sum or product keeps one
+    partial result and folds each argument into it as soon as that
+    argument's value exists, and a value is dropped as soon as its last
+    consumer has run; the roots' values are kept to the end.  So a call
+    holds one partial result per open sum or product, not one value per
+    term.  The fold is the left fold ``((a0 op a1) op a2) ...`` whenever
+    it runs, and a node's value does not depend on which root reached it,
+    so each root evaluates to the same bits as on its own.
     """
     roots = expr if isinstance(expr, (list, tuple)) else (expr,)
-    order, uses = _schedule(roots)
+    plan, uses = _schedule(roots)
     values = {}
 
-    def rec(e):
-        return values[id(e)]
+    def take(e):
+        # e's value, dropped from ``values`` at e's last use
+        if type(e) is Const:
+            return e.value
+        key = id(e)
+        uses[key] -= 1
+        return values[key] if uses[key] else values.pop(key)
 
-    for node in order:
-        values[id(node)] = node._ev(rec, env)
-        for kid in node._children():
-            key = id(kid)
-            uses[key] -= 1
-            if not uses[key]:
-                del values[key]
-    out = [values[id(e)] for e in roots]
+    for node, start, operands in plan:
+        if start is None:
+            out = node._ev(take, env)
+        elif start:
+            out = reduce(node._op, map(take, operands))
+        else:
+            out = reduce(node._op, map(take, operands), values.pop(id(node)))
+        values[id(node)] = out
+    out = [take(e) for e in roots]
     return out if isinstance(expr, (list, tuple)) else out[0]
 
 
 def _schedule(roots):
-    """The order ``evaluate`` runs the nodes in, and each node's use count.
+    """The steps ``evaluate`` runs, and each node's use count.
 
     One walk over the DAG reachable from ``roots``, without recursion, so
-    chains of any depth evaluate.  ``order`` lists each node once, after
-    its children and in the left-to-right order a recursive evaluation
-    first reaches it.  ``uses`` maps ``id(node)`` to the node's argument
-    occurrences (``mul(x, x)`` uses x twice) plus one per appearance among
-    the roots: the call itself holds the roots, so their counts never run
-    out.
+    chains of any depth evaluate.  Each node's work comes after its
+    arguments', in the left-to-right order a recursive evaluation first
+    reaches it.  A step is ``(node, start, operands)``.  A sum or product
+    takes one step per run of arguments that are ready together: the step
+    folds ``operands`` into the node's partial result, or starts that
+    result from ``operands[0]`` when ``start`` is true.  Its first steps
+    fold what is ready before the walk enters the next argument not yet
+    computed, and its last step folds the rest.  Any other node takes one
+    step that runs ``node._ev``, with ``start`` None and its arguments as
+    ``operands``; a variable's step comes as soon as the walk reaches it,
+    so a variable never splits a fold.  Constants are read in place and
+    get no step and no count.  ``uses`` maps ``id(node)`` to the node's
+    argument occurrences (``mul(x, x)`` uses x twice) plus one per
+    appearance among the roots.
     """
-    order = []
+    plan = []
     uses = {}
     for root in roots:
         key = id(root)
+        if type(root) is Const:
+            continue
         if key in uses:
             uses[key] += 1
             continue
         uses[key] = 1
-        stack = [(root, iter(root._children()))]
+        # each frame: node, its arguments numbered, first one not folded
+        stack = [[root, enumerate(root._children()), 0]]
         while stack:
-            node, kids = stack[-1]
-            for kid in kids:
+            frame = stack[-1]
+            node, kids, lo = frame
+            for i, kid in kids:
+                if type(kid) is Const:
+                    continue
                 key = id(kid)
                 if key in uses:
                     uses[key] += 1
-                else:
-                    uses[key] = 1
-                    stack.append((kid, iter(kid._children())))
-                    break
+                    continue
+                uses[key] = 1
+                grandkids = kid._children()
+                if not grandkids:  # a variable, bound at once
+                    plan.append((kid, None, grandkids))
+                    continue
+                if i > lo and i > 1 and isinstance(node, _Nary):
+                    plan.append((node, lo == 0, node.args[lo:i]))
+                    frame[2] = i
+                stack.append([kid, enumerate(grandkids), 0])
+                break
             else:
                 stack.pop()
-                order.append(node)
-    return order, uses
+                if isinstance(node, _Nary):
+                    plan.append((node, lo == 0, node.args[lo:]))
+                else:
+                    plan.append((node, None, node._children()))
+    return plan, uses
 
 
 def _peak_values(roots):
     """Most values ``evaluate(roots, env)`` holds at once.
 
-    Replays ``evaluate``'s schedule: while a node runs, the values still
-    awaiting a consumer, the node's own result and, for a sum or product,
-    one partial result are live.  Every node counts as one value, so this
-    bounds the arrays of rows x samples that a call allocates.
+    Replays ``evaluate``'s plan.  While a step runs, the values still
+    awaiting a consumer are live, and so is the step's new result; a
+    continued partial result is dropped once the first fold has replaced
+    it.  A step that starts a sum or product and folds two or more further
+    arguments into the first briefly holds two partial results.  A step's
+    arguments count as live until it ends.  Every node counts as one
+    value, a constant root included, so this bounds the arrays of rows x
+    samples that a call allocates.
     """
-    order, uses = _schedule(roots)
-    live = peak = 0
-    for node in order:
-        live += 1
-        peak = max(peak, live + isinstance(node, _Nary))
-        for kid in node._children():
-            key = id(kid)
-            uses[key] -= 1
-            if not uses[key]:
-                live -= 1
+    plan, uses = _schedule(roots)
+    live = peak = len({id(e) for e in roots if type(e) is Const})
+    for node, start, operands in plan:
+        peak = max(peak, live + 1 + (start is True and len(operands) > 2))
+        live += start is not False
+        for kid in operands:
+            if type(kid) is not Const:
+                kid = id(kid)
+                uses[kid] -= 1
+                if not uses[kid]:
+                    live -= 1
     return peak

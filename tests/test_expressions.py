@@ -2,13 +2,14 @@
 arithmetic guarantees (bitwise commutation, IEEE negation) the bracket
 antisymmetry checks depend on."""
 
+import functools
 import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from rotorkit import expressions as ex
@@ -257,11 +258,16 @@ def test_column_bound_variable_rows_equal_each_scalar_binding():
 def test_peak_values_replays_the_schedule():
     x = ex.Var("x")
     sq = ex.power(x, 2)
-    # x, sq, sin(sq), then the product with its partial result: sq is held
-    # for both consumers, x is dropped once sq has run
-    assert ex._peak_values([ex.mul(sq, ex.sin(sq))]) == 4
-    # a root is held to the end even after its other consumer has run
-    assert ex._peak_values([sq, ex.add(sq, ex.ONE)]) == 4
+    # x, sq, sin(sq), then the product: sq is held for both consumers, x is
+    # dropped once sq has run, and a product of two folds once
+    assert ex._peak_values([ex.mul(sq, ex.sin(sq))]) == 3
+    # a root is held to the end even after its other consumer has run:
+    # sq, the sum, y and sin(y)
+    assert ex._peak_values([sq, ex.add(sq, ex.ONE), ex.sin(ex.Var("y"))]) == 4
+    # a wide sum holds one partial result, not one value per term: x, the
+    # partial, a term's product and its sine
+    wide = ex.add(*[ex.sin(ex.mul(0.5 * k, x)) for k in range(1, 101)])
+    assert ex._peak_values([wide]) == 4
     # a chain holds two values whatever its length: the schedule still
     # visits every node, as _memo_size counted them
     chain = x
@@ -272,30 +278,44 @@ def test_peak_values_replays_the_schedule():
 
 
 def test_schedule_runs_children_first_left_to_right():
-    x, y = ex.Var("x"), ex.Var("y")
+    x, y, z, two = ex.Var("x"), ex.Var("y"), ex.Var("z"), ex.Const(2.0)
     xx = ex.Mul((x, x))
-    top = ex.Add((xx, ex.Sin(y), x))
-    order, uses = ex._schedule([top, xx, top])
-    # the order a recursive evaluation first reaches each node in
-    assert [id(e) for e in order] == [id(e) for e in (x, xx, y, top.args[1], top)]
-    # every argument occurrence and every root occurrence counts
-    assert uses[id(x)] == 3
-    assert uses[id(xx)] == 2
-    assert uses[id(top)] == 2
+    top = ex.Add((xx, ex.Sin(y), ex.Cos(y), z, x, two))
+    sin, cos = top.args[1:3]
+    plan, uses = ex._schedule([top, xx, top, two])
+    # children first, left to right; the sum starts from xx and sin(y)
+    # before the walk enters cos(y), then folds cos(y), z, x and the
+    # constant: a variable is bound as the walk reaches it and splits no
+    # fold
+    assert [(id(n), start, tuple(map(id, ops))) for n, start, ops in plan] == [
+        (id(x), None, ()), (id(xx), True, (id(x), id(x))),
+        (id(y), None, ()), (id(sin), None, (id(y),)),
+        (id(top), True, (id(xx), id(sin))), (id(cos), None, (id(y),)),
+        (id(z), None, ()), (id(top), False, (id(cos), id(z), id(x), id(two)))]
+    # the constant is read in place, with no count; every other argument
+    # occurrence and every root occurrence counts
+    assert uses == {id(top): 2, id(xx): 2, id(x): 3, id(y): 2, id(z): 1,
+                    id(sin): 1, id(cos): 1}
 
 
 # -- the freeing schedule against the recursive memo it replaced ------------
 
 def recursive_evaluate(expr, env):
     """evaluate as it ran before the freeing schedule: a recursive memo that
-    keeps every node's value until the call returns."""
+    keeps every node's value until the call returns, and folds a sum or
+    product over the list of all its arguments' values."""
     cache = {}
 
     def rec(e):
         h = id(e)
         v = cache.get(h)
         if v is None:
-            v = e._ev(rec, env)
+            if isinstance(e, ex.Const):
+                v = e.value
+            elif isinstance(e, (ex.Add, ex.Mul)):
+                v = functools.reduce(e._op, [rec(a) for a in e.args])
+            else:
+                v = e._ev(rec, env)
             cache[h] = v
         return v
 
@@ -365,9 +385,9 @@ def test_the_oracle_test_catches_a_value_freed_one_use_early(monkeypatch):
     schedule = ex._schedule
 
     def one_use_short(roots):
-        order, uses = schedule(roots)
+        plan, uses = schedule(roots)
         uses[next(k for k, n in uses.items() if n > 1)] -= 1
-        return order, uses
+        return plan, uses
     monkeypatch.setattr(ex, "_schedule", one_use_short)
 
     def caught(dag):
@@ -377,6 +397,64 @@ def test_the_oracle_test_catches_a_value_freed_one_use_early(monkeypatch):
             return True
         return False
     assert caught(find(dags(), caught))
+
+
+def test_the_oracle_test_catches_a_product_folded_out_of_order(monkeypatch):
+    # the mutant reverses the arguments of the first product step that
+    # folds three or more, so the product rounds in another order
+    schedule = ex._schedule
+
+    def reversed_product(roots):
+        plan, uses = schedule(roots)
+        for k, (node, start, operands) in enumerate(plan):
+            if isinstance(node, ex.Mul) and start and len(operands) > 2:
+                plan[k] = node, start, operands[::-1]
+                break
+        return plan, uses
+    monkeypatch.setattr(ex, "_schedule", reversed_product)
+
+    def caught(dag):
+        try:
+            _assert_matches_oracle(*dag)
+        except AssertionError:
+            return True
+        return False
+    # any example will do, so skip shrinking it and search the same
+    # examples on every run
+    assert caught(find(dags(), caught, settings=settings(
+        phases=[Phase.generate], max_examples=2000, derandomize=True)))
+
+
+class _Counted(np.lib.mixins.NDArrayOperatorsMixin):
+    """An array that counts how many of its kind are alive at once."""
+
+    live = peak = 0
+
+    def __init__(self, array):
+        self.array = array
+        cls = type(self)
+        cls.live += 1
+        cls.peak = max(cls.peak, cls.live)
+
+    def __del__(self):
+        type(self).live -= 1
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [a.array if isinstance(a, _Counted) else a for a in inputs]
+        return _Counted(getattr(ufunc, method)(*inputs, **kwargs))
+
+
+@given(dags())
+@settings(max_examples=200)
+def test_evaluate_holds_no_more_values_than_peak_values(dag):
+    # every value computed from x or y is a _Counted; those alive at once
+    # during the call, beyond x and y themselves, are the values it holds
+    roots, env = dag
+    env = {name: _Counted(v) for name, v in env.items()}
+    _Counted.peak = before = _Counted.live
+    with np.errstate(all="ignore"):
+        ex.evaluate(roots, env)
+    assert _Counted.peak - before <= ex._peak_values(roots)
 
 
 def _chain(depth):

@@ -265,6 +265,19 @@ def test_hermiticity_suite_peak_stays_small():
     assert peak < 8e6
 
 
+def test_chart_equivalence_peak_stays_small():
+    # each sum folds its terms as they arrive: holding every term of the
+    # degree-6 blocks' wide sums until the sum ran peaked at 44 MB here
+    tracemalloc.start()
+    try:
+        operators.suite_chart_equivalence(ModelParams(D=3), lmax=6,
+                                          samples=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
 # -- batched harmonic blocks ------------------------------------------------
 #
 # The chart-equivalence and angular-momentum suites evaluate each block of
@@ -407,10 +420,10 @@ def test_batched_rows_match_harmonic_polynomials(suite, D, monkeypatch):
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("budget", (1, 400_000))
 def test_row_chunks_under_a_small_memory_budget(suite, budget, monkeypatch):
-    # with samples=25 a row costs 44-77 kB at degrees 4-5 of D=3 (16 bytes
-    # for each value evaluate holds at once), so the larger budget cuts
-    # the biggest blocks into chunks of a few rows; the chunks evaluate
-    # the block's one tree on row slices of its columns
+    # with samples=25 a row of the widest blocks costs 28-53 kB at degrees
+    # 4-5 of D=3 (16 bytes for each value evaluate holds at once), so the
+    # larger budget cuts the biggest blocks into chunks of a few rows; the
+    # chunks evaluate the block's one tree on row slices of its columns
     p, lmax, samples = ModelParams(D=3), 5, 25
     whole, whole_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
     monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
