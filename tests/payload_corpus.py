@@ -14,8 +14,9 @@ build), and the corrected prescription with the arithmetic midpoint as
 CSV.  Two classical runs join them: one time unit as CSV, which carries
 every state and its energy, and a start that leaves the chart margin
 (exit 4).  Four checks run off their defaults at D = 4 and 5, where the
-symbolic blocks are widest.  A CSV payload is kept as its rows, each cell
-parsed as a float where it is one.
+symbolic blocks are widest, and two at D = 2, where each chart has one
+variable.  A CSV payload is kept as its rows, each cell parsed as a
+float where it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
 name each moved value in CHANGES.md:
@@ -61,6 +62,8 @@ _CHECKS = [
      "37", "--seed", "0"],
     ["check", "hermiticity", "--dim", "5", "--res", "12", "--seed", "0"],
     ["check", "dirac-brackets", "--dim", "5", "--seed", "0"],
+    ["check", "chart-equivalence", "--dim", "2", "--seed", "0"],
+    ["check", "angular-momentum", "--dim", "2", "--seed", "0"],
 ]
 
 
