@@ -12,7 +12,6 @@ from rotorkit import expressions as ex
 from rotorkit.geometry import ModelParams, hyperspherical_var_names
 from rotorkit.operators import (
     OperatorTag,
-    TestFunction,
     apply_operator,
     harmonic_polynomials,
     hermiticity_defect,
@@ -30,7 +29,7 @@ f_red = pullback_to_reduced(h, p)
 
 pts = rng.uniform(-0.4, 0.4, size=(5, p.D - 1))
 env = {n: pts[:, i] for i, n in enumerate(reduced_var_names(p))}
-fv = ex.evaluate(f_red.expr, env)
+fv = ex.evaluate(f_red, env)
 
 print("H f at five points, every implemented route:")
 rows = [("reduced, laplace_beltrami", OperatorTag("H_cart", route="laplace_beltrami")),
@@ -49,7 +48,7 @@ print(f"max |H f / f - lambda|, reduced chart:        "
 f_ang = pullback_to_hyperspherical(h, p)
 angs = np.column_stack([rng.uniform(0.3, 2.8, 5), rng.uniform(0.0, 6.2, 5)])
 va = apply_operator(OperatorTag("H_curv"), f_ang, angs, p)
-fa = ex.evaluate(f_ang.expr,
+fa = ex.evaluate(f_ang,
                  {n: angs[:, i]
                   for i, n in enumerate(hyperspherical_var_names(p))})
 print(f"max |H f / f - lambda|, hyperspherical chart: "
@@ -60,8 +59,8 @@ print(f"max |H f / f - lambda|, hyperspherical chart: "
 # parities so no orthogonality accident can hide a defect.
 th, phi = (ex.Var(n) for n in hyperspherical_var_names(p))
 sin_th, cos_th = ex.sin(th), ex.cos(th)
-f1 = TestFunction(ex.mul(cos_th, cos_th), f_ang.chart)
-f2 = TestFunction(ex.exp(ex.mul(ex.Const(0.5), cos_th)), f_ang.chart)
+f1 = ex.mul(cos_th, cos_th)
+f2 = ex.exp(ex.mul(ex.Const(0.5), cos_th))
 print("\nhermiticity defects for H on a generic pair (resolution 64):")
 for label, tag in (("H_curv (shipped)", OperatorTag("H_curv")),
                    ("H_curv_unsym (control)", OperatorTag("H_curv_unsym"))):
@@ -72,9 +71,8 @@ for label, tag in (("H_curv (shipped)", OperatorTag("H_curv")),
 # test functions damp the poles the *quadrature* (not the operator) produces
 # a spurious defect.  Matching sine parities keeps every integrand a
 # polynomial in cos(theta) and Gauss-Legendre is then exact.
-g1 = TestFunction(ex.mul(sin_th, cos_th), f_ang.chart)
-g2 = TestFunction(ex.mul(ex.mul(sin_th, sin_th),
-                         ex.exp(ex.mul(ex.Const(0.5), cos_th))), f_ang.chart)
+g1 = ex.mul(sin_th, cos_th)
+g2 = ex.mul(ex.mul(sin_th, sin_th), ex.exp(ex.mul(ex.Const(0.5), cos_th)))
 print("hermiticity defects for pi on a parity-matched pair:")
 for label, tag in (("pi_curv_1 (shipped)", OperatorTag("pi_curv", i=1)),
                    ("pi_curv_1 displayed (control)",

@@ -169,10 +169,11 @@ def integrate_reduced(q0, p0, T, dt, p, margin=0.05):
     """Implicit-midpoint evolution of the reduced chart system from (q0, p0).
 
     Raises ChartMarginError (with the exit time) the moment the position
-    radius exceeds (1 - margin) R; the chart itself only fails at |q| = R,
-    but the metric conditioning degrades as 1/(R^2 - |q|^2), so the margin
-    error tells the caller to re-chart well before that.  Every input rule
-    is checked before the first step: q0 and p0 of one shape, D-1 finite
+    radius exceeds (1 - margin) R, at time 0 and before any step for a
+    start past that limit; the chart itself only fails at |q| = R, but the
+    metric conditioning degrades as 1/(R^2 - |q|^2), so the margin error
+    tells the caller to re-chart well before that.  Every input rule is
+    checked before the first step: q0 and p0 of one shape, D-1 finite
     coordinates each, q0 inside the chart ball, margin in [0, 1), the step
     count (``_step_count``) and the position and momentum arrays within
     MEMORY_BUDGET.
@@ -199,11 +200,11 @@ def integrate_reduced(q0, p0, T, dt, p, margin=0.05):
     z = q0.tolist() + p0.tolist()
     qs = np.empty((nsteps + 1, n))
     ps = np.empty((nsteps + 1, n))
-    qs[0], ps[0] = z[:n], z[n:]
     rhs = lambda zz: _reduced_rhs(zz, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, nsteps + 1):
-            z = _midpoint_step(rhs, z, dt, 1e-13)
+        for i in range(nsteps + 1):
+            if i:  # step 0 checks the start itself
+                z = _midpoint_step(rhs, z, dt, 1e-13)
             r = math.sqrt(_dot(z[:n], z[:n]))
             if r > limit:
                 raise ChartMarginError(time=i * dt, radius=r, limit=limit)

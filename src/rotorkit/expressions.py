@@ -75,7 +75,11 @@ def _wrap(v):
 
 
 class Expr:
-    """Base node.  Immutable; build through the module constructors."""
+    """Base node.  Immutable; build through the module constructors.
+
+    A node class defines ``_diff`` (or ``diff``), ``subs``, ``key`` and
+    ``_ev``, except that ``evaluate`` reads ``Const`` and ``_Nary`` itself.
+    """
 
     # _dmemo: {variable name: derivative}, made on the first diff call
     __slots__ = ("_dmemo",)
@@ -96,21 +100,9 @@ class Expr:
             d = memo[name] = self._diff(name)
         return d
 
-    def _diff(self, name):
-        raise NotImplementedError
-
-    def subs(self, mapping):
-        raise NotImplementedError
-
-    def _ev(self, rec, env):
-        raise NotImplementedError
-
     def _children(self):
         # the argument nodes the value reads, in order, repeats included
         return ()
-
-    def key(self):
-        raise NotImplementedError
 
     def __sub__(self, o):
         return add(self, mul(Const(-1), _wrap(o)))

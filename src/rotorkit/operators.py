@@ -1,5 +1,10 @@
 """Quantum operators applied exactly to closed-form test functions.
 
+Test functions are plain ``expressions.Expr`` values.  Each builder's name
+says its chart (``*_cartesian_expr``, ``angular_momentum_expr`` and
+``l2_hamiltonian_expr`` reduced, ``*_curvilinear_expr`` hyperspherical),
+and ``OperatorTag.chart`` alone decides the chart a tag's operator acts on.
+
 The momentum operator in the reduced cartesian chart is the hermitized
 pi_i = -i hbar g^{-1/4} d_i g^{1/4} with g = R^2/(R^2-|x|^2), and the
 Hamiltonian is the Laplace-Beltrami operator written two independent ways:
@@ -53,7 +58,7 @@ from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, MEMORY_BUDGET,
 from .quadrature import reduced_ball_grid, sphere_angular_grid
 
 __all__ = [
-    "TestFunction", "OperatorTag",
+    "OperatorTag",
     "reduced_var_names", "pullback_to_reduced",
     "pullback_to_hyperspherical", "harmonic_polynomials",
     "momentum_cartesian_expr", "hamiltonian_cartesian_expr",
@@ -62,14 +67,6 @@ __all__ = [
     "apply_operator", "operator_expr",
     "suite_chart_equivalence", "suite_angular_momentum", "suite_hermiticity",
 ]
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A differentiable scalar field on a named chart."""
-
-    expr: ex.Expr
-    chart: str
 
 
 @dataclass(frozen=True)
@@ -85,6 +82,12 @@ class OperatorTag:
     j: int = 0
     convention: str = "measure"
     route: str = "laplace_beltrami"
+
+    @property
+    def chart(self):
+        """The chart the operator acts on, read from ``kind``."""
+        curvilinear = self.kind in ("H_curv", "H_curv_unsym", "pi_curv")
+        return CHART_HYPERSPHERICAL if curvilinear else CHART_REDUCED
 
 
 def reduced_var_names(p):
@@ -107,14 +110,12 @@ def pullback_to_reduced(expr, p, hemisphere=1):
     xd = ex.sqrt(ex.Const(p.R ** 2) - s)
     if hemisphere < 0:
         xd = ex.mul(ex.Const(-1.0), xd)
-    sub = {f"x{p.D}": xd}
-    return TestFunction(expr.subs(sub), CHART_REDUCED)
+    return expr.subs({f"x{p.D}": xd})
 
 
 def pullback_to_hyperspherical(expr, p):
     emb = embedding_exprs_hyperspherical(p)
-    sub = {f"x{i + 1}": emb[i] for i in range(p.D)}
-    return TestFunction(expr.subs(sub), CHART_HYPERSPHERICAL)
+    return expr.subs({f"x{i + 1}": emb[i] for i in range(p.D)})
 
 
 def _monomials(D, degree):
@@ -200,11 +201,6 @@ def _env_from_points(names, points):
     return {n: pts[..., k] for k, n in enumerate(names)}
 
 
-def _require_chart(f, chart):
-    if f.chart != chart:
-        raise ChartDomainError(f"operator needs a {chart}-chart function, got {f.chart}")
-
-
 def _check_reduced_domain(points, p):
     pts = np.asarray(points, dtype=float)
     s = np.sum(pts * pts, axis=-1)
@@ -216,14 +212,13 @@ def _check_reduced_domain(points, p):
 
 def momentum_cartesian_expr(f, i, p):
     """pi_i f as an expression: -i hbar g^{-1/4} d_i (g^{1/4} f)."""
-    _require_chart(f, CHART_REDUCED)
     if not 1 <= i <= p.D - 1:
         raise IndexError(f"momentum index {i} out of range 1..{p.D - 1}")
     s = _radius2_expr(p)
     body = ex.Const(p.R ** 2) - s
     g14 = ex.mul(ex.Const(p.R ** 0.5), ex.power(body, -0.25))
     g14_inv = ex.mul(ex.Const(p.R ** -0.5), ex.power(body, 0.25))
-    inner = ex.mul(g14, f.expr).diff(f"x{i}")
+    inner = ex.mul(g14, f).diff(f"x{i}")
     return ex.mul(ex.Const(-1j * p.hbar), g14_inv, inner)
 
 
@@ -235,7 +230,6 @@ def _inverse_metric_entry(i, j, p):
 
 
 def hamiltonian_cartesian_expr(f, p, route="laplace_beltrami"):
-    _require_chart(f, CHART_REDUCED)
     names = reduced_var_names(p)
     s = _radius2_expr(p)
     body = ex.Const(p.R ** 2) - s
@@ -244,7 +238,7 @@ def hamiltonian_cartesian_expr(f, p, route="laplace_beltrami"):
         terms = []
         for i in range(1, p.D):
             inner = ex.add(*[
-                ex.mul(_inverse_metric_entry(i, j, p), w, f.expr.diff(names[j - 1]))
+                ex.mul(_inverse_metric_entry(i, j, p), w, f.diff(names[j - 1]))
                 for j in range(1, p.D)
             ])
             terms.append(inner.diff(names[i - 1]))
@@ -252,7 +246,7 @@ def hamiltonian_cartesian_expr(f, p, route="laplace_beltrami"):
     if route == "composition":
         g14_inv = ex.mul(ex.Const(p.R ** -0.5), ex.power(body, 0.25))
         g12 = ex.mul(ex.Const(p.R), ex.power(body, -0.5))
-        e0 = TestFunction(ex.mul(g14_inv, f.expr), CHART_REDUCED)
+        e0 = ex.mul(g14_inv, f)
         e1 = [momentum_cartesian_expr(e0, j, p) for j in range(1, p.D)]
         total = []
         for i in range(1, p.D):
@@ -260,17 +254,17 @@ def hamiltonian_cartesian_expr(f, p, route="laplace_beltrami"):
                 ex.mul(g12, _inverse_metric_entry(i, j, p), e1[j - 1])
                 for j in range(1, p.D)
             ])
-            total.append(momentum_cartesian_expr(TestFunction(e2, CHART_REDUCED), i, p))
+            total.append(momentum_cartesian_expr(e2, i, p))
         # the two (-i hbar) factors recombine to the real -hbar^2
         return ex.mul(ex.Const(0.5), g14_inv, ex.add(*total))
     if route == "divergence":
         second = []
         for i in range(1, p.D):
-            di = f.expr.diff(names[i - 1])
+            di = f.diff(names[i - 1])
             for j in range(1, p.D):
                 second.append(ex.mul(_inverse_metric_entry(i, j, p), di.diff(names[j - 1])))
         drift = ex.add(*[
-            ex.mul(ex.Var(n), f.expr.diff(n)) for n in names
+            ex.mul(ex.Var(n), f.diff(n)) for n in names
         ])
         return ex.mul(
             ex.Const(-0.5 * p.hbar ** 2),
@@ -281,18 +275,17 @@ def hamiltonian_cartesian_expr(f, p, route="laplace_beltrami"):
 
 def angular_momentum_expr(f, a, b, p):
     """L_ab f on the reduced chart; a < b <= D."""
-    _require_chart(f, CHART_REDUCED)
     if not (1 <= a < b <= p.D):
         raise IndexError(f"need 1 <= a < b <= D, got ({a}, {b})")
     if b < p.D:
         xa, xb = ex.Var(f"x{a}"), ex.Var(f"x{b}")
         return ex.mul(
             ex.Const(-1j * p.hbar),
-            ex.add(ex.mul(xa, f.expr.diff(f"x{b}")),
-                   ex.mul(ex.Const(-1), xb, f.expr.diff(f"x{a}"))),
+            ex.add(ex.mul(xa, f.diff(f"x{b}")),
+                   ex.mul(ex.Const(-1), xb, f.diff(f"x{a}"))),
         )
     body = ex.Const(p.R ** 2) - _radius2_expr(p)
-    return ex.mul(ex.Const(1j * p.hbar), ex.sqrt(body), f.expr.diff(f"x{a}"))
+    return ex.mul(ex.Const(1j * p.hbar), ex.sqrt(body), f.diff(f"x{a}"))
 
 
 def l2_hamiltonian_expr(f, p):
@@ -303,11 +296,10 @@ def l2_hamiltonian_expr(f, p):
     factor is pinned by the D=2 circle: the single pair gives
     L^2 = -hbar^2 d^2/dphi^2 and H = L^2/(2R^2) with eigenvalues m^2/2.
     """
-    _require_chart(f, CHART_REDUCED)
     terms = []
     for a in range(1, p.D + 1):
         for b in range(a + 1, p.D + 1):
-            once = TestFunction(angular_momentum_expr(f, a, b, p), CHART_REDUCED)
+            once = angular_momentum_expr(f, a, b, p)
             terms.append(angular_momentum_expr(once, a, b, p))
     return ex.mul(ex.Const(0.5 / p.R ** 2), ex.add(*terms))
 
@@ -321,14 +313,13 @@ def _sin_power(name, k):
 
 
 def hamiltonian_curvilinear_expr(f, p):
-    _require_chart(f, CHART_HYPERSPHERICAL)
     names = hyperspherical_var_names(p)
     terms = []
     prefix = ex.ONE
     for i in range(1, p.D):
         name = names[i - 1]
         k = p.D - 1 - i  # sine weight carried by this angle
-        weighted = ex.mul(_sin_power(name, k), f.expr.diff(name)).diff(name)
+        weighted = ex.mul(_sin_power(name, k), f.diff(name)).diff(name)
         terms.append(ex.mul(prefix, _sin_power(name, -k), weighted))
         if i < p.D - 1:
             prefix = ex.mul(prefix, _sin_power(name, -2))
@@ -338,13 +329,12 @@ def hamiltonian_curvilinear_expr(f, p):
 def _unsymmetrized_curvilinear_expr(f, p):
     # control operator: same 1/sin^2 chains but no sine weights inside the
     # derivatives; visibly non-hermitian under the sphere measure
-    _require_chart(f, CHART_HYPERSPHERICAL)
     names = hyperspherical_var_names(p)
     terms = []
     prefix = ex.ONE
     for i in range(1, p.D):
         name = names[i - 1]
-        terms.append(ex.mul(prefix, f.expr.diff(name).diff(name)))
+        terms.append(ex.mul(prefix, f.diff(name).diff(name)))
         if i < p.D - 1:
             prefix = ex.mul(prefix, _sin_power(name, -2))
     return ex.mul(ex.Const(-0.5 * p.hbar ** 2 / p.R ** 2), ex.add(*terms))
@@ -358,7 +348,6 @@ def momentum_curvilinear_expr(f, i, p, convention="measure"):
     a = (D-i)/2 as printed in the source convention this package follows;
     kept selectable because the two disagree for every polar angle.
     """
-    _require_chart(f, CHART_HYPERSPHERICAL)
     if not 1 <= i <= p.D - 1:
         raise IndexError(f"momentum index {i} out of range 1..{p.D - 1}")
     if convention == "measure":
@@ -369,24 +358,18 @@ def momentum_curvilinear_expr(f, i, p, convention="measure"):
         raise ValueError(f"unknown momentum convention '{convention}'")
     name = hyperspherical_var_names(p)[i - 1]
     if a == 0:
-        return ex.mul(ex.Const(-1j * p.hbar), f.expr.diff(name))
+        return ex.mul(ex.Const(-1j * p.hbar), f.diff(name))
     sa = ex.power(ex.sin(ex.Var(name)), a)
     inv = ex.power(ex.sin(ex.Var(name)), -a)
-    return ex.mul(ex.Const(-1j * p.hbar), inv, ex.mul(sa, f.expr).diff(name))
+    return ex.mul(ex.Const(-1j * p.hbar), inv, ex.mul(sa, f).diff(name))
 
 
 # -- hermiticity -------------------------------------------------------------
 
 def _chart_grid(chart, p, res):
     if chart == CHART_REDUCED:
-        pts, w = reduced_ball_grid(p, res)
-        names = reduced_var_names(p)
-    elif chart == CHART_HYPERSPHERICAL:
-        pts, w = sphere_angular_grid(p, res)
-        names = hyperspherical_var_names(p)
-    else:
-        raise ChartDomainError(f"no quadrature for chart '{chart}'")
-    return pts, w, names
+        return (*reduced_ball_grid(p, res), reduced_var_names(p))
+    return (*sphere_angular_grid(p, res), hyperspherical_var_names(p))
 
 
 def operator_expr(tag, f, p):
@@ -409,12 +392,12 @@ def operator_expr(tag, f, p):
 
 
 def apply_operator(tag, f, points, p):
-    """(tag f) evaluated at chart points (one per row, or a single point).
+    """(tag f) at points of ``tag.chart`` (one per row, or a single point).
 
     Reduced-chart points must lie in the open ball |x| < R; anything else
     raises ChartDomainError instead of evaluating to NaN.
     """
-    if f.chart == CHART_REDUCED:
+    if tag.chart == CHART_REDUCED:
         _check_reduced_domain(points, p)
         names = reduced_var_names(p)
     else:
@@ -426,7 +409,7 @@ def _defect_terms(tag, f, h, p, pts, w, names):
     """<f, T h>, <T f, h>, <f, f> and <h, h> as sums over one weighted grid."""
     # one call, so the subtrees f, h, T f and T h share are computed once
     fv, hv, tf, th = ex.evaluate(
-        [f.expr, h.expr, operator_expr(tag, f, p), operator_expr(tag, h, p)],
+        [f, h, operator_expr(tag, f, p), operator_expr(tag, h, p)],
         _env_from_points(names, pts))
     return (np.sum(w * np.conjugate(fv) * th),
             np.sum(w * np.conjugate(tf) * hv),
@@ -435,10 +418,9 @@ def _defect_terms(tag, f, h, p, pts, w, names):
 
 
 def hermiticity_defect(tag, f, h, p, res=64):
-    """|<f, T h> - <T f, h>| under the sphere (sqrt(g)) measure."""
-    if f.chart != h.chart:
-        raise ChartDomainError("hermiticity check needs both functions on one chart")
-    pts, w, names = _chart_grid(f.chart, p, res)
+    """|<f, T h> - <T f, h>| under the sphere (sqrt(g)) measure, summed
+    over the quadrature of ``tag.chart``."""
+    pts, w, names = _chart_grid(tag.chart, p, res)
     lhs, rhs, _, _ = _defect_terms(tag, f, h, p, pts, w, names)
     return abs(lhs - rhs)
 
@@ -552,18 +534,19 @@ def _midpoint_angular_grid(p, res):
     return pts, w
 
 
-def _sphere_defect(tag, h1, h2, p, grids, chart):
+def _sphere_defect(tag, h1, h2, p, grids):
     """Hermiticity defect of T over the whole sphere, normalized by |h1| |h2|.
 
-    h1 and h2 are embedded-coordinate expressions, pulled back to ``chart``;
-    ``grids`` maps each chart to its (points, weights, variable names).
+    h1 and h2 are embedded-coordinate expressions, pulled back to the chart
+    T acts on (``tag.chart``); ``grids`` maps each chart to its (points,
+    weights, variable names).
     The reduced chart covers half the sphere; equator boundary terms only
     cancel in the sum of the two hemisphere lifts, which is the honest
     statement of hermiticity for that chart.  The hyperspherical chart
     covers the sphere once, on the midpoint angular grid.
     """
-    pts, w, names = grids[chart]
-    if chart == CHART_REDUCED:
+    pts, w, names = grids[tag.chart]
+    if tag.chart == CHART_REDUCED:
         lifts = [(pullback_to_reduced(h1, p, hemisphere=s),
                   pullback_to_reduced(h2, p, hemisphere=s)) for s in (1, -1)]
     else:
@@ -603,20 +586,19 @@ def suite_hermiticity(p, res):
     xd2 = ex.mul(ex.Var(f"x{p.D}"), ex.Var(f"x{p.D}"))
     damped = [ex.mul(xd2, h) for h in harmonics]
     pairs = [(0, 1), (0, 2), (1, 2)]
-    # (row name, operator, chart, test pair family, pair label prefix)
+    # (row name, operator, test pair family, pair label prefix)
     checks = [("H_cart", OperatorTag("H_cart", route="laplace_beltrami"),
-               CHART_REDUCED, harmonics, "")]
-    checks += [(f"pi_cart_{i}", OperatorTag("pi_cart", i=i), CHART_REDUCED,
-                damped, "xD^2 ") for i in range(1, p.D)]
-    checks += [("H_curv", OperatorTag("H_curv"), CHART_HYPERSPHERICAL,
-                harmonics, "")]
-    checks += [(f"pi_curv_{i}", OperatorTag("pi_curv", i=i),
-                CHART_HYPERSPHERICAL, harmonics, "") for i in range(1, p.D)]
+               harmonics, "")]
+    checks += [(f"pi_cart_{i}", OperatorTag("pi_cart", i=i), damped, "xD^2 ")
+               for i in range(1, p.D)]
+    checks += [("H_curv", OperatorTag("H_curv"), harmonics, "")]
+    checks += [(f"pi_curv_{i}", OperatorTag("pi_curv", i=i), harmonics, "")
+               for i in range(1, p.D)]
     rows = []
     worst = 0.0
-    for name, tag, chart, family, label in checks:
+    for name, tag, family, label in checks:
         for a, b in pairs:
-            d = _sphere_defect(tag, family[a], family[b], p, grids, chart)
+            d = _sphere_defect(tag, family[a], family[b], p, grids)
             rows.append({"operator": name, "pair": f"{label}l{a + 1},l{b + 1}",
                          "defect": float(d)})
             worst = float(np.maximum(worst, d))
@@ -624,8 +606,7 @@ def suite_hermiticity(p, res):
     # picked so no parity accident hides the defect
     displayed = OperatorTag("pi_curv", i=1, convention="displayed")
     control = _sphere_defect(displayed, harmonic_polynomials(p.D, 1)[2],
-                             harmonic_polynomials(p.D, 2)[1], p, grids,
-                             CHART_HYPERSPHERICAL)
+                             harmonic_polynomials(p.D, 2)[1], p, grids)
     if math.isnan(control):
         worst = control  # a control that cannot be measured fails the suite
     return {"rows": rows, "max_defect": worst,

@@ -26,8 +26,10 @@ A statement is one the interpreter can run: an ``ast`` statement that
 owns a line with bytecode (a compound statement owns its header lines
 only).  So ``nonlocal``, ``global`` and docstrings, which fire no line
 event, are not counted.  A statement is reached when any line it owns
-fired.  The listing is ``path:line  source`` for each unreached
-statement, then the totals; the exit code is that of the pytest run.
+fired.  The listing is ``path:line  qualname  source`` for each
+unreached statement, where the qualname is the enclosing ``function`` or
+``Class.method`` (``<module>`` at top level), then the totals; the exit
+code is that of the pytest run.
 """
 
 import ast
@@ -106,8 +108,25 @@ def _own_lines(stmt):
     return range(start, stmt.end_lineno + 1)
 
 
+def _scopes(node, scope="<module>", out=None):
+    """{first line: dotted name of the enclosing def or class} per
+    statement; a def or class header belongs to the scope it is in."""
+    out = {} if out is None else out
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            out[child.lineno] = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            _scopes(child, child.name if scope == "<module>"
+                    else f"{scope}.{child.name}", out)
+        else:
+            _scopes(child, scope, out)
+    return out
+
+
 def statements(path):
-    """{first line: lines with bytecode it owns} per runnable statement."""
+    """{first line: (qualname, lines with bytecode it owns)} per runnable
+    statement."""
     text = path.read_text()
     tree = ast.parse(text)
     owner = {}
@@ -115,10 +134,12 @@ def statements(path):
         if isinstance(node, ast.stmt):
             for line in _own_lines(node):
                 owner[line] = node.lineno
+    scopes = _scopes(tree)
     found = {}
     for line in _code_lines(compile(text, str(path), "exec")):
         if line in owner:
-            found.setdefault(owner[line], set()).add(line)
+            first = owner[line]
+            found.setdefault(first, (scopes[first], set()))[1].add(line)
     return found
 
 
@@ -145,11 +166,11 @@ def main(pytest_args):
     for path in sorted(SRC.glob("*.py")):
         ran = fired.get(os.path.realpath(path), set())
         source = path.read_text().splitlines()
-        for first, lines in sorted(statements(path).items()):
+        for first, (scope, lines) in sorted(statements(path).items()):
             total += 1
             if not lines & ran:
                 missed += 1
-                print(f"{path.relative_to(ROOT)}:{first}  "
+                print(f"{path.relative_to(ROOT)}:{first}  {scope}  "
                       f"{source[first - 1].strip()}")
     print(f"{missed} of {total} statements unreached")
     return code

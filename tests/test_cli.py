@@ -468,18 +468,18 @@ def _nan_sphere_defect(monkeypatch, hit):
     """Make operators._sphere_defect return NaN where ``hit`` says so."""
     real = operators._sphere_defect
 
-    def patched(tag, h1, h2, p, grids, chart):
-        if hit(tag, chart):
+    def patched(tag, h1, h2, p, grids):
+        if hit(tag):
             return float("nan")
-        return real(tag, h1, h2, p, grids, chart)
+        return real(tag, h1, h2, p, grids)
     monkeypatch.setattr(operators, "_sphere_defect", patched)
 
 
 @pytest.mark.parametrize("chart", ["reduced", "hyperspherical"])
 def test_nan_defect_fails_the_check(chart, monkeypatch, capsys):
     # NaN rows on one chart, with the displayed-convention control intact
-    _nan_sphere_defect(monkeypatch, lambda tag, c: (
-        c == chart and tag.convention != "displayed"))
+    _nan_sphere_defect(monkeypatch, lambda tag: (
+        tag.chart == chart and tag.convention != "displayed"))
     code, out, err = run(["check", "hermiticity", "--res", "16"], capsys)
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -487,7 +487,7 @@ def test_nan_defect_fails_the_check(chart, monkeypatch, capsys):
 
 def test_nan_hermiticity_control_fails_the_check(monkeypatch, capsys):
     # a control that cannot be measured must not let the suite pass
-    _nan_sphere_defect(monkeypatch, lambda tag, c: tag.convention == "displayed")
+    _nan_sphere_defect(monkeypatch, lambda tag: tag.convention == "displayed")
     code, out, err = run(["check", "hermiticity", "--res", "16"], capsys)
     assert code == 1
     report = json.loads(out)
@@ -573,6 +573,18 @@ def test_exit_4_when_trajectory_leaves_chart(capsys):
     report = json.loads(out)
     assert abs(report["results"]["chart_margin_exit_time"] - 4.155) < 1e-6
     assert "chart margin exceeded" in err
+
+
+def test_exit_4_at_time_zero_for_a_start_past_the_margin(monkeypatch, capsys):
+    # a state at rest past (1 - margin) R leaves the margin at t = 0: the
+    # start is checked before the first step, so no step runs
+    steps = []
+    monkeypatch.setattr(dynamics, "_midpoint_step",
+                        lambda *args: steps.append(args))
+    code, out, err = run(["classical", "--q0", "0.97,0", "--p0", "0,0"], capsys)
+    assert code == 4 and steps == []
+    assert json.loads(out)["results"]["chart_margin_exit_time"] == 0.0
+    assert "chart margin exceeded at t = 0" in err
 
 
 def test_invalid_positional_suite_is_an_argparse_error(capsys):

@@ -18,8 +18,8 @@ import sympy as sp
 
 from rotorkit import expressions as ex
 from rotorkit import operators
-from rotorkit.geometry import (CHART_HYPERSPHERICAL, ChartDomainError,
-                               ModelParams, hyperspherical_var_names)
+from rotorkit.geometry import (ChartDomainError, ModelParams,
+                               hyperspherical_var_names)
 from rotorkit.operators import (
     OperatorTag,
     apply_operator,
@@ -28,7 +28,6 @@ from rotorkit.operators import (
     pullback_to_hyperspherical,
     pullback_to_reduced,
 )
-from rotorkit.operators import TestFunction as Probe
 from rotorkit.quadrature import sphere_angular_grid
 from rotorkit.spectra import harmonic_multiplicity
 from sympy_bridge import to_sympy
@@ -40,8 +39,7 @@ def inner_product(f, h, p, res):
     """<f, h> over the sphere for two hyperspherical-chart probes."""
     pts, w = sphere_angular_grid(p, res)
     env = dict(zip(hyperspherical_var_names(p), pts.T))
-    return np.sum(w * np.conjugate(ex.evaluate(f.expr, env))
-                  * ex.evaluate(h.expr, env))
+    return np.sum(w * np.conjugate(ex.evaluate(f, env)) * ex.evaluate(h, env))
 
 
 def _ball(D, n, rng, shell=0.85):
@@ -88,7 +86,7 @@ def test_harmonic_pullbacks_are_eigenfunctions(D, l):
     h = harmonic_polynomials(D, l)[-1]
     f_red = pullback_to_reduced(h, p)
     names = [f"x{i + 1}" for i in range(D - 1)]
-    fvals = ex.evaluate(f_red.expr, dict(zip(names, pts.T)))
+    fvals = ex.evaluate(f_red, dict(zip(names, pts.T)))
     got = apply_operator(OperatorTag("H_cart"), f_red, pts, p)
     scale = max(np.max(np.abs(eig * fvals)), eig)
     assert np.max(np.abs(got - eig * fvals)) < 1e-12 * scale
@@ -97,7 +95,7 @@ def test_harmonic_pullbacks_are_eigenfunctions(D, l):
     ang = np.concatenate([rng.uniform(0.3, np.pi - 0.3, size=(40, D - 2)),
                           rng.uniform(0, 2 * np.pi, size=(40, 1))], axis=1)
     anames = hyperspherical_var_names(p)
-    avals = ex.evaluate(f_ang.expr, dict(zip(anames, ang.T)))
+    avals = ex.evaluate(f_ang, dict(zip(anames, ang.T)))
     got_a = apply_operator(OperatorTag("H_curv"), f_ang, ang, p)
     assert np.max(np.abs(got_a - eig * avals)) < 1e-12 * scale
 
@@ -111,7 +109,7 @@ def test_hamiltonian_matches_sympy_divergence_oracle():
     xs = [x1, x2]
     s = x1 ** 2 + x2 ** 2
     rho = 1 / sp.sqrt(1 - s)  # sqrt(det g) for R = 1
-    fs = to_sympy(f.expr)
+    fs = to_sympy(f)
     Hf = 0
     for i in range(2):
         for j in range(2):
@@ -130,7 +128,7 @@ def test_momentum_matches_sympy_symmetrization_oracle():
     pts = _ball(3, 40, rng)
     x1, x2 = sp.symbols("x1 x2")
     rho = 1 / sp.sqrt(1 - x1 ** 2 - x2 ** 2)
-    fs = to_sympy(f.expr)
+    fs = to_sympy(f)
     for i, xi in ((1, x1), (2, x2)):
         pi = -sp.I * sp.diff(sp.sqrt(rho) * fs, xi) / sp.sqrt(rho)
         want = sp.lambdify((x1, x2), pi, "numpy")(pts[:, 0], pts[:, 1])
@@ -183,6 +181,27 @@ def test_apply_operator_on_one_point_is_the_one_row_batch():
             apply_operator(tags[0], f, point[:1], P3)
 
 
+@pytest.mark.parametrize("tag, error, message", [
+    (OperatorTag("pi_cart", i=3), IndexError,
+     "momentum index 3 out of range 1..2"),
+    (OperatorTag("H_cart", route="weyl"), ValueError,
+     "unknown Hamiltonian route 'weyl'"),
+    (OperatorTag("L", i=2, j=2), IndexError, "need 1 <= a < b <= D, got (2, 2)"),
+    (OperatorTag("pi_curv", i=0), IndexError,
+     "momentum index 0 out of range 1..2"),
+    (OperatorTag("pi_curv", i=1, convention="weyl"), ValueError,
+     "unknown momentum convention 'weyl'"),
+    (OperatorTag("H_flat"), ValueError, "unknown operator kind 'H_flat'"),
+])
+def test_operator_builders_reject_bad_input(tag, error, message):
+    # each index or name is checked before anything is differentiated;
+    # without its guard each case returns a tree or None, or fails elsewhere
+    f = harmonic_polynomials(3, 2)[0]
+    with pytest.raises(error) as caught:
+        operators.operator_expr(tag, f, P3)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_hemisphere_pullback_pair():
     # the lower lift evaluates the polynomial at x_D -> -sqrt(R^2 - |x|^2)
     h = harmonic_polynomials(3, 2)[0]
@@ -194,8 +213,8 @@ def test_hemisphere_pullback_pair():
     xd = np.sqrt(1.0 - pts[:, 0] ** 2 - pts[:, 1] ** 2)
     env3u = {"x1": pts[:, 0], "x2": pts[:, 1], "x3": xd}
     env3d = {"x1": pts[:, 0], "x2": pts[:, 1], "x3": -xd}
-    assert np.max(np.abs(ex.evaluate(up.expr, env) - ex.evaluate(h, env3u))) < 1e-14
-    assert np.max(np.abs(ex.evaluate(dn.expr, env) - ex.evaluate(h, env3d))) < 1e-14
+    assert np.max(np.abs(ex.evaluate(up, env) - ex.evaluate(h, env3u))) < 1e-14
+    assert np.max(np.abs(ex.evaluate(dn, env) - ex.evaluate(h, env3d))) < 1e-14
 
 
 def test_hermiticity_on_full_sphere_grid():
@@ -211,8 +230,8 @@ def test_broken_orderings_show_large_defects():
     # harmonics are eigenfunctions, which hides ordering mistakes; generic
     # smooth functions expose them at O(1)
     th = ex.Var(hyperspherical_var_names(P3)[0])
-    f = Probe(ex.mul(ex.cos(th), ex.cos(th)), CHART_HYPERSPHERICAL)
-    g = Probe(ex.exp(ex.mul(ex.Const(0.5), ex.cos(th))), CHART_HYPERSPHERICAL)
+    f = ex.mul(ex.cos(th), ex.cos(th))
+    g = ex.exp(ex.mul(ex.Const(0.5), ex.cos(th)))
     res = 32
     norm = (inner_product(f, f, P3, res) * inner_product(g, g, P3, res)) ** 0.5
     assert hermiticity_defect(OperatorTag("H_curv"), f, g, P3, res) < 1e-12 * norm
@@ -228,9 +247,9 @@ def test_momentum_conventions_on_parity_matched_pair():
     # Pairs that do not vanish at the poles instead probe the cot(theta)
     # endpoint singularity of the quadrature, not the operator.
     th = ex.Var(hyperspherical_var_names(P3)[0])
-    f = Probe(ex.mul(ex.sin(th), ex.cos(th)), CHART_HYPERSPHERICAL)
-    g = Probe(ex.mul(ex.sin(th), ex.sin(th),
-                     ex.exp(ex.mul(ex.Const(0.5), ex.cos(th)))), CHART_HYPERSPHERICAL)
+    f = ex.mul(ex.sin(th), ex.cos(th))
+    g = ex.mul(ex.sin(th), ex.sin(th),
+               ex.exp(ex.mul(ex.Const(0.5), ex.cos(th))))
     res = 32
     norm = (inner_product(f, f, P3, res) * inner_product(g, g, P3, res)) ** 0.5
     assert hermiticity_defect(
