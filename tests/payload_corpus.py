@@ -15,8 +15,11 @@ CSV.  Two classical runs join them: one time unit as CSV, which carries
 every state and its energy, and a start that leaves the chart margin
 (exit 4).  Four checks run off their defaults at D = 4 and 5, where the
 symbolic blocks are widest, and two at D = 2, where each chart has one
-variable.  A CSV payload is kept as its rows, each cell parsed as a
-float where it is one.
+variable.  Two more hermiticity checks hold every row of that suite: one
+at D = 4, and one at R = 1e-3, where rounding alone lifts the worst
+defect to 4.7e-7, past the tolerance, and the check fails (exit 1).  A
+CSV payload is kept as its rows, each cell parsed as a float where it is
+one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
 name each moved value in CHANGES.md:
@@ -64,6 +67,8 @@ _CHECKS = [
     ["check", "dirac-brackets", "--dim", "5", "--seed", "0"],
     ["check", "chart-equivalence", "--dim", "2", "--seed", "0"],
     ["check", "angular-momentum", "--dim", "2", "--seed", "0"],
+    ["check", "hermiticity", "--dim", "4", "--res", "16", "--seed", "0"],
+    ["check", "hermiticity", "--radius", "1e-3", "--seed", "0"],
 ]
 
 
