@@ -77,8 +77,9 @@ def _wrap(v):
 class Expr:
     """Base node.  Immutable; build through the module constructors.
 
-    A node class defines ``_diff`` (or ``diff``), ``subs``, ``key`` and
-    ``_ev``, except that ``evaluate`` reads ``Const`` and ``_Nary`` itself.
+    A node class defines ``_diff`` (or ``diff``), ``subs`` and ``_ev``,
+    except that ``evaluate`` reads ``Const`` and ``_Nary`` itself.  Nodes
+    compare and hash by identity, as ``evaluate`` and its plans do.
     """
 
     # _dmemo: {variable name: derivative}, made on the first diff call
@@ -107,12 +108,6 @@ class Expr:
     def __sub__(self, o):
         return add(self, mul(Const(-1), _wrap(o)))
 
-    def __eq__(self, other):
-        return isinstance(other, Expr) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -129,9 +124,6 @@ class Const(Expr):
 
     def subs(self, mapping):
         return self
-
-    def key(self):
-        return ("c", self.value)
 
 
 class Var(Expr):
@@ -151,9 +143,6 @@ class Var(Expr):
             return env[self.name]
         except KeyError:
             raise KeyError(f"no value bound for variable '{self.name}'") from None
-
-    def key(self):
-        return ("v", self.name)
 
 
 class _Nary(Expr):
@@ -178,9 +167,6 @@ class Add(_Nary):
     def subs(self, mapping):
         return add(*[a.subs(mapping) for a in self.args])
 
-    def key(self):
-        return ("+",) + tuple(a.key() for a in self.args)
-
 
 class Mul(_Nary):
     __slots__ = ()
@@ -198,9 +184,6 @@ class Mul(_Nary):
 
     def subs(self, mapping):
         return mul(*[a.subs(mapping) for a in self.args])
-
-    def key(self):
-        return ("*",) + tuple(a.key() for a in self.args)
 
 
 class Pow(Expr):
@@ -225,14 +208,10 @@ class Pow(Expr):
     def _children(self):
         return (self.base,)
 
-    def key(self):
-        return ("^", self.base.key(), self.expo)
-
 
 class _Unary(Expr):
     __slots__ = ("arg",)
     _fn = None
-    _tag = "?"
 
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
@@ -246,14 +225,10 @@ class _Unary(Expr):
     def _children(self):
         return (self.arg,)
 
-    def key(self):
-        return (type(self)._tag, self.arg.key())
-
 
 class Sin(_Unary):
     __slots__ = ()
     _fn = staticmethod(np.sin)
-    _tag = "sin"
 
     def _diff(self, name):
         da = self.arg.diff(name)
@@ -265,7 +240,6 @@ class Sin(_Unary):
 class Cos(_Unary):
     __slots__ = ()
     _fn = staticmethod(np.cos)
-    _tag = "cos"
 
     def _diff(self, name):
         da = self.arg.diff(name)
@@ -277,7 +251,6 @@ class Cos(_Unary):
 class Exp(_Unary):
     __slots__ = ()
     _fn = staticmethod(np.exp)
-    _tag = "exp"
 
     def _diff(self, name):
         da = self.arg.diff(name)
@@ -418,19 +391,25 @@ def evaluate(expr, env):
     holds one partial result per open sum or product, not one value per
     term.  The fold is the left fold ``((a0 op a1) op a2) ...`` whenever
     it runs, and a node's value does not depend on which root reached it,
-    so each root evaluates to the same bits as on its own.
+    so each root evaluates to the same bits as on its own.  ``_Planned``
+    roots bring their plan, which the call runs without changing it.
     """
     roots = expr if isinstance(expr, (list, tuple)) else (expr,)
-    plan, uses = _schedule(roots)
+    plan, uses = (roots.schedule if isinstance(roots, _Planned)
+                  else _schedule(roots))
     values = {}
+    left = {}  # uses still to come, for values read but not yet dropped
 
     def take(e):
         # e's value, dropped from ``values`` at e's last use
         if type(e) is Const:
             return e.value
         key = id(e)
-        uses[key] -= 1
-        return values[key] if uses[key] else values.pop(key)
+        n = left.pop(key, uses[key]) - 1
+        if n:
+            left[key] = n
+            return values[key]
+        return values.pop(key)
 
     for node, start, operands in plan:
         if start is None:
@@ -504,19 +483,31 @@ def _schedule(roots):
     return plan, uses
 
 
+class _Planned(tuple):
+    """Roots that carry their ``_schedule``, which ``evaluate`` and
+    ``_peak_values`` replay instead of walking the DAG again."""
+
+    def __new__(cls, roots):
+        self = super().__new__(cls, roots)
+        self.schedule = _schedule(self)
+        return self
+
+
 def _peak_values(roots):
     """Most values ``evaluate(roots, env)`` holds at once.
 
-    Replays ``evaluate``'s plan.  While a step runs, the values still
-    awaiting a consumer are live, and so is the step's new result; a
-    continued partial result is dropped once the first fold has replaced
-    it.  A step that starts a sum or product and folds two or more further
-    arguments into the first briefly holds two partial results.  A step's
-    arguments count as live until it ends.  Every node counts as one
+    Replays ``evaluate``'s plan, a ``_Planned``'s own included.  While a
+    step runs, the values still awaiting a consumer are live, and so is
+    the step's new result; a continued partial result is dropped once the
+    first fold has replaced it.  A step that starts a sum or product and
+    folds two or more further arguments into the first briefly holds two
+    partial results.  A step's arguments count as live until it ends.  Every node counts as one
     value, a constant root included, so this bounds the arrays of rows x
     samples that a call allocates.
     """
-    plan, uses = _schedule(roots)
+    plan, uses = (roots.schedule if isinstance(roots, _Planned)
+                  else _schedule(roots))
+    uses = dict(uses)  # counted down here; the plan may run again
     live = peak = len({id(e) for e in roots if type(e) is Const})
     for node, start, operands in plan:
         peak = max(peak, live + 1 + (start is True and len(operands) > 2))

@@ -150,6 +150,8 @@ def to_hyperspherical(x, p):
     x = np.asarray(x, dtype=float)
     if x.shape != (p.D,):
         raise ChartDomainError(f"expected {p.D} embedded coordinates")
+    if not np.all(np.isfinite(x)):
+        raise ChartDomainError("embedded coordinates must be finite")
     r = float(np.linalg.norm(x))
     if r == 0.0:
         raise PoleSingularityError(1, "origin has no angular coordinates")

@@ -45,6 +45,7 @@ against H) and ``suite_hermiticity`` (<f, T h> = <T f, h> over the whole
 sphere for H and every momentum).  Each returns (results, worst deviation).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -405,23 +406,38 @@ def apply_operator(tag, f, points, p):
     return ex.evaluate(operator_expr(tag, f, p), _env_from_points(names, points))
 
 
-def _defect_terms(tag, f, h, p, pts, w, names):
-    """<f, T h>, <T f, h>, <f, f> and <h, h> as sums over one weighted grid."""
-    # one call, so the subtrees f, h, T f and T h share are computed once
-    fv, hv, tf, th = ex.evaluate(
-        [f, h, operator_expr(tag, f, p), operator_expr(tag, h, p)],
-        _env_from_points(names, pts))
-    return (np.sum(w * np.conjugate(fv) * th),
-            np.sum(w * np.conjugate(tf) * hv),
-            np.sum(w * np.conjugate(fv) * fv).real,
-            np.sum(w * np.conjugate(hv) * hv).real)
+def _pair_terms(families, p, grid):
+    """<f, T h>, <T f, h>, <f, f> and <h, h> as sums over one weighted grid.
+
+    ``families`` lists (functions, operators) on the chart of ``grid`` =
+    (points, weights, variable names).  The sums come for each family,
+    operator T and pair a < b in turn, with f, h = functions[a],
+    functions[b].  One call evaluates every function and its images, so
+    the derivatives that the operators share are computed once.
+    """
+    pts, w, names = grid
+    roots = []
+    for funcs, tags in families:
+        roots += funcs + [operator_expr(tag, f, p) for tag in tags for f in funcs]
+    values = iter(ex.evaluate(roots, _env_from_points(names, pts)))
+    terms = []
+    for funcs, tags in families:
+        fv = [next(values) for _ in funcs]
+        for _ in tags:
+            tv = [next(values) for _ in funcs]
+            terms += [(np.sum(w * np.conjugate(fv[a]) * tv[b]),
+                       np.sum(w * np.conjugate(tv[a]) * fv[b]),
+                       np.sum(w * np.conjugate(fv[a]) * fv[a]).real,
+                       np.sum(w * np.conjugate(fv[b]) * fv[b]).real)
+                      for a, b in itertools.combinations(range(len(funcs)), 2)]
+    return terms
 
 
 def hermiticity_defect(tag, f, h, p, res=64):
     """|<f, T h> - <T f, h>| under the sphere (sqrt(g)) measure, summed
     over the quadrature of ``tag.chart``."""
-    pts, w, names = _chart_grid(tag.chart, p, res)
-    lhs, rhs, _, _ = _defect_terms(tag, f, h, p, pts, w, names)
+    grid = _chart_grid(tag.chart, p, res)
+    (lhs, rhs, _, _), = _pair_terms([([f, h], [tag])], p, grid)
     return abs(lhs - rhs)
 
 
@@ -456,13 +472,14 @@ def _route_gap(p, lmax, samples, routes, env):
     bytes (complex values) times the most values the call holds at once
     (``_peak_values``) would exceed MEMORY_BUDGET, the same pair is
     evaluated on row slices of the columns, each of at least one row.
+    One plan of the pair (``ex._Planned``) sizes the slices and runs each.
     """
     scale = p.hbar ** 2 / p.R ** 2
     worst = 0.0
     size = 0
     for degree in range(lmax + 1):
         for tree, coefficients, harmonics in _harmonic_blocks(p.D, degree):
-            pair = routes(tree)
+            pair = ex._Planned(routes(tree))
             held = ex._peak_values(pair)
             step = max(1, MEMORY_BUDGET // (samples * held * 16))
             for lo in range(0, len(harmonics), step):
@@ -476,6 +493,7 @@ def _route_gap(p, lmax, samples, routes, env):
                     worst = float(np.maximum(worst,
                                              np.max(np.abs(ar - br)) / ref))
             size += len(harmonics)
+            del pair  # free this block's plan before the next one is built
     return {"family_size": size, "points": samples,
             "max_relative_deviation": worst}, worst
 
@@ -534,35 +552,6 @@ def _midpoint_angular_grid(p, res):
     return pts, w
 
 
-def _sphere_defect(tag, h1, h2, p, grids):
-    """Hermiticity defect of T over the whole sphere, normalized by |h1| |h2|.
-
-    h1 and h2 are embedded-coordinate expressions, pulled back to the chart
-    T acts on (``tag.chart``); ``grids`` maps each chart to its (points,
-    weights, variable names).
-    The reduced chart covers half the sphere; equator boundary terms only
-    cancel in the sum of the two hemisphere lifts, which is the honest
-    statement of hermiticity for that chart.  The hyperspherical chart
-    covers the sphere once, on the midpoint angular grid.
-    """
-    pts, w, names = grids[tag.chart]
-    if tag.chart == CHART_REDUCED:
-        lifts = [(pullback_to_reduced(h1, p, hemisphere=s),
-                  pullback_to_reduced(h2, p, hemisphere=s)) for s in (1, -1)]
-    else:
-        lifts = [(pullback_to_hyperspherical(h1, p),
-                  pullback_to_hyperspherical(h2, p))]
-    lhs = rhs = 0.0
-    n1 = n2 = 0.0
-    for f, h in lifts:
-        fth, tfh, ff, hh = _defect_terms(tag, f, h, p, pts, w, names)
-        lhs = lhs + fth
-        rhs = rhs + tfh
-        n1 += float(ff)
-        n2 += float(hh)
-    return abs(lhs - rhs) / math.sqrt(n1 * n2)
-
-
 def suite_hermiticity(p, res):
     """<f, T h> = <T f, h> under the sphere measure for H and every pi.
 
@@ -570,43 +559,60 @@ def suite_hermiticity(p, res):
     from the pass criterion; it is documented as non-hermitian.  D must be
     at least 3, since at D=2 there is no polar angle for that control to
     act on, and res at least 2 (the reduced chart's polar nodes reject
-    less); both are checked before any harmonic is built.  The suite's two
-    grids, the reduced chart's Gauss grid and the hyperspherical midpoint
-    grid, are built once, here.
+    less); both are checked before any harmonic is built.  Each chart lift
+    (the reduced chart's two hemispheres on its Gauss grid, then the
+    hyperspherical chart on the midpoint angular grid) pulls the test
+    functions back once and is evaluated in one ``_pair_terms`` call.
     """
     if p.D < 3:
         raise ValueError(f"hermiticity needs dim >= 3, got dim {p.D}")
-    grids = {CHART_REDUCED: _chart_grid(CHART_REDUCED, p, res),
-             CHART_HYPERSPHERICAL: (*_midpoint_angular_grid(p, res),
-                                    hyperspherical_var_names(p))}
-    harmonics = [harmonic_polynomials(p.D, l)[0] for l in (1, 2, 3)]
+    grid = _chart_grid(CHART_REDUCED, p, res)
+    sphere = (*_midpoint_angular_grid(p, res), hyperspherical_var_names(p))
+    basis = [harmonic_polynomials(p.D, l) for l in (1, 2, 3)]
+    harmonics = [b[0] for b in basis]
     # pi_cart is symmetric on functions vanishing at the chart edge (the
     # equator); x_D^2 damping puts the test pair in that domain and keeps
     # the rational (R^2-|x|^2)^{-1} factor of the operator polynomial
     xd2 = ex.mul(ex.Var(f"x{p.D}"), ex.Var(f"x{p.D}"))
     damped = [ex.mul(xd2, h) for h in harmonics]
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    # (row name, operator, test pair family, pair label prefix)
-    checks = [("H_cart", OperatorTag("H_cart", route="laplace_beltrami"),
-               harmonics, "")]
-    checks += [(f"pi_cart_{i}", OperatorTag("pi_cart", i=i), damped, "xD^2 ")
-               for i in range(1, p.D)]
-    checks += [("H_curv", OperatorTag("H_curv"), harmonics, "")]
-    checks += [(f"pi_curv_{i}", OperatorTag("pi_curv", i=i), harmonics, "")
-               for i in range(1, p.D)]
-    rows = []
-    worst = 0.0
-    for name, tag, family, label in checks:
-        for a, b in pairs:
-            d = _sphere_defect(tag, family[a], family[b], p, grids)
-            rows.append({"operator": name, "pair": f"{label}l{a + 1},l{b + 1}",
-                         "defect": float(d)})
-            worst = float(np.maximum(worst, d))
+    # (test functions, operators) on each chart, in row order
+    reduced = [(harmonics, [OperatorTag("H_cart", route="laplace_beltrami")]),
+               (damped, [OperatorTag("pi_cart", i=i) for i in range(1, p.D)])]
+    curved = [(harmonics, [OperatorTag("H_curv")] + [
+        OperatorTag("pi_curv", i=i) for i in range(1, p.D)])]
     # deliberately non-hermitian control, excluded from the max; the pair is
     # picked so no parity accident hides the defect
-    displayed = OperatorTag("pi_curv", i=1, convention="displayed")
-    control = _sphere_defect(displayed, harmonic_polynomials(p.D, 1)[2],
-                             harmonic_polynomials(p.D, 2)[1], p, grids)
+    control = ([basis[0][2], basis[1][1]],
+               [OperatorTag("pi_curv", i=1, convention="displayed")])
+
+    def lift_terms(families, pull, grid):
+        return _pair_terms([([pull(h) for h in funcs], tags)
+                            for funcs, tags in families], p, grid)
+
+    def defect(*lifts):
+        # over the whole sphere, normalized by |f| |h|: the reduced chart's
+        # equator boundary terms only cancel in the sum of its two lifts
+        lhs = rhs = n1 = n2 = 0.0
+        for fth, tfh, ff, hh in lifts:
+            lhs, rhs, n1, n2 = lhs + fth, rhs + tfh, n1 + ff, n2 + hh
+        return abs(lhs - rhs) / math.sqrt(n1 * n2)
+
+    upper, lower = (lift_terms(reduced, lambda h, s=s: pullback_to_reduced(
+        h, p, hemisphere=s), grid) for s in (1, -1))
+    whole = lift_terms(curved + [control],
+                       lambda h: pullback_to_hyperspherical(h, p), sphere)
+    found = itertools.chain(map(defect, upper, lower), map(defect, whole))
+    rows = []
+    worst = 0.0
+    for funcs, tags in reduced + curved:
+        label = "xD^2 " if funcs is damped else ""
+        for tag in tags:
+            name = tag.kind if tag.kind[0] == "H" else f"{tag.kind}_{tag.i}"
+            for (a, b), d in zip(itertools.combinations(range(3), 2), found):
+                rows.append({"operator": name, "pair": f"{label}l{a + 1},l{b + 1}",
+                             "defect": float(d)})
+                worst = float(np.maximum(worst, d))
+    control = next(found)
     if math.isnan(control):
         worst = control  # a control that cannot be measured fails the suite
     return {"rows": rows, "max_defect": worst,

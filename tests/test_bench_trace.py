@@ -55,6 +55,6 @@ def test_traced_identities_measures_every_metric():
     vals, fired = layers.sequence_values([cmd for _, cmd in runs])
     assert layers.unmeasured("identities", fired) == []
     # one call per harmonic block in chart-equivalence (20) and
-    # angular-momentum (20), one per hermiticity lift (28) and one for
-    # every dirac bracket
-    assert vals["expressions.evaluate_calls"] == 69
+    # angular-momentum (20), one per hermiticity chart lift (3) and one
+    # for every dirac bracket
+    assert vals["expressions.evaluate_calls"] == 44

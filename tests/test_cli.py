@@ -2,6 +2,7 @@
 and byte-level determinism of repeated runs."""
 
 import csv
+import itertools
 import json
 import math
 
@@ -465,14 +466,17 @@ def test_sector_route_at_the_top_of_the_ladder(dim, capsys):
 
 
 def _nan_sphere_defect(monkeypatch, hit):
-    """Make operators._sphere_defect return NaN where ``hit`` says so."""
-    real = operators._sphere_defect
+    """Make every hermiticity defect of an operator NaN where ``hit`` says
+    so, by turning its sums from operators._pair_terms into NaN."""
+    real = operators._pair_terms
 
-    def patched(tag, h1, h2, p, grids):
-        if hit(tag):
-            return float("nan")
-        return real(tag, h1, h2, p, grids)
-    monkeypatch.setattr(operators, "_sphere_defect", patched)
+    def patched(families, p, grid):
+        # one tuple of sums per operator and pair of its family, in order
+        hits = [hit(tag) for funcs, tags in families for tag in tags
+                for _ in itertools.combinations(funcs, 2)]
+        return [(math.nan,) * 4 if h else t
+                for h, t in zip(hits, real(families, p, grid), strict=True)]
+    monkeypatch.setattr(operators, "_pair_terms", patched)
 
 
 @pytest.mark.parametrize("chart", ["reduced", "hyperspherical"])

@@ -136,6 +136,15 @@ def test_chart_domain_guard():
         from_hyperspherical(1.0, np.zeros(3), p)
     with pytest.raises(ChartDomainError, match="expected 3 embedded coordinates"):
         to_hyperspherical(np.zeros(2), p)
+    # a non-finite point: max(-1.0, nan) is -1.0, so without the rule a NaN
+    # comes back as the angle pi, and an infinity as finite angles
+    for x in ([0.0, 0.0, np.nan], [np.inf, 0.0, 1.0], [0.0, -np.inf, 0.0]):
+        with pytest.raises(ChartDomainError, match="embedded coordinates must be finite"):
+            to_hyperspherical(np.array(x), p)
+    # |x|^2 = 1e-320 is subnormal, so r = sqrt(|x|^2) keeps only a few
+    # digits and x_3 / r exceeds 1 by far more than the clamp's 1e-13
+    with pytest.raises(ChartDomainError, match="inconsistent cumulative radius"):
+        to_hyperspherical(np.array([0.0, 0.0, 1e-160]), p)
 
 
 def test_pole_singularity_guard():

@@ -259,7 +259,8 @@ def test_momentum_conventions_on_parity_matched_pair():
 
 
 def test_hermiticity_suite_evaluates_each_lift_in_one_call(monkeypatch):
-    # f, h, T f and T h of a lift share subtrees; one call computes them once
+    # the functions of a lift and their images share subtrees; one call
+    # computes them once
     evaluate = ex.evaluate
     roots = []
 
@@ -268,8 +269,11 @@ def test_hermiticity_suite_evaluates_each_lift_in_one_call(monkeypatch):
         return evaluate(exprs, env)
     monkeypatch.setattr(ex, "evaluate", counted)
     operators.suite_hermiticity(P3, 8)
-    # 9 reduced-chart defects of two hemisphere lifts, 10 hyperspherical
-    assert roots == [4] * 28
+    # each hemisphere lift: 3 harmonics and their H_cart images, 3 damped
+    # harmonics and their images under pi_cart_1 and pi_cart_2; the
+    # hyperspherical lift: 3 harmonics and their images under H_curv,
+    # pi_curv_1 and pi_curv_2, then the control pair and its images
+    assert roots == [15, 15, 16]
 
 
 def test_hermiticity_suite_peak_stays_small():
@@ -411,6 +415,20 @@ def test_one_evaluate_call_per_harmonic_block(suite, monkeypatch):
     SUITES[suite](ModelParams(D=3), 9, 100, 7)  # the CLI defaults
     blocks = sum(len(operators._harmonic_blocks(3, l)) for l in range(10))
     assert blocks == 20 and roots == [2] * blocks
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_one_schedule_per_harmonic_block(suite, monkeypatch):
+    # the plan that sizes a block's row slices also runs them
+    schedule = ex._schedule
+    walks = []
+
+    def counted(roots):
+        walks.append(len(roots))
+        return schedule(roots)
+    monkeypatch.setattr(ex, "_schedule", counted)
+    SUITES[suite](ModelParams(D=3), 9, 100, 7)  # the CLI defaults
+    assert walks == [2] * 20
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
