@@ -465,7 +465,7 @@ def test_sector_route_at_the_top_of_the_ladder(dim, capsys):
     assert len(results["clusters"]) == 21
 
 
-def _nan_sphere_defect(monkeypatch, hit):
+def _nan_pair_terms(monkeypatch, hit):
     """Make every hermiticity defect of an operator NaN where ``hit`` says
     so, by turning its sums from operators._pair_terms into NaN."""
     real = operators._pair_terms
@@ -482,7 +482,7 @@ def _nan_sphere_defect(monkeypatch, hit):
 @pytest.mark.parametrize("chart", ["reduced", "hyperspherical"])
 def test_nan_defect_fails_the_check(chart, monkeypatch, capsys):
     # NaN rows on one chart, with the displayed-convention control intact
-    _nan_sphere_defect(monkeypatch, lambda tag: (
+    _nan_pair_terms(monkeypatch, lambda tag: (
         tag.chart == chart and tag.convention != "displayed"))
     code, out, err = run(["check", "hermiticity", "--res", "16"], capsys)
     assert code == 1
@@ -491,7 +491,7 @@ def test_nan_defect_fails_the_check(chart, monkeypatch, capsys):
 
 def test_nan_hermiticity_control_fails_the_check(monkeypatch, capsys):
     # a control that cannot be measured must not let the suite pass
-    _nan_sphere_defect(monkeypatch, lambda tag: tag.convention == "displayed")
+    _nan_pair_terms(monkeypatch, lambda tag: tag.convention == "displayed")
     code, out, err = run(["check", "hermiticity", "--res", "16"], capsys)
     assert code == 1
     report = json.loads(out)

@@ -468,7 +468,7 @@ class _Counted(np.lib.mixins.NDArrayOperatorsMixin):
 def test_evaluate_holds_no_more_values_than_peak_values(dag):
     # every value computed from x or y is a _Counted; those alive at once
     # during the call, beyond x and y themselves, are the values it holds.
-    # Roots that carry their plan hold no more on every run of that plan
+    # Roots that carry their plan hold no more on every run of that plan.
     roots, env = dag
     env = {name: _Counted(v) for name, v in env.items()}
     bound = ex._peak_values(roots)
