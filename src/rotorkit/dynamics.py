@@ -43,7 +43,7 @@ only tests use, so they live in ``tests/test_dynamics.py``.
 The ``rotorkit check dirac-brackets`` suite lives here too:
 ``suite_dirac_brackets`` checks the three bracket families against their
 closed forms, bitwise antisymmetry and the Jacobi identity over one draw
-of random shell points, in one ``evaluate`` call.
+of random shell points, in one ``evaluate`` call per sample slice.
 """
 
 import math
@@ -390,13 +390,15 @@ def suite_dirac_brackets(p, samples, seed):
     """The three bracket families, exact antisymmetry and the Jacobi identity.
 
     Every check reads the same ``samples`` shell points drawn from
-    ``seed``, and one ``evaluate`` call computes x, p, the 3 D^2 family
-    brackets, the antisymmetry pairs and the Jacobi sum.  Each family
-    reports the max absolute deviation of its brackets from the oracle
-    table (``fundamental_bracket_reference``); antisymmetry asks
-    {A,B} = -{B,A} bitwise, not merely to rounding.  Returns (report,
-    worst family deviation).  The Jacobi and antisymmetry triples use x3
-    and p3, so D must be at least 3.
+    ``seed``, and one plan computes x, p, the 3 D^2 family brackets, the
+    antisymmetry pairs and the Jacobi sum, in one ``evaluate`` call per
+    slice of the samples whose values, one per step of the plan plus two
+    (``ex._Planned``), fit MEMORY_BUDGET; one slice at the defaults.  Each
+    family reports the max absolute deviation of its brackets from the
+    oracle table (``fundamental_bracket_reference``); antisymmetry asks
+    {A,B} = -{B,A} bitwise, not merely to rounding.  Returns (report, worst
+    family deviation).  The Jacobi and antisymmetry triples use x3 and p3,
+    so D must be at least 3.
     """
     if p.D < 3:
         raise ValueError(f"dirac-brackets needs dim >= 3, got dim {p.D}")
@@ -421,22 +423,35 @@ def suite_dirac_brackets(p, samples, seed):
         return dirac_bracket_expr(f, dirac_bracket_expr(g, h, p), p)
     jacobi = ex.add(nest(A, B, C), nest(B, C, A), nest(C, A, B))
 
-    values = [np.broadcast_to(v, samples) for v in ex.evaluate(
-        x + mom + brackets + fwd + rev + [jacobi], env)]
+    roots = ex._Planned(x + mom + brackets + fwd + rev + [jacobi])
+    step = max(1, MEMORY_BUDGET // ((len(roots.schedule[0]) + 2) * 8))
     D = p.D
-    xval, pval = np.stack(values[:D]), np.stack(values[D:2 * D])
-    got = np.reshape(values[2 * D:-7], (3, D, D, samples))
+
+    def reduce_slice(lo):
+        # each family's deviation, the Jacobi deviation, and 1 where an
+        # antisymmetry pair is not bitwise exact, over one slice
+        part = {name: v[lo:lo + step] for name, v in env.items()}
+        n = len(part[angles[0]])
+        values = [np.broadcast_to(v, n) for v in ex.evaluate(roots, part)]
+        xval, pval = np.stack(values[:D]), np.stack(values[D:2 * D])
+        got = np.reshape(values[2 * D:-7], (3, D, D, n))
+        reference = fundamental_bracket_reference(xval, pval, p.R)
+        devs = [np.max(np.abs(table - reference[kind]))
+                for kind, table in zip(families, got)]
+        exact = all(np.all(f == -r)
+                    for f, r in zip(values[-7:-4], values[-4:-1]))
+        return devs + [np.max(np.abs(values[-1])), not exact]
+    # max is exact and keeps NaN, so the slices reduce to the whole's bits
+    *devs, jacobi_dev, broken = np.max(
+        [reduce_slice(lo) for lo in range(0, samples, step)], axis=0)
     report = {"chart": "curvilinear_canonical", "samples": samples,
               "seed": seed, "families": {}}
-    reference = fundamental_bracket_reference(xval, pval, p.R)
     worst = 0.0
-    for kind, table in zip(families, got):
-        dev = float(np.max(np.abs(table - reference[kind])))
+    for kind, dev in zip(families, devs):
         report["families"][kind] = {"pair": kind, "samples": samples,
-                                    "max_deviation": dev}
+                                    "max_deviation": float(dev)}
         worst = float(np.maximum(worst, dev))  # NaN-aware, unlike max()
     report["max_deviation"] = worst
-    report["antisymmetry_exact"] = all(
-        bool(np.all(f == -r)) for f, r in zip(values[-7:-4], values[-4:-1]))
-    report["jacobi_max_deviation"] = float(np.max(np.abs(values[-1])))
+    report["antisymmetry_exact"] = not broken
+    report["jacobi_max_deviation"] = float(jacobi_dev)
     return report, worst

@@ -20,8 +20,7 @@ exists, so a wide sum holds one partial result rather than one value per
 term.  Constant arguments are read in place.  A call holds only the
 values still awaiting a consumer and one partial result per open sum or
 product, so its memory follows the DAG's width rather than its node
-count, and a chain of any depth evaluates.  ``_peak_values`` replays the
-same plan to count the values a call holds at once.
+count, and a chain of any depth evaluates.
 
 The constructors fold the obvious identities (0 and 1 absorption, constant
 collection) but deliberately do nothing clever beyond that: no reordering of
@@ -484,38 +483,12 @@ def _schedule(roots):
 
 
 class _Planned(tuple):
-    """Roots that carry their ``_schedule``, which ``evaluate`` and
-    ``_peak_values`` replay instead of walking the DAG again."""
+    """Roots that carry their ``_schedule``, which ``evaluate`` replays
+    instead of walking the DAG again.  A call holds at most
+    ``len(schedule[0]) + 2`` values: one per step that has run, and the
+    two new partial results a running fold may hold at once."""
 
     def __new__(cls, roots):
         self = super().__new__(cls, roots)
         self.schedule = _schedule(self)
         return self
-
-
-def _peak_values(roots):
-    """Most values ``evaluate(roots, env)`` holds at once.
-
-    Replays ``evaluate``'s plan, a ``_Planned``'s own included.  While a
-    step runs, the values still awaiting a consumer are live, and so is
-    the step's new result; a continued partial result is dropped once the
-    first fold has replaced it.  A step that starts a sum or product and
-    folds two or more further arguments into the first briefly holds two
-    partial results.  A step's arguments count as live until it ends.  Every node counts as one
-    value, a constant root included, so this bounds the arrays of rows x
-    samples that a call allocates.
-    """
-    plan, uses = (roots.schedule if isinstance(roots, _Planned)
-                  else _schedule(roots))
-    uses = dict(uses)  # counted down here; the plan may run again
-    live = peak = len({id(e) for e in roots if type(e) is Const})
-    for node, start, operands in plan:
-        peak = max(peak, live + 1 + (start is True and len(operands) > 2))
-        live += start is not False
-        for kid in operands:
-            if type(kid) is not Const:
-                kid = id(kid)
-                uses[kid] -= 1
-                if not uses[kid]:
-                    live -= 1
-    return peak

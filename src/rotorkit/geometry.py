@@ -19,11 +19,12 @@ shape (n, D-1) and are pure.  The hyperspherical map also exists in
 symbolic form (``embedding_exprs_hyperspherical``), for the operator and
 bracket layers that differentiate it.
 
-``MEMORY_BUDGET`` is the one byte budget of the package: the Lanczos basis
-in spectra and the classical trajectory arrays in dynamics stay within it.
+``MEMORY_BUDGET`` is the one byte budget of the package: every layer that
+sizes its arrays from its inputs stays within it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +146,22 @@ def to_hyperspherical(x, p):
 
     Polar angles come from arc-cosines of cumulative radii; arguments are
     clamped to [-1, 1] with a 1e-13 slack so rounding cannot produce domain
-    errors.  The azimuth uses atan2 and is reduced to [0, 2pi).
+    errors.  The azimuth uses atan2 and is reduced to [0, 2pi).  Where
+    max|x| lies outside (2^-500, 2^500), |x|^2 could overflow or underflow,
+    so x is first scaled by the power of two that brings max|x| into
+    [1/2, 1); r scales back exactly, and one past the float range is refused.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (p.D,):
         raise ChartDomainError(f"expected {p.D} embedded coordinates")
     if not np.all(np.isfinite(x)):
         raise ChartDomainError("embedded coordinates must be finite")
+    big = float(np.max(np.abs(x)))
+    scale = 0 if 2.0 ** -500 < big < 2.0 ** 500 else math.frexp(big)[1]
+    x = np.ldexp(x, -scale)
     r = float(np.linalg.norm(x))
+    if math.frexp(r)[1] + scale > sys.float_info.max_exp:
+        raise ChartDomainError("radius exceeds the float range")
     if r == 0.0:
         raise PoleSingularityError(1, "origin has no angular coordinates")
     angles = np.empty(p.D - 1)
@@ -168,7 +177,7 @@ def to_hyperspherical(x, p):
             raise PoleSingularityError(k + 2, f"sin phi_{k + 1} = 0 leaves phi_{k + 2} undetermined")
     az = math.atan2(x[0], x[1])
     angles[p.D - 2] = az if az >= 0 else az + 2 * math.pi
-    return r, angles
+    return math.ldexp(r, scale), angles
 
 
 def hyperspherical_var_names(p):

@@ -469,10 +469,10 @@ def _route_gap(p, lmax, samples, routes, env):
     the routes are built once for the block's tree, and the call also
     binds the tree's coefficient variables to their (rows, 1) columns, so
     each value holds one row per harmonic.  Where rows x samples x 16
-    bytes (complex values) times the most values the call holds at once
-    (``_peak_values``) would exceed MEMORY_BUDGET, the same pair is
-    evaluated on row slices of the columns, each of at least one row.
-    One plan of the pair (``ex._Planned``) sizes the slices and runs each.
+    bytes (complex values) times the plan's length plus two (the most
+    values a call holds, ``ex._Planned``) would exceed MEMORY_BUDGET, the
+    same pair is evaluated on row slices of the columns, each of at least
+    one row; the block's one plan sizes the slices and runs each.
     """
     scale = p.hbar ** 2 / p.R ** 2
     worst = 0.0
@@ -480,7 +480,7 @@ def _route_gap(p, lmax, samples, routes, env):
     for degree in range(lmax + 1):
         for tree, coefficients, harmonics in _harmonic_blocks(p.D, degree):
             pair = ex._Planned(routes(tree))
-            held = ex._peak_values(pair)
+            held = len(pair.schedule[0]) + 2
             step = max(1, MEMORY_BUDGET // (samples * held * 16))
             for lo in range(0, len(harmonics), step):
                 rows = len(harmonics[lo:lo + step])

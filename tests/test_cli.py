@@ -137,6 +137,28 @@ def test_dirac_brackets_fail_without_exact_antisymmetry(monkeypatch, capsys):
     assert err == "tolerance exceeded (antisymmetry_exact=false)\n"
 
 
+def test_dirac_brackets_slice_their_samples_under_a_small_budget(
+        monkeypatch, capsys):
+    # a call holds one value per step of its plan, plus two, of 8 bytes a
+    # sample; a budget for 300 samples cuts the default 1000 into four
+    # calls, and the max and equality reductions keep the payload's bytes
+    evaluate = expressions.evaluate
+    calls = []
+
+    def counted(exprs, env):
+        calls.append((exprs, len(env["phi1"])))
+        return evaluate(exprs, env)
+    monkeypatch.setattr(expressions, "evaluate", counted)
+    code, whole, _ = run(["check", "dirac-brackets"], capsys)
+    assert code == 0 and [n for _, n in calls] == [1000]
+    steps = len(calls[0][0].schedule[0])
+    calls.clear()
+    monkeypatch.setattr(dynamics, "MEMORY_BUDGET", (steps + 2) * 8 * 300)
+    code, cut, _ = run(["check", "dirac-brackets"], capsys)
+    assert code == 0 and [n for _, n in calls] == [300, 300, 300, 100]
+    assert cut == whole
+
+
 def test_dirac_brackets_fail_on_the_jacobi_bound(monkeypatch, capsys):
     # the Jacobi deviation is not in max_deviations, so stderr names it;
     # stdout is the payload of the same failure without the stderr detail

@@ -348,6 +348,30 @@ def test_bracket_report_keeps_nan(monkeypatch):
     assert np.isnan(report["max_deviation"]) and np.isnan(worst)
 
 
+def test_a_nan_in_the_last_sample_slice_reaches_the_report(monkeypatch):
+    # one sample a call: the NaN momentum of the last sample must survive
+    # the max folds over the slices before it (max(0.0, nan) == 0.0)
+    sample = dynamics._random_canonical_points
+    evaluate = ex.evaluate
+    calls = []
+
+    def poisoned(p, samples, seed):
+        qs, ps = sample(p, samples, seed)
+        ps[-1, 0] = np.nan
+        return qs, ps
+
+    def counted(exprs, env):
+        calls.append(exprs)
+        return evaluate(exprs, env)
+    monkeypatch.setattr(dynamics, "_random_canonical_points", poisoned)
+    monkeypatch.setattr(dynamics, "MEMORY_BUDGET", 1)
+    monkeypatch.setattr(ex, "evaluate", counted)
+    report, worst = suite_dirac_brackets(P3, 20, 7)
+    assert len(calls) == 20
+    assert np.isnan(report["families"]["pp"]["max_deviation"])
+    assert np.isnan(report["max_deviation"]) and np.isnan(worst)
+
+
 def test_bracket_antisymmetry_is_bitwise():
     xn, pn = embedded_phase_vars(P3)
     cmap = canonical_chart_map(P3)

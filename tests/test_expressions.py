@@ -274,28 +274,6 @@ def test_column_bound_variable_rows_equal_each_scalar_binding():
         assert got.tobytes() == alone.tobytes()
 
 
-def test_peak_values_replays_the_schedule():
-    x = ex.Var("x")
-    sq = ex.power(x, 2)
-    # x, sq, sin(sq), then the product: sq is held for both consumers, x is
-    # dropped once sq has run, and a product of two folds once
-    assert ex._peak_values([ex.mul(sq, ex.sin(sq))]) == 3
-    # a root is held to the end even after its other consumer has run:
-    # sq, the sum, y and sin(y)
-    assert ex._peak_values([sq, ex.add(sq, ex.ONE), ex.sin(ex.Var("y"))]) == 4
-    # a wide sum holds one partial result, not one value per term: x, the
-    # partial, a term's product and its sine
-    wide = ex.add(*[ex.sin(ex.mul(0.5 * k, x)) for k in range(1, 101)])
-    assert ex._peak_values([wide]) == 4
-    # a chain holds two values whatever its length: the schedule still
-    # visits every node, as _memo_size counted them
-    chain = x
-    for _ in range(50):
-        chain = ex.sin(chain)
-    assert ex._peak_values([chain]) == 2
-    assert len(ex._schedule([chain])[0]) == 51
-
-
 def test_schedule_runs_children_first_left_to_right():
     x, y, z, two = ex.Var("x"), ex.Var("y"), ex.Var("z"), ex.Const(2.0)
     xx = ex.Mul((x, x))
@@ -465,20 +443,30 @@ class _Counted(np.lib.mixins.NDArrayOperatorsMixin):
 
 @given(dags())
 @settings(max_examples=200)
-def test_evaluate_holds_no_more_values_than_peak_values(dag):
+def test_evaluate_holds_no_more_values_than_its_plan_has_steps(dag):
     # every value computed from x or y is a _Counted; those alive at once
     # during the call, beyond x and y themselves, are the values it holds.
     # Roots that carry their plan hold no more on every run of that plan.
     roots, env = dag
     env = {name: _Counted(v) for name, v in env.items()}
-    bound = ex._peak_values(roots)
     planned = ex._Planned(roots)
+    bound = len(planned.schedule[0]) + 2
     for exprs in (roots, planned, planned):
         _Counted.peak = before = _Counted.live
         with np.errstate(all="ignore"):
             ex.evaluate(exprs, env)
         assert _Counted.peak - before <= bound
-        assert ex._peak_values(planned) == bound
+
+
+def test_a_wide_sum_holds_one_partial_result():
+    # beyond x: the partial, a term's product and its sine, and the new
+    # partial while the fold runs; not one value per term
+    x = ex.Var("x")
+    wide = ex.add(*[ex.sin(ex.mul(0.5 * k, x)) for k in range(1, 101)])
+    env = {"x": _Counted(np.linspace(0.0, 1.0, 5))}
+    _Counted.peak = before = _Counted.live
+    ex.evaluate(wide, env)
+    assert _Counted.peak - before <= 3
 
 
 def _chain(depth):

@@ -141,10 +141,30 @@ def test_chart_domain_guard():
     for x in ([0.0, 0.0, np.nan], [np.inf, 0.0, 1.0], [0.0, -np.inf, 0.0]):
         with pytest.raises(ChartDomainError, match="embedded coordinates must be finite"):
             to_hyperspherical(np.array(x), p)
-    # |x|^2 = 1e-320 is subnormal, so r = sqrt(|x|^2) keeps only a few
-    # digits and x_3 / r exceeds 1 by far more than the clamp's 1e-13
+    # the cumulative radius is a product of sines, ill-conditioned where an
+    # angle is near 0: here it comes out below |x_2| by more than the
+    # clamp's 1e-13, and the point is refused rather than given angles
     with pytest.raises(ChartDomainError, match="inconsistent cumulative radius"):
-        to_hyperspherical(np.array([0.0, 0.0, 1e-160]), p)
+        to_hyperspherical(np.array([-2.76352176e-10, -1.40527100e-09,
+                                    -1.01012721e-03, 1.0]), ModelParams(D=4))
+    # a radius past the largest float
+    with pytest.raises(ChartDomainError, match="radius exceeds the float range"):
+        to_hyperspherical(np.array([1.7e308, 1.7e308, 0.0]), p)
+
+
+@pytest.mark.parametrize("D", (2, 3, 5))
+@pytest.mark.parametrize("k", (600, -600))
+def test_hyperspherical_scales_points_far_from_unit_size(D, k):
+    # |x|^2 overflows at 2^600 |x| and underflows at 2^-600 |x|; the point
+    # is rescaled by a power of two, so its angles keep their bits
+    p = ModelParams(D=D)
+    rng = np.random.default_rng(50 + D)
+    for _ in range(25):
+        x = rng.standard_normal(D)
+        r, angles = to_hyperspherical(x, p)
+        r_far, angles_far = to_hyperspherical(2.0 ** k * x, p)
+        assert r_far == math.ldexp(r, k)
+        assert angles_far.tobytes() == angles.tobytes()
 
 
 def test_pole_singularity_guard():
@@ -153,6 +173,12 @@ def test_pole_singularity_guard():
     with pytest.raises(PoleSingularityError) as err:
         to_hyperspherical(np.array([0.0, 0.0, 1.0]), p)
     assert err.value.angle_index == 2
+    # so are the poles far from unit size, where |x|^2 overflows or
+    # underflows to 0
+    for z in (1e200, 1e-163):
+        with pytest.raises(PoleSingularityError) as err:
+            to_hyperspherical(np.array([0.0, 0.0, z]), p)
+        assert err.value.angle_index == 2
     with pytest.raises(PoleSingularityError, match="origin has no angular coordinates"):
         to_hyperspherical(np.zeros(3), p)
 

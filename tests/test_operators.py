@@ -455,11 +455,40 @@ def test_batched_rows_match_harmonic_polynomials(suite, D, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_nan_in_a_blocks_last_row_slice_fails_the_suite(suite, monkeypatch):
+    # one row a call: a NaN in the last slice of the first block that is
+    # cut must survive the fold over its slices and over the later blocks
+    p, lmax, samples = ModelParams(D=3), 4, 5
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 1)
+    _, calls = _record(suite, p, lmax, samples, 0, monkeypatch)
+    trees = [id(exprs) for exprs, _, _ in calls]
+    last = next(k for k in range(1, len(trees) - 1)
+                if trees[k - 1] == trees[k] != trees[k + 1])
+    evaluate = ex.evaluate
+    seen = []
+
+    def poisoned(exprs, env):
+        out = evaluate(exprs, env)
+        if len(seen) == last:
+            a = np.array(np.broadcast_to(out[0], (1, samples)), dtype=complex)
+            a[-1, -1] = np.nan
+            out[0] = a
+        seen.append(exprs)
+        return out
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 1)  # _record undid it
+    monkeypatch.setattr(ex, "evaluate", poisoned)
+    results, worst = SUITES[suite](p, lmax, samples, 0)
+    assert len(seen) == len(calls)
+    assert np.isnan(worst) and np.isnan(results["max_relative_deviation"])
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("budget", (1, 400_000))
 def test_row_chunks_under_a_small_memory_budget(suite, budget, monkeypatch):
-    # with samples=25 a row of the widest blocks costs 28-53 kB at degrees
-    # 4-5 of D=3 (16 bytes for each value evaluate holds at once), so the
-    # larger budget cuts the biggest blocks into chunks of a few rows; the
+    # with samples=25 a row costs 16 bytes for each step of its block's
+    # plan, plus two: 250-625 kB for the widest blocks at degrees 4-5 of
+    # D=3 and 74-151 kB at degree 3, so the larger budget cuts the former
+    # into single rows and the latter into chunks of a few rows; the
     # chunks evaluate the block's one tree on row slices of its columns
     p, lmax, samples = ModelParams(D=3), 5, 25
     whole, whole_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
