@@ -19,12 +19,13 @@ Exit codes:
   0  all checks passed
   1  a tolerance was exceeded (report still written, pass: false)
   2  rejected input, before any solver runs.  This module rejects bad
-     keys and values (positive keys must also be finite) and holds the
-     rules of keys only it has: a check suite must be selected, the
-     pathintegral evaluation window must sit inside [r_min, r_max], a
-     spectrum lists at most 100000 eigenvalues, and ``--out`` names a
-     writable file: not a directory, in a directory that exists and is
-     writable.  Every other rule lives once, in the layer that owns it,
+     keys and values (positive keys must also be finite, and a seed
+     must not be negative) and holds the rules of keys only it has: a
+     check suite must be selected, the pathintegral evaluation window
+     must sit inside [r_min, r_max], a spectrum lists at most 100000
+     eigenvalues, and ``--out`` names a writable file: not a directory,
+     in a directory that exists and is writable.  Every other rule lives
+     once, in the layer that owns it,
      and the layer checks it at entry, before its first solve:
      geometry.ModelParams (dim, radius, hbar), spectra.route_spectrum,
      the check suites in operators and dynamics,
@@ -192,6 +193,8 @@ def _coerce(key, raw, spec):
         raise ConfigError(
             f"key '{key}' must be one of {', '.join(spec['choices'])}; "
             f"got {val!r}")
+    if key == "seed" and val < 0:  # one rule for every command, used or not
+        raise ConfigError(f"key 'seed' must be a non-negative integer, got {val}")
     if spec["positive"]:
         seq = val if isinstance(val, tuple) else (val,)
         if any(not (0 < v < math.inf) for v in seq):

@@ -15,16 +15,17 @@ The induced metric in the reduced chart is
 g_ij = delta_ij + x_i x_j / (R^2 - |x|^2), with inverse
 g^ij = delta_ij - x_i x_j / R^2 and determinant R^2 / (R^2 - |x|^2).
 All matrix functions accept a single point of shape (D-1,) or a batch of
-shape (n, D-1) and are pure.  The hyperspherical map also exists in
-symbolic form (``embedding_exprs_hyperspherical``), for the operator and
-bracket layers that differentiate it.
+shape (n, D-1), the chart maps batch along leading axes, and all are
+pure.  ``to_hyperspherical`` takes each polar angle as an atan2 of partial
+norms, well conditioned up to the poles.  The hyperspherical map also
+exists in symbolic form (``embedding_exprs_hyperspherical``), for the
+operator and bracket layers that differentiate it.
 
 ``MEMORY_BUDGET`` is the one byte budget of the package: every layer that
 sizes its arrays from its inputs stays within it.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,6 @@ CHART_HYPERSPHERICAL = "hyperspherical"
 
 # byte budget of any array a layer sizes from its inputs
 MEMORY_BUDGET = 2 ** 31
-
-_ANGLE_CLAMP_TOL = 1e-13  # slack allowed when clamping arccos arguments
 
 
 class ChartDomainError(ValueError):
@@ -142,42 +141,39 @@ def from_hyperspherical(r, angles, p):
 
 
 def to_hyperspherical(x, p):
-    """Embedded point to (r, angles); raises PoleSingularityError off-chart.
+    """Embedded points (shape (..., D)) to (r, angles of shape (..., D-1)).
 
-    Polar angles come from arc-cosines of cumulative radii; arguments are
-    clamped to [-1, 1] with a 1e-13 slack so rounding cannot produce domain
-    errors.  The azimuth uses atan2 and is reduced to [0, 2pi).  Where
-    max|x| lies outside (2^-500, 2^500), |x|^2 could overflow or underflow,
-    so x is first scaled by the power of two that brings max|x| into
-    [1/2, 1); r scales back exactly, and one past the float range is refused.
+    Polar angle phi_{k+1} = atan2(|x_1..x_{D-1-k}|, x_{D-k}), from the
+    partial norms of ``np.hypot.accumulate``: no overflow or underflow,
+    and well conditioned near every pole.  The azimuth atan2(x_1, x_2) is
+    reduced to [0, 2pi).  One point gives a float r.  An undetermined
+    angle raises PoleSingularityError: index 1 at the origin, and k + 2
+    where |x_1..x_{D-1-k}| = 0.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (p.D,):
+    if x.shape[-1:] != (p.D,):
         raise ChartDomainError(f"expected {p.D} embedded coordinates")
     if not np.all(np.isfinite(x)):
         raise ChartDomainError("embedded coordinates must be finite")
-    big = float(np.max(np.abs(x)))
-    scale = 0 if 2.0 ** -500 < big < 2.0 ** 500 else math.frexp(big)[1]
-    x = np.ldexp(x, -scale)
-    r = float(np.linalg.norm(x))
-    if math.frexp(r)[1] + scale > sys.float_info.max_exp:
+    with np.errstate(over="ignore"):
+        norms = np.hypot.accumulate(x, axis=-1)
+    r = norms[..., -1]
+    if (r == np.inf).any():
         raise ChartDomainError("radius exceeds the float range")
-    if r == 0.0:
+    if (r == 0.0).any():
         raise PoleSingularityError(1, "origin has no angular coordinates")
-    angles = np.empty(p.D - 1)
-    tail = r  # sqrt(x_1^2 + ... + x_{D-k}^2), shrinking as angles peel off
-    for k in range(p.D - 2):
-        c = x[p.D - 1 - k] / tail
-        if abs(c) > 1.0 + _ANGLE_CLAMP_TOL:
-            raise ChartDomainError("inconsistent cumulative radius")
-        c = min(1.0, max(-1.0, c))
-        angles[k] = math.acos(c)
-        tail = tail * math.sin(angles[k])
-        if tail == 0.0:
-            raise PoleSingularityError(k + 2, f"sin phi_{k + 1} = 0 leaves phi_{k + 2} undetermined")
-    az = math.atan2(x[0], x[1])
-    angles[p.D - 2] = az if az >= 0 else az + 2 * math.pi
-    return math.ldexp(r, scale), angles
+    # the partial norms grow, so a point's zero norms come first
+    zeros = int((norms[..., 1:-1] == 0.0).sum(axis=-1).max(initial=0))
+    if zeros:
+        i = p.D - zeros
+        raise PoleSingularityError(i, f"sin phi_{i - 1} = 0 leaves phi_{i} undetermined")
+    az = np.arctan2(x[..., 0], x[..., 1])
+    az = np.where(az >= 0, az, az + 2 * math.pi)
+    # in x order, then reversed: numpy's arctan2 rounds a negative-stride
+    # point apart from the same point as a batch row
+    polar = np.arctan2(norms[..., 1:-1], x[..., 2:])[..., ::-1]
+    angles = np.concatenate([polar, az[..., None]], axis=-1)
+    return (float(r) if x.ndim == 1 else r), angles
 
 
 def hyperspherical_var_names(p):

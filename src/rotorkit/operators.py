@@ -54,7 +54,8 @@ from scipy.linalg import null_space
 
 from . import expressions as ex
 from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, MEMORY_BUDGET,
-                       ChartDomainError, embedding_exprs_hyperspherical,
+                       ChartDomainError, _check_ball,
+                       embedding_exprs_hyperspherical,
                        hyperspherical_var_names, lift, to_hyperspherical)
 from .quadrature import reduced_ball_grid, sphere_angular_grid
 
@@ -200,13 +201,6 @@ def _env_from_points(names, points):
     if pts.shape[-1] != len(names):
         raise ChartDomainError(f"expected {len(names)} coordinates")
     return {n: pts[..., k] for k, n in enumerate(names)}
-
-
-def _check_reduced_domain(points, p):
-    pts = np.asarray(points, dtype=float)
-    s = np.sum(pts * pts, axis=-1)
-    if np.any(s >= p.R ** 2):
-        raise ChartDomainError("evaluation point outside the open chart ball")
 
 
 # -- reduced cartesian chart -------------------------------------------------
@@ -398,12 +392,12 @@ def apply_operator(tag, f, points, p):
     Reduced-chart points must lie in the open ball |x| < R; anything else
     raises ChartDomainError instead of evaluating to NaN.
     """
-    if tag.chart == CHART_REDUCED:
-        _check_reduced_domain(points, p)
-        names = reduced_var_names(p)
-    else:
-        names = hyperspherical_var_names(p)
-    return ex.evaluate(operator_expr(tag, f, p), _env_from_points(names, points))
+    reduced = tag.chart == CHART_REDUCED
+    names = reduced_var_names(p) if reduced else hyperspherical_var_names(p)
+    env = _env_from_points(names, points)  # the coordinate count comes first
+    if reduced:
+        _check_ball(points, p)
+    return ex.evaluate(operator_expr(tag, f, p), env)
 
 
 def _pair_terms(families, p, grid):
@@ -451,8 +445,7 @@ def _ball_samples(p, n, seed):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = 0.9 * p.R * rng.random(n) ** (1.0 / d)
     pts = dirs * radii[:, None]
-    angles = np.array([to_hyperspherical(lift(x, p), p)[1] for x in pts])
-    return pts, angles
+    return pts, to_hyperspherical(lift(pts, p), p)[1]
 
 
 def _route_gap(p, lmax, samples, routes, env):

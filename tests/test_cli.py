@@ -322,6 +322,18 @@ def test_default_pathintegral_bessel_count(monkeypatch, capsys):
     (["classical", "--duration", "1e300"], "byte budget"),
     (["check", "dirac-brackets", "--seed", "-1"], "non-negative"),
     (["check", "chart-equivalence", "--seed", "-1"], "non-negative"),
+    # one seed rule for every command, whether or not it draws samples
+    (["check", "angular-momentum", "--seed", "-1"],
+     "key 'seed' must be a non-negative integer"),
+    (["check", "hermiticity", "--seed", "-1"],
+     "key 'seed' must be a non-negative integer"),
+    (["classical", "--seed", "-1"], "key 'seed' must be a non-negative integer"),
+    (["pathintegral", "--seed", "-1"],
+     "key 'seed' must be a non-negative integer"),
+    (["spectrum", "--method", "sector", "--seed", "-1"],
+     "key 'seed' must be a non-negative integer"),
+    (["spectrum", "--method", "iterative", "--seed", "-1"],
+     "key 'seed' must be a non-negative integer"),
 ])
 def test_exit_2_on_bad_check_config(argv, needle, monkeypatch, capsys):
     # every rule is checked before the first evaluation or integrator step
@@ -330,6 +342,8 @@ def test_exit_2_on_bad_check_config(argv, needle, monkeypatch, capsys):
     monkeypatch.setattr(operators, "harmonic_polynomials", solver)
     monkeypatch.setattr(expressions, "evaluate", solver)
     monkeypatch.setattr(dynamics, "_midpoint_step", solver)
+    monkeypatch.setattr(cli, "route_spectrum", solver)
+    monkeypatch.setattr(pathintegral, "BandedKernel", solver)
     code, out, err = run(argv, capsys)
     assert code == 2 and needle in err
     assert out == "" and "Traceback" not in err

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorkit import expressions as ex
 from rotorkit.geometry import (
@@ -141,12 +143,13 @@ def test_chart_domain_guard():
     for x in ([0.0, 0.0, np.nan], [np.inf, 0.0, 1.0], [0.0, -np.inf, 0.0]):
         with pytest.raises(ChartDomainError, match="embedded coordinates must be finite"):
             to_hyperspherical(np.array(x), p)
-    # the cumulative radius is a product of sines, ill-conditioned where an
-    # angle is near 0: here it comes out below |x_2| by more than the
-    # clamp's 1e-13, and the point is refused rather than given angles
-    with pytest.raises(ChartDomainError, match="inconsistent cumulative radius"):
-        to_hyperspherical(np.array([-2.76352176e-10, -1.40527100e-09,
-                                    -1.01012721e-03, 1.0]), ModelParams(D=4))
+    # a unit-size point near a pole is in the chart, not refused, and
+    # round-trips to rounding
+    p4 = ModelParams(D=4)
+    x = np.array([-2.76352176e-10, -1.40527100e-09, -1.01012721e-03, 1.0])
+    r, angles = to_hyperspherical(x, p4)
+    assert np.max(np.abs(from_hyperspherical(r, angles, p4) - x)) <= \
+        1e-15 * np.linalg.norm(x)
     # a radius past the largest float
     with pytest.raises(ChartDomainError, match="radius exceeds the float range"):
         to_hyperspherical(np.array([1.7e308, 1.7e308, 0.0]), p)
@@ -155,8 +158,9 @@ def test_chart_domain_guard():
 @pytest.mark.parametrize("D", (2, 3, 5))
 @pytest.mark.parametrize("k", (600, -600))
 def test_hyperspherical_scales_points_far_from_unit_size(D, k):
-    # |x|^2 overflows at 2^600 |x| and underflows at 2^-600 |x|; the point
-    # is rescaled by a power of two, so its angles keep their bits
+    # |x|^2 would overflow at 2^600 |x| and underflow at 2^-600 |x|, but
+    # the partial norms come from hypot, which does neither, and a power
+    # of two scales them exactly, so the angles keep their bits
     p = ModelParams(D=D)
     rng = np.random.default_rng(50 + D)
     for _ in range(25):
@@ -173,14 +177,67 @@ def test_pole_singularity_guard():
     with pytest.raises(PoleSingularityError) as err:
         to_hyperspherical(np.array([0.0, 0.0, 1.0]), p)
     assert err.value.angle_index == 2
-    # so are the poles far from unit size, where |x|^2 overflows or
-    # underflows to 0
+    # so are the poles far from unit size
     for z in (1e200, 1e-163):
         with pytest.raises(PoleSingularityError) as err:
             to_hyperspherical(np.array([0.0, 0.0, z]), p)
         assert err.value.angle_index == 2
     with pytest.raises(PoleSingularityError, match="origin has no angular coordinates"):
         to_hyperspherical(np.zeros(3), p)
+    # in D = 4, |x_1, x_2| = 0 leaves phi_3 undetermined and |x_1..x_3| = 0
+    # leaves phi_2; a batch names the lowest index any of its points has
+    p4 = ModelParams(D=4)
+    batch = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+    for x, index in ((batch[0], 3), (batch[1], 2), (batch, 2)):
+        with pytest.raises(PoleSingularityError,
+                           match=f"leaves phi_{index} undetermined") as err:
+            to_hyperspherical(x, p4)
+        assert err.value.angle_index == index
+
+
+@pytest.mark.parametrize("t", (1e-8, 1e-7))
+def test_hyperspherical_angle_near_the_pole(t):
+    # acos(x_3 / r) would see t only through the rounding of r: 1.2% off
+    # at t = 1e-7, and a pole at 1e-8; atan2 gives phi_1 to an ulp
+    _, angles = to_hyperspherical(np.array([t, 0.0, 1.0]), ModelParams(D=3))
+    assert angles[0] == pytest.approx(math.atan(t), rel=4e-16)
+    assert angles[1] == math.pi / 2
+
+
+def _near_pole_component():
+    # a coordinate of size 1e-12 to 1, either sign, or exactly 0
+    magnitude = st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)
+    return st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_hyperspherical_round_trip_near_the_poles(data):
+    # every point off a pole converts: its angles lie in [0, pi] (azimuth
+    # in [0, 2pi)), the round trip holds to 1e-15 |x| and one point gives
+    # the bits of its row in a batch; a point on a pole is refused
+    D = data.draw(st.integers(2, 10), label="D")
+    p = ModelParams(D=D)
+    rows = st.lists(_near_pole_component(), min_size=D, max_size=D)
+    x = np.array(data.draw(st.lists(rows, min_size=1, max_size=8)))
+    x = x * 2.0 ** data.draw(st.sampled_from((-600, 0, 600)), label="scale")
+    # a partial norm |x_1..x_j|, j >= 2, is 0 exactly where x_1 = x_2 = 0
+    on_pole = (x[:, :2] == 0.0).all(axis=1)
+    for point in x[on_pole]:
+        with pytest.raises(PoleSingularityError):
+            to_hyperspherical(point, p)
+    x = x[~on_pole]
+    if not len(x):
+        return
+    r, angles = to_hyperspherical(x, p)
+    back = from_hyperspherical(r, angles, p)
+    assert np.all(np.max(np.abs(back - x), axis=1) <= 1e-15 * r)
+    assert np.all((angles[:, :-1] >= 0.0) & (angles[:, :-1] <= math.pi))
+    assert np.all((angles[:, -1] >= 0.0) & (angles[:, -1] < 2 * math.pi))
+    for point, r_row, angles_row in zip(x, r, angles):
+        r_one, angles_one = to_hyperspherical(point, p)
+        assert isinstance(r_one, float) and r_one == r_row
+        assert angles_one.tobytes() == angles_row.tobytes()
 
 
 def test_model_params_validation():

@@ -418,6 +418,19 @@ def test_one_evaluate_call_per_harmonic_block(suite, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
+def test_samples_are_lifted_and_converted_as_one_batch(suite, monkeypatch):
+    # one call each for the whole sample batch, not one per point
+    calls = []
+    for name in ("lift", "to_hyperspherical"):
+        def counted(x, p, real=getattr(operators, name), name=name):
+            calls.append((name, np.shape(x)))
+            return real(x, p)
+        monkeypatch.setattr(operators, name, counted)
+    SUITES[suite](ModelParams(D=4), 1, 20, 7)
+    assert calls == [("lift", (20, 3)), ("to_hyperspherical", (20, 4))]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
 def test_one_schedule_per_harmonic_block(suite, monkeypatch):
     # the plan that sizes a block's row slices also runs them
     schedule = ex._schedule

@@ -296,6 +296,15 @@ def test_d2_sector_route_solves_the_largest_grid_it_built(monkeypatch):
     assert r.meta["route"] == "sector"
 
 
+def test_route_spectrum_refuses_an_unknown_method_before_any_grid(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a grid was built for an unknown method")
+    monkeypatch.setattr(SpectralGrid, "build", build)
+    monkeypatch.setattr(spectra, "sector_spectrum", build)
+    with pytest.raises(ValueError, match="unknown method 'lanczos'"):
+        route_spectrum(ModelParams(D=3), [16], 4, "lanczos")
+
+
 def test_grid_size_is_exact_past_int64():
     grid = SpectralGrid.build(ModelParams(D=10), 200)
     assert grid.size == 200 ** 9 and isinstance(grid.size, int)
