@@ -13,6 +13,15 @@ Two independent integrations of the same physics:
   x'' = -2 lambda x; the tests re-verify that identity numerically
   instead of trusting the algebra.
 
+Each implicit-midpoint equation has one scalar unknown, s = qbar.pbar/R^2
+in the chart and c = |vbar|^2/R^2 in the embedding: given it, the midpoint
+state is explicit.  ``_reduced_step`` and ``_oracle_step`` iterate that
+scalar to its fixed point (``_midpoint_step``) and then form the step.
+They run on Python float lists, where each product and sum rounds once
+and dot products add left to right (``_dot``), so a trajectory's bits do
+not depend on the CPU or the BLAS kernel; on 2 to 20 components each numpy
+call would also cost more than the arithmetic.
+
 States are plain arrays, and the function names the chart:
 ``hamiltonian_value`` and ``embedded_from_reduced`` take reduced
 (q, mom), one state or one per row, and ``conserved_series`` takes
@@ -100,49 +109,93 @@ def hamiltonian_value(q, mom, p):
 
 
 def _dot(a, b):
-    """a . b of two float lists, rounded as numpy's ``@`` rounds it.
+    """a . b of two float sequences, summed left to right on plain floats.
 
-    numpy hands the product to BLAS, whose kernel may fuse each multiply
-    and add (OpenBLAS on x86-64 does); a plain float loop then differs in
-    the last bit from two components on.  So this one product stays on
-    numpy, and the trajectories stay bitwise what the array form gave.
+    Each product and each sum rounds once, so the bits depend on neither
+    the CPU nor the BLAS kernel; numpy's dot would hand the product to
+    BLAS, whose kernel may fuse each multiply and add.  Builtin ``sum`` is
+    no substitute: from Python 3.12 it compensates float sums.
     """
-    return float(np.array(a).dot(np.array(b)))
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
-def _reduced_rhs(z, p):
-    # z = q + p as one float list; qdot = G p = p - q (q.p)/R^2,
-    # pdot = (q.p) p / R^2
-    n = len(z) // 2
-    q, mom = z[:n], z[n:]
-    qp = _dot(q, mom) / p.R ** 2
-    return [m - x * qp for x, m in zip(q, mom)] + [m * qp for m in mom]
+def _midpoint_step(scalar_map, s, tol):
+    """Iterate a step's scalar unknown, s = scalar_map(s), to its fixed point.
 
-
-def _midpoint_step(rhs, z, dt, tol):
-    """One implicit-midpoint step by fixed-point iteration on the midpoint.
-
-    The state is a list of 2 to 2D floats, and the step runs on Python
-    floats: on so few components each numpy call costs more than the
-    arithmetic.  Elementwise, both round the same, so the step is bitwise
-    the array form's.  The residual test asks every component to have
-    settled, not the largest: a NaN component fails ``<=`` and never
-    converges, where Python's ``max`` could skip it.  A diverging state
-    overflows to inf and NaN on the way, and the NaN then ends here in
-    StepConvergenceError.
+    Stops once an update is at most tol * max(1, |s|), with s finite, and
+    returns the last iterate.  NaN fails every comparison and an infinite s
+    has no finite bound, so a diverging map, which overflows on the way,
+    ends in StepConvergenceError after 100 iterations; so does a zero
+    denominator, which Python floats raise as ZeroDivisionError.
     """
-    bound = tol * max(1.0, *map(abs, z))
-    znew = [a + dt * b for a, b in zip(z, rhs(z))]  # Euler predictor
-    for _ in range(100):
-        zmid = [0.5 * (a + b) for a, b in zip(z, znew)]
-        znext = [a + dt * b for a, b in zip(z, rhs(zmid))]
-        settled = all(abs(b - a) <= bound for a, b in zip(znew, znext))
-        znew = znext
-        if settled:
-            return znew
+    try:
+        for _ in range(100):
+            new = scalar_map(s)
+            if abs(new - s) <= tol * max(1.0, abs(s)) < math.inf:
+                return new
+            s = new
+    except ZeroDivisionError:
+        pass
     raise StepConvergenceError(
         f"midpoint iteration did not contract below {tol:g} in 100 "
-        f"iterations; reduce dt={dt:g}")
+        "iterations; reduce dt")
+
+
+def _reduced_step(q0, p0, dt, p):
+    """One implicit-midpoint step of the reduced chart flow, on float lists.
+
+    With qdot = p - s q and pdot = s p, s = q.p / R^2, the midpoint state
+    is pbar = p0 / (1 - h s) and qbar = (q0 + h pbar) / (1 + h s) for
+    h = dt / 2, so s = qbar.pbar / R^2 is the one unknown:
+    s = (a + h b / (1 - h s)) / ((1 - h s)(1 + h s) R^2), with a = q0.p0
+    and b = |p0|^2.  The step returns (q1, p1) = 2 (qbar, pbar) - (q0, p0),
+    formed from the increments pbar - p0 and qbar - q0: dividing the state
+    itself by 1 -+ h s, rounded to 1 -+ h s + eps, would bias every step
+    the same way.
+    """
+    h = 0.5 * dt
+    R2 = p.R ** 2
+    a, b = _dot(q0, p0), _dot(p0, p0)
+
+    def scalar_map(s):
+        u = 1.0 - h * s
+        return (a + h * b / u) / (u * (1.0 + h * s) * R2)
+    s = _midpoint_step(scalar_map, a / R2, 1e-13)
+    hs = h * s
+    dp = [hs * m / (1.0 - hs) for m in p0]  # pbar - p0
+    dq = [h * (m + d - s * x) / (1.0 + hs)  # qbar - q0
+          for x, m, d in zip(q0, p0, dp)]
+    return ([x + 2.0 * d for x, d in zip(q0, dq)],
+            [m + 2.0 * d for m, d in zip(p0, dp)])
+
+
+def _oracle_step(x0, v0, dt, p):
+    """One implicit-midpoint step of x'' = -c x, c = |x'|^2 / R^2.
+
+    The midpoint velocity is vbar = (v0 - h c x0) / (1 + h^2 c) for
+    h = dt / 2, so c = |vbar|^2 / R^2 is the one unknown:
+    c = (C - 2 h c B + h^2 c^2 A) / ((1 + h^2 c)^2 R^2), with A = |x0|^2,
+    B = x0.v0 and C = |v0|^2.  The step returns x1 = x0 + 2 h vbar and
+    v1 = 2 vbar - v0, formed from vbar - v0 = -h c (x0 + h v0) / (1 + h^2 c)
+    for the reason ``_reduced_step`` gives.
+    """
+    h = 0.5 * dt
+    R2 = p.R ** 2
+    A, B, C = _dot(x0, x0), _dot(x0, v0), _dot(v0, v0)
+
+    def scalar_map(c):
+        hc = h * c
+        w = 1.0 + h * hc
+        return (C - 2.0 * hc * B + hc * hc * A) / (w * w * R2)
+    c = _midpoint_step(scalar_map, C / R2, 1e-13)
+    hc = h * c
+    dv = [-hc * (x + h * v) / (1.0 + h * hc)  # vbar - v0
+          for x, v in zip(x0, v0)]
+    return ([x + 2.0 * h * (v + d) for x, v, d in zip(x0, v0, dv)],
+            [v + 2.0 * d for v, d in zip(v0, dv)])
 
 
 def _step_count(T, dt):
@@ -197,18 +250,16 @@ def integrate_reduced(q0, p0, T, dt, p, margin=0.05):
         raise ValueError(f"{nsteps:.3g} steps need {nbytes:.3g} bytes of "
                          f"trajectory, over the {MEMORY_BUDGET} byte budget")
     limit = (1.0 - margin) * p.R
-    z = q0.tolist() + p0.tolist()
+    q, mom = q0.tolist(), p0.tolist()
     qs = np.empty((nsteps + 1, n))
     ps = np.empty((nsteps + 1, n))
-    rhs = lambda zz: _reduced_rhs(zz, p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(nsteps + 1):
-            if i:  # step 0 checks the start itself
-                z = _midpoint_step(rhs, z, dt, 1e-13)
-            r = math.sqrt(_dot(z[:n], z[:n]))
-            if r > limit:
-                raise ChartMarginError(time=i * dt, radius=r, limit=limit)
-            qs[i], ps[i] = z[:n], z[n:]
+    for i in range(nsteps + 1):
+        if i:  # step 0 checks the start itself
+            q, mom = _reduced_step(q, mom, dt, p)
+        r = math.sqrt(_dot(q, q))
+        if r > limit:
+            raise ChartMarginError(time=i * dt, radius=r, limit=limit)
+        qs[i], ps[i] = q, mom
     return Trajectory(dt * np.arange(nsteps + 1), qs, ps)
 
 
@@ -230,25 +281,17 @@ def integrate_embedded_oracle(x0, v0, T, dt, p):
     nsteps = _step_count(T, dt)
     D = p.D
 
-    def rhs(z):
-        x, v = z[:D], z[D:]
-        c = -(_dot(v, v) / p.R ** 2)
-        return v + [c * a for a in x]
-
-    z = x0.tolist() + v0.tolist()
+    x, v = x0.tolist(), v0.tolist()
     xs = np.empty((nsteps + 1, D))
     vs = np.empty((nsteps + 1, D))
     xs[0], vs[0] = x0, v0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, nsteps + 1):
-            z = _midpoint_step(rhs, z, dt, 1e-13)
-            x, v = z[:D], z[D:]
-            scale = p.R / math.sqrt(_dot(x, x))
-            x = [a * scale for a in x]
-            c = _dot(x, v) / p.R ** 2
-            v = [b - a * c for a, b in zip(x, v)]
-            z = x + v
-            xs[i], vs[i] = x, v
+    for i in range(1, nsteps + 1):
+        x, v = _oracle_step(x, v, dt, p)
+        scale = p.R / math.sqrt(_dot(x, x))
+        x = [a * scale for a in x]
+        c = _dot(x, v) / p.R ** 2
+        v = [b - a * c for a, b in zip(x, v)]
+        xs[i], vs[i] = x, v
     return Trajectory(dt * np.arange(nsteps + 1), xs, vs)
 
 

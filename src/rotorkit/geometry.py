@@ -169,6 +169,7 @@ def to_hyperspherical(x, p):
         raise PoleSingularityError(i, f"sin phi_{i - 1} = 0 leaves phi_{i} undetermined")
     az = np.arctan2(x[..., 0], x[..., 1])
     az = np.where(az >= 0, az, az + 2 * math.pi)
+    az = np.where(az < 2 * math.pi, az, 0.0)  # -1e-17 + 2pi rounds to 2pi
     # in x order, then reversed: numpy's arctan2 rounds a negative-stride
     # point apart from the same point as a batch row
     polar = np.arctan2(norms[..., 1:-1], x[..., 2:])[..., ::-1]

@@ -438,14 +438,13 @@ def hermiticity_defect(tag, f, h, p, res=64):
 # -- check suites ------------------------------------------------------------
 
 def _ball_samples(p, n, seed):
-    """Reduced-chart points in the ball |x| <= 0.9 R, plus their angles."""
+    """Reduced-chart points in the ball |x| <= 0.9 R."""
     rng = np.random.default_rng(seed)
     d = p.D - 1
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = 0.9 * p.R * rng.random(n) ** (1.0 / d)
-    pts = dirs * radii[:, None]
-    return pts, to_hyperspherical(lift(pts, p), p)[1]
+    return dirs * radii[:, None]
 
 
 def _route_gap(p, lmax, samples, routes, env):
@@ -497,7 +496,8 @@ def suite_chart_equivalence(p, lmax, samples, seed):
     The two charts' variables (x1.. and phi1..) have disjoint names, so
     one env binds both and each block's two routes evaluate in one call.
     """
-    pts, angles = _ball_samples(p, samples, seed)
+    pts = _ball_samples(p, samples, seed)
+    angles = to_hyperspherical(lift(pts, p), p)[1]
     env = {**_env_from_points(reduced_var_names(p), pts),
            **_env_from_points(hyperspherical_var_names(p), angles)}
     cart = OperatorTag("H_cart", route="laplace_beltrami")
@@ -511,8 +511,8 @@ def suite_chart_equivalence(p, lmax, samples, seed):
 
 def suite_angular_momentum(p, lmax, samples, seed):
     """sum_{a<b} L_ab^2 / (2 R^2) must reproduce H on the reduced chart."""
-    pts, _ = _ball_samples(p, samples, seed)
-    env = _env_from_points(reduced_var_names(p), pts)
+    env = _env_from_points(reduced_var_names(p),
+                           _ball_samples(p, samples, seed))
     l2 = OperatorTag("L2")
     cart = OperatorTag("H_cart", route="laplace_beltrami")
 

@@ -7,9 +7,13 @@ projection, so agreement between the two routes cross-validates the
 Lagrangian reduction end to end.
 """
 
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorkit import dynamics
 from rotorkit import expressions as ex
@@ -59,6 +63,65 @@ def test_reduced_route_matches_embedded_oracle():
     lifted = np.array([embedded_from_reduced(q, m, P3)[0]
                        for q, m in zip(traj.q, traj.p)])
     assert np.max(np.abs(lifted - oracle.q)) < 1e-7
+
+
+def great_circle(times, x0, v0, R):
+    """Oracle: the free rotor's exact flow x0 cos(w t) + (v0 / w) sin(w t),
+    w = |v0| / R, at every D; it shares no code with either integrator."""
+    w = np.linalg.norm(v0) / R
+    return np.outer(np.cos(w * times), x0) + np.outer(np.sin(w * times), v0 / w)
+
+
+def _circle_start(D):
+    # the CLI default start at D = 3; elsewhere |q0| = 0.2 and |p0| = 0.08
+    # in directions that spread over every coordinate
+    if D == 3:
+        return SLOW
+    rng = np.random.default_rng(D)
+    q0, p0 = rng.standard_normal((2, D - 1))
+    return 0.2 * q0 / np.linalg.norm(q0), 0.08 * p0 / np.linalg.norm(p0)
+
+
+def _circle_deviations(D):
+    # each route's sup distance from the exact curve over t in [0, 10] at
+    # dt = 1e-3, and the routes' distance from each other
+    p = ModelParams(D=D)
+    q0, p0 = _circle_start(D)
+    traj = integrate_reduced(q0, p0, 10.0, 1e-3, p)
+    x0, v0 = embedded_from_reduced(q0, p0, p)
+    oracle = integrate_embedded_oracle(x0, v0, 10.0, 1e-3, p)
+    lifted = embedded_from_reduced(traj.q, traj.p, p)[0]
+    exact = great_circle(traj.times, x0, v0, p.R)
+    return (np.max(np.abs(lifted - exact)), np.max(np.abs(oracle.q - exact)),
+            np.max(np.abs(lifted - oracle.q)))
+
+
+# twice each route's measured distance from the exact curve:
+# (reduced, oracle) = (1.01e-9, 3.0e-10) at D = 3, (7.5e-10, 2.64e-10) at
+# D = 5 and (1.0e-9, 2.99e-10) at D = 10
+CIRCLE_BOUNDS = {3: (2.0e-9, 6.0e-10), 5: (1.5e-9, 5.3e-10),
+                 10: (2.0e-9, 6.0e-10)}
+
+
+@pytest.mark.parametrize("D", sorted(CIRCLE_BOUNDS))
+def test_both_routes_follow_the_exact_great_circle(D):
+    reduced, oracle, _ = _circle_deviations(D)
+    assert reduced <= CIRCLE_BOUNDS[D][0]
+    assert oracle <= CIRCLE_BOUNDS[D][1]
+
+
+def test_a_clock_error_in_both_steps_leaves_the_great_circle(monkeypatch):
+    # planted: h = dt / 2 scaled by 1 + 1e-4 in both step functions.  The
+    # routes drift together, so their mutual gap stays 1.31e-9 at D = 3,
+    # but each sits 5.6e-5 from the exact curve
+    for name in ("_reduced_step", "_oracle_step"):
+        def skewed(a, b, dt, p, step=getattr(dynamics, name)):
+            return step(a, b, dt * (1.0 + 1e-4), p)
+        monkeypatch.setattr(dynamics, name, skewed)
+    for D, (reduced_bound, oracle_bound) in CIRCLE_BOUNDS.items():
+        reduced, oracle, gap = _circle_deviations(D)
+        assert reduced > 1e4 * reduced_bound and oracle > 1e4 * oracle_bound
+        assert gap < 2e-9
 
 
 def test_oracle_pins_constraints_and_invariants():
@@ -138,51 +201,92 @@ def test_step_convergence_error_on_absurd_step():
         with pytest.raises(StepConvergenceError):
             integrate_reduced(np.array([0.9, 0.0]), np.array([0.0, 2.0]), 10.0,
                               5.0, P3, margin=0.0)
+    # h s = 1 exactly at the first iterate (h = 1, s = q.p / R^2 = 1): the
+    # scalar map divides by 1 - h s = 0, which Python floats raise
+    with pytest.raises(StepConvergenceError):
+        integrate_reduced(np.array([0.5]), np.array([2.0]), 10.0, 2.0,
+                          ModelParams(D=2))
 
 
 @pytest.mark.parametrize("where", [0, 1, 3])
 def test_nan_residual_never_converges(where):
-    # one NaN component among settled ones: a plain max over the residual
-    # could skip it and accept the step
-    def rhs(z):
-        out = np.zeros_like(z)
-        out[where] = np.nan
-        return out
+    # a map that would settle turns NaN at iteration `where`: NaN fails
+    # every comparison, so the iteration can never accept it
+    calls = []
+
+    def scalar_map(s):
+        calls.append(s)
+        return math.nan if len(calls) > where else 0.5 * s + 1.0
 
     with pytest.raises(StepConvergenceError):
-        dynamics._midpoint_step(rhs, np.array([0.2, 0.1, 0.0, 0.3]), 1e-3, 1e-13)
+        dynamics._midpoint_step(scalar_map, 0.2, 1e-13)
+    assert len(calls) == 100
 
 
-def test_midpoint_step_matches_the_array_residual_test():
-    # the float step is bitwise the array step with numpy's dot, and it
-    # accepts exactly when max|znext - znew| does
-    rng = np.random.default_rng(4)
-    for D in (2, 3, 5, 10):
-        _check_float_step_against_arrays(ModelParams(D=D), rng)
+def test_an_overflowing_scalar_never_converges():
+    # inf is never accepted, and inf - inf is NaN
+    with pytest.raises(StepConvergenceError):
+        dynamics._midpoint_step(lambda s: 1e300 * s, 0.2, 1e-13)
 
 
-def _check_float_step_against_arrays(p, rng):
-    n = p.D - 1
+def test_the_scalar_iteration_stops_at_its_tolerance():
+    # s = s / 2 + 1 halves its distance to 2 each time: from 0 it settles
+    # once an update is at most 1e-13 * max(1, |s|)
+    seen = []
 
-    def array_rhs(z):
-        q, mom = z[:n], z[n:]
-        qp = float(q @ mom) / p.R ** 2
-        return np.concatenate([mom - q * qp, mom * qp])
+    def halving(s):
+        seen.append(s)
+        return 0.5 * s + 1.0
+    s = dynamics._midpoint_step(halving, 0.0, 1e-13)
+    assert abs(s - 2.0) <= 2e-13
+    assert len(seen) == 44  # 2^-43 is the first update under 2e-13
 
-    rhs = lambda zz: dynamics._reduced_rhs(zz, p)
-    for _ in range(200):
-        z = np.concatenate([rng.uniform(-0.5, 0.5, n) / n ** 0.5,
-                            rng.normal(size=n)])
-        scale = max(1.0, float(np.max(np.abs(z))))
-        znew = z + 1e-3 * array_rhs(z)
-        for _ in range(100):
-            znext = z + 1e-3 * array_rhs(0.5 * (z + znew))
-            done = float(np.max(np.abs(znext - znew))) <= 1e-13 * scale
-            znew = znext
-            if done:
-                break
-        got = dynamics._midpoint_step(rhs, z.tolist(), 1e-3, 1e-13)
-        assert np.array(got).tobytes() == znew.tobytes()
+
+def _reduced_residual(q0, p0, q1, p1, dt, R):
+    # z1 - z0 - dt f(zbar) with qdot = p - s q, pdot = s p, s = q.p / R^2
+    qb, pb = 0.5 * (q0 + q1), 0.5 * (p0 + p1)
+    s = float(qb @ pb) / R ** 2
+    return np.concatenate([q1 - q0 - dt * (pb - s * qb),
+                           p1 - p0 - dt * s * pb])
+
+
+def _oracle_residual(x0, v0, x1, v1, dt, R):
+    # z1 - z0 - dt f(zbar) with xdot = v, vdot = -(|v|^2 / R^2) x
+    xb, vb = 0.5 * (x0 + x1), 0.5 * (v0 + v1)
+    c = float(vb @ vb) / R ** 2
+    return np.concatenate([x1 - x0 - dt * vb, v1 - v0 + dt * c * xb])
+
+
+@settings(max_examples=100, deadline=None)
+@given(D=st.integers(2, 10), R=st.sampled_from((1.0, 2.5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_each_step_solves_its_midpoint_equation(D, R, seed):
+    # solved through its scalar unknown, each step meets z1 - z0 =
+    # dt f((z0 + z1) / 2) to rounding, for |p| from 1e-3 to 10 and every D;
+    # a componentwise fixed point that stops at 1e-13 missed this by up to
+    # 9 eps near |p| = 6
+    p = ModelParams(D=D, R=R)
+    dt, eps = 1e-3, np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        d, e = rng.standard_normal((2, D))
+        d /= np.linalg.norm(d)
+        size = 10.0 ** rng.uniform(-3.0, 1.0)
+        q = d[1:] * (0.9 * R * rng.random())
+        mom = e[1:] * (size / np.linalg.norm(e[1:]))
+        got = [np.array(z) for z in dynamics._reduced_step(
+            q.tolist(), mom.tolist(), dt, p)]
+        scale = max(1.0, float(np.max(np.abs(np.concatenate([q, mom])))))
+        assert np.max(np.abs(_reduced_residual(q, mom, *got, dt, R))) \
+            <= 8 * eps * scale
+        x = R * d
+        v = e - (e @ d) * d  # tangent at x
+        v *= size / np.linalg.norm(v)
+        got = [np.array(z) for z in dynamics._oracle_step(
+            x.tolist(), v.tolist(), dt, p)]
+        scale = max(1.0, float(np.max(np.abs(np.concatenate([x, v])))))
+        assert np.max(np.abs(_oracle_residual(x, v, *got, dt, R))) \
+            <= 8 * eps * scale
 
 
 def test_phase_state_validation(monkeypatch):

@@ -204,6 +204,19 @@ def test_hyperspherical_angle_near_the_pole(t):
     assert angles[1] == math.pi / 2
 
 
+def test_an_azimuth_that_rounds_to_2pi_is_0():
+    # atan2(-1e-17, 1) + 2pi rounds to 2pi, outside [0, 2pi); the nearest
+    # azimuth in range is 0, which the round trip turns back into x_1 = 0
+    p = ModelParams(D=3)
+    x = np.array([-1e-17, 1.0, 0.5])
+    r, angles = to_hyperspherical(x, p)
+    assert angles[1] == 0.0
+    back = from_hyperspherical(r, angles, p)
+    assert np.max(np.abs(back - x)) <= 1e-15 * r
+    _, batch = to_hyperspherical(np.stack([x, x]), p)
+    assert np.all(batch[:, 1] == 0.0)
+
+
 def _near_pole_component():
     # a coordinate of size 1e-12 to 1, either sign, or exactly 0
     magnitude = st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)

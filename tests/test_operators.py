@@ -419,7 +419,8 @@ def test_one_evaluate_call_per_harmonic_block(suite, monkeypatch):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_samples_are_lifted_and_converted_as_one_batch(suite, monkeypatch):
-    # one call each for the whole sample batch, not one per point
+    # one call each for the whole sample batch, not one per point; only
+    # chart-equivalence reads the angles, so only it lifts and converts
     calls = []
     for name in ("lift", "to_hyperspherical"):
         def counted(x, p, real=getattr(operators, name), name=name):
@@ -427,7 +428,8 @@ def test_samples_are_lifted_and_converted_as_one_batch(suite, monkeypatch):
             return real(x, p)
         monkeypatch.setattr(operators, name, counted)
     SUITES[suite](ModelParams(D=4), 1, 20, 7)
-    assert calls == [("lift", (20, 3)), ("to_hyperspherical", (20, 4))]
+    batched = [("lift", (20, 3)), ("to_hyperspherical", (20, 4))]
+    assert calls == (batched if suite == "chart-equivalence" else [])
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
