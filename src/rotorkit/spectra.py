@@ -301,6 +301,8 @@ _LANCZOS_BLOCK = 64
 # _RITZ_NEAR times its tolerance, every step once it is within that factor
 _RITZ_STRIDE_DIVISOR = 4
 _RITZ_NEAR = 1e3
+# a test whose screened bound is over this many tolerances fails unsolved
+_RITZ_SCREEN_MARGIN = 2.0
 
 
 def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
@@ -317,16 +319,31 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
     The Ritz test of step m passes when the standard residual bounds
     beta_m |s_{m,i}| of the k lowest Ritz pairs of T_m (Paige 1980) are
     all within tol * scale_m, the largest |alpha| or beta so far; only
-    those k Ritz vectors are computed.  Each test solves T_m anew, so
+    those k Ritz vectors are computed.  Each full test solves T_m anew, so
     testing every step costs O(k m^2) over a run, more than the Krylov
-    work at res 32.  The test therefore runs every isqrt(n) // 4 steps
+    work at res 32.  Two rules cut that cost without moving a bit.
+
+    The screen: each test first solves T_m for one pair, the one with the
+    largest bound at the last full test (the k-th before the first), at
+    about a tenth of a full solve's cost (m = 420, k = 16).  If that bound
+    is over ``_RITZ_SCREEN_MARGIN`` (2) times the tolerance the test
+    fails; otherwise the full test runs and decides.  The margin keeps a
+    rounding-level difference between the one-pair and the k-pair solve
+    from flipping a decision, so every pass, and every value and bound
+    returned, is a full test's.  At res 32 (seeds 0 to 8) a run makes 7 to
+    17 full solves, where it made 73 to 94, and 101 to 143 screens.  At
+    k = 1 the screen would be the full solve, so none is made.
+
+    The cadence: the test runs every isqrt(n) // 4 steps
     (``_RITZ_STRIDE_DIVISOR``) while the last test's largest bound is
     over ``_RITZ_NEAR`` times the tolerance, and at every step once it is
-    within that factor.  When a sparse test passes, the untested steps
-    since the previous test are tested in order and the first that passes
-    is returned; the Krylov-exhausted return and the maxiter failure
-    re-scan the untested steps the same way first.  The run then stops at
-    the step, and with the bits, of a test at every step.
+    within that factor.  A screened test knows one bound, a lower bound on
+    the largest, so it can only add tests.  When a sparse test passes, the
+    untested steps since the previous test are tested in order and the
+    first that passes is returned; the Krylov-exhausted return and the
+    maxiter failure re-scan the untested steps the same way first.  The
+    run then stops at the step, and with the bits, of a test at every
+    step.
 
     That is empirical, not guaranteed.  The largest bound moves in a
     sawtooth: it dips below the tolerance and jumps back to about 1e7
@@ -340,10 +357,11 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
     552 runs recorded (D=2 to 4, res 8 to 128, k 5 to 36); 0.3 isqrt(n)
     missed one (D=3, res 10), and a fixed stride of 8 missed 75.
 
-    Returns (values, residual bounds, steps, tridiagonal solves): the step
-    m of the returned T_m and the number of ``eigh_tridiagonal`` calls.
-    Raises NonConvergenceError with the residual bounds of the last step
-    if maxiter steps are not enough.
+    Returns (values, residual bounds, steps, full solves, screens): the
+    step m of the returned T_m, the number of k-pair (or Krylov-exhausted)
+    ``eigh_tridiagonal`` calls and the number of one-pair calls.  Raises
+    NonConvergenceError with all k residual bounds of the last step (solved
+    in full if it was only screened) if maxiter steps are not enough.
     """
     n = op.size
     steps = MEMORY_BUDGET // (8 * n) - 1
@@ -364,8 +382,9 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
     stride = max(1, math.isqrt(n) // _RITZ_STRIDE_DIVISOR)
     tested = k - 1  # the last step tested; T_m holds k Ritz pairs from m = k
     near = False
-    solves = 0
-    last_resid = None
+    solves = screens = 0
+    worst = k - 1  # the pair with the largest bound at the last full solve
+    last_resid = None  # all k bounds of the last test, None if only screened
 
     def ritz(m):
         """T_m's k lowest Ritz values, their residual bounds and tolerance."""
@@ -377,14 +396,33 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
         last_resid = betas[m - 1] * np.abs(svecs[-1])
         return vals, last_resid, tol * scales[m - 1]
 
+    def test(m):
+        """The Ritz test of step m: (values, bounds, m) if it passes."""
+        nonlocal near, screens, worst, last_resid
+        if k > 1:  # screen on one pair; at k = 1 that is the full solve
+            screens += 1
+            _, svec = eigh_tridiagonal(alphas[:m], betas[:m - 1], select="i",
+                                       select_range=(worst, worst))
+            one, bound = betas[m - 1] * abs(svec[-1, 0]), tol * scales[m - 1]
+            if one > _RITZ_SCREEN_MARGIN * bound:
+                last_resid = None
+                near = one <= _RITZ_NEAR * bound
+                return None
+        vals, resid, bound = ritz(m)
+        if np.all(resid <= bound):
+            return vals, resid, m
+        worst = int(np.argmax(resid))
+        near = resid[worst] <= _RITZ_NEAR * bound
+        return None
+
     def first_pass(last):
         """Test the untested steps up to ``last`` in order; the first pass."""
         nonlocal tested
         while tested < last:
             tested += 1
-            vals, resid, bound = ritz(tested)
-            if np.all(resid <= bound):
-                return vals, resid, tested, solves
+            passed = test(tested)
+            if passed:
+                return passed
         return None
 
     for j in range(maxiter):
@@ -406,10 +444,11 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
             # Krylov space exhausted: the tridiagonal matrix is exact
             passed = first_pass(j)
             if passed:
-                return passed
+                return (*passed, solves, screens)
             solves += 1
             vals = eigh_tridiagonal(alphas, betas, eigvals_only=True)
-            return vals[:k], np.zeros(min(k, len(vals))), j + 1, solves
+            return (vals[:k], np.zeros(min(k, len(vals))), j + 1, solves,
+                    screens)
         betas.append(b)
         if j + 1 == V.shape[0]:
             grow = min(_LANCZOS_BLOCK, maxiter + 1 - V.shape[0])
@@ -417,17 +456,18 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
         V[j + 1] = w / b
         m = j + 1
         if near or m - tested >= stride:
-            vals, resid, bound = ritz(m)
-            if np.all(resid <= bound):
-                return first_pass(m - 1) or (vals, resid, m, solves)
+            passed = test(m)
+            if passed:
+                return (*(first_pass(m - 1) or passed), solves, screens)
             tested = m
-            near = np.max(resid) <= _RITZ_NEAR * bound
     passed = first_pass(maxiter)
     if passed is None:
+        if last_resid is None:  # step maxiter was only screened
+            ritz(maxiter)
         raise NonConvergenceError(
             f"Lanczos did not converge in {maxiter} iterations",
             residuals=last_resid)
-    return passed
+    return (*passed, solves, screens)
 
 
 def _sector_block(D, sector, n):
@@ -588,10 +628,11 @@ def route_spectrum(p, res, k, method, seed=0):
     that is solved included, so a rejected input raises ValueError having
     solved nothing.  meta names the ``route``.  The grid routes add
     ``blocks_scanned`` (dense, one count per grid solved) or
-    ``symmetry_defect``, ``lanczos_steps``, ``ritz_tests`` and
-    ``distinct_only`` (iterative); the dense route also adds its ``res``,
-    the ``raw`` values per resolution and any ``extrapolation_*`` results;
-    the sector route adds ``sectors_scanned`` for D >= 3.
+    ``symmetry_defect``, ``lanczos_steps``, ``ritz_tests`` (full Ritz
+    solves), ``ritz_screens`` (one-pair screens) and ``distinct_only``
+    (iterative); the dense route also adds its ``res``, the ``raw`` values
+    per resolution and any ``extrapolation_*`` results; the sector route
+    adds ``sectors_scanned`` for D >= 3.
     """
     if method not in ("sector", "dense", "iterative"):
         raise ValueError(f"unknown method '{method}'")
@@ -618,8 +659,8 @@ def route_spectrum(p, res, k, method, seed=0):
         op = assemble(grids[0])
         meta = {"route": method, "symmetry_defect": op.symmetry_defect(),
                 "distinct_only": True}
-        vals, resid, meta["lanczos_steps"], meta["ritz_tests"] = lanczos_lowest(
-            op, k, seed=seed)
+        (vals, resid, meta["lanczos_steps"], meta["ritz_tests"],
+         meta["ritz_screens"]) = lanczos_lowest(op, k, seed=seed)
         return _result(vals, p, meta, residuals=resid)
     raws, blocks = [], []
     for g in grids:

@@ -2,7 +2,8 @@
 
 ``tests/payloads.json`` maps each command line to its exit code, the
 SHA-256 of its stdout and the parsed payload, and records the environment
-the hashes were taken in (Python, numpy, scipy and BLAS versions).
+the hashes were taken in (Python, numpy, scipy and BLAS versions, and the
+OpenBLAS core type).
 ``tests/test_payloads.py`` reruns every command in-process and compares.
 
 The commands are the benchmark's workloads at ``--seed 0``, read from
@@ -29,16 +30,18 @@ name each moved value in CHANGES.md:
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import importlib.util
 import io
 import json
 import platform
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
-import scipy
+import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 
 from rotorkit import cli
 
@@ -89,12 +92,41 @@ def commands():
             + _CLASSICAL + _CHECKS)
 
 
+def _openblas_configs():
+    """The ``*_get_config`` string of each loaded OpenBLAS, in path order.
+
+    It names the core type the kernels were picked for (SkylakeX, Haswell,
+    ...), and the payload bits depend on it: SkylakeX kernels fuse
+    multiply-adds where Haswell's do not.  The thread count is left out;
+    the hashes match under one and two threads.  Empty where the process
+    has no ``/proc/self/maps`` to list its libraries.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = fh.read()
+    except OSError:
+        return []
+    names = [f"{prefix}_get_config{suffix}" for suffix in ("64_", "", "_64_")
+             for prefix in ("scipy_openblas", "openblas")]
+    configs = []
+    for path in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
+        lib = ctypes.CDLL(path)
+        config = next((getattr(lib, n) for n in names if hasattr(lib, n)),
+                      None)
+        if config is not None:
+            config.restype = ctypes.c_char_p
+            configs.append(config().decode())
+    return configs
+
+
 def fingerprint():
-    """The versions that decide whether payload bytes can be compared."""
+    """The versions and BLAS kernels that decide whether payload bytes can
+    be compared."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas.get('version', '?')}"}
+            "blas": f"{blas['name']} {blas.get('version', '?')}",
+            "openblas": _openblas_configs()}
 
 
 def run(argv):

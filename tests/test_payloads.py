@@ -10,8 +10,14 @@ the other; none passes unchecked.
 """
 
 import copy
+import json
 import math
+import os
+import platform
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +81,24 @@ def test_the_fallback_comparison_catches_a_moved_value():
     moved["pass"] = not moved["pass"]
     with pytest.raises(AssertionError, match="pass"):
         _assert_close(moved, payloads[0])
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or not Path("/proc/self/maps").exists(),
+                    reason="Haswell kernels are x86-64 kernels; the configs "
+                    "are read from the loaded libraries /proc/self/maps lists")
+def test_the_fingerprint_names_the_blas_core_type():
+    # payload bits depend on the OpenBLAS kernels (SkylakeX fuses
+    # multiply-adds, Haswell does not), so a process made to pick Haswell
+    # kernels must not share the recorded fingerprint of another core
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, payload_corpus as c; "
+         "print(json.dumps(c.fingerprint()))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    configs = json.loads(out)["openblas"]
+    assert configs and all(" Haswell " in config for config in configs)
+    here = corpus.fingerprint()["openblas"]
+    assert (here == configs) == all(" Haswell " in c for c in here)

@@ -341,7 +341,7 @@ def test_lanczos_matches_dense_on_distinct_values():
     _, defect = op.symmetric_matrix()
     assert defect < 1e-10
     k = 16
-    vals, resid, _, _ = lanczos_lowest(op, k, seed=3)
+    vals, resid, *_ = lanczos_lowest(op, k, seed=3)
     assert np.max(resid) < 1e-7
     dense = route_spectrum(p, [16], k, "dense")
     dvals = [v for v, _ in cluster_eigenvalues(dense.eigenvalues, 1e-4)]
@@ -377,7 +377,7 @@ def test_lanczos_exhausted_krylov_space():
     # tridiagonal matrix is exact; tol=0 leaves that as the only way out
     p = ModelParams(D=2, R=1.0, hbar=1.0)
     op = assemble(SpectralGrid.build(p, 16))
-    vals, resid, _, _ = lanczos_lowest(op, 5, seed=0, tol=0.0)
+    vals, resid, *_ = lanczos_lowest(op, 5, seed=0, tol=0.0)
     spectrum = eigvalsh(op.symmetric_matrix()[0])
     assert len(vals) == 5 and np.all(np.diff(vals) >= 0)
     assert np.max(np.min(np.abs(vals[:, None] - spectrum[None, :]), axis=1)) < 1e-12
@@ -435,6 +435,8 @@ def every_step_lanczos(op, k, seed=0, tol=1e-10, maxiter=None):
     (2, 16, 5, 0, {"tol": 0.0}),  # only the exhausted Krylov space returns
     (3, 12, 6, 0, {"maxiter": 8, "tol": 1e-12}),
     (3, 16, 16, 0, {"maxiter": 100}),  # sparse tests, then maxiter
+    (3, 32, 16, 0, {}),  # the benchmark's own command
+    (4, 10, 16, 1, {}),
 ])
 def test_sparse_ritz_tests_stop_where_every_step_tests_stop(D, res, k, seed, kwargs):
     op = assemble(SpectralGrid.build(ModelParams(D=D), res))
@@ -445,7 +447,7 @@ def test_sparse_ritz_tests_stop_where_every_step_tests_stop(D, res, k, seed, kwa
             lanczos_lowest(op, k, seed, **kwargs)
         assert np.array_equal(got.value.residuals, exc.residuals)
         return
-    vals, resid, steps, _ = lanczos_lowest(op, k, seed, **kwargs)
+    vals, resid, steps, *_ = lanczos_lowest(op, k, seed, **kwargs)
     assert np.array_equal(vals, want[0]) and np.array_equal(resid, want[1])
     assert steps == want[2]
 
@@ -482,10 +484,12 @@ def test_both_early_exits_rescan_the_untested_steps():
             assert np.array_equal(got.value.residuals, exc.residuals)
             continue
         op.applies = 0
-        vals, resid, steps, solves = lanczos_lowest(op, 1, 0, maxiter=maxiter)
+        vals, resid, steps, solves, screens = lanczos_lowest(op, 1, 0,
+                                                             maxiter=maxiter)
         assert np.array_equal(vals, want[0]) and np.array_equal(resid, want[1])
         assert steps == want[2] == 4
         assert solves == 4  # steps 1 to 4, all in the re-scan
+        assert screens == 0  # at k = 1 the one-pair screen is the full solve
         taken[maxiter] = op.applies
     # the runs that stop short of maxiter find the exhausted space; every
     # smaller maxiter runs out first
@@ -494,32 +498,47 @@ def test_both_early_exits_rescan_the_untested_steps():
 
 
 def counting_tridiagonal_solves(monkeypatch):
-    """Wrap spectra.eigh_tridiagonal; the list grows by one per call."""
-    calls = []
+    """Wrap spectra.eigh_tridiagonal; the lists grow by one per call, the
+    first for each full solve, the second for each one-pair screen."""
+    full, screens = [], []
     solve = spectra.eigh_tridiagonal
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        pair = kwargs.get("select_range")
+        one = pair is not None and pair[0] == pair[1]
+        (screens if one else full).append(args)
         return solve(*args, **kwargs)
     monkeypatch.setattr(spectra, "eigh_tridiagonal", counted)
-    return calls
+    return full, screens
 
 
 def test_ritz_tests_run_at_most_every_third_step(monkeypatch):
     op = assemble(SpectralGrid.build(ModelParams(D=3), 16))
-    calls = counting_tridiagonal_solves(monkeypatch)
-    _, _, steps, solves = lanczos_lowest(op, 16)
-    assert solves == len(calls)
+    full, screens = counting_tridiagonal_solves(monkeypatch)
+    _, _, steps, solves, screened = lanczos_lowest(op, 16)
+    assert solves == len(full) and screened == len(screens)
     assert 3 * solves <= steps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_screens_keep_full_solves_few(monkeypatch, seed):
+    # the benchmark's grid: testing every step at its cadence takes 73 to
+    # 94 full solves a run; the one-pair screens leave 7, 11 and 13
+    op = assemble(SpectralGrid.build(ModelParams(D=3), 32))
+    full, screens = counting_tridiagonal_solves(monkeypatch)
+    *_, solves, screened = lanczos_lowest(op, 16, seed)
+    assert solves == len(full) <= 20
+    assert screened == len(screens) > solves
 
 
 def test_iterative_meta_carries_steps_and_ritz_tests(monkeypatch):
     p = ModelParams(D=3)
     op = assemble(SpectralGrid.build(p, 16))
-    calls = counting_tridiagonal_solves(monkeypatch)
+    full, screens = counting_tridiagonal_solves(monkeypatch)
     meta = route_spectrum(p, [16], 16, "iterative", seed=3).meta
+    assert meta["ritz_tests"] == len(full)
+    assert meta["ritz_screens"] == len(screens)
     assert meta["lanczos_steps"] == every_step_lanczos(op, 16, seed=3)[2]
-    assert meta["ritz_tests"] == len(calls)
 
 
 def test_cluster_eigenvalues_grouping():
