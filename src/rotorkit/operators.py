@@ -7,7 +7,7 @@ and ``OperatorTag.chart`` alone decides the chart a tag's operator acts on.
 
 The momentum operator in the reduced cartesian chart is the hermitized
 pi_i = -i hbar g^{-1/4} d_i g^{1/4} with g = R^2/(R^2-|x|^2), and the
-Hamiltonian is the Laplace-Beltrami operator written two independent ways:
+Hamiltonian is the Laplace-Beltrami operator written three independent ways:
 
 * ``laplace_beltrami`` (default): -(hbar^2/2) (R^2-|x|^2)^{1/2}
       d_i [ (delta_ij - x_i x_j/R^2) (R^2-|x|^2)^{-1/2} d_j f ]
@@ -30,19 +30,17 @@ and angular momenta are L_ij = -i hbar (x_i d_j - x_j d_i) with
 L_iD = +i hbar sqrt(R^2-|x|^2) d_i; the identity
 sum_{a<b} L_ab^2 / R^2 = H closes the loop between the two charts.
 
-Standalone curvilinear momenta carry a sine-power convention knob: the
-symmetric split of the sphere weight sin^{D-1-i}phi_i gives the exponent
-(D-1-i)/2 (``measure``, default; this is the one that is hermitian under the
-sphere measure and the one the Hamiltonian's weak form corresponds to), while
-``displayed`` selects (D-i)/2, which is *not* hermitian under the sphere
-measure for i <= D-2.  The mismatch is deliberate and documented rather than
-hidden; see README "Conventions and findings".
+Standalone curvilinear momenta take a sine-power convention
+(``momentum_curvilinear_expr``): ``measure`` is hermitian under the sphere
+measure, and ``displayed`` is deliberately not for i <= D-2; see README
+"Conventions and findings".
 
 Three of the ``rotorkit check`` suites live here, next to the operators
 they test: ``suite_chart_equivalence`` (H in the reduced chart against H in
 the hyperspherical chart), ``suite_angular_momentum`` (sum_{a<b} L_ab^2/(2R^2)
 against H) and ``suite_hermiticity`` (<f, T h> = <T f, h> over the whole
-sphere for H and every momentum).  Each returns (results, worst deviation).
+sphere for H and every momentum), all on harmonics with exact integer
+coefficients (``_harmonic_basis``).  Each returns (results, worst deviation).
 """
 
 import itertools
@@ -50,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import expressions as ex
 from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, MEMORY_BUDGET,
@@ -121,59 +118,64 @@ def pullback_to_hyperspherical(expr, p):
 
 
 def _monomials(D, degree):
-    """All exponent tuples of total degree ``degree`` in D variables."""
+    """Exponents of the degree's monomials in D variables, x1's highest first."""
     if D == 1:
         return [(degree,)]
-    out = []
-    for e in range(degree + 1):
-        for rest in _monomials(D - 1, degree - e):
-            out.append((e,) + rest)
-    return out
+    return [(e,) + rest for e in range(degree, -1, -1)
+            for rest in _monomials(D - 1, degree - e)]
 
 
 def _harmonic_basis(D, degree):
-    """(monomial exponents, null-space basis with one harmonic per column).
+    """The degree's harmonics, each an {exponents: integer coefficient} dict.
 
-    Below degree 2 the Laplacian sends every polynomial to 0, so the basis
-    is the monomials themselves, ordered 1 and then x1, ..., xD.
+    With y = (x2, ..., xD), h = sum_k x1^k a_k(y) / k! is harmonic exactly
+    when a_(k+2) = -Delta' a_k, Delta' the Laplacian in y.  Each monomial
+    x1^s y^b with s < 2 seeds one harmonic (a_s = y^b, a_(1-s) = 0), and
+    these seeds give a basis (Axler, Bourdon and Ramey, *Harmonic Function
+    Theory*, ch. 5).  Scaled by degree!, every coefficient is an integer.
     """
-    high = _monomials(D, degree)
-    if degree < 2:
-        return high, np.eye(len(high))[:, ::-1]
-    low = _monomials(D, degree - 2)
-    low_index = {m: k for k, m in enumerate(low)}
-    L = np.zeros((len(low), len(high)))
-    for c, mono in enumerate(high):
-        for i in range(D):
-            if mono[i] >= 2:
-                tgt = mono[:i] + (mono[i] - 2,) + mono[i + 1:]
-                L[low_index[tgt], c] += mono[i] * (mono[i] - 1)
-    return high, null_space(L)
+    basis = []
+    for s, *b in (m for m in _monomials(D, degree) if m[0] < 2):
+        h, a = {}, {tuple(b): 1}
+        for k in range(s, degree + 1, 2):
+            scale = math.perm(degree, degree - k)  # degree! / k!
+            h.update({(k, *y): c * scale for y, c in a.items()})
+            lower = {}
+            for y, c in a.items():
+                for i, e in enumerate(y):
+                    if e > 1:
+                        z = y[:i] + (e - 2,) + y[i + 1:]
+                        lower[z] = lower.get(z, 0) - c * e * (e - 1)
+            a = lower
+        basis.append(h)
+    return basis
 
 
 def _harmonic_blocks(D, degree):
-    """The degree's harmonics in blocks, one block per zero pattern.
+    """The degree's harmonics in blocks, one block per parity vector (each
+    exponent mod 2), which all of a harmonic's monomials share.
 
     Each block is (tree, coefficients, harmonics).  The tree is
     sum_k c[k] x^m_k over the monomials m_k that the block's harmonics
     use, with each coefficient c[k] a variable; ``coefficients`` maps
     each c[k] to its column of shape (rows, 1), one row per harmonic, and
     ``harmonics`` lists their indices in the basis.  The brackets keep the
-    names apart from every chart and phase variable.  Grouping by zero
-    pattern keeps each tree as sparse as its harmonics.
+    names apart from every chart and phase variable.
     """
-    high, basis = _harmonic_basis(D, degree)
+    basis = _harmonic_basis(D, degree)
     groups = {}
-    for j, col in enumerate(basis.T):
-        groups.setdefault(tuple(col != 0.0), []).append(j)
+    for j, h in enumerate(basis):
+        groups.setdefault(tuple(e % 2 for e in next(iter(h))), []).append(j)
     blocks = []
-    for pattern, harmonics in groups.items():
+    for harmonics in groups.values():
         terms, coefficients = [], {}
-        for k in np.flatnonzero(pattern):
-            name = f"c[{k}]"
-            coefficients[name] = basis[k, harmonics][:, None]
-            terms.append(ex.mul(ex.Var(name), *[
-                ex.power(ex.Var(f"x{i + 1}"), e) for i, e in enumerate(high[k])]))
+        for k, mono in enumerate(_monomials(D, degree)):
+            column = [basis[j].get(mono, 0) for j in harmonics]
+            if any(column):
+                coefficients[f"c[{k}]"] = np.array(column, dtype=float)[:, None]
+                terms.append(ex.mul(ex.Var(f"c[{k}]"), *[
+                    ex.power(ex.Var(f"x{i + 1}"), e)
+                    for i, e in enumerate(mono)]))
         blocks.append((ex.add(*terms), coefficients, harmonics))
     return blocks
 
@@ -181,12 +183,11 @@ def _harmonic_blocks(D, degree):
 def harmonic_polynomials(D, degree):
     """A basis of degree-``degree`` harmonic polynomials in D variables.
 
-    Built from scratch as the null space of the Laplacian on the monomial
-    coefficient space, so it serves as an oracle independent of any spectral
-    machinery.  The count matches C(D+l-1,l) - C(D+l-3,l-2).  Each harmonic
-    is its block's tree (``_harmonic_blocks``) with its own coefficients
-    substituted as constants, so degree 0 is the constant 1 and degree 1
-    the coordinates x1, ..., xD.
+    Built in integer arithmetic (``_harmonic_basis``), an oracle independent
+    of any spectral machinery; the count matches C(D+l-1,l) - C(D+l-3,l-2).
+    Each harmonic is its block's tree (``_harmonic_blocks``) with its own
+    coefficients substituted as constants, so degree 0 is the constant 1
+    and degree 1 the coordinates x1, ..., xD.
     """
     out = {}
     for tree, coefficients, harmonics in _harmonic_blocks(D, degree):
@@ -302,34 +303,20 @@ def l2_hamiltonian_expr(f, p):
 # -- hyperspherical chart ----------------------------------------------------
 
 def _sin_power(name, k):
-    if k == 0:
-        return ex.ONE
     return ex.power(ex.sin(ex.Var(name)), k)
 
 
-def hamiltonian_curvilinear_expr(f, p):
+def hamiltonian_curvilinear_expr(f, p, weights=True):
+    """H f in the hyperspherical chart; ``weights=False`` drops the sine
+    weights inside the derivatives, the non-hermitian control H_curv_unsym."""
     names = hyperspherical_var_names(p)
     terms = []
     prefix = ex.ONE
     for i in range(1, p.D):
         name = names[i - 1]
-        k = p.D - 1 - i  # sine weight carried by this angle
+        k = p.D - 1 - i if weights else 0  # sine weight carried by this angle
         weighted = ex.mul(_sin_power(name, k), f.diff(name)).diff(name)
         terms.append(ex.mul(prefix, _sin_power(name, -k), weighted))
-        if i < p.D - 1:
-            prefix = ex.mul(prefix, _sin_power(name, -2))
-    return ex.mul(ex.Const(-0.5 * p.hbar ** 2 / p.R ** 2), ex.add(*terms))
-
-
-def _unsymmetrized_curvilinear_expr(f, p):
-    # control operator: same 1/sin^2 chains but no sine weights inside the
-    # derivatives; visibly non-hermitian under the sphere measure
-    names = hyperspherical_var_names(p)
-    terms = []
-    prefix = ex.ONE
-    for i in range(1, p.D):
-        name = names[i - 1]
-        terms.append(ex.mul(prefix, f.diff(name).diff(name)))
         if i < p.D - 1:
             prefix = ex.mul(prefix, _sin_power(name, -2))
     return ex.mul(ex.Const(-0.5 * p.hbar ** 2 / p.R ** 2), ex.add(*terms))
@@ -352,8 +339,6 @@ def momentum_curvilinear_expr(f, i, p, convention="measure"):
     else:
         raise ValueError(f"unknown momentum convention '{convention}'")
     name = hyperspherical_var_names(p)[i - 1]
-    if a == 0:
-        return ex.mul(ex.Const(-1j * p.hbar), f.diff(name))
     sa = ex.power(ex.sin(ex.Var(name)), a)
     inv = ex.power(ex.sin(ex.Var(name)), -a)
     return ex.mul(ex.Const(-1j * p.hbar), inv, ex.mul(sa, f).diff(name))
@@ -374,7 +359,7 @@ def operator_expr(tag, f, p):
     if tag.kind == "H_curv":
         return hamiltonian_curvilinear_expr(f, p)
     if tag.kind == "H_curv_unsym":
-        return _unsymmetrized_curvilinear_expr(f, p)
+        return hamiltonian_curvilinear_expr(f, p, weights=False)
     if tag.kind == "L2":
         return l2_hamiltonian_expr(f, p)
     if tag.kind == "pi_cart":
@@ -457,7 +442,7 @@ def _route_gap(p, lmax, samples, routes, env):
     its own max|b|, floored at the energy scale hbar^2/R^2;
     ``family_size`` counts harmonics.
 
-    Every degree, 0 and 1 included, goes by blocks (``_harmonic_blocks``):
+    Each degree goes by blocks, one per parity vector (``_harmonic_blocks``):
     the routes are built once for the block's tree, and the call also
     binds the tree's coefficient variables to their (rows, 1) columns, so
     each value holds one row per harmonic.  Where rows x samples x 16
@@ -528,7 +513,9 @@ def _midpoint_angular_grid(p, res):
     Every integrand the hermiticity suite meets is a trig polynomial once
     the sin^{D-1-i} measure factors are folded into the weights, and the
     midpoint offset keeps all nodes away from the removable pole
-    singularities of the momentum operators, so these sums are exact.
+    singularities of the momentum operators.  Azimuth sums are exact; a
+    polar sum is exact on sin^a cos^b (a + b < 2 res) unless a is odd and b
+    even, erring at O(res^-2): at D = 3, on every f h even in cos(phi_1).
     """
     axes_nodes, axes_w = [], []
     for i in range(1, p.D - 1):
@@ -556,13 +543,25 @@ def suite_hermiticity(p, res):
     (the reduced chart's two hemispheres on its Gauss grid, then the
     hyperspherical chart on the midpoint angular grid) pulls the test
     functions back once and is evaluated in one ``_pair_terms`` call.
+
+    The test functions are the basis members x1, x1x2 and x1x2x3.  Each
+    pair is odd under some x_i -> -x_i, so <f, h> sums to 0 and the H
+    defects (lambda_h - lambda_f) <f, h> stay at rounding level, as the pi
+    defects do (measured at D = 3 to 5).  The H_curv pair (x_D, x_D^3 -
+    3 x1^2 x_D), whose polar sums are not exact, reports 1.8e-3 at D = 3,
+    res 64.
     """
     if p.D < 3:
         raise ValueError(f"hermiticity needs dim >= 3, got dim {p.D}")
     grid = _chart_grid(CHART_REDUCED, p, res)
     sphere = (*_midpoint_angular_grid(p, res), hyperspherical_var_names(p))
-    basis = [harmonic_polynomials(p.D, l) for l in (1, 2, 3)]
-    harmonics = [b[0] for b in basis]
+
+    def member(*monomials):  # each monomial as its factors: (1, 2) is x1 x2
+        exponents = {tuple(m.count(i + 1) for i in range(p.D)) for m in monomials}
+        k = [h.keys() for h in _harmonic_basis(p.D, len(monomials[0]))
+             ].index(exponents)
+        return harmonic_polynomials(p.D, len(monomials[0]))[k]
+    harmonics = [member((1,)), member((1, 2)), member((1, 2, 3))]
     # pi_cart is symmetric on functions vanishing at the chart edge (the
     # equator); x_D^2 damping puts the test pair in that domain and keeps
     # the rational (R^2-|x|^2)^{-1} factor of the operator polynomial
@@ -575,7 +574,7 @@ def suite_hermiticity(p, res):
         OperatorTag("pi_curv", i=i) for i in range(1, p.D)])]
     # deliberately non-hermitian control, excluded from the max; the pair is
     # picked so no parity accident hides the defect
-    control = ([basis[0][2], basis[1][1]],
+    control = ([member((p.D,)), member((1, 1), (p.D, p.D))],
                [OperatorTag("pi_curv", i=1, convention="displayed")])
 
     def lift_terms(families, pull, grid):
@@ -588,7 +587,8 @@ def suite_hermiticity(p, res):
         lhs = rhs = n1 = n2 = 0.0
         for fth, tfh, ff, hh in lifts:
             lhs, rhs, n1, n2 = lhs + fth, rhs + tfh, n1 + ff, n2 + hh
-        return abs(lhs - rhs) / math.sqrt(n1 * n2)
+        # a zero norm (underflow at tiny R) measures nothing
+        return abs(lhs - rhs) / math.sqrt(n1 * n2) if n1 * n2 else math.nan
 
     upper, lower = (lift_terms(reduced, lambda h, s=s: pullback_to_reduced(
         h, p, hemisphere=s), grid) for s in (1, -1))

@@ -532,8 +532,8 @@ def reference_spectrum(p, l_max):
     The eigenvalue follows from H = L^2/(2R^2) plus the standard harmonic
     Casimir; the multiplicity is the dimension of degree-l harmonics,
     C(D+l-1, l) - C(D+l-3, l-2).  Both facts are re-verified numerically in
-    the tests (sector spectra and an explicit polynomial null-space count)
-    rather than assumed.
+    the tests (sector spectra and the count of an exact integer basis of
+    harmonic polynomials) rather than assumed.
     """
     if not 0 <= l_max <= 20:
         raise ValueError("the reference ladder stops at l = 20, so levels must "

@@ -18,7 +18,7 @@ every state and its energy, and a start that leaves the chart margin
 symbolic blocks are widest, and two at D = 2, where each chart has one
 variable.  Two more hermiticity checks hold every row of that suite: one
 at D = 4, and one at R = 1e-3, where rounding alone lifts the worst
-defect to 4.7e-7, past the tolerance, and the check fails (exit 1).  A
+defect to 3.0e-8, past the tolerance, and the check fails (exit 1).  A
 CSV payload is kept as its rows, each cell parsed as a float where it is
 one.
 

@@ -5,6 +5,7 @@ import csv
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,18 @@ def test_nan_hermiticity_control_fails_the_check(monkeypatch, capsys):
     report = json.loads(out)
     assert report["pass"] is False
     assert math.isnan(report["results"]["displayed_convention_defect"])
+
+
+def test_hermiticity_with_underflowing_norms_fails_without_a_warning(capsys):
+    # at R = 1e-20 the norm products |f|^2 |h|^2 underflow to 0; such a
+    # defect measures nothing and is NaN by rule, not a 0/0 division
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["check", "hermiticity", "--radius", "1e-20"],
+                             capsys)
+    assert code == 1 and "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert math.isnan(json.loads(out)["max_deviations"]["deviation"])
 
 
 @pytest.mark.parametrize("flags, flagged", [

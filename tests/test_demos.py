@@ -91,6 +91,8 @@ def test_each_layer_imports_only_what_it_runs():
                             "scipy.linalg", "scipy.special"}) == []
     loaded = _modules_loaded_by("rotorkit.geometry")
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    # the operators build their harmonics in integer arithmetic, no LAPACK
+    assert "scipy.linalg" not in _modules_loaded_by("rotorkit.operators")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

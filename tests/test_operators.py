@@ -65,6 +65,33 @@ def test_harmonic_polynomials_are_harmonic():
             assert np.max(np.abs(ex.evaluate(lap, env))) < 1e-12 * scale * l * l
 
 
+def _laplacian(h):
+    """The Laplacian of an {exponents: coefficient} polynomial, exactly."""
+    out = collections.Counter()
+    for mono, c in h.items():
+        for i, e in enumerate(mono):
+            if e > 1:
+                out[mono[:i] + (e - 2,) + mono[i + 1:]] += c * e * (e - 1)
+    return {m: c for m, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("D", range(2, 11))
+def test_harmonic_basis_is_exact_in_integers(D):
+    for l in range(7):
+        basis = operators._harmonic_basis(D, l)
+        assert len(basis) == harmonic_multiplicity(D, l)
+        seeds = set()
+        for h in basis:
+            assert all(type(c) is int and c != 0 for c in h.values())
+            assert _laplacian(h) == {}
+            assert len({tuple(e % 2 for e in m) for m in h}) == 1
+            # one monomial of x1-degree < 2 each, and no two alike: the
+            # harmonics are linearly independent
+            [seed] = [m for m in h if m[0] < 2]
+            seeds.add(seed)
+        assert len(seeds) == len(basis)
+
+
 @pytest.mark.parametrize("route", ("composition", "divergence"))
 def test_hamiltonian_routes_agree(route):
     rng = np.random.default_rng(11)
@@ -219,7 +246,9 @@ def test_hemisphere_pullback_pair():
 
 def test_hermiticity_on_full_sphere_grid():
     h1 = pullback_to_hyperspherical(harmonic_polynomials(3, 1)[0], P3)
-    h2 = pullback_to_hyperspherical(harmonic_polynomials(3, 2)[1], P3)
+    # x1 and 2 (x3^2 - x1^2); with 2 x1 x3 the sine parities would not
+    # match and the Gauss grid would miss the pi defect by 4.5e-4
+    h2 = pullback_to_hyperspherical(harmonic_polynomials(3, 2)[4], P3)
     res = 32
     assert hermiticity_defect(OperatorTag("H_curv"), h1, h2, P3, res) < 1e-12
     # polar momentum: integer sine powers for D = 3, so the Gauss grid is exact
@@ -414,7 +443,7 @@ def test_one_evaluate_call_per_harmonic_block(suite, monkeypatch):
     monkeypatch.setattr(ex, "evaluate", counted)
     SUITES[suite](ModelParams(D=3), 9, 100, 7)  # the CLI defaults
     blocks = sum(len(operators._harmonic_blocks(3, l)) for l in range(10))
-    assert blocks == 20 and roots == [2] * blocks
+    assert blocks == 36 and roots == [2] * blocks
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -443,7 +472,7 @@ def test_one_schedule_per_harmonic_block(suite, monkeypatch):
         return schedule(roots)
     monkeypatch.setattr(ex, "_schedule", counted)
     SUITES[suite](ModelParams(D=3), 9, 100, 7)  # the CLI defaults
-    assert walks == [2] * 20
+    assert walks == [2] * 36
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -500,12 +529,13 @@ def test_a_nan_in_a_blocks_last_row_slice_fails_the_suite(suite, monkeypatch):
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("budget", (1, 400_000))
 def test_row_chunks_under_a_small_memory_budget(suite, budget, monkeypatch):
-    # with samples=25 a row costs 16 bytes for each step of its block's
-    # plan, plus two: 250-625 kB for the widest blocks at degrees 4-5 of
-    # D=3 and 74-151 kB at degree 3, so the larger budget cuts the former
-    # into single rows and the latter into chunks of a few rows; the
-    # chunks evaluate the block's one tree on row slices of its columns
-    p, lmax, samples = ModelParams(D=3), 5, 25
+    # with samples=32 a row costs 16 bytes for each step of its block's
+    # plan, plus two: 116-272 kB for the blocks at degrees 4-5 of D=3,
+    # which hold up to 3 rows, and 92-134 kB for the 2-row blocks at
+    # degrees 2-3, so the larger budget cuts every 3-row block into chunks
+    # of one or two rows and evaluates some 2-row blocks whole; the chunks
+    # evaluate the block's one tree on row slices of its columns
+    p, lmax, samples = ModelParams(D=3), 5, 32
     whole, whole_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
     monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
     cut, cut_calls = _record(suite, p, lmax, samples, 0, monkeypatch)

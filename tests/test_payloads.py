@@ -83,22 +83,45 @@ def test_the_fallback_comparison_catches_a_moved_value():
         _assert_close(moved, payloads[0])
 
 
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
-                    or not Path("/proc/self/maps").exists(),
-                    reason="Haswell kernels are x86-64 kernels; the configs "
-                    "are read from the loaded libraries /proc/self/maps lists")
+X86_64 = pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64")
+    or not Path("/proc/self/maps").exists(),
+    reason="Haswell kernels are x86-64 kernels; the configs are read from "
+    "the loaded libraries /proc/self/maps lists")
+
+
+def _under_haswell(code, *args):
+    """The stdout of ``python -c code args`` run on OpenBLAS's Haswell
+    kernels, with the package and ``payload_corpus`` importable."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@X86_64
 def test_the_fingerprint_names_the_blas_core_type():
     # payload bits depend on the OpenBLAS kernels (SkylakeX fuses
     # multiply-adds, Haswell does not), so a process made to pick Haswell
     # kernels must not share the recorded fingerprint of another core
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", "import json, payload_corpus as c; "
-         "print(json.dumps(c.fingerprint()))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    out = _under_haswell("import json, payload_corpus as c; "
+                         "print(json.dumps(c.fingerprint()))")
     configs = json.loads(out)["openblas"]
     assert configs and all(" Haswell " in config for config in configs)
     here = corpus.fingerprint()["openblas"]
     assert (here == configs) == all(" Haswell " in c for c in here)
+
+
+@X86_64
+def test_harmonic_checks_print_the_same_bytes_under_haswell_kernels():
+    # the harmonics are built in integer arithmetic and evaluated
+    # elementwise, so no BLAS or LAPACK kernel can move these payloads
+    commands = [["check", "chart-equivalence", "--dim", "2"],
+                ["check", "angular-momentum", "--dim", "2"],
+                ["check", "hermiticity"]]
+    out = _under_haswell(
+        "import json, sys, payload_corpus as c; "
+        "print(json.dumps([c.run(a) for a in json.loads(sys.argv[1])]))",
+        json.dumps(commands))
+    assert json.loads(out) == [list(corpus.run(argv)) for argv in commands]
