@@ -14,13 +14,14 @@ off the defaults: extraction radii that reach both ends of the grid, at
 build), and the corrected prescription with the arithmetic midpoint as
 CSV.  Two classical runs join them: one time unit as CSV, which carries
 every state and its energy, and a start that leaves the chart margin
-(exit 4).  Four checks run off their defaults at D = 4 and 5, where the
-symbolic blocks are widest, and two at D = 2, where each chart has one
-variable.  Two more hermiticity checks hold every row of that suite: one
-at D = 4, and one at R = 1e-3, where rounding alone lifts the worst
-defect to 3.0e-8, past the tolerance, and the check fails (exit 1).  A
-CSV payload is kept as its rows, each cell parsed as a float where it is
-one.
+(exit 4).  One coarse spectrum fails on its level pattern alone (exit
+1): its ground state passes.  Four checks run off their defaults at D = 4
+and 5, where the symbolic blocks are widest, and two at D = 2, where each
+chart has one variable.  Two more hermiticity checks hold every row of
+that suite: one at D = 4, and one at R = 1e-3, where rounding alone lifts
+the worst defect to 3.0e-8, past the tolerance, and the check fails (exit
+1).  A CSV payload is kept as its rows, each cell parsed as a float where
+it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
 name each moved value in CHANGES.md:
@@ -58,6 +59,9 @@ _PATHINTEGRAL = [
     ["pathintegral", "--prescription", "corrected", "--midpoint-rule",
      "arithmetic", "--format", "csv"],
 ]
+_SPECTRUM = [
+    ["spectrum", "--res", "8,12,16", "--levels", "6", "--seed", "0"],
+]
 _CLASSICAL = [
     ["classical", "--duration", "1", "--format", "csv", "--seed", "0"],
     ["classical", "--q0", "0.9,0", "--p0", "0,2", "--seed", "0"],
@@ -89,7 +93,7 @@ def commands():
     argvs = [argv for name in workloads.WORKLOADS
              for argv in workloads.commands(name, 0)]
     return (argvs + [_EXTREME, _EXTREME + ["--hbar", "1e-30"]] + _PATHINTEGRAL
-            + _CLASSICAL + _CHECKS)
+            + _SPECTRUM + _CLASSICAL + _CHECKS)
 
 
 def _openblas_configs():
