@@ -9,15 +9,18 @@ reproduces the report byte for byte.
 
 This module only parses, resolves configuration, dispatches and formats
 reports.  The layers return data and this module alone formats it:
-``json_text`` writes the JSON payload and ``csv_text``, the one CSV
-writer, turns the rows each runner builds from that data into the CSV
-table.  The check suites live with the operators they check:
+``json_text`` writes the JSON payload, with each non-finite float as
+null, and ``csv_text``, the one CSV writer, turns the rows each runner
+builds from that data into the CSV table.  The check suites live with the operators they check:
 ``operators.suite_chart_equivalence``, ``suite_angular_momentum`` and
 ``suite_hermiticity``, and ``dynamics.suite_dirac_brackets``.
 
 Exit codes:
-  0  all checks passed
-  1  a tolerance was exceeded (report still written, pass: false)
+  0  every pass criterion held; stderr names each numeric one's value
+  1  a criterion failed; the report is still written, with pass: false,
+     and stderr names only the failing criteria.  Each runner lists its
+     criteria once, as (name, value, bound) records, and ``_verdict``
+     alone turns them into ``pass``, exit code 0 or 1 and that line
   2  rejected input, before any solver runs.  This module rejects bad
      keys and values (positive keys must also be finite, and a seed
      must not be negative) and holds the rules of keys only it has: a
@@ -232,25 +235,52 @@ def resolve_config(cmd, file_entries, flag_entries):
     return cfg
 
 
-def _json_value(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
-
-
 def _report(cmd, cfg, results, max_deviations, passed):
     return {
         "tool_version": __version__,
         "command": cmd,
-        "resolved_config": {k: _json_value(v) for k, v in cfg.items()},
+        "resolved_config": cfg,
         "results": results,
         "max_deviations": max_deviations,
-        "pass": bool(passed),
+        "pass": passed,
     }
 
 
+def _holds(value, bound):
+    """A flag record (bound True) must be True; a numeric one must not
+    exceed its bound, so a NaN or None value fails."""
+    if bound is True:
+        return value is True
+    return value is not None and value <= bound
+
+
+def _verdict(cmd, cfg, results, max_deviations, criteria):
+    """(exit code, report, stderr line) of a finished run, decided by its
+    ``criteria``: (name, value, bound) records, in the order stderr names
+    them.  A failing run names only its failing records; a passing run
+    names every numeric record."""
+    failed = [(n, v) for n, v, b in criteria if not _holds(v, b)]
+    shown = failed or [(n, v) for n, v, b in criteria if b is not True]
+    named = ", ".join(f"{n}={v:.3g}" if isinstance(v, float)
+                      else f"{n}={json.dumps(v)}" for n, v in shown)
+    status = f"{'tolerance exceeded' if failed else 'pass'} ({named})"
+    return ((1 if failed else 0),
+            _report(cmd, cfg, results, max_deviations, not failed), status)
+
+
+def _strict(obj):
+    """``obj`` as JSON data: tuples as lists and each non-finite float as
+    None, since JSON has no NaN or infinity."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def json_text(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_strict(report), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def csv_text(header, rows):
@@ -318,11 +348,7 @@ def run_spectrum(cfg):
                               for c, rc in zip(clusters, ref_clusters)))
         value_dev = float(np.max([abs(c[0] - rc[0])
                                   for c, rc in zip(clusters, ref_clusters)]))
-    if not pattern_ok:
-        value_dev = float("inf")
     e0 = float(result.eigenvalues[0])
-    e0_tol = cfg["e0_tol"] * p.hbar ** 2 / p.R ** 2
-    passed = pattern_ok and value_dev <= tol and abs(e0) <= e0_tol
 
     results = {
         "route": meta["route"],
@@ -339,11 +365,16 @@ def run_spectrum(cfg):
             {"res": r, "max_raw_deviation": float(np.max(np.abs(raw - ref_eigs)))}
             for r, raw in zip(meta["res"], meta["raw"])]
     results.update({key: meta[key] for key in meta if key.startswith("extrapolation")})
-    max_dev = {"cluster_value": None if value_dev == float("inf") else value_dev,
+    # against a pattern that does not match, no cluster value is measured
+    max_dev = {"cluster_value": value_dev if pattern_ok else None,
                "ground_state": abs(e0)}
+    criteria = [("pattern_matches", pattern_ok, True)]
+    if pattern_ok:
+        criteria.append(("cluster_value", value_dev, tol))
+    criteria.append(("ground_state", abs(e0),
+                     cfg["e0_tol"] * p.hbar ** 2 / p.R ** 2))
     resid = result.residual_norms  # None where a route computes none
-    return ((0 if passed else 1),
-            _report("spectrum", cfg, results, max_dev, passed),
+    return (*_verdict("spectrum", cfg, results, max_dev, criteria),
             lambda: csv_text(("index", "eigenvalue", "residual"), (
                 (i, float(v), "" if resid is None else float(resid[i]))
                 for i, v in enumerate(result.eigenvalues))))
@@ -359,9 +390,6 @@ _SUITE_DEFAULTS = {
     "hermiticity": (None, 1e-8),
     "dirac-brackets": (1000, 1e-10),
 }
-# dirac-brackets also needs exact antisymmetry and a Jacobi deviation
-# within this bound; neither is part of its max_deviations
-_JACOBI_TOL = 1e-9
 
 
 def run_check(cfg):
@@ -384,28 +412,15 @@ def run_check(cfg):
         results, worst = suite_hermiticity(p, cfg["res"])
     else:
         results, worst = suite_dirac_brackets(p, samples, cfg["seed"])
-        if not results["antisymmetry_exact"]:
-            worst = float("inf")
-
-    passed = worst <= tol
+    criteria = [("deviation", worst, tol)]
     if suite == "dirac-brackets":
-        passed = passed and results["jacobi_max_deviation"] <= _JACOBI_TOL
+        criteria = [("antisymmetry_exact", results["antisymmetry_exact"], True),
+                    *criteria,  # a fixed Jacobi bound, not a config key
+                    ("jacobi", results["jacobi_max_deviation"], 1e-9)]
     results["suite"] = suite
-    max_dev = {"deviation": (None if worst == float("inf") else float(worst))}
-    return ((0 if passed else 1),
-            _report("check", cfg, results, max_dev, passed),
+    return (*_verdict("check", cfg, results, {"deviation": float(worst)},
+                      criteria),
             lambda: csv_text(("metric", "value"), _scalar_leaves(results)))
-
-
-def _failed_criteria(results):
-    """The dirac-brackets criteria outside ``max_deviations`` that failed,
-    as name=value texts for the stderr status line."""
-    failed = []
-    if results.get("antisymmetry_exact") is False:
-        failed.append("antisymmetry_exact=false")
-    if results.get("jacobi_max_deviation", 0.0) > _JACOBI_TOL:
-        failed.append(f"jacobi={results['jacobi_max_deviation']:.3g}")
-    return failed
 
 
 def _scalar_leaves(obj, path=""):
@@ -435,8 +450,8 @@ def run_classical(cfg):
     except ChartMarginError as err:
         results = {"chart_margin_exit_time": float(err.time),
                    "margin": cfg["margin"]}
-        return (4, _report("classical", cfg, results,
-                           {"deviation": None}, False), None)
+        return (4, _report("classical", cfg, results, {"deviation": None}, False),
+                f"chart margin exceeded at t = {err.time:.6g}", None)
 
     x0, v0 = embedded_from_reduced(q0, p0, p)
     oracle = integrate_embedded_oracle(x0, v0, T, dt, p)
@@ -448,34 +463,30 @@ def run_classical(cfg):
     for name, x, v in (("reduced_lifted", lift_x, lift_v),
                        ("embedded_oracle", oracle.q, oracle.p)):
         series = conserved_series(x, v, p)
-        e = series["energy"]
-        drift_e = float(np.max(np.abs(e - e[0])))
-        L = series["L"]
-        drift_l = float(np.max(np.abs(L - L[0])))
-        drift[name] = {"energy": drift_e, "angular_momentum": drift_l}
+        drift[name] = {key: float(np.max(np.abs(s - s[0]))) for key, s in (
+            ("energy", series["energy"]), ("angular_momentum", series["L"]))}
     worst_drift = float(np.max([v for d in drift.values() for v in d.values()]))
 
-    radial = np.abs(np.sum(oracle.q * oracle.q, axis=1) - p.R ** 2)
-    tangent = np.abs(np.sum(oracle.q * oracle.p, axis=1))
+    radial, tangent = np.abs(constraint_residuals(oracle.q, oracle.p, p)).max(1)
 
-    passed = sup <= cfg["sup_tol"] and worst_drift <= cfg["conserve_tol"]
     results = {
         "steps": len(traj) - 1,
         "sup_position_deviation": sup,
         "conservation_drift": drift,
-        "oracle_constraint_max": {"radial": float(np.max(radial)),
-                                  "tangent": float(np.max(tangent))},
+        "oracle_constraint_max": {"radial": float(radial),
+                                  "tangent": float(tangent)},
         "final_state": {"t": float(traj.times[-1]),
                         "q": [float(v) for v in traj.q[-1]],
                         "p": [float(v) for v in traj.p[-1]]},
     }
     max_dev = {"sup_position": sup, "conservation": worst_drift}
+    criteria = [("sup_position", sup, cfg["sup_tol"]),
+                ("conservation", worst_drift, cfg["conserve_tol"])]
     n = p.D - 1
     header = (["t"] + [f"q{i}" for i in range(1, n + 1)]
               + [f"p{i}" for i in range(1, n + 1)]
               + ["H", "constraint_radial", "constraint_tangent"])
-    return ((0 if passed else 1),
-            _report("classical", cfg, results, max_dev, passed),
+    return (*_verdict("classical", cfg, results, max_dev, criteria),
             lambda: csv_text(header, np.column_stack([
                 traj.times, traj.q, traj.p,
                 hamiltonian_value(traj.q, traj.p, p),
@@ -523,24 +534,23 @@ def run_pathintegral(cfg):
             "min": float(np.min(coeff)),
             "max": float(np.max(coeff)),
         }
-        passed = dev <= cfg["fit_tol"]
-        max_dev = {"coefficient": dev}
+        criteria = [("coefficient", dev, cfg["fit_tol"])]
     else:
         # corrected kernel: residual relative to the hbar^2/(8 r^2) scale
         rel = float(np.max(np.abs(table.delta_v / table.predicted)))
         results["residual_relative_max"] = rel
-        passed = rel <= cfg["corrected_tol"]
-        max_dev = {"residual_relative": rel}
-    return ((0 if passed else 1),
-            _report("pathintegral", cfg, results, max_dev, passed),
+        criteria = [("residual_relative", rel, cfg["corrected_tol"])]
+    return (*_verdict("pathintegral", cfg, results,
+                      {n: v for n, v, _ in criteria}, criteria),
             lambda: csv_text(columns, rows))
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-# Each runner returns (exit code, report, csv): csv is None or a callable
-# that builds the CSV text, so only a requested format is ever built.
+# Each runner returns (exit code, report, stderr line, csv): csv is None or
+# a callable that builds the CSV text, so only a requested format is ever
+# built.
 _RUNNERS = {
     "spectrum": run_spectrum,
     "check": run_check,
@@ -624,7 +634,7 @@ def main(argv=None):
         if cmd == "check" and getattr(args, "suite_pos", None) is not None:
             flag_entries["suite"] = args.suite_pos
         cfg = resolve_config(cmd, file_entries, flag_entries)
-        code, report, csv_payload = _RUNNERS[cmd](cfg)
+        code, report, status, csv_payload = _RUNNERS[cmd](cfg)
     except ValueError as err:  # ConfigError included: a rejected input
         print(f"error: {cmd}: {err}", file=sys.stderr)
         return 2
@@ -634,20 +644,8 @@ def main(argv=None):
                              "error_kind": "non_convergence", "pass": False})
         _emit(payload, args.out, args.quiet, f"non-convergence: {err}")
         return 3
-    if code == 4:
-        _emit(json_text(report), args.out, args.quiet,
-              "chart margin exceeded at t = "
-              f"{report['results']['chart_margin_exit_time']:.6g}")
-        return 4
     payload = (json_text(report) if args.format == "json" or csv_payload is None
                else csv_payload())
-    status = "pass" if code == 0 else "tolerance exceeded"
-    shown = [f"{k}={v:.3g}" for k, v in report["max_deviations"].items()
-             if v is not None]
-    if cmd == "check":
-        shown += _failed_criteria(report["results"])
-    if shown:
-        status += " (" + ", ".join(shown) + ")"
     _emit(payload, args.out, args.quiet, status)
     return code
 

@@ -25,10 +25,11 @@ call would also cost more than the arithmetic.
 States are plain arrays, and the function names the chart:
 ``hamiltonian_value`` and ``embedded_from_reduced`` take reduced
 (q, mom), one state or one per row, and ``conserved_series`` takes
-ambient (x, v) rows.  Both integrators return a ``Trajectory`` of rows
-at ``times``, starting at t = 0.  Matched initial data must produce the
-same curve; the acceptance suite compares the lifted reduced trajectory
-against the ambient one in sup norm.
+ambient (x, v) rows.  The first two use the closed forms of g^{ij} p_j,
+elementwise, so no BLAS kernel moves their bits.  Both integrators return
+a ``Trajectory`` of rows at ``times``, starting at t = 0.  Matched initial
+data must produce the same curve; the acceptance suite compares the lifted
+reduced trajectory against the ambient one in sup norm.
 
 Bracket verification goes through the canonical chart route: the ambient
 variables are expressed in spherical canonical pairs with the radial pair
@@ -60,9 +61,9 @@ import math
 import numpy as np
 
 from . import expressions as ex
-from .geometry import (MEMORY_BUDGET, ChartDomainError,
+from .geometry import (MEMORY_BUDGET, ChartDomainError, _check_ball,
                        embedding_exprs_hyperspherical, hyperspherical_var_names,
-                       inverse_metric, lift)
+                       lift)
 
 __all__ = [
     "Trajectory", "ChartMarginError", "StepConvergenceError",
@@ -102,10 +103,11 @@ class Trajectory:
 
 
 def hamiltonian_value(q, mom, p):
-    """Reduced-chart energy H = p_i g^{ij}(q) p_j / 2, one value per row
-    (0-d for one state)."""
-    G = inverse_metric(q, p)
-    return 0.5 * ((mom[..., None, :] @ G) @ mom[..., :, None])[..., 0, 0]
+    """Reduced-chart energy H = p_i g^{ij}(q) p_j / 2
+    = (|p|^2 - (q.p)^2 / R^2) / 2, one value per row (0-d for one state)."""
+    q, _ = _check_ball(q, p)
+    qp = (q * mom).sum(axis=-1)
+    return 0.5 * ((mom * mom).sum(axis=-1) - qp ** 2 / p.R ** 2)
 
 
 def _dot(a, b):
@@ -296,13 +298,11 @@ def integrate_embedded_oracle(x0, v0, T, dt, p):
 
 
 def embedded_from_reduced(q, mom, p):
-    """Lift reduced states (q, mom), one or one per row, to (x, v = xdot).
-
-    Stacked ``@`` keeps every row bitwise equal to its single-state lift.
-    """
+    """Lift reduced states (q, mom), one or one per row, to (x, v = xdot),
+    with qdot = g^{ij} p_j = p - q (q.p) / R^2."""
     x = lift(q, p)
-    qdot = (inverse_metric(q, p) @ mom[..., None])[..., 0]
-    vD = -(q[..., None, :] @ qdot[..., :, None])[..., 0, 0] / x[..., -1]
+    qdot = mom - q * ((q * mom).sum(axis=-1) / p.R ** 2)[..., None]
+    vD = -(q * qdot).sum(axis=-1) / x[..., -1]
     return x, np.concatenate([qdot, vD[..., None]], axis=-1)
 
 

@@ -35,7 +35,7 @@ from . import expressions as ex
 __all__ = [
     "ModelParams", "ChartDomainError", "PoleSingularityError",
     "CHART_REDUCED", "CHART_HYPERSPHERICAL", "MEMORY_BUDGET",
-    "metric", "inverse_metric", "metric_determinant", "lift",
+    "metric", "metric_determinant", "lift",
     "to_hyperspherical", "from_hyperspherical", "hyperspherical_var_names",
     "embedding_exprs_hyperspherical", "sphere_area",
 ]
@@ -97,14 +97,6 @@ def metric(x, p):
     eye = np.eye(p.D - 1)
     outer = x[..., :, None] * x[..., None, :]
     return eye + outer / (p.R ** 2 - s)[..., None, None]
-
-
-def inverse_metric(x, p):
-    """Inverse reduced metric g^ij = delta_ij - x_i x_j / R^2."""
-    x, _ = _check_ball(x, p)
-    eye = np.eye(p.D - 1)
-    outer = x[..., :, None] * x[..., None, :]
-    return eye - outer / p.R ** 2
 
 
 def metric_determinant(x, p):

@@ -5,6 +5,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_dirac_brackets_fail_without_exact_antisymmetry(monkeypatch, capsys):
     report = json.loads(out)
     assert code == 1 and report["pass"] is False
     assert report["results"]["antisymmetry_exact"] is False
-    assert report["max_deviations"]["deviation"] is None
+    assert report["max_deviations"]["deviation"] < 1e-10  # still measured
     assert err == "tolerance exceeded (antisymmetry_exact=false)\n"
 
 
@@ -161,17 +162,54 @@ def test_dirac_brackets_slice_their_samples_under_a_small_budget(
 
 
 def test_dirac_brackets_fail_on_the_jacobi_bound(monkeypatch, capsys):
-    # the Jacobi deviation is not in max_deviations, so stderr names it;
-    # stdout is the payload of the same failure without the stderr detail
+    # the Jacobi deviation is not in max_deviations, but it is a criterion,
+    # and stderr names it alone: the deviation passes
     plant_bracket_result(monkeypatch, "jacobi_max_deviation", 2.5e-9)
     code, out, err = run(["check", "dirac-brackets"], capsys)
     report = json.loads(out)
     assert code == 1 and report["pass"] is False
     assert report["results"]["antisymmetry_exact"] is True
     assert report["results"]["jacobi_max_deviation"] == 2.5e-9
-    deviation = report["max_deviations"]["deviation"]
-    assert deviation < 1e-10
-    assert err == f"tolerance exceeded (deviation={deviation:.3g}, jacobi=2.5e-09)\n"
+    assert report["max_deviations"]["deviation"] < 1e-10
+    assert err == "tolerance exceeded (jacobi=2.5e-09)\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--res", "8,12,16", "--levels", "6"], "pattern_matches"),
+    (["spectrum", "--res", "32,48,64", "--tolerance", "1e-12"],
+     "cluster_value"),
+    (["spectrum", "--e0-tol", "1e-20"], "ground_state"),
+    (["check", "chart-equivalence", "--tolerance", "1e-20"], "deviation"),
+    (["classical", "--sup-tol", "1e-12"], "sup_position"),
+    (["classical", "--conserve-tol", "1e-12"], "conservation"),
+    (["pathintegral", "--fit-tol", "1e-9"], "coefficient"),
+    (["pathintegral", "--prescription", "corrected", "--corrected-tol",
+      "1e-12"], "residual_relative"),
+])
+def test_stderr_names_the_one_failed_criterion(argv, name, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and json.loads(out)["pass"] is False
+    assert re.fullmatch(rf"tolerance exceeded \({name}=[^,]+\)\n", err), err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["spectrum"], ["cluster_value", "ground_state"]),
+    (["check", "dirac-brackets"], ["deviation", "jacobi"]),
+    (["classical"], ["sup_position", "conservation"]),
+])
+def test_a_passing_run_names_every_numeric_criterion(argv, names, capsys):
+    code, _, err = run(argv, capsys)
+    shown = re.fullmatch(r"pass \((.*)\)\n", err)
+    assert code == 0 and shown
+    assert [item.split("=")[0] for item in shown[1].split(", ")] == names
+
+
+def test_a_none_or_nan_value_fails_its_criterion():
+    code, report, status = cli._verdict(
+        "check", {}, {}, {}, [("flag", True, True), ("a", None, 1.0),
+                              ("b", math.nan, 1.0), ("c", 0.5, 1.0)])
+    assert code == 1 and report["pass"] is False
+    assert status == "tolerance exceeded (a=null, b=nan)"
 
 
 @pytest.mark.parametrize("flags, code", [([], 0),
@@ -533,7 +571,7 @@ def test_nan_hermiticity_control_fails_the_check(monkeypatch, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False
-    assert math.isnan(report["results"]["displayed_convention_defect"])
+    assert report["results"]["displayed_convention_defect"] is None
 
 
 def test_hermiticity_with_underflowing_norms_fails_without_a_warning(capsys):
@@ -545,7 +583,12 @@ def test_hermiticity_with_underflowing_norms_fails_without_a_warning(capsys):
                              capsys)
     assert code == 1 and "RuntimeWarning" not in err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert math.isnan(json.loads(out)["max_deviations"]["deviation"])
+    assert err == "tolerance exceeded (deviation=nan)\n"
+
+    def no_constant(name):  # JSON has no NaN or Infinity
+        raise ValueError(f"{name} in the payload")
+    report = json.loads(out, parse_constant=no_constant)
+    assert report["max_deviations"]["deviation"] is None
 
 
 @pytest.mark.parametrize("flags, flagged", [

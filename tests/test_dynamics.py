@@ -33,7 +33,7 @@ from rotorkit.dynamics import (
     integrate_reduced,
     suite_dirac_brackets,
 )
-from rotorkit.geometry import ChartDomainError, ModelParams
+from rotorkit.geometry import ChartDomainError, ModelParams, metric
 from sympy_bridge import to_sympy
 
 P3 = ModelParams(D=3, R=1.0, hbar=1.0)
@@ -161,6 +161,22 @@ def test_batched_lift_and_energy_equal_the_per_state_loop(D):
     assert np.array_equal(x, ref_x)
     assert np.array_equal(v, ref_v)
     assert np.array_equal(H, ref_H)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_lift_and_energy_match_a_solve_with_the_metric(D):
+    # the closed forms qdot = g^{ij} p_j = p - q (q.p)/R^2 and H = p.qdot/2
+    # against a dense solve of g qdot = p with the reduced metric
+    p = ModelParams(D=D, R=1.3, hbar=1.0)
+    rng = np.random.default_rng(20 + D)
+    q = rng.uniform(-0.5, 0.5, (50, D - 1))
+    mom = rng.standard_normal((50, D - 1))
+    qdot = np.linalg.solve(metric(q, p), mom[..., None])[..., 0]
+    x, v = embedded_from_reduced(q, mom, p)
+    assert np.max(np.abs(v[:, :-1] - qdot)) < 1e-13
+    assert np.max(np.abs(np.sum(x * v, axis=1))) < 1e-13
+    assert np.max(np.abs(hamiltonian_value(q, mom, p)
+                         - 0.5 * np.sum(mom * qdot, axis=1))) < 1e-13
 
 
 def test_batched_lift_rejects_other_charts():

@@ -116,10 +116,12 @@ def test_the_fingerprint_names_the_blas_core_type():
 @X86_64
 def test_harmonic_checks_print_the_same_bytes_under_haswell_kernels():
     # the harmonics are built in integer arithmetic and evaluated
-    # elementwise, so no BLAS or LAPACK kernel can move these payloads
+    # elementwise, and classical's lift and energy are elementwise closed
+    # forms, so no BLAS or LAPACK kernel can move these payloads
     commands = [["check", "chart-equivalence", "--dim", "2"],
                 ["check", "angular-momentum", "--dim", "2"],
-                ["check", "hermiticity"]]
+                ["check", "hermiticity"],
+                ["classical", "--duration", "1", "--format", "csv"]]
     out = _under_haswell(
         "import json, sys, payload_corpus as c; "
         "print(json.dumps([c.run(a) for a in json.loads(sys.argv[1])]))",
