@@ -20,7 +20,10 @@ and 5, where the symbolic blocks are widest, and two at D = 2, where each
 chart has one variable.  Two more hermiticity checks hold every row of
 that suite: one at D = 4, and one at R = 1e-3, where rounding alone lifts
 the worst defect to 3.0e-8, past the tolerance, and the check fails (exit
-1).  A CSV payload is kept as its rows, each cell parsed as a float where
+1).  One chart-equivalence check at 18000 samples is large enough that
+its widest block (degree 9, 1523 plan steps, 5 rows) is evaluated in
+slices under the memory budget, so the slice rule is held to the whole
+batch's bytes.  A CSV payload is kept as its rows, each cell parsed as a float where
 it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
@@ -76,6 +79,7 @@ _CHECKS = [
     ["check", "angular-momentum", "--dim", "2", "--seed", "0"],
     ["check", "hermiticity", "--dim", "4", "--res", "16", "--seed", "0"],
     ["check", "hermiticity", "--radius", "1e-3", "--seed", "0"],
+    ["check", "chart-equivalence", "--samples", "18000", "--seed", "0"],
 ]
 
 
