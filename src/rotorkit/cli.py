@@ -99,9 +99,9 @@ SCHEMAS = {
                   "only, dense takes one or three or more (extrapolated)"),
         "method": _f("str", "auto", "eigenvalue route",
                      choices=("auto", "sector", "dense", "iterative")),
-        "tolerance": _f("float_or_auto", None,
+        "tolerance": _f("float", None,
                         "max |cluster value - exact| accepted", positive=True),
-        "cluster_tol": _f("float_or_auto", None,
+        "cluster_tol": _f("float", None,
                           "gap below which eigenvalues share a cluster",
                           positive=True),
         "e0_tol": _f("float", 1e-8, "ground state |E0| bound", positive=True),
@@ -115,13 +115,12 @@ SCHEMAS = {
         "hbar": _f("float", 1.0, "Planck constant"),
         "lmax": _f("int", 9, "largest harmonic degree in the test family",
                    positive=True),
-        "samples": _f("int_or_auto", None,
+        "samples": _f("int", None,
                       "evaluation points (brackets: phase-space samples)",
                       positive=True),
         "res": _f("int", 64, "quadrature resolution for hermiticity",
                   positive=True),
-        "tolerance": _f("float_or_auto", None, "pass threshold",
-                        positive=True),
+        "tolerance": _f("float", None, "pass threshold", positive=True),
         "seed": _f("int", 7, "sampling seed; hermiticity ignores it"),
     },
     "classical": {
@@ -168,29 +167,21 @@ SCHEMAS = {
 }
 
 
+# each schema type's parser; config-file and flag values arrive as strings
+_PARSERS = {"int": int, "float": float, "str": str,
+            "ints": lambda raw: tuple(int(t) for t in raw.split(",")),
+            "floats": lambda raw: tuple(float(t) for t in raw.split(","))}
+
+
 def _coerce(key, raw, spec):
-    """Turn a string (or already-typed default) into the schema's type."""
+    """Parse a config-file or flag string as the schema's type.  A numeric
+    key whose default is None, chosen by the command, takes 'auto' too."""
     typ = spec["type"]
+    if raw == "auto" and spec["default"] is None and typ in ("int", "float"):
+        return None
     try:
-        if typ == "int" or typ == "int_or_auto":
-            if typ == "int_or_auto" and (raw is None or raw == "auto"):
-                return None
-            val = int(raw)
-        elif typ == "float" or typ == "float_or_auto":
-            if typ == "float_or_auto" and (raw is None or raw == "auto"):
-                return None
-            val = float(raw)
-        elif typ == "floats":
-            toks = raw.split(",") if isinstance(raw, str) else raw
-            val = tuple(float(t) for t in toks)
-        elif typ == "ints":
-            toks = raw.split(",") if isinstance(raw, str) else raw
-            val = tuple(int(t) for t in toks)
-        elif typ == "str":
-            val = str(raw)
-        else:  # pragma: no cover - schema bug
-            raise AssertionError(f"unhandled schema type {typ}")
-    except (TypeError, ValueError):
+        val = _PARSERS[typ](raw)
+    except ValueError:
         raise ConfigError(f"key '{key}' expects {typ}, got {raw!r}") from None
     if spec["choices"] is not None and val not in spec["choices"]:
         raise ConfigError(
@@ -198,11 +189,9 @@ def _coerce(key, raw, spec):
             f"got {val!r}")
     if key == "seed" and val < 0:  # one rule for every command, used or not
         raise ConfigError(f"key 'seed' must be a non-negative integer, got {val}")
-    if spec["positive"]:
-        seq = val if isinstance(val, tuple) else (val,)
-        if any(not (0 < v < math.inf) for v in seq):
-            raise ConfigError(
-                f"key '{key}' must be positive and finite, got {val!r}")
+    if spec["positive"] and not 0 < val < math.inf:
+        raise ConfigError(
+            f"key '{key}' must be positive and finite, got {val!r}")
     return val
 
 

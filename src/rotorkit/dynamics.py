@@ -434,14 +434,14 @@ def suite_dirac_brackets(p, samples, seed):
 
     Every check reads the same ``samples`` shell points drawn from
     ``seed``, and one plan computes x, p, the 3 D^2 family brackets, the
-    antisymmetry pairs and the Jacobi sum, in one ``evaluate`` call per
-    slice of the samples whose values, one per step of the plan plus two
-    (``ex._Planned``), fit MEMORY_BUDGET; one slice at the defaults.  Each
-    family reports the max absolute deviation of its brackets from the
-    oracle table (``fundamental_bracket_reference``); antisymmetry asks
-    {A,B} = -{B,A} bitwise, not merely to rounding.  Returns (report, worst
-    family deviation).  The Jacobi and antisymmetry triples use x3 and p3,
-    so D must be at least 3.
+    antisymmetry pairs and the Jacobi sum, over slices of the samples cut
+    by ``ex.evaluate_in_slices`` at 8 bytes a sample under MEMORY_BUDGET;
+    one slice at the defaults.  Each family reports the max absolute
+    deviation of its brackets from the oracle table
+    (``fundamental_bracket_reference``); antisymmetry asks {A,B} = -{B,A}
+    bitwise, not merely to rounding.  Returns (report, worst family
+    deviation).  The Jacobi and antisymmetry triples use x3 and p3, so D
+    must be at least 3.
     """
     if p.D < 3:
         raise ValueError(f"dirac-brackets needs dim >= 3, got dim {p.D}")
@@ -466,18 +466,14 @@ def suite_dirac_brackets(p, samples, seed):
         return dirac_bracket_expr(f, dirac_bracket_expr(g, h, p), p)
     jacobi = ex.add(nest(A, B, C), nest(B, C, A), nest(C, A, B))
 
-    roots = ex._Planned(x + mom + brackets + fwd + rev + [jacobi])
-    step = max(1, MEMORY_BUDGET // ((len(roots.schedule[0]) + 2) * 8))
+    roots = x + mom + brackets + fwd + rev + [jacobi]
     D = p.D
 
-    def reduce_slice(lo):
+    def reduce_slice(values):
         # each family's deviation, the Jacobi deviation, and 1 where an
         # antisymmetry pair is not bitwise exact, over one slice
-        part = {name: v[lo:lo + step] for name, v in env.items()}
-        n = len(part[angles[0]])
-        values = [np.broadcast_to(v, n) for v in ex.evaluate(roots, part)]
         xval, pval = np.stack(values[:D]), np.stack(values[D:2 * D])
-        got = np.reshape(values[2 * D:-7], (3, D, D, n))
+        got = np.reshape(values[2 * D:-7], (3, D, D, -1))
         reference = fundamental_bracket_reference(xval, pval, p.R)
         devs = [np.max(np.abs(table - reference[kind]))
                 for kind, table in zip(families, got)]
@@ -486,7 +482,8 @@ def suite_dirac_brackets(p, samples, seed):
         return devs + [np.max(np.abs(values[-1])), not exact]
     # max is exact and keeps NaN, so the slices reduce to the whole's bits
     *devs, jacobi_dev, broken = np.max(
-        [reduce_slice(lo) for lo in range(0, samples, step)], axis=0)
+        [reduce_slice(values) for values in ex.evaluate_in_slices(
+            roots, {}, env, 8, MEMORY_BUDGET)], axis=0)
     report = {"chart": "curvilinear_canonical", "samples": samples,
               "seed": seed, "families": {}}
     worst = 0.0

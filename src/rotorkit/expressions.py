@@ -61,7 +61,7 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Sin", "Cos", "Exp",
     "add", "mul", "power", "sin", "cos", "exp", "sqrt",
     "ordered_product", "negated",
-    "evaluate", "is_zero", "ZERO", "ONE",
+    "evaluate", "evaluate_in_slices", "is_zero", "ZERO", "ONE",
 ]
 
 
@@ -492,3 +492,23 @@ class _Planned(tuple):
         self = super().__new__(cls, roots)
         self.schedule = _schedule(self)
         return self
+
+
+def evaluate_in_slices(roots, fixed, sliced, bytes_per_sample, budget):
+    """Yield the values of the list ``roots`` on each slice of a batch.
+
+    ``sliced`` binds variables to the samples, 1-D arrays of one length;
+    ``fixed`` binds the rest whole.  The roots are planned once.  A slice
+    is the longest run of samples whose values, one per plan step plus two
+    (``_Planned``) at ``bytes_per_sample`` bytes a sample, fit ``budget``,
+    and holds at least one sample.  Each slice is one ``evaluate`` call on
+    views of the samples, and its values come broadcast to the shape of
+    the arrays bound for it.
+    """
+    planned = _Planned(roots)
+    step = max(1, budget // ((len(planned.schedule[0]) + 2) * bytes_per_sample))
+    n = len(next(iter(sliced.values())))
+    for lo in range(0, n, step):
+        env = {**fixed, **{name: v[lo:lo + step] for name, v in sliced.items()}}
+        shape = np.broadcast_shapes(*map(np.shape, env.values()))
+        yield [np.broadcast_to(v, shape) for v in evaluate(planned, env)]

@@ -436,41 +436,34 @@ def _route_gap(p, lmax, samples, routes, env):
     """Worst relative gap between two routes over the harmonic family.
 
     ``routes(h)`` builds both routes for the embedded harmonic h and
-    returns them as the pair (a, b); one ``evaluate`` call computes the
-    pair over ``env``, which binds every chart variable either route
-    reads.  Each harmonic's gap is max|a - b| over the samples relative to
-    its own max|b|, floored at the energy scale hbar^2/R^2;
-    ``family_size`` counts harmonics.
+    returns them as the pair (a, b), computed over ``env``, which binds
+    every chart variable either route reads to its samples.  Each
+    harmonic's gap is max|a - b| over the samples relative to its own
+    max|b|, floored at the energy scale hbar^2/R^2; ``family_size`` counts
+    harmonics.
 
     Each degree goes by blocks, one per parity vector (``_harmonic_blocks``):
-    the routes are built once for the block's tree, and the call also
-    binds the tree's coefficient variables to their (rows, 1) columns, so
-    each value holds one row per harmonic.  Where rows x samples x 16
-    bytes (complex values) times the plan's length plus two (the most
-    values a call holds, ``ex._Planned``) would exceed MEMORY_BUDGET, the
-    same pair is evaluated on row slices of the columns, each of at least
-    one row; the block's one plan sizes the slices and runs each.
+    the routes are built once for the block's tree, and its coefficient
+    variables are bound whole to their (rows, 1) columns, so each value
+    holds one row per harmonic.  ``ex.evaluate_in_slices`` cuts the
+    samples at rows x 16 bytes (complex values) a sample; each row's
+    max|a - b| and max|b| fold over the slices with ``np.maximum``, which
+    is exact and keeps NaN, so a cut batch gives the whole batch's bits.
     """
     scale = p.hbar ** 2 / p.R ** 2
     worst = 0.0
     size = 0
     for degree in range(lmax + 1):
         for tree, coefficients, harmonics in _harmonic_blocks(p.D, degree):
-            pair = ex._Planned(routes(tree))
-            held = len(pair.schedule[0]) + 2
-            step = max(1, MEMORY_BUDGET // (samples * held * 16))
-            for lo in range(0, len(harmonics), step):
-                rows = len(harmonics[lo:lo + step])
-                bound = {name: column[lo:lo + step]
-                         for name, column in coefficients.items()}
-                a, b = (np.broadcast_to(v, (rows, samples))
-                        for v in ex.evaluate(pair, {**env, **bound}))
-                for ar, br in zip(a, b):
-                    ref = max(float(np.max(np.abs(br))), scale)
-                    worst = float(np.maximum(worst,
-                                             np.max(np.abs(ar - br)) / ref))
+            gap = ref = 0.0
+            for a, b in ex.evaluate_in_slices(routes(tree), coefficients, env,
+                                              16 * len(harmonics),
+                                              MEMORY_BUDGET):
+                gap = np.maximum(gap, np.max(np.abs(a - b), axis=1))
+                ref = np.maximum(ref, np.max(np.abs(b), axis=1))
+            worst = float(np.maximum(worst,
+                                     np.max(gap / np.maximum(ref, scale))))
             size += len(harmonics)
-            del pair  # free this block's plan before the next one is built
     return {"family_size": size, "points": samples,
             "max_relative_deviation": worst}, worst
 

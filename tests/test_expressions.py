@@ -274,6 +274,65 @@ def test_column_bound_variable_rows_equal_each_scalar_binding():
         assert got.tobytes() == alone.tobytes()
 
 
+def _sliced_roots():
+    # the first reads the samples x and y and the column c; c alone and
+    # the constant read no sample
+    x, y, c = ex.Var("x"), ex.Var("y"), ex.Var("c")
+    return [ex.add(ex.mul(c, ex.sin(x)), ex.power(y, 2)), c, ex.Const(2.0)]
+
+
+def test_evaluate_in_slices_plans_once_and_cuts_by_the_rule(monkeypatch):
+    # a slice is the longest run of samples whose values, one per plan step
+    # plus two, fit the budget, and at least one sample
+    roots = _sliced_roots()
+    steps = len(ex._schedule(roots)[0])
+    rng = np.random.default_rng(3)
+    fixed = {"c": rng.normal(size=(2, 1))}
+    sliced = {"x": rng.normal(size=10), "y": rng.normal(size=10)}
+    whole = [np.broadcast_to(v, (2, 10))
+             for v in ex.evaluate(roots, {**fixed, **sliced})]
+    schedule, evaluate = ex._schedule, ex.evaluate
+    walks, calls = [], []
+
+    def counted_schedule(r):
+        walks.append(r)
+        return schedule(r)
+
+    def counted(exprs, env):
+        calls.append(env)
+        return evaluate(exprs, env)
+    monkeypatch.setattr(ex, "_schedule", counted_schedule)
+    monkeypatch.setattr(ex, "evaluate", counted)
+    for budget, cut in (((steps + 2) * 16 * 4 - 1, [3, 3, 3, 1]),
+                        ((steps + 2) * 16 * 10, [10]), (1, [1] * 10)):
+        walks.clear()
+        calls.clear()
+        slices = list(ex.evaluate_in_slices(roots, fixed, sliced, 16, budget))
+        assert len(walks) == 1
+        assert [len(env["x"]) for env in calls] == cut
+        for env in calls:
+            assert env["c"] is fixed["c"]
+            assert all(np.shares_memory(env[k], sliced[k]) for k in sliced)
+        for got, values in zip(cut, slices):
+            assert [v.shape for v in values] == [(2, got)] * 3
+        for k, want in enumerate(whole):
+            got = np.concatenate([values[k] for values in slices], axis=1)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_a_nan_in_the_last_slice_survives_evaluate_in_slices():
+    x = np.linspace(0.0, 1.0, 7)
+    x[-1] = np.nan
+    slices = list(ex.evaluate_in_slices(
+        _sliced_roots(), {"c": np.ones((2, 1))}, {"x": x, "y": np.ones(7)},
+        16, 1))
+    assert len(slices) == 7
+    assert np.isnan(slices[-1][0]).all()
+    assert not any(np.isnan(values[0]).any() for values in slices[:-1])
+    folded = functools.reduce(np.maximum, [values[0] for values in slices])
+    assert np.isnan(folded).all()
+
+
 def test_schedule_runs_children_first_left_to_right():
     x, y, z, two = ex.Var("x"), ex.Var("y"), ex.Var("z"), ex.Const(2.0)
     xx = ex.Mul((x, x))

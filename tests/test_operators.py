@@ -92,6 +92,21 @@ def test_harmonic_basis_is_exact_in_integers(D):
         assert len(seeds) == len(basis)
 
 
+@pytest.mark.parametrize("D", range(2, 11))
+def test_a_perturbed_harmonic_coefficient_breaks_the_exact_laplacian(D):
+    # the mutant: one more of a monomial with an exponent of 2 or more,
+    # whose own Laplacian is then the result's.  A multilinear monomial
+    # (x1 x2 x3) is harmonic itself, so it is skipped
+    for l in range(2, 7):
+        mutants = 0
+        for h in operators._harmonic_basis(D, l):
+            for mono in h:
+                if max(mono) >= 2:
+                    assert _laplacian({**h, mono: h[mono] + 1}) != {}
+                    mutants += 1
+        assert mutants > 0
+
+
 @pytest.mark.parametrize("route", ("composition", "divergence"))
 def test_hamiltonian_routes_agree(route):
     rng = np.random.default_rng(11)
@@ -354,16 +369,21 @@ def _coefficients(env):
     return {name: v for name, v in env.items() if name.startswith("c[")}
 
 
+def _bound_shape(env):
+    # (rows, samples) of one call: its coefficient columns and sample slice
+    return np.broadcast_shapes(*map(np.shape, env.values()))
+
+
 def _record(suite, p, lmax, samples, seed, monkeypatch):
     """The suite's results and its evaluate calls as (exprs, env, values),
-    each value broadcast to (rows, samples), one row per harmonic."""
+    each value broadcast to (rows, samples of the call's slice), one row
+    per harmonic."""
     evaluate = ex.evaluate
     calls = []
 
     def recording(exprs, env):
         out = evaluate(exprs, env)
-        rows = len(next(iter(_coefficients(env).values())))
-        calls.append((exprs, env, [np.broadcast_to(v, (rows, samples))
+        calls.append((exprs, env, [np.broadcast_to(v, _bound_shape(env))
                                    for v in out]))
         return out
 
@@ -498,23 +518,37 @@ def test_batched_rows_match_harmonic_polynomials(suite, D, monkeypatch):
                         assert np.max(np.abs(got[r] - want)) <= 1e-14 * ref
 
 
+def _by_tree(calls):
+    # each block's calls in order; exprs stay alive in ``calls``, so their
+    # ids are unique
+    groups = {}
+    for exprs, env, values in calls:
+        groups.setdefault(id(exprs), []).append((env, values))
+    return list(groups.values())
+
+
+def _samples(env):
+    return {name: v for name, v in env.items() if not name.startswith("c[")}
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
-def test_a_nan_in_a_blocks_last_row_slice_fails_the_suite(suite, monkeypatch):
-    # one row a call: a NaN in the last slice of the first block that is
-    # cut must survive the fold over its slices and over the later blocks
+def test_a_nan_in_a_blocks_last_sample_slice_fails_the_suite(suite,
+                                                              monkeypatch):
+    # one sample a call: a NaN in the last slice of the first block must
+    # survive the fold over its slices and over the later blocks
     p, lmax, samples = ModelParams(D=3), 4, 5
     monkeypatch.setattr(operators, "MEMORY_BUDGET", 1)
     _, calls = _record(suite, p, lmax, samples, 0, monkeypatch)
-    trees = [id(exprs) for exprs, _, _ in calls]
-    last = next(k for k in range(1, len(trees) - 1)
-                if trees[k - 1] == trees[k] != trees[k + 1])
+    last = len(_by_tree(calls)[0]) - 1
+    assert last == samples - 1
     evaluate = ex.evaluate
     seen = []
 
     def poisoned(exprs, env):
         out = evaluate(exprs, env)
         if len(seen) == last:
-            a = np.array(np.broadcast_to(out[0], (1, samples)), dtype=complex)
+            a = np.array(np.broadcast_to(out[0], _bound_shape(env)),
+                         dtype=complex)
             a[-1, -1] = np.nan
             out[0] = a
         seen.append(exprs)
@@ -528,41 +562,59 @@ def test_a_nan_in_a_blocks_last_row_slice_fails_the_suite(suite, monkeypatch):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("budget", (1, 400_000))
-def test_row_chunks_under_a_small_memory_budget(suite, budget, monkeypatch):
-    # with samples=32 a row costs 16 bytes for each step of its block's
-    # plan, plus two: 116-272 kB for the blocks at degrees 4-5 of D=3,
-    # which hold up to 3 rows, and 92-134 kB for the 2-row blocks at
-    # degrees 2-3, so the larger budget cuts every 3-row block into chunks
-    # of one or two rows and evaluates some 2-row blocks whole; the chunks
-    # evaluate the block's one tree on row slices of its columns
+def test_sample_chunks_under_a_small_memory_budget(suite, budget,
+                                                   monkeypatch):
+    # a sample costs 16 bytes a row for each step of its block's plan,
+    # plus two: 14-26 kB at the 3-row blocks of degrees 4-5 of D=3 and
+    # 6-8 kB at the 2-row blocks of degrees 2-3, so of 32 samples the
+    # larger budget cuts the former into chunks of 15 to 27 and evaluates
+    # the latter whole; every chunk binds the block's whole columns and a
+    # view of each sample array
     p, lmax, samples = ModelParams(D=3), 5, 32
     whole, whole_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
     monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
     cut, cut_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
     assert cut == whole
-
-    def by_tree(calls):
-        # exprs lists stay alive in ``calls``, so their ids are unique
-        groups = {}
-        for exprs, env, values in calls:
-            groups.setdefault(id(exprs), []).append((env, values))
-        return list(groups.values())
-
-    whole_trees, cut_trees = by_tree(whole_calls), by_tree(cut_calls)
+    whole_trees, cut_trees = _by_tree(whole_calls), _by_tree(cut_calls)
     assert len(cut_trees) == len(whole_trees)
-    sizes, chunks = [], []
+    chunks = []
     for [(env, values)], pieces in zip(whole_trees, cut_trees):
-        sizes.append(len(values[0]))
-        chunks += [len(vs[0]) for _, vs in pieces]
+        chunks += [len(vs[0][0]) for _, vs in pieces]
         for name, column in _coefficients(env).items():
             parts = [_coefficients(e)[name] for e, _ in pieces]
-            assert all(part.base is not None for part in parts)  # views
-            assert np.concatenate(parts).tobytes() == column.tobytes()
+            assert all(part is parts[0] for part in parts)
+            assert parts[0].tobytes() == column.tobytes()
+        for name, v in _samples(env).items():
+            parts = [e[name] for e, _ in pieces]
+            assert all(part.base is not None and part.base is parts[0].base
+                       for part in parts)  # views of one sample array
+            assert np.concatenate(parts).tobytes() == v.tobytes()
         for k, v in enumerate(values):
-            got = np.concatenate([vs[k] for _, vs in pieces])
+            got = np.concatenate([vs[k] for _, vs in pieces], axis=1)
             assert got.tobytes() == v.tobytes()
     if budget == 1:
         assert set(chunks) == {1}
     else:
-        assert max(chunks) > 1 and len(chunks) > len(sizes)
-        assert max(chunks) < max(sizes)
+        assert max(chunks) == samples and min(chunks) < samples
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_no_call_binds_more_samples_than_the_budget_allows(suite,
+                                                           monkeypatch):
+    # 50 kB is below one row's share of 32 samples in every block of
+    # degrees 2 to 5 of D=3, so a row slice holding every sample would
+    # pass the budget; a sample slice holds at most
+    # budget // ((steps + 2) x 16 x rows) samples, or one, and the cut run
+    # gives the whole run's bits
+    p, lmax, samples, budget = ModelParams(D=3), 5, 32, 50_000
+    whole, _ = _record(suite, p, lmax, samples, 0, monkeypatch)
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
+    cut, calls = _record(suite, p, lmax, samples, 0, monkeypatch)
+    assert cut == whole
+    lengths = []
+    for exprs, env, values in calls:
+        rows, n = _bound_shape(env)
+        allowed = budget // ((len(ex._schedule(exprs)[0]) + 2) * 16 * rows)
+        assert n <= max(1, allowed)
+        lengths.append(n)
+    assert max(lengths) == samples and min(lengths) <= 2
