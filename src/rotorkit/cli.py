@@ -402,13 +402,18 @@ def run_check(cfg):
     else:
         results, worst = suite_dirac_brackets(p, samples, cfg["seed"])
     criteria = [("deviation", worst, tol)]
+    max_deviations = {"deviation": float(worst)}
+    if "max_eigenvalue_deviation" in results:
+        # the closed-form eigenvalue, a third route, under the same bound
+        eigen = results["max_eigenvalue_deviation"]
+        criteria.append(("eigenvalue", eigen, tol))
+        max_deviations["eigenvalue"] = eigen
     if suite == "dirac-brackets":
         criteria = [("antisymmetry_exact", results["antisymmetry_exact"], True),
                     *criteria,  # a fixed Jacobi bound, not a config key
                     ("jacobi", results["jacobi_max_deviation"], 1e-9)]
     results["suite"] = suite
-    return (*_verdict("check", cfg, results, {"deviation": float(worst)},
-                      criteria),
+    return (*_verdict("check", cfg, results, max_deviations, criteria),
             lambda: csv_text(("metric", "value"), _scalar_leaves(results)))
 
 

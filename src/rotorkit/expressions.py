@@ -46,10 +46,11 @@ coefficients share one tree when the coefficients are variables:
 ``evaluate`` binds each variable to a scalar or to any array that
 broadcasts, so coefficients bound to (rows, 1) columns give values of
 shape (rows, samples), one row per expression.  Where the coefficients
-enter only sums and products, which round alike whatever the array shape,
-each row is bit for bit the value with that row's coefficients bound as
-scalars.  ``operators._harmonic_blocks`` builds its blocks of harmonics
-this way, and ``operators._route_gap`` binds their coefficients.
+enter only sums, products and powers, which act elementwise and round
+alike whatever the array shape, each row is bit for bit the value with
+that row's coefficients bound as scalars.  ``operators._zonal_tree``
+builds each degree's zonal harmonics this way, with the axes as the
+variables, and ``operators._route_gap`` binds them.
 """
 
 import operator

@@ -37,7 +37,7 @@ __all__ = [
     "CHART_REDUCED", "CHART_HYPERSPHERICAL", "MEMORY_BUDGET",
     "metric", "metric_determinant", "lift",
     "to_hyperspherical", "from_hyperspherical", "hyperspherical_var_names",
-    "embedding_exprs_hyperspherical", "sphere_area",
+    "embedding_exprs_hyperspherical", "sphere_area", "harmonic_multiplicity",
 ]
 
 CHART_REDUCED = "reduced"
@@ -190,3 +190,11 @@ def embedding_exprs_hyperspherical(p):
 def sphere_area(D, R):
     """Surface measure of the (D-1)-sphere of radius R: 2 pi^{D/2} R^{D-1} / Gamma(D/2)."""
     return 2.0 * math.pi ** (D / 2) / math.gamma(D / 2) * R ** (D - 1)
+
+
+def harmonic_multiplicity(D, l):
+    """Dimension of the degree-l harmonic polynomials in D variables,
+    C(D+l-1, l) - C(D+l-3, l-2): the multiplicity of the sphere's level l."""
+    if l < 2:
+        return 1 if l == 0 else D
+    return math.comb(D + l - 1, l) - math.comb(D + l - 3, l - 2)

@@ -37,10 +37,11 @@ measure, and ``displayed`` is deliberately not for i <= D-2; see README
 
 Three of the ``rotorkit check`` suites live here, next to the operators
 they test: ``suite_chart_equivalence`` (H in the reduced chart against H in
-the hyperspherical chart), ``suite_angular_momentum`` (sum_{a<b} L_ab^2/(2R^2)
-against H) and ``suite_hermiticity`` (<f, T h> = <T f, h> over the whole
-sphere for H and every momentum), all on harmonics with exact integer
-coefficients (``_harmonic_basis``).  Each returns (results, worst deviation).
+the hyperspherical chart) and ``suite_angular_momentum`` (sum_{a<b}
+L_ab^2/(2R^2) against H), both also against the eigenvalue, on zonal
+harmonics, and ``suite_hermiticity`` (<f, T h> = <T f, h> over the sphere
+for H and every momentum) on harmonics with exact integer coefficients
+(``_harmonic_basis``).  Each returns (results, worst deviation).
 """
 
 import itertools
@@ -52,7 +53,7 @@ import numpy as np
 from . import expressions as ex
 from .geometry import (CHART_HYPERSPHERICAL, CHART_REDUCED, MEMORY_BUDGET,
                        ChartDomainError, _check_ball,
-                       embedding_exprs_hyperspherical,
+                       embedding_exprs_hyperspherical, harmonic_multiplicity,
                        hyperspherical_var_names, lift, to_hyperspherical)
 from .quadrature import reduced_ball_grid, sphere_angular_grid
 
@@ -151,50 +152,40 @@ def _harmonic_basis(D, degree):
     return basis
 
 
-def _harmonic_blocks(D, degree):
-    """The degree's harmonics in blocks, one block per parity vector (each
-    exponent mod 2), which all of a harmonic's monomials share.
-
-    Each block is (tree, coefficients, harmonics).  The tree is
-    sum_k c[k] x^m_k over the monomials m_k that the block's harmonics
-    use, with each coefficient c[k] a variable; ``coefficients`` maps
-    each c[k] to its column of shape (rows, 1), one row per harmonic, and
-    ``harmonics`` lists their indices in the basis.  The brackets keep the
-    names apart from every chart and phase variable.
-    """
-    basis = _harmonic_basis(D, degree)
-    groups = {}
-    for j, h in enumerate(basis):
-        groups.setdefault(tuple(e % 2 for e in next(iter(h))), []).append(j)
-    blocks = []
-    for harmonics in groups.values():
-        terms, coefficients = [], {}
-        for k, mono in enumerate(_monomials(D, degree)):
-            column = [basis[j].get(mono, 0) for j in harmonics]
-            if any(column):
-                coefficients[f"c[{k}]"] = np.array(column, dtype=float)[:, None]
-                terms.append(ex.mul(ex.Var(f"c[{k}]"), *[
-                    ex.power(ex.Var(f"x{i + 1}"), e)
-                    for i, e in enumerate(mono)]))
-        blocks.append((ex.add(*terms), coefficients, harmonics))
-    return blocks
-
-
 def harmonic_polynomials(D, degree):
-    """A basis of degree-``degree`` harmonic polynomials in D variables.
-
-    Built in integer arithmetic (``_harmonic_basis``), an oracle independent
-    of any spectral machinery; the count matches C(D+l-1,l) - C(D+l-3,l-2).
-    Each harmonic is its block's tree (``_harmonic_blocks``) with its own
-    coefficients substituted as constants, so degree 0 is the constant 1
-    and degree 1 the coordinates x1, ..., xD.
+    """``_harmonic_basis`` as expressions: each harmonic sums its nonzero
+    terms in ``_monomials`` order, a constant coefficient times the powers,
+    so degree 0 is the constant 1 and degree 1 the coordinates x1, ..., xD.
     """
-    out = {}
-    for tree, coefficients, harmonics in _harmonic_blocks(D, degree):
-        for row, j in enumerate(harmonics):
-            out[j] = tree.subs({name: ex.Const(column[row, 0])
-                                for name, column in coefficients.items()})
-    return [out[j] for j in sorted(out)]
+    return [ex.add(*[ex.mul(ex.Const(float(h[m])), *[
+        ex.power(ex.Var(f"x{i + 1}"), e) for i, e in enumerate(m)])
+        for m in _monomials(D, degree) if m in h])
+        for h in _harmonic_basis(D, degree)]
+
+
+def _zonal_coefficients(D, degree):
+    """Integer c_k of the zonal harmonic Z_l(x; a) = sum_k c_k (a.x)^(l-2k)
+    (|a|^2 |x|^2)^k of axis a (Axler, Bourdon and Ramey, *Harmonic Function
+    Theory*, ch. 5), a multiple of Gegenbauer's C_l^((D-2)/2), Chebyshev's
+    T_l at D = 2: c_(k+1)/c_k = -(l-2k)(l-2k-1) / (2(k+1)(D+2l-2k-4))."""
+    c = [1]
+    for k in range(degree // 2):  # the earlier c_k take the denominator
+        den = 2 * (k + 1) * (D + 2 * degree - 2 * k - 4)
+        c = [v * den for v in c] + [-c[-1] * (degree - 2 * k)
+                                    * (degree - 2 * k - 1)]
+    return c
+
+
+def _zonal_tree(p, degree):
+    """Z_l of a unit axis on the sphere |x| = R, R^l at the pole, as one
+    tree sum_k (c_k / sum c) R^(2k) (a.x)^(l-2k), each ratio rounded once,
+    over x1..xD and axis variables a[1]..a[D] (apart from chart names)."""
+    t = ex.add(*[ex.mul(ex.Var(f"a[{i}]"), ex.Var(f"x{i}"))
+                 for i in range(1, p.D + 1)])
+    c = _zonal_coefficients(p.D, degree)
+    return ex.add(*[ex.mul(ex.Const(ck / sum(c) * p.R ** (2 * k)),
+                           ex.power(t, degree - 2 * k))
+                    for k, ck in enumerate(c)])
 
 
 def _env_from_points(names, points):
@@ -432,47 +423,51 @@ def _ball_samples(p, n, seed):
     return dirs * radii[:, None]
 
 
-def _route_gap(p, lmax, samples, routes, env):
-    """Worst relative gap between two routes over the harmonic family.
+ZONAL_ROWS = 64  # D = 3 keeps all 100 harmonics of lmax 9 (README)
 
-    ``routes(h)`` builds both routes for the embedded harmonic h and
-    returns them as the pair (a, b), computed over ``env``, which binds
-    every chart variable either route reads to its samples.  Each
-    harmonic's gap is max|a - b| over the samples relative to its own
-    max|b|, floored at the energy scale hbar^2/R^2; ``family_size`` counts
-    harmonics.
 
-    Each degree goes by blocks, one per parity vector (``_harmonic_blocks``):
-    the routes are built once for the block's tree, and its coefficient
-    variables are bound whole to their (rows, 1) columns, so each value
-    holds one row per harmonic.  ``ex.evaluate_in_slices`` cuts the
-    samples at rows x 16 bytes (complex values) a sample; each row's
-    max|a - b| and max|b| fold over the slices with ``np.maximum``, which
-    is exact and keeps NaN, so a cut batch gives the whole batch's bits.
+def _route_gap(p, lmax, samples, seed, routes, env):
+    """Worst relative gaps, route a to route b and b to the eigenvalue.
+
+    ``routes(h)`` returns both routes for the embedded harmonic h and h on
+    the reduced chart, (a, b, f), over ``env``, the samples of every chart
+    variable.  A row's gaps are max|a - b| and max|b - E_l f| (E_l =
+    hbar^2 l(l+D-2)/(2R^2), a third route) over its max|b|, floored at
+    hbar^2/R^2.  Degree l is one block: one ``_zonal_tree`` at min(dimension,
+    ``ZONAL_ROWS``) unit axes, drawn apart from the samples and bound as
+    (rows, 1) columns, and one ``ex.evaluate_in_slices`` call at rows x 16
+    bytes a sample; the maxima fold over its slices with the exact,
+    NaN-keeping ``np.maximum``, so a cut batch gives the whole batch's bits.
     """
-    scale = p.hbar ** 2 / p.R ** 2
-    worst = 0.0
-    size = 0
-    for degree in range(lmax + 1):
-        for tree, coefficients, harmonics in _harmonic_blocks(p.D, degree):
-            gap = ref = 0.0
-            for a, b in ex.evaluate_in_slices(routes(tree), coefficients, env,
-                                              16 * len(harmonics),
-                                              MEMORY_BUDGET):
-                gap = np.maximum(gap, np.max(np.abs(a - b), axis=1))
-                ref = np.maximum(ref, np.max(np.abs(b), axis=1))
-            worst = float(np.maximum(worst,
-                                     np.max(gap / np.maximum(ref, scale))))
-            size += len(harmonics)
-    return {"family_size": size, "points": samples,
-            "max_relative_deviation": worst}, worst
+    rng = np.random.default_rng([seed, 1])  # apart from _ball_samples' seed
+    rows = [min(harmonic_multiplicity(p.D, l), ZONAL_ROWS)
+            for l in range(lmax + 1)]
+    worst = eigen_worst = 0.0
+    for degree, n in enumerate(rows):
+        axes = rng.standard_normal((n, p.D))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        columns = {f"a[{i + 1}]": axes[:, i:i + 1] for i in range(p.D)}
+        eigenvalue = p.hbar ** 2 * degree * (degree + p.D - 2) / (2 * p.R ** 2)
+        gap = off = ref = 0.0
+        for a, b, f in ex.evaluate_in_slices(routes(_zonal_tree(p, degree)),
+                                             columns, env, 16 * n,
+                                             MEMORY_BUDGET):
+            gap = np.maximum(gap, np.max(np.abs(a - b), axis=1))
+            off = np.maximum(off, np.max(np.abs(b - eigenvalue * f), axis=1))
+            ref = np.maximum(ref, np.max(np.abs(b), axis=1))
+        ref = np.maximum(ref, p.hbar ** 2 / p.R ** 2)
+        worst = float(np.maximum(worst, np.max(gap / ref)))
+        eigen_worst = float(np.maximum(eigen_worst, np.max(off / ref)))
+    return {"family_size": sum(rows), "points": samples,
+            "max_relative_deviation": worst,
+            "max_eigenvalue_deviation": eigen_worst}, worst
 
 
 def suite_chart_equivalence(p, lmax, samples, seed):
     """H applied in the reduced and hyperspherical charts must agree.
 
     The two charts' variables (x1.. and phi1..) have disjoint names, so
-    one env binds both and each block's two routes evaluate in one call.
+    one env binds both and each degree's routes evaluate in one call.
     """
     pts = _ball_samples(p, samples, seed)
     angles = to_hyperspherical(lift(pts, p), p)[1]
@@ -482,9 +477,10 @@ def suite_chart_equivalence(p, lmax, samples, seed):
     curv = OperatorTag("H_curv")
 
     def routes(h):
-        return (operator_expr(cart, pullback_to_reduced(h, p), p),
-                operator_expr(curv, pullback_to_hyperspherical(h, p), p))
-    return _route_gap(p, lmax, samples, routes, env)
+        f = pullback_to_reduced(h, p)
+        return (operator_expr(cart, f, p),
+                operator_expr(curv, pullback_to_hyperspherical(h, p), p), f)
+    return _route_gap(p, lmax, samples, seed, routes, env)
 
 
 def suite_angular_momentum(p, lmax, samples, seed):
@@ -496,8 +492,8 @@ def suite_angular_momentum(p, lmax, samples, seed):
 
     def routes(h):
         f = pullback_to_reduced(h, p)
-        return operator_expr(l2, f, p), operator_expr(cart, f, p)
-    return _route_gap(p, lmax, samples, routes, env)
+        return operator_expr(l2, f, p), operator_expr(cart, f, p), f
+    return _route_gap(p, lmax, samples, seed, routes, env)
 
 
 def _midpoint_angular_grid(p, res):

@@ -58,7 +58,8 @@ import numpy as np
 # so the binding stays while the benchmark reads it
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
-from .geometry import MEMORY_BUDGET, ModelParams, sphere_area
+from .geometry import (MEMORY_BUDGET, ModelParams, harmonic_multiplicity,
+                       sphere_area)
 from .quadrature import azimuth_nodes, polar_exponent, polar_nodes
 
 __all__ = [
@@ -518,12 +519,6 @@ def sector_spectrum(p, res, k):
     if np.max(np.abs(vals.imag)) > 1e-6 * max(scale, np.max(np.abs(vals))):
         raise AssertionError("sector block produced non-real eigenvalues")
     return _result(vals.real, p, {"sectors_scanned": sector}, residuals=resid)
-
-
-def harmonic_multiplicity(D, l):
-    if l < 2:
-        return 1 if l == 0 else D
-    return math.comb(D + l - 1, l) - math.comb(D + l - 3, l - 2)
 
 
 def reference_spectrum(p, l_max):

@@ -16,15 +16,15 @@ CSV.  Two classical runs join them: one time unit as CSV, which carries
 every state and its energy, and a start that leaves the chart margin
 (exit 4).  One coarse spectrum fails on its level pattern alone (exit
 1): its ground state passes.  Four checks run off their defaults at D = 4
-and 5, where the symbolic blocks are widest, and two at D = 2, where each
+and 5, where the blocks hold the most rows, and two at D = 2, where each
 chart has one variable.  Two more hermiticity checks hold every row of
 that suite: one at D = 4, and one at R = 1e-3, where rounding alone lifts
 the worst defect to 3.0e-8, past the tolerance, and the check fails (exit
 1).  One chart-equivalence check at 18000 samples is large enough that
-its widest block (degree 9, 1523 plan steps, 5 rows) is evaluated in
-slices under the memory budget, so the slice rule is held to the whole
-batch's bytes.  A CSV payload is kept as its rows, each cell parsed as a float where
-it is one.
+its two widest blocks (degree 8, 454 plan steps, 17 rows, and degree 9,
+507 steps, 19 rows) are evaluated in slices under the memory budget, so
+the slice rule is held to the whole batch's bytes.  A CSV payload is
+kept as its rows, each cell parsed as a float where it is one.
 
 Rewrite the corpus after a change that moves a payload on purpose, and
 name each moved value in CHANGES.md:

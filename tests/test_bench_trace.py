@@ -54,7 +54,7 @@ def test_traced_identities_measures_every_metric():
     assert [code for code, _ in runs] == [0] * 5
     vals, fired = layers.sequence_values([cmd for _, cmd in runs])
     assert layers.unmeasured("identities", fired) == []
-    # one call per harmonic block in chart-equivalence (36) and
-    # angular-momentum (36), one per hermiticity chart lift (3) and one
-    # for every dirac bracket
-    assert vals["expressions.evaluate_calls"] == 76
+    # one call per degree in chart-equivalence (10) and angular-momentum
+    # (10), one per hermiticity chart lift (3) and one for every dirac
+    # bracket
+    assert vals["expressions.evaluate_calls"] == 24

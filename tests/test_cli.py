@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import re
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -179,7 +181,7 @@ def test_dirac_brackets_fail_on_the_jacobi_bound(monkeypatch, capsys):
     (["spectrum", "--res", "32,48,64", "--tolerance", "1e-12"],
      "cluster_value"),
     (["spectrum", "--e0-tol", "1e-20"], "ground_state"),
-    (["check", "chart-equivalence", "--tolerance", "1e-20"], "deviation"),
+    (["check", "dirac-brackets", "--tolerance", "1e-20"], "deviation"),
     (["classical", "--sup-tol", "1e-12"], "sup_position"),
     (["classical", "--conserve-tol", "1e-12"], "conservation"),
     (["pathintegral", "--fit-tol", "1e-9"], "coefficient"),
@@ -196,12 +198,71 @@ def test_stderr_names_the_one_failed_criterion(argv, name, capsys):
     (["spectrum"], ["cluster_value", "ground_state"]),
     (["check", "dirac-brackets"], ["deviation", "jacobi"]),
     (["classical"], ["sup_position", "conservation"]),
+    (["check", "chart-equivalence"], ["deviation", "eigenvalue"]),
+    (["check", "angular-momentum"], ["deviation", "eigenvalue"]),
 ])
 def test_a_passing_run_names_every_numeric_criterion(argv, names, capsys):
     code, _, err = run(argv, capsys)
     shown = re.fullmatch(r"pass \((.*)\)\n", err)
     assert code == 0 and shown
     assert [item.split("=")[0] for item in shown[1].split(", ")] == names
+
+
+# the operator kinds of each route-gap suite's two routes, a then b
+ROUTES = {"chart-equivalence": ("H_cart", "H_curv"),
+          "angular-momentum": ("L2", "H_cart")}
+
+
+def plant_route_defect(monkeypatch, kinds):
+    """Scale every operator of the given kinds by 1 + 1e-6."""
+    real = operators.operator_expr
+
+    def planted(tag, f, p):
+        e = real(tag, f, p)
+        if tag.kind in kinds:
+            return expressions.mul(expressions.Const(1 + 1e-6), e)
+        return e
+    monkeypatch.setattr(operators, "operator_expr", planted)
+
+
+@pytest.mark.parametrize("suite", sorted(ROUTES))
+@pytest.mark.parametrize("dim", ("3", "10"))
+def test_a_defect_in_one_route_fails_the_check(suite, dim, monkeypatch,
+                                               capsys):
+    # the route that is not H_cart, so each suite keeps one sound route
+    plant_route_defect(monkeypatch, set(ROUTES[suite]) - {"H_cart"})
+    code, out, err = run(["check", suite, "--dim", dim], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["max_deviations"]["deviation"] > 1e-7
+    assert "tolerance exceeded (deviation=" in err
+
+
+@pytest.mark.parametrize("suite", sorted(ROUTES))
+@pytest.mark.parametrize("dim", ("3", "10"))
+def test_a_defect_in_both_routes_fails_on_the_eigenvalue_alone(
+        suite, dim, monkeypatch, capsys):
+    # the routes still agree with each other; the closed-form eigenvalue,
+    # which shares no code with them, does not
+    plant_route_defect(monkeypatch, set(ROUTES[suite]))
+    code, out, err = run(["check", suite, "--dim", dim], capsys)
+    deviations = json.loads(out)["max_deviations"]
+    assert code == 1
+    assert deviations["deviation"] < 1e-12 and deviations["eigenvalue"] > 1e-7
+    assert re.fullmatch(r"tolerance exceeded \(eigenvalue=[^,]+\)\n", err)
+
+
+@pytest.mark.parametrize("suite", sorted(ROUTES))
+@pytest.mark.parametrize("dim", ("2", "6", "10"))
+def test_route_gap_checks_pass_at_every_dim_in_two_seconds(suite, dim,
+                                                           capsys):
+    # defaults: lmax 9, 100 samples, at most 64 zonal harmonics a degree
+    t0 = time.perf_counter()
+    code, out, _ = run(["check", suite, "--dim", dim], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and json.loads(out)["pass"] is True
+    if sys.gettrace() is None:  # a line tracer (tests/reach.py) slows each line
+        assert elapsed < 2.0
 
 
 def test_a_none_or_nan_value_fails_its_criterion():
@@ -379,6 +440,7 @@ def test_exit_2_on_bad_check_config(argv, needle, monkeypatch, capsys):
     def solver(*args, **kwargs):
         raise AssertionError("a solver ran on a rejected input")
     monkeypatch.setattr(operators, "harmonic_polynomials", solver)
+    monkeypatch.setattr(operators, "_zonal_tree", solver)
     monkeypatch.setattr(expressions, "evaluate", solver)
     monkeypatch.setattr(dynamics, "_midpoint_step", solver)
     monkeypatch.setattr(cli, "route_spectrum", solver)
@@ -398,6 +460,7 @@ def test_exit_2_on_unwritable_out(target, needle, tmp_path, monkeypatch,
     def solver(*args, **kwargs):
         raise AssertionError("a solver ran on a rejected input")
     monkeypatch.setattr(operators, "harmonic_polynomials", solver)
+    monkeypatch.setattr(operators, "_zonal_tree", solver)
     monkeypatch.setattr(expressions, "evaluate", solver)
     code, out, err = run(["check", "chart-equivalence", "--lmax", "1",
                           "--samples", "3", "--out", str(tmp_path / target)],
@@ -412,6 +475,7 @@ def test_exit_2_on_an_existing_out_file_that_is_not_writable(
     def solver(*args, **kwargs):
         raise AssertionError("a solver ran on a rejected input")
     monkeypatch.setattr(operators, "harmonic_polynomials", solver)
+    monkeypatch.setattr(operators, "_zonal_tree", solver)
     monkeypatch.setattr(expressions, "evaluate", solver)
     target = tmp_path / "report.json"
     target.write_text("kept\n")

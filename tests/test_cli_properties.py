@@ -145,9 +145,10 @@ POOLS = {
 }
 
 # a solver call: an integrator step, a slice kernel built, a harmonic
-# basis solved or an expression evaluated
+# basis solved, a zonal harmonic built or an expression evaluated
 SOLVERS = [(dynamics, "_midpoint_step"), (pathintegral, "BandedKernel"),
-           (expressions, "evaluate"), (operators, "harmonic_polynomials")]
+           (expressions, "evaluate"), (operators, "harmonic_polynomials"),
+           (operators, "_zonal_tree")]
 
 
 def _argv(cmd, values):

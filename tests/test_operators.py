@@ -9,11 +9,15 @@ defect checks would have no teeth.
 """
 
 import collections
+import functools
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 import sympy as sp
 
 from rotorkit import expressions as ex
@@ -345,13 +349,13 @@ def test_chart_equivalence_peak_stays_small():
     assert peak < 10e6
 
 
-# -- batched harmonic blocks ------------------------------------------------
+# -- zonal harmonic blocks ---------------------------------------------------
 #
-# The chart-equivalence and angular-momentum suites evaluate each block of
-# harmonics as one tree whose coefficients are variables bound to (rows, 1)
-# columns.  Every value row they measure must be bitwise the tree's value
-# with that row's coefficients alone, and must agree with the harmonic that
-# harmonic_polynomials builds with constant coefficients.
+# The chart-equivalence and angular-momentum suites evaluate each degree's
+# zonal harmonics as one block: one tree whose axis variables are bound to
+# (rows, 1) columns.  Every value row they measure must be bitwise the
+# tree's value with that row's axis alone, and must lie in the span of the
+# degree's harmonic_polynomials.
 
 SUITES = {"chart-equivalence": operators.suite_chart_equivalence,
           "angular-momentum": operators.suite_angular_momentum}
@@ -365,19 +369,23 @@ def _sweep(D):
         yield ModelParams(D=D, R=R, hbar=hbar), k % 2
 
 
-def _coefficients(env):
-    return {name: v for name, v in env.items() if name.startswith("c[")}
+def _rows(D, l):
+    return min(harmonic_multiplicity(D, l), operators.ZONAL_ROWS)
+
+
+def _axes(env):
+    return {name: v for name, v in env.items() if name.startswith("a[")}
 
 
 def _bound_shape(env):
-    # (rows, samples) of one call: its coefficient columns and sample slice
+    # (rows, samples) of one call: its axis columns and sample slice
     return np.broadcast_shapes(*map(np.shape, env.values()))
 
 
 def _record(suite, p, lmax, samples, seed, monkeypatch):
     """The suite's results and its evaluate calls as (exprs, env, values),
     each value broadcast to (rows, samples of the call's slice), one row
-    per harmonic."""
+    per zonal harmonic."""
     evaluate = ex.evaluate
     calls = []
 
@@ -394,54 +402,63 @@ def _record(suite, p, lmax, samples, seed, monkeypatch):
     return results, calls
 
 
-def _old_gap(pairs, p):
-    """The suite's deviation, reduced one harmonic at a time."""
+def _row_gaps(calls, p):
+    """The suite's two deviations, reduced one row at a time from its
+    unsliced calls, the call of degree l l-th."""
     scale = p.hbar ** 2 / p.R ** 2
-    worst = 0.0
-    for a, b in pairs:
-        ref = max(float(np.max(np.abs(b))), scale)
-        worst = float(np.maximum(worst, np.max(np.abs(a - b)) / ref))
-    return worst
+    worst = eigen = 0.0
+    for l, (_, _, (a, b, f)) in enumerate(calls):
+        e = p.hbar ** 2 * l * (l + p.D - 2) / (2 * p.R ** 2) * f
+        for r in range(len(a)):
+            ref = max(float(np.max(np.abs(b[r]))), scale)
+            worst = float(np.maximum(worst, np.max(np.abs(a[r] - b[r])) / ref))
+            off = np.max(np.abs(b[r] - e[r]))
+            eigen = float(np.maximum(eigen, off / ref))
+    return worst, eigen
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("D", sorted(SWEEP_LMAX))
 def test_batched_rows_equal_each_harmonic_alone(suite, D, monkeypatch):
-    # "alone": the block's tree with one row's coefficients bound as scalars
+    # "alone": the degree's tree with one row's axis bound as scalars
     lmax, samples = SWEEP_LMAX[D], 5
     for p, seed in _sweep(D):
         results, calls = _record(suite, p, lmax, samples, seed, monkeypatch)
-        for exprs, env, batched in calls:
-            for r in range(len(batched[0])):
+        assert len(calls) == lmax + 1
+        for l, (exprs, env, batched) in enumerate(calls):
+            axes = np.hstack(list(_axes(env).values()))
+            assert axes.shape == (_rows(D, l), D)
+            assert np.allclose(np.linalg.norm(axes, axis=1), 1.0, rtol=0,
+                               atol=1e-15)
+            for r in range(len(axes)):
                 alone = ex.evaluate(exprs, {**env, **{
-                    name: c[r, 0] for name, c in _coefficients(env).items()}})
+                    name: c[r, 0] for name, c in _axes(env).items()}})
                 for got, want in zip(batched, alone):
                     assert got[r].tobytes() == np.broadcast_to(
                         want, (samples,)).tobytes()
-        # the rows are the blocks' harmonics: each block's columns are
-        # bound once, in block order
-        bound = {id(next(iter(_coefficients(env).values()))):
-                 _coefficients(env) for _, env, _ in calls}
-        blocks = [columns for l in range(lmax + 1)
-                  for _, columns, _ in operators._harmonic_blocks(D, l)]
-        assert len(bound) == len(blocks)
-        for got, want in zip(bound.values(), blocks):
-            assert got.keys() == want.keys()
-            assert all(np.array_equal(got[k], want[k]) for k in want)
-        values = [v for _, _, batched in calls for v in batched]
-        pairs = [pair for a, b in zip(values[::2], values[1::2])
-                 for pair in zip(a, b)]
-        assert results["family_size"] == len(pairs) == sum(
-            harmonic_multiplicity(D, l) for l in range(lmax + 1))
+        assert results["family_size"] == sum(_rows(D, l)
+                                             for l in range(lmax + 1))
+        worst, eigen = _row_gaps(calls, p)
         assert np.array(results["max_relative_deviation"]).tobytes() == \
-            np.array(_old_gap(pairs, p)).tobytes()
+            np.array(worst).tobytes()
+        assert np.array(results["max_eigenvalue_deviation"]).tobytes() == \
+            np.array(eigen).tobytes()
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_each_degree_takes_its_dimension_up_to_the_row_cap(suite,
+                                                           monkeypatch):
+    # D = 6: dimensions 1, 6, 20, 50 and 105 for degrees 0 to 4
+    results, calls = _record(suite, ModelParams(D=6), 4, 5, 0, monkeypatch)
+    assert [len(values[0]) for _, _, values in calls] == [1, 6, 20, 50, 64]
+    assert results["family_size"] == 141
 
 
 def _routes(suite, p, samples, seed, monkeypatch):
     """The ``routes`` callable and the env the suite hands to ``_route_gap``."""
     captured = []
 
-    def capture(p_, lmax_, samples_, routes, env):
+    def capture(p_, lmax_, samples_, seed_, routes, env):
         captured.append((routes, env))
         return {}, 0.0
 
@@ -453,7 +470,7 @@ def _routes(suite, p, samples, seed, monkeypatch):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_one_evaluate_call_per_harmonic_block(suite, monkeypatch):
-    # both routes of a block evaluate in one call over one env
+    # both routes and the harmonic of a degree evaluate in one call
     evaluate = ex.evaluate
     roots = []
 
@@ -462,8 +479,7 @@ def test_one_evaluate_call_per_harmonic_block(suite, monkeypatch):
         return evaluate(exprs, env)
     monkeypatch.setattr(ex, "evaluate", counted)
     SUITES[suite](ModelParams(D=3), 9, 100, 7)  # the CLI defaults
-    blocks = sum(len(operators._harmonic_blocks(3, l)) for l in range(10))
-    assert blocks == 36 and roots == [2] * blocks
+    assert roots == [3] * 10
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -483,7 +499,7 @@ def test_samples_are_lifted_and_converted_as_one_batch(suite, monkeypatch):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_one_schedule_per_harmonic_block(suite, monkeypatch):
-    # the plan that sizes a block's row slices also runs them
+    # the plan that sizes a degree's sample slices also runs them
     schedule = ex._schedule
     walks = []
 
@@ -492,34 +508,143 @@ def test_one_schedule_per_harmonic_block(suite, monkeypatch):
         return schedule(roots)
     monkeypatch.setattr(ex, "_schedule", counted)
     SUITES[suite](ModelParams(D=3), 9, 100, 7)  # the CLI defaults
-    assert walks == [2] * 36
+    assert walks == [3] * 10
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("D", sorted(SWEEP_LMAX))
 def test_batched_rows_match_harmonic_polynomials(suite, D, monkeypatch):
-    # a coefficient variable and a constant fold into different products,
-    # so the rows agree with the constant-coefficient harmonics to rounding
-    lmax, samples = SWEEP_LMAX[D], 5
+    # each row is a harmonic of its degree: fitted to the harmonic's values
+    # f on the degree's harmonic_polynomials, the same coefficients give
+    # its two routes' values a and b, each to rounding
+    lmax, samples = SWEEP_LMAX[D], 40
     for p, seed in _sweep(D):
+        _, calls = _record(suite, p, lmax, samples, seed, monkeypatch)
         routes, env = _routes(suite, p, samples, seed, monkeypatch)
-        scale = p.hbar ** 2 / p.R ** 2
-        for l in range(lmax + 1):
-            scalar = harmonic_polynomials(D, l)
-            for tree, coefficients, harmonics in operators._harmonic_blocks(
-                    D, l):
-                batched = [np.broadcast_to(v, (len(harmonics), samples))
-                           for v in ex.evaluate(routes(tree),
-                                                {**env, **coefficients})]
-                for r, j in enumerate(harmonics):
-                    alone = ex.evaluate(routes(scalar[j]), env)
-                    for got, want in zip(batched, alone):
-                        ref = max(float(np.max(np.abs(got[r]))), scale)
-                        assert np.max(np.abs(got[r] - want)) <= 1e-14 * ref
+        for l, (_, _, zonal) in enumerate(calls):
+            basis = np.array([[np.broadcast_to(v, (samples,))
+                               for v in ex.evaluate(routes(h), env)]
+                              for h in harmonic_polynomials(D, l)])
+            coefficients = np.linalg.lstsq(basis[:, 2].T, zonal[2].T)[0]
+            for k in range(3):
+                fit = coefficients.T @ basis[:, k]
+                ref = np.max(np.abs(zonal[k])) or 1.0
+                assert np.max(np.abs(fit - zonal[k])) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("D", range(2, 11))
+def test_zonal_tree_is_the_gegenbauer_polynomial(D):
+    # on the sphere, Z_l(x; a) = R^l C(a.x/R) / C(1) for a unit axis, with
+    # C = C_l^((D-2)/2), or T_l at D = 2, against scipy's closed forms; the
+    # sum of powers cancels most at D = 2, where sum_k |c_k| = 1393 T_9(1)
+    rng = np.random.default_rng(D)
+    for R in SCALES:
+        a = rng.standard_normal(D)
+        a /= np.linalg.norm(a)
+        x = rng.standard_normal((30, D))
+        x[0] = a  # the pole, where the polynomial is largest
+        x *= R / np.linalg.norm(x, axis=1, keepdims=True)
+        env = {**{f"x{i + 1}": x[:, i] for i in range(D)},
+               **{f"a[{i + 1}]": a[i] for i in range(D)}}
+        t = x @ a / R
+        for l in range(10):
+            got = ex.evaluate(operators._zonal_tree(ModelParams(D=D, R=R), l),
+                              env)
+            if D == 2:
+                want = R ** l * scipy.special.eval_chebyt(l, t)
+            else:
+                c = functools.partial(scipy.special.eval_gegenbauer, l,
+                                      (D - 2) / 2)
+                want = R ** l * c(t) / c(1.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _product(f, g):
+    """The product of two {exponents: coefficient} polynomials."""
+    out = collections.Counter()
+    for m, c in f.items():
+        for n, d in g.items():
+            out[tuple(map(int.__add__, m, n))] += c * d
+    return out
+
+
+def _zonal_polynomials(axis, lmax):
+    """Z_l(x; a) = sum_k c_k (a.x)^(l-2k) (|a|^2 |x|^2)^k for l <= lmax as
+    {exponents: integer} polynomials, in exact arithmetic, for an integer
+    axis.  A rational axis scaled to integers scales Z_l by a constant, so
+    this covers rational axes."""
+    D = len(axis)
+    unit = [tuple(int(i == j) for j in range(D)) for i in range(D)]
+    t = {e: c for e, c in zip(unit, axis) if c}
+    s = {tuple(2 * v for v in e): sum(c * c for c in axis) for e in unit}
+    t_powers, s_powers = [{(0,) * D: 1}], [{(0,) * D: 1}]
+    for _ in range(lmax):
+        t_powers.append(_product(t_powers[-1], t))
+    for _ in range(lmax // 2):
+        s_powers.append(_product(s_powers[-1], s))
+    out = []
+    for l in range(lmax + 1):
+        z = collections.Counter()
+        for k, c in enumerate(operators._zonal_coefficients(D, l)):
+            assert type(c) is int
+            for m, v in _product(t_powers[l - 2 * k], s_powers[k]).items():
+                z[m] += c * v
+        out.append({m: v for m, v in z.items() if v})
+    return out
+
+
+@pytest.mark.parametrize("D", range(2, 11))
+def test_zonal_harmonics_are_exact_in_rationals(D):
+    # the guard on the Gegenbauer table: every Z_l, l <= 9, has an exactly
+    # zero Laplacian at an axis of mixed signs and sizes
+    axis = [int(v) for v in np.random.default_rng(D).integers(1, 10, D)]
+    axis[::2] = [-v for v in axis[::2]]
+    for l, z in enumerate(_zonal_polynomials(axis, 9)):
+        assert z and all(sum(m) == l for m in z)
+        assert _laplacian(z) == {}
+
+
+def _rank_mod(rows, prime):
+    """The rank of an integer matrix over the integers modulo ``prime``."""
+    rows = [[v % prime for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, prime)
+        rows[rank] = [v * inverse % prime for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [(v - row[col] * w) % prime
+                           for v, w in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("D", (2, 3, 4, 5))
+def test_drawn_rows_span_each_degree(suite, D, monkeypatch):
+    # each drawn axis, read as the exact rational its float is, gives an
+    # exact harmonic; the rows are harmonics of degree l, so their rank is
+    # at most the dimension, and modulo a prime it is at most their rank:
+    # a full rank modulo the prime proves the rows span the degree
+    _, calls = _record(suite, ModelParams(D=D), 4, 5, 0, monkeypatch)
+    for l, (_, env, _) in enumerate(calls):
+        rows = []
+        for axis in np.hstack(list(_axes(env).values())):
+            q = [Fraction(float(v)) for v in axis]
+            scale = math.lcm(*(v.denominator for v in q))
+            z = _zonal_polynomials([int(v * scale) for v in q], l)[l]
+            assert _laplacian(z) == {}
+            rows.append([z.get(m, 0) for m in operators._monomials(D, l)])
+        assert _rank_mod(rows, 2 ** 61 - 1) == harmonic_multiplicity(D, l)
 
 
 def _by_tree(calls):
-    # each block's calls in order; exprs stay alive in ``calls``, so their
+    # each degree's calls in order; exprs stay alive in ``calls``, so their
     # ids are unique
     groups = {}
     for exprs, env, values in calls:
@@ -528,48 +653,54 @@ def _by_tree(calls):
 
 
 def _samples(env):
-    return {name: v for name, v in env.items() if not name.startswith("c[")}
+    return {name: v for name, v in env.items() if not name.startswith("a[")}
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_a_nan_in_a_blocks_last_sample_slice_fails_the_suite(suite,
                                                               monkeypatch):
-    # one sample a call: a NaN in the last slice of the first block must
-    # survive the fold over its slices and over the later blocks
+    # one sample a call: a NaN in the last slice of the first degree must
+    # survive the fold over its slices and over the later degrees.  In
+    # route b (root 1) it reaches both deviations; in the harmonic f
+    # (root 2), only the eigenvalue's
     p, lmax, samples = ModelParams(D=3), 4, 5
     monkeypatch.setattr(operators, "MEMORY_BUDGET", 1)
     _, calls = _record(suite, p, lmax, samples, 0, monkeypatch)
     last = len(_by_tree(calls)[0]) - 1
     assert last == samples - 1
     evaluate = ex.evaluate
-    seen = []
+    for root in (1, 2):
+        seen = []
 
-    def poisoned(exprs, env):
-        out = evaluate(exprs, env)
-        if len(seen) == last:
-            a = np.array(np.broadcast_to(out[0], _bound_shape(env)),
-                         dtype=complex)
-            a[-1, -1] = np.nan
-            out[0] = a
-        seen.append(exprs)
-        return out
-    monkeypatch.setattr(operators, "MEMORY_BUDGET", 1)  # _record undid it
-    monkeypatch.setattr(ex, "evaluate", poisoned)
-    results, worst = SUITES[suite](p, lmax, samples, 0)
-    assert len(seen) == len(calls)
-    assert np.isnan(worst) and np.isnan(results["max_relative_deviation"])
+        def poisoned(exprs, env):
+            out = evaluate(exprs, env)
+            if len(seen) == last:
+                v = np.array(np.broadcast_to(out[root], _bound_shape(env)),
+                             dtype=complex)
+                v[-1, -1] = np.nan
+                out[root] = v
+            seen.append(exprs)
+            return out
+        monkeypatch.setattr(operators, "MEMORY_BUDGET", 1)  # undone below
+        monkeypatch.setattr(ex, "evaluate", poisoned)
+        results, worst = SUITES[suite](p, lmax, samples, 0)
+        monkeypatch.undo()
+        assert len(seen) == len(calls)
+        assert np.isnan(results["max_eigenvalue_deviation"])
+        assert np.isnan(worst) == np.isnan(
+            results["max_relative_deviation"]) == (root == 1)
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("budget", (1, 400_000))
 def test_sample_chunks_under_a_small_memory_budget(suite, budget,
                                                    monkeypatch):
-    # a sample costs 16 bytes a row for each step of its block's plan,
-    # plus two: 14-26 kB at the 3-row blocks of degrees 4-5 of D=3 and
-    # 6-8 kB at the 2-row blocks of degrees 2-3, so of 32 samples the
-    # larger budget cuts the former into chunks of 15 to 27 and evaluates
-    # the latter whole; every chunk binds the block's whole columns and a
-    # view of each sample array
+    # a sample costs 16 bytes a row for each step of its degree's plan,
+    # plus two: at D=3 about 7 kB for degree 1 (3 rows) and 15 to 59 kB
+    # for degrees 2 to 5 (5 to 11 rows), so of 32 samples the larger
+    # budget evaluates degrees 0 and 1 whole and cuts the others into
+    # chunks of 6 to 26; every chunk binds the degree's whole axis columns
+    # and a view of each sample array
     p, lmax, samples = ModelParams(D=3), 5, 32
     whole, whole_calls = _record(suite, p, lmax, samples, 0, monkeypatch)
     monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
@@ -580,8 +711,8 @@ def test_sample_chunks_under_a_small_memory_budget(suite, budget,
     chunks = []
     for [(env, values)], pieces in zip(whole_trees, cut_trees):
         chunks += [len(vs[0][0]) for _, vs in pieces]
-        for name, column in _coefficients(env).items():
-            parts = [_coefficients(e)[name] for e, _ in pieces]
+        for name, column in _axes(env).items():
+            parts = [_axes(e)[name] for e, _ in pieces]
             assert all(part is parts[0] for part in parts)
             assert parts[0].tobytes() == column.tobytes()
         for name, v in _samples(env).items():
@@ -601,9 +732,9 @@ def test_sample_chunks_under_a_small_memory_budget(suite, budget,
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_no_call_binds_more_samples_than_the_budget_allows(suite,
                                                            monkeypatch):
-    # 50 kB is below one row's share of 32 samples in every block of
-    # degrees 2 to 5 of D=3, so a row slice holding every sample would
-    # pass the budget; a sample slice holds at most
+    # 50 kB is below one row's share of 32 samples in every degree from 2
+    # to 5 of D=3, so a row slice holding every sample would pass the
+    # budget; a sample slice holds at most
     # budget // ((steps + 2) x 16 x rows) samples, or one, and the cut run
     # gives the whole run's bits
     p, lmax, samples, budget = ModelParams(D=3), 5, 32, 50_000
