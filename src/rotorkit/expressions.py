@@ -37,9 +37,12 @@ the same subtrees are derived again and again.  The memo returns exactly
 the tree a fresh ``_diff`` would build, so values stay bit for bit the
 same.  It is per node rather than a global table because its lifetime is
 then the expression's: nothing outlives the trees that use it, and no
-cache size needs a bound.  Interning equal subtrees in one global table
-(hash-consing) was measured and did not pay: harmonics with different
-coefficients share few subtrees, so the lookups cost more than they saved.
+cache size needs a bound.  A power's derivatives by different variables
+share one lowered node base^(expo - 1), kept on the power the same way,
+so ``evaluate`` computes it once per call rather than once per variable.
+Interning equal subtrees in one global table (hash-consing) was measured
+and did not pay: harmonics with different coefficients share few
+subtrees, so the lookups cost more than they saved.
 
 A ``Const`` holds one number.  Expressions that differ only in their
 coefficients share one tree when the coefficients are variables:
@@ -187,7 +190,9 @@ class Mul(_Nary):
 
 
 class Pow(Expr):
-    __slots__ = ("base", "expo")
+    # _lowered: power(base, expo - 1), made on the first derivative and
+    # shared by the derivatives by every variable
+    __slots__ = ("base", "expo", "_lowered")
 
     def __init__(self, base, expo):
         object.__setattr__(self, "base", base)
@@ -197,7 +202,12 @@ class Pow(Expr):
         db = self.base.diff(name)
         if is_zero(db):
             return ZERO
-        return mul(Const(self.expo), power(self.base, self.expo - 1), db)
+        try:
+            lowered = self._lowered
+        except AttributeError:
+            lowered = power(self.base, self.expo - 1)
+            object.__setattr__(self, "_lowered", lowered)
+        return mul(Const(self.expo), lowered, db)
 
     def subs(self, mapping):
         return power(self.base.subs(mapping), self.expo)

@@ -295,8 +295,14 @@ def _result(vals, p, meta, residuals=None):
                           residual_norms=residuals)
 
 
-# rows the Lanczos basis grows by; it is never reserved for maxiter up front
+# rows of the Lanczos basis's first block; the basis doubles from there
+# (capped at maxiter + 1 rows) and is never reserved for maxiter up front
 _LANCZOS_BLOCK = 64
+# a reorthogonalization pass that leaves less than this share of the norm
+# has cancelled: repeat it once (Daniel, Gragg, Kaufman & Stewart, Math.
+# Comp. 30, 772, 1976; Parlett, The Symmetric Eigenvalue Problem, 1980,
+# sec. 6-9, "twice is enough")
+_DGKS_KEEP = 1 / math.sqrt(2)
 # Ritz-test cadence: every isqrt(n) // _RITZ_STRIDE_DIVISOR steps (8 at
 # res 32, D=3) while the last test's largest residual bound is over
 # _RITZ_NEAR times its tolerance, every step once it is within that factor
@@ -310,12 +316,17 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
     """k smallest distinct eigenvalues of a symmetric operator by Lanczos.
 
     Shift-free Lanczos on ``op``, which needs ``size`` and ``apply(v)`` as a
-    GridOperator has them.  Full reorthogonalization against the whole
-    basis at every step; fixed seed makes runs bitwise reproducible.  The
-    basis grows in blocks of ``_LANCZOS_BLOCK`` rows and holds one row more
-    than the steps taken, so MEMORY_BUDGET bounds it at any n: a budget
-    below k + 1 rows of 8 n bytes is a ValueError, and ``maxiter`` is
-    capped at MEMORY_BUDGET // (8 n) - 1 steps.
+    GridOperator has them; fixed seed makes runs bitwise reproducible.
+    Each step reorthogonalizes against the whole basis with one classical
+    Gram-Schmidt pass, and with a second only if the first left less than
+    1/sqrt(2) of the vector's norm (``_DGKS_KEEP``, the DGKS test).  The
+    first pass removes the rounding the three-term recurrence leaves, so
+    it cancels only where the Krylov space closes: on every run measured
+    the second pass fired only on a step that then returned as exhausted.
+    The basis starts at ``_LANCZOS_BLOCK`` rows and doubles when full,
+    never past maxiter + 1 rows, so MEMORY_BUDGET bounds it at any n: a
+    budget below k + 1 rows of 8 n bytes is a ValueError, and ``maxiter``
+    is capped at MEMORY_BUDGET // (8 n) - 1 steps.
 
     The Ritz test of step m passes when the standard residual bounds
     beta_m |s_{m,i}| of the k lowest Ritz pairs of T_m (Paige 1980) are
@@ -331,9 +342,10 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
     fails; otherwise the full test runs and decides.  The margin keeps a
     rounding-level difference between the one-pair and the k-pair solve
     from flipping a decision, so every pass, and every value and bound
-    returned, is a full test's.  At res 32 (seeds 0 to 8) a run makes 7 to
-    17 full solves, where it made 73 to 94, and 101 to 143 screens.  At
-    k = 1 the screen would be the full solve, so none is made.
+    returned, is a full test's.  At res 32 (k = 16, seeds 0 to 8) a run
+    makes 7 to 15 full solves, where the cadence alone makes 69 to 96,
+    and 97 to 146 screens.  At k = 1 the screen would be the full solve,
+    so none is made.
 
     The cadence: the test runs every isqrt(n) // 4 steps
     (``_RITZ_STRIDE_DIVISOR``) while the last test's largest bound is
@@ -355,8 +367,11 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
     steps from the bound's last drop within ``_RITZ_NEAR`` to the end of
     the first passing run grow with the grid, from 2 (D=3, res 10) to
     55 (res 64).  A stride of isqrt(n) // 4 stayed inside them on all
-    552 runs recorded (D=2 to 4, res 8 to 128, k 5 to 36); 0.3 isqrt(n)
-    missed one (D=3, res 10), and a fixed stride of 8 missed 75.
+    552 runs recorded with two reorthogonalization passes a step (D=2 to
+    4, res 8 to 128, k 5 to 36), where 0.3 isqrt(n) missed one (D=3,
+    res 10) and a fixed stride of 8 missed 75, and on all 414 runs
+    recorded with the DGKS test (D=2 res 16 to 128, D=3 res 8 to 32, D=4
+    res 6 to 10, k 5, 9, 16 and 36, seeds 0 to 8).
 
     Returns (values, residual bounds, steps, full solves, screens): the
     step m of the returned T_m, the number of k-pair (or Krylov-exhausted)
@@ -433,10 +448,14 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
         w -= a * V[j]
         if j > 0:
             w -= betas[-1] * V[j - 1]
-        # full reorthogonalization, applied twice for safety
-        for _ in range(2):
-            w -= V[: j + 1].T @ (V[: j + 1] @ w)
+        # full reorthogonalization: one classical Gram-Schmidt pass, and a
+        # second only if the first cancelled most of w (DGKS)
+        b0 = np.linalg.norm(w)
+        w -= V[: j + 1].T @ (V[: j + 1] @ w)
         b = float(np.linalg.norm(w))
+        if b < _DGKS_KEEP * b0:
+            w -= V[: j + 1].T @ (V[: j + 1] @ w)
+            b = float(np.linalg.norm(w))
         if scale is None:
             scale = max(abs(a), b, np.finfo(float).tiny)
         scale = max(scale, abs(a), b)
@@ -452,7 +471,7 @@ def lanczos_lowest(op, k, seed=0, tol=1e-10, maxiter=None):
                     screens)
         betas.append(b)
         if j + 1 == V.shape[0]:
-            grow = min(_LANCZOS_BLOCK, maxiter + 1 - V.shape[0])
+            grow = min(V.shape[0], maxiter + 1 - V.shape[0])
             V = np.concatenate([V, np.empty((grow, n))])
         V[j + 1] = w / b
         m = j + 1
@@ -612,6 +631,23 @@ def extrapolate(values, counts):
     return out, err, flags
 
 
+def _route_peak_bytes(p, res, method):
+    """Estimated peak bytes of a route's res x res matrices at resolution res.
+
+    Each grid level keeps its factor and that factor's symmetric form, and
+    a solve adds a few res x res temporaries: tracemalloc measured 6.0 to
+    8.3 res^2 doubles at D = 2 to 4 (res 100 to 600) and 22 at D = 10
+    (res 100), within 2D + 4.  The sector route holds one block and its
+    complex eigenvectors at a time: 5.0 to 5.1 res^2 doubles at D = 3 to
+    5, within 6.  Vectors of D res nodes add a term the estimate leaves
+    out, which shows only at small res (28 res^2 doubles at D = 10, res
+    48: half a megabyte, far below the budget).  The iterative route's
+    basis has its own rule.
+    """
+    doubles = 6 if method == "sector" and p.D > 2 else 2 * p.D + 4
+    return 8 * doubles * res * res
+
+
 def route_spectrum(p, res, k, method, seed=0):
     """k lowest eigenvalues on the ``sector``, ``dense`` or ``iterative`` route.
 
@@ -621,7 +657,9 @@ def route_spectrum(p, res, k, method, seed=0):
     more.  Every resolution is built (grid or sector nodes) and every rule
     checked before the first eigensolve, k within the size of every grid
     that is solved included, so a rejected input raises ValueError having
-    solved nothing.  meta names the ``route``.  The grid routes add
+    solved nothing.  The first rule, before any node is computed, is the
+    largest resolution's estimated peak (``_route_peak_bytes``) within
+    MEMORY_BUDGET.  meta names the ``route``.  The grid routes add
     ``blocks_scanned`` (dense, one count per grid solved) or
     ``symmetry_defect``, ``lanczos_steps``, ``ritz_tests`` (full Ritz
     solves), ``ritz_screens`` (one-pair screens) and ``distinct_only``
@@ -632,6 +670,11 @@ def route_spectrum(p, res, k, method, seed=0):
     if method not in ("sector", "dense", "iterative"):
         raise ValueError(f"unknown method '{method}'")
     res = [int(r) for r in res]
+    need = _route_peak_bytes(p, max(res), method)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"resolution {max(res)} needs an estimated {need} "
+                         f"bytes of {max(res)} x {max(res)} matrices on the "
+                         f"{method} route, over the {MEMORY_BUDGET} byte budget")
     if method == "sector" and p.D > 2:
         for r in res:
             polar_nodes(r, 0)  # every resolution must give a sector block

@@ -536,6 +536,29 @@ def test_exit_2_on_bad_spectrum_config(flags, needle, monkeypatch, capsys):
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--res", "20000", "--method", "sector"],
+    ["--res", "20000", "--method", "dense"],
+    ["--res", "20000", "--method", "iterative"],
+    ["--res", "48,64,20000"],
+    ["--dim", "2", "--res", "20000", "--method", "sector"],
+])
+def test_exit_2_on_a_resolution_over_the_memory_budget(flags, monkeypatch,
+                                                       capsys):
+    # every res x res matrix would take 3.2 GB or more; the estimate
+    # rejects the input before any node, block or factor is built
+    def build(*args, **kwargs):
+        raise AssertionError("a matrix was built for a rejected resolution")
+    for name in ("_sector_block", "_polar_block", "_fourier_d2", "diffmat",
+                 "polar_nodes", "assemble"):
+        monkeypatch.setattr(spectra, name, build)
+    monkeypatch.setattr(spectra.SpectralGrid, "build", build)
+    code, out, err = run(["spectrum", *flags], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert re.search(r"resolution 20000 needs an estimated \d+ bytes", err)
+    assert f"over the {spectra.MEMORY_BUDGET} byte budget" in err
+
+
 def test_iterative_route_solves_at_the_largest_resolution(capsys):
     # held to the raw-grid tolerance, since nothing is extrapolated
     code, listed, _ = run(["spectrum", "--res", "32,48,64", "--method",

@@ -207,6 +207,29 @@ def test_memoized_derivative_equals_a_fresh_build_bitwise():
     assert np.array_equal(memo_value, ex.evaluate(fresh, env))
 
 
+def test_derivatives_of_one_power_share_its_lowered_node(monkeypatch):
+    # a zonal harmonic's (a.x)^m is differentiated by every variable; each
+    # derivative multiplies by the one node (a.x)^(m-1), so a call that
+    # evaluates them all computes that power once
+    x, y = ex.Var("x"), ex.Var("y")
+    p = ex.power(ex.add(x, y), 5)
+    dx, dy = p.diff("x"), p.diff("y")
+    lowered = [a for a in dx.args if isinstance(a, ex.Pow)]
+    assert len(lowered) == 1 and lowered[0].expo == 4
+    assert [a for a in dy.args if isinstance(a, ex.Pow)][0] is lowered[0]
+    calls = []
+    pow_ev = ex.Pow._ev
+
+    def counted(self, rec, env):
+        calls.append(self)
+        return pow_ev(self, rec, env)
+    monkeypatch.setattr(ex.Pow, "_ev", counted)
+    env = {"x": np.linspace(0.1, 0.9, 7), "y": np.linspace(-0.5, 0.3, 7)}
+    both = ex.evaluate(ex.add(dx, dy), env)
+    assert calls == [lowered[0]]
+    assert np.array_equal(both, 2 * 5 * (env["x"] + env["y"]) ** 4)
+
+
 def _live_exprs():
     return sum(isinstance(o, ex.Expr) for o in gc.get_objects())
 
