@@ -20,7 +20,8 @@ and 5, where the blocks hold the most rows, and two at D = 2, where each
 chart has one variable.  Two more hermiticity checks hold every row of
 that suite: one at D = 4, and one at R = 1e-3, where rounding alone lifts
 the worst defect to 3.0e-8, past the tolerance, and the check fails (exit
-1).  One chart-equivalence check at 18000 samples is large enough that
+1).  A third, at R = 1e-4, fails the same way (6.7e-6), and so holds that
+false failure at a radius where rounding still crosses the tolerance.  One chart-equivalence check at 18000 samples is large enough that
 its two widest blocks (degree 8, 454 plan steps, 17 rows, and degree 9,
 507 steps, 19 rows) are evaluated in slices under the memory budget, so
 the slice rule is held to the whole batch's bytes.  A CSV payload is
@@ -79,6 +80,7 @@ _CHECKS = [
     ["check", "angular-momentum", "--dim", "2", "--seed", "0"],
     ["check", "hermiticity", "--dim", "4", "--res", "16", "--seed", "0"],
     ["check", "hermiticity", "--radius", "1e-3", "--seed", "0"],
+    ["check", "hermiticity", "--radius", "1e-4", "--seed", "0"],
     ["check", "chart-equivalence", "--samples", "18000", "--seed", "0"],
 ]
 
