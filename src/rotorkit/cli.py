@@ -26,8 +26,10 @@ Exit codes:
      must not be negative) and holds the rules of keys only it has: a
      check suite must be selected, the pathintegral evaluation window
      must sit inside [r_min, r_max], a spectrum lists at most 100000
-     eigenvalues, and ``--out`` names a writable file: not a directory,
-     in a directory that exists and is writable.  Every other rule lives
+     eigenvalues, a classical run with its payload in the requested
+     format fits geometry.MEMORY_BUDGET (``_classical_peak_bytes``), and
+     ``--out`` names a writable file: not a directory, in a directory
+     that exists and is writable.  Every other rule lives
      once, in the layer that owns it,
      and the layer checks it at entry, before its first solve:
      geometry.ModelParams (dim, radius, hbar), spectra.route_spectrum,
@@ -52,12 +54,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .geometry import ModelParams
+from .geometry import MEMORY_BUDGET, ModelParams
 from .operators import (suite_angular_momentum, suite_chart_equivalence,
                         suite_hermiticity)
 from .spectra import (NonConvergenceError, cluster_eigenvalues,
                       reference_eigenvalues, reference_spectrum, route_spectrum)
-from .dynamics import (ChartMarginError, StepConvergenceError,
+from .dynamics import (ChartMarginError, StepConvergenceError, _step_count,
                        conserved_series, constraint_residuals,
                        embedded_from_reduced, hamiltonian_value,
                        integrate_embedded_oracle, integrate_reduced,
@@ -293,7 +295,7 @@ def csv_text(header, rows):
 _MAX_EIGENVALUES = 100_000
 
 
-def run_spectrum(cfg):
+def run_spectrum(cfg, fmt):
     p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
     method = cfg["method"]
     if method == "auto":
@@ -381,7 +383,7 @@ _SUITE_DEFAULTS = {
 }
 
 
-def run_check(cfg):
+def run_check(cfg, fmt):
     suite = cfg["suite"]
     if suite is None:
         raise ConfigError("no suite selected (positional argument or 'suite' "
@@ -435,10 +437,34 @@ def _scalar_leaves(obj, path=""):
 # ---------------------------------------------------------------------------
 # classical
 
-def run_classical(cfg):
+def _classical_peak_bytes(D, steps, fmt):
+    """Estimated peak bytes of a ``classical`` run of steps + 1 rows.
+
+    The run holds 3 D (D-1)/2 + 6 D + 8 doubles a row: both trajectories,
+    the lift, and both routes' conserved series while the second route's
+    L columns are stacked.  A CSV payload then holds the row's 2 D + 2
+    cells at 104 bytes each: the stacked double, the Python float and its
+    pointer, and up to 25 characters of text, twice.  Add 256 KiB for the
+    rest of the command.  tracemalloc measured 161 to 1597 bytes a row as
+    JSON (D = 2 to 10), about 90 bytes a cell as CSV, and 0.1 to 0.2 MB
+    besides.
+    """
+    row = 8 * (3 * D * (D - 1) // 2 + 6 * D + 8)
+    if fmt == "csv":
+        row = max(row, 104 * (2 * D + 2))
+    return row * (steps + 1.0) + 2 ** 18
+
+
+def run_classical(cfg, fmt):
     p = ModelParams(D=cfg["dim"], R=cfg["radius"])
     q0, p0 = np.array(cfg["q0"]), np.array(cfg["p0"])
     T, dt = cfg["duration"], cfg["dt"]
+    steps = _step_count(T, dt)
+    need = _classical_peak_bytes(p.D, steps, fmt)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"{steps:.3g} steps as {fmt} need an estimated "
+                         f"{need:.3g} bytes, over the {MEMORY_BUDGET} byte "
+                         "budget")
     try:
         traj = integrate_reduced(q0, p0, T, dt, p, margin=cfg["margin"])
     except ChartMarginError as err:
@@ -490,7 +516,7 @@ def run_classical(cfg):
 # ---------------------------------------------------------------------------
 # pathintegral
 
-def run_pathintegral(cfg):
+def run_pathintegral(cfg, fmt):
     p = ModelParams(D=2, R=1.0, hbar=cfg["hbar"])
     grid = RadialGrid(cfg["r_min"], cfg["r_max"], cfg["nodes"])
     if not (grid.r_min <= cfg["r_eval_min"] < cfg["r_eval_max"] <= grid.r_max):
@@ -542,7 +568,8 @@ def run_pathintegral(cfg):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-# Each runner returns (exit code, report, stderr line, csv): csv is None or
+# Each runner takes the resolved config and the payload format, json or
+# csv, and returns (exit code, report, stderr line, csv): csv is None or
 # a callable that builds the CSV text, so only a requested format is ever
 # built.
 _RUNNERS = {
@@ -628,7 +655,7 @@ def main(argv=None):
         if cmd == "check" and getattr(args, "suite_pos", None) is not None:
             flag_entries["suite"] = args.suite_pos
         cfg = resolve_config(cmd, file_entries, flag_entries)
-        code, report, status, csv_payload = _RUNNERS[cmd](cfg)
+        code, report, status, csv_payload = _RUNNERS[cmd](cfg, args.format)
     except ValueError as err:  # ConfigError included: a rejected input
         print(f"error: {cmd}: {err}", file=sys.stderr)
         return 2

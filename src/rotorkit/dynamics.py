@@ -247,7 +247,7 @@ def integrate_reduced(q0, p0, T, dt, p, margin=0.05):
         raise ValueError(f"margin must lie in [0, 1), got {margin}")
     nsteps = _step_count(T, dt)
     n = p.D - 1
-    nbytes = 2 * 8 * n * (nsteps + 1)
+    nbytes = 2 * 8 * n * (nsteps + 1.0)  # a float: 1e308 steps overflow
     if nbytes > MEMORY_BUDGET:
         raise ValueError(f"{nsteps:.3g} steps need {nbytes:.3g} bytes of "
                          f"trajectory, over the {MEMORY_BUDGET} byte budget")

@@ -337,12 +337,6 @@ def momentum_curvilinear_expr(f, i, p, convention="measure"):
 
 # -- hermiticity -------------------------------------------------------------
 
-def _chart_grid(chart, p, res):
-    if chart == CHART_REDUCED:
-        return (*reduced_ball_grid(p, res), reduced_var_names(p))
-    return (*sphere_angular_grid(p, res), hyperspherical_var_names(p))
-
-
 def operator_expr(tag, f, p):
     """Expression for (tag f); dispatch point shared by all batch appliers."""
     if tag.kind == "H_cart":
@@ -404,9 +398,18 @@ def _pair_terms(families, p, grid):
 
 
 def hermiticity_defect(tag, f, h, p, res=64):
-    """|<f, T h> - <T f, h>| under the sphere (sqrt(g)) measure, summed
-    over the quadrature of ``tag.chart``."""
-    grid = _chart_grid(tag.chart, p, res)
+    """|<f, T h> - <T f, h>| under the sphere measure, summed over
+    ``sphere_angular_grid``.
+
+    The tag must act on the hyperspherical chart.  One lift of the reduced
+    chart is not a closed manifold: its equator boundary terms cancel only
+    in the sum over both lifts, which ``check hermiticity`` takes.
+    """
+    if tag.chart == CHART_REDUCED:
+        raise ValueError(f"{tag.kind} acts on one lift of the reduced chart, "
+                         "whose equator terms do not cancel; check "
+                         "hermiticity sums both lifts")
+    grid = (*sphere_angular_grid(p, res), hyperspherical_var_names(p))
     (lhs, rhs, _, _), = _pair_terms([([f, h], [tag])], p, grid)
     return abs(lhs - rhs)
 
@@ -521,17 +524,32 @@ def _midpoint_angular_grid(p, res):
     return pts, w
 
 
+def _hermiticity_peak_bytes(D, res):
+    """Estimated peak bytes of ``suite_hermiticity(p, res)`` at dimension D.
+
+    8 (12 D + 4) bytes for each of the res^(D-2) (res + res % 2) points of
+    a reduced-chart lift, the larger grid, plus 4 MiB for the expression
+    trees.  tracemalloc peaks measured 300-350 bytes a point at D = 3, up
+    to about 950 at D = 10, and 0.1-3 MB more, so from 10 MB up the
+    estimate stays within 1.5 times of the peak and above it.
+    """
+    return 8 * (12 * D + 4) * res ** (D - 2) * (res + res % 2) + 2 ** 22
+
+
 def suite_hermiticity(p, res):
     """<f, T h> = <T f, h> under the sphere measure for H and every pi.
 
     The displayed-convention curvilinear momentum is reported but excluded
     from the pass criterion; it is documented as non-hermitian.  D must be
     at least 3, since at D=2 there is no polar angle for that control to
-    act on, and res at least 2 (the reduced chart's polar nodes reject
-    less); both are checked before any harmonic is built.  Each chart lift
-    (the reduced chart's two hemispheres on its Gauss grid, then the
-    hyperspherical chart on the midpoint angular grid) pulls the test
-    functions back once and is evaluated in one ``_pair_terms`` call.
+    act on, res at least 2 (the reduced chart's polar nodes reject less),
+    and ``_hermiticity_peak_bytes`` within MEMORY_BUDGET; all three are
+    checked before any grid or harmonic is built.  Each chart lift (the
+    reduced chart's two hemispheres on ``reduced_ball_grid``, the upper
+    half of the full Gauss rule, so that the two lifts' sums are exactly
+    the full rule's, then the hyperspherical chart on the midpoint angular
+    grid) pulls the test functions back once and is evaluated in one
+    ``_pair_terms`` call.
 
     The test functions are the basis members x1, x1x2 and x1x2x3.  Each
     pair is odd under some x_i -> -x_i, so <f, h> sums to 0 and the H
@@ -542,7 +560,11 @@ def suite_hermiticity(p, res):
     """
     if p.D < 3:
         raise ValueError(f"hermiticity needs dim >= 3, got dim {p.D}")
-    grid = _chart_grid(CHART_REDUCED, p, res)
+    need = _hermiticity_peak_bytes(p.D, res)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"res {res} at dim {p.D} needs an estimated {need} "
+                         f"bytes, over the {MEMORY_BUDGET} byte budget")
+    grid = (*reduced_ball_grid(p, res), reduced_var_names(p))
     sphere = (*_midpoint_angular_grid(p, res), hyperspherical_var_names(p))
 
     def member(*monomials):  # each monomial as its factors: (1, 2) is x1 x2

@@ -8,13 +8,14 @@ with alpha_k = (D-2-k)/2, which is a Gauss-Jacobi weight.  Using Jacobi nodes
 half-integer weights *exact* instead of approximated, so weight sums hit the
 closed-form sphere area at machine precision and hermiticity defects are not
 polluted by quadrature error.  Azimuthal integrals use the uniform trapezoid
-rule, which is spectrally accurate for periodic integrands.
+rule, which is spectrally accurate for periodic integrands.  Every grid's
+polar rules come from this one symmetric family, Jacobi(alpha, alpha).
 
-The reduced cartesian chart covers the open upper hemisphere; integrals of
-F(x) sqrt(g) d^{D-1}x over the chart ball equal sphere-measure integrals of
-the lifted integrand over the hemisphere, so the ball grid is just the
-hemisphere grid with points projected down.  No node ever sits on a pole or
-on the equator.
+The reduced cartesian chart covers the open upper hemisphere x_D = R u_1 > 0.
+Its ball grid is the upper half of the full rule on phi_1, projected down;
+the lower lift sits at the mirrored nodes with the same weights, so a sum
+over both lifts is the full-sphere sum.  No node ever sits on a pole or on
+the equator.
 """
 
 import math
@@ -22,10 +23,10 @@ import math
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .geometry import from_hyperspherical
+from .geometry import from_hyperspherical, sphere_area
 
 __all__ = [
-    "polar_nodes", "hemisphere_polar_nodes", "azimuth_nodes",
+    "polar_nodes", "azimuth_nodes",
     "sphere_angular_grid", "reduced_ball_grid", "polar_exponent",
 ]
 
@@ -46,27 +47,6 @@ def polar_nodes(n, alpha):
     return u, w
 
 
-def hemisphere_polar_nodes(n, alpha):
-    """Nodes/weights for integral of h(u) (1-u^2)^alpha du over (0, 1).
-
-    Mapped from Jacobi nodes on (-1, 1) with weight (1-t)^alpha; the smooth
-    leftover factor (1+u)^alpha is folded into the returned weights, so the
-    endpoint singularity of the half-integer weight stays exact.
-    """
-    if n < 2:
-        raise ValueError(f"need resolution >= 2 polar nodes, got {n}")
-    if alpha == 0:
-        t, wt = np.polynomial.legendre.leggauss(n)
-    else:
-        t, wt = roots_jacobi(n, alpha, 0.0)
-        wt = wt / 2.0 ** alpha  # (1-t)^alpha = 2^alpha (1-u)^alpha with u=(1+t)/2
-    u = 0.5 * (t + 1.0)
-    w = 0.5 * wt
-    if alpha != 0:
-        w = w * (1.0 + u) ** alpha
-    return u, w
-
-
 def azimuth_nodes(n):
     """Uniform periodic nodes on [0, 2pi) with trapezoid weights."""
     if n < 2:
@@ -76,52 +56,69 @@ def azimuth_nodes(n):
     return phi, w
 
 
-def sphere_angular_grid(p, res, hemisphere=False):
-    """Tensor quadrature grid on the (D-1)-sphere (or its upper hemisphere).
+def _sphere_rules(p, res, lead):
+    """Per-axis rules of the full-sphere grid: (polar, azimuth).
+
+    polar holds one ``polar_nodes`` (u, w) per polar angle, lead nodes on
+    phi_1 and res on the others; azimuth is ``azimuth_nodes`` at res
+    rounded up to even.  Their product times R^{D-1} must sum to the
+    sphere area within 1e-10 relative.
+    """
+    polar = [polar_nodes(res if k > 1 else lead, polar_exponent(p.D, k))
+             for k in range(1, p.D - 1)]
+    azimuth = azimuth_nodes(res + res % 2)
+    # the product weights sum to the product of the per-axis sums
+    total = math.prod(w.sum() for _, w in polar + [azimuth]) * p.R ** (p.D - 1)
+    if abs(total - sphere_area(p.D, p.R)) > 1e-10 * sphere_area(p.D, p.R):
+        raise AssertionError("quadrature weights do not sum to the sphere area")
+    return polar, azimuth
+
+
+def _tensor_grid(p, polar, azimuth):
+    """(angles, weights) of the tensor grid of the polar (u, w) rules and
+    the azimuth (phi, w) rule; the weights carry the R^{D-1} factor."""
+    axes = [(np.arccos(u), w) for u, w in polar] + [azimuth]
+    grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
+    angles = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    w = axes[0][1]
+    for _, wa in axes[1:]:
+        w = np.multiply.outer(w, wa)
+    return angles, w.reshape(-1) * p.R ** (p.D - 1)
+
+
+def sphere_angular_grid(p, res):
+    """Tensor quadrature grid on the (D-1)-sphere: res nodes on every axis.
 
     Returns (angles, weights): angles has shape (npts, D-1) and the weights
-    already include the R^{D-1} factor, so sum(w * F(angles)) approximates the
-    surface integral of F.
+    already include the R^{D-1} factor, so sum(w * F(angles)) approximates
+    the surface integral of F.
     """
-    D = p.D
-    axes = []
-    waxes = []
-    for k in range(1, D - 1):
-        alpha = polar_exponent(D, k)
-        if k == 1 and hemisphere:
-            u, w = hemisphere_polar_nodes(res, alpha)
-        else:
-            u, w = polar_nodes(res, alpha)
-        axes.append(np.arccos(u))
-        waxes.append(w)
-    m = res + (res % 2)  # azimuthal count kept even
-    phi, wphi = azimuth_nodes(m)
-    if hemisphere and D == 2:
-        # upper half circle x_2 > 0 is the azimuth range (-pi/2, pi/2); the
-        # interval is not periodic, so use Gauss-Legendre instead of trapezoid
-        t, wt = np.polynomial.legendre.leggauss(m)
-        phi = 0.5 * math.pi * t
-        wphi = 0.5 * math.pi * wt
-    axes.append(phi)
-    waxes.append(wphi)
-
-    grids = np.meshgrid(*axes, indexing="ij")
-    angles = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    w = waxes[0]
-    for wa in waxes[1:]:
-        w = np.multiply.outer(w, wa)
-    w = w.reshape(-1) * p.R ** (D - 1)
-    return angles, w
+    return _tensor_grid(p, *_sphere_rules(p, res, res))
 
 
 def reduced_ball_grid(p, res):
     """Quadrature for integrals of F(x) sqrt(g) d^{D-1}x over the chart ball.
 
-    Nodes are reduced-chart points strictly inside |x| < R; weights carry the
-    sqrt(g) factor via the hemisphere correspondence.  Checks:
-    sum(w) = half the sphere area to machine precision.
+    Nodes are reduced-chart points strictly inside |x| < R; weights carry
+    sqrt(g) via the hemisphere correspondence.  At D >= 3, phi_1 takes the
+    res nodes with u_1 > 0 of ``polar_nodes(2 res, alpha_1)`` and the other
+    axes are ``sphere_angular_grid``'s, so to the full rule's degree the
+    grid is exact for two-lift sums F(x, x_D) + F(x, -x_D), x_D =
+    sqrt(R^2 - |x|^2), which are full-sphere sums and all that
+    ``suite_hermiticity`` sums, and for functions of x alone, which are
+    even in u_1.  It is not exact for one lift of an integrand odd in x_D.
+    At D = 2 the half circle is the azimuth range (-pi/2, pi/2), which is
+    not periodic: res rounded up to even Gauss-Legendre nodes cover it.
     """
-    angles, w = sphere_angular_grid(p, res, hemisphere=True)
-    emb = from_hyperspherical(p.R, angles, p)
-    x = emb[:, : p.D - 1]
+    if res < 2:
+        raise ValueError(f"need resolution >= 2 polar nodes, got {res}")
+    if p.D == 2:
+        t, wt = np.polynomial.legendre.leggauss(res + res % 2)
+        polar, azimuth = [], (0.5 * math.pi * t, 0.5 * math.pi * wt)
+    else:
+        polar, azimuth = _sphere_rules(p, res, 2 * res)
+        u, w = polar[0]
+        polar[0] = (u[u > 0.0], w[u > 0.0])  # the lower lift mirrors these
+    angles, w = _tensor_grid(p, polar, azimuth)
+    x = from_hyperspherical(p.R, angles, p)[:, : p.D - 1]
     return x, w

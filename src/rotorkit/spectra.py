@@ -58,9 +58,8 @@ import numpy as np
 # so the binding stays while the benchmark reads it
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
-from .geometry import (MEMORY_BUDGET, ModelParams, harmonic_multiplicity,
-                       sphere_area)
-from .quadrature import azimuth_nodes, polar_exponent, polar_nodes
+from .geometry import MEMORY_BUDGET, ModelParams, harmonic_multiplicity
+from .quadrature import _sphere_rules, polar_nodes
 
 __all__ = [
     "SpectralGrid", "GridOperator", "SpectrumResult", "NonConvergenceError",
@@ -116,19 +115,10 @@ class SpectralGrid:
         if res < 4:
             raise ValueError("a grid needs every resolution >= 4 nodes per "
                              f"axis, got {res}")
-        polar_u, polar_w = [], []
-        for k in range(1, p.D - 1):
-            u, w = polar_nodes(res, polar_exponent(p.D, k))
-            polar_u.append(u)
-            polar_w.append(w)
-        counts = (res,) * (p.D - 2) + (res + res % 2,)
-        _, wphi = azimuth_nodes(counts[-1])
-        # the product weights sum to the product of the per-axis sums
-        total = math.prod(w.sum() for w in polar_w) * wphi.sum() * p.R ** (p.D - 1)
-        if abs(total - sphere_area(p.D, p.R)) > 1e-10 * sphere_area(p.D, p.R):
-            raise AssertionError("quadrature weights do not sum to the sphere area")
-        return cls(p=p, counts=counts, polar_u=tuple(polar_u),
-                   polar_w=tuple(polar_w), azimuth_w=wphi)
+        polar, (_, wphi) = _sphere_rules(p, res, res)
+        counts = (res,) * (p.D - 2) + (len(wphi),)
+        return cls(p=p, counts=counts, polar_u=tuple(u for u, _ in polar),
+                   polar_w=tuple(w for _, w in polar), azimuth_w=wphi)
 
     @property
     def size(self):

@@ -18,10 +18,10 @@ every state and its energy, and a start that leaves the chart margin
 1): its ground state passes.  Four checks run off their defaults at D = 4
 and 5, where the blocks hold the most rows, and two at D = 2, where each
 chart has one variable.  Two more hermiticity checks hold every row of
-that suite: one at D = 4, and one at R = 1e-3, where rounding alone lifts
-the worst defect to 3.0e-8, past the tolerance, and the check fails (exit
-1).  A third, at R = 1e-4, fails the same way (6.7e-6), and so holds that
-false failure at a radius where rounding still crosses the tolerance.  One chart-equivalence check at 18000 samples is large enough that
+that suite: one at D = 4, and one at R = 1e-3, where rounding lifts the
+worst defect to 3.0e-9, within the tolerance.  A third, at R = 1e-4, is a
+false failure: rounding alone lifts the worst defect to 1.7e-7, past the
+tolerance, and the check fails (exit 1).  One chart-equivalence check at 18000 samples is large enough that
 its two widest blocks (degree 8, 454 plan steps, 17 rows, and degree 9,
 507 steps, 19 rows) are evaluated in slices under the memory budget, so
 the slice rule is held to the whole batch's bytes.  A CSV payload is

@@ -1,19 +1,23 @@
 """Command-line surface: config resolution, exit codes, payload formats,
 and byte-level determinism of repeated runs."""
 
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
 import re
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from rotorkit import cli, dynamics, expressions, operators, pathintegral, spectra
+from rotorkit import (cli, dynamics, expressions, operators, pathintegral,
+                      quadrature, spectra)
 from rotorkit.cli import (
     ConfigError,
     SCHEMAS,
@@ -71,7 +75,7 @@ def test_unknown_and_invalid_keys_are_config_errors():
         resolve_config("spectrum", {"dims": "3"}, {})
     # the model accepts D in 2..10
     with pytest.raises(ValueError, match="D must be an integer"):
-        cli.run_spectrum(resolve_config("spectrum", {}, {"dim": "11"}))
+        cli.run_spectrum(resolve_config("spectrum", {}, {"dim": "11"}), "json")
     with pytest.raises(ConfigError):
         resolve_config("classical", {}, {"dt": "-0.1"})
     with pytest.raises(ConfigError):
@@ -420,6 +424,7 @@ def test_default_pathintegral_bessel_count(monkeypatch, capsys):
     (["classical", "--duration", "inf"], "'duration' must be positive"),
     (["classical", "--dt", "1e-300"], "byte budget"),
     (["classical", "--duration", "1e300"], "byte budget"),
+    (["classical", "--duration", "1e300", "--dt", "1e-8"], "byte budget"),
     (["check", "dirac-brackets", "--seed", "-1"], "non-negative"),
     (["check", "chart-equivalence", "--seed", "-1"], "non-negative"),
     # one seed rule for every command, whether or not it draws samples
@@ -557,6 +562,76 @@ def test_exit_2_on_a_resolution_over_the_memory_budget(flags, monkeypatch,
     assert code == 2 and out == "" and "Traceback" not in err
     assert re.search(r"resolution 20000 needs an estimated \d+ bytes", err)
     assert f"over the {spectra.MEMORY_BUDGET} byte budget" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "5", "--res", "64"],
+    ["--res", "3000"],
+])
+def test_exit_2_on_a_hermiticity_resolution_over_the_memory_budget(
+        flags, monkeypatch, capsys):
+    # --dim 5 --res 64 has 16.8M points a lift, about 8 GB of values; the
+    # estimate rejects it before any node, grid or harmonic is built
+    def build(*args, **kwargs):
+        raise AssertionError("a grid was built for a rejected resolution")
+    for name in ("polar_nodes", "azimuth_nodes", "_sphere_rules"):
+        monkeypatch.setattr(quadrature, name, build)
+    for name in ("reduced_ball_grid", "_midpoint_angular_grid",
+                 "harmonic_polynomials"):
+        monkeypatch.setattr(operators, name, build)
+    code, out, err = run(["check", "hermiticity", *flags], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert re.search(r"res \d+ at dim \d needs an estimated \d+ bytes", err)
+    assert f"over the {operators.MEMORY_BUDGET} byte budget" in err
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--duration", "30", "--dt", "1e-5", "--format", "csv"],
+     "3e+06 steps as csv need an estimated 2.5e+09 bytes"),
+    (["--duration", "100", "--dt", "1e-5"],
+     "1e+07 steps as json need an estimated 2.8e+09 bytes"),
+    (["--dim", "10", "--q0", "0.2,0,0,0,0,0,0,0,0", "--p0",
+      "0,0.08,0,0,0,0,0,0,0", "--duration", "20", "--dt", "1e-5"],
+     "2e+06 steps as json need an estimated 3.25e+09 bytes"),
+])
+def test_exit_2_on_a_classical_run_over_the_memory_budget(flags, needle,
+                                                          monkeypatch, capsys):
+    # the trajectories, their series and the CSV rows are sized together
+    # before the first step; the reduced trajectory alone would fit
+    def step(*args, **kwargs):
+        raise AssertionError("a step ran on a rejected input")
+    monkeypatch.setattr(dynamics, "_midpoint_step", step)
+    monkeypatch.setattr(cli, "integrate_embedded_oracle", step)
+    code, out, err = run(["classical", *flags], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert needle in err and f"over the {cli.MEMORY_BUDGET} byte budget" in err
+
+
+def test_the_classical_estimate_reads_the_format():
+    # 3e6 steps at D = 3 fit the budget as JSON and not as CSV
+    json_need, csv_need = (cli._classical_peak_bytes(3, 3_000_000, fmt)
+                           for fmt in ("json", "csv"))
+    assert json_need < cli.MEMORY_BUDGET < csv_need
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("D", [3, 10])
+def test_the_classical_estimate_bounds_a_measured_peak(D, fmt):
+    # a generic start: every coordinate moves, so each CSV cell is a full
+    # float; 5000 steps stay in the chart
+    q0 = ",".join(["0.2", "-0.1"] + ["0.05"] * (D - 3))
+    p0 = ",".join(["-0.03", "0.06"] + ["0.01"] * (D - 3))
+    argv = ["classical", "--dim", str(D), f"--q0={q0}", f"--p0={p0}",
+            "--dt", "2e-3", "--format", fmt, "--quiet"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = cli._classical_peak_bytes(D, 5000, fmt)
+    assert code == 0 and peak <= need <= 1.5 * peak
 
 
 def test_iterative_route_solves_at_the_largest_resolution(capsys):
@@ -740,7 +815,7 @@ def test_auto_resolves_to_the_suite_defaults(tmp_path, capsys):
 
 
 def test_exit_3_on_non_convergence(monkeypatch, capsys):
-    def boom(cfg):
+    def boom(cfg, fmt):
         raise NonConvergenceError("lanczos stalled")
     monkeypatch.setitem(cli._RUNNERS, "spectrum", boom)
     code, out, err = run(["spectrum"], capsys)

@@ -212,6 +212,22 @@ def test_chart_margin_error_carries_exit_time():
     assert "margin limit" in str(err.value)
 
 
+def test_integrate_reduced_sizes_its_trajectory_before_the_first_step(
+        monkeypatch):
+    # the classical command sizes more than this and rejects first; called
+    # directly, the integrator still refuses arrays past the budget
+    def step(*args, **kwargs):
+        raise AssertionError("a step ran on a rejected input")
+    monkeypatch.setattr(dynamics, "_midpoint_step", step)
+    with pytest.raises(ValueError, match="1e\\+301 steps need .* byte budget"):
+        integrate_reduced(np.array([0.2, 0.0]), np.array([0.0, 0.08]), 10.0,
+                          1e-300, P3)
+    # 1e308 steps: the byte count must not overflow a float conversion
+    with pytest.raises(ValueError, match="need inf bytes"):
+        integrate_reduced(np.array([0.2, 0.0]), np.array([0.0, 0.08]), 1e300,
+                          1e-8, P3)
+
+
 def test_step_convergence_error_on_absurd_step():
     with np.errstate(all="ignore"):  # the diverging iteration overflows first
         with pytest.raises(StepConvergenceError):

@@ -274,6 +274,18 @@ def test_hermiticity_on_full_sphere_grid():
     assert hermiticity_defect(OperatorTag("pi_curv", i=1), h1, h2, P3, res) < 1e-12
 
 
+@pytest.mark.parametrize("tag", [
+    OperatorTag("H_cart"), OperatorTag("pi_cart", i=1), OperatorTag("L2"),
+    OperatorTag("L", i=1, j=2)])
+def test_hermiticity_defect_refuses_reduced_chart_tags(tag):
+    # one lift is not closed: with f = x1, h = x1 x3 on the upper lift the
+    # equator terms left H_cart's defect at 1.57 at res 16 and 64
+    f = ex.Var("x1")
+    h = pullback_to_reduced(ex.mul(ex.Var("x1"), ex.Var("x3")), P3)
+    with pytest.raises(ValueError, match="check hermiticity sums both lifts"):
+        hermiticity_defect(tag, f, h, P3, 16)
+
+
 def test_broken_orderings_show_large_defects():
     # harmonics are eigenfunctions, which hides ordering mistakes; generic
     # smooth functions expose them at O(1)
@@ -334,6 +346,19 @@ def test_hermiticity_suite_peak_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("D,res", [(3, 224), (4, 40), (6, 8), (8, 4)])
+def test_hermiticity_estimate_bounds_the_measured_peak(D, res):
+    # from 10 MB up the estimate sits above the peak, and within 1.5 times
+    need = operators._hermiticity_peak_bytes(D, res)
+    tracemalloc.start()
+    try:
+        operators.suite_hermiticity(ModelParams(D=D), res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need <= 1.5 * peak
 
 
 def test_chart_equivalence_peak_stays_small():

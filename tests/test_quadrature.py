@@ -6,6 +6,7 @@ azimuth, and monomial sphere moments (area * R^k combinatorics) for the
 assembled grids.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from scipy.special import beta
 from rotorkit.geometry import ModelParams, from_hyperspherical, sphere_area
 from rotorkit.quadrature import (
     azimuth_nodes,
-    hemisphere_polar_nodes,
     polar_exponent,
     polar_nodes,
     reduced_ball_grid,
@@ -32,15 +32,6 @@ def test_polar_nodes_beta_moments(alpha):
         assert abs(float(w @ u ** k) - want) < 1e-13
     for k in (1, 3, 5):  # odd moments vanish by symmetry
         assert abs(float(w @ u ** k)) < 1e-14
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-def test_hemisphere_polar_nodes_half_moments(alpha):
-    u, w = hemisphere_polar_nodes(14, alpha)
-    assert np.all(u > 0.0) and np.all(u < 1.0)
-    for k in (0, 1, 2, 3, 4):
-        want = 0.5 * beta((k + 1) / 2.0, alpha + 1.0)
-        assert abs(float(w @ u ** k) - want) < 1e-13
 
 
 def test_azimuth_trig_orthogonality():
@@ -110,10 +101,26 @@ def test_total_measure_matches_area():
     assert abs(sphere_area(p.D, p.R) - want) < 1e-12 * want
 
 
-def test_hemisphere_grid_option():
+@pytest.mark.parametrize("D,res", [(3, 12), (4, 7), (5, 6)])
+def test_reduced_ball_grid_is_the_upper_half_of_the_full_rule(D, res):
+    # phi_1 holds the res positive nodes of the 2 res rule, x_D = R u_1,
+    # at that rule's weights; the other axes are the sphere grid's
+    p = ModelParams(D=D, R=1.3, hbar=1.0)
+    x, w = reduced_ball_grid(p, res)
+    u, wu = polar_nodes(2 * res, polar_exponent(D, 1))
+    upper = u > 0.0
+    assert upper.sum() == res
+    rules = [wu[upper]] + [polar_nodes(res, polar_exponent(D, k))[1]
+                           for k in range(2, D - 1)]
+    rules.append(azimuth_nodes(res + res % 2)[1])
+    want = functools.reduce(np.multiply.outer, rules).reshape(-1)
+    assert np.allclose(w, want * p.R ** (D - 1), rtol=1e-14, atol=0.0)
+    xd = np.sqrt(p.R ** 2 - np.sum(x * x, axis=1)).reshape(res, -1)
+    assert np.allclose(xd / p.R, u[upper][:, None], rtol=0.0, atol=1e-12)
+
+
+def test_reduced_ball_grid_rejects_one_node():
+    # the rule reads res, not the 2 res nodes it takes on phi_1
     p = ModelParams(D=3, R=1.0, hbar=1.0)
-    ang, w = sphere_angular_grid(p, 12, hemisphere=True)
-    half = sphere_area(3, 1.0) / 2.0
-    assert abs(w.sum() - half) < 1e-10 * half
-    # all polar angles strictly on the upper half
-    assert np.all(ang[:, 0] < np.pi / 2.0)
+    with pytest.raises(ValueError, match="resolution >= 2"):
+        reduced_ball_grid(p, 1)
