@@ -424,7 +424,6 @@ def test_default_pathintegral_bessel_count(monkeypatch, capsys):
     (["classical", "--duration", "inf"], "'duration' must be positive"),
     (["classical", "--dt", "1e-300"], "byte budget"),
     (["classical", "--duration", "1e300"], "byte budget"),
-    (["classical", "--duration", "1e300", "--dt", "1e-8"], "byte budget"),
     (["check", "dirac-brackets", "--seed", "-1"], "non-negative"),
     (["check", "chart-equivalence", "--seed", "-1"], "non-negative"),
     # one seed rule for every command, whether or not it draws samples
@@ -439,6 +438,7 @@ def test_default_pathintegral_bessel_count(monkeypatch, capsys):
      "key 'seed' must be a non-negative integer"),
     (["spectrum", "--method", "iterative", "--seed", "-1"],
      "key 'seed' must be a non-negative integer"),
+    (["classical", "--duration", "1e300", "--dt", "1e-8"], "byte budget"),
 ])
 def test_exit_2_on_bad_check_config(argv, needle, monkeypatch, capsys):
     # every rule is checked before the first evaluation or integrator step
