@@ -68,10 +68,9 @@ from .geometry import (MEMORY_BUDGET, ChartDomainError, _check_ball,
 __all__ = [
     "Trajectory", "ChartMarginError", "StepConvergenceError",
     "hamiltonian_value", "integrate_reduced", "integrate_embedded_oracle",
-    "embedded_from_reduced", "constraint_residuals",
-    "angular_momentum_pairs", "conserved_series",
+    "embedded_from_reduced", "constraint_residuals", "conserved_series",
     "canonical_phase_vars", "embedded_phase_vars", "canonical_chart_map",
-    "poisson_bracket_expr", "dirac_bracket_expr",
+    "dirac_bracket_expr",
     "fundamental_bracket_reference", "suite_dirac_brackets",
 ]
 
@@ -314,14 +313,10 @@ def constraint_residuals(x, p_momenta, params):
             np.sum(x * mom, axis=-1))
 
 
-def angular_momentum_pairs(D):
-    return [(a, b) for a in range(D) for b in range(a + 1, D)]
-
-
 def conserved_series(x, v, p):
     """Energy and all L_ab = x_a v_b - x_b v_a along ambient rows (x, v)."""
     energy = 0.5 * np.sum(v * v, axis=-1)
-    pairs = angular_momentum_pairs(p.D)
+    pairs = [(a, b) for a in range(p.D) for b in range(a + 1, p.D)]
     L = np.stack([x[:, a] * v[:, b] - x[:, b] * v[:, a] for a, b in pairs], axis=1)
     return {"energy": energy, "L": L, "pairs": pairs}
 
@@ -372,8 +367,13 @@ def canonical_chart_map(p):
     return mapping
 
 
-def poisson_bracket_expr(f, g, pairs):
-    """Canonical bracket sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k).
+def dirac_bracket_expr(f, g, p):
+    """Constrained bracket of two canonical-chart expressions: the canonical
+    bracket sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k) over the chart pairs.
+
+    An ambient observable is pulled back first, with
+    ``.subs(canonical_chart_map(p))``; a bracket is already canonical, so
+    brackets nest.
 
     Built from bare binary nodes rather than the folding constructors:
     each pair contributes one two-operand subtraction of two two-operand
@@ -383,22 +383,11 @@ def poisson_bracket_expr(f, g, pairs):
     folding constructors would re-associate the products and lose that.
     """
     terms = []
-    for qn, pn in pairs:
+    for qn, pn in zip(*canonical_phase_vars(p)):
         lead = ex.ordered_product(f.diff(qn), g.diff(pn))
         trail = ex.ordered_product(f.diff(pn), g.diff(qn))
         terms.append(ex.Add((lead, ex.negated(trail))))
     return terms[0] if len(terms) == 1 else ex.Add(tuple(terms))
-
-
-def dirac_bracket_expr(f, g, p):
-    """Constrained bracket of two canonical-chart expressions.
-
-    An ambient observable is pulled back first, with
-    ``.subs(canonical_chart_map(p))``; a bracket is already canonical, so
-    brackets nest.
-    """
-    angles, moms = canonical_phase_vars(p)
-    return poisson_bracket_expr(f, g, list(zip(angles, moms)))
 
 
 def fundamental_bracket_reference(x, pvec, R):

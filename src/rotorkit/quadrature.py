@@ -8,8 +8,13 @@ with alpha_k = (D-2-k)/2, which is a Gauss-Jacobi weight.  Using Jacobi nodes
 half-integer weights *exact* instead of approximated, so weight sums hit the
 closed-form sphere area at machine precision and hermiticity defects are not
 polluted by quadrature error.  Azimuthal integrals use the uniform trapezoid
-rule, which is spectrally accurate for periodic integrands.  Every grid's
-polar rules come from this one symmetric family, Jacobi(alpha, alpha).
+rule, which is spectrally accurate for periodic integrands.  Every Gauss
+grid's polar rules come from this one symmetric family, Jacobi(alpha, alpha).
+The one other rule, ``midpoint_angular_grid``, takes midpoint nodes in each
+polar angle with the sine power in the weights.  It sums trig polynomials,
+which the momentum rows of ``check hermiticity`` integrate: their sine
+powers are odd, so they are not polynomials in u.  One builder,
+``_tensor_grid``, takes the product of the per-axis rules of every grid.
 
 The reduced cartesian chart covers the open upper hemisphere x_D = R u_1 > 0.
 Its ball grid is the upper half of the full rule on phi_1, projected down;
@@ -27,7 +32,8 @@ from .geometry import from_hyperspherical, sphere_area
 
 __all__ = [
     "polar_nodes", "azimuth_nodes",
-    "sphere_angular_grid", "reduced_ball_grid", "polar_exponent",
+    "sphere_angular_grid", "reduced_ball_grid", "midpoint_angular_grid",
+    "polar_exponent",
 ]
 
 
@@ -74,10 +80,10 @@ def _sphere_rules(p, res, lead):
     return polar, azimuth
 
 
-def _tensor_grid(p, polar, azimuth):
-    """(angles, weights) of the tensor grid of the polar (u, w) rules and
-    the azimuth (phi, w) rule; the weights carry the R^{D-1} factor."""
-    axes = [(np.arccos(u), w) for u, w in polar] + [azimuth]
+def _tensor_grid(p, axes):
+    """(angles, weights) of the tensor grid of the per-axis (angle, weight)
+    rules, polar angles first and the azimuth last; the weights carry the
+    R^{D-1} factor."""
     grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
     angles = np.stack([g.reshape(-1) for g in grids], axis=-1)
     w = axes[0][1]
@@ -93,7 +99,8 @@ def sphere_angular_grid(p, res):
     already include the R^{D-1} factor, so sum(w * F(angles)) approximates
     the surface integral of F.
     """
-    return _tensor_grid(p, *_sphere_rules(p, res, res))
+    polar, azimuth = _sphere_rules(p, res, res)
+    return _tensor_grid(p, [(np.arccos(u), w) for u, w in polar] + [azimuth])
 
 
 def reduced_ball_grid(p, res):
@@ -119,6 +126,27 @@ def reduced_ball_grid(p, res):
         polar, azimuth = _sphere_rules(p, res, 2 * res)
         u, w = polar[0]
         polar[0] = (u[u > 0.0], w[u > 0.0])  # the lower lift mirrors these
-    angles, w = _tensor_grid(p, polar, azimuth)
+    angles, w = _tensor_grid(
+        p, [(np.arccos(u), w) for u, w in polar] + [azimuth])
     x = from_hyperspherical(p.R, angles, p)[:, : p.D - 1]
     return x, w
+
+
+def midpoint_angular_grid(p, res):
+    """Tensor angular grid with midpoint polar nodes and uniform azimuth.
+
+    res midpoint nodes on each polar angle phi_k carry weight pi/res times
+    sin^{D-1-k}, and the azimuth is ``azimuth_nodes(res)``.  Every
+    integrand the hermiticity suite meets is a trig polynomial once the
+    measure factors are folded into the weights, and the midpoint offset
+    keeps all nodes away from the removable pole singularities of the
+    momentum operators.  Azimuth sums are exact; a polar sum is exact on
+    sin^a cos^b (a + b < 2 res) unless a is odd and b even, erring at
+    O(res^-2): at D = 3, on every f h even in cos(phi_1).  So at an odd
+    sine power the weights miss the sphere area (1e-4 relative at D = 3,
+    res 64), and the grid skips ``_sphere_rules``' area check.
+    """
+    nodes = (np.arange(res) + 0.5) * math.pi / res
+    polar = [(nodes, (math.pi / res) * np.sin(nodes) ** (p.D - 1 - k))
+             for k in range(1, p.D - 1)]
+    return _tensor_grid(p, polar + [azimuth_nodes(res)])

@@ -576,7 +576,7 @@ def test_exit_2_on_a_hermiticity_resolution_over_the_memory_budget(
         raise AssertionError("a grid was built for a rejected resolution")
     for name in ("polar_nodes", "azimuth_nodes", "_sphere_rules"):
         monkeypatch.setattr(quadrature, name, build)
-    for name in ("reduced_ball_grid", "_midpoint_angular_grid",
+    for name in ("reduced_ball_grid", "midpoint_angular_grid",
                  "harmonic_polynomials"):
         monkeypatch.setattr(operators, name, build)
     code, out, err = run(["check", "hermiticity", *flags], capsys)

@@ -16,6 +16,7 @@ from scipy.special import beta
 from rotorkit.geometry import ModelParams, from_hyperspherical, sphere_area
 from rotorkit.quadrature import (
     azimuth_nodes,
+    midpoint_angular_grid,
     polar_exponent,
     polar_nodes,
     reduced_ball_grid,
@@ -124,3 +125,46 @@ def test_reduced_ball_grid_rejects_one_node():
     p = ModelParams(D=3, R=1.0, hbar=1.0)
     with pytest.raises(ValueError, match="resolution >= 2"):
         reduced_ball_grid(p, 1)
+
+
+# the tensor grid holds res^(D-1) points: 64 nodes an axis fit at D <= 4
+@pytest.mark.parametrize("D,res", [(D, res) for D in range(3, 7)
+                                   for res in (8, 16, 64)
+                                   if res ** (D - 1) <= 2 ** 20])
+def test_midpoint_grid_sums_trig_moments(D, res):
+    # on polar axis k the weight carries sin^(D-1-k); with it, sin^a cos^b
+    # integrates over (0, pi) to B((a+1)/2, (b+1)/2) for even b and to 0
+    # for odd b.  The midpoint sum is exact for a + b < 2 res unless a is
+    # odd and b even, where it errs by (pi/res)^2/12 at a = 1 (the
+    # Euler-Maclaurin end term) and less at larger a
+    p = ModelParams(D=D, R=1.3, hbar=1.0)
+    ang, w = midpoint_angular_grid(p, res)
+    assert ang.shape == (res ** (D - 1), D - 1)
+    h = math.pi / res
+    nodes = (np.arange(res) + 0.5) * h
+    sums = [h * np.sum(np.sin(nodes) ** (D - 1 - k)) for k in range(1, D - 1)]
+    for k in range(1, D - 1):
+        others = 2 * math.pi * p.R ** (D - 1) * math.prod(
+            sums[:k - 1] + sums[k:])
+        phi, node = np.unique(ang[:, k - 1], return_inverse=True)
+        wk = np.array([w[node.reshape(-1) == i].sum() for i in range(res)])
+        for a in range(D - 1 - k, 16):
+            for b in range(min(16, 2 * res - a)):
+                terms = wk * np.sin(phi) ** (a - (D - 1 - k)) * np.cos(phi) ** b
+                want = 0.0 if b % 2 else beta((a + 1) / 2, (b + 1) / 2) * others
+                err = abs(float(terms.sum()) - want)
+                if a % 2 == 0 or b % 2:
+                    assert err <= 1e-14 * float(np.abs(terms).sum()), (k, a, b)
+                else:
+                    assert err <= others * h ** 2 / 8, (k, a, b)
+                    assert a > 1 or err >= others * h ** 2 / 13, (k, a, b)
+
+
+def test_midpoint_grid_misses_the_sphere_area_at_an_odd_sine_power():
+    # the last polar axis weighs sin^1, which the midpoint rule sums with
+    # its (pi/res)^2/12 miss, so the weights miss the area by pi^2/(24 res^2)
+    # relative: far past the 1e-10 the Gauss grids are held to
+    p = ModelParams(D=3, R=1.0, hbar=1.0)
+    _, w = midpoint_angular_grid(p, 64)
+    miss = w.sum() / sphere_area(3, p.R) - 1.0
+    assert math.isclose(miss, math.pi ** 2 / (24 * 64 ** 2), rel_tol=1e-3)
