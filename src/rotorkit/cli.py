@@ -11,7 +11,8 @@ This module only parses, resolves configuration, dispatches and formats
 reports.  The layers return data and this module alone formats it:
 ``json_text`` writes the JSON payload, with each non-finite float as
 null, and ``csv_text``, the one CSV writer, turns the rows each runner
-builds from that data into the CSV table.  The check suites live with the operators they check:
+builds from that data into the CSV table, a block of rows at a time.  The
+check suites live with the operators they check:
 ``operators.suite_chart_equivalence``, ``suite_angular_momentum`` and
 ``suite_hermiticity``, and ``dynamics.suite_dirac_brackets``.
 
@@ -26,11 +27,10 @@ Exit codes:
      must not be negative) and holds the rules of keys only it has: a
      check suite must be selected, the pathintegral evaluation window
      must sit inside [r_min, r_max], a spectrum lists at most 100000
-     eigenvalues, a classical run with its payload in the requested
-     format fits geometry.MEMORY_BUDGET (``_classical_peak_bytes``), and
-     ``--out`` names a writable file: not a directory, in a directory
-     that exists and is writable.  Every other rule lives
-     once, in the layer that owns it,
+     eigenvalues, a classical run fits geometry.MEMORY_BUDGET in either
+     format (``_classical_peak_bytes``), and ``--out`` names a writable
+     file: not a directory, in a directory that exists and is writable.
+     Every other rule lives once, in the layer that owns it,
      and the layer checks it at entry, before its first solve:
      geometry.ModelParams (dim, radius, hbar), spectra.route_spectrum,
      the check suites in operators and dynamics,
@@ -41,6 +41,9 @@ Exit codes:
      exit 2, so exit 2 never follows a solver call
   3  an iterative scheme failed to converge
   4  classical trajectory left the chart margin (exit time in the report)
+  5  the payload could not be written, to ``--out`` (a full disk) or to
+     stdout (a closed pipe); stderr names the error, and this code
+     replaces the run's own
 """
 
 import argparse
@@ -86,8 +89,18 @@ def _f(typ, default, help_, choices=None, positive=False):
             "choices": choices, "positive": positive}
 
 
-CHECK_SUITES = ("chart-equivalence", "hermiticity", "angular-momentum",
-                "dirac-brackets")
+# suite -> (suite call on (p, cfg), default samples, default tolerance)
+_SUITES = {
+    "chart-equivalence": (lambda p, cfg: suite_chart_equivalence(
+        p, cfg["lmax"], cfg["samples"], cfg["seed"]), 100, 1e-10),
+    "hermiticity": (lambda p, cfg: suite_hermiticity(p, cfg["res"]),
+                    None, 1e-8),
+    "angular-momentum": (lambda p, cfg: suite_angular_momentum(
+        p, cfg["lmax"], cfg["samples"], cfg["seed"]), 100, 1e-10),
+    "dirac-brackets": (lambda p, cfg: suite_dirac_brackets(
+        p, cfg["samples"], cfg["seed"]), 1000, 1e-10),
+}
+CHECK_SUITES = tuple(_SUITES)
 
 SCHEMAS = {
     "spectrum": {
@@ -274,8 +287,14 @@ def json_text(report):
                       allow_nan=False) + "\n"
 
 
+# rows a CSV text chunk holds; a block of thousands of rows would hold
+# more than the classical size rule counts
+_CSV_BLOCK = 256
+
+
 def csv_text(header, rows):
-    """The one CSV writer: a header row, then one line per row.
+    """The one CSV writer: a header row, then one line per row, yielded as
+    text every ``_CSV_BLOCK`` rows, so no payload is held whole.
 
     Python floats are written as their repr; text fields holding a comma
     or a quote are quoted.
@@ -283,8 +302,13 @@ def csv_text(header, rows):
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(header)
-    wr.writerows(rows)
-    return buf.getvalue()
+    for i, row in enumerate(rows, 1):
+        wr.writerow(row)
+        if i % _CSV_BLOCK == 0:
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +319,7 @@ def csv_text(header, rows):
 _MAX_EIGENVALUES = 100_000
 
 
-def run_spectrum(cfg, fmt):
+def run_spectrum(cfg):
     p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
     method = cfg["method"]
     if method == "auto":
@@ -374,35 +398,17 @@ def run_spectrum(cfg, fmt):
 # ---------------------------------------------------------------------------
 # check
 
-_SUITE_DEFAULTS = {
-    # suite -> (default samples, default tolerance)
-    "chart-equivalence": (100, 1e-10),
-    "angular-momentum": (100, 1e-10),
-    "hermiticity": (None, 1e-8),
-    "dirac-brackets": (1000, 1e-10),
-}
-
-
-def run_check(cfg, fmt):
+def run_check(cfg):
     suite = cfg["suite"]
     if suite is None:
         raise ConfigError("no suite selected (positional argument or 'suite' "
                           f"config key; one of {', '.join(CHECK_SUITES)})")
-    default_samples, default_tol = _SUITE_DEFAULTS[suite]
+    call, default_samples, default_tol = _SUITES[suite]
     samples = cfg["samples"] if cfg["samples"] is not None else default_samples
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else default_tol
     cfg = dict(cfg, samples=samples, tolerance=tol)
     p = ModelParams(D=cfg["dim"], R=cfg["radius"], hbar=cfg["hbar"])
-    if suite == "chart-equivalence":
-        results, worst = suite_chart_equivalence(p, cfg["lmax"], samples,
-                                                 cfg["seed"])
-    elif suite == "angular-momentum":
-        results, worst = suite_angular_momentum(p, cfg["lmax"], samples,
-                                                cfg["seed"])
-    elif suite == "hermiticity":
-        results, worst = suite_hermiticity(p, cfg["res"])
-    else:
-        results, worst = suite_dirac_brackets(p, samples, cfg["seed"])
+    results, worst = call(p, cfg)
     criteria = [("deviation", worst, tol)]
     max_deviations = {"deviation": float(worst)}
     if "max_eigenvalue_deviation" in results:
@@ -437,32 +443,28 @@ def _scalar_leaves(obj, path=""):
 # ---------------------------------------------------------------------------
 # classical
 
-def _classical_peak_bytes(D, steps, fmt):
-    """Estimated peak bytes of a ``classical`` run of steps + 1 rows.
+def _classical_peak_bytes(D, steps):
+    """Estimated peak bytes of a ``classical`` run of steps + 1 rows, in
+    either payload format.
 
     The run holds 3 D (D-1)/2 + 6 D + 8 doubles a row: both trajectories,
     the lift, and both routes' conserved series while the second route's
-    L columns are stacked.  A CSV payload then holds the row's 2 D + 2
-    cells at 104 bytes each: the stacked double, the Python float and its
-    pointer, and up to 25 characters of text, twice.  Add 256 KiB for the
-    rest of the command.  tracemalloc measured 161 to 1597 bytes a row as
-    JSON (D = 2 to 10), about 90 bytes a cell as CSV, and 0.1 to 0.2 MB
-    besides.
+    L columns are stacked.  Add 256 KiB for the rest of the command, a
+    CSV block of rows included.  tracemalloc measured 161 to 1597 bytes a
+    row (D = 2 to 10) and 0.1 to 0.2 MB besides.
     """
     row = 8 * (3 * D * (D - 1) // 2 + 6 * D + 8)
-    if fmt == "csv":
-        row = max(row, 104 * (2 * D + 2))
     return row * (steps + 1.0) + 2 ** 18
 
 
-def run_classical(cfg, fmt):
+def run_classical(cfg):
     p = ModelParams(D=cfg["dim"], R=cfg["radius"])
     q0, p0 = np.array(cfg["q0"]), np.array(cfg["p0"])
     T, dt = cfg["duration"], cfg["dt"]
     steps = _step_count(T, dt)
-    need = _classical_peak_bytes(p.D, steps, fmt)
+    need = _classical_peak_bytes(p.D, steps)
     if need > MEMORY_BUDGET:
-        raise ValueError(f"{steps:.3g} steps as {fmt} need an estimated "
+        raise ValueError(f"{steps:.3g} steps need an estimated "
                          f"{need:.3g} bytes, over the {MEMORY_BUDGET} byte "
                          "budget")
     try:
@@ -506,17 +508,24 @@ def run_classical(cfg, fmt):
     header = (["t"] + [f"q{i}" for i in range(1, n + 1)]
               + [f"p{i}" for i in range(1, n + 1)]
               + ["H", "constraint_radial", "constraint_tangent"])
+
+    def rows():
+        # H and the residuals whole, the table stacked a block at a time
+        columns = [traj.times, traj.q, traj.p,
+                   hamiltonian_value(traj.q, traj.p, p),
+                   *constraint_residuals(lift_x, lift_v, p)]
+        for k in range(0, len(traj), _CSV_BLOCK):
+            yield from np.column_stack(
+                [c[k:k + _CSV_BLOCK] for c in columns]).tolist()
+
     return (*_verdict("classical", cfg, results, max_dev, criteria),
-            lambda: csv_text(header, np.column_stack([
-                traj.times, traj.q, traj.p,
-                hamiltonian_value(traj.q, traj.p, p),
-                *constraint_residuals(lift_x, lift_v, p)]).tolist()))
+            lambda: csv_text(header, rows()))
 
 
 # ---------------------------------------------------------------------------
 # pathintegral
 
-def run_pathintegral(cfg, fmt):
+def run_pathintegral(cfg):
     p = ModelParams(D=2, R=1.0, hbar=cfg["hbar"])
     grid = RadialGrid(cfg["r_min"], cfg["r_max"], cfg["nodes"])
     if not (grid.r_min <= cfg["r_eval_min"] < cfg["r_eval_max"] <= grid.r_max):
@@ -568,10 +577,9 @@ def run_pathintegral(cfg, fmt):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-# Each runner takes the resolved config and the payload format, json or
-# csv, and returns (exit code, report, stderr line, csv): csv is None or
-# a callable that builds the CSV text, so only a requested format is ever
-# built.
+# Each runner takes the resolved config and returns (exit code, report,
+# stderr line, csv): csv is None or a callable that returns the CSV text
+# chunks, so only a requested format is ever built.
 _RUNNERS = {
     "spectrum": run_spectrum,
     "check": run_check,
@@ -625,14 +633,26 @@ def _check_out_path(path):
         raise ConfigError(f"--out {path} is not writable")
 
 
-def _emit(payload, out_path, quiet, status):
-    if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    if not quiet:
+def _emit(cmd, chunks, args, status, code):
+    """Write the payload's text chunks and the status line; ``code``, or 5
+    when the payload cannot be written (a full disk, a closed pipe)."""
+    try:
+        if args.out is not None:
+            with open(args.out, "w") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as err:
+        if args.out is None:
+            # the interpreter flushes stdout again at exit; let that flush
+            # reach /dev/null rather than report the same error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {cmd}: payload not written: {err}", file=sys.stderr)
+        return 5
+    if not args.quiet:
         print(status, file=sys.stderr)
+    return code
 
 
 def main(argv=None):
@@ -655,7 +675,7 @@ def main(argv=None):
         if cmd == "check" and getattr(args, "suite_pos", None) is not None:
             flag_entries["suite"] = args.suite_pos
         cfg = resolve_config(cmd, file_entries, flag_entries)
-        code, report, status, csv_payload = _RUNNERS[cmd](cfg, args.format)
+        code, report, status, csv_payload = _RUNNERS[cmd](cfg)
     except ValueError as err:  # ConfigError included: a rejected input
         print(f"error: {cmd}: {err}", file=sys.stderr)
         return 2
@@ -663,12 +683,10 @@ def main(argv=None):
         payload = json_text({"tool_version": __version__, "command": cmd,
                              "error": str(err),
                              "error_kind": "non_convergence", "pass": False})
-        _emit(payload, args.out, args.quiet, f"non-convergence: {err}")
-        return 3
-    payload = (json_text(report) if args.format == "json" or csv_payload is None
-               else csv_payload())
-    _emit(payload, args.out, args.quiet, status)
-    return code
+        return _emit(cmd, [payload], args, f"non-convergence: {err}", 3)
+    chunks = ([json_text(report)] if args.format == "json" or csv_payload is None
+              else csv_payload())
+    return _emit(cmd, chunks, args, status, code)
 
 
 if __name__ == "__main__":

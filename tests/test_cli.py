@@ -7,11 +7,14 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +78,7 @@ def test_unknown_and_invalid_keys_are_config_errors():
         resolve_config("spectrum", {"dims": "3"}, {})
     # the model accepts D in 2..10
     with pytest.raises(ValueError, match="D must be an integer"):
-        cli.run_spectrum(resolve_config("spectrum", {}, {"dim": "11"}), "json")
+        cli.run_spectrum(resolve_config("spectrum", {}, {"dim": "11"}))
     with pytest.raises(ConfigError):
         resolve_config("classical", {}, {"dt": "-0.1"})
     with pytest.raises(ConfigError):
@@ -586,18 +589,19 @@ def test_exit_2_on_a_hermiticity_resolution_over_the_memory_budget(
 
 
 @pytest.mark.parametrize("flags, needle", [
-    (["--duration", "30", "--dt", "1e-5", "--format", "csv"],
-     "3e+06 steps as csv need an estimated 2.5e+09 bytes"),
+    (["--duration", "100", "--dt", "1e-5", "--format", "csv"],
+     "1e+07 steps need an estimated 2.8e+09 bytes"),
     (["--duration", "100", "--dt", "1e-5"],
-     "1e+07 steps as json need an estimated 2.8e+09 bytes"),
+     "1e+07 steps need an estimated 2.8e+09 bytes"),
     (["--dim", "10", "--q0", "0.2,0,0,0,0,0,0,0,0", "--p0",
       "0,0.08,0,0,0,0,0,0,0", "--duration", "20", "--dt", "1e-5"],
-     "2e+06 steps as json need an estimated 3.25e+09 bytes"),
+     "2e+06 steps need an estimated 3.25e+09 bytes"),
 ])
 def test_exit_2_on_a_classical_run_over_the_memory_budget(flags, needle,
                                                           monkeypatch, capsys):
-    # the trajectories, their series and the CSV rows are sized together
-    # before the first step; the reduced trajectory alone would fit
+    # the trajectories and their series are sized together before the
+    # first step, by one rule for both formats; the reduced trajectory
+    # alone would fit
     def step(*args, **kwargs):
         raise AssertionError("a step ran on a rejected input")
     monkeypatch.setattr(dynamics, "_midpoint_step", step)
@@ -605,13 +609,6 @@ def test_exit_2_on_a_classical_run_over_the_memory_budget(flags, needle,
     code, out, err = run(["classical", *flags], capsys)
     assert code == 2 and out == "" and "Traceback" not in err
     assert needle in err and f"over the {cli.MEMORY_BUDGET} byte budget" in err
-
-
-def test_the_classical_estimate_reads_the_format():
-    # 3e6 steps at D = 3 fit the budget as JSON and not as CSV
-    json_need, csv_need = (cli._classical_peak_bytes(3, 3_000_000, fmt)
-                           for fmt in ("json", "csv"))
-    assert json_need < cli.MEMORY_BUDGET < csv_need
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -630,7 +627,7 @@ def test_the_classical_estimate_bounds_a_measured_peak(D, fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    need = cli._classical_peak_bytes(D, 5000, fmt)
+    need = cli._classical_peak_bytes(D, 5000)
     assert code == 0 and peak <= need <= 1.5 * peak
 
 
@@ -815,7 +812,7 @@ def test_auto_resolves_to_the_suite_defaults(tmp_path, capsys):
 
 
 def test_exit_3_on_non_convergence(monkeypatch, capsys):
-    def boom(cfg, fmt):
+    def boom(cfg):
         raise NonConvergenceError("lanczos stalled")
     monkeypatch.setitem(cli._RUNNERS, "spectrum", boom)
     code, out, err = run(["spectrum"], capsys)
@@ -913,6 +910,41 @@ def test_classical_csv_rows_carry_the_reduced_energy(capsys):
     assert np.max(np.abs(table[:, 6:])) < 1e-13
 
 
+def _one_writer_text(header, rows):
+    """The CSV text of one csv.writer over the whole table at once."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(header)
+    wr.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 3 * 256 + 5])
+def test_csv_blocks_join_to_the_text_of_one_writer(n):
+    header = ("i", "x", "label")
+    rows = [(i, 0.1 * i, "a,b" if i % 7 == 0 else "") for i in range(n)]
+    chunks = list(cli.csv_text(header, iter(rows)))
+    assert len(chunks) == n // cli._CSV_BLOCK + 1
+    assert "".join(chunks) == _one_writer_text(header, rows)
+
+
+def test_classical_csv_equals_one_writer_over_the_whole_table(capsys):
+    # 5000 steps cross 19 blocks of rows
+    text = _payload(["classical", "--duration", "5", "--format", "csv"],
+                    capsys)
+    p = ModelParams(D=3, R=1.0)
+    traj = dynamics.integrate_reduced(np.array([0.2, 0.0]),
+                                      np.array([0.0, 0.08]), 5.0, 1e-3, p)
+    lift_x, lift_v = dynamics.embedded_from_reduced(traj.q, traj.p, p)
+    table = np.column_stack([traj.times, traj.q, traj.p,
+                             dynamics.hamiltonian_value(traj.q, traj.p, p),
+                             *dynamics.constraint_residuals(lift_x, lift_v, p)])
+    header = ("t", "q1", "q2", "p1", "p2", "H", "constraint_radial",
+              "constraint_tangent")
+    assert len(traj) == 5001
+    assert text == _one_writer_text(header, table.tolist())
+
+
 def test_hermiticity_csv_rows_have_two_fields(capsys):
     text = _payload(["check", "hermiticity", "--res", "16", "--format", "csv"],
                     capsys)
@@ -980,3 +1012,42 @@ def test_seed_changes_the_sampled_report(capsys):
                   "--seed", "8"], capsys)
     assert json.loads(a)["results"]["max_deviation"] != \
         json.loads(b)["results"]["max_deviation"]
+
+
+def _cli_process(argv, stdout):
+    """``python -m rotorkit.cli argv`` in a fresh process, stderr captured."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "rotorkit.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          text=True)
+
+
+def _assert_exit_5(proc, cmd):
+    assert proc.returncode == 5
+    assert re.fullmatch(rf"error: {cmd}: payload not written: [^\n]+\n",
+                        proc.stderr), proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a file every write fills")
+def test_exit_5_when_the_out_file_cannot_be_written():
+    proc = _cli_process(["check", "dirac-brackets", "--samples", "10",
+                         "--out", "/dev/full"], subprocess.DEVNULL)
+    _assert_exit_5(proc, "check")
+    assert "No space left" in proc.stderr
+
+
+def test_exit_5_when_stdout_is_a_closed_pipe():
+    # a pipe whose reader is gone before the first write, as in
+    # `rotorkit classical --format csv | true`; the payload is many chunks
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(["classical", "--duration", "1", "--format",
+                             "csv"], write_end)
+    finally:
+        os.close(write_end)
+    _assert_exit_5(proc, "classical")
+    assert "Broken pipe" in proc.stderr
